@@ -89,7 +89,13 @@ def cmd_manipulate(args) -> int:
     return 1
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+
+
 def cmd_axioms(args) -> int:
+    _check_threads(args)
     rule = parse_rule(args.rule)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     wanted = args.axiom or [a.value for a in full_suite()]
@@ -112,6 +118,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_threads(args)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     report = corroborate_theorems(universe, workers=args.threads)
     text, payload = svio.serialize_report(report.verdicts, report.assertions)

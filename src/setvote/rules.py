@@ -31,6 +31,7 @@ from .core import (
 
 __all__ = [
     "BasisTag",
+    "EmptyChoiceError",
     "InstanceTooLargeError",
     "RuleId",
     "RuleSpec",
@@ -50,6 +51,10 @@ class TiesUnsupportedError(ValueError):
 
 class InstanceTooLargeError(ValueError):
     """Raised when a brute-force rule is asked to handle too many alternatives."""
+
+
+class EmptyChoiceError(RuntimeError):
+    """Raised when a rule produces an empty choice set, which no rule may do."""
 
 
 class RuleId(str, Enum):
@@ -131,8 +136,10 @@ def parse_rule(text: str) -> RuleSpec:
     if rule_id == RuleId.FAB:
         if not arg:
             return RuleSpec(rule_id)
-        if len(arg) != 2 or not arg.isalpha():
-            raise ValueError(f"expected two letters after 'fab:', got {arg!r}")
+        if len(arg) != 2 or arg[0] == arg[1] or not all("a" <= ch <= "z" for ch in arg):
+            raise ValueError(
+                f"expected two distinct lowercase letters a-z after 'fab:', got {arg!r}"
+            )
         return RuleSpec(rule_id, pair=(ord(arg[0]) - 97, ord(arg[1]) - 97))
     if arg:
         raise ValueError(f"rule {head!r} takes no parameters")
@@ -450,7 +457,8 @@ def evaluate_mask_from_relation(rule: RuleSpec, strict: tuple[int, ...], m: int)
 def evaluate(rule: RuleSpec, profile: Profile) -> ChoiceSet:
     """Evaluate one rule on one profile; the result is never empty."""
     mask = evaluate_mask(rule, profile.ballots, profile.m)
-    assert mask != 0, f"{rule.name} produced an empty choice set"
+    if not mask:
+        raise EmptyChoiceError(f"{rule.name} produced an empty choice set")
     return ChoiceSet(profile.m, mask)
 
 

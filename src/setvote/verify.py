@@ -13,6 +13,28 @@ exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
 environment variable). The strategyproofness sweep can optionally partition
 the profile range over worker processes; the first witness is merged by
 global scan index, keeping the result independent of the worker count.
+
+Margin code. The sweep engine keeps a profile's margins as one integer. For
+m alternatives and electorates of at most N voters, field i = x*m + y holds
+g(x, y) + N in w = bit_length(2N) value bits (0 <= g + N <= 2N < 2^w),
+followed by a guard bit that stays zero; field i starts at bit i*(w + 1), so
+a code has m*m*(w + 1) bits (64 for m = 4, N = 3). A ballot's encoding
+enc[b] adds 1 to each field (x, y) it ranks x over y and subtracts 1 from the
+mirrored field, so:
+
+- a profile's code is BIAS + sum(enc[b] for its ballots), BIAS holding N in
+  every field;
+- one voter changing ballot is code - enc[old] + enc[new], one add once the
+  difference is tabled per (true ballot, misreport);
+- adding ADD, which holds 2^w - N - 1 in every field, carries into the guard
+  bit of field (x, y) exactly when g(x, y) > 0, so (code + ADD) & GUARD is in
+  bijection with the strict majority relation and keys majoritarian rules;
+  pairwise rules key on the code itself.
+
+Each engine has one layout, sized for the largest electorate it will see: n
+for a single profile, n_max * k_hom in a universe (homogeneity tiles
+profiles k_hom times). Strict masks and margin vectors are decoded only on
+a memo miss.
 """
 
 from __future__ import annotations
@@ -23,15 +45,16 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from math import factorial
+from functools import lru_cache, partial
+from math import comb, factorial
 
 from .core import (
     Ballot,
     ChoiceSet,
     MajorityRelation,
     Profile,
+    _bits as _mask_bits,
     _margins_flat,
-    _pair_vector,
     _strict_masks_from_flat,
     enumerate_ballots,
     enumerate_relations,
@@ -40,6 +63,7 @@ from .extensions import ExtensionKind
 from .mcgarvey import realize_relation
 from .rules import (
     BasisTag,
+    EmptyChoiceError,
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
@@ -79,7 +103,17 @@ DEFAULT_BUDGET = 10**9
 def _budget(value: int | None) -> int:
     if value is not None:
         return value
-    return int(os.environ.get("SETVOTE_BUDGET", DEFAULT_BUDGET))
+    raw = os.environ.get("SETVOTE_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"SETVOTE_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"the worker count must be at least 1, got {workers}")
 
 
 class BudgetExceededError(RuntimeError):
@@ -203,13 +237,6 @@ def _worst(rank, mask):
     return max(rank[x] for x in _mask_bits(mask))
 
 
-def _mask_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _fish(rank, xmask, ymask) -> bool:
     xo = xmask & ~ymask
     if xo and _worst(rank, xo) > _best(rank, ymask):
@@ -242,67 +269,213 @@ def _prefers(extension: ExtensionKind, rank, xmask, ymask) -> bool:
     return _fplus_weak(rank, xmask, ymask) and not _fplus_weak(rank, ymask, xmask)
 
 
+def _strong_violation(kind: ExtensionKind, rank, out, honest) -> bool:
+    """Strong reading: is the honest outcome not at least as good as `out`?"""
+    at_least = _fish if kind == ExtensionKind.FISHBURN else _fplus_weak
+    return not at_least(rank, honest, out)
+
+
 # ---------------------------------------------------------------------------
-# memoized rule evaluation keyed by the rule's declared basis
+# margin codes and memoized rule evaluation keyed by the rule's declared basis
+
+# misreport tables kept per layout, counted in (true ballot, misreport) entries
+_DEVIATION_TABLE_ENTRIES = 1 << 14
+
+
+class _MarginCode:
+    """One margin-code layout (see the module docstring), with the ballot
+    encodings and misreport tables it has needed so far."""
+
+    def __init__(self, m: int, size: int):
+        self.m = m
+        self.size = size
+        self.width = (2 * size).bit_length()
+        self.stride = self.width + 1
+        self.shifts = tuple(i * self.stride for i in range(m * m))
+        ones = sum(1 << s for s in self.shifts)
+        self.bias = size * ones
+        self.add = ((1 << self.width) - size - 1) * ones
+        self.guard = ones << self.width
+        self._enc: dict = {}
+        self._deviations: dict = {}
+        self._max_tables = max(1, _DEVIATION_TABLE_ENTRIES // factorial(m))
+
+    def enc(self, ballot: Ballot) -> int:
+        code = self._enc.get(ballot)
+        if code is None:
+            m, shifts = self.m, self.shifts
+            code = 0
+            for hi, x in enumerate(ballot):
+                for y in ballot[hi + 1:]:
+                    code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
+            self._enc[ballot] = code
+        return code
+
+    def of(self, ballots) -> int:
+        if len(ballots) > self.size:
+            raise ValueError(
+                f"margin code sized for {self.size} voters got {len(ballots)}"
+            )
+        return sum(map(self.enc, ballots), self.bias)
+
+    def deviations(self, true_ballot: Ballot):
+        """(misreport, enc[misreport] - enc[true_ballot]) in `_misreports` order."""
+        table = self._deviations.get(true_ballot)
+        if table is None:
+            if len(self._deviations) >= self._max_tables:
+                self._deviations.clear()
+            base = self.enc(true_ballot)
+            table = tuple(
+                (mis, self.enc(mis) - base) for mis in _misreports(true_ballot)
+            )
+            self._deviations[true_ballot] = table
+        return table
+
+    def key(self, code: int) -> int:
+        """The relation key: guard bit (x, y) set iff g(x, y) > 0."""
+        return (code + self.add) & self.guard
+
+    def flat(self, code: int) -> tuple[int, ...]:
+        field_mask = (1 << self.width) - 1
+        return tuple((code >> s & field_mask) - self.size for s in self.shifts)
+
+    def strict(self, key: int) -> tuple[int, ...]:
+        m, stride = self.m, self.stride
+        strict = [0] * m
+        key >>= self.width
+        while key:
+            low = key & -key
+            x, y = divmod((low.bit_length() - 1) // stride, m)
+            strict[x] |= 1 << y
+            key ^= low
+        return tuple(strict)
+
+
+# a few layouts stay alive across calls, so that one-profile searches such as
+# find_manipulation do not re-encode every misreport; each holds at most m!
+# encodings and a bounded misreport table, filled on first use
+_margin_code = lru_cache(maxsize=4)(_MarginCode)
+
+
+def _nonempty(rule: RuleSpec, mask: int) -> int:
+    if not mask:
+        raise EmptyChoiceError(f"{rule.name} produced an empty choice set")
+    return mask
 
 
 class _Engine:
-    def __init__(self, rule: RuleSpec, m: int):
+    """Rule outputs memoized for one call or sweep. The key follows the
+    rule's basis: the ballots for profile-based rules, the margin code for
+    pairwise ones, the relation key for majoritarian ones."""
+
+    def __init__(self, rule: RuleSpec, m: int, size: int):
         self.rule = rule
         self.m = m
         self.tag = basis(rule)
+        self.layout = _margin_code(m, size)
+        self.by_ballots = self.tag == BasisTag.PROFILE_BASED
+        # (code + add) & guard is the key; pairwise rules keep the code whole
+        if self.tag == BasisTag.MAJORITARIAN:
+            self.add, self.guard = self.layout.add, self.layout.guard
+        else:
+            self.add, self.guard = 0, -1
         self.cache: dict = {}
 
-    def from_parts(self, ballots, flat) -> int:
-        if self.tag == BasisTag.PROFILE_BASED:
-            key = ballots
-        elif self.tag == BasisTag.PAIRWISE:
-            key = flat
-        else:
-            key = _strict_masks_from_flat(flat, self.m)
-        mask = self.cache.get(key)
-        if mask is None:
-            if self.tag == BasisTag.PROFILE_BASED:
-                mask = evaluate_mask(self.rule, ballots, self.m)
-            elif self.tag == BasisTag.PAIRWISE:
-                mask = evaluate_mask_from_margins(self.rule, flat, self.m)
-            else:
-                mask = evaluate_mask_from_relation(self.rule, key, self.m)
-            self.cache[key] = mask
-        return mask
+    @classmethod
+    def for_universe(cls, rule: RuleSpec, universe: Universe) -> _Engine:
+        return cls(rule, universe.m, universe.n_max * universe.k_hom)
+
+    def output(self, code: int, ballots) -> int:
+        """The output on the profile with this code; `ballots` is read by
+        profile-based rules only."""
+        key = ballots if self.by_ballots else (code + self.add) & self.guard
+        out = self.cache.get(key)
+        if out is None:
+            out = self.miss(key, code)
+        return out
 
     def of(self, ballots) -> int:
-        return self.from_parts(ballots, _margins_flat(ballots, self.m))
+        return self.output(self.layout.of(ballots), ballots)
+
+    def replaced(self, code: int, ballots, voter: int, ballot: Ballot) -> int:
+        """The output once `voter` reports `ballot` instead."""
+        code += self.layout.enc(ballot) - self.layout.enc(ballots[voter])
+        if self.by_ballots:
+            return self.output(code, ballots[:voter] + (ballot,) + ballots[voter + 1:])
+        return self.output(code, None)
+
+    def miss(self, key, code: int) -> int:
+        """The single memo-miss site."""
+        if self.by_ballots:
+            mask = evaluate_mask(self.rule, key, self.m)
+        elif self.tag == BasisTag.PAIRWISE:
+            mask = evaluate_mask_from_margins(self.rule, self.layout.flat(code), self.m)
+        else:
+            mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
+        self.cache[key] = _nonempty(self.rule, mask)
+        return mask
 
 
 def _misreports(true_ballot: Ballot):
-    """All deviations, nearest first: lexicographic in the voter's own ranking."""
-    m = len(true_ballot)
-    for pattern in itertools.permutations(range(m)):
-        if pattern == tuple(range(m)):
-            continue
-        yield tuple(true_ballot[i] for i in pattern)
+    """All deviations, nearest first: lexicographic in the voter's own ranking
+    (the permutations of the ballot in order, less the first, itself)."""
+    return itertools.islice(itertools.permutations(true_ballot), 1, None)
 
 
-def _scan_deviations(engine: _Engine, ballots, flat, extension: ExtensionKind):
-    """First manipulation of one profile in (voter, misreport) order, or None."""
-    m = engine.m
-    honest = engine.from_parts(ballots, flat)
+def _deviations(engine: _Engine, ballots, code: int, honest: int):
+    """Single-voter deviations whose outcome differs from `honest`, as
+    (voter, misreport, outcome) in scan order: voter index, then
+    `_misreports` order. Each (voter, outcome) pair is yielded at its first
+    deviation only; whether the voter gains depends on nothing else, and
+    every consumer stops at the first deviation it accepts."""
+    cache, add, guard = engine.cache, engine.add, engine.guard
+    by_ballots, miss = engine.by_ballots, engine.miss
     for voter, true_ballot in enumerate(ballots):
-        rank = _rank_of(true_ballot)
-        true_vec = _pair_vector(true_ballot)
-        for mis in _misreports(true_ballot):
-            mis_vec = _pair_vector(mis)
-            new_flat = tuple(
-                g - a + b for g, a, b in zip(flat, true_vec, mis_vec)
-            )
-            new_ballots = ballots[:voter] + (mis,) + ballots[voter + 1:]
-            out = engine.from_parts(new_ballots, new_flat)
-            if out == honest:
-                continue
-            if _prefers(extension, rank, out, honest):
-                return voter, true_ballot, mis, honest, out
+        judged = {honest}
+        for mis, delta in engine.layout.deviations(true_ballot):
+            new = code + delta
+            if by_ballots:
+                key = ballots[:voter] + (mis,) + ballots[voter + 1:]
+            else:
+                key = (new + add) & guard
+            out = cache.get(key)
+            if out is None:
+                out = miss(key, new)
+            if out not in judged:
+                judged.add(out)
+                yield voter, mis, out
+
+
+def _first_gain(engine: _Engine, ballots, gains):
+    """First deviation whose outcome `gains(rank, outcome, honest)` accepts,
+    as (voter, misreport, honest, outcome), or None."""
+    code = engine.layout.of(ballots)
+    honest = engine.output(code, ballots)
+    for voter, mis, out in _deviations(engine, ballots, code, honest):
+        if gains(_rank_of(ballots[voter]), out, honest):
+            return voter, mis, honest, out
     return None
+
+
+def _manipulation(profile: Profile, hit, extension: ExtensionKind) -> Manipulation:
+    voter, mis, honest, out = hit
+    return Manipulation(
+        profile=profile,
+        voter=voter,
+        true_ballot=profile.ballots[voter],
+        misreport=mis,
+        honest_set=ChoiceSet(profile.m, honest),
+        manipulated_set=ChoiceSet(profile.m, out),
+        extension=extension,
+    )
+
+
+def _deviation_estimate(universe: Universe) -> int:
+    deviations = factorial(universe.m) - 1
+    return sum(
+        factorial(universe.m) ** n * (n * deviations + 1)
+        for n in range(1, universe.n_max + 1)
+    )
 
 
 def find_manipulation(
@@ -314,28 +487,18 @@ def find_manipulation(
         raise InstanceTooLargeError(
             f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
         )
-    engine = _Engine(rule, profile.m)
-    hit = _scan_deviations(engine, profile.ballots, _margins_flat(profile.ballots, profile.m), extension)
-    if hit is None:
-        return None
-    voter, true_ballot, mis, honest, out = hit
-    return Manipulation(
-        profile=profile,
-        voter=voter,
-        true_ballot=true_ballot,
-        misreport=mis,
-        honest_set=ChoiceSet(profile.m, honest),
-        manipulated_set=ChoiceSet(profile.m, out),
-        extension=extension,
-    )
+    engine = _Engine(rule, profile.m, profile.n)
+    hit = _first_gain(engine, profile.ballots, partial(_prefers, extension))
+    return None if hit is None else _manipulation(profile, hit, extension)
 
 
 def _sp_chunk(args):
-    rule, m, extension, chunk = args
-    engine = _Engine(rule, m)
+    """First manipulable profile of an indexed chunk, as (index, ballots, hit)."""
+    rule, m, size, extension, chunk = args
+    engine = _Engine(rule, m, size)
+    gains = partial(_prefers, extension)
     for index, ballots in chunk:
-        flat = _margins_flat(ballots, m)
-        hit = _scan_deviations(engine, ballots, flat, extension)
+        hit = _first_gain(engine, ballots, gains)
         if hit is not None:
             return index, ballots, hit
     return None
@@ -349,47 +512,36 @@ def sweep_strategyproofness(
     budget: int | None = None,
     workers: int = 1,
 ) -> AxiomVerdict:
-    """Exhaustive manipulation search over the universe."""
-    deviations = factorial(universe.m) - 1
-    estimate = sum(
-        factorial(universe.m) ** n * (n * deviations + 1)
-        for n in range(1, universe.n_max + 1)
-    )
+    """Exhaustive manipulation search over the universe.
+
+    With workers > 1 the profiles are split into chunks and run in a process
+    pool of at most min(workers, CPU count, chunk count) processes.
+    """
+    _check_workers(workers)
+    estimate = _deviation_estimate(universe)
     if estimate > _budget(budget):
         raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
     axiom = f"strategyproofness-{extension.value}"
-    m = universe.m
-    hit = None
-    if workers <= 1:
-        engine = _Engine(rule, m)
-        for ballots, flat in universe.raw_profiles():
-            found = _scan_deviations(engine, ballots, flat, extension)
-            if found is not None:
-                hit = (ballots, found)
-                break
+    m, size = universe.m, universe.n_max * universe.k_hom
+    indexed = enumerate(b for b, _ in universe.raw_profiles())
+    if workers == 1:
+        best = _sp_chunk((rule, m, size, extension, indexed))
     else:
-        indexed = list(enumerate(b for b, _ in universe.raw_profiles()))
+        indexed = list(indexed)
         chunk_size = max(1, len(indexed) // (workers * 8))
         chunks = [indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)]
+        pool_size = max(1, min(workers, os.cpu_count() or 1, len(chunks)))
         best = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_sp_chunk, [(rule, m, extension, c) for c in chunks]):
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            for result in pool.map(
+                _sp_chunk, [(rule, m, size, extension, c) for c in chunks]
+            ):
                 if result is not None and (best is None or result[0] < best[0]):
                     best = result
-        if best is not None:
-            hit = (best[1], best[2])
-    if hit is None:
+    if best is None:
         return AxiomVerdict(axiom, rule, universe, Outcome.HOLDS)
-    ballots, (voter, true_ballot, mis, honest, out) = hit
-    manipulation = Manipulation(
-        profile=Profile(m, ballots),
-        voter=voter,
-        true_ballot=true_ballot,
-        misreport=mis,
-        honest_set=ChoiceSet(m, honest),
-        manipulated_set=ChoiceSet(m, out),
-        extension=extension,
-    )
+    _, ballots, found = best
+    manipulation = _manipulation(Profile(m, ballots), found, extension)
     return AxiomVerdict(
         axiom, rule, universe, Outcome.VIOLATED, {"manipulation": manipulation}
     )
@@ -405,35 +557,9 @@ def find_strong_manipulation(
     violates it. For the strict lifting "at least as good" means equal or
     strictly above; for the weak one it is the weak relation itself.
     """
-    m = profile.m
-    engine = _Engine(rule, m)
-    flat = _margins_flat(profile.ballots, m)
-    honest = engine.from_parts(profile.ballots, flat)
-    for voter, true_ballot in enumerate(profile.ballots):
-        rank = _rank_of(true_ballot)
-        true_vec = _pair_vector(true_ballot)
-        for mis in _misreports(true_ballot):
-            mis_vec = _pair_vector(mis)
-            new_flat = tuple(g - a + b for g, a, b in zip(flat, true_vec, mis_vec))
-            new_ballots = profile.ballots[:voter] + (mis,) + profile.ballots[voter + 1:]
-            out = engine.from_parts(new_ballots, new_flat)
-            if out == honest:
-                continue
-            if kind == ExtensionKind.FISHBURN:
-                fine = _fish(rank, honest, out)
-            else:
-                fine = _fplus_weak(rank, honest, out)
-            if not fine:
-                return Manipulation(
-                    profile=profile,
-                    voter=voter,
-                    true_ballot=true_ballot,
-                    misreport=mis,
-                    honest_set=ChoiceSet(m, honest),
-                    manipulated_set=ChoiceSet(m, out),
-                    extension=kind,
-                )
-    return None
+    engine = _Engine(rule, profile.m, profile.n)
+    hit = _first_gain(engine, profile.ballots, partial(_strong_violation, kind))
+    return None if hit is None else _manipulation(profile, hit, kind)
 
 
 def sweep_strong_strategyproofness(
@@ -443,11 +569,7 @@ def sweep_strong_strategyproofness(
     *,
     budget: int | None = None,
 ) -> AxiomVerdict:
-    deviations = factorial(universe.m) - 1
-    estimate = sum(
-        factorial(universe.m) ** n * (n * deviations + 1)
-        for n in range(1, universe.n_max + 1)
-    )
+    estimate = _deviation_estimate(universe)
     if estimate > _budget(budget):
         raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
     axiom = f"strong-strategyproofness-{kind.value}"
@@ -473,31 +595,32 @@ def find_group_manipulation(
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
     fact = factorial(m)
-    estimate = sum(
-        _comb(n, g) * fact**g for g in range(1, max_group + 1)
-    )
+    estimate = sum(comb(n, g) * fact**g for g in range(1, max_group + 1))
     if estimate > _budget(budget):
         raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
-    engine = _Engine(rule, m)
-    flat = _margins_flat(profile.ballots, m)
-    honest = engine.from_parts(profile.ballots, flat)
-    ranks = [_rank_of(b) for b in profile.ballots]
+    ballots = profile.ballots
+    engine = _Engine(rule, m, n)
+    layout = engine.layout
+    code = layout.of(ballots)
+    honest = engine.output(code, ballots)
+    ranks = [_rank_of(b) for b in ballots]
     for size in range(1, max_group + 1):
         for group in itertools.combinations(range(n), size):
-            options = [
-                [profile.ballots[v]] + list(_misreports(profile.ballots[v]))
-                for v in group
-            ]
-            for reports in itertools.product(*options):
-                if all(r == profile.ballots[v] for v, r in zip(group, reports)):
+            options = [((ballots[v], 0),) + layout.deviations(ballots[v]) for v in group]
+            judged = {honest}
+            # the first joint report keeps every member's own ballot
+            for choice in itertools.islice(itertools.product(*options), 1, None):
+                reports = tuple(r for r, _ in choice)
+                new_ballots = None
+                if engine.by_ballots:
+                    new_ballots = list(ballots)
+                    for v, r in zip(group, reports):
+                        new_ballots[v] = r
+                    new_ballots = tuple(new_ballots)
+                out = engine.output(code + sum(d for _, d in choice), new_ballots)
+                if out in judged:
                     continue
-                new_ballots = list(profile.ballots)
-                for v, r in zip(group, reports):
-                    new_ballots[v] = r
-                new_ballots = tuple(new_ballots)
-                out = engine.from_parts(new_ballots, _margins_flat(new_ballots, m))
-                if out == honest:
-                    continue
+                judged.add(out)
                 if all(_fish(ranks[v], out, honest) for v in group):
                     return GroupManipulation(
                         profile=profile,
@@ -507,13 +630,6 @@ def find_group_manipulation(
                         manipulated_set=ChoiceSet(m, out),
                     )
     return None
-
-
-def _comb(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +650,16 @@ def check_axiom(
     return AxiomVerdict(axiom.value, rule, universe, outcome, witness)
 
 
-def _check_grouped(rule, universe, key_of):
-    engine = _Engine(rule, universe.m)
+def _check_grouped(rule, universe, by_relation):
+    """Profiles with equal margins (or equal majority relations) must share
+    an output."""
+    engine = _Engine.for_universe(rule, universe)
+    layout = engine.layout
     seen: dict = {}
-    for ballots, flat in universe.raw_profiles():
-        key = key_of(flat)
-        out = engine.from_parts(ballots, flat)
+    for ballots, _ in universe.raw_profiles():
+        code = layout.of(ballots)
+        key = layout.key(code) if by_relation else code
+        out = engine.output(code, ballots)
         prior = seen.get(key)
         if prior is None:
             seen[key] = (ballots, out)
@@ -553,12 +673,11 @@ def _check_grouped(rule, universe, key_of):
 
 
 def _check_pairwiseness(rule, universe):
-    return _check_grouped(rule, universe, lambda flat: flat)
+    return _check_grouped(rule, universe, by_relation=False)
 
 
 def _check_majoritarianess(rule, universe):
-    m = universe.m
-    return _check_grouped(rule, universe, lambda flat: _strict_masks_from_flat(flat, m))
+    return _check_grouped(rule, universe, by_relation=True)
 
 
 def _apply_perm_mask(perm, mask):
@@ -570,10 +689,10 @@ def _apply_perm_mask(perm, mask):
 
 def _check_neutrality(rule, universe):
     m = universe.m
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     perms = [p for p in itertools.permutations(range(m)) if p != tuple(range(m))]
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
+    for ballots, _ in universe.raw_profiles():
+        out = engine.of(ballots)
         for perm in perms:
             relabeled = tuple(tuple(perm[x] for x in b) for b in ballots)
             expected = _apply_perm_mask(perm, out)
@@ -589,13 +708,14 @@ def _check_neutrality(rule, universe):
 
 def _check_homogeneity(rule, universe):
     m = universe.m
-    engine = _Engine(rule, m)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
+    engine = _Engine.for_universe(rule, universe)
+    bias = engine.layout.bias
+    for ballots, _ in universe.raw_profiles():
+        code = engine.layout.of(ballots)
+        out = engine.output(code, ballots)
         for k in range(2, universe.k_hom + 1):
-            tiled = ballots * k
-            scaled = tuple(v * k for v in flat)
-            out_k = engine.from_parts(tiled, scaled)
+            # k copies of the electorate scale every margin by k
+            out_k = engine.output(bias + k * (code - bias), ballots * k)
             if out_k != out:
                 return Outcome.VIOLATED, {
                     "profile": Profile(m, ballots),
@@ -607,10 +727,10 @@ def _check_homogeneity(rule, universe):
 
 def _check_imposition(rule, universe, targets):
     m = universe.m
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     missing = set(targets)
-    for ballots, flat in universe.raw_profiles():
-        missing.discard(engine.from_parts(ballots, flat))
+    for ballots, _ in universe.raw_profiles():
+        missing.discard(engine.of(ballots))
         if not missing:
             return Outcome.HOLDS, None
     return Outcome.NOT_WITNESSED, {
@@ -636,10 +756,10 @@ def _winner_of(strict, m):
 
 def _check_strong_condorcet(rule, universe):
     m = universe.m
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     for ballots, flat in universe.raw_profiles():
         strict = _strict_masks_from_flat(flat, m)
-        out = engine.from_parts(ballots, flat)
+        out = engine.of(ballots)
         winner = _winner_of(strict, m)
         if winner is not None and out != 1 << winner:
             return Outcome.VIOLATED, {
@@ -658,10 +778,10 @@ def _check_strong_condorcet(rule, universe):
 
 def _check_cos(rule, universe):
     m = universe.m
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     for ballots, flat in universe.raw_profiles():
         strict = _strict_masks_from_flat(flat, m)
-        out = engine.from_parts(ballots, flat)
+        out = engine.of(ballots)
         for x in range(m):
             rest = out & ~(1 << x)
             if rest and strict[x] & rest == rest:
@@ -673,56 +793,86 @@ def _check_cos(rule, universe):
     return Outcome.HOLDS, None
 
 
+def _first_perturbation(rule, universe, perturbations, violated):
+    """Walk the universe in scan order; for each voter, try the one-ballot
+    changes `perturbations(ballot, out)` yields as (new_ballot, info). The
+    first with violated(out, after, info) is returned as
+    (ballots, voter, new_ballot, info, out, after); None if there is none."""
+    engine = _Engine.for_universe(rule, universe)
+    for ballots, _ in universe.raw_profiles():
+        code = engine.layout.of(ballots)
+        out = engine.output(code, ballots)
+        for voter, ballot in enumerate(ballots):
+            for new_ballot, info in perturbations(ballot, out):
+                after = engine.replaced(code, ballots, voter, new_ballot)
+                if violated(out, after, info):
+                    return ballots, voter, new_ballot, info, out, after
+    return None
+
+
+def _changed(out, after, _info) -> bool:
+    return after != out
+
+
+def _two_profile_witness(m, hit, **extra):
+    ballots, voter, new_ballot, _, out, after = hit
+    changed = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
+    return Outcome.VIOLATED, {
+        "profiles": (Profile(m, ballots), Profile(m, changed)),
+        "voter": voter,
+        **extra,
+        "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+    }
+
+
 def _check_wmon(rule, universe):
     """Reinforcing a chosen alternative by one adjacent swap keeps it chosen,
     unless the swapped-down alternative newly enters the choice set."""
     m = universe.m
-    engine = _Engine(rule, m)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
-        for voter, ballot in enumerate(ballots):
-            for p in range(m - 1):
-                above, below = ballot[p], ballot[p + 1]
-                if not out >> below & 1:
-                    continue
-                swapped = ballot[:p] + (below, above) + ballot[p + 2:]
-                new_ballots = ballots[:voter] + (swapped,) + ballots[voter + 1:]
-                after = engine.of(new_ballots)
-                if after >> below & 1:
-                    continue
-                if after >> above & 1 and not out >> above & 1:
-                    continue
-                return Outcome.VIOLATED, {
-                    "profile": Profile(m, ballots),
-                    "voter": voter,
-                    "reinforced": below,
-                    "against": above,
-                    "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
-                }
-    return Outcome.HOLDS, None
+
+    def swaps(ballot, out):
+        for p in range(m - 1):
+            above, below = ballot[p], ballot[p + 1]
+            if out >> below & 1:
+                yield ballot[:p] + (below, above) + ballot[p + 2:], (above, below)
+
+    def violated(out, after, pair):
+        above, below = pair
+        if after >> below & 1:
+            return False
+        return not (after >> above & 1 and not out >> above & 1)
+
+    hit = _first_perturbation(rule, universe, swaps, violated)
+    if hit is None:
+        return Outcome.HOLDS, None
+    ballots, voter, _, (above, below), out, after = hit
+    return Outcome.VIOLATED, {
+        "profile": Profile(m, ballots),
+        "voter": voter,
+        "reinforced": below,
+        "against": above,
+        "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+    }
 
 
 def _check_wsmon(rule, universe):
     """Pushing an unchosen top-ranked alternative to the bottom changes nothing."""
     m = universe.m
-    engine = _Engine(rule, m)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
-        for voter, ballot in enumerate(ballots):
-            top = ballot[0]
-            if out >> top & 1:
-                continue
-            pushed = ballot[1:] + (top,)
-            new_ballots = ballots[:voter] + (pushed,) + ballots[voter + 1:]
-            after = engine.of(new_ballots)
-            if after != out:
-                return Outcome.VIOLATED, {
-                    "profile": Profile(m, ballots),
-                    "voter": voter,
-                    "alternative": top,
-                    "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
-                }
-    return Outcome.HOLDS, None
+
+    def pushes(ballot, out):
+        if not out >> ballot[0] & 1:
+            yield ballot[1:] + ballot[:1], ballot[0]
+
+    hit = _first_perturbation(rule, universe, pushes, _changed)
+    if hit is None:
+        return Outcome.HOLDS, None
+    ballots, voter, _, top, out, after = hit
+    return Outcome.VIOLATED, {
+        "profile": Profile(m, ballots),
+        "voter": voter,
+        "alternative": top,
+        "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+    }
 
 
 def _runs(ballot, member_mask):
@@ -739,80 +889,61 @@ def _runs(ballot, member_mask):
         yield tuple(run)
 
 
-def _permuted_block(ballot, positions, order):
-    items = [ballot[p] for p in positions]
-    new = list(ballot)
-    for p, which in zip(positions, order):
-        new[p] = items[which]
-    return tuple(new)
+def _block_reorders(ballot, positions):
+    """Every other order of the ballot's entries at `positions`."""
+    items = tuple(ballot[p] for p in positions)
+    for order in itertools.permutations(items):
+        if order == items:
+            continue
+        new = list(ballot)
+        for p, x in zip(positions, order):
+            new[p] = x
+        yield tuple(new)
 
 
 def _check_iua(rule, universe):
     """Reordering a block of unchosen alternatives changes nothing."""
     m = universe.m
     full = (1 << m) - 1
-    engine = _Engine(rule, m)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
-        unchosen = full & ~out
-        for voter, ballot in enumerate(ballots):
-            for positions in _runs(ballot, unchosen):
-                for order in itertools.permutations(range(len(positions))):
-                    if order == tuple(range(len(positions))):
-                        continue
-                    new_ballot = _permuted_block(ballot, positions, order)
-                    new_ballots = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
-                    after = engine.of(new_ballots)
-                    if after != out:
-                        return Outcome.VIOLATED, {
-                            "profiles": (Profile(m, ballots), Profile(m, new_ballots)),
-                            "voter": voter,
-                            "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
-                        }
-    return Outcome.HOLDS, None
+
+    def reorders(ballot, out):
+        for positions in _runs(ballot, full & ~out):
+            for new_ballot in _block_reorders(ballot, positions):
+                yield new_ballot, None
+
+    hit = _first_perturbation(rule, universe, reorders, _changed)
+    return (Outcome.HOLDS, None) if hit is None else _two_profile_witness(m, hit)
 
 
 def _check_wloc(rule, universe):
     """Reordering any ballot block that keeps its own chosen members fixed
     must keep the whole choice set fixed."""
     m = universe.m
-    engine = _Engine(rule, m)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
-        for voter, ballot in enumerate(ballots):
-            for start in range(m - 1):
-                for stop in range(start + 2, m + 1):
-                    positions = tuple(range(start, stop))
-                    block_mask = 0
-                    for p in positions:
-                        block_mask |= 1 << ballot[p]
-                    for order in itertools.permutations(range(len(positions))):
-                        if order == tuple(range(len(positions))):
-                            continue
-                        new_ballot = _permuted_block(ballot, positions, order)
-                        new_ballots = (
-                            ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
-                        )
-                        after = engine.of(new_ballots)
-                        if block_mask & out != block_mask & after:
-                            continue
-                        if after != out:
-                            return Outcome.VIOLATED, {
-                                "profiles": (Profile(m, ballots), Profile(m, new_ballots)),
-                                "voter": voter,
-                                "block": tuple(sorted(_mask_bits(block_mask))),
-                                "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
-                            }
-    return Outcome.HOLDS, None
+
+    def reorders(ballot, out):
+        for start in range(m - 1):
+            for stop in range(start + 2, m + 1):
+                positions = range(start, stop)
+                block = sum(1 << ballot[p] for p in positions)
+                for new_ballot in _block_reorders(ballot, positions):
+                    yield new_ballot, block
+
+    def violated(out, after, block):
+        return block & out == block & after and after != out
+
+    hit = _first_perturbation(rule, universe, reorders, violated)
+    if hit is None:
+        return Outcome.HOLDS, None
+    return _two_profile_witness(m, hit, block=tuple(sorted(_mask_bits(hit[3]))))
 
 
 def _check_fishburn_efficiency(rule, universe):
     """No other set is strictly preferred to the output by every single voter."""
     m = universe.m
     full = (1 << m) - 1
-    engine = _Engine(rule, m)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
+    engine = _Engine.for_universe(rule, universe)
+    for ballots, _ in universe.raw_profiles():
+        out = engine.of(ballots)
         ranks = [_rank_of(b) for b in ballots]
         for challenger in range(1, full + 1):
             if challenger == out:
@@ -828,9 +959,9 @@ def _check_fishburn_efficiency(rule, universe):
 
 def _check_twin_symmetry(rule, universe):
     m = universe.m
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     for ballots, flat in universe.raw_profiles():
-        out = engine.from_parts(ballots, flat)
+        out = engine.of(ballots)
         for x in range(m):
             for y in range(x + 1, m):
                 if flat[x * m + y] != 0:
@@ -911,13 +1042,13 @@ def check_robust_dominant(
             return Profile(m, ballots)
         return realize_relation(MajorityRelation(m, strict), 2)
 
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     outputs = []
     for strict, ballots in items:
         if ballots is not None:
             outputs.append(engine.of(ballots))
         else:
-            outputs.append(evaluate_mask_from_relation(rule, strict, m))
+            outputs.append(_nonempty(rule, evaluate_mask_from_relation(rule, strict, m)))
     axiom = "robust-dominant-set"
     for i, (strict, _) in enumerate(items):
         if not _is_dominant_mask(strict, outputs[i], full):
@@ -959,11 +1090,11 @@ def check_weak_robustness(
     the choice set cannot grow."""
     m = universe.m
     full = (1 << m) - 1
-    engine = _Engine(rule, m)
+    engine = _Engine.for_universe(rule, universe)
     items = [(ballots, flat) for ballots, flat in universe.raw_profiles()]
     if len(items) ** 2 > _budget(budget):
         raise BudgetExceededError("pair scan exceeds the budget")
-    outputs = [engine.from_parts(b, f) for b, f in items]
+    outputs = [engine.of(b) for b, _ in items]
     axiom = "weak-robustness"
     for i, (ballots_i, flat_i) in enumerate(items):
         out_i = outputs[i]
@@ -1014,7 +1145,8 @@ def search_uncovered_set_manipulation(
     rule = RuleSpec(RuleId.UNCOVERED_SET)
     rng = random.Random(seed)
     ballots_pool = enumerate_ballots(m)
-    engine = _Engine(rule, m)
+    engine = _Engine(rule, m, n)
+    gains = partial(_prefers, ExtensionKind.FISHBURN)
     evals = 0
     scans = 0
     current = None
@@ -1028,23 +1160,10 @@ def search_uncovered_set_manipulation(
             mutated = b[:p] + (b[p + 1], b[p]) + b[p + 2:]
             current = current[:voter] + (mutated,) + current[voter + 1:]
         scans += 1
-        flat = _margins_flat(current, m)
-        hit = _scan_deviations(engine, current, flat, ExtensionKind.FISHBURN)
+        hit = _first_gain(engine, current, gains)
         evals += n * (factorial(m) - 1) + 1
         if hit is not None:
-            voter, true_ballot, mis, honest, out = hit
-            return (
-                Manipulation(
-                    profile=Profile(m, current),
-                    voter=voter,
-                    true_ballot=true_ballot,
-                    misreport=mis,
-                    honest_set=ChoiceSet(m, honest),
-                    manipulated_set=ChoiceSet(m, out),
-                    extension=ExtensionKind.FISHBURN,
-                ),
-                evals,
-            )
+            return _manipulation(Profile(m, current), hit, ExtensionKind.FISHBURN), evals
     return None, evals
 
 
@@ -1225,6 +1344,8 @@ def corroborate_theorems(
     """
     from .rules import catalog
 
+    _check_workers(workers)
+    budget = _budget(budget)
     rules = tuple(rules) if rules is not None else tuple(catalog())
     verdicts: list[AxiomVerdict] = []
     not_evaluable: dict = {}
@@ -1235,13 +1356,7 @@ def corroborate_theorems(
             except (TiesUnsupportedError, InstanceTooLargeError) as exc:
                 not_evaluable[(rule.name, check_name)] = str(exc)
     report_verdicts = tuple(verdicts)
-
-    def outcome(rule_name, axiom):
-        for v in report_verdicts:
-            if v.rule.name == rule_name and v.axiom == axiom:
-                return v.outcome
-        return None
-
+    outcomes = {(v.rule.name, v.axiom): v.outcome for v in report_verdicts}
     evaluable = [
         r.name
         for r in rules
@@ -1249,7 +1364,7 @@ def corroborate_theorems(
     ]
 
     def passes(rule_name, axiom):
-        return outcome(rule_name, axiom) == Outcome.HOLDS
+        return outcomes.get((rule_name, axiom)) == Outcome.HOLDS
 
     robust = [r for r in evaluable if passes(r, "robust-dominant-set")]
     bracket_passers = [

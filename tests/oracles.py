@@ -120,3 +120,101 @@ def fishburn_literal(ballot, xs, ys):
     first = all(pos[a] < pos[b] for a in xs - ys for b in ys)
     second = all(pos[a] < pos[b] for a in xs for b in ys - xs)
     return first and second
+
+
+def fplus_weak_literal(ballot, xs, ys):
+    """Literal evaluation of the weak optimistic lifting (reflexive)."""
+    pos = {a: i for i, a in enumerate(ballot)}
+    xs, ys = set(xs), set(ys)
+    if xs == ys:
+        return True
+    only_x, only_y, both = xs - ys, ys - xs, xs & ys
+    ordered = all(pos[a] < pos[b] for a in only_x for b in only_y)
+    into = not only_x or not both or any(pos[a] < pos[b] for a in only_x for b in both)
+    out_of = not both or not only_y or any(pos[a] < pos[b] for a in both for b in only_y)
+    return ordered and into and out_of
+
+
+def naive_outcome(rule, ballots, m):
+    """A rule's output recomputed from scratch: margins by counting every
+    ballot for every pair, then the rule on those margins (or on the ballots
+    for profile-based rules)."""
+    from setvote.rules import BasisTag, basis, evaluate_mask, evaluate_mask_from_margins
+
+    if basis(rule) == BasisTag.PROFILE_BASED:
+        mask = evaluate_mask(rule, ballots, m)
+    else:
+        flat = tuple(
+            sum(1 if b.index(x) < b.index(y) else -1 for b in ballots) if x != y else 0
+            for x in range(m)
+            for y in range(m)
+        )
+        mask = evaluate_mask_from_margins(rule, flat, m)
+    return frozenset(x for x in range(m) if mask >> x & 1)
+
+
+def own_order_misreports(ballot):
+    """Every other ballot, lexicographic in the voter's own ranking."""
+    m = len(ballot)
+    return [
+        tuple(ballot[i] for i in order)
+        for order in itertools.permutations(range(m))
+        if order != tuple(range(m))
+    ]
+
+
+def _replaced(ballots, changes):
+    new = list(ballots)
+    for voter, ballot in changes:
+        new[voter] = ballot
+    return tuple(new)
+
+
+def naive_deviation(rule, ballots, m, accept):
+    """First single-voter deviation (voter, then own-order misreport) whose
+    outcome differs from the honest one and satisfies
+    accept(true_ballot, outcome, honest); as (voter, misreport, honest,
+    outcome), or None."""
+    honest = naive_outcome(rule, ballots, m)
+    for voter, true_ballot in enumerate(ballots):
+        for mis in own_order_misreports(true_ballot):
+            out = naive_outcome(rule, _replaced(ballots, [(voter, mis)]), m)
+            if out != honest and accept(true_ballot, out, honest):
+                return voter, mis, honest, out
+    return None
+
+
+def naive_manipulation(rule, ballots, m, fishburn=True):
+    """First deviation the voter strictly prefers (Fishburn or the strict
+    part of the weak optimistic lifting)."""
+    if fishburn:
+        return naive_deviation(rule, ballots, m, fishburn_literal)
+    return naive_deviation(
+        rule, ballots, m,
+        lambda b, x, y: fplus_weak_literal(b, x, y) and not fplus_weak_literal(b, y, x),
+    )
+
+
+def naive_strong_manipulation(rule, ballots, m, fishburn=True):
+    """First deviation whose outcome the voter does not weakly prefer to lose."""
+    at_least = fishburn_literal if fishburn else fplus_weak_literal
+    return naive_deviation(rule, ballots, m, lambda b, x, y: not at_least(b, y, x))
+
+
+def naive_group_manipulation(rule, ballots, m, max_group):
+    """First joint deviation (group size, voter indices, then each member's
+    own ballot followed by its own-order misreports) that every member
+    strictly prefers under Fishburn; as (voters, reports, honest, outcome)."""
+    honest = naive_outcome(rule, ballots, m)
+    for size in range(1, min(max_group, len(ballots)) + 1):
+        for group in itertools.combinations(range(len(ballots)), size):
+            options = [[ballots[v]] + own_order_misreports(ballots[v]) for v in group]
+            for reports in itertools.product(*options):
+                if all(r == ballots[v] for v, r in zip(group, reports)):
+                    continue
+                out = naive_outcome(rule, _replaced(ballots, zip(group, reports)), m)
+                if out != honest and all(
+                    fishburn_literal(ballots[v], out, honest) for v in group
+                ):
+                    return group, reports, honest, out
+    return None

@@ -186,3 +186,29 @@ class TestCli:
         assert cli.main(["eval", "--rule", "tc", "--profile", str(bad)]) == 2
         good = self.fixture("fig1.prof")
         assert cli.main(["eval", "--rule", "bogus", "--profile", good]) == 2
+
+    def test_malformed_special_pair_exits_2(self, capsys):
+        good = self.fixture("fig1.prof")
+        assert cli.main(["eval", "--rule", "fab:AB", "--profile", good]) == 2
+        err = capsys.readouterr().err
+        assert "'AB'" in err and "lowercase" in err and "shift" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["axioms", "--rule", "tc", "--m", "2", "--n", "1"],
+        ["sweep", "--m", "2", "--n", "1"],
+    ])
+    def test_malformed_budget_exits_2(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("SETVOTE_BUDGET", "abc")
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert "SETVOTE_BUDGET must be a non-negative integer, got 'abc'" in err
+        assert "invalid literal" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["axioms", "--rule", "tc", "--m", "2", "--n", "1", "--axiom", "pairwiseness"],
+        ["sweep", "--m", "2", "--n", "1"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, capsys, command, threads):
+        assert cli.main([*command, "--threads", threads]) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err

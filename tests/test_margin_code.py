@@ -1,0 +1,201 @@
+"""The integer margin code behind the sweep engine, and the deviation scans
+built on it, checked against from-scratch recomputation."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    naive_group_manipulation,
+    naive_manipulation,
+    naive_strong_manipulation,
+    own_order_misreports,
+)
+from setvote.core import ChoiceSet, Profile, _margins_flat, _strict_masks_from_flat
+from setvote.extensions import ExtensionKind
+from setvote.rules import RuleId, RuleSpec, TiesUnsupportedError, catalog
+from setvote.verify import (
+    Universe,
+    _Engine,
+    _MarginCode,
+    find_group_manipulation,
+    find_manipulation,
+    find_strong_manipulation,
+    search_uncovered_set_manipulation,
+)
+
+
+@st.composite
+def coded_profiles(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    ballots = tuple(
+        tuple(draw(st.permutations(range(m)))) for _ in range(n)
+    )
+    size = n + draw(st.integers(0, 4))
+    return m, ballots, size
+
+
+def decodes_to_margins(layout, ballots, m):
+    code = layout.of(ballots)
+    flat = _margins_flat(ballots, m)
+    assert layout.flat(code) == flat
+    assert layout.strict(layout.key(code)) == _strict_masks_from_flat(flat, m)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_profiles())
+def test_code_decodes_to_margins_and_relation(case):
+    m, ballots, size = case
+    decodes_to_margins(_MarginCode(m, size), ballots, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_profiles(), st.data())
+def test_one_ballot_change_is_one_add(case, data):
+    m, ballots, size = case
+    layout = _MarginCode(m, size)
+    code = layout.of(ballots)
+    voter = data.draw(st.integers(0, len(ballots) - 1))
+    table = layout.deviations(ballots[voter])
+    assert [mis for mis, _ in table] == own_order_misreports(ballots[voter])
+    for mis, delta in table:
+        changed = ballots[:voter] + (mis,) + ballots[voter + 1:]
+        assert code + delta == layout.of(changed)
+        assert layout.flat(code + delta) == _margins_flat(changed, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+def test_unanimous_profiles_fill_the_fields(m, n):
+    # every margin is +-n, so the fields reach 0 and 2N with N = n exactly
+    for ballot in itertools.islice(itertools.permutations(range(m)), 3):
+        ballots = (ballot,) * n
+        layout = _MarginCode(m, n)
+        decodes_to_margins(layout, ballots, m)
+        assert layout.strict(layout.key(layout.of(ballots))) == tuple(
+            sum(1 << y for y in ballot[ballot.index(x) + 1:]) for x in range(m)
+        )
+
+
+@pytest.mark.parametrize("m,n_max,k_hom", [(2, 3, 2), (3, 3, 3), (4, 2, 4), (3, 1, 2)])
+def test_homogeneity_tiling_fits_the_universe_layout(m, n_max, k_hom):
+    engine = _Engine.for_universe(
+        catalog()[0], Universe(m, n_max, k_hom=k_hom)
+    )
+    layout = engine.layout
+    assert layout.size == n_max * k_hom
+    rng = random.Random(m * 100 + n_max * 10 + k_hom)
+    profiles = [(tuple(range(m)),) * n_max]
+    profiles += [
+        tuple(tuple(rng.sample(range(m), m)) for _ in range(n_max)) for _ in range(20)
+    ]
+    for ballots in profiles:
+        code = layout.of(ballots)
+        for k in range(2, k_hom + 1):
+            tiled = layout.bias + k * (code - layout.bias)
+            assert tiled == decodes_to_margins(layout, ballots * k, m)
+
+
+def test_code_refuses_more_voters_than_its_layout():
+    with pytest.raises(ValueError):
+        _MarginCode(3, 2).of(((0, 1, 2),) * 3)
+
+
+# ---------------------------------------------------------------------------
+# witnesses equal the naive oracle's
+
+
+def seeded_profiles(seed, count, m_range, n_range):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.randint(*m_range)
+        n = rng.randint(*n_range)
+        out.append(Profile(m, tuple(tuple(rng.sample(range(m), m)) for _ in range(n))))
+    return out
+
+
+def as_tuple(man):
+    if man is None:
+        return None
+    assert man.true_ballot == man.profile.ballots[man.voter]
+    return (
+        man.voter,
+        man.misreport,
+        frozenset(man.honest_set.members),
+        frozenset(man.manipulated_set.members),
+    )
+
+
+def agree(found, expected):
+    """Run both searches; ties-only rules must refuse on both sides."""
+    try:
+        got = found()
+    except TiesUnsupportedError:
+        with pytest.raises(TiesUnsupportedError):
+            expected()
+        return
+    assert got == expected()
+
+
+# 163 of the 1,184 searches over the catalog find a witness
+PROFILES = seeded_profiles(11, 14, (2, 4), (1, 4)) + [
+    Profile(3, ((0, 1, 2), (0, 1, 2), (2, 0, 1), (2, 0, 1), (1, 2, 0))),
+    Profile(3, ((0, 1, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
+def test_single_voter_witnesses_match_the_oracle(rule):
+    for profile in PROFILES:
+        m, ballots = profile.m, profile.ballots
+        for fishburn, kind in ((True, ExtensionKind.FISHBURN), (False, ExtensionKind.FPLUS)):
+            agree(
+                lambda: as_tuple(find_manipulation(rule, profile, kind)),
+                lambda: naive_manipulation(rule, ballots, m, fishburn),
+            )
+            agree(
+                lambda: as_tuple(find_strong_manipulation(rule, profile, kind)),
+                lambda: naive_strong_manipulation(rule, ballots, m, fishburn),
+            )
+
+
+@pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
+def test_group_witnesses_match_the_oracle(rule):
+    def as_group(g):
+        if g is None:
+            return None
+        return (
+            g.voters,
+            g.misreports,
+            frozenset(g.honest_set.members),
+            frozenset(g.manipulated_set.members),
+        )
+
+    # seed 5 gives 15 witnesses over the catalog, 6 of them by a pair
+    for profile in seeded_profiles(5, 8, (3, 3), (3, 4)):
+        agree(
+            lambda: as_group(find_group_manipulation(rule, profile, 2)),
+            lambda: naive_group_manipulation(rule, profile.ballots, profile.m, 2),
+        )
+
+
+def test_uncovered_set_search_is_pinned():
+    # the seeded search's witness and evaluation count, as produced by the
+    # engine that recomputed the margin vector for every deviation
+    man, evals = search_uncovered_set_manipulation(m=5, n=3, seed=0)
+    assert evals == 247378
+    assert man.profile == Profile(5, ((0, 1, 3, 4, 2), (3, 4, 0, 2, 1), (2, 1, 4, 0, 3)))
+    assert (man.voter, man.true_ballot, man.misreport) == (
+        2, (2, 1, 4, 0, 3), (1, 2, 4, 0, 3)
+    )
+    assert man.honest_set == ChoiceSet(5, 27)
+    assert man.manipulated_set == ChoiceSet(5, 19)
+    assert man.extension == ExtensionKind.FISHBURN
+    expected = naive_manipulation(RuleSpec(RuleId.UNCOVERED_SET), man.profile.ballots, 5)
+    assert expected == as_tuple(man)

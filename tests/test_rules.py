@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -61,6 +62,12 @@ class TestCatalog:
         assert parse_rule("supermajority-tc:k=3") == RuleSpec(RuleId.SUPERMAJORITY_TC, k=3)
         assert parse_rule("fab:bc") == RuleSpec(RuleId.FAB, pair=(1, 2))
         assert parse_rule("supermajority-tc").k == 2
+
+    def test_special_pair_needs_two_distinct_lowercase_letters(self):
+        for bad in ("AB", "aB", "a1", "a", "abc", "aa", "\u00e9a", "\uff41b"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                parse_rule(f"fab:{bad}")
+        assert parse_rule("fab:za") == RuleSpec(RuleId.FAB, pair=(25, 0))
 
     def test_bad_names_rejected(self):
         for bad in ("nope", "tc:k=2", "fab:aa", "supermajority-tc:j=1"):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from setvote import rules, verify
 from setvote.core import ChoiceSet, Profile, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
-from setvote.rules import RuleId, catalog, evaluate, parse_rule
+from setvote.rules import EmptyChoiceError, RuleId, catalog, evaluate, parse_rule
 from setvote.verify import (
     Axiom,
     BudgetExceededError,
@@ -248,3 +249,108 @@ class TestCorroboration:
                 except ValueError:
                     continue
                 assert lhs == evaluate(rule, Profile(3, tuple(shuffled)))
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs inline."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            verify, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+        )
+        return sizes
+
+    def test_pool_is_clamped_to_the_cpu_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        rule = parse_rule("borda")
+        verdict = sweep_strategyproofness(rule, Universe(3, 2), workers=64)
+        assert pool_sizes == [2]
+        assert verdict == sweep_strategyproofness(rule, Universe(3, 2))
+
+    def test_pool_is_clamped_to_the_chunk_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 1000)
+        # six profiles, one chunk each
+        sweep_strategyproofness(TC, Universe(2, 2), workers=64)
+        sweep_strategyproofness(TC, Universe(2, 2), workers=3)
+        assert pool_sizes == [6, 3]
+
+    def test_unknown_cpu_count_means_one_process(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        sweep_strategyproofness(TC, Universe(2, 2), workers=4)
+        assert pool_sizes == [1]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            sweep_strategyproofness(TC, Universe(2, 1), workers=workers)
+        with pytest.raises(ValueError, match="at least 1"):
+            corroborate_theorems(Universe(2, 1), workers=workers)
+        assert pool_sizes == []
+
+
+class TestBudgetVariable:
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "", " 7", "1e9", "\u00b2", "\u0663"])
+    def test_malformed_values_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SETVOTE_BUDGET", raw)
+        with pytest.raises(ValueError) as err:
+            sweep_strategyproofness(TC, Universe(2, 1))
+        assert str(err.value) == (
+            f"SETVOTE_BUDGET must be a non-negative integer, got {raw!r}"
+        )
+
+    def test_integer_value_applies(self, monkeypatch):
+        monkeypatch.setenv("SETVOTE_BUDGET", "10")
+        with pytest.raises(BudgetExceededError):
+            sweep_strategyproofness(TC, Universe(3, 3))
+        monkeypatch.setenv("SETVOTE_BUDGET", "0")
+        with pytest.raises(BudgetExceededError):
+            check_axiom(Axiom.COS, TC, Universe(2, 1))
+
+    def test_explicit_budget_wins(self, monkeypatch):
+        monkeypatch.setenv("SETVOTE_BUDGET", "abc")
+        assert sweep_strategyproofness(TC, Universe(2, 1), budget=10**6).outcome == Outcome.HOLDS
+
+
+class TestEmptyOutputs:
+    @pytest.fixture
+    def empty_tc(self, monkeypatch):
+        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, lambda rule, m, strict: 0)
+
+    def test_evaluate_refuses(self, empty_tc, fig1):
+        with pytest.raises(EmptyChoiceError, match="tc produced an empty choice set"):
+            evaluate(TC, fig1)
+
+    def test_no_sweep_carries_an_empty_set(self, empty_tc, fig2_left):
+        universe = Universe(3, 2)
+        calls = [
+            lambda: find_manipulation(TC, fig2_left),
+            lambda: find_strong_manipulation(TC, fig2_left),
+            lambda: find_group_manipulation(TC, fig2_left, 2),
+            lambda: sweep_strategyproofness(TC, universe),
+            lambda: check_robust_dominant(TC, universe),
+            lambda: check_weak_robustness(TC, universe),
+            lambda: corroborate_theorems(universe, rules=(TC,)),
+            *[
+                lambda a=axiom: check_axiom(a, TC, universe)
+                for axiom in Axiom
+            ],
+        ]
+        for call in calls:
+            with pytest.raises(EmptyChoiceError):
+                call()
