@@ -89,13 +89,7 @@ def cmd_manipulate(args) -> int:
     return 1
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
-
-
 def cmd_axioms(args) -> int:
-    _check_threads(args)
     rule = parse_rule(args.rule)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     wanted = args.axiom or [a.value for a in full_suite()]
@@ -103,10 +97,7 @@ def cmd_axioms(args) -> int:
     for name in wanted:
         if name.startswith("strategyproofness-"):
             verdicts.append(
-                sweep_strategyproofness(
-                    rule, universe, ExtensionKind(name.split("-", 1)[1]),
-                    workers=args.threads,
-                )
+                sweep_strategyproofness(rule, universe, ExtensionKind(name.split("-", 1)[1]))
             )
         else:
             verdicts.append(check_axiom(Axiom(name), rule, universe))
@@ -118,9 +109,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_threads(args)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
-    report = corroborate_theorems(universe, workers=args.threads)
+    report = corroborate_theorems(universe)
     text, payload = svio.serialize_report(report.verdicts, report.assertions)
     print(text, end="")
     if report.not_evaluable:
@@ -177,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-hom", type=int, default=2)
     p.add_argument("--margin-cap", type=int, default=None)
     p.add_argument("--axiom", action="append", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", default=None, help="also write the JSON payload here")
     p.set_defaults(func=cmd_axioms)
 
@@ -186,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-hom", type=int, default=2)
     p.add_argument("--margin-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_sweep)
 

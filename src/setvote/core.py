@@ -183,13 +183,14 @@ def margins(profile: Profile) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(profile.m, profile.m)
 
 
-def _strict_masks_from_flat(flat, m: int) -> tuple[int, ...]:
+def _strict_masks_from_flat(flat, m: int, threshold: int = 0) -> tuple[int, ...]:
+    """Strict-beat masks of the relation 'x over y iff g(x, y) > threshold'."""
     strict = [0] * m
     for x in range(m):
         row = x * m
         acc = 0
         for y in range(m):
-            if flat[row + y] > 0:
+            if flat[row + y] > threshold:
                 acc |= 1 << y
         strict[x] = acc
     return tuple(strict)

@@ -7,7 +7,8 @@ The profile format is line oriented and human writable::
     a b c
     c a b
 
-Alternatives are letters ``a``..``z`` (mapped to 0..25) or plain integers.
+Alternatives are letters ``a``..``z`` (mapped to 0..25) or plain integers
+written in ASCII digits.
 Margin graphs are JSON documents ``{"m": int, "margins": [[int, ...], ...]}``.
 Verdict reports are emitted both as aligned text and as a JSON payload in
 which every witness profile is embedded as a parseable profile document, so
@@ -53,13 +54,25 @@ def fixture_path(name: str) -> Path:
 # profile documents
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer an optionally signed run of ASCII digits spells, or None.
+    str.isdigit also accepts '²' and '٣', and int() refuses runs longer than
+    the interpreter's digit limit."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _parse_token(token: str, m: int, line_no: int) -> int:
-    if token.isdigit() or (token[0] == "-" and token[1:].isdigit()):
-        value = int(token)
-    elif len(token) == 1 and token in ascii_lowercase:
+    value = _ascii_int(token)
+    if value is None:
+        if not (len(token) == 1 and token in ascii_lowercase):
+            raise ParseError(f"line {line_no}: cannot read alternative {token!r}")
         value = ascii_lowercase.index(token)
-    else:
-        raise ParseError(f"line {line_no}: cannot read alternative {token!r}")
     if not 0 <= value < m:
         raise ParseError(f"line {line_no}: alternative {token!r} out of range for m={m}")
     return value
@@ -79,12 +92,11 @@ def parse_profile(text: str) -> Profile:
     )
     if set(parts) != {"m", "n"} or len(header.split()) != 2:
         raise ParseError(f"line {header_no}: expected header 'm=<int> n=<int>', got {header!r}")
-    try:
-        m, n = int(parts["m"]), int(parts["n"])
-    except ValueError:
-        raise ParseError(f"line {header_no}: m and n must be integers") from None
-    if m < 1 or n < 1:
-        raise ParseError(f"line {header_no}: m and n must be positive")
+    m, n = _ascii_int(parts["m"]), _ascii_int(parts["n"])
+    if m is None or n is None or m < 1 or n < 1:
+        raise ParseError(
+            f"line {header_no}: m and n must be positive integers, got {header!r}"
+        )
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} ballot lines, found {len(body)}")
@@ -123,9 +135,15 @@ def parse_graph(text: str) -> WeightedMajorityGraph:
         raise ParseError(f"graph document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"m", "margins"}:
         raise ParseError("graph document must be an object with keys 'm' and 'margins'")
+    m, rows = doc["m"], doc["margins"]
+    if type(m) is not int or not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and all(type(v) is int for v in row) for row in rows)
+    ):
+        raise ParseError("graph document needs an integer 'm' and integer rows in 'margins'")
     try:
-        return WeightedMajorityGraph(int(doc["m"]), np.array(doc["margins"], dtype=np.int64))
-    except ValueError as exc:
+        return WeightedMajorityGraph(m, np.array(rows, dtype=np.int64))
+    except (ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -130,9 +130,13 @@ def parse_rule(text: str) -> RuleSpec:
     if rule_id in _THRESHOLD_RULES:
         if not arg:
             return RuleSpec(rule_id, k=2)
-        if not arg.startswith("k="):
-            raise ValueError(f"expected k=<int> after {head!r}, got {arg!r}")
-        return RuleSpec(rule_id, k=int(arg[2:]))
+        digits = arg[2:]
+        if arg.startswith("k=") and digits.isascii() and digits.isdigit():
+            try:
+                return RuleSpec(rule_id, k=int(digits))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ValueError(f"expected k=<non-negative int> after {head!r}, got {arg!r}")
     if rule_id == RuleId.FAB:
         if not arg:
             return RuleSpec(rule_id)
@@ -273,26 +277,13 @@ _MAJORITARIAN = {
 # pairwise rules: functions of the flat margin vector
 
 
-def _strict_above(flat, m, threshold):
-    """Strict-beat masks of the relation 'x over y iff g(x, y) > threshold'."""
-    strict = [0] * m
-    for x in range(m):
-        row = x * m
-        acc = 0
-        for y in range(m):
-            if flat[row + y] > threshold:
-                acc |= 1 << y
-        strict[x] = acc
-    return tuple(strict)
-
-
 def _pw_tc_star(rule, m, flat):
     # weak edge wherever the margin is at least -1, so strict needs margin > 1
-    return _tc_mask(_strict_above(flat, m, 1), _full(m))
+    return _tc_mask(_strict_masks_from_flat(flat, m, 1), _full(m))
 
 
 def _pw_supermajority_tc(rule, m, flat):
-    return _tc_mask(_strict_above(flat, m, rule.k), _full(m))
+    return _tc_mask(_strict_masks_from_flat(flat, m, rule.k), _full(m))
 
 
 def _pw_shifted_tc(rule, m, flat):

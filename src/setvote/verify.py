@@ -10,9 +10,20 @@ the deliberately weaker "not witnessed in universe", never a refutation.
 
 Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
-environment variable). The strategyproofness sweep can optionally partition
-the profile range over worker processes; the first witness is merged by
-global scan index, keeping the result independent of the worker count.
+environment variable).
+
+Walk contract. Every universe check (the axioms, strategyproofness and
+strong strategyproofness) is a per-profile predicate: given the scan context
+of one profile (its ballots, margin code and memoized output) it returns None
+to go on, or its verdict as (outcome, witness). One walker, `_walk`, builds
+one engine per (rule, universe), walks `Universe.raw_profiles` once in scan
+order, feeds every open predicate and closes each at its first verdict; a
+predicate still open when the walk ends holds, except that the imposition
+checks then report the sets never reached. A TiesUnsupportedError or
+InstanceTooLargeError from a profile's own output closes every open
+predicate; one raised inside a predicate closes that predicate only. Every
+witness is the first its predicate meets on its profile, so `replay` runs the
+same predicate on the stored profile(s). Sweeps run in one process.
 
 Margin code. The sweep engine keeps a profile's margins as one integer. For
 m alternatives and electorates of at most N voters, field i = x*m + y holds
@@ -34,7 +45,7 @@ mirrored field, so:
 Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
 profiles k_hom times). Strict masks and margin vectors are decoded only on
-a memo miss.
+a memo miss, or when a check reads them from the scan context.
 """
 
 from __future__ import annotations
@@ -42,10 +53,9 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import comb, factorial
 
 from .core import (
@@ -55,9 +65,10 @@ from .core import (
     Profile,
     _bits as _mask_bits,
     _margins_flat,
-    _strict_masks_from_flat,
+    condorcet_winner,
     enumerate_ballots,
     enumerate_relations,
+    is_dominant,
 )
 from .extensions import ExtensionKind
 from .mcgarvey import realize_relation
@@ -111,9 +122,9 @@ def _budget(value: int | None) -> int:
     return int(raw)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"the worker count must be at least 1, got {workers}")
+def _within_budget(estimate: int, budget: int | None) -> None:
+    if estimate > _budget(budget):
+        raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
 
 
 class BudgetExceededError(RuntimeError):
@@ -171,18 +182,19 @@ class Universe:
         return sum(b**n for n in range(1, self.n_max + 1))
 
     def raw_profiles(self):
-        """(ballots, flat margins) in scan order: n ascending, then lexicographic."""
+        """Ballot tuples in scan order: n ascending, then lexicographic."""
         ballots = enumerate_ballots(self.m)
         cap = self.margin_cap
         for n in range(1, self.n_max + 1):
             for combo in itertools.product(ballots, repeat=n):
-                flat = _margins_flat(combo, self.m)
-                if cap is not None and any(abs(v) > cap for v in flat):
+                if cap is not None and any(
+                    abs(v) > cap for v in _margins_flat(combo, self.m)
+                ):
                     continue
-                yield combo, flat
+                yield combo
 
     def profiles(self):
-        for ballots, _ in self.raw_profiles():
+        for ballots in self.raw_profiles():
             yield Profile(self.m, ballots)
 
 
@@ -397,13 +409,6 @@ class _Engine:
     def of(self, ballots) -> int:
         return self.output(self.layout.of(ballots), ballots)
 
-    def replaced(self, code: int, ballots, voter: int, ballot: Ballot) -> int:
-        """The output once `voter` reports `ballot` instead."""
-        code += self.layout.enc(ballot) - self.layout.enc(ballots[voter])
-        if self.by_ballots:
-            return self.output(code, ballots[:voter] + (ballot,) + ballots[voter + 1:])
-        return self.output(code, None)
-
     def miss(self, key, code: int) -> int:
         """The single memo-miss site."""
         if self.by_ballots:
@@ -414,6 +419,86 @@ class _Engine:
             mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
         self.cache[key] = _nonempty(self.rule, mask)
         return mask
+
+
+class _Scan:
+    """The scan context of one profile: its ballots, margin code and memoized
+    output. The margin vector and the strict masks are decoded on first use."""
+
+    def __init__(self, engine: _Engine, ballots):
+        self.engine = engine
+        self.m = engine.m
+        self.ballots = ballots
+        self.code = engine.layout.of(ballots)
+        self.out = engine.output(self.code, ballots)
+
+    @cached_property
+    def flat(self) -> tuple[int, ...]:
+        return self.engine.layout.flat(self.code)
+
+    @cached_property
+    def strict(self) -> tuple[int, ...]:
+        layout = self.engine.layout
+        return layout.strict(layout.key(self.code))
+
+    @property
+    def profile(self) -> Profile:
+        return Profile(self.m, self.ballots)
+
+    def replaced(self, voter: int, ballot: Ballot) -> int:
+        """The output once `voter` reports `ballot` instead."""
+        engine, ballots = self.engine, self.ballots
+        code = self.code + engine.layout.enc(ballot) - engine.layout.enc(ballots[voter])
+        if engine.by_ballots:
+            return engine.output(code, ballots[:voter] + (ballot,) + ballots[voter + 1:])
+        return engine.output(code, None)
+
+
+# errors that leave a check not evaluable on a universe instead of failing it
+_NOT_EVALUABLE = (TiesUnsupportedError, InstanceTooLargeError)
+
+
+def _holds():
+    return Outcome.HOLDS, None
+
+
+def _walk(rule: RuleSpec, universe: Universe, checks: dict) -> dict:
+    """Run the predicates `checks` (name -> predicate) on one walk of the
+    universe; see the walk contract in the module docstring. Returns name ->
+    AxiomVerdict, or the not-evaluable error that closed the check."""
+    engine = _Engine.for_universe(rule, universe)
+    found: dict = {}
+    active = dict(checks)
+    for ballots in universe.raw_profiles():
+        try:
+            ctx = _Scan(engine, ballots)
+        except _NOT_EVALUABLE as exc:
+            found.update(dict.fromkeys(active, exc))
+            active = {}
+            break
+        for name, check in list(active.items()):
+            try:
+                result = check(ctx)
+            except _NOT_EVALUABLE as exc:
+                result = exc
+            if result is not None:
+                found[name] = result
+                del active[name]
+        if not active:
+            break
+    for name, check in active.items():
+        found[name] = getattr(check, "end", _holds)()
+    return {
+        name: r if isinstance(r, Exception) else AxiomVerdict(name, rule, universe, *r)
+        for name, r in found.items()
+    }
+
+
+def _walk_one(rule: RuleSpec, universe: Universe, name: str, check) -> AxiomVerdict:
+    result = _walk(rule, universe, {name: check})[name]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _misreports(true_ballot: Ballot):
@@ -450,7 +535,10 @@ def _first_gain(engine: _Engine, ballots, gains):
     """First deviation whose outcome `gains(rank, outcome, honest)` accepts,
     as (voter, misreport, honest, outcome), or None."""
     code = engine.layout.of(ballots)
-    honest = engine.output(code, ballots)
+    return _gain_from(engine, ballots, code, engine.output(code, ballots), gains)
+
+
+def _gain_from(engine: _Engine, ballots, code: int, honest: int, gains):
     for voter, mis, out in _deviations(engine, ballots, code, honest):
         if gains(_rank_of(ballots[voter]), out, honest):
             return voter, mis, honest, out
@@ -492,16 +580,20 @@ def find_manipulation(
     return None if hit is None else _manipulation(profile, hit, extension)
 
 
-def _sp_chunk(args):
-    """First manipulable profile of an indexed chunk, as (index, ballots, hit)."""
-    rule, m, size, extension, chunk = args
-    engine = _Engine(rule, m, size)
-    gains = partial(_prefers, extension)
-    for index, ballots in chunk:
-        hit = _first_gain(engine, ballots, gains)
-        if hit is not None:
-            return index, ballots, hit
-    return None
+def _manipulability(extension: ExtensionKind, strong: bool = False):
+    """Strategyproofness as a predicate: the first deviation the voter
+    strictly prefers or, under the strong reading, the first whose outcome
+    the honest one is not at least as good as."""
+    gains = partial(_strong_violation if strong else _prefers, extension)
+
+    def violation(ctx):
+        hit = _gain_from(ctx.engine, ctx.ballots, ctx.code, ctx.out, gains)
+        if hit is None:
+            return None
+        manipulation = _manipulation(ctx.profile, hit, extension)
+        return Outcome.VIOLATED, {"manipulation": manipulation}
+
+    return violation
 
 
 def sweep_strategyproofness(
@@ -510,40 +602,11 @@ def sweep_strategyproofness(
     extension: ExtensionKind = ExtensionKind.FISHBURN,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> AxiomVerdict:
-    """Exhaustive manipulation search over the universe.
-
-    With workers > 1 the profiles are split into chunks and run in a process
-    pool of at most min(workers, CPU count, chunk count) processes.
-    """
-    _check_workers(workers)
-    estimate = _deviation_estimate(universe)
-    if estimate > _budget(budget):
-        raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
-    axiom = f"strategyproofness-{extension.value}"
-    m, size = universe.m, universe.n_max * universe.k_hom
-    indexed = enumerate(b for b, _ in universe.raw_profiles())
-    if workers == 1:
-        best = _sp_chunk((rule, m, size, extension, indexed))
-    else:
-        indexed = list(indexed)
-        chunk_size = max(1, len(indexed) // (workers * 8))
-        chunks = [indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)]
-        pool_size = max(1, min(workers, os.cpu_count() or 1, len(chunks)))
-        best = None
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for result in pool.map(
-                _sp_chunk, [(rule, m, size, extension, c) for c in chunks]
-            ):
-                if result is not None and (best is None or result[0] < best[0]):
-                    best = result
-    if best is None:
-        return AxiomVerdict(axiom, rule, universe, Outcome.HOLDS)
-    _, ballots, found = best
-    manipulation = _manipulation(Profile(m, ballots), found, extension)
-    return AxiomVerdict(
-        axiom, rule, universe, Outcome.VIOLATED, {"manipulation": manipulation}
+    """Exhaustive manipulation search over the universe."""
+    _within_budget(_deviation_estimate(universe), budget)
+    return _walk_one(
+        rule, universe, f"strategyproofness-{extension.value}", _manipulability(extension)
     )
 
 
@@ -569,17 +632,11 @@ def sweep_strong_strategyproofness(
     *,
     budget: int | None = None,
 ) -> AxiomVerdict:
-    estimate = _deviation_estimate(universe)
-    if estimate > _budget(budget):
-        raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
-    axiom = f"strong-strategyproofness-{kind.value}"
-    for profile in universe.profiles():
-        witness = find_strong_manipulation(rule, profile, kind)
-        if witness is not None:
-            return AxiomVerdict(
-                axiom, rule, universe, Outcome.VIOLATED, {"manipulation": witness}
-            )
-    return AxiomVerdict(axiom, rule, universe, Outcome.HOLDS)
+    _within_budget(_deviation_estimate(universe), budget)
+    return _walk_one(
+        rule, universe, f"strong-strategyproofness-{kind.value}",
+        _manipulability(kind, strong=True),
+    )
 
 
 def find_group_manipulation(
@@ -595,9 +652,7 @@ def find_group_manipulation(
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
     fact = factorial(m)
-    estimate = sum(comb(n, g) * fact**g for g in range(1, max_group + 1))
-    if estimate > _budget(budget):
-        raise BudgetExceededError(f"estimated {estimate} evaluations exceed the budget")
+    _within_budget(sum(comb(n, g) * fact**g for g in range(1, max_group + 1)), budget)
     ballots = profile.ballots
     engine = _Engine(rule, m, n)
     layout = engine.layout
@@ -633,51 +688,45 @@ def find_group_manipulation(
 
 
 # ---------------------------------------------------------------------------
-# axiom checkers
+# axiom checkers: per-walk predicate factories, keyed by axiom
+
+
+def _axiom_estimate(universe: Universe) -> int:
+    # generous per-axiom upper bound: every checker is at most a constant
+    # number of evaluations per (profile, voter, block) triple
+    per_profile = universe.n_max * factorial(universe.m) * universe.m
+    return universe.count_profiles() * per_profile
 
 
 def check_axiom(
     axiom: Axiom, rule: RuleSpec, universe: Universe, *, budget: int | None = None
 ) -> AxiomVerdict:
-    checker = _CHECKERS[axiom]
-    profiles = universe.count_profiles()
-    # generous per-axiom upper bound: every checker is at most a constant
-    # number of evaluations per (profile, voter, block) triple
-    per_profile = universe.n_max * factorial(universe.m) * universe.m
-    if profiles * per_profile > _budget(budget):
-        raise BudgetExceededError("universe too large for this axiom check")
-    outcome, witness = checker(rule, universe)
-    return AxiomVerdict(axiom.value, rule, universe, outcome, witness)
+    _within_budget(_axiom_estimate(universe), budget)
+    return _walk_one(rule, universe, axiom.value, _CHECKERS[axiom](universe))
 
 
-def _check_grouped(rule, universe, by_relation):
+def _stateless(predicate):
+    """The factory of a predicate that keeps nothing between profiles."""
+    return lambda universe: predicate
+
+
+def _grouped(universe, by_relation):
     """Profiles with equal margins (or equal majority relations) must share
     an output."""
-    engine = _Engine.for_universe(rule, universe)
-    layout = engine.layout
+    m = universe.m
     seen: dict = {}
-    for ballots, _ in universe.raw_profiles():
-        code = layout.of(ballots)
-        key = layout.key(code) if by_relation else code
-        out = engine.output(code, ballots)
-        prior = seen.get(key)
-        if prior is None:
-            seen[key] = (ballots, out)
-        elif prior[1] != out:
-            m = universe.m
-            return Outcome.VIOLATED, {
-                "profiles": (Profile(m, prior[0]), Profile(m, ballots)),
-                "outputs": (ChoiceSet(m, prior[1]), ChoiceSet(m, out)),
-            }
-    return Outcome.HOLDS, None
 
+    def violation(ctx):
+        key = ctx.engine.layout.key(ctx.code) if by_relation else ctx.code
+        prior = seen.setdefault(key, (ctx.ballots, ctx.out))
+        if prior[1] == ctx.out:
+            return None
+        return Outcome.VIOLATED, {
+            "profiles": (Profile(m, prior[0]), ctx.profile),
+            "outputs": (ChoiceSet(m, prior[1]), ChoiceSet(m, ctx.out)),
+        }
 
-def _check_pairwiseness(rule, universe):
-    return _check_grouped(rule, universe, by_relation=False)
-
-
-def _check_majoritarianess(rule, universe):
-    return _check_grouped(rule, universe, by_relation=True)
+    return violation
 
 
 def _apply_perm_mask(perm, mask):
@@ -687,126 +736,111 @@ def _apply_perm_mask(perm, mask):
     return out
 
 
-def _check_neutrality(rule, universe):
-    m = universe.m
-    engine = _Engine.for_universe(rule, universe)
-    perms = [p for p in itertools.permutations(range(m)) if p != tuple(range(m))]
-    for ballots, _ in universe.raw_profiles():
-        out = engine.of(ballots)
-        for perm in perms:
-            relabeled = tuple(tuple(perm[x] for x in b) for b in ballots)
-            expected = _apply_perm_mask(perm, out)
-            actual = engine.of(relabeled)
-            if actual != expected:
-                return Outcome.VIOLATED, {
-                    "profile": Profile(m, ballots),
-                    "permutation": perm,
-                    "outputs": (ChoiceSet(m, out), ChoiceSet(m, actual)),
-                }
-    return Outcome.HOLDS, None
-
-
-def _check_homogeneity(rule, universe):
-    m = universe.m
-    engine = _Engine.for_universe(rule, universe)
-    bias = engine.layout.bias
-    for ballots, _ in universe.raw_profiles():
-        code = engine.layout.of(ballots)
-        out = engine.output(code, ballots)
-        for k in range(2, universe.k_hom + 1):
-            # k copies of the electorate scale every margin by k
-            out_k = engine.output(bias + k * (code - bias), ballots * k)
-            if out_k != out:
-                return Outcome.VIOLATED, {
-                    "profile": Profile(m, ballots),
-                    "k": k,
-                    "outputs": (ChoiceSet(m, out), ChoiceSet(m, out_k)),
-                }
-    return Outcome.HOLDS, None
-
-
-def _check_imposition(rule, universe, targets):
-    m = universe.m
-    engine = _Engine.for_universe(rule, universe)
-    missing = set(targets)
-    for ballots, _ in universe.raw_profiles():
-        missing.discard(engine.of(ballots))
-        if not missing:
-            return Outcome.HOLDS, None
-    return Outcome.NOT_WITNESSED, {
-        "missing": tuple(ChoiceSet(m, t) for t in sorted(missing))
-    }
-
-
-def _check_non_imposition(rule, universe):
-    return _check_imposition(rule, universe, [1 << x for x in range(universe.m)])
-
-
-def _check_set_non_imposition(rule, universe):
-    return _check_imposition(rule, universe, range(1, 1 << universe.m))
-
-
-def _winner_of(strict, m):
-    full = (1 << m) - 1
-    for x in range(m):
-        if strict[x] == full & ~(1 << x):
-            return x
+@_stateless
+def _check_neutrality(ctx):
+    m = ctx.m
+    # every relabeling but the identity, which comes first
+    for perm in itertools.islice(itertools.permutations(range(m)), 1, None):
+        relabeled = tuple(tuple(perm[x] for x in b) for b in ctx.ballots)
+        expected = _apply_perm_mask(perm, ctx.out)
+        actual = ctx.engine.of(relabeled)
+        if actual != expected:
+            return Outcome.VIOLATED, {
+                "profile": ctx.profile,
+                "permutation": perm,
+                "outputs": (ChoiceSet(m, ctx.out), ChoiceSet(m, actual)),
+            }
     return None
 
 
-def _check_strong_condorcet(rule, universe):
+def _check_homogeneity(universe):
     m = universe.m
-    engine = _Engine.for_universe(rule, universe)
-    for ballots, flat in universe.raw_profiles():
-        strict = _strict_masks_from_flat(flat, m)
-        out = engine.of(ballots)
-        winner = _winner_of(strict, m)
-        if winner is not None and out != 1 << winner:
-            return Outcome.VIOLATED, {
-                "profile": Profile(m, ballots),
-                "condorcet_winner": winner,
-                "output": ChoiceSet(m, out),
-            }
-        if winner is None and out.bit_count() == 1:
-            return Outcome.VIOLATED, {
-                "profile": Profile(m, ballots),
-                "condorcet_winner": None,
-                "output": ChoiceSet(m, out),
-            }
-    return Outcome.HOLDS, None
 
-
-def _check_cos(rule, universe):
-    m = universe.m
-    engine = _Engine.for_universe(rule, universe)
-    for ballots, flat in universe.raw_profiles():
-        strict = _strict_masks_from_flat(flat, m)
-        out = engine.of(ballots)
-        for x in range(m):
-            rest = out & ~(1 << x)
-            if rest and strict[x] & rest == rest:
+    def violation(ctx):
+        engine, code = ctx.engine, ctx.code
+        bias = engine.layout.bias
+        for k in range(2, universe.k_hom + 1):
+            # k copies of the electorate scale every margin by k
+            out_k = engine.output(bias + k * (code - bias), ctx.ballots * k)
+            if out_k != ctx.out:
                 return Outcome.VIOLATED, {
-                    "profile": Profile(m, ballots),
-                    "alternative": x,
-                    "output": ChoiceSet(m, out),
+                    "profile": ctx.profile,
+                    "k": k,
+                    "outputs": (ChoiceSet(m, ctx.out), ChoiceSet(m, out_k)),
                 }
-    return Outcome.HOLDS, None
+        return None
+
+    return violation
 
 
-def _first_perturbation(rule, universe, perturbations, violated):
-    """Walk the universe in scan order; for each voter, try the one-ballot
-    changes `perturbations(ballot, out)` yields as (new_ballot, info). The
-    first with violated(out, after, info) is returned as
-    (ballots, voter, new_ballot, info, out, after); None if there is none."""
-    engine = _Engine.for_universe(rule, universe)
-    for ballots, _ in universe.raw_profiles():
-        code = engine.layout.of(ballots)
-        out = engine.output(code, ballots)
-        for voter, ballot in enumerate(ballots):
-            for new_ballot, info in perturbations(ballot, out):
-                after = engine.replaced(code, ballots, voter, new_ballot)
-                if violated(out, after, info):
-                    return ballots, voter, new_ballot, info, out, after
+class _Imposition:
+    """Every target set must be the output on some profile; holds as soon as
+    all are reached, and ends "not witnessed" otherwise."""
+
+    def __init__(self, m, targets):
+        self.m = m
+        self.missing = set(targets)
+
+    def __call__(self, ctx):
+        self.missing.discard(ctx.out)
+        return None if self.missing else (Outcome.HOLDS, None)
+
+    def end(self):
+        return Outcome.NOT_WITNESSED, {
+            "missing": tuple(ChoiceSet(self.m, t) for t in sorted(self.missing))
+        }
+
+
+def _check_non_imposition(universe):
+    return _Imposition(universe.m, [1 << x for x in range(universe.m)])
+
+
+def _check_set_non_imposition(universe):
+    return _Imposition(universe.m, range(1, 1 << universe.m))
+
+
+@_stateless
+def _check_strong_condorcet(ctx):
+    m, out = ctx.m, ctx.out
+    winner = condorcet_winner(MajorityRelation(m, ctx.strict))
+    if winner is None:
+        violated = out.bit_count() == 1
+    else:
+        violated = out != 1 << winner
+    if not violated:
+        return None
+    return Outcome.VIOLATED, {
+        "profile": ctx.profile,
+        "condorcet_winner": winner,
+        "output": ChoiceSet(m, out),
+    }
+
+
+@_stateless
+def _check_cos(ctx):
+    m, out, strict = ctx.m, ctx.out, ctx.strict
+    for x in range(m):
+        rest = out & ~(1 << x)
+        if rest and strict[x] & rest == rest:
+            return Outcome.VIOLATED, {
+                "profile": ctx.profile,
+                "alternative": x,
+                "output": ChoiceSet(m, out),
+            }
+    return None
+
+
+def _first_perturbation(ctx, perturbations, violated):
+    """For each voter in turn, try the one-ballot changes
+    `perturbations(ballot, out)` yields as (new_ballot, info). The first with
+    violated(out, after, info) is returned as (voter, new_ballot, info,
+    after); None if there is none."""
+    out = ctx.out
+    for voter, ballot in enumerate(ctx.ballots):
+        for new_ballot, info in perturbations(ballot, out):
+            after = ctx.replaced(voter, new_ballot)
+            if violated(out, after, info):
+                return voter, new_ballot, info, after
     return None
 
 
@@ -814,64 +848,68 @@ def _changed(out, after, _info) -> bool:
     return after != out
 
 
-def _two_profile_witness(m, hit, **extra):
-    ballots, voter, new_ballot, _, out, after = hit
+def _two_profile_witness(ctx, hit, **extra):
+    voter, new_ballot, _, after = hit
+    ballots = ctx.ballots
     changed = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
     return Outcome.VIOLATED, {
-        "profiles": (Profile(m, ballots), Profile(m, changed)),
+        "profiles": (ctx.profile, Profile(ctx.m, changed)),
         "voter": voter,
         **extra,
-        "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+        "outputs": (ChoiceSet(ctx.m, ctx.out), ChoiceSet(ctx.m, after)),
     }
 
 
-def _check_wmon(rule, universe):
+def _swaps(ballot, out):
+    """Adjacent swaps that reinforce a chosen alternative, with the pair."""
+    for p in range(len(ballot) - 1):
+        above, below = ballot[p], ballot[p + 1]
+        if out >> below & 1:
+            yield ballot[:p] + (below, above) + ballot[p + 2:], (above, below)
+
+
+def _reinforced_dropped(out, after, pair):
+    above, below = pair
+    if after >> below & 1:
+        return False
+    return not (after >> above & 1 and not out >> above & 1)
+
+
+@_stateless
+def _check_wmon(ctx):
     """Reinforcing a chosen alternative by one adjacent swap keeps it chosen,
     unless the swapped-down alternative newly enters the choice set."""
-    m = universe.m
-
-    def swaps(ballot, out):
-        for p in range(m - 1):
-            above, below = ballot[p], ballot[p + 1]
-            if out >> below & 1:
-                yield ballot[:p] + (below, above) + ballot[p + 2:], (above, below)
-
-    def violated(out, after, pair):
-        above, below = pair
-        if after >> below & 1:
-            return False
-        return not (after >> above & 1 and not out >> above & 1)
-
-    hit = _first_perturbation(rule, universe, swaps, violated)
+    hit = _first_perturbation(ctx, _swaps, _reinforced_dropped)
     if hit is None:
-        return Outcome.HOLDS, None
-    ballots, voter, _, (above, below), out, after = hit
+        return None
+    voter, _, (above, below), after = hit
     return Outcome.VIOLATED, {
-        "profile": Profile(m, ballots),
+        "profile": ctx.profile,
         "voter": voter,
         "reinforced": below,
         "against": above,
-        "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+        "outputs": (ChoiceSet(ctx.m, ctx.out), ChoiceSet(ctx.m, after)),
     }
 
 
-def _check_wsmon(rule, universe):
+def _pushes(ballot, out):
+    """An unchosen top-ranked alternative pushed to the bottom."""
+    if not out >> ballot[0] & 1:
+        yield ballot[1:] + ballot[:1], ballot[0]
+
+
+@_stateless
+def _check_wsmon(ctx):
     """Pushing an unchosen top-ranked alternative to the bottom changes nothing."""
-    m = universe.m
-
-    def pushes(ballot, out):
-        if not out >> ballot[0] & 1:
-            yield ballot[1:] + ballot[:1], ballot[0]
-
-    hit = _first_perturbation(rule, universe, pushes, _changed)
+    hit = _first_perturbation(ctx, _pushes, _changed)
     if hit is None:
-        return Outcome.HOLDS, None
-    ballots, voter, _, top, out, after = hit
+        return None
+    voter, _, top, after = hit
     return Outcome.VIOLATED, {
-        "profile": Profile(m, ballots),
+        "profile": ctx.profile,
         "voter": voter,
         "alternative": top,
-        "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+        "outputs": (ChoiceSet(ctx.m, ctx.out), ChoiceSet(ctx.m, after)),
     }
 
 
@@ -901,89 +939,87 @@ def _block_reorders(ballot, positions):
         yield tuple(new)
 
 
-def _check_iua(rule, universe):
+def _unchosen_reorders(ballot, out):
+    unchosen = (1 << len(ballot)) - 1 & ~out
+    for positions in _runs(ballot, unchosen):
+        for new_ballot in _block_reorders(ballot, positions):
+            yield new_ballot, None
+
+
+@_stateless
+def _check_iua(ctx):
     """Reordering a block of unchosen alternatives changes nothing."""
-    m = universe.m
-    full = (1 << m) - 1
+    hit = _first_perturbation(ctx, _unchosen_reorders, _changed)
+    return None if hit is None else _two_profile_witness(ctx, hit)
 
-    def reorders(ballot, out):
-        for positions in _runs(ballot, full & ~out):
+
+def _block_reorders_anywhere(ballot, out):
+    """Every reorder of every block of consecutive positions, with the block."""
+    m = len(ballot)
+    for start in range(m - 1):
+        for stop in range(start + 2, m + 1):
+            positions = range(start, stop)
+            block = sum(1 << ballot[p] for p in positions)
             for new_ballot in _block_reorders(ballot, positions):
-                yield new_ballot, None
-
-    hit = _first_perturbation(rule, universe, reorders, _changed)
-    return (Outcome.HOLDS, None) if hit is None else _two_profile_witness(m, hit)
+                yield new_ballot, block
 
 
-def _check_wloc(rule, universe):
+def _changed_beyond_block(out, after, block):
+    return block & out == block & after and after != out
+
+
+@_stateless
+def _check_wloc(ctx):
     """Reordering any ballot block that keeps its own chosen members fixed
     must keep the whole choice set fixed."""
-    m = universe.m
-
-    def reorders(ballot, out):
-        for start in range(m - 1):
-            for stop in range(start + 2, m + 1):
-                positions = range(start, stop)
-                block = sum(1 << ballot[p] for p in positions)
-                for new_ballot in _block_reorders(ballot, positions):
-                    yield new_ballot, block
-
-    def violated(out, after, block):
-        return block & out == block & after and after != out
-
-    hit = _first_perturbation(rule, universe, reorders, violated)
+    hit = _first_perturbation(ctx, _block_reorders_anywhere, _changed_beyond_block)
     if hit is None:
-        return Outcome.HOLDS, None
-    return _two_profile_witness(m, hit, block=tuple(sorted(_mask_bits(hit[3]))))
+        return None
+    return _two_profile_witness(ctx, hit, block=tuple(sorted(_mask_bits(hit[2]))))
 
 
-def _check_fishburn_efficiency(rule, universe):
+@_stateless
+def _check_fishburn_efficiency(ctx):
     """No other set is strictly preferred to the output by every single voter."""
-    m = universe.m
-    full = (1 << m) - 1
-    engine = _Engine.for_universe(rule, universe)
-    for ballots, _ in universe.raw_profiles():
-        out = engine.of(ballots)
-        ranks = [_rank_of(b) for b in ballots]
-        for challenger in range(1, full + 1):
-            if challenger == out:
+    m, out = ctx.m, ctx.out
+    ranks = [_rank_of(b) for b in ctx.ballots]
+    for challenger in range(1, 1 << m):
+        if challenger == out:
+            continue
+        if all(_fish(rank, challenger, out) for rank in ranks):
+            return Outcome.VIOLATED, {
+                "profile": ctx.profile,
+                "challenger": ChoiceSet(m, challenger),
+                "output": ChoiceSet(m, out),
+            }
+    return None
+
+
+@_stateless
+def _check_twin_symmetry(ctx):
+    m, out, flat = ctx.m, ctx.out, ctx.flat
+    for x in range(m):
+        for y in range(x + 1, m):
+            if flat[x * m + y] != 0:
                 continue
-            if all(_fish(rank, challenger, out) for rank in ranks):
+            if any(
+                flat[x * m + z] != flat[y * m + z]
+                for z in range(m)
+                if z != x and z != y
+            ):
+                continue
+            if (out >> x & 1) != (out >> y & 1):
                 return Outcome.VIOLATED, {
-                    "profile": Profile(m, ballots),
-                    "challenger": ChoiceSet(m, challenger),
+                    "profile": ctx.profile,
+                    "alternatives": (x, y),
                     "output": ChoiceSet(m, out),
                 }
-    return Outcome.HOLDS, None
-
-
-def _check_twin_symmetry(rule, universe):
-    m = universe.m
-    engine = _Engine.for_universe(rule, universe)
-    for ballots, flat in universe.raw_profiles():
-        out = engine.of(ballots)
-        for x in range(m):
-            for y in range(x + 1, m):
-                if flat[x * m + y] != 0:
-                    continue
-                if any(
-                    flat[x * m + z] != flat[y * m + z]
-                    for z in range(m)
-                    if z != x and z != y
-                ):
-                    continue
-                if (out >> x & 1) != (out >> y & 1):
-                    return Outcome.VIOLATED, {
-                        "profile": Profile(m, ballots),
-                        "alternatives": (x, y),
-                        "output": ChoiceSet(m, out),
-                    }
-    return Outcome.HOLDS, None
+    return None
 
 
 _CHECKERS = {
-    Axiom.PAIRWISENESS: _check_pairwiseness,
-    Axiom.MAJORITARIANESS: _check_majoritarianess,
+    Axiom.PAIRWISENESS: partial(_grouped, by_relation=False),
+    Axiom.MAJORITARIANESS: partial(_grouped, by_relation=True),
     Axiom.NEUTRALITY: _check_neutrality,
     Axiom.HOMOGENEITY: _check_homogeneity,
     Axiom.NON_IMPOSITION: _check_non_imposition,
@@ -1003,16 +1039,6 @@ _CHECKERS = {
 # dominant set structure: robustness and weak robustness
 
 
-def _is_dominant_mask(strict, mask, full):
-    comp = full & ~mask
-    if not comp:
-        return True
-    for x in _mask_bits(mask):
-        if strict[x] & comp != comp:
-            return False
-    return True
-
-
 def check_robust_dominant(
     rule: RuleSpec, universe: Universe, *, budget: int | None = None
 ) -> AxiomVerdict:
@@ -1024,34 +1050,27 @@ def check_robust_dominant(
     pairs of universe profiles.
     """
     m = universe.m
-    full = (1 << m) - 1
     majoritarian = basis(rule) == BasisTag.MAJORITARIAN
-    if majoritarian:
-        items = [(rel.strict, None) for rel in enumerate_relations(m)]
-    else:
-        items = [
-            (_strict_masks_from_flat(flat, m), ballots)
-            for ballots, flat in universe.raw_profiles()
-        ]
+    items = list(enumerate_relations(m) if majoritarian else universe.raw_profiles())
     if len(items) ** 2 > _budget(budget):
         raise BudgetExceededError("pair scan exceeds the budget")
+    if majoritarian:
+        rels = items
+        outputs = [
+            _nonempty(rule, evaluate_mask_from_relation(rule, rel.strict, m)) for rel in rels
+        ]
+    else:
+        engine = _Engine.for_universe(rule, universe)
+        scans = [_Scan(engine, ballots) for ballots in items]
+        rels = [MajorityRelation(m, scan.strict) for scan in scans]
+        outputs = [scan.out for scan in scans]
 
     def materialize(i):
-        strict, ballots = items[i]
-        if ballots is not None:
-            return Profile(m, ballots)
-        return realize_relation(MajorityRelation(m, strict), 2)
+        return realize_relation(rels[i], 2) if majoritarian else scans[i].profile
 
-    engine = _Engine.for_universe(rule, universe)
-    outputs = []
-    for strict, ballots in items:
-        if ballots is not None:
-            outputs.append(engine.of(ballots))
-        else:
-            outputs.append(_nonempty(rule, evaluate_mask_from_relation(rule, strict, m)))
     axiom = "robust-dominant-set"
-    for i, (strict, _) in enumerate(items):
-        if not _is_dominant_mask(strict, outputs[i], full):
+    for i, rel in enumerate(rels):
+        if not is_dominant(rel, outputs[i]):
             return AxiomVerdict(
                 axiom, rule, universe, Outcome.VIOLATED,
                 {"profile": materialize(i), "output": ChoiceSet(m, outputs[i])},
@@ -1065,11 +1084,9 @@ def check_robust_dominant(
     clashes: dict[int, list[int]] = {}
     for out in set(outputs):
         clashes[out] = [
-            j
-            for j, (strict, _) in enumerate(items)
-            if _is_dominant_mask(strict, out, full) and outputs[j] & ~out
+            j for j, rel in enumerate(rels) if is_dominant(rel, out) and outputs[j] & ~out
         ]
-    for i in range(len(items)):
+    for i in range(len(rels)):
         for j in clashes[outputs[i]]:
             if j == i:
                 continue
@@ -1090,31 +1107,27 @@ def check_weak_robustness(
     the choice set cannot grow."""
     m = universe.m
     full = (1 << m) - 1
-    engine = _Engine.for_universe(rule, universe)
-    items = [(ballots, flat) for ballots, flat in universe.raw_profiles()]
-    if len(items) ** 2 > _budget(budget):
+    profiles = list(universe.raw_profiles())
+    if len(profiles) ** 2 > _budget(budget):
         raise BudgetExceededError("pair scan exceeds the budget")
-    outputs = [engine.of(b) for b, _ in items]
+    engine = _Engine.for_universe(rule, universe)
+    scans = [_Scan(engine, ballots) for ballots in profiles]
     axiom = "weak-robustness"
-    for i, (ballots_i, flat_i) in enumerate(items):
-        out_i = outputs[i]
-        if out_i == full:
+    for i, p in enumerate(scans):
+        if p.out == full:
             continue
-        inside = list(_mask_bits(out_i))
-        outside = list(_mask_bits(full & ~out_i))
-        for j, (ballots_j, flat_j) in enumerate(items):
-            if i == j or not outputs[j] & ~out_i:
+        inside = list(_mask_bits(p.out))
+        outside = list(_mask_bits(full & ~p.out))
+        for j, q in enumerate(scans):
+            if i == j or not q.out & ~p.out:
                 continue
-            if all(
-                flat_i[x * m + y] <= flat_j[x * m + y]
-                for x in inside
-                for y in outside
-            ):
+            gp, gq = p.flat, q.flat
+            if all(gp[x * m + y] <= gq[x * m + y] for x in inside for y in outside):
                 return AxiomVerdict(
                     axiom, rule, universe, Outcome.VIOLATED,
                     {
-                        "profiles": (Profile(m, ballots_i), Profile(m, ballots_j)),
-                        "outputs": (ChoiceSet(m, out_i), ChoiceSet(m, outputs[j])),
+                        "profiles": (p.profile, q.profile),
+                        "outputs": (ChoiceSet(m, p.out), ChoiceSet(m, q.out)),
                     },
                 )
     return AxiomVerdict(axiom, rule, universe, Outcome.HOLDS)
@@ -1171,108 +1184,37 @@ def search_uncovered_set_manipulation(
 # witness replay
 
 
+def _named_check(axiom: str, universe: Universe):
+    """A fresh predicate for the check reported under this name."""
+    for prefix, strong in (("strategyproofness-", False), ("strong-strategyproofness-", True)):
+        if axiom.startswith(prefix):
+            return _manipulability(ExtensionKind(axiom[len(prefix):]), strong)
+    try:
+        return _CHECKERS[Axiom(axiom)](universe)
+    except ValueError:
+        raise ValueError(f"cannot replay axiom {axiom!r}") from None
+
+
 def replay(verdict: AxiomVerdict) -> bool:
-    """Re-verify a violation witness through the matching single-instance check."""
+    """Re-verify a violation witness: the check that found it, run on the
+    stored witness profile(s) in order, must report exactly this witness."""
     if verdict.outcome != Outcome.VIOLATED:
         raise ValueError("only violation witnesses can be replayed")
     w = verdict.witness
     rule = verdict.rule
     axiom = verdict.axiom
-    if axiom.startswith("strategyproofness-"):
-        man = w["manipulation"]
-        found = find_manipulation(rule, man.profile, man.extension)
-        return found == man
-    if axiom.startswith("strong-strategyproofness-"):
-        man = w["manipulation"]
-        return find_strong_manipulation(rule, man.profile, man.extension) == man
     m = verdict.universe.m
 
     def out_of(profile):
         return evaluate_mask(rule, profile.ballots, profile.m)
 
-    if axiom in (Axiom.PAIRWISENESS.value, Axiom.MAJORITARIANESS.value):
-        p, q = w["profiles"]
-        fp, fq = _margins_flat(p.ballots, m), _margins_flat(q.ballots, m)
-        same = (
-            fp == fq
-            if axiom == Axiom.PAIRWISENESS.value
-            else _strict_masks_from_flat(fp, m) == _strict_masks_from_flat(fq, m)
-        )
-        return same and out_of(p) != out_of(q)
-    if axiom == Axiom.NEUTRALITY.value:
-        p = w["profile"]
-        perm = w["permutation"]
-        relabeled = Profile(m, tuple(tuple(perm[x] for x in b) for b in p.ballots))
-        return out_of(relabeled) != _apply_perm_mask(perm, out_of(p))
-    if axiom == Axiom.HOMOGENEITY.value:
-        p = w["profile"]
-        return out_of(p.tiled(w["k"])) != out_of(p)
-    if axiom == Axiom.STRONG_CONDORCET_CONSISTENCY.value:
-        p = w["profile"]
-        strict = _strict_masks_from_flat(_margins_flat(p.ballots, m), m)
-        winner = _winner_of(strict, m)
-        out = out_of(p)
-        if winner is None:
-            return out.bit_count() == 1
-        return out != 1 << winner
-    if axiom == Axiom.COS.value:
-        p = w["profile"]
-        x = w["alternative"]
-        strict = _strict_masks_from_flat(_margins_flat(p.ballots, m), m)
-        rest = out_of(p) & ~(1 << x)
-        return bool(rest) and strict[x] & rest == rest
-    if axiom == Axiom.WMON.value:
-        p = w["profile"]
-        voter, below, above = w["voter"], w["reinforced"], w["against"]
-        ballot = p.ballots[voter]
-        pos = ballot.index(above)
-        assert ballot[pos + 1] == below
-        swapped = ballot[:pos] + (below, above) + ballot[pos + 2:]
-        out, after = out_of(p), out_of(p.replace_ballot(voter, swapped))
-        return (
-            out >> below & 1 == 1
-            and after >> below & 1 == 0
-            and not (after >> above & 1 and not out >> above & 1)
-        )
-    if axiom == Axiom.WSMON.value:
-        p = w["profile"]
-        voter = w["voter"]
-        ballot = p.ballots[voter]
-        out = out_of(p)
-        pushed = ballot[1:] + (ballot[0],)
-        return out >> ballot[0] & 1 == 0 and out_of(p.replace_ballot(voter, pushed)) != out
-    if axiom in (Axiom.IUA.value, Axiom.WLOC.value):
-        p, q = w["profiles"]
-        out_p, out_q = out_of(p), out_of(q)
-        if axiom == Axiom.WLOC.value:
-            block = 0
-            for x in w["block"]:
-                block |= 1 << x
-            if block & out_p != block & out_q:
-                return False
-        return out_p != out_q
-    if axiom == Axiom.FISHBURN_EFFICIENCY.value:
-        p = w["profile"]
-        challenger = w["challenger"].mask
-        out = out_of(p)
-        return challenger != out and all(
-            _fish(_rank_of(b), challenger, out) for b in p.ballots
-        )
-    if axiom == Axiom.TWIN_SYMMETRY.value:
-        p = w["profile"]
-        x, y = w["alternatives"]
-        out = out_of(p)
-        return (out >> x & 1) != (out >> y & 1)
     if axiom == "robust-dominant-set":
-        full = (1 << m) - 1
         if "profile" in w:
             p = w["profile"]
-            strict = _strict_masks_from_flat(_margins_flat(p.ballots, m), m)
-            return not _is_dominant_mask(strict, out_of(p), full)
+            return not is_dominant(MajorityRelation.from_profile(p), out_of(p))
         p, q = w["profiles"]
-        strict_q = _strict_masks_from_flat(_margins_flat(q.ballots, m), m)
         out_p, out_q = out_of(p), out_of(q)
-        return _is_dominant_mask(strict_q, out_p, full) and bool(out_q & ~out_p)
+        return is_dominant(MajorityRelation.from_profile(q), out_p) and bool(out_q & ~out_p)
     if axiom == "weak-robustness":
         p, q = w["profiles"]
         fp, fq = _margins_flat(p.ballots, m), _margins_flat(q.ballots, m)
@@ -1283,7 +1225,19 @@ def replay(verdict: AxiomVerdict) -> bool:
             fp[x * m + y] <= fq[x * m + y] for x in inside for y in outside
         )
         return premise and bool(out_q & ~out_p)
-    raise ValueError(f"cannot replay axiom {axiom!r}")
+    check = _named_check(axiom, verdict.universe)
+    if "manipulation" in w:
+        profiles = (w["manipulation"].profile,)
+    else:
+        profiles = w.get("profiles") or (w["profile"],)
+    if any(p.m != m or p.n > verdict.universe.n_max for p in profiles):
+        return False  # no walk of this universe meets such a profile
+    engine = _Engine.for_universe(rule, verdict.universe)
+    for profile in profiles:
+        found = check(_Scan(engine, profile.ballots))
+        if found is not None:
+            return found == (Outcome.VIOLATED, w)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1332,7 +1286,6 @@ def corroborate_theorems(
     rules: tuple[RuleSpec, ...] | None = None,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> CorroborationReport:
     """Run the full axiom suite on the catalog and check the expected pattern.
 
@@ -1344,19 +1297,31 @@ def corroborate_theorems(
     """
     from .rules import catalog
 
-    _check_workers(workers)
     budget = _budget(budget)
+    _within_budget(_deviation_estimate(universe), budget)
+    _within_budget(_axiom_estimate(universe), budget)
     rules = tuple(rules) if rules is not None else tuple(catalog())
     verdicts: list[AxiomVerdict] = []
     not_evaluable: dict = {}
     for rule in rules:
-        for check_name, runner in _corroboration_checks(universe, budget, workers):
-            try:
-                verdicts.append(runner(rule))
-            except (TiesUnsupportedError, InstanceTooLargeError) as exc:
-                not_evaluable[(rule.name, check_name)] = str(exc)
-    report_verdicts = tuple(verdicts)
-    outcomes = {(v.rule.name, v.axiom): v.outcome for v in report_verdicts}
+        # strategyproofness and the whole suite share one walk
+        checks = {SP_FISHBURN: _manipulability(ExtensionKind.FISHBURN)}
+        for axiom in full_suite():
+            checks[axiom.value] = _CHECKERS[axiom](universe)
+        results = _walk(rule, universe, checks)
+        try:
+            results["robust-dominant-set"] = check_robust_dominant(
+                rule, universe, budget=budget
+            )
+        except _NOT_EVALUABLE as exc:
+            results["robust-dominant-set"] = exc
+        for name in (*checks, "robust-dominant-set"):
+            result = results[name]
+            if isinstance(result, Exception):
+                not_evaluable[(rule.name, name)] = str(result)
+            else:
+                verdicts.append(result)
+    report = CorroborationReport(universe, tuple(verdicts), not_evaluable, ())
     evaluable = [
         r.name
         for r in rules
@@ -1364,12 +1329,10 @@ def corroborate_theorems(
     ]
 
     def passes(rule_name, axiom):
-        return outcomes.get((rule_name, axiom)) == Outcome.HOLDS
+        return report.outcome(rule_name, axiom) == Outcome.HOLDS
 
     robust = [r for r in evaluable if passes(r, "robust-dominant-set")]
-    bracket_passers = [
-        r for r in evaluable if all(passes(r, a) for a in _BRACKET)
-    ]
+    bracket_passers = [r for r in evaluable if not report.failures(r, _BRACKET)]
     assertions = []
     assertions.append((
         "robust-dominant-rules-are-the-expected-trio",
@@ -1403,9 +1366,7 @@ def corroborate_theorems(
         "borda": SP_FISHBURN,
     }
     for rule_name, expected in expected_single_failures.items():
-        failures = tuple(
-            a for a in _BRACKET if not passes(rule_name, a)
-        )
+        failures = report.failures(rule_name, _BRACKET)
         assertions.append((
             f"{rule_name}-fails-exactly-{expected}",
             failures == (expected,),
@@ -1417,27 +1378,8 @@ def corroborate_theorems(
         [r for r in independence_rules if r in bracket_passers] == ["tc"],
         f"all passers on this universe: {sorted(bracket_passers)}",
     ))
-    return CorroborationReport(
-        universe=universe,
-        verdicts=report_verdicts,
-        not_evaluable=not_evaluable,
+    return replace(
+        report,
         assertions=tuple(assertions),
         bracket_passers=tuple(sorted(bracket_passers)),
     )
-
-
-def _corroboration_checks(universe, budget, workers):
-    checks = [(
-        SP_FISHBURN,
-        lambda rule: sweep_strategyproofness(
-            rule, universe, ExtensionKind.FISHBURN, budget=budget, workers=workers
-        ),
-    )]
-    for axiom in full_suite():
-        checks.append(
-            (axiom.value, lambda rule, a=axiom: check_axiom(a, rule, universe, budget=budget))
-        )
-    checks.append(
-        ("robust-dominant-set", lambda rule: check_robust_dominant(rule, universe, budget=budget))
-    )
-    return checks

@@ -218,3 +218,105 @@ def naive_group_manipulation(rule, ballots, m, max_group):
                 ):
                     return group, reports, honest, out
     return None
+
+
+def witness_holds(verdict):
+    """Literal re-check of a violation witness, one clause per axiom, from
+    rules.evaluate and core alone (no margin code, no scan machinery)."""
+    from setvote.core import MajorityRelation, Profile, condorcet_winner, is_dominant, margins
+    from setvote.extensions import ExtensionKind
+    from setvote.rules import evaluate
+
+    w, rule, axiom, m = verdict.witness, verdict.rule, verdict.axiom, verdict.universe.m
+
+    def out(profile):
+        return frozenset(evaluate(rule, profile).members)
+
+    def rel(profile):
+        return MajorityRelation.from_profile(profile)
+
+    if "strategyproofness-" in axiom:
+        man = w["manipulation"]
+        fishburn = man.extension == ExtensionKind.FISHBURN
+        search = (
+            naive_strong_manipulation if axiom.startswith("strong-") else naive_manipulation
+        )
+        expected = search(rule, man.profile.ballots, m, fishburn)
+        return man.true_ballot == man.profile.ballots[man.voter] and expected == (
+            man.voter,
+            man.misreport,
+            frozenset(man.honest_set.members),
+            frozenset(man.manipulated_set.members),
+        )
+    if axiom in ("pairwiseness", "majoritarianess"):
+        p, q = w["profiles"]
+        if axiom == "pairwiseness":
+            same = (margins(p) == margins(q)).all()
+        else:
+            same = rel(p) == rel(q)
+        return bool(same) and out(p) != out(q)
+    if axiom == "neutrality":
+        p, perm = w["profile"], w["permutation"]
+        relabeled = Profile(m, tuple(tuple(perm[x] for x in b) for b in p.ballots))
+        return out(relabeled) != {perm[x] for x in out(p)}
+    if axiom == "homogeneity":
+        p = w["profile"]
+        return out(p.tiled(w["k"])) != out(p)
+    if axiom == "strong-condorcet-consistency":
+        p = w["profile"]
+        winner = condorcet_winner(rel(p))
+        if winner is None:
+            return len(out(p)) == 1
+        return out(p) != {winner}
+    if axiom == "condorcet-stability":
+        p, x = w["profile"], w["alternative"]
+        rest = out(p) - {x}
+        return bool(rest) and all(rel(p).strictly_prefers(x, y) for y in rest)
+    if axiom == "weak-monotonicity":
+        p = w["profile"]
+        voter, below, above = w["voter"], w["reinforced"], w["against"]
+        ballot = p.ballots[voter]
+        pos = ballot.index(above)
+        if ballot[pos + 1] != below:
+            return False
+        swapped = ballot[:pos] + (below, above) + ballot[pos + 2:]
+        before, after = out(p), out(p.replace_ballot(voter, swapped))
+        return below in before and below not in after and not (
+            above in after and above not in before
+        )
+    if axiom == "weak-set-monotonicity":
+        p, voter = w["profile"], w["voter"]
+        ballot = p.ballots[voter]
+        pushed = ballot[1:] + (ballot[0],)
+        return ballot[0] not in out(p) and out(p.replace_ballot(voter, pushed)) != out(p)
+    if axiom in ("independence-of-unchosen-alternatives", "weak-localizedness"):
+        p, q = w["profiles"]
+        if axiom == "weak-localizedness":
+            block = set(w["block"])
+            if block & out(p) != block & out(q):
+                return False
+        return out(p) != out(q)
+    if axiom == "fishburn-efficiency":
+        p = w["profile"]
+        challenger = frozenset(w["challenger"].members)
+        return challenger != out(p) and all(
+            fishburn_literal(b, challenger, out(p)) for b in p.ballots
+        )
+    if axiom == "twin-symmetry":
+        x, y = w["alternatives"]
+        chosen = out(w["profile"])
+        return (x in chosen) != (y in chosen)
+    if axiom == "robust-dominant-set":
+        if "profile" in w:
+            p = w["profile"]
+            return not is_dominant(rel(p), evaluate(rule, p))
+        p, q = w["profiles"]
+        return is_dominant(rel(q), evaluate(rule, p)) and bool(out(q) - out(p))
+    if axiom == "weak-robustness":
+        p, q = w["profiles"]
+        gp, gq = margins(p), margins(q)
+        inside = out(p)
+        outside = set(range(m)) - inside
+        premise = all(gp[x, y] <= gq[x, y] for x in inside for y in outside)
+        return premise and bool(out(q) - inside)
+    raise ValueError(f"no literal check for axiom {axiom!r}")

@@ -61,6 +61,12 @@ class TestProfileDocuments:
             "m=0 n=1\n\n",
             "n=1 m=2\r\n",
             "m=2 n=1\na z\n",
+            "m=2 n=1\n\u00b2 1\n",
+            "m=4 n=1\n\u0663 0 1 2\n",
+            "m=\u00b2 n=1\na\n",
+            "m=-1 n=1\na\n",
+            "m=" + "1" * 5000 + " n=1\na\n",
+            "m=2 n=1\n" + "1" * 5000 + " a\n",
         ],
     )
     def test_malformed_documents_rejected(self, bad):
@@ -77,6 +83,46 @@ class TestProfileDocuments:
             ballots.append(tuple(b))
         profile = Profile(m, tuple(ballots))
         assert parse_profile(serialize_profile(profile)) == profile
+
+
+_TOKENS = st.sampled_from(
+    ["a", "b", "c", "z", "0", "1", "2", "-1", "-", "\u00b2", "\u0663", "=", "#", "x"]
+)
+_HEADERS = st.sampled_from(
+    ["m=2 n=1", "m=3 n=2", "m=\u00b2 n=1", "m=2 n=\u0663", "m=-1 n=1", "m=2", ""]
+)
+_PROFILE_LIKE = st.builds(
+    lambda header, lines: "\n".join([header, *lines]),
+    _HEADERS,
+    st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=3),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=10,
+)
+_GRAPH_LIKE = st.fixed_dictionaries({
+    "m": st.integers(-1, 3) | _JSON,
+    "margins": st.lists(st.lists(st.integers(), max_size=3), max_size=3) | _JSON,
+}).map(json.dumps)
+
+
+class TestParserFuzzing:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | _PROFILE_LIKE)
+    def test_profile_parser_raises_only_parse_errors(self, text):
+        try:
+            parse_profile(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | _GRAPH_LIKE)
+    def test_graph_parser_raises_only_parse_errors(self, text):
+        try:
+            parse_graph(text)
+        except ParseError:
+            pass
 
 
 class TestGraphDocuments:
@@ -187,6 +233,13 @@ class TestCli:
         good = self.fixture("fig1.prof")
         assert cli.main(["eval", "--rule", "bogus", "--profile", good]) == 2
 
+    def test_non_ascii_digit_token_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "digits.prof"
+        bad.write_text("m=2 n=1\n\u00b2 1\n", encoding="utf-8")
+        assert cli.main(["eval", "--rule", "tc", "--profile", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "'\u00b2'" in err and "invalid literal" not in err
+
     def test_malformed_special_pair_exits_2(self, capsys):
         good = self.fixture("fig1.prof")
         assert cli.main(["eval", "--rule", "fab:AB", "--profile", good]) == 2
@@ -203,12 +256,3 @@ class TestCli:
         err = capsys.readouterr().err
         assert "SETVOTE_BUDGET must be a non-negative integer, got 'abc'" in err
         assert "invalid literal" not in err
-
-    @pytest.mark.parametrize("command", [
-        ["axioms", "--rule", "tc", "--m", "2", "--n", "1", "--axiom", "pairwiseness"],
-        ["sweep", "--m", "2", "--n", "1"],
-    ])
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_below_one_exit_2(self, capsys, command, threads):
-        assert cli.main([*command, "--threads", threads]) == 2
-        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err

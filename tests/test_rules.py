@@ -2,6 +2,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import positional_borda
 from setvote.core import (
@@ -73,6 +75,27 @@ class TestCatalog:
         for bad in ("nope", "tc:k=2", "fab:aa", "supermajority-tc:j=1"):
             with pytest.raises(ValueError):
                 parse_rule(bad)
+        too_long = "k=" + "1" * 5000
+        with pytest.raises(ValueError, match=re.escape(repr(too_long))):
+            parse_rule("supermajority-tc:" + too_long)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text()
+        | st.builds(
+            lambda head, arg: f"{head}:{arg}",
+            st.sampled_from([r.value for r in RuleId]),
+            st.text(max_size=4) | st.text(max_size=3).map("k=".__add__),
+        )
+    )
+    def test_errors_name_the_input(self, text):
+        try:
+            parse_rule(text)
+        except ValueError as exc:
+            head, _, arg = text.strip().partition(":")
+            message = str(exc)
+            assert repr(head) in message or repr(arg) in message, message
+            assert "invalid literal" not in message
 
 
 class TestWorkedExamples:

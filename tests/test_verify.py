@@ -1,13 +1,17 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+from oracles import witness_holds
 from setvote import rules, verify
 from setvote.core import ChoiceSet, Profile, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
 from setvote.rules import EmptyChoiceError, RuleId, catalog, evaluate, parse_rule
 from setvote.verify import (
     Axiom,
+    AxiomVerdict,
     BudgetExceededError,
     Outcome,
     Universe,
@@ -77,11 +81,23 @@ class TestSweepStrategyproofness:
         with pytest.raises(BudgetExceededError):
             sweep_strategyproofness(TC, Universe(3, 3), budget=10)
 
-    def test_worker_count_does_not_change_the_witness(self):
-        rule = parse_rule("borda")
-        sequential = sweep_strategyproofness(rule, Universe(3, 3))
-        parallel = sweep_strategyproofness(rule, Universe(3, 3), workers=2)
-        assert sequential == parallel
+    def test_margin_cap_keeps_exactly_the_profiles_within_it(self):
+        expected = [
+            p for p in Universe(3, 3).profiles() if np.abs(margins(p)).max() <= 1
+        ]
+        assert list(Universe(3, 3, margin_cap=1).profiles()) == expected
+
+    def test_capped_sweep_witness(self):
+        borda = parse_rule("borda")
+        verdict = sweep_strategyproofness(borda, Universe(3, 3, margin_cap=1))
+        man = verdict.witness["manipulation"]
+        # abc, abc, cba: every margin is +-1, and the third voter lifts b
+        assert man.profile.ballots == ((A, B, C), (A, B, C), (C, B, A))
+        assert (man.voter, man.misreport) == (2, (B, C, A))
+        assert man.honest_set == ChoiceSet.from_members(3, (A,))
+        assert man.manipulated_set == ChoiceSet.from_members(3, (A, B))
+        assert verdict != sweep_strategyproofness(borda, Universe(3, 3))
+        assert replay(verdict)
 
 
 class TestGroupManipulation:
@@ -186,6 +202,19 @@ class TestStrongStrategyproofness:
         verdict = sweep_strong_strategyproofness(TC, Universe(3, 3), ExtensionKind.FPLUS)
         assert verdict.outcome == Outcome.HOLDS
 
+    def test_one_memo_serves_the_whole_sweep(self, monkeypatch):
+        calls = []
+        evaluate_relation = verify.evaluate_mask_from_relation
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_relation(*args)
+
+        monkeypatch.setattr(verify, "evaluate_mask_from_relation", counted)
+        sweep_strong_strategyproofness(TC, Universe(3, 3))
+        # at most one evaluation per majority relation on three alternatives
+        assert len(calls) <= 27
+
 
 class TestUncoveredSetSearch:
     def test_even_electorates_rejected(self):
@@ -228,6 +257,7 @@ class TestCorroboration:
         assert violated
         for verdict in violated:
             assert replay(verdict), (verdict.rule.name, verdict.axiom)
+            assert witness_holds(verdict), (verdict.rule.name, verdict.axiom)
 
     def test_voter_order_never_matters(self):
         # the sweeps treat ballots as a sequence; rule outputs must not
@@ -251,57 +281,112 @@ class TestCorroboration:
                 assert lhs == evaluate(rule, Profile(3, tuple(shuffled)))
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs inline."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _checked(axiom, rule_name, universe):
+    return lambda: check_axiom(axiom, parse_rule(rule_name), universe)
 
 
-class TestWorkers:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(
-            verify, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+_FISHBURN, _FPLUS = ExtensionKind.FISHBURN, ExtensionKind.FPLUS
+# one violated verdict per replayable check
+_VIOLATIONS = {
+    "pairwiseness": _checked(Axiom.PAIRWISENESS, "omninomination", Universe(3, 2)),
+    "majoritarianess": _checked(Axiom.MAJORITARIANESS, "plurality", Universe(3, 2)),
+    "neutrality": _checked(Axiom.NEUTRALITY, "fab", Universe(3, 2)),
+    "homogeneity": _checked(Axiom.HOMOGENEITY, "tc-star", Universe(3, 1)),
+    "strong-condorcet": _checked(
+        Axiom.STRONG_CONDORCET_CONSISTENCY, "borda", Universe(3, 2)
+    ),
+    "condorcet-stability": _checked(Axiom.COS, "margin-threshold", Universe(3, 2)),
+    "wsmon": _checked(Axiom.WSMON, "plurality", Universe(3, 4)),
+    "iua": _checked(Axiom.IUA, "borda", Universe(3, 2)),
+    "wloc": _checked(Axiom.WLOC, "borda", Universe(3, 3)),
+    "fishburn-efficiency": _checked(Axiom.FISHBURN_EFFICIENCY, "condorcet", Universe(3, 2)),
+    "twin-symmetry": _checked(Axiom.TWIN_SYMMETRY, "omninomination", Universe(3, 2)),
+    "sp-fishburn": lambda: sweep_strategyproofness(
+        parse_rule("borda"), Universe(3, 2), _FISHBURN
+    ),
+    "sp-fplus": lambda: sweep_strategyproofness(parse_rule("borda"), Universe(3, 2), _FPLUS),
+    "strong-sp-fishburn": lambda: sweep_strong_strategyproofness(TC, Universe(3, 2)),
+    "strong-sp-fplus": lambda: sweep_strong_strategyproofness(
+        parse_rule("plurality"), Universe(3, 2), _FPLUS
+    ),
+    "robust-dominant-one-profile": lambda: check_robust_dominant(
+        parse_rule("schwartz"), Universe(3, 2)
+    ),
+    "robust-dominant-pair": lambda: check_robust_dominant(
+        parse_rule("margin-threshold"), Universe(3, 3)
+    ),
+    "weak-robustness": lambda: check_weak_robustness(parse_rule("plurality"), Universe(3, 2)),
+}
+
+
+def _tampered(verdict):
+    """The verdict with one stored witness value changed."""
+    w = dict(verdict.witness)
+    m = verdict.universe.m
+    if verdict.axiom in ("robust-dominant-set", "weak-robustness"):
+        # these two replays read the profiles only
+        if "profiles" in w:
+            w["profiles"] = (w["profiles"][1],) * 2
+        else:
+            w["profile"] = Profile(m, (tuple(range(m)),))
+    elif "manipulation" in w:
+        man = w["manipulation"]
+        w["manipulation"] = dataclasses.replace(man, manipulated_set=man.honest_set)
+    elif "outputs" in w:
+        w["outputs"] = w["outputs"][::-1]
+    else:
+        full = (1 << m) - 1
+        w["output"] = ChoiceSet(m, 1 if w["output"].mask == full else full)
+    return dataclasses.replace(verdict, witness=w)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+    def test_witness_replays_and_a_tampered_one_does_not(self, case):
+        verdict = _VIOLATIONS[case]()
+        assert verdict.outcome == Outcome.VIOLATED
+        assert replay(verdict)
+        assert witness_holds(verdict)
+        assert not replay(_tampered(verdict))
+
+    def test_witness_outside_its_universe_is_refused(self):
+        verdict = _VIOLATIONS["sp-fishburn"]()
+        man = verdict.witness["manipulation"]
+        tripled = dataclasses.replace(man, profile=Profile(3, man.profile.ballots * 3))
+        assert not replay(dataclasses.replace(verdict, witness={"manipulation": tripled}))
+
+    def test_invented_weak_monotonicity_witness_is_refused(self):
+        # no catalog rule violates weak monotonicity on a small universe; the
+        # top cycle satisfies it, so no witness for it can replay
+        profile = Profile(3, ((A, B, C), (B, C, A)))
+        verdict = AxiomVerdict(
+            Axiom.WMON.value, TC, Universe(3, 2), Outcome.VIOLATED,
+            {
+                "profile": profile,
+                "voter": 0,
+                "reinforced": B,
+                "against": A,
+                "outputs": (ChoiceSet.from_members(3, (A, B)), ChoiceSet.from_members(3, (A,))),
+            },
         )
-        return sizes
+        assert not replay(verdict)
+        assert check_axiom(Axiom.WMON, TC, Universe(3, 2)).outcome == Outcome.HOLDS
 
-    def test_pool_is_clamped_to_the_cpu_count(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        rule = parse_rule("borda")
-        verdict = sweep_strategyproofness(rule, Universe(3, 2), workers=64)
-        assert pool_sizes == [2]
-        assert verdict == sweep_strategyproofness(rule, Universe(3, 2))
 
-    def test_pool_is_clamped_to_the_chunk_count(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 1000)
-        # six profiles, one chunk each
-        sweep_strategyproofness(TC, Universe(2, 2), workers=64)
-        sweep_strategyproofness(TC, Universe(2, 2), workers=3)
-        assert pool_sizes == [6, 3]
+class TestWalk:
+    def test_an_error_inside_one_check_closes_that_check_only(self):
+        universe = Universe(3, 2)
 
-    def test_unknown_cpu_count_means_one_process(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        sweep_strategyproofness(TC, Universe(2, 2), workers=4)
-        assert pool_sizes == [1]
+        def refuses(ctx):
+            raise rules.TiesUnsupportedError("this check only")
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_fewer_than_one_worker_rejected(self, pool_sizes, workers):
-        with pytest.raises(ValueError, match="at least 1"):
-            sweep_strategyproofness(TC, Universe(2, 1), workers=workers)
-        with pytest.raises(ValueError, match="at least 1"):
-            corroborate_theorems(Universe(2, 1), workers=workers)
-        assert pool_sizes == []
+        cos = Axiom.COS.value
+        results = verify._walk(
+            TC, universe, {"refuses": refuses, cos: verify._CHECKERS[Axiom.COS](universe)}
+        )
+        assert str(results["refuses"]) == "this check only"
+        assert results[cos] == check_axiom(Axiom.COS, TC, universe)
+        assert results[cos].outcome == Outcome.HOLDS
 
 
 class TestBudgetVariable:
