@@ -9,9 +9,9 @@ chain under inclusion), the top cycle (the smallest dominant set), and the
 Schwartz set (maximal elements of the strict reachability order).
 
 Alternatives are dense integer indices so that sets can be bit masks and
-ballots can be enumerated as permutations. All values here are immutable and
-all functions are pure, so they can be used from worker processes or threads
-without coordination.
+ballots can be enumerated as permutations. Every function is a pure function
+of immutable values. Each relation-level question is answered once, on the
+strict-beat masks; the public functions of a `MajorityRelation` wrap that.
 """
 
 from __future__ import annotations
@@ -169,12 +169,7 @@ def _pair_vector(ballot: Ballot) -> tuple[int, ...]:
 
 
 def _margins_flat(ballots, m: int) -> tuple[int, ...]:
-    total = [0] * (m * m)
-    for ballot in ballots:
-        vec = _pair_vector(ballot)
-        for i, v in enumerate(vec):
-            total[i] += v
-    return tuple(total)
+    return tuple(map(sum, zip(*map(_pair_vector, ballots)))) or (0,) * (m * m)
 
 
 def margins(profile: Profile) -> np.ndarray:
@@ -223,10 +218,7 @@ class MajorityRelation:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("margin matrix must be square")
         m = arr.shape[0]
-        strict = tuple(
-            sum(1 << y for y in range(m) if arr[x, y] > 0) for x in range(m)
-        )
-        return cls(m, strict)
+        return cls(m, _strict_masks_from_flat(arr.ravel().tolist(), m))
 
     @classmethod
     def from_profile(cls, profile: Profile) -> "MajorityRelation":
@@ -245,11 +237,20 @@ class MajorityRelation:
     def weak_masks(self) -> tuple[int, ...]:
         """weak[x] = alternatives y != x with x weakly over y (not y beats x)."""
         full = (1 << self.m) - 1
-        beaten_by = [0] * self.m
-        for y in range(self.m):
-            for x in _bits(self.strict[y]):
-                beaten_by[x] |= 1 << y
+        beaten_by = _beaten_by(self.strict, self.m)
         return tuple((full & ~(1 << x) & ~beaten_by[x]) for x in range(self.m))
+
+
+def _beaten_by(strict, m: int) -> list[int]:
+    """beaten_by[x] = alternatives that strictly beat x (the transposed masks)."""
+    beaten_by = [0] * m
+    for y in range(m):
+        mask, bit = strict[y], 1 << y
+        while mask:
+            low = mask & -mask
+            beaten_by[low.bit_length() - 1] |= bit
+            mask ^= low
+    return beaten_by
 
 
 def relation(g) -> MajorityRelation:
@@ -279,26 +280,30 @@ def enumerate_relations(m: int):
 # Condorcet concepts and dominant sets
 
 
-def condorcet_winner(rel: MajorityRelation) -> int | None:
-    """The alternative beating all others, if any (for m=1 that is alternative 0)."""
-    full = (1 << rel.m) - 1
-    for x in range(rel.m):
-        if rel.strict[x] == full & ~(1 << x):
+def _condorcet_winner(strict, m: int) -> int | None:
+    full = (1 << m) - 1
+    for x in range(m):
+        if strict[x] == full ^ 1 << x:
             return x
     return None
+
+
+def _condorcet_loser(strict, m: int) -> int | None:
+    # bit x survives iff every y != x beats x, so at most one does for m >= 2
+    losers = (1 << m) - 1
+    for y in range(m):
+        losers &= strict[y] | 1 << y
+    return losers.bit_length() - 1 if losers else None
+
+
+def condorcet_winner(rel: MajorityRelation) -> int | None:
+    """The alternative beating all others, if any (for m=1 that is alternative 0)."""
+    return _condorcet_winner(rel.strict, rel.m)
 
 
 def condorcet_loser(rel: MajorityRelation) -> int | None:
     """The alternative beaten by all others, if any (for m=1 that is alternative 0)."""
-    beaten_by = [0] * rel.m
-    for y in range(rel.m):
-        for x in _bits(rel.strict[y]):
-            beaten_by[x] |= 1 << y
-    full = (1 << rel.m) - 1
-    for x in range(rel.m):
-        if beaten_by[x] == full & ~(1 << x):
-            return x
-    return None
+    return _condorcet_loser(rel.strict, rel.m)
 
 
 def is_dominant(rel: MajorityRelation, choice: ChoiceSet | int) -> bool:
@@ -312,28 +317,31 @@ def is_dominant(rel: MajorityRelation, choice: ChoiceSet | int) -> bool:
 
 def _tc_mask(strict: tuple[int, ...], subset: int) -> int:
     """Smallest dominant subset of `subset` under the relation restricted to it."""
-    members = list(_bits(subset))
-    if len(members) == 1:
-        return subset
-    # Seed with a maximal wins-minus-losses alternative; such an alternative
-    # always lies in the smallest dominant set, and expanding with everything
-    # that is not strictly beaten by the whole current set converges to it.
-    best, best_score = -1, None
-    for x in members:
+    # Seed with an alternative with the most strict wins inside `subset`. It
+    # lies in the smallest dominant set T: a member of T beats all of
+    # subset - T, while an outsider beats no member of T and so wins at most
+    # |subset - T| - 1 times. Adding everything that the current set does not
+    # all strictly beat never leaves T, and stops exactly at T.
+    best, best_wins = -1, -1
+    rest = subset
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
         wins = (strict[x] & subset).bit_count()
-        losses = sum(1 for y in members if strict[y] >> x & 1)
-        score = wins - losses
-        if best_score is None or score > best_score:
-            best, best_score = x, score
+        if wins > best_wins:
+            best, best_wins = x, wins
+        rest ^= low
     s = 1 << best
-    while True:
-        beats_all = subset
-        for x in _bits(s):
-            beats_all &= strict[x]
-        add = subset & ~s & ~beats_all
-        if not add:
-            return s
+    beats_all = strict[best] & subset
+    add = subset & ~s & ~beats_all
+    while add:
         s |= add
+        while add:
+            low = add & -add
+            beats_all &= strict[low.bit_length() - 1]
+            add ^= low
+        add = subset & ~s & ~beats_all
+    return s
 
 
 def top_cycle(rel: MajorityRelation) -> ChoiceSet:
@@ -358,10 +366,9 @@ def dominant_chain(rel: MajorityRelation) -> tuple[ChoiceSet, ...]:
     return tuple(chain)
 
 
-def schwartz_set(rel: MajorityRelation) -> ChoiceSet:
+def _schwartz_mask(strict, m: int) -> int:
     """Maximal elements of the transitive closure of the strict part only."""
-    m = rel.m
-    reach = list(rel.strict)
+    reach = list(strict)
     for k in range(m):
         bit_k = 1 << k
         row_k = reach[k]
@@ -371,9 +378,19 @@ def schwartz_set(rel: MajorityRelation) -> ChoiceSet:
     mask = 0
     for x in range(m):
         bit_x = 1 << x
-        if not any(reach[y] & bit_x and not reach[x] >> y & 1 for y in range(m) if y != x):
+        # x is dominated when some y reaches x without x reaching y (y = x
+        # reaches x only on a cycle, and then x reaches itself)
+        for y in range(m):
+            if reach[y] & bit_x and not reach[x] >> y & 1:
+                break
+        else:
             mask |= bit_x
-    return ChoiceSet(m, mask)
+    return mask
+
+
+def schwartz_set(rel: MajorityRelation) -> ChoiceSet:
+    """Maximal elements of the transitive closure of the strict part only."""
+    return ChoiceSet(rel.m, _schwartz_mask(rel.strict, rel.m))
 
 
 def restrict(rel: MajorityRelation, members) -> tuple[MajorityRelation, tuple[int, ...]]:
@@ -399,12 +416,16 @@ def connected_set(rel: MajorityRelation, x: int) -> ChoiceSet:
     Empty whenever x is not needed to hold the top cycle together; only
     members of a top cycle of size >= 3 can have a non-empty connected set.
     """
-    if rel.m == 1:
-        return ChoiceSet(1, 0)
+    strict = rel.strict
     full = (1 << rel.m) - 1
-    tc = _tc_mask(rel.strict, full)
-    without_x = _tc_mask(rel.strict, full & ~(1 << x))
-    return ChoiceSet(rel.m, tc & ~without_x & ~(1 << x))
+    tc = _tc_mask(strict, full)
+    bit = 1 << x
+    # x outside: the top cycle stays dominant without x and stays minimal,
+    # since a smaller dominant subset would beat x too. {x, y}: the pair ties,
+    # so y beats everything else and {y} is the top cycle without x.
+    if not tc & bit or tc.bit_count() <= 2:
+        return ChoiceSet(rel.m, 0)
+    return ChoiceSet(rel.m, tc & ~_tc_mask(strict, full & ~bit) & ~bit)
 
 
 def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:
@@ -412,63 +433,58 @@ def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:
     is a singleton.
 
     Built constructively: find any short cycle inside the top cycle by walking
-    weak predecessors, then grow it. An outside alternative with both an
-    incoming and an outgoing connection is spliced between some consecutive
-    pair; otherwise the remainder splits into a layer above and a layer below
-    the cycle and a crossing pair from the two layers is appended. The result
-    is deterministic for a given relation.
+    lowest-index weak predecessors, then grow it. The lowest outside
+    alternative with both an incoming and an outgoing connection is spliced in
+    after the first member it can follow; otherwise the remainder splits into
+    a layer above and a layer below the cycle and the first crossing pair
+    (lowest upper member, then lowest lower one) is appended. The result is
+    deterministic for a given relation.
     """
-    full = (1 << rel.m) - 1
-    tc = _tc_mask(rel.strict, full)
+    m, strict = rel.m, rel.strict
+    tc = _tc_mask(strict, (1 << m) - 1)
     if tc.bit_count() == 1:
         return None
-    strict = rel.strict
+    beaten_by = _beaten_by(strict, m)
 
-    def weakly(u: int, v: int) -> bool:
-        return strict[v] >> u & 1 == 0
-
-    # Walk predecessors until a repeat closes a cycle.
-    walk = [min(_bits(tc))]
+    # Walk predecessors (u weakly over v: v does not beat u) until a repeat
+    # closes a cycle.
+    walk = [(tc & -tc).bit_length() - 1]
     seen_at = {walk[0]: 0}
     while True:
         v = walk[-1]
-        pred = min(u for u in _bits(tc & ~(1 << v)) if weakly(u, v))
+        preds = tc & ~strict[v] & ~(1 << v)
+        pred = (preds & -preds).bit_length() - 1
         if pred in seen_at:
-            start = seen_at[pred]
-            cycle = list(reversed(walk[start:]))
+            cycle = walk[seen_at[pred]:][::-1]
             break
         seen_at[pred] = len(walk)
         walk.append(pred)
 
-    cycle_mask = 0
-    for v in cycle:
-        cycle_mask |= 1 << v
+    cycle_mask = sum(1 << v for v in cycle)
     while cycle_mask != tc:
-        remaining = sorted(_bits(tc & ~cycle_mask))
-        spliced = False
-        for y in remaining:
-            has_in = any(weakly(a, y) for a in cycle)
-            has_out = any(weakly(y, a) for a in cycle)
-            if has_in and has_out:
+        above = below = 0
+        for y in _bits(tc & ~cycle_mask):
+            into = cycle_mask & ~strict[y]  # members weakly over y
+            out_of = cycle_mask & ~beaten_by[y]  # members y is weakly over
+            if into and out_of:
                 q = len(cycle)
-                for k in range(q):
-                    if weakly(cycle[k], y) and weakly(y, cycle[(k + 1) % q]):
-                        cycle.insert(k + 1, y)
-                        cycle_mask |= 1 << y
-                        spliced = True
-                        break
-                assert spliced, "a splice point must exist when both edges are present"
+                k = next(
+                    k for k in range(q)
+                    if into >> cycle[k] & 1 and out_of >> cycle[(k + 1) % q] & 1
+                )
+                cycle.insert(k + 1, y)
+                cycle_mask |= 1 << y
                 break
-        if spliced:
-            continue
-        above = [y for y in remaining if strict[y] & cycle_mask == cycle_mask]
-        below = [y for y in remaining if all(strict[a] >> y & 1 for a in cycle)]
-        assert len(above) + len(below) == len(remaining)
-        pair = next(
-            ((lo, hi) for hi in above for lo in below if weakly(lo, hi)),
-            None,
-        )
-        assert pair is not None, "a crossing pair must exist inside the top cycle"
-        cycle.extend(pair)
-        cycle_mask |= 1 << pair[0] | 1 << pair[1]
+            if into:
+                below |= 1 << y
+            else:
+                above |= 1 << y
+        else:
+            # nothing splices: a lower member weakly over an upper one closes
+            # a longer cycle
+            lo, hi = next(
+                (lo, hi) for hi in _bits(above) for lo in _bits(below & ~strict[hi])
+            )
+            cycle += (lo, hi)
+            cycle_mask |= 1 << lo | 1 << hi
     return tuple(cycle)

@@ -5,13 +5,17 @@ adds beats all of Y and all of X beats everything Y keeps exclusively; it is
 what the manipulation search uses by default. The optimistic weak one demands
 strictly less: the symmetric differences must be ordered, and the overlap only
 needs witnesses in both directions. The first implies the second.
+
+Each is implemented once, on bit masks and a rank vector (rank[x] is the
+position of x on the ballot); the public functions take any collection of
+alternatives or a ChoiceSet, convert it and delegate.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .core import Ballot, ChoiceSet
+from .core import Ballot, ChoiceSet, _bits
 
 __all__ = [
     "ExtensionKind",
@@ -35,21 +39,58 @@ class SetComparison(str, Enum):
     EQUAL = "equal"
 
 
-def _as_set(xs) -> frozenset[int]:
+def _as_mask(xs) -> int:
     if isinstance(xs, ChoiceSet):
-        return frozenset(xs.members)
-    return frozenset(xs)
+        return xs.mask
+    mask = 0
+    for x in xs:
+        mask |= 1 << x
+    return mask
 
 
-def _positions(ballot: Ballot) -> dict[int, int]:
-    return {a: i for i, a in enumerate(ballot)}
+def _check_nonempty(xmask: int, ymask: int) -> None:
+    if not xmask or not ymask:
+        raise ValueError("set preference needs non-empty sets")
 
 
-def _all_above(pos, xs, ys) -> bool:
-    # vacuously true when either side is empty
-    if not xs or not ys:
+def _rank_of(ballot: Ballot) -> tuple[int, ...]:
+    rank = [0] * len(ballot)
+    for i, x in enumerate(ballot):
+        rank[x] = i
+    return tuple(rank)
+
+
+def _best(rank, mask):
+    return min(rank[x] for x in _bits(mask))
+
+
+def _worst(rank, mask):
+    return max(rank[x] for x in _bits(mask))
+
+
+def _fish(rank, xmask, ymask) -> bool:
+    xo = xmask & ~ymask
+    if xo and _worst(rank, xo) > _best(rank, ymask):
+        return False
+    yo = ymask & ~xmask
+    if yo and _worst(rank, xmask) > _best(rank, yo):
+        return False
+    return True
+
+
+def _exists(rank, xmask, ymask) -> bool:
+    if not xmask or not ymask:
         return True
-    return max(pos[a] for a in xs) < min(pos[b] for b in ys)
+    return _best(rank, xmask) < _worst(rank, ymask)
+
+
+def _fplus_weak(rank, xmask, ymask) -> bool:
+    if xmask == ymask:
+        return True
+    xo, yo, both = xmask & ~ymask, ymask & ~xmask, xmask & ymask
+    if xo and yo and _worst(rank, xo) > _best(rank, yo):
+        return False
+    return _exists(rank, xo, both) and _exists(rank, both, yo)
 
 
 def fishburn_prefers(ballot: Ballot, xs, ys) -> bool:
@@ -57,22 +98,16 @@ def fishburn_prefers(ballot: Ballot, xs, ys) -> bool:
 
     Defined only for X != Y (passing equal sets is a contract violation).
     """
-    xs, ys = _as_set(xs), _as_set(ys)
-    if not xs or not ys:
-        raise ValueError("set preference needs non-empty sets")
-    if xs == ys:
+    xmask, ymask = _as_mask(xs), _as_mask(ys)
+    _check_nonempty(xmask, ymask)
+    if xmask == ymask:
         raise ValueError("set preference is defined for distinct sets only")
-    pos = _positions(ballot)
-    return _all_above(pos, xs - ys, ys) and _all_above(pos, xs, ys - xs)
+    return _fish(_rank_of(ballot), xmask, ymask)
 
 
 def exists_prefers(ballot: Ballot, xs, ys) -> bool:
     """True iff X or Y is empty, or some member of X beats some member of Y."""
-    xs, ys = _as_set(xs), _as_set(ys)
-    if not xs or not ys:
-        return True
-    pos = _positions(ballot)
-    return min(pos[a] for a in xs) < max(pos[b] for b in ys)
+    return _exists(_rank_of(ballot), _as_mask(xs), _as_mask(ys))
 
 
 def fplus_weakly_prefers(ballot: Ballot, xs, ys) -> bool:
@@ -82,18 +117,9 @@ def fplus_weakly_prefers(ballot: Ballot, xs, ys) -> bool:
     existential witness from X \\ Y into the overlap and from the overlap into
     Y \\ X.
     """
-    xs, ys = _as_set(xs), _as_set(ys)
-    if not xs or not ys:
-        raise ValueError("set preference needs non-empty sets")
-    if xs == ys:
-        return True
-    pos = _positions(ballot)
-    both = xs & ys
-    return (
-        _all_above(pos, xs - ys, ys - xs)
-        and exists_prefers(ballot, xs - ys, both)
-        and exists_prefers(ballot, both, ys - xs)
-    )
+    xmask, ymask = _as_mask(xs), _as_mask(ys)
+    _check_nonempty(xmask, ymask)
+    return _fplus_weak(_rank_of(ballot), xmask, ymask)
 
 
 def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
@@ -102,15 +128,17 @@ def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
     Equal sets compare as EQUAL. Under the weak lifting, the strict part is
     used, so mutually weakly-preferred distinct sets come out INCOMPARABLE.
     """
-    xs, ys = _as_set(xs), _as_set(ys)
-    if xs == ys:
+    xmask, ymask = _as_mask(xs), _as_mask(ys)
+    if xmask == ymask:
         return SetComparison.EQUAL
+    _check_nonempty(xmask, ymask)
+    rank = _rank_of(ballot)
     if kind == ExtensionKind.FISHBURN:
-        left = fishburn_prefers(ballot, xs, ys)
-        right = fishburn_prefers(ballot, ys, xs)
+        left = _fish(rank, xmask, ymask)
+        right = _fish(rank, ymask, xmask)
     else:
-        fwd = fplus_weakly_prefers(ballot, xs, ys)
-        bwd = fplus_weakly_prefers(ballot, ys, xs)
+        fwd = _fplus_weak(rank, xmask, ymask)
+        bwd = _fplus_weak(rank, ymask, xmask)
         left, right = fwd and not bwd, bwd and not fwd
     if left:
         return SetComparison.LEFT_PREFERRED

@@ -13,6 +13,7 @@ still needs one canceling pair, because profiles are non-empty).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,36 +56,35 @@ class WeightedMajorityGraph:
         )
 
 
+@lru_cache(maxsize=None)
 def _cancelling_pair(x: int, y: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two ballots that together add +2 to g(x, y) and 0 everywhere else."""
     rest = [z for z in range(m) if z != x and z != y]
     return (x, y, *rest), (*reversed(rest), x, y)
 
 
-def realize(graph: WeightedMajorityGraph) -> Profile:
-    """A profile whose margin matrix equals the target exactly."""
-    m = graph.m
-    target = graph.target
-    ballots: list[tuple[int, ...]] = []
-    residual = target.copy()
-    if graph.parity == 1:
-        seed = tuple(range(m))
-        ballots.append(seed)
-        for x in range(m):
-            for y in range(x + 1, m):
-                residual[x, y] -= 1
-                residual[y, x] += 1
+def _realize(m: int, rows, odd: int) -> Profile:
+    """The profile for target margins ``rows[x][y]`` (only x < y is read) of
+    parity ``odd``: an index-order seed voter if odd, then canceling pairs."""
+    seed = tuple(range(m))
+    ballots: list[tuple[int, ...]] = [seed] if odd else []
     for x in range(m):
+        row = rows[x]
         for y in range(x + 1, m):
-            value = int(residual[x, y])
-            hi, lo = (x, y) if value > 0 else (y, x)
-            for _ in range(abs(value) // 2):
-                ballots.extend(_cancelling_pair(hi, lo, m))
+            # the seed voter already paid +1 towards every g(x, y) with x < y
+            value = row[y] - odd
+            if value:
+                hi, lo = (x, y) if value > 0 else (y, x)
+                ballots.extend(_cancelling_pair(hi, lo, m) * (abs(value) // 2))
     if not ballots:
         # all-zero even target: one ballot and its reverse
-        seed = tuple(range(m))
         ballots = [seed, seed[::-1]]
     return Profile(m, tuple(ballots))
+
+
+def realize(graph: WeightedMajorityGraph) -> Profile:
+    """A profile whose margin matrix equals the target exactly."""
+    return _realize(graph.m, graph.target.tolist(), graph.parity)
 
 
 def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
@@ -92,13 +92,13 @@ def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
     ``weight`` and all ties exactly zero."""
     if weight < 1:
         raise ValueError("weight must be at least 1")
-    m = rel.m
-    has_tie = any(rel.ties(x, y) for x in range(m) for y in range(x + 1, m))
+    m, strict = rel.m, rel.strict
+    has_tie = sum(s.bit_count() for s in strict) < m * (m - 1) // 2
     if has_tie and weight % 2:
         raise ParityError("ties force even margins, so the weight must be even")
-    target = np.zeros((m, m), dtype=np.int64)
-    for x in range(m):
-        for y in range(m):
-            if rel.strictly_prefers(x, y):
-                target[x, y], target[y, x] = weight, -weight
-    return realize(WeightedMajorityGraph(m, target))
+    rows = [
+        [weight if s >> y & 1 else -weight if strict[y] >> x & 1 else 0 for y in range(m)]
+        for x, s in enumerate(strict)
+    ]
+    # a single alternative has no margins, hence even parity
+    return _realize(m, rows, weight & 1 if m > 1 else 0)

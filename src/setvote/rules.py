@@ -21,12 +21,13 @@ from .core import (
     ChoiceSet,
     MajorityRelation,
     Profile,
+    _beaten_by,
+    _condorcet_loser,
+    _condorcet_winner,
     _margins_flat,
+    _schwartz_mask,
     _strict_masks_from_flat,
     _tc_mask,
-    condorcet_loser,
-    condorcet_winner,
-    schwartz_set,
 )
 
 __all__ = [
@@ -202,27 +203,20 @@ def _maj_top_cycle(rule, m, strict):
 
 
 def _maj_condorcet(rule, m, strict):
-    rel = MajorityRelation(m, strict)
-    winner = condorcet_winner(rel)
+    winner = _condorcet_winner(strict, m)
     return _full(m) if winner is None else 1 << winner
 
 
 def _maj_condorcet_non_loser(rule, m, strict):
     if m == 1:
         return 1
-    loser = condorcet_loser(MajorityRelation(m, strict))
+    loser = _condorcet_loser(strict, m)
     return _full(m) if loser is None else _full(m) & ~(1 << loser)
 
 
 def _maj_copeland(rule, m, strict):
-    losses = [0] * m
-    for y in range(m):
-        mask = strict[y]
-        while mask:
-            low = mask & -mask
-            losses[low.bit_length() - 1] += 1
-            mask ^= low
-    scores = [strict[x].bit_count() - losses[x] for x in range(m)]
+    beaten_by = _beaten_by(strict, m)
+    scores = [strict[x].bit_count() - beaten_by[x].bit_count() for x in range(m)]
     best = max(scores)
     return sum(1 << x for x in range(m) if scores[x] == best)
 
@@ -259,7 +253,7 @@ def _maj_fab(rule, m, strict):
 
 
 def _maj_schwartz(rule, m, strict):
-    return schwartz_set(MajorityRelation(m, strict)).mask
+    return _schwartz_mask(strict, m)
 
 
 _MAJORITARIAN = {

@@ -64,13 +64,13 @@ from .core import (
     MajorityRelation,
     Profile,
     _bits as _mask_bits,
+    _condorcet_winner,
     _margins_flat,
-    condorcet_winner,
     enumerate_ballots,
     enumerate_relations,
     is_dominant,
 )
-from .extensions import ExtensionKind
+from .extensions import ExtensionKind, _fish, _fplus_weak, _rank_of
 from .mcgarvey import realize_relation
 from .rules import (
     BasisTag,
@@ -232,46 +232,6 @@ class AxiomVerdict:
 
 # ---------------------------------------------------------------------------
 # set preference on bit masks (hot path of the searches)
-
-
-def _rank_of(ballot: Ballot) -> tuple[int, ...]:
-    rank = [0] * len(ballot)
-    for i, x in enumerate(ballot):
-        rank[x] = i
-    return tuple(rank)
-
-
-def _best(rank, mask):
-    return min(rank[x] for x in _mask_bits(mask))
-
-
-def _worst(rank, mask):
-    return max(rank[x] for x in _mask_bits(mask))
-
-
-def _fish(rank, xmask, ymask) -> bool:
-    xo = xmask & ~ymask
-    if xo and _worst(rank, xo) > _best(rank, ymask):
-        return False
-    yo = ymask & ~xmask
-    if yo and _worst(rank, xmask) > _best(rank, yo):
-        return False
-    return True
-
-
-def _exists(rank, xmask, ymask) -> bool:
-    if not xmask or not ymask:
-        return True
-    return _best(rank, xmask) < _worst(rank, ymask)
-
-
-def _fplus_weak(rank, xmask, ymask) -> bool:
-    if xmask == ymask:
-        return True
-    xo, yo, both = xmask & ~ymask, ymask & ~xmask, xmask & ymask
-    if xo and yo and _worst(rank, xo) > _best(rank, yo):
-        return False
-    return _exists(rank, xo, both) and _exists(rank, both, yo)
 
 
 def _prefers(extension: ExtensionKind, rank, xmask, ymask) -> bool:
@@ -693,8 +653,9 @@ def find_group_manipulation(
 
 def _axiom_estimate(universe: Universe) -> int:
     # generous per-axiom upper bound: every checker is at most a constant
-    # number of evaluations per (profile, voter, block) triple
-    per_profile = universe.n_max * factorial(universe.m) * universe.m
+    # number of evaluations per (profile, voter, block) triple, plus the
+    # k_hom - 1 tiled copies that homogeneity evaluates per profile
+    per_profile = universe.n_max * factorial(universe.m) * universe.m + universe.k_hom - 1
     return universe.count_profiles() * per_profile
 
 
@@ -802,7 +763,7 @@ def _check_set_non_imposition(universe):
 @_stateless
 def _check_strong_condorcet(ctx):
     m, out = ctx.m, ctx.out
-    winner = condorcet_winner(MajorityRelation(m, ctx.strict))
+    winner = _condorcet_winner(ctx.strict, m)
     if winner is None:
         violated = out.bit_count() == 1
     else:

@@ -81,6 +81,42 @@ def brute_schwartz(rel):
     )
 
 
+def closure_maximal(members, edge):
+    """Maximal elements of the Floyd-Warshall closure of `edge` on `members`:
+    x is maximal unless some y reaches x while x does not reach y."""
+    members = sorted(members)
+    reach = {x: {y for y in members if y != x and edge(x, y)} for x in members}
+    for k in members:
+        for i in members:
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return frozenset(
+        x for x in members
+        if not any(x in reach[y] and y not in reach[x] for y in members if y != x)
+    )
+
+
+def top_cycle_literal(rel, members):
+    """Top cycle of the relation restricted to `members`: the closure-maximal
+    elements of the weak relation (y does not beat x)."""
+    return closure_maximal(members, lambda x, y: not rel_strict(rel, y, x))
+
+
+def schwartz_literal(rel):
+    return closure_maximal(range(rel.m), lambda x, y: rel_strict(rel, x, y))
+
+
+def condorcet_literal(rel, winner):
+    """The alternative beating (winner) or beaten by (loser) every other one."""
+    found = [
+        x for x in range(rel.m)
+        if all(rel_strict(rel, x, y) if winner else rel_strict(rel, y, x)
+               for y in range(rel.m) if y != x)
+    ]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
 def has_covering_cycle(rel, members):
     """Is there a cycle in the weak relation visiting exactly `members`?"""
     members = sorted(members)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -11,13 +12,17 @@ from oracles import (
     brute_schwartz,
     brute_top_cycle_via_closure,
     beats,
+    condorcet_literal,
     has_covering_cycle,
+    schwartz_literal,
+    top_cycle_literal,
     valid_cycle,
 )
 from setvote.core import (
     ChoiceSet,
     MajorityRelation,
     Profile,
+    _tc_mask,
     condorcet_loser,
     condorcet_winner,
     connected_set,
@@ -316,6 +321,49 @@ class TestCoveringCycle:
     def test_deterministic(self, fig1):
         rel = MajorityRelation.from_profile(fig1)
         assert covering_cycle(rel) == covering_cycle(rel)
+
+
+def bits_of(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def relations_up_to(m_max):
+    return [rel for m in range(1, m_max + 1) for rel in enumerate_relations(m)]
+
+
+class TestMaskKernelAgainstOracles:
+    """The strict-mask implementations against literal closures, m <= 4."""
+
+    def test_tc_mask_every_subset(self):
+        for rel in relations_up_to(4):
+            for subset in range(1, 1 << rel.m):
+                expected = top_cycle_literal(rel, bits_of(subset))
+                assert bits_of(_tc_mask(rel.strict, subset)) == expected
+
+    def test_schwartz_and_condorcet(self):
+        for rel in relations_up_to(4):
+            assert members(schwartz_set(rel)) == schwartz_literal(rel)
+            assert condorcet_winner(rel) == condorcet_literal(rel, winner=True)
+            assert condorcet_loser(rel) == condorcet_literal(rel, winner=False)
+
+    def test_connected_set_is_what_leaves_with_x(self):
+        for rel in relations_up_to(4):
+            tc = top_cycle_literal(rel, range(rel.m))
+            for x in range(rel.m):
+                rest = [y for y in range(rel.m) if y != x]
+                tc_rest = set()
+                if rest:
+                    sub, idx = restrict(rel, rest)
+                    tc_rest = {idx[i] for i in top_cycle_literal(sub, range(sub.m))}
+                assert members(connected_set(rel, x)) == tc - tc_rest - {x}
+
+    def test_covering_cycles_pinned_m_le_5(self):
+        # SHA-256 of the repr of every covering cycle, relations in
+        # enumeration order for m = 1..5: the cycles of the list-based
+        # implementation that the mask version replaced, which it must keep
+        cycles = [covering_cycle(rel) for rel in relations_up_to(5)]
+        digest = hashlib.sha256(repr(cycles).encode()).hexdigest()
+        assert digest == "737a70f9298924805a3354df82c7fe223f232cf7dfc202e355e2fd785f1d708a"
 
 
 @st.composite

@@ -2,10 +2,14 @@ import itertools
 
 import pytest
 
-from oracles import fishburn_literal
+from oracles import fishburn_literal, fplus_weak_literal
+from setvote.core import ChoiceSet
 from setvote.extensions import (
     ExtensionKind,
     SetComparison,
+    _fish,
+    _fplus_weak,
+    _rank_of,
     compare,
     exists_prefers,
     fishburn_prefers,
@@ -145,3 +149,46 @@ class TestCompare:
                             assert bwd == SetComparison.EQUAL and xs == ys
                         elif fwd == SetComparison.INCOMPARABLE:
                             assert bwd == SetComparison.INCOMPARABLE
+
+
+def mask_of(xs):
+    return sum(1 << x for x in xs)
+
+
+class TestMaskLiftings:
+    """The rank-and-mask implementations against the literal definitions, for
+    every ballot with m <= 4 and every pair of non-empty sets."""
+
+    def test_match_literal_definitions(self):
+        for m in (1, 2, 3, 4):
+            for ballot in itertools.permutations(range(m)):
+                rank = _rank_of(ballot)
+                for xs in nonempty_subsets(m):
+                    for ys in nonempty_subsets(m):
+                        x, y = mask_of(xs), mask_of(ys)
+                        assert _fplus_weak(rank, x, y) == fplus_weak_literal(ballot, xs, ys)
+                        assert exists_prefers(ballot, xs, ys) == any(
+                            rank[a] < rank[b] for a in xs for b in ys
+                        )
+                        if xs != ys:
+                            assert _fish(rank, x, y) == fishburn_literal(ballot, xs, ys)
+
+    def test_public_functions_accept_choice_sets_and_iterables(self):
+        ballot = (B, C, A)
+        for xs, ys in (({C}, {A, C}), ([C], (A, C, C))):
+            assert fishburn_prefers(ballot, xs, ys)
+            assert fplus_weakly_prefers(ballot, xs, ys)
+        as_sets = ChoiceSet.from_members(3, (C,)), ChoiceSet.from_members(3, (A, C))
+        assert fishburn_prefers(ballot, *as_sets)
+        assert compare(ExtensionKind.FPLUS, ballot, *as_sets) == SetComparison.LEFT_PREFERRED
+
+    def test_empty_sets_rejected_where_undefined(self):
+        for kind in ExtensionKind:
+            with pytest.raises(ValueError):
+                compare(kind, ABC, set(), {A})
+            assert compare(kind, ABC, set(), ChoiceSet(3, 0)) == SetComparison.EQUAL
+        with pytest.raises(ValueError):
+            fishburn_prefers(ABC, {A}, [])
+        with pytest.raises(ValueError):
+            fplus_weakly_prefers(ABC, ChoiceSet(3, 0), {A})
+        assert exists_prefers(ABC, {A}, ())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -121,3 +122,34 @@ class TestRealizeRelation:
             for rel in enumerate_relations(m):
                 prof = realize_relation(rel, 2)
                 assert MajorityRelation.from_profile(prof) == rel
+
+    def test_ballot_sequences_pinned_m_le_5(self):
+        # SHA-256 of the repr of every realized ballot sequence at weight 2,
+        # relations in enumeration order for m = 1..5, as the numpy-based
+        # implementation produced them
+        rels = [rel for m in range(1, 6) for rel in enumerate_relations(m)]
+        ballots = [realize_relation(rel, 2).ballots for rel in rels]
+        digest = hashlib.sha256(repr(ballots).encode()).hexdigest()
+        assert digest == "9f397726153a0f4f7f5715da67e27b440212f8c7fff28f06277b3a7eddf2ac1d"
+
+    def test_matches_realize_of_the_same_target(self):
+        for m in (1, 2, 3, 4):
+            for rel in enumerate_relations(m):
+                tie_free = sum(s.bit_count() for s in rel.strict) == m * (m - 1) // 2
+                for weight in (1, 2, 3) if tie_free else (2, 4):
+                    target = np.array([
+                        [weight if rel.strictly_prefers(x, y)
+                         else -weight if rel.strictly_prefers(y, x) else 0
+                         for y in range(m)]
+                        for x in range(m)
+                    ])
+                    expected = realize(WeightedMajorityGraph(m, target))
+                    assert realize_relation(rel, weight) == expected
+
+    def test_single_alternative_odd_weight_is_a_pair(self):
+        # no margins means even parity: the all-zero target's two ballots
+        assert realize_relation(MajorityRelation(1, (0,)), 1).ballots == ((0,), (0,))
+
+    def test_weight_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            realize_relation(MajorityRelation(2, (1, 0)), 0)

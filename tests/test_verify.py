@@ -129,6 +129,14 @@ class TestCheckAxiom:
         assert len(before) == 3 and len(after) == 1
         assert replay(verdict)
 
+    def test_budget_counts_homogeneity_tilings(self):
+        # two profiles, each 4 evaluations per voter block plus 49 tilings:
+        # 106 evaluations, over a budget that the first term alone (8) meets
+        universe = Universe(2, 1, k_hom=50)
+        with pytest.raises(BudgetExceededError):
+            check_axiom(Axiom.HOMOGENEITY, TC, universe, budget=50)
+        assert check_axiom(Axiom.HOMOGENEITY, TC, universe, budget=106).outcome == Outcome.HOLDS
+
     def test_special_pair_rule_fails_neutrality(self):
         verdict = check_axiom(Axiom.NEUTRALITY, parse_rule("fab"), Universe(3, 3))
         assert verdict.outcome == Outcome.VIOLATED
