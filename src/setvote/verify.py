@@ -15,15 +15,16 @@ environment variable).
 Walk contract. Every universe check (the axioms, strategyproofness and
 strong strategyproofness) is a per-profile predicate: given the scan context
 of one profile (its ballots, margin code and memoized output) it returns None
-to go on, or its verdict as (outcome, witness). One walker, `_walk`, builds
-one engine per (rule, universe), walks `Universe.raw_profiles` once in scan
+to go on, or its verdict as (outcome, witness). One walker, `_walk`, takes
+the engine of (rule, universe), walks `Universe.raw_profiles` once in scan
 order, feeds every open predicate and closes each at its first verdict; a
 predicate still open when the walk ends holds, except that the imposition
 checks then report the sets never reached. A TiesUnsupportedError or
 InstanceTooLargeError from a profile's own output closes every open
 predicate; one raised inside a predicate closes that predicate only. Every
 witness is the first its predicate meets on its profile, so `replay` runs the
-same predicate on the stored profile(s). Sweeps run in one process.
+same predicate on the stored profile(s), through an engine of its own so that
+the witness is re-derived from the rule. Sweeps run in one process.
 
 Margin code. The sweep engine keeps a profile's margins as one integer. For
 m alternatives and electorates of at most N voters, field i = x*m + y holds
@@ -46,6 +47,18 @@ Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
 profiles k_hom times). Strict masks and margin vectors are decoded only on
 a memo miss, or when a check reads them from the scan context.
+
+Memo lifetime. A majoritarian or pairwise rule at a fixed layout is a finite
+table over relation keys or margin codes, so its engine, memo included, is
+shared by every call and walk on that (rule, layout) in the process: a
+one-profile search such as `find_manipulation` evaluates each relation once,
+however many calls meet it. `_engine` hands the shared engines out, keyed
+also on the evaluator the rule's basis table holds, so that a replaced
+evaluator never reads outputs of the old one. A memo past `_MEMO_ENTRIES`
+starts afresh when its engine is next handed out, never during a walk.
+Profile-based rules key on the ballots themselves and get a fresh engine per
+call or walk. Errors (ties, empty choices, out-of-range parameters) are
+never memoized.
 """
 
 from __future__ import annotations
@@ -73,6 +86,8 @@ from .core import (
 from .extensions import ExtensionKind, _fish, _fplus_weak, _rank_of
 from .mcgarvey import realize_relation
 from .rules import (
+    _MAJORITARIAN,
+    _PAIRWISE,
     BasisTag,
     EmptyChoiceError,
     InstanceTooLargeError,
@@ -176,6 +191,8 @@ class Universe:
             raise ValueError("m and n_max must be positive")
         if self.k_hom < 2:
             raise ValueError("k_hom must be at least 2")
+        if self.margin_cap is not None and self.margin_cap < 0:
+            raise ValueError(f"margin_cap must be non-negative, got {self.margin_cap}")
 
     def count_profiles(self) -> int:
         b = factorial(self.m)
@@ -325,7 +342,8 @@ class _MarginCode:
 
 # a few layouts stay alive across calls, so that one-profile searches such as
 # find_manipulation do not re-encode every misreport; each holds at most m!
-# encodings and a bounded misreport table, filled on first use
+# encodings and a bounded misreport table, filled on first use (the shared
+# engines hold their own layout, so evicting one here costs them nothing)
 _margin_code = lru_cache(maxsize=4)(_MarginCode)
 
 
@@ -336,9 +354,10 @@ def _nonempty(rule: RuleSpec, mask: int) -> int:
 
 
 class _Engine:
-    """Rule outputs memoized for one call or sweep. The key follows the
-    rule's basis: the ballots for profile-based rules, the margin code for
-    pairwise ones, the relation key for majoritarian ones."""
+    """Memoized rule outputs on one layout. The key follows the rule's basis:
+    the ballots for profile-based rules, the margin code for pairwise ones,
+    the relation key for majoritarian ones. Build one through `_engine`,
+    which shares it across calls where the key space is finite."""
 
     def __init__(self, rule: RuleSpec, m: int, size: int):
         self.rule = rule
@@ -353,9 +372,9 @@ class _Engine:
             self.add, self.guard = 0, -1
         self.cache: dict = {}
 
-    @classmethod
-    def for_universe(cls, rule: RuleSpec, universe: Universe) -> _Engine:
-        return cls(rule, universe.m, universe.n_max * universe.k_hom)
+    @staticmethod
+    def for_universe(rule: RuleSpec, universe: Universe) -> _Engine:
+        return _engine(rule, universe.m, universe.n_max * universe.k_hom)
 
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
@@ -379,6 +398,30 @@ class _Engine:
             mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
         self.cache[key] = _nonempty(self.rule, mask)
         return mask
+
+
+# engines shared across calls, and the memo size past which a shared engine
+# starts afresh; 3^10 relations on five alternatives fit
+_SHARED_ENGINES = 8
+_MEMO_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=_SHARED_ENGINES)
+def _shared_engine(rule: RuleSpec, m: int, size: int, evaluator) -> _Engine:
+    return _Engine(rule, m, size)
+
+
+def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
+    """The engine for one call or walk on layout (m, size): the shared one of
+    a majoritarian or pairwise rule, a fresh one for a profile-based rule."""
+    tag = basis(rule)
+    if tag == BasisTag.PROFILE_BASED:
+        return _Engine(rule, m, size)
+    table = _MAJORITARIAN if tag == BasisTag.MAJORITARIAN else _PAIRWISE
+    engine = _shared_engine(rule, m, size, table[rule.id])
+    if len(engine.cache) > _MEMO_ENTRIES:
+        engine.cache.clear()
+    return engine
 
 
 class _Scan:
@@ -535,7 +578,7 @@ def find_manipulation(
         raise InstanceTooLargeError(
             f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
         )
-    engine = _Engine(rule, profile.m, profile.n)
+    engine = _engine(rule, profile.m, profile.n)
     hit = _first_gain(engine, profile.ballots, partial(_prefers, extension))
     return None if hit is None else _manipulation(profile, hit, extension)
 
@@ -580,7 +623,7 @@ def find_strong_manipulation(
     violates it. For the strict lifting "at least as good" means equal or
     strictly above; for the weak one it is the weak relation itself.
     """
-    engine = _Engine(rule, profile.m, profile.n)
+    engine = _engine(rule, profile.m, profile.n)
     hit = _first_gain(engine, profile.ballots, partial(_strong_violation, kind))
     return None if hit is None else _manipulation(profile, hit, kind)
 
@@ -614,7 +657,7 @@ def find_group_manipulation(
     fact = factorial(m)
     _within_budget(sum(comb(n, g) * fact**g for g in range(1, max_group + 1)), budget)
     ballots = profile.ballots
-    engine = _Engine(rule, m, n)
+    engine = _engine(rule, m, n)
     layout = engine.layout
     code = layout.of(ballots)
     honest = engine.output(code, ballots)
@@ -1119,7 +1162,7 @@ def search_uncovered_set_manipulation(
     rule = RuleSpec(RuleId.UNCOVERED_SET)
     rng = random.Random(seed)
     ballots_pool = enumerate_ballots(m)
-    engine = _Engine(rule, m, n)
+    engine = _engine(rule, m, n)
     gains = partial(_prefers, ExtensionKind.FISHBURN)
     evals = 0
     scans = 0
@@ -1164,7 +1207,8 @@ def replay(verdict: AxiomVerdict) -> bool:
     w = verdict.witness
     rule = verdict.rule
     axiom = verdict.axiom
-    m = verdict.universe.m
+    universe = verdict.universe
+    m = universe.m
 
     def out_of(profile):
         return evaluate_mask(rule, profile.ballots, profile.m)
@@ -1186,14 +1230,16 @@ def replay(verdict: AxiomVerdict) -> bool:
             fp[x * m + y] <= fq[x * m + y] for x in inside for y in outside
         )
         return premise and bool(out_q & ~out_p)
-    check = _named_check(axiom, verdict.universe)
+    check = _named_check(axiom, universe)
     if "manipulation" in w:
         profiles = (w["manipulation"].profile,)
     else:
         profiles = w.get("profiles") or (w["profile"],)
-    if any(p.m != m or p.n > verdict.universe.n_max for p in profiles):
+    if any(p.m != m or p.n > universe.n_max for p in profiles):
         return False  # no walk of this universe meets such a profile
-    engine = _Engine.for_universe(rule, verdict.universe)
+    # a private engine: the witness is re-derived from the rule, not read
+    # back from the memo the sweep filled
+    engine = _Engine(rule, m, universe.n_max * universe.k_hom)
     for profile in profiles:
         found = check(_Scan(engine, profile.ballots))
         if found is not None:

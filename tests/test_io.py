@@ -224,6 +224,16 @@ class TestCli:
         assert code == 0
         assert "assertions" in out and "FAIL" not in out
 
+    def test_negative_margin_cap_exits_2(self, capsys):
+        code = cli.main([
+            "axioms", "--rule", "borda", "--m", "3", "--n", "3", "--margin-cap", "-1",
+            "--axiom", "strategyproofness-fishburn",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "margin_cap must be non-negative, got -1" in captured.err
+        assert "holds-on-universe" not in captured.out
+
     def test_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.prof")
         assert cli.main(["eval", "--rule", "tc", "--profile", missing]) == 2

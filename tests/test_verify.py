@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import witness_holds
 from setvote import rules, verify
-from setvote.core import ChoiceSet, Profile, margins
+from setvote.core import ChoiceSet, Profile, enumerate_ballots, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
 from setvote.rules import EmptyChoiceError, RuleId, catalog, evaluate, parse_rule
 from setvote.verify import (
@@ -30,6 +31,20 @@ from setvote.verify import (
 
 A, B, C = 0, 1, 2
 TC = parse_rule("tc")
+
+
+def counted_calls(monkeypatch, name):
+    """The argument tuples of every call the engine makes to the rule
+    evaluator `verify.<name>` from here on."""
+    calls = []
+    evaluator = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return evaluator(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
 
 
 class TestFindManipulation:
@@ -80,6 +95,10 @@ class TestSweepStrategyproofness:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             sweep_strategyproofness(TC, Universe(3, 3), budget=10)
+
+    def test_negative_margin_cap_is_refused(self):
+        with pytest.raises(ValueError, match="margin_cap must be non-negative, got -1"):
+            Universe(3, 3, margin_cap=-1)
 
     def test_margin_cap_keeps_exactly_the_profiles_within_it(self):
         expected = [
@@ -211,14 +230,9 @@ class TestStrongStrategyproofness:
         assert verdict.outcome == Outcome.HOLDS
 
     def test_one_memo_serves_the_whole_sweep(self, monkeypatch):
-        calls = []
-        evaluate_relation = verify.evaluate_mask_from_relation
-
-        def counted(*args):
-            calls.append(args)
-            return evaluate_relation(*args)
-
-        monkeypatch.setattr(verify, "evaluate_mask_from_relation", counted)
+        calls = counted_calls(monkeypatch, "evaluate_mask_from_relation")
+        # start from an empty shared memo, so that the count is the sweep's own
+        verify._shared_engine.cache_clear()
         sweep_strong_strategyproofness(TC, Universe(3, 3))
         # at most one evaluation per majority relation on three alternatives
         assert len(calls) <= 27
@@ -429,12 +443,13 @@ class TestEmptyOutputs:
         with pytest.raises(EmptyChoiceError, match="tc produced an empty choice set"):
             evaluate(TC, fig1)
 
-    def test_no_sweep_carries_an_empty_set(self, empty_tc, fig2_left):
+    @staticmethod
+    def call_sites(profile):
         universe = Universe(3, 2)
-        calls = [
-            lambda: find_manipulation(TC, fig2_left),
-            lambda: find_strong_manipulation(TC, fig2_left),
-            lambda: find_group_manipulation(TC, fig2_left, 2),
+        return [
+            lambda: find_manipulation(TC, profile),
+            lambda: find_strong_manipulation(TC, profile),
+            lambda: find_group_manipulation(TC, profile, 2),
             lambda: sweep_strategyproofness(TC, universe),
             lambda: check_robust_dominant(TC, universe),
             lambda: check_weak_robustness(TC, universe),
@@ -444,6 +459,67 @@ class TestEmptyOutputs:
                 for axiom in Axiom
             ],
         ]
+
+    def test_no_sweep_carries_an_empty_set(self, empty_tc, fig2_left):
+        for call in self.call_sites(fig2_left):
+            with pytest.raises(EmptyChoiceError):
+                call()
+
+    def test_a_warm_memo_does_not_hide_a_replaced_evaluator(self, monkeypatch, fig2_left):
+        calls = self.call_sites(fig2_left)
+        for call in calls:
+            call()
+        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, lambda rule, m, strict: 0)
         for call in calls:
             with pytest.raises(EmptyChoiceError):
                 call()
+
+
+class TestSharedMemo:
+    def test_majoritarian_and_pairwise_engines_are_shared(self):
+        for name in ("tc", "borda"):
+            rule = parse_rule(name)
+            assert verify._engine(rule, 3, 4) is verify._engine(rule, 3, 4)
+            assert verify._engine(rule, 3, 4) is not verify._engine(rule, 3, 5)
+        plurality = parse_rule("plurality")
+        assert verify._engine(plurality, 3, 4) is not verify._engine(plurality, 3, 4)
+
+    def test_one_profile_searches_evaluate_each_tournament_once(self, monkeypatch):
+        # every 3-voter profile on 4 alternatives and each of its deviations
+        # is one of the 64 tournaments on 4 alternatives
+        calls = counted_calls(monkeypatch, "evaluate_mask_from_relation")
+        uncovered = parse_rule("uncovered-set")
+        profiles = [
+            Profile(4, combo)
+            for combo in itertools.product(enumerate_ballots(4), repeat=3)
+        ]
+        verify._shared_engine.cache_clear()
+        for most in (64, 0):  # a cold pass, then a warm one
+            before = len(calls)
+            for profile in profiles:
+                assert find_manipulation(uncovered, profile) is None
+            assert len(calls) - before <= most
+
+    def test_ties_are_refused_on_every_call(self):
+        uncovered = parse_rule("uncovered-set")
+        tied = Profile(3, ((A, B, C), (C, B, A)))
+        for _ in range(2):
+            with pytest.raises(rules.TiesUnsupportedError):
+                find_manipulation(uncovered, tied)
+        engine = verify._engine(uncovered, 3, 2)
+        assert engine.layout.key(engine.layout.of(tied.ballots)) not in engine.cache
+
+    def test_a_memo_past_its_bound_starts_afresh_when_handed_out(self, monkeypatch, fig1):
+        find_manipulation(TC, fig1)
+        engine = verify._engine(TC, 5, 4)
+        assert len(engine.cache) > 2
+        monkeypatch.setattr(verify, "_MEMO_ENTRIES", 2)
+        assert verify._engine(TC, 5, 4) is engine
+        assert engine.cache == {}
+
+    def test_replay_evaluates_through_its_own_engine(self, monkeypatch):
+        borda = parse_rule("borda")
+        verdict = sweep_strategyproofness(borda, Universe(3, 3))
+        calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
+        assert replay(verdict)
+        assert calls
