@@ -60,7 +60,6 @@ from .verify import (
     find_strong_manipulation,
     full_suite,
     replay,
-    search_uncovered_set_manipulation,
     sweep_strategyproofness,
     sweep_strong_strategyproofness,
 )

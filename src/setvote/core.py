@@ -311,8 +311,12 @@ def is_dominant(rel: MajorityRelation, choice: ChoiceSet | int) -> bool:
     mask = choice.mask if isinstance(choice, ChoiceSet) else choice
     if mask == 0:
         raise ValueError("dominance is defined for non-empty sets only")
-    comp = ((1 << rel.m) - 1) & ~mask
-    return all(rel.strict[x] & comp == comp for x in _bits(mask))
+    return _dominant(rel.strict, mask)
+
+
+def _dominant(strict, mask: int) -> bool:
+    comp = ((1 << len(strict)) - 1) & ~mask
+    return all(strict[x] & comp == comp for x in _bits(mask))
 
 
 def _tc_mask(strict: tuple[int, ...], subset: int) -> int:

@@ -12,19 +12,22 @@ Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
 environment variable).
 
-Walk contract. Every universe check (the axioms, strategyproofness and
-strong strategyproofness) is a per-profile predicate: given the scan context
-of one profile (its ballots, margin code and memoized output) it returns None
-to go on, or its verdict as (outcome, witness). One walker, `_walk`, takes
-the engine of (rule, universe), walks `Universe.raw_profiles` once in scan
-order, feeds every open predicate and closes each at its first verdict; a
-predicate still open when the walk ends holds, except that the imposition
-checks then report the sets never reached. A TiesUnsupportedError or
-InstanceTooLargeError from a profile's own output closes every open
-predicate; one raised inside a predicate closes that predicate only. Every
-witness is the first its predicate meets on its profile, so `replay` runs the
-same predicate on the stored profile(s), through an engine of its own so that
-the witness is re-derived from the rule. Sweeps run in one process.
+Walk contract. Every universe check (the axioms, both strategyproofness
+readings and the two dominant-set pair checks) is a per-profile predicate:
+given the scan context of one profile (its ballots, margin code and memoized
+output) it returns None to go on, or its verdict as (outcome, witness). One
+walker, `_walk`, takes the engine of (rule, universe), walks
+`Universe.raw_profiles` once in scan order, feeds every open predicate and
+closes each at its first verdict. A predicate still open at walk end gives
+its `end()` verdict, or holds: the imposition checks report the sets never
+reached, and the pair checks judge there, reporting the first violating pair
+(i, j) in scan order; a majoritarian rule's robust-dominant check walks the
+majority relations instead. A TiesUnsupportedError or InstanceTooLargeError
+from a profile's own output closes every open predicate; one raised inside a
+predicate closes that predicate only. Every witness is the first its
+predicate meets, so `replay` walks the same predicate over the stored
+profile(s) alone, through an engine of its own so that the witness is
+re-derived from the rule. Sweeps run in one process.
 
 Margin code. The sweep engine keeps a profile's margins as one integer. For
 m alternatives and electorates of at most N voters, field i = x*m + y holds
@@ -65,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
@@ -78,10 +80,10 @@ from .core import (
     Profile,
     _bits as _mask_bits,
     _condorcet_winner,
+    _dominant,
     _margins_flat,
     enumerate_ballots,
     enumerate_relations,
-    is_dominant,
 )
 from .extensions import ExtensionKind, _fish, _fplus_weak, _rank_of
 from .mcgarvey import realize_relation
@@ -118,7 +120,6 @@ __all__ = [
     "find_strong_manipulation",
     "full_suite",
     "replay",
-    "search_uncovered_set_manipulation",
     "sweep_strategyproofness",
     "sweep_strong_strategyproofness",
 ]
@@ -372,10 +373,6 @@ class _Engine:
             self.add, self.guard = 0, -1
         self.cache: dict = {}
 
-    @staticmethod
-    def for_universe(rule: RuleSpec, universe: Universe) -> _Engine:
-        return _engine(rule, universe.m, universe.n_max * universe.k_hom)
-
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
         profile-based rules only."""
@@ -465,16 +462,19 @@ def _holds():
     return Outcome.HOLDS, None
 
 
-def _walk(rule: RuleSpec, universe: Universe, checks: dict) -> dict:
+def _walk(rule: RuleSpec, universe: Universe, checks: dict, scans=None) -> dict:
     """Run the predicates `checks` (name -> predicate) on one walk of the
-    universe; see the walk contract in the module docstring. Returns name ->
-    AxiomVerdict, or the not-evaluable error that closed the check."""
-    engine = _Engine.for_universe(rule, universe)
+    universe or, when given, of `scans` (builders of scan contexts); see the
+    walk contract in the module docstring. Returns name -> AxiomVerdict, or
+    the not-evaluable error that closed the check."""
+    if scans is None:
+        engine = _engine(rule, universe.m, universe.n_max * universe.k_hom)
+        scans = (partial(_Scan, engine, ballots) for ballots in universe.raw_profiles())
     found: dict = {}
     active = dict(checks)
-    for ballots in universe.raw_profiles():
+    for scan in scans:
         try:
-            ctx = _Scan(engine, ballots)
+            ctx = scan()
         except _NOT_EVALUABLE as exc:
             found.update(dict.fromkeys(active, exc))
             active = {}
@@ -497,8 +497,8 @@ def _walk(rule: RuleSpec, universe: Universe, checks: dict) -> dict:
     }
 
 
-def _walk_one(rule: RuleSpec, universe: Universe, name: str, check) -> AxiomVerdict:
-    result = _walk(rule, universe, {name: check})[name]
+def _walk_one(rule: RuleSpec, universe: Universe, name: str, check, scans=None) -> AxiomVerdict:
+    result = _walk(rule, universe, {name: check}, scans)[name]
     if isinstance(result, Exception):
         raise result
     return result
@@ -652,6 +652,8 @@ def find_group_manipulation(
     own ballot, so witnesses for smaller groups stay visible inside larger
     ones.
     """
+    if max_group < 1:
+        raise ValueError(f"max_group must be positive, got {max_group}")
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
     fact = factorial(m)
@@ -1040,7 +1042,98 @@ _CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# dominant set structure: robustness and weak robustness
+# dominant set structure: robustness and weak robustness, judged on pairs
+
+_ROBUST_DOMINANT = "robust-dominant-set"
+_WEAK_ROBUSTNESS = "weak-robustness"
+
+
+class _RelationScan:
+    """The scan context of one majority relation: its strict masks and the
+    rule's output on it; its profile is the two-voter-per-pair realization."""
+
+    def __init__(self, rule: RuleSpec, relation: MajorityRelation):
+        self.m = relation.m
+        self.strict = relation.strict
+        self.relation = relation
+        self.out = _nonempty(rule, evaluate_mask_from_relation(rule, self.strict, self.m))
+
+    @property
+    def profile(self) -> Profile:
+        return realize_relation(self.relation, 2)
+
+
+def _relation_scans(rule: RuleSpec, relations):
+    return (partial(_RelationScan, rule, relation) for relation in relations)
+
+
+def _pair_estimate(universe: Universe, over_relations: bool = False) -> int:
+    """Ordered pairs a pair check compares: of majority relations (3 per pair
+    of alternatives), or of the universe's profiles, counted where a margin
+    cap leaves out some that `count_profiles` includes."""
+    if over_relations:
+        return 9 ** comb(universe.m, 2)
+    if universe.margin_cap is None:
+        return universe.count_profiles() ** 2
+    return sum(1 for _ in universe.profiles()) ** 2
+
+
+class _Pairs:
+    """A pair check: keeps every scan context and judges at walk end."""
+
+    def __init__(self, universe: Universe):
+        self.m = universe.m
+        self.scans: list = []
+
+    def __call__(self, ctx):
+        self.scans.append(ctx)
+
+    def violated(self, p, q):
+        return Outcome.VIOLATED, {
+            "profiles": (p.profile, q.profile),
+            "outputs": (ChoiceSet(self.m, p.out), ChoiceSet(self.m, q.out)),
+        }
+
+
+class _RobustDominant(_Pairs):
+    """The predicate of `check_robust_dominant`: closes at the first output
+    that is not a dominant set, and judges the pairs at walk end."""
+
+    def __call__(self, ctx):
+        if _dominant(ctx.strict, ctx.out):
+            return super().__call__(ctx)
+        return Outcome.VIOLATED, {"profile": ctx.profile, "output": ChoiceSet(self.m, ctx.out)}
+
+    def end(self):
+        # For each distinct output O, the first position where O is dominant
+        # but the output there pokes outside O (never O's own positions).
+        # When robustness holds there is none, so the quadratic pair scan
+        # degenerates to a linear one; the witness is still the first in
+        # (i, j) order.
+        clash = {
+            out: next((q for q in self.scans if q.out & ~out and _dominant(q.strict, out)), None)
+            for out in {p.out for p in self.scans}
+        }
+        for p in self.scans:
+            if clash[p.out] is not None:
+                return self.violated(p, clash[p.out])
+        return _holds()
+
+
+class _WeakRobustness(_Pairs):
+    """The predicate of `check_weak_robustness`."""
+
+    def end(self):
+        m = self.m
+        full = (1 << m) - 1
+        for p in self.scans:
+            fields = [x * m + y for x in _mask_bits(p.out) for y in _mask_bits(full & ~p.out)]
+            gp = p.flat
+            for q in self.scans:
+                # never true for q = p, nor for any q when p chooses everything
+                if q.out & ~p.out and all(gp[f] <= q.flat[f] for f in fields):
+                    return self.violated(p, q)
+        return _holds()
 
 
 def check_robust_dominant(
@@ -1053,55 +1146,12 @@ def check_robust_dominant(
     as two-voter-per-pair profiles in witnesses); otherwise over all ordered
     pairs of universe profiles.
     """
-    m = universe.m
-    majoritarian = basis(rule) == BasisTag.MAJORITARIAN
-    items = list(enumerate_relations(m) if majoritarian else universe.raw_profiles())
-    if len(items) ** 2 > _budget(budget):
-        raise BudgetExceededError("pair scan exceeds the budget")
-    if majoritarian:
-        rels = items
-        outputs = [
-            _nonempty(rule, evaluate_mask_from_relation(rule, rel.strict, m)) for rel in rels
-        ]
-    else:
-        engine = _Engine.for_universe(rule, universe)
-        scans = [_Scan(engine, ballots) for ballots in items]
-        rels = [MajorityRelation(m, scan.strict) for scan in scans]
-        outputs = [scan.out for scan in scans]
-
-    def materialize(i):
-        return realize_relation(rels[i], 2) if majoritarian else scans[i].profile
-
-    axiom = "robust-dominant-set"
-    for i, rel in enumerate(rels):
-        if not is_dominant(rel, outputs[i]):
-            return AxiomVerdict(
-                axiom, rule, universe, Outcome.VIOLATED,
-                {"profile": materialize(i), "output": ChoiceSet(m, outputs[i])},
-            )
-    # For each distinct output O, collect the scan positions j where O is
-    # dominant but the output at j pokes outside O. When robustness holds all
-    # these lists are empty, so the quadratic pair scan degenerates to a
-    # linear one; the first witness is still the first in (i, j) order. A
-    # position can never clash with itself (its own output never pokes
-    # outside itself).
-    clashes: dict[int, list[int]] = {}
-    for out in set(outputs):
-        clashes[out] = [
-            j for j, rel in enumerate(rels) if is_dominant(rel, out) and outputs[j] & ~out
-        ]
-    for i in range(len(rels)):
-        for j in clashes[outputs[i]]:
-            if j == i:
-                continue
-            return AxiomVerdict(
-                axiom, rule, universe, Outcome.VIOLATED,
-                {
-                    "profiles": (materialize(i), materialize(j)),
-                    "outputs": (ChoiceSet(m, outputs[i]), ChoiceSet(m, outputs[j])),
-                },
-            )
-    return AxiomVerdict(axiom, rule, universe, Outcome.HOLDS)
+    over_relations = basis(rule) == BasisTag.MAJORITARIAN
+    _within_budget(_pair_estimate(universe, over_relations), budget)
+    scans = None
+    if over_relations:
+        scans = _relation_scans(rule, enumerate_relations(universe.m))
+    return _walk_one(rule, universe, _ROBUST_DOMINANT, _RobustDominant(universe), scans)
 
 
 def check_weak_robustness(
@@ -1109,83 +1159,14 @@ def check_weak_robustness(
 ) -> AxiomVerdict:
     """If nobody outside the choice set gained ground on anybody inside it,
     the choice set cannot grow."""
-    m = universe.m
-    full = (1 << m) - 1
-    profiles = list(universe.raw_profiles())
-    if len(profiles) ** 2 > _budget(budget):
-        raise BudgetExceededError("pair scan exceeds the budget")
-    engine = _Engine.for_universe(rule, universe)
-    scans = [_Scan(engine, ballots) for ballots in profiles]
-    axiom = "weak-robustness"
-    for i, p in enumerate(scans):
-        if p.out == full:
-            continue
-        inside = list(_mask_bits(p.out))
-        outside = list(_mask_bits(full & ~p.out))
-        for j, q in enumerate(scans):
-            if i == j or not q.out & ~p.out:
-                continue
-            gp, gq = p.flat, q.flat
-            if all(gp[x * m + y] <= gq[x * m + y] for x in inside for y in outside):
-                return AxiomVerdict(
-                    axiom, rule, universe, Outcome.VIOLATED,
-                    {
-                        "profiles": (p.profile, q.profile),
-                        "outputs": (ChoiceSet(m, p.out), ChoiceSet(m, q.out)),
-                    },
-                )
-    return AxiomVerdict(axiom, rule, universe, Outcome.HOLDS)
-
-
-# ---------------------------------------------------------------------------
-# randomized search for a manipulation of the uncovered set
-
-
-def search_uncovered_set_manipulation(
-    m: int = 5,
-    n: int = 3,
-    *,
-    budget: int = 10**8,
-    seed: int = 0,
-    restart_every: int = 50,
-):
-    """Randomized-then-local search for a manipulation of the uncovered set.
-
-    Only odd electorates are meaningful (no majority ties). Returns
-    (manipulation-or-None, evaluations-used). Not guaranteed to find a
-    witness within the budget even if one exists.
-    """
-    if n % 2 == 0:
-        raise ValueError("use an odd electorate so the relation is a tournament")
-    from .rules import RuleId
-
-    rule = RuleSpec(RuleId.UNCOVERED_SET)
-    rng = random.Random(seed)
-    ballots_pool = enumerate_ballots(m)
-    engine = _engine(rule, m, n)
-    gains = partial(_prefers, ExtensionKind.FISHBURN)
-    evals = 0
-    scans = 0
-    current = None
-    while evals < budget:
-        if current is None or scans % restart_every == 0:
-            current = tuple(rng.choice(ballots_pool) for _ in range(n))
-        else:
-            voter = rng.randrange(n)
-            p = rng.randrange(m - 1)
-            b = current[voter]
-            mutated = b[:p] + (b[p + 1], b[p]) + b[p + 2:]
-            current = current[:voter] + (mutated,) + current[voter + 1:]
-        scans += 1
-        hit = _first_gain(engine, current, gains)
-        evals += n * (factorial(m) - 1) + 1
-        if hit is not None:
-            return _manipulation(Profile(m, current), hit, ExtensionKind.FISHBURN), evals
-    return None, evals
+    _within_budget(_pair_estimate(universe), budget)
+    return _walk_one(rule, universe, _WEAK_ROBUSTNESS, _WeakRobustness(universe))
 
 
 # ---------------------------------------------------------------------------
 # witness replay
+
+_PAIR_CHECKS = {_ROBUST_DOMINANT: _RobustDominant, _WEAK_ROBUSTNESS: _WeakRobustness}
 
 
 def _named_check(axiom: str, universe: Universe):
@@ -1193,6 +1174,8 @@ def _named_check(axiom: str, universe: Universe):
     for prefix, strong in (("strategyproofness-", False), ("strong-strategyproofness-", True)):
         if axiom.startswith(prefix):
             return _manipulability(ExtensionKind(axiom[len(prefix):]), strong)
+    if axiom in _PAIR_CHECKS:
+        return _PAIR_CHECKS[axiom](universe)
     try:
         return _CHECKERS[Axiom(axiom)](universe)
     except ValueError:
@@ -1200,51 +1183,31 @@ def _named_check(axiom: str, universe: Universe):
 
 
 def replay(verdict: AxiomVerdict) -> bool:
-    """Re-verify a violation witness: the check that found it, run on the
-    stored witness profile(s) in order, must report exactly this witness."""
+    """Re-verify a violation witness: the check that found it, walked over
+    the stored witness profile(s) alone, must report exactly this witness."""
     if verdict.outcome != Outcome.VIOLATED:
         raise ValueError("only violation witnesses can be replayed")
     w = verdict.witness
     rule = verdict.rule
     axiom = verdict.axiom
     universe = verdict.universe
-    m = universe.m
-
-    def out_of(profile):
-        return evaluate_mask(rule, profile.ballots, profile.m)
-
-    if axiom == "robust-dominant-set":
-        if "profile" in w:
-            p = w["profile"]
-            return not is_dominant(MajorityRelation.from_profile(p), out_of(p))
-        p, q = w["profiles"]
-        out_p, out_q = out_of(p), out_of(q)
-        return is_dominant(MajorityRelation.from_profile(q), out_p) and bool(out_q & ~out_p)
-    if axiom == "weak-robustness":
-        p, q = w["profiles"]
-        fp, fq = _margins_flat(p.ballots, m), _margins_flat(q.ballots, m)
-        out_p, out_q = out_of(p), out_of(q)
-        full = (1 << m) - 1
-        inside, outside = list(_mask_bits(out_p)), list(_mask_bits(full & ~out_p))
-        premise = all(
-            fp[x * m + y] <= fq[x * m + y] for x in inside for y in outside
-        )
-        return premise and bool(out_q & ~out_p)
-    check = _named_check(axiom, universe)
     if "manipulation" in w:
         profiles = (w["manipulation"].profile,)
     else:
         profiles = w.get("profiles") or (w["profile"],)
-    if any(p.m != m or p.n > universe.n_max for p in profiles):
+    check = _named_check(axiom, universe)
+    if any(p.m != universe.m for p in profiles):
+        return False
+    if axiom == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN:
+        scans = _relation_scans(rule, map(MajorityRelation.from_profile, profiles))
+    elif any(p.n > universe.n_max for p in profiles):
         return False  # no walk of this universe meets such a profile
-    # a private engine: the witness is re-derived from the rule, not read
-    # back from the memo the sweep filled
-    engine = _Engine(rule, m, universe.n_max * universe.k_hom)
-    for profile in profiles:
-        found = check(_Scan(engine, profile.ballots))
-        if found is not None:
-            return found == (Outcome.VIOLATED, w)
-    return False
+    else:
+        # a private engine: the witness is re-derived from the rule, not read
+        # back from the memo the sweep filled
+        engine = _Engine(rule, universe.m, universe.n_max * universe.k_hom)
+        scans = (partial(_Scan, engine, p.ballots) for p in profiles)
+    return _walk(rule, universe, {axiom: check}, scans)[axiom] == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1308,21 +1271,26 @@ def corroborate_theorems(
     _within_budget(_deviation_estimate(universe), budget)
     _within_budget(_axiom_estimate(universe), budget)
     rules = tuple(rules) if rules is not None else tuple(catalog())
+    over_relations = {basis(rule) == BasisTag.MAJORITARIAN for rule in rules}
+    _within_budget(max((_pair_estimate(universe, o) for o in over_relations), default=0), budget)
     verdicts: list[AxiomVerdict] = []
     not_evaluable: dict = {}
     for rule in rules:
-        # strategyproofness and the whole suite share one walk
+        # strategyproofness, the whole suite and robustness share one walk;
+        # a majoritarian rule's robustness walks the relations instead
         checks = {SP_FISHBURN: _manipulability(ExtensionKind.FISHBURN)}
         for axiom in full_suite():
             checks[axiom.value] = _CHECKERS[axiom](universe)
-        results = _walk(rule, universe, checks)
-        try:
-            results["robust-dominant-set"] = check_robust_dominant(
-                rule, universe, budget=budget
-            )
-        except _NOT_EVALUABLE as exc:
-            results["robust-dominant-set"] = exc
-        for name in (*checks, "robust-dominant-set"):
+        if basis(rule) == BasisTag.MAJORITARIAN:
+            results = _walk(rule, universe, checks)
+            try:
+                results[_ROBUST_DOMINANT] = check_robust_dominant(rule, universe, budget=budget)
+            except _NOT_EVALUABLE as exc:
+                results[_ROBUST_DOMINANT] = exc
+        else:
+            robust = {_ROBUST_DOMINANT: _RobustDominant(universe)}
+            results = _walk(rule, universe, {**checks, **robust})
+        for name in (*checks, _ROBUST_DOMINANT):
             result = results[name]
             if isinstance(result, Exception):
                 not_evaluable[(rule.name, name)] = str(result)
@@ -1338,7 +1306,7 @@ def corroborate_theorems(
     def passes(rule_name, axiom):
         return report.outcome(rule_name, axiom) == Outcome.HOLDS
 
-    robust = [r for r in evaluable if passes(r, "robust-dominant-set")]
+    robust = [r for r in evaluable if passes(r, _ROBUST_DOMINANT)]
     bracket_passers = [r for r in evaluable if not report.failures(r, _BRACKET)]
     assertions = []
     assertions.append((

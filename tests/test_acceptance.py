@@ -2,7 +2,8 @@
 
 Each test prints one "criterion N: PASS/FAIL" line (visible with pytest -s or
 in the captured output). Everything asserted here is either a frozen worked
-example, an exhaustive sweep at the stated bounds, or a seeded search.
+example, an exhaustive sweep or scan at the stated bounds, or a seeded random
+sample.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import random
 import time
 
 import numpy as np
-from oracles import fishburn_literal
+from oracles import fishburn_literal, naive_manipulation
 
 from setvote.core import (
     ChoiceSet,
@@ -48,7 +49,6 @@ from setvote.verify import (
     find_strong_manipulation,
     full_suite,
     replay,
-    search_uncovered_set_manipulation,
     sweep_strategyproofness,
     sweep_strong_strategyproofness,
 )
@@ -364,24 +364,30 @@ def test_criterion_7_margin_graph_roundtrip():
 
 def test_criterion_8_uncovered_set_tournaments():
     t0 = time.perf_counter()
-    # positive half: a five-alternative manipulation found by seeded search
-    man, evals = search_uncovered_set_manipulation(m=5, n=3, budget=10**8, seed=0)
+    # positive half: the first five-alternative manipulation among the
+    # three-voter profiles with sorted ballots, scanned exhaustively in
+    # combinations_with_replacement order
     uncovered = RuleSpec(RuleId.UNCOVERED_SET)
-    if man is not None:
-        assert find_manipulation(uncovered, man.profile) == man
+    sorted_profiles = itertools.combinations_with_replacement(enumerate_ballots(5), 3)
+    for scanned, prof in enumerate(sorted_profiles, 1):
+        man = find_manipulation(uncovered, Profile(5, prof))
+        if man is not None:
+            break
+    assert scanned == 4051
+    assert prof == ((A, B, C, D, E), (B, D, E, A, C), (C, E, D, A, B))
+    assert (man.voter, man.misreport) == (2, (E, C, D, A, B))
+    assert man.honest_set == ChoiceSet.from_members(5, (A, B, D))
+    assert man.manipulated_set == ChoiceSet.from_members(5, (A, B, D, E))
+    assert naive_manipulation(uncovered, prof, 5) == (
+        2, (E, C, D, A, B), frozenset({A, B, D}), frozenset({A, B, D, E})
+    )
     # negative half: exhaustive over all four-alternative, three-voter
     # profiles (all tournaments, margins stay odd under deviations)
     ballots = enumerate_ballots(4)
     for prof in itertools.product(ballots, repeat=3):
         assert find_manipulation(uncovered, Profile(4, prof)) is None
     elapsed = time.perf_counter() - t0
-    if man is None:
-        # the budgeted search is not guaranteed-complete; fall back to the
-        # exhaustive negative half and log the miss
-        report_line(8, True, f"{elapsed:.1f}s; m=5 search exhausted {evals} evaluations "
-                             "without a witness, downgraded to the m=4 half")
-    else:
-        report_line(8, True, f"{elapsed:.1f}s; m=5 witness after {evals} evaluations")
+    report_line(8, True, f"{elapsed:.1f}s; m=5 witness at sorted profile {scanned}")
 
 
 def test_criterion_9_efficiency_and_strong_strategyproofness():

@@ -340,6 +340,12 @@ class TestMaskKernelAgainstOracles:
                 expected = top_cycle_literal(rel, bits_of(subset))
                 assert bits_of(_tc_mask(rel.strict, subset)) == expected
 
+    def test_weak_masks_list_what_each_alternative_weakly_beats(self):
+        for rel in relations_up_to(4):
+            for x, mask in enumerate(rel.weak_masks()):
+                expected = {y for y in range(rel.m) if y != x and rel.weakly_prefers(x, y)}
+                assert bits_of(mask) == expected
+
     def test_schwartz_and_condorcet(self):
         for rel in relations_up_to(4):
             assert members(schwartz_set(rel)) == schwartz_literal(rel)

@@ -15,17 +15,16 @@ from oracles import (
     own_order_misreports,
 )
 from setvote import verify
-from setvote.core import ChoiceSet, Profile, _margins_flat, _strict_masks_from_flat
+from setvote.core import Profile, _margins_flat, _strict_masks_from_flat
 from setvote.extensions import ExtensionKind
-from setvote.rules import RuleId, RuleSpec, TiesUnsupportedError, catalog
+from setvote.rules import TiesUnsupportedError, catalog
 from setvote.verify import (
+    Outcome,
     Universe,
-    _Engine,
     _MarginCode,
     find_group_manipulation,
     find_manipulation,
     find_strong_manipulation,
-    search_uncovered_set_manipulation,
 )
 
 
@@ -85,10 +84,9 @@ def test_unanimous_profiles_fill_the_fields(m, n):
 
 @pytest.mark.parametrize("m,n_max,k_hom", [(2, 3, 2), (3, 3, 3), (4, 2, 4), (3, 1, 2)])
 def test_homogeneity_tiling_fits_the_universe_layout(m, n_max, k_hom):
-    engine = _Engine.for_universe(
-        catalog()[0], Universe(m, n_max, k_hom=k_hom)
-    )
-    layout = engine.layout
+    # the layout of the engine behind a walk's scan contexts
+    probe = {"layout": lambda ctx: (Outcome.HOLDS, ctx.engine.layout)}
+    layout = verify._walk(catalog()[0], Universe(m, n_max, k_hom=k_hom), probe)["layout"].witness
     assert layout.size == n_max * k_hom
     rng = random.Random(m * 100 + n_max * 10 + k_hom)
     profiles = [(tuple(range(m)),) * n_max]
@@ -202,19 +200,3 @@ def test_group_witnesses_match_the_oracle(rule):
             )
 
     cold_then_warm(compare)
-
-
-def test_uncovered_set_search_is_pinned():
-    # the seeded search's witness and evaluation count, as produced by the
-    # engine that recomputed the margin vector for every deviation
-    man, evals = search_uncovered_set_manipulation(m=5, n=3, seed=0)
-    assert evals == 247378
-    assert man.profile == Profile(5, ((0, 1, 3, 4, 2), (3, 4, 0, 2, 1), (2, 1, 4, 0, 3)))
-    assert (man.voter, man.true_ballot, man.misreport) == (
-        2, (2, 1, 4, 0, 3), (1, 2, 4, 0, 3)
-    )
-    assert man.honest_set == ChoiceSet(5, 27)
-    assert man.manipulated_set == ChoiceSet(5, 19)
-    assert man.extension == ExtensionKind.FISHBURN
-    expected = naive_manipulation(RuleSpec(RuleId.UNCOVERED_SET), man.profile.ballots, 5)
-    assert expected == as_tuple(man)
