@@ -40,7 +40,7 @@ mirrored field, so:
 - a profile's code is BIAS + sum(enc[b] for its ballots), BIAS holding N in
   every field;
 - one voter changing ballot is code - enc[old] + enc[new], one add once the
-  difference is tabled per (true ballot, misreport);
+  difference is tabled (see Move tables below);
 - adding ADD, which holds 2^w - N - 1 in every field, carries into the guard
   bit of field (x, y) exactly when g(x, y) > 0, so (code + ADD) & GUARD is in
   bijection with the strict majority relation and keys majoritarian rules;
@@ -50,6 +50,21 @@ Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
 profiles k_hom times). Strict masks and margin vectors are decoded only on
 a memo miss, or when a check reads them from the scan context.
+
+Move tables. Every one-ballot change a check tries (a misreport, a
+relabeling of the alternatives, a reinforcing swap, a top pushed to the
+bottom, a reordered ballot block) is read from one table per layout,
+`_MarginCode.moves`: per (move kind, ballot, output), the output only for
+kinds that read it, the tuple of (new ballot, enc[new] - enc[ballot], info)
+in the kind's own generator order, so every first witness is kept. A
+layout's tables start afresh once they hold more than `_MOVE_TABLE_ENTRIES`
+entries, when the next table is built. One step, `_moved`, turns a table
+into outputs: code + delta, the key, the memo lookup or the single miss
+site. A majoritarian or pairwise engine skips a voter whose ballot an
+earlier voter has: that voter's moves reach the same codes, so none can be
+the first witness. A profile-based engine keys on the ballots themselves and
+tries every voter. Neutrality sums each voter's relabeling delta into the
+relabeled code instead of encoding relabeled ballots.
 
 Memo lifetime. A majoritarian or pairwise rule at a fixed layout is a finite
 table over relation keys or margin codes, so its engine, memo included, is
@@ -68,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
@@ -196,8 +212,7 @@ class Universe:
             raise ValueError(f"margin_cap must be non-negative, got {self.margin_cap}")
 
     def count_profiles(self) -> int:
-        b = factorial(self.m)
-        return sum(b**n for n in range(1, self.n_max + 1))
+        return sum(_profiles_by_size(self).values())
 
     def raw_profiles(self):
         """Ballot tuples in scan order: n ascending, then lexicographic."""
@@ -214,6 +229,15 @@ class Universe:
     def profiles(self):
         for ballots in self.raw_profiles():
             yield Profile(self.m, ballots)
+
+
+def _profiles_by_size(universe: Universe) -> dict:
+    """Electorate size -> number of profiles: m!^n, or under a margin cap
+    the profiles it keeps, counted one by one."""
+    if universe.margin_cap is not None:
+        return Counter(map(len, universe.raw_profiles()))
+    b = factorial(universe.m)
+    return {n: b**n for n in range(1, universe.n_max + 1)}
 
 
 @dataclass(frozen=True)
@@ -268,13 +292,14 @@ def _strong_violation(kind: ExtensionKind, rank, out, honest) -> bool:
 # ---------------------------------------------------------------------------
 # margin codes and memoized rule evaluation keyed by the rule's declared basis
 
-# misreport tables kept per layout, counted in (true ballot, misreport) entries
-_DEVIATION_TABLE_ENTRIES = 1 << 14
+# one-ballot move tables kept per layout, counted in entries; past the bound
+# a layout's tables start afresh when it next builds one
+_MOVE_TABLE_ENTRIES = 1 << 16
 
 
 class _MarginCode:
     """One margin-code layout (see the module docstring), with the ballot
-    encodings and misreport tables it has needed so far."""
+    encodings and one-ballot move tables it has needed so far."""
 
     def __init__(self, m: int, size: int):
         self.m = m
@@ -287,8 +312,8 @@ class _MarginCode:
         self.add = ((1 << self.width) - size - 1) * ones
         self.guard = ones << self.width
         self._enc: dict = {}
-        self._deviations: dict = {}
-        self._max_tables = max(1, _DEVIATION_TABLE_ENTRIES // factorial(m))
+        self._moves: dict = {}
+        self._move_entries = 0
 
     def enc(self, ballot: Ballot) -> int:
         code = self._enc.get(ballot)
@@ -308,17 +333,21 @@ class _MarginCode:
             )
         return sum(map(self.enc, ballots), self.bias)
 
-    def deviations(self, true_ballot: Ballot):
-        """(misreport, enc[misreport] - enc[true_ballot]) in `_misreports` order."""
-        table = self._deviations.get(true_ballot)
+    def moves(self, kind, ballot: Ballot, out: int | None = None):
+        """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
+        info), tabled once per (kind, ballot, out) in that order as
+        (new_ballot, enc[new_ballot] - enc[ballot], info). Kinds that do
+        not read the output are asked with out=None."""
+        key = (kind, ballot, out)
+        table = self._moves.get(key)
         if table is None:
-            if len(self._deviations) >= self._max_tables:
-                self._deviations.clear()
-            base = self.enc(true_ballot)
-            table = tuple(
-                (mis, self.enc(mis) - base) for mis in _misreports(true_ballot)
-            )
-            self._deviations[true_ballot] = table
+            if self._move_entries > _MOVE_TABLE_ENTRIES:
+                self._moves.clear()
+                self._move_entries = 0
+            enc, base = self.enc, self.enc(ballot)
+            table = tuple((new, enc(new) - base, info) for new, info in kind(ballot, out))
+            self._moves[key] = table
+            self._move_entries += len(table)
         return table
 
     def key(self, code: int) -> int:
@@ -343,7 +372,7 @@ class _MarginCode:
 
 # a few layouts stay alive across calls, so that one-profile searches such as
 # find_manipulation do not re-encode every misreport; each holds at most m!
-# encodings and a bounded misreport table, filled on first use (the shared
+# encodings and bounded move tables, filled on first use (the shared
 # engines hold their own layout, so evicting one here costs them nothing)
 _margin_code = lru_cache(maxsize=4)(_MarginCode)
 
@@ -381,9 +410,6 @@ class _Engine:
         if out is None:
             out = self.miss(key, code)
         return out
-
-    def of(self, ballots) -> int:
-        return self.output(self.layout.of(ballots), ballots)
 
     def miss(self, key, code: int) -> int:
         """The single memo-miss site."""
@@ -445,14 +471,6 @@ class _Scan:
     def profile(self) -> Profile:
         return Profile(self.m, self.ballots)
 
-    def replaced(self, voter: int, ballot: Ballot) -> int:
-        """The output once `voter` reports `ballot` instead."""
-        engine, ballots = self.engine, self.ballots
-        code = self.code + engine.layout.enc(ballot) - engine.layout.enc(ballots[voter])
-        if engine.by_ballots:
-            return engine.output(code, ballots[:voter] + (ballot,) + ballots[voter + 1:])
-        return engine.output(code, None)
-
 
 # errors that leave a check not evaluable on a universe instead of failing it
 _NOT_EVALUABLE = (TiesUnsupportedError, InstanceTooLargeError)
@@ -504,34 +522,49 @@ def _walk_one(rule: RuleSpec, universe: Universe, name: str, check, scans=None) 
     return result
 
 
-def _misreports(true_ballot: Ballot):
-    """All deviations, nearest first: lexicographic in the voter's own ranking
-    (the permutations of the ballot in order, less the first, itself)."""
-    return itertools.islice(itertools.permutations(true_ballot), 1, None)
+def _moved(engine: _Engine, ballots, code: int, honest: int, kind, out: int | None = None):
+    """The one-ballot moves of `kind` (see `_MarginCode.moves`) that change
+    the output `honest`, voter by voter in table order, as (voter,
+    new_ballot, info, output after the move).
 
-
-def _deviations(engine: _Engine, ballots, code: int, honest: int):
-    """Single-voter deviations whose outcome differs from `honest`, as
-    (voter, misreport, outcome) in scan order: voter index, then
-    `_misreports` order. Each (voter, outcome) pair is yielded at its first
-    deviation only; whether the voter gains depends on nothing else, and
-    every consumer stops at the first deviation it accepts."""
+    Every consumer judges a move by the voter's ballot, its info and the
+    output after it alone, accepts none that leaves the output as it was, and
+    stops at the first it accepts. So a voter's move is yielded only at its
+    first (output, info), and a code-keyed engine skips a voter whose ballot
+    an earlier voter has: the same moves reach the same codes. Every move
+    tried is evaluated in order, so an evaluation error surfaces at the first
+    move that raises it."""
     cache, add, guard = engine.cache, engine.add, engine.guard
-    by_ballots, miss = engine.by_ballots, engine.miss
-    for voter, true_ballot in enumerate(ballots):
-        judged = {honest}
-        for mis, delta in engine.layout.deviations(true_ballot):
+    by_ballots, miss, moves = engine.by_ballots, engine.miss, engine.layout.moves
+    tried = set()
+    for voter, ballot in enumerate(ballots):
+        if not by_ballots:
+            if ballot in tried:
+                continue
+            tried.add(ballot)
+        judged = set()
+        for new_ballot, delta, info in moves(kind, ballot, out):
             new = code + delta
             if by_ballots:
-                key = ballots[:voter] + (mis,) + ballots[voter + 1:]
+                key = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
             else:
                 key = (new + add) & guard
-            out = cache.get(key)
-            if out is None:
-                out = miss(key, new)
-            if out not in judged:
-                judged.add(out)
-                yield voter, mis, out
+            after = cache.get(key)
+            if after is None:
+                after = miss(key, new)
+            # a move's mark is its output, paired with its info if it has one
+            mark = after if info is None else (after, info)
+            if after != honest and mark not in judged:
+                judged.add(mark)
+                yield voter, new_ballot, info, after
+
+
+def _misreports(true_ballot: Ballot, _out=None):
+    """All deviations, nearest first: lexicographic in the voter's own ranking
+    (the permutations of the ballot in order, less the first, itself), each
+    with no info."""
+    for mis in itertools.islice(itertools.permutations(true_ballot), 1, None):
+        yield mis, None
 
 
 def _first_gain(engine: _Engine, ballots, gains):
@@ -542,7 +575,7 @@ def _first_gain(engine: _Engine, ballots, gains):
 
 
 def _gain_from(engine: _Engine, ballots, code: int, honest: int, gains):
-    for voter, mis, out in _deviations(engine, ballots, code, honest):
+    for voter, mis, _, out in _moved(engine, ballots, code, honest, _misreports):
         if gains(_rank_of(ballots[voter]), out, honest):
             return voter, mis, honest, out
     return None
@@ -564,8 +597,7 @@ def _manipulation(profile: Profile, hit, extension: ExtensionKind) -> Manipulati
 def _deviation_estimate(universe: Universe) -> int:
     deviations = factorial(universe.m) - 1
     return sum(
-        factorial(universe.m) ** n * (n * deviations + 1)
-        for n in range(1, universe.n_max + 1)
+        count * (n * deviations + 1) for n, count in _profiles_by_size(universe).items()
     )
 
 
@@ -666,18 +698,20 @@ def find_group_manipulation(
     ranks = [_rank_of(b) for b in ballots]
     for size in range(1, max_group + 1):
         for group in itertools.combinations(range(n), size):
-            options = [((ballots[v], 0),) + layout.deviations(ballots[v]) for v in group]
+            options = [
+                ((ballots[v], 0, None),) + layout.moves(_misreports, ballots[v]) for v in group
+            ]
             judged = {honest}
             # the first joint report keeps every member's own ballot
             for choice in itertools.islice(itertools.product(*options), 1, None):
-                reports = tuple(r for r, _ in choice)
+                reports = tuple(r for r, _, _ in choice)
                 new_ballots = None
                 if engine.by_ballots:
                     new_ballots = list(ballots)
                     for v, r in zip(group, reports):
                         new_ballots[v] = r
                     new_ballots = tuple(new_ballots)
-                out = engine.output(code + sum(d for _, d in choice), new_ballots)
+                out = engine.output(code + sum(d for _, d, _ in choice), new_ballots)
                 if out in judged:
                     continue
                 judged.add(out)
@@ -742,14 +776,23 @@ def _apply_perm_mask(perm, mask):
     return out
 
 
+def _relabelings(ballot, _out=None):
+    """The ballot under every relabeling of the alternatives but the
+    identity, which comes first, with the relabeling."""
+    for perm in itertools.islice(itertools.permutations(range(len(ballot))), 1, None):
+        yield tuple(perm[x] for x in ballot), perm
+
+
 @_stateless
 def _check_neutrality(ctx):
-    m = ctx.m
-    # every relabeling but the identity, which comes first
-    for perm in itertools.islice(itertools.permutations(range(m)), 1, None):
-        relabeled = tuple(tuple(perm[x] for x in b) for b in ctx.ballots)
+    m, engine = ctx.m, ctx.engine
+    tables = [engine.layout.moves(_relabelings, b) for b in ctx.ballots]
+    # one column per relabeling: every voter's relabeled ballot
+    for column in zip(*tables):
+        perm = column[0][2]
+        relabeled = tuple(b for b, _, _ in column) if engine.by_ballots else None
+        actual = engine.output(ctx.code + sum(d for _, d, _ in column), relabeled)
         expected = _apply_perm_mask(perm, ctx.out)
-        actual = ctx.engine.of(relabeled)
         if actual != expected:
             return Outcome.VIOLATED, {
                 "profile": ctx.profile,
@@ -836,17 +879,16 @@ def _check_cos(ctx):
     return None
 
 
-def _first_perturbation(ctx, perturbations, violated):
-    """For each voter in turn, try the one-ballot changes
-    `perturbations(ballot, out)` yields as (new_ballot, info). The first with
-    violated(out, after, info) is returned as (voter, new_ballot, info,
-    after); None if there is none."""
+def _first_perturbation(ctx, kind, violated, reads_out=True):
+    """For each voter in turn, try the one-ballot changes `kind(ballot, out)`
+    yields as (new_ballot, info); a kind that does not read the output is
+    tabled without it. The first with violated(out, after, info) is returned
+    as (voter, new_ballot, info, after); None if there is none."""
     out = ctx.out
-    for voter, ballot in enumerate(ctx.ballots):
-        for new_ballot, info in perturbations(ballot, out):
-            after = ctx.replaced(voter, new_ballot)
-            if violated(out, after, info):
-                return voter, new_ballot, info, after
+    moved = _moved(ctx.engine, ctx.ballots, ctx.code, out, kind, out if reads_out else None)
+    for voter, new_ballot, info, after in moved:
+        if violated(out, after, info):
+            return voter, new_ballot, info, after
     return None
 
 
@@ -959,7 +1001,7 @@ def _check_iua(ctx):
     return None if hit is None else _two_profile_witness(ctx, hit)
 
 
-def _block_reorders_anywhere(ballot, out):
+def _block_reorders_anywhere(ballot, _out=None):
     """Every reorder of every block of consecutive positions, with the block."""
     m = len(ballot)
     for start in range(m - 1):
@@ -978,7 +1020,9 @@ def _changed_beyond_block(out, after, block):
 def _check_wloc(ctx):
     """Reordering any ballot block that keeps its own chosen members fixed
     must keep the whole choice set fixed."""
-    hit = _first_perturbation(ctx, _block_reorders_anywhere, _changed_beyond_block)
+    hit = _first_perturbation(
+        ctx, _block_reorders_anywhere, _changed_beyond_block, reads_out=False
+    )
     if hit is None:
         return None
     return _two_profile_witness(ctx, hit, block=tuple(sorted(_mask_bits(hit[2]))))
@@ -1069,13 +1113,10 @@ def _relation_scans(rule: RuleSpec, relations):
 
 def _pair_estimate(universe: Universe, over_relations: bool = False) -> int:
     """Ordered pairs a pair check compares: of majority relations (3 per pair
-    of alternatives), or of the universe's profiles, counted where a margin
-    cap leaves out some that `count_profiles` includes."""
+    of alternatives), or of the universe's profiles."""
     if over_relations:
         return 9 ** comb(universe.m, 2)
-    if universe.margin_cap is None:
-        return universe.count_profiles() ** 2
-    return sum(1 for _ in universe.profiles()) ** 2
+    return universe.count_profiles() ** 2
 
 
 class _Pairs:

@@ -54,6 +54,17 @@ def test_code_decodes_to_margins_and_relation(case):
     decodes_to_margins(_MarginCode(m, size), ballots, m)
 
 
+# every kind of one-ballot move a check tries, and whether it reads the output
+MOVE_KINDS = [
+    (verify._misreports, False),
+    (verify._relabelings, False),
+    (verify._swaps, True),
+    (verify._pushes, True),
+    (verify._unchosen_reorders, True),
+    (verify._block_reorders_anywhere, False),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(coded_profiles(), st.data())
 def test_one_ballot_change_is_one_add(case, data):
@@ -61,12 +72,31 @@ def test_one_ballot_change_is_one_add(case, data):
     layout = _MarginCode(m, size)
     code = layout.of(ballots)
     voter = data.draw(st.integers(0, len(ballots) - 1))
-    table = layout.deviations(ballots[voter])
-    assert [mis for mis, _ in table] == own_order_misreports(ballots[voter])
-    for mis, delta in table:
-        changed = ballots[:voter] + (mis,) + ballots[voter + 1:]
-        assert code + delta == layout.of(changed)
-        assert layout.flat(code + delta) == _margins_flat(changed, m)
+    out = data.draw(st.integers(1, (1 << m) - 1))
+    ballot = ballots[voter]
+    table = layout.moves(verify._misreports, ballot)
+    assert [mis for mis, _, _ in table] == own_order_misreports(ballot)
+    for kind, reads_out in MOVE_KINDS:
+        given_out = out if reads_out else None
+        table = layout.moves(kind, ballot, given_out)
+        assert [(new, info) for new, _, info in table] == list(kind(ballot, given_out))
+        assert layout.moves(kind, ballot, given_out) is table
+        for new, delta, _ in table:
+            changed = ballots[:voter] + (new,) + ballots[voter + 1:]
+            assert code + delta == layout.of(changed)
+            assert layout.flat(code + delta) == _margins_flat(changed, m)
+
+
+def test_a_move_table_past_its_bound_is_empty_when_next_used(monkeypatch):
+    layout = _MarginCode(3, 2)
+    first, second = (0, 1, 2), (2, 1, 0)
+    assert len(layout.moves(verify._misreports, first)) == 5
+    monkeypatch.setattr(verify, "_MOVE_TABLE_ENTRIES", 4)
+    # the table already held is served as it is
+    assert layout.moves(verify._misreports, first)
+    assert list(layout._moves) == [(verify._misreports, first, None)]
+    layout.moves(verify._block_reorders_anywhere, second)
+    assert list(layout._moves) == [(verify._block_reorders_anywhere, second, None)]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -169,6 +169,22 @@ class TestCheckAxiom:
             check_axiom(Axiom.HOMOGENEITY, TC, universe, budget=50)
         assert check_axiom(Axiom.HOMOGENEITY, TC, universe, budget=106).outcome == Outcome.HOLDS
 
+    def test_budget_counts_a_margin_capped_universe_exactly(self):
+        # a margin cap of 0 keeps 6 two-voter and 90 four-voter profiles of
+        # the 1,554 on (3, <=4): 96 * (4 * 3! * 3 + 1) = 7,008 axiom
+        # evaluations, and 6 * (2 * 5 + 1) + 90 * (4 * 5 + 1) = 1,956
+        # deviations and honest outputs
+        universe = Universe(3, 4, margin_cap=0)
+        assert universe.count_profiles() == 96
+        assert check_axiom(Axiom.COS, TC, universe, budget=10**4).outcome == Outcome.HOLDS
+        for check, count in (
+            (lambda budget: check_axiom(Axiom.COS, TC, universe, budget=budget), 7008),
+            (lambda budget: sweep_strategyproofness(TC, universe, budget=budget), 1956),
+        ):
+            check(count)
+            with pytest.raises(BudgetExceededError, match=f"^estimated {count} evaluations"):
+                check(count - 1)
+
     def test_special_pair_rule_fails_neutrality(self):
         verdict = check_axiom(Axiom.NEUTRALITY, parse_rule("fab"), Universe(3, 3))
         assert verdict.outcome == Outcome.VIOLATED
@@ -191,6 +207,27 @@ class TestCheckAxiom:
     def test_top_cycle_condorcet_stability_m4(self):
         verdict = check_axiom(Axiom.COS, TC, Universe(4, 3))
         assert verdict.outcome == Outcome.HOLDS
+
+    def test_one_ballot_move_verdicts_are_pinned(self):
+        # SHA-256 of the repr of every verdict of the checks that try
+        # one-ballot changes (perturbations, relabelings, misreports) over the
+        # catalog on two small universes; a not-evaluable check is recorded
+        # by its error type
+        checks = [
+            lambda rule, universe, a=axiom: check_axiom(a, rule, universe)
+            for axiom in (Axiom.NEUTRALITY, Axiom.WMON, Axiom.WSMON, Axiom.IUA, Axiom.WLOC)
+        ]
+        checks.append(sweep_strategyproofness)
+        verdicts = []
+        for universe in (Universe(3, 3), Universe(4, 2)):
+            for rule in catalog():
+                for check in checks:
+                    try:
+                        verdicts.append(repr(check(rule, universe)))
+                    except (rules.TiesUnsupportedError, rules.InstanceTooLargeError) as exc:
+                        verdicts.append(type(exc).__name__)
+        digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+        assert digest == "d90ee3cf125e7d9073e32271331a03f75555b9c0546a2c4f8b6e9ecabe291c60"
 
     def test_checkers_are_deterministic(self):
         rule = parse_rule("omninomination")
@@ -547,6 +584,28 @@ class TestSharedMemo:
         monkeypatch.setattr(verify, "_MEMO_ENTRIES", 2)
         assert verify._engine(TC, 5, 4) is engine
         assert engine.cache == {}
+
+    def test_a_repeated_ballot_is_still_tried_by_a_profile_based_rule(self, monkeypatch):
+        # a non-anonymous rule: everything for one voter; otherwise c alone
+        # if voter 1 ranks a over b, else everything. On (abc, abc) only
+        # voter 1, whose ballot voter 0 shares, can change the output
+        def voter_one_decides(rule, ballots, m):
+            if len(ballots) == 1 or ballots[1].index(B) < ballots[1].index(A):
+                return 0b111
+            return 1 << C
+
+        monkeypatch.setitem(rules._PROFILE_BASED, RuleId.PLURALITY, voter_one_decides)
+        plurality, universe = parse_rule("plurality"), Universe(3, 2)
+        shared = ((A, B, C), (A, B, C))
+        for axiom in (Axiom.IUA, Axiom.WSMON):
+            verdict = check_axiom(axiom, plurality, universe)
+            w = verdict.witness
+            assert w["voter"] == 1, axiom
+            assert (w["profiles"][0] if "profiles" in w else w["profile"]).ballots == shared
+            assert replay(verdict)
+        man = find_manipulation(plurality, Profile(3, shared))
+        assert (man.voter, man.misreport) == (1, (B, A, C))
+        assert sweep_strategyproofness(plurality, universe).witness["manipulation"] == man
 
     def test_replay_evaluates_through_its_own_engine(self, monkeypatch):
         borda = parse_rule("borda")
