@@ -18,17 +18,7 @@ from .core import MajorityRelation, Profile, margins, relation, top_cycle
 from .extensions import ExtensionKind
 from .mcgarvey import realize
 from .rules import evaluate, parse_rule
-from .verify import (
-    Axiom,
-    AxiomVerdict,
-    Outcome,
-    Universe,
-    check_axiom,
-    corroborate_theorems,
-    find_manipulation,
-    full_suite,
-    sweep_strategyproofness,
-)
+from .verify import Outcome, Universe, _run, corroborate_theorems, find_manipulation, full_suite
 
 
 def _read(path: str) -> str:
@@ -93,14 +83,7 @@ def cmd_axioms(args) -> int:
     rule = parse_rule(args.rule)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     wanted = args.axiom or [a.value for a in full_suite()]
-    verdicts: list[AxiomVerdict] = []
-    for name in wanted:
-        if name.startswith("strategyproofness-"):
-            verdicts.append(
-                sweep_strategyproofness(rule, universe, ExtensionKind(name.split("-", 1)[1]))
-            )
-        else:
-            verdicts.append(check_axiom(Axiom(name), rule, universe))
+    verdicts = [_run(name, rule, universe, None) for name in wanted]
     text, payload = svio.serialize_report(verdicts)
     print(text, end="")
     if args.json:

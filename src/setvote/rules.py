@@ -439,14 +439,20 @@ def evaluate_mask_from_relation(rule: RuleSpec, strict: tuple[int, ...], m: int)
     return _MAJORITARIAN[rule.id](rule, m, strict)
 
 
+def _nonempty(rule: RuleSpec, mask: int) -> int:
+    if not mask:
+        raise EmptyChoiceError(f"{rule.name} produced an empty choice set")
+    return mask
+
+
 def evaluate(rule: RuleSpec, profile: Profile) -> ChoiceSet:
     """Evaluate one rule on one profile; the result is never empty."""
     mask = evaluate_mask(rule, profile.ballots, profile.m)
-    if not mask:
-        raise EmptyChoiceError(f"{rule.name} produced an empty choice set")
-    return ChoiceSet(profile.m, mask)
+    return ChoiceSet(profile.m, _nonempty(rule, mask))
 
 
 def evaluate_on_relation(rule: RuleSpec, rel: MajorityRelation) -> ChoiceSet:
-    """Evaluate a majoritarian rule directly on a majority relation."""
-    return ChoiceSet(rel.m, evaluate_mask_from_relation(rule, rel.strict, rel.m))
+    """Evaluate a majoritarian rule directly on a majority relation; the
+    result is never empty."""
+    mask = evaluate_mask_from_relation(rule, rel.strict, rel.m)
+    return ChoiceSet(rel.m, _nonempty(rule, mask))

@@ -10,24 +10,32 @@ the deliberately weaker "not witnessed in universe", never a refutation.
 
 Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
-environment variable).
+environment variable). Corroboration checks the estimate of every (rule,
+check) before its first walk, and counts a margin-capped universe once.
 
 Walk contract. Every universe check (the axioms, both strategyproofness
-readings and the two dominant-set pair checks) is a per-profile predicate:
-given the scan context of one profile (its ballots, margin code and memoized
-output) it returns None to go on, or its verdict as (outcome, witness). One
-walker, `_walk`, takes the engine of (rule, universe), walks
-`Universe.raw_profiles` once in scan order, feeds every open predicate and
-closes each at its first verdict. A predicate still open at walk end gives
-its `end()` verdict, or holds: the imposition checks report the sets never
-reached, and the pair checks judge there, reporting the first violating pair
-(i, j) in scan order; a majoritarian rule's robust-dominant check walks the
-majority relations instead. A TiesUnsupportedError or InstanceTooLargeError
-from a profile's own output closes every open predicate; one raised inside a
-predicate closes that predicate only. Every witness is the first its
-predicate meets, so `replay` walks the same predicate over the stored
-profile(s) alone, through an engine of its own so that the witness is
-re-derived from the rule. Sweeps run in one process.
+readings and the two dominant-set pair checks) is reached by the name its
+verdicts carry through one lookup, `_check`, which also keys its budget
+estimate, `_estimate`; `_run` runs one check by name. A check is a
+per-profile predicate: given the scan context of one profile (its ballots,
+margin code and memoized output) it returns None to go on, or its verdict as
+(outcome, witness). One walker, `_walk`, takes ballot tuples (by default
+`Universe.raw_profiles`, in scan order) and an engine (by default the one of
+(rule, universe)), feeds every open predicate and closes each at its first
+verdict. A predicate still open at walk end gives its `end()` verdict, or
+holds: the imposition checks report the sets never reached, and the pair
+checks judge there, reporting the first violating pair (i, j) in scan order.
+A TiesUnsupportedError or InstanceTooLargeError from a profile's own output
+closes every open predicate; one raised inside a predicate closes that
+predicate only. Every witness is the first its predicate meets, so `replay`
+walks the same predicate over the stored profile(s) alone, through an engine
+of its own so that the witness is re-derived from the rule. Sweeps run in
+one process.
+
+Relation walk. A majoritarian rule's robust-dominant check
+(`_over_relations`) walks every majority relation in `enumerate_relations`
+order instead, realized as `realize_relation(rel, 2)`, two voters per pair
+of alternatives; its replay realizes the stored profiles' relations alike.
 
 Margin code. The sweep engine keeps a profile's margins as one integer. For
 m alternatives and electorates of at most N voters, field i = x*m + y holds
@@ -48,8 +56,9 @@ mirrored field, so:
 
 Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
-profiles k_hom times). Strict masks and margin vectors are decoded only on
-a memo miss, or when a check reads them from the scan context.
+profiles k_hom times), max(2, m*(m-1)) on the relation walk. Strict masks
+and margin vectors are decoded only on a memo miss, or when a check reads
+them from the scan context.
 
 Move tables. Every one-ballot change a check tries (a misreport, a
 relabeling of the alternatives, a reinforcing swap, a top pushed to the
@@ -107,10 +116,10 @@ from .rules import (
     _MAJORITARIAN,
     _PAIRWISE,
     BasisTag,
-    EmptyChoiceError,
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
+    _nonempty,
     basis,
     evaluate_mask,
     evaluate_mask_from_margins,
@@ -377,12 +386,6 @@ class _MarginCode:
 _margin_code = lru_cache(maxsize=4)(_MarginCode)
 
 
-def _nonempty(rule: RuleSpec, mask: int) -> int:
-    if not mask:
-        raise EmptyChoiceError(f"{rule.name} produced an empty choice set")
-    return mask
-
-
 class _Engine:
     """Memoized rule outputs on one layout. The key follows the rule's basis:
     the ballots for profile-based rules, the margin code for pairwise ones,
@@ -480,19 +483,23 @@ def _holds():
     return Outcome.HOLDS, None
 
 
-def _walk(rule: RuleSpec, universe: Universe, checks: dict, scans=None) -> dict:
+def _walk(
+    rule: RuleSpec, universe: Universe, checks: dict, profiles=None, engine=None
+) -> dict:
     """Run the predicates `checks` (name -> predicate) on one walk of the
-    universe or, when given, of `scans` (builders of scan contexts); see the
-    walk contract in the module docstring. Returns name -> AxiomVerdict, or
-    the not-evaluable error that closed the check."""
-    if scans is None:
+    universe or, when given, of `profiles` (ballot tuples), through `engine`
+    or the universe's own; see the walk contract in the module docstring.
+    Returns name -> AxiomVerdict, or the not-evaluable error that closed the
+    check."""
+    if engine is None:
         engine = _engine(rule, universe.m, universe.n_max * universe.k_hom)
-        scans = (partial(_Scan, engine, ballots) for ballots in universe.raw_profiles())
+    if profiles is None:
+        profiles = universe.raw_profiles()
     found: dict = {}
     active = dict(checks)
-    for scan in scans:
+    for ballots in profiles:
         try:
-            ctx = scan()
+            ctx = _Scan(engine, ballots)
         except _NOT_EVALUABLE as exc:
             found.update(dict.fromkeys(active, exc))
             active = {}
@@ -513,13 +520,6 @@ def _walk(rule: RuleSpec, universe: Universe, checks: dict, scans=None) -> dict:
         name: r if isinstance(r, Exception) else AxiomVerdict(name, rule, universe, *r)
         for name, r in found.items()
     }
-
-
-def _walk_one(rule: RuleSpec, universe: Universe, name: str, check, scans=None) -> AxiomVerdict:
-    result = _walk(rule, universe, {name: check}, scans)[name]
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _moved(engine: _Engine, ballots, code: int, honest: int, kind, out: int | None = None):
@@ -567,38 +567,46 @@ def _misreports(true_ballot: Ballot, _out=None):
         yield mis, None
 
 
-def _first_gain(engine: _Engine, ballots, gains):
-    """First deviation whose outcome `gains(rank, outcome, honest)` accepts,
-    as (voter, misreport, honest, outcome), or None."""
-    code = engine.layout.of(ballots)
-    return _gain_from(engine, ballots, code, engine.output(code, ballots), gains)
-
-
-def _gain_from(engine: _Engine, ballots, code: int, honest: int, gains):
-    for voter, mis, _, out in _moved(engine, ballots, code, honest, _misreports):
-        if gains(_rank_of(ballots[voter]), out, honest):
-            return voter, mis, honest, out
+def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation | None:
+    """The first deviation from the scanned profile that the voter strictly
+    prefers or, under the strong reading, the first whose outcome the honest
+    one is not at least as good as."""
+    gains = _strong_violation if strong else _prefers
+    ballots, honest, m = ctx.ballots, ctx.out, ctx.m
+    for voter, mis, _, out in _moved(ctx.engine, ballots, ctx.code, honest, _misreports):
+        if gains(extension, _rank_of(ballots[voter]), out, honest):
+            return Manipulation(
+                profile=ctx.profile,
+                voter=voter,
+                true_ballot=ballots[voter],
+                misreport=mis,
+                honest_set=ChoiceSet(m, honest),
+                manipulated_set=ChoiceSet(m, out),
+                extension=extension,
+            )
     return None
 
 
-def _manipulation(profile: Profile, hit, extension: ExtensionKind) -> Manipulation:
-    voter, mis, honest, out = hit
-    return Manipulation(
-        profile=profile,
-        voter=voter,
-        true_ballot=profile.ballots[voter],
-        misreport=mis,
-        honest_set=ChoiceSet(profile.m, honest),
-        manipulated_set=ChoiceSet(profile.m, out),
-        extension=extension,
-    )
+def _manipulability(extension: ExtensionKind, strong: bool):
+    """Strategyproofness as a predicate, under the strict or the strong
+    reading."""
+
+    def violation(ctx):
+        found = _manipulation(ctx, extension, strong)
+        return None if found is None else (Outcome.VIOLATED, {"manipulation": found})
+
+    return violation
 
 
-def _deviation_estimate(universe: Universe) -> int:
-    deviations = factorial(universe.m) - 1
-    return sum(
-        count * (n * deviations + 1) for n, count in _profiles_by_size(universe).items()
-    )
+def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
+    """The first manipulation of one profile, in the scan order of the
+    sweeps."""
+    if profile.m > 8:
+        raise InstanceTooLargeError(
+            f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
+        )
+    ctx = _Scan(_engine(rule, profile.m, profile.n), profile.ballots)
+    return _manipulation(ctx, extension, strong)
 
 
 def find_manipulation(
@@ -606,29 +614,7 @@ def find_manipulation(
 ) -> Manipulation | None:
     """First profitable single-voter deviation in scan order (voter index,
     then misreports ordered lexicographically in the voter's own ranking)."""
-    if profile.m > 8:
-        raise InstanceTooLargeError(
-            f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
-        )
-    engine = _engine(rule, profile.m, profile.n)
-    hit = _first_gain(engine, profile.ballots, partial(_prefers, extension))
-    return None if hit is None else _manipulation(profile, hit, extension)
-
-
-def _manipulability(extension: ExtensionKind, strong: bool = False):
-    """Strategyproofness as a predicate: the first deviation the voter
-    strictly prefers or, under the strong reading, the first whose outcome
-    the honest one is not at least as good as."""
-    gains = partial(_strong_violation if strong else _prefers, extension)
-
-    def violation(ctx):
-        hit = _gain_from(ctx.engine, ctx.ballots, ctx.code, ctx.out, gains)
-        if hit is None:
-            return None
-        manipulation = _manipulation(ctx.profile, hit, extension)
-        return Outcome.VIOLATED, {"manipulation": manipulation}
-
-    return violation
+    return _find(rule, profile, extension, strong=False)
 
 
 def sweep_strategyproofness(
@@ -639,10 +625,7 @@ def sweep_strategyproofness(
     budget: int | None = None,
 ) -> AxiomVerdict:
     """Exhaustive manipulation search over the universe."""
-    _within_budget(_deviation_estimate(universe), budget)
-    return _walk_one(
-        rule, universe, f"strategyproofness-{extension.value}", _manipulability(extension)
-    )
+    return _run(_sp_name(extension), rule, universe, budget)
 
 
 def find_strong_manipulation(
@@ -655,9 +638,7 @@ def find_strong_manipulation(
     violates it. For the strict lifting "at least as good" means equal or
     strictly above; for the weak one it is the weak relation itself.
     """
-    engine = _engine(rule, profile.m, profile.n)
-    hit = _first_gain(engine, profile.ballots, partial(_strong_violation, kind))
-    return None if hit is None else _manipulation(profile, hit, kind)
+    return _find(rule, profile, kind, strong=True)
 
 
 def sweep_strong_strategyproofness(
@@ -667,11 +648,7 @@ def sweep_strong_strategyproofness(
     *,
     budget: int | None = None,
 ) -> AxiomVerdict:
-    _within_budget(_deviation_estimate(universe), budget)
-    return _walk_one(
-        rule, universe, f"strong-strategyproofness-{kind.value}",
-        _manipulability(kind, strong=True),
-    )
+    return _run(_sp_name(kind, strong=True), rule, universe, budget)
 
 
 def find_group_manipulation(
@@ -727,22 +704,13 @@ def find_group_manipulation(
 
 
 # ---------------------------------------------------------------------------
-# axiom checkers: per-walk predicate factories, keyed by axiom
-
-
-def _axiom_estimate(universe: Universe) -> int:
-    # generous per-axiom upper bound: every checker is at most a constant
-    # number of evaluations per (profile, voter, block) triple, plus the
-    # k_hom - 1 tiled copies that homogeneity evaluates per profile
-    per_profile = universe.n_max * factorial(universe.m) * universe.m + universe.k_hom - 1
-    return universe.count_profiles() * per_profile
+# axiom checkers: per-walk predicate factories, looked up by name in `_CHECKS`
 
 
 def check_axiom(
     axiom: Axiom, rule: RuleSpec, universe: Universe, *, budget: int | None = None
 ) -> AxiomVerdict:
-    _within_budget(_axiom_estimate(universe), budget)
-    return _walk_one(rule, universe, axiom.value, _CHECKERS[axiom](universe))
+    return _run(axiom.value, rule, universe, budget)
 
 
 def _stateless(predicate):
@@ -1067,56 +1035,11 @@ def _check_twin_symmetry(ctx):
     return None
 
 
-_CHECKERS = {
-    Axiom.PAIRWISENESS: partial(_grouped, by_relation=False),
-    Axiom.MAJORITARIANESS: partial(_grouped, by_relation=True),
-    Axiom.NEUTRALITY: _check_neutrality,
-    Axiom.HOMOGENEITY: _check_homogeneity,
-    Axiom.NON_IMPOSITION: _check_non_imposition,
-    Axiom.SET_NON_IMPOSITION: _check_set_non_imposition,
-    Axiom.STRONG_CONDORCET_CONSISTENCY: _check_strong_condorcet,
-    Axiom.COS: _check_cos,
-    Axiom.WMON: _check_wmon,
-    Axiom.WSMON: _check_wsmon,
-    Axiom.IUA: _check_iua,
-    Axiom.WLOC: _check_wloc,
-    Axiom.FISHBURN_EFFICIENCY: _check_fishburn_efficiency,
-    Axiom.TWIN_SYMMETRY: _check_twin_symmetry,
-}
-
-
 # ---------------------------------------------------------------------------
 # dominant set structure: robustness and weak robustness, judged on pairs
 
 _ROBUST_DOMINANT = "robust-dominant-set"
 _WEAK_ROBUSTNESS = "weak-robustness"
-
-
-class _RelationScan:
-    """The scan context of one majority relation: its strict masks and the
-    rule's output on it; its profile is the two-voter-per-pair realization."""
-
-    def __init__(self, rule: RuleSpec, relation: MajorityRelation):
-        self.m = relation.m
-        self.strict = relation.strict
-        self.relation = relation
-        self.out = _nonempty(rule, evaluate_mask_from_relation(rule, self.strict, self.m))
-
-    @property
-    def profile(self) -> Profile:
-        return realize_relation(self.relation, 2)
-
-
-def _relation_scans(rule: RuleSpec, relations):
-    return (partial(_RelationScan, rule, relation) for relation in relations)
-
-
-def _pair_estimate(universe: Universe, over_relations: bool = False) -> int:
-    """Ordered pairs a pair check compares: of majority relations (3 per pair
-    of alternatives), or of the universe's profiles."""
-    if over_relations:
-        return 9 ** comb(universe.m, 2)
-    return universe.count_profiles() ** 2
 
 
 class _Pairs:
@@ -1183,16 +1106,11 @@ def check_robust_dominant(
     """Outputs must be dominant sets, and whenever the set chosen somewhere is
     dominant elsewhere, the choice there can only shrink inside it.
 
-    For majoritarian rules the scan runs over all majority relations (realized
-    as two-voter-per-pair profiles in witnesses); otherwise over all ordered
+    For majoritarian rules the scan runs over all majority relations, each
+    realized as a two-voter-per-pair profile; otherwise over all ordered
     pairs of universe profiles.
     """
-    over_relations = basis(rule) == BasisTag.MAJORITARIAN
-    _within_budget(_pair_estimate(universe, over_relations), budget)
-    scans = None
-    if over_relations:
-        scans = _relation_scans(rule, enumerate_relations(universe.m))
-    return _walk_one(rule, universe, _ROBUST_DOMINANT, _RobustDominant(universe), scans)
+    return _run(_ROBUST_DOMINANT, rule, universe, budget)
 
 
 def check_weak_robustness(
@@ -1200,27 +1118,115 @@ def check_weak_robustness(
 ) -> AxiomVerdict:
     """If nobody outside the choice set gained ground on anybody inside it,
     the choice set cannot grow."""
-    _within_budget(_pair_estimate(universe), budget)
-    return _walk_one(rule, universe, _WEAK_ROBUSTNESS, _WeakRobustness(universe))
+    return _run(_WEAK_ROBUSTNESS, rule, universe, budget)
 
 
 # ---------------------------------------------------------------------------
-# witness replay
-
-_PAIR_CHECKS = {_ROBUST_DOMINANT: _RobustDominant, _WEAK_ROBUSTNESS: _WeakRobustness}
+# every check by name: the lookup, its budget, its runs and its replay
 
 
-def _named_check(axiom: str, universe: Universe):
-    """A fresh predicate for the check reported under this name."""
-    for prefix, strong in (("strategyproofness-", False), ("strong-strategyproofness-", True)):
-        if axiom.startswith(prefix):
-            return _manipulability(ExtensionKind(axiom[len(prefix):]), strong)
-    if axiom in _PAIR_CHECKS:
-        return _PAIR_CHECKS[axiom](universe)
-    try:
-        return _CHECKERS[Axiom(axiom)](universe)
-    except ValueError:
-        raise ValueError(f"cannot replay axiom {axiom!r}") from None
+def _sp_name(extension: ExtensionKind, strong: bool = False) -> str:
+    """The name a strategyproofness verdict carries."""
+    return f"{'strong-' if strong else ''}strategyproofness-{extension.value}"
+
+
+# the checks that try every misreport of every voter of every profile
+_DEVIATION_CHECKS = {
+    _sp_name(extension, strong): _stateless(_manipulability(extension, strong))
+    for strong in (False, True)
+    for extension in ExtensionKind
+}
+# every universe check by the name its verdicts carry -> the factory of a
+# fresh predicate for a universe
+_CHECKS = {
+    Axiom.PAIRWISENESS.value: partial(_grouped, by_relation=False),
+    Axiom.MAJORITARIANESS.value: partial(_grouped, by_relation=True),
+    Axiom.NEUTRALITY.value: _check_neutrality,
+    Axiom.HOMOGENEITY.value: _check_homogeneity,
+    Axiom.NON_IMPOSITION.value: _check_non_imposition,
+    Axiom.SET_NON_IMPOSITION.value: _check_set_non_imposition,
+    Axiom.STRONG_CONDORCET_CONSISTENCY.value: _check_strong_condorcet,
+    Axiom.COS.value: _check_cos,
+    Axiom.WMON.value: _check_wmon,
+    Axiom.WSMON.value: _check_wsmon,
+    Axiom.IUA.value: _check_iua,
+    Axiom.WLOC.value: _check_wloc,
+    Axiom.FISHBURN_EFFICIENCY.value: _check_fishburn_efficiency,
+    Axiom.TWIN_SYMMETRY.value: _check_twin_symmetry,
+    **_DEVIATION_CHECKS,
+    _ROBUST_DOMINANT: _RobustDominant,
+    _WEAK_ROBUSTNESS: _WeakRobustness,
+}
+
+
+def _check(name: str, universe: Universe):
+    """A fresh predicate for the check reported under `name`."""
+    factory = _CHECKS.get(name)
+    if factory is None:
+        raise ValueError(f"unknown check {name!r}")
+    return factory(universe)
+
+
+def _over_relations(name: str, rule: RuleSpec) -> bool:
+    """Does the check walk the majority relations instead of the universe?
+    Only a majoritarian rule's robust-dominant check does: its verdict
+    depends on the relations alone, and it meets every one of them."""
+    return name == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN
+
+
+def _realized(relations, m: int):
+    """The ballot tuples of a relation walk over `relations` on m
+    alternatives, and the largest electorate among them."""
+    return (realize_relation(rel, 2).ballots for rel in relations), max(2, m * (m - 1))
+
+
+def _estimate(name: str, rule: RuleSpec, universe: Universe, sizes=None) -> int:
+    """The rule evaluations the check may make on the universe, which the
+    budget bounds: ordered pairs of relations (3 per pair of alternatives)
+    or of profiles for a pair check, every profile and misreport for
+    strategyproofness, and for an axiom a constant number per (profile,
+    voter, block) plus the k_hom - 1 tilings homogeneity evaluates. A caller
+    estimating many checks passes `sizes`, `_profiles_by_size(universe)`, so
+    that a margin-capped universe is counted once."""
+    m = universe.m
+    if _over_relations(name, rule):
+        return 9 ** comb(m, 2)
+    if sizes is None:
+        sizes = _profiles_by_size(universe)
+    profiles = sum(sizes.values())
+    if name in (_ROBUST_DOMINANT, _WEAK_ROBUSTNESS):
+        return profiles**2
+    if name in _DEVIATION_CHECKS:
+        deviations = factorial(m) - 1
+        return sum(count * (n * deviations + 1) for n, count in sizes.items())
+    return profiles * (universe.n_max * factorial(m) * m + universe.k_hom - 1)
+
+
+def _verdicts(rule: RuleSpec, universe: Universe, checks: dict) -> dict:
+    """Run the predicates `checks` (name -> predicate) on the rule, all on one
+    walk of the universe but a check `_over_relations` selects, which walks
+    the realized majority relations. Returns what `_walk` returns."""
+    on_relations = {n: c for n, c in checks.items() if _over_relations(n, rule)}
+    results: dict = {}
+    if len(on_relations) < len(checks):
+        rest = {n: c for n, c in checks.items() if n not in on_relations}
+        results.update(_walk(rule, universe, rest))
+    if on_relations:
+        m = universe.m
+        ballots, size = _realized(enumerate_relations(m), m)
+        results.update(_walk(rule, universe, on_relations, ballots, _engine(rule, m, size)))
+    return results
+
+
+def _run(name: str, rule: RuleSpec, universe: Universe, budget: int | None) -> AxiomVerdict:
+    """The verdict of one check, refused beyond the budget; a not-evaluable
+    error is raised."""
+    checks = {name: _check(name, universe)}
+    _within_budget(_estimate(name, rule, universe), budget)
+    result = _verdicts(rule, universe, checks)[name]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def replay(verdict: AxiomVerdict) -> bool:
@@ -1232,23 +1238,25 @@ def replay(verdict: AxiomVerdict) -> bool:
     rule = verdict.rule
     axiom = verdict.axiom
     universe = verdict.universe
+    m = universe.m
     if "manipulation" in w:
         profiles = (w["manipulation"].profile,)
     else:
         profiles = w.get("profiles") or (w["profile"],)
-    check = _named_check(axiom, universe)
-    if any(p.m != universe.m for p in profiles):
+    check = _check(axiom, universe)
+    if any(p.m != m for p in profiles):
         return False
-    if axiom == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN:
-        scans = _relation_scans(rule, map(MajorityRelation.from_profile, profiles))
+    if _over_relations(axiom, rule):
+        ballots, size = _realized(map(MajorityRelation.from_profile, profiles), m)
     elif any(p.n > universe.n_max for p in profiles):
         return False  # no walk of this universe meets such a profile
     else:
-        # a private engine: the witness is re-derived from the rule, not read
-        # back from the memo the sweep filled
-        engine = _Engine(rule, universe.m, universe.n_max * universe.k_hom)
-        scans = (partial(_Scan, engine, p.ballots) for p in profiles)
-    return _walk(rule, universe, {axiom: check}, scans)[axiom] == verdict
+        ballots = (p.ballots for p in profiles)
+        size = universe.n_max * universe.k_hom
+    # a private engine: the witness is re-derived from the rule, not read
+    # back from the memo the sweep filled
+    engine = _Engine(rule, m, size)
+    return _walk(rule, universe, {axiom: check}, ballots, engine)[axiom] == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +1290,7 @@ class CorroborationReport:
         )
 
 
-SP_FISHBURN = f"strategyproofness-{ExtensionKind.FISHBURN.value}"
+SP_FISHBURN = _sp_name(ExtensionKind.FISHBURN)
 _BRACKET = (
     Axiom.PAIRWISENESS.value,
     SP_FISHBURN,
@@ -1308,30 +1316,18 @@ def corroborate_theorems(
     """
     from .rules import catalog
 
-    budget = _budget(budget)
-    _within_budget(_deviation_estimate(universe), budget)
-    _within_budget(_axiom_estimate(universe), budget)
     rules = tuple(rules) if rules is not None else tuple(catalog())
-    over_relations = {basis(rule) == BasisTag.MAJORITARIAN for rule in rules}
-    _within_budget(max((_pair_estimate(universe, o) for o in over_relations), default=0), budget)
+    names = (SP_FISHBURN, *(axiom.value for axiom in full_suite()), _ROBUST_DOMINANT)
+    sizes = _profiles_by_size(universe)
+    _within_budget(
+        max((_estimate(n, r, universe, sizes) for r in rules for n in names), default=0),
+        budget,
+    )
     verdicts: list[AxiomVerdict] = []
     not_evaluable: dict = {}
     for rule in rules:
-        # strategyproofness, the whole suite and robustness share one walk;
-        # a majoritarian rule's robustness walks the relations instead
-        checks = {SP_FISHBURN: _manipulability(ExtensionKind.FISHBURN)}
-        for axiom in full_suite():
-            checks[axiom.value] = _CHECKERS[axiom](universe)
-        if basis(rule) == BasisTag.MAJORITARIAN:
-            results = _walk(rule, universe, checks)
-            try:
-                results[_ROBUST_DOMINANT] = check_robust_dominant(rule, universe, budget=budget)
-            except _NOT_EVALUABLE as exc:
-                results[_ROBUST_DOMINANT] = exc
-        else:
-            robust = {_ROBUST_DOMINANT: _RobustDominant(universe)}
-            results = _walk(rule, universe, {**checks, **robust})
-        for name in (*checks, _ROBUST_DOMINANT):
+        results = _verdicts(rule, universe, {n: _check(n, universe) for n in names})
+        for name in names:
             result = results[name]
             if isinstance(result, Exception):
                 not_evaluable[(rule.name, name)] = str(result)

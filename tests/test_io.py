@@ -211,6 +211,27 @@ class TestCli:
         payload = json.loads(out_json.read_text())
         assert len(parse_report(payload)) == 2
 
+    @pytest.mark.parametrize("rule,name,code", [
+        ("borda", "strategyproofness-fplus", 1),
+        ("borda", "strong-strategyproofness-fishburn", 1),
+        ("borda", "robust-dominant-set", 1),
+        ("tc", "robust-dominant-set", 0),
+        ("borda", "weak-robustness", 1),
+        ("borda", "twin-symmetry", 0),
+    ])
+    def test_axioms_runs_every_check_a_report_names(self, capsys, rule, name, code):
+        command = ["axioms", "--rule", rule, "--m", "3", "--n", "2", "--axiom", name]
+        assert cli.main(command) == code
+        assert f"{rule}  {name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["strategyproofness-bogus", "bogus", "Pairwiseness"])
+    def test_axioms_refuses_an_unknown_check(self, capsys, name):
+        command = ["axioms", "--rule", "tc", "--m", "2", "--n", "1", "--axiom", name]
+        assert cli.main(command) == 2
+        captured = capsys.readouterr()
+        assert f"unknown check '{name}'" in captured.err
+        assert captured.out == ""
+
     def test_mcgarvey(self, tmp_path, fig1, capsys):
         graph_file = tmp_path / "g.json"
         graph_file.write_text(serialize_graph(WeightedMajorityGraph(5, margins(fig1))))

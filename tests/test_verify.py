@@ -8,7 +8,7 @@ import pytest
 
 from oracles import witness_holds
 from setvote import rules, verify
-from setvote.core import ChoiceSet, Profile, enumerate_ballots, margins
+from setvote.core import ChoiceSet, MajorityRelation, Profile, enumerate_ballots, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
 from setvote.rules import (
     BasisTag,
@@ -17,6 +17,7 @@ from setvote.rules import (
     basis,
     catalog,
     evaluate,
+    evaluate_on_relation,
     parse_rule,
 )
 from setvote.verify import (
@@ -55,6 +56,20 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
+def counted_raw_profiles(monkeypatch):
+    """The universes whose `raw_profiles` is called from here on, once per
+    call: a count of a margin-capped universe, or a walk."""
+    calls = []
+    raw_profiles = Universe.raw_profiles
+
+    def counted(universe):
+        calls.append(universe)
+        return raw_profiles(universe)
+
+    monkeypatch.setattr(Universe, "raw_profiles", counted)
+    return calls
+
+
 class TestFindManipulation:
     def test_plurality_fig2(self, fig2_left):
         man = find_manipulation(parse_rule("plurality"), fig2_left)
@@ -67,6 +82,13 @@ class TestFindManipulation:
 
     def test_top_cycle_fig2_is_safe(self, fig2_left):
         assert find_manipulation(TC, fig2_left) is None
+
+    @pytest.mark.parametrize("find", [find_manipulation, find_strong_manipulation])
+    def test_more_than_eight_alternatives_are_refused(self, find):
+        # one voter on nine alternatives already has 9! - 1 misreports
+        one = Profile.from_rankings([tuple(range(9))])
+        with pytest.raises(rules.InstanceTooLargeError, match="refusing m=9 > 8"):
+            find(TC, one)
 
     def test_single_alternative_profiles_are_safe(self):
         # fab is excluded: its special pair names a second alternative, so it
@@ -184,6 +206,25 @@ class TestCheckAxiom:
             check(count)
             with pytest.raises(BudgetExceededError, match=f"^estimated {count} evaluations"):
                 check(count - 1)
+
+    def test_a_margin_capped_universe_is_counted_once_per_call(self, monkeypatch):
+        # one raw_profiles call counts the universe and one more walks it, per
+        # rule in a corroboration; a majoritarian rule's robust-dominant
+        # check walks the majority relations and counts nothing
+        universe = Universe(3, 2, margin_cap=0)
+        borda = parse_rule("borda")
+        calls = counted_raw_profiles(monkeypatch)
+        for call, expected in (
+            (lambda: check_axiom(Axiom.COS, TC, universe), 2),
+            (lambda: sweep_strong_strategyproofness(TC, universe), 2),
+            (lambda: check_robust_dominant(borda, universe), 2),
+            (lambda: check_robust_dominant(TC, universe), 0),
+            (lambda: check_weak_robustness(TC, universe), 2),
+            (lambda: corroborate_theorems(universe), 1 + len(catalog())),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == expected
 
     def test_special_pair_rule_fails_neutrality(self):
         verdict = check_axiom(Axiom.NEUTRALITY, parse_rule("fab"), Universe(3, 3))
@@ -347,6 +388,24 @@ class TestCorroboration:
         report = corroborate_theorems(Universe(3, 3))
         assert report.passed, [a for a in report.assertions if not a[1]]
 
+    @pytest.mark.parametrize("names,largest", [
+        # the axiom bound of (3, <=2): 42 profiles * (2 * 3! * 3 + 1)
+        (("tc",), 1554),
+        # borda's robust-dominant check pairs the 42 profiles: 42^2
+        (("tc", "borda"), 1764),
+    ])
+    def test_refused_below_its_largest_estimate_before_any_walk(
+        self, monkeypatch, names, largest
+    ):
+        universe, catalog_rules = Universe(3, 2), tuple(map(parse_rule, names))
+        corroborate_theorems(universe, rules=catalog_rules, budget=largest)
+        calls = counted_raw_profiles(monkeypatch)
+        with pytest.raises(
+            BudgetExceededError, match=f"^estimated {largest} evaluations exceed the budget$"
+        ):
+            corroborate_theorems(universe, rules=catalog_rules, budget=largest - 1)
+        assert calls == []
+
     def test_all_violation_witnesses_replay(self):
         report = corroborate_theorems(Universe(3, 2))
         violated = [v for v in report.verdicts if v.outcome == Outcome.VIOLATED]
@@ -472,7 +531,7 @@ class TestWalk:
 
         cos = Axiom.COS.value
         results = verify._walk(
-            TC, universe, {"refuses": refuses, cos: verify._CHECKERS[Axiom.COS](universe)}
+            TC, universe, {"refuses": refuses, cos: verify._check(cos, universe)}
         )
         assert str(results["refuses"]) == "this check only"
         assert results[cos] == check_axiom(Axiom.COS, TC, universe)
@@ -510,6 +569,10 @@ class TestEmptyOutputs:
     def test_evaluate_refuses(self, empty_tc, fig1):
         with pytest.raises(EmptyChoiceError, match="tc produced an empty choice set"):
             evaluate(TC, fig1)
+
+    def test_evaluate_on_relation_refuses(self, empty_tc, fig1):
+        with pytest.raises(EmptyChoiceError, match="tc produced an empty choice set"):
+            evaluate_on_relation(TC, MajorityRelation.from_profile(fig1))
 
     @staticmethod
     def call_sites(profile):
