@@ -8,7 +8,12 @@ needs witnesses in both directions. The first implies the second.
 
 Each is implemented once, on bit masks and a rank vector (rank[x] is the
 position of x on the ballot); the public functions take any collection of
-alternatives or a ChoiceSet, convert it and delegate.
+alternatives or a ChoiceSet, convert it and delegate. This module also owns
+the two readings of a lifting that the manipulation searches use, on masks:
+`_prefers` (strictly better; for the weak lifting, its strict part) and
+`_at_least` (at least as good: equal or strictly above for the strict
+lifting, the weak relation itself for the weak one). `compare` is built from
+`_prefers`.
 """
 
 from __future__ import annotations
@@ -93,6 +98,18 @@ def _fplus_weak(rank, xmask, ymask) -> bool:
     return _exists(rank, xo, both) and _exists(rank, both, yo)
 
 
+def _prefers(kind: ExtensionKind, rank, xmask, ymask) -> bool:
+    """Does the voter strictly prefer X to Y (X != Y) under the lifting?"""
+    if kind == ExtensionKind.FISHBURN:
+        return _fish(rank, xmask, ymask)
+    return _fplus_weak(rank, xmask, ymask) and not _fplus_weak(rank, ymask, xmask)
+
+
+def _at_least(kind: ExtensionKind, rank, xmask, ymask) -> bool:
+    """Is X at least as good as Y for the voter under the lifting?"""
+    return (_fish if kind == ExtensionKind.FISHBURN else _fplus_weak)(rank, xmask, ymask)
+
+
 def fishburn_prefers(ballot: Ballot, xs, ys) -> bool:
     """Strict set preference: X \\ Y above all of Y, and all of X above Y \\ X.
 
@@ -133,15 +150,8 @@ def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
         return SetComparison.EQUAL
     _check_nonempty(xmask, ymask)
     rank = _rank_of(ballot)
-    if kind == ExtensionKind.FISHBURN:
-        left = _fish(rank, xmask, ymask)
-        right = _fish(rank, ymask, xmask)
-    else:
-        fwd = _fplus_weak(rank, xmask, ymask)
-        bwd = _fplus_weak(rank, ymask, xmask)
-        left, right = fwd and not bwd, bwd and not fwd
-    if left:
+    if _prefers(kind, rank, xmask, ymask):
         return SetComparison.LEFT_PREFERRED
-    if right:
+    if _prefers(kind, rank, ymask, xmask):
         return SetComparison.RIGHT_PREFERRED
     return SetComparison.INCOMPARABLE

@@ -141,9 +141,15 @@ def parse_graph(text: str) -> WeightedMajorityGraph:
         and all(isinstance(row, list) and all(type(v) is int for v in row) for row in rows)
     ):
         raise ParseError("graph document needs an integer 'm' and integer rows in 'margins'")
+    if m < 1:
+        raise ParseError(f"graph document needs a positive 'm', got {m}")
+    if len(rows) != m or any(len(row) != m for row in rows):
+        raise ParseError(f"'margins' must be {m} rows of {m} integers each")
+    if any(abs(v) >= 1 << 63 for row in rows for v in row):
+        raise ParseError("every margin must lie strictly between -2^63 and 2^63")
     try:
         return WeightedMajorityGraph(m, np.array(rows, dtype=np.int64))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -7,7 +7,9 @@ y`` move the (x, y) margin by +2 and nothing else. An odd-parity target is
 first seeded with a single voter holding the index-order ballot and the even
 residual is then paid for with pairs. The resulting electorate has at most
 c * m^2 + 1 voters for a maximum absolute margin c >= 1 (an all-zero target
-still needs one canceling pair, because profiles are non-empty).
+still needs one canceling pair, because profiles are non-empty). A target
+needing more than MAX_ELECTORATE voters is refused with a ValueError before
+any ballot is built.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import numpy as np
 from .core import MajorityRelation, Profile
 
 __all__ = ["ParityError", "WeightedMajorityGraph", "realize", "realize_relation"]
+
+# the most voters a realization may have (10^6 ballots take about 50 MB); a
+# margin near 2^63 would otherwise ask for 2^63 voters
+MAX_ELECTORATE = 10**6
 
 
 class ParityError(ValueError):
@@ -65,13 +71,20 @@ def _cancelling_pair(x: int, y: int, m: int) -> tuple[tuple[int, ...], tuple[int
 
 def _realize(m: int, rows, odd: int) -> Profile:
     """The profile for target margins ``rows[x][y]`` (only x < y is read) of
-    parity ``odd``: an index-order seed voter if odd, then canceling pairs."""
+    parity ``odd``: an index-order seed voter if odd, then canceling pairs.
+    An electorate over MAX_ELECTORATE is refused before any ballot is built."""
+    # the seed voter already paid +1 towards every g(x, y) with x < y, and
+    # the even rest |g(x, y) - odd| is paid one canceling pair per 2
+    size = odd + sum(abs(rows[x][y] - odd) for x in range(m) for y in range(x + 1, m))
+    if size > MAX_ELECTORATE:
+        raise ValueError(
+            f"realizing these margins needs {size} voters, more than {MAX_ELECTORATE}"
+        )
     seed = tuple(range(m))
     ballots: list[tuple[int, ...]] = [seed] if odd else []
     for x in range(m):
         row = rows[x]
         for y in range(x + 1, m):
-            # the seed voter already paid +1 towards every g(x, y) with x < y
             value = row[y] - odd
             if value:
                 hi, lo = (x, y) if value > 0 else (y, x)

@@ -3,7 +3,8 @@
 Each rule maps a profile to a non-empty set of alternatives. Rules are
 classified by how much of the profile they actually read: majoritarian rules
 see only the sign pattern of the margins, pairwise rules see the margins, and
-profile-based rules need the ballots. The classification is used by the
+profile-based rules need the ballots. A rule's classification is the table
+that holds its evaluator, and nothing else declares it. It is used by the
 verification sweeps to group equivalent inputs, and it is itself checked by
 the test suite rather than trusted.
 
@@ -160,34 +161,6 @@ def catalog() -> list[RuleSpec]:
         else:
             out.append(RuleSpec(rule_id))
     return out
-
-
-_BASIS = {
-    RuleId.TOP_CYCLE: BasisTag.MAJORITARIAN,
-    RuleId.TC_STAR: BasisTag.PAIRWISE,
-    RuleId.CONDORCET: BasisTag.MAJORITARIAN,
-    RuleId.CONDORCET_NON_LOSER: BasisTag.MAJORITARIAN,
-    RuleId.OMNINOMINATION: BasisTag.PROFILE_BASED,
-    RuleId.PARETO: BasisTag.PROFILE_BASED,
-    RuleId.TC_OF_PO: BasisTag.PROFILE_BASED,
-    RuleId.PO_OF_TC: BasisTag.PROFILE_BASED,
-    RuleId.PLURALITY: BasisTag.PROFILE_BASED,
-    RuleId.BORDA: BasisTag.PAIRWISE,
-    RuleId.COPELAND: BasisTag.MAJORITARIAN,
-    RuleId.MAXIMIN: BasisTag.PAIRWISE,
-    RuleId.KEMENY: BasisTag.PAIRWISE,
-    RuleId.UNCOVERED_SET: BasisTag.MAJORITARIAN,
-    RuleId.FAB: BasisTag.MAJORITARIAN,
-    RuleId.MARGIN_THRESHOLD: BasisTag.PAIRWISE,
-    RuleId.SUPERMAJORITY_TC: BasisTag.PAIRWISE,
-    RuleId.SHIFTED_TC: BasisTag.PAIRWISE,
-    RuleId.SCHWARTZ: BasisTag.MAJORITARIAN,
-}
-
-
-def basis(rule: RuleSpec) -> BasisTag:
-    """How much of the profile the rule reads (checked by tests, not assumed)."""
-    return _BASIS[rule.id]
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +386,36 @@ _PROFILE_BASED = {
 
 
 # ---------------------------------------------------------------------------
-# the public evaluator, plus raw entry points used by the sweep engine
+# the basis, the public evaluator, plus raw entry points used by the sweep
+# engine, all read off the evaluator tables above
+
+
+def basis(rule: RuleSpec) -> BasisTag:
+    """How much of the profile the rule reads: the table that holds its
+    evaluator (checked by tests, not assumed)."""
+    if rule.id in _MAJORITARIAN:
+        return BasisTag.MAJORITARIAN
+    if rule.id in _PAIRWISE:
+        return BasisTag.PAIRWISE
+    return BasisTag.PROFILE_BASED
 
 
 def evaluate_mask(rule: RuleSpec, ballots, m: int) -> int:
-    tag = _BASIS[rule.id]
-    if tag == BasisTag.PROFILE_BASED:
+    if rule.id in _PROFILE_BASED:
         return _PROFILE_BASED[rule.id](rule, ballots, m)
-    flat = _margins_flat(ballots, m)
-    return evaluate_mask_from_margins(rule, flat, m)
+    return evaluate_mask_from_margins(rule, _margins_flat(ballots, m), m)
 
 
 def evaluate_mask_from_margins(rule: RuleSpec, flat, m: int) -> int:
-    tag = _BASIS[rule.id]
-    if tag == BasisTag.PROFILE_BASED:
-        raise ValueError(f"{rule.name} needs the ballots, not just margins")
-    if tag == BasisTag.PAIRWISE:
+    if rule.id in _PAIRWISE:
         return _PAIRWISE[rule.id](rule, m, flat)
-    return _MAJORITARIAN[rule.id](rule, m, _strict_masks_from_flat(flat, m))
+    if rule.id in _MAJORITARIAN:
+        return _MAJORITARIAN[rule.id](rule, m, _strict_masks_from_flat(flat, m))
+    raise ValueError(f"{rule.name} needs the ballots, not just margins")
 
 
 def evaluate_mask_from_relation(rule: RuleSpec, strict: tuple[int, ...], m: int) -> int:
-    if _BASIS[rule.id] != BasisTag.MAJORITARIAN:
+    if rule.id not in _MAJORITARIAN:
         raise ValueError(f"{rule.name} is not a function of the majority relation")
     return _MAJORITARIAN[rule.id](rule, m, strict)
 

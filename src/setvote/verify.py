@@ -19,23 +19,31 @@ verdicts carry through one lookup, `_check`, which also keys its budget
 estimate, `_estimate`; `_run` runs one check by name. A check is a
 per-profile predicate: given the scan context of one profile (its ballots,
 margin code and memoized output) it returns None to go on, or its verdict as
-(outcome, witness). One walker, `_walk`, takes ballot tuples (by default
-`Universe.raw_profiles`, in scan order) and an engine (by default the one of
-(rule, universe)), feeds every open predicate and closes each at its first
-verdict. A predicate still open at walk end gives its `end()` verdict, or
-holds: the imposition checks report the sets never reached, and the pair
-checks judge there, reporting the first violating pair (i, j) in scan order.
-A TiesUnsupportedError or InstanceTooLargeError from a profile's own output
+(outcome, witness). One walker, `_walk`, takes ballot tuples and an engine,
+feeds every open predicate and closes each at its first verdict. A predicate
+still open at walk end gives its `end()` verdict, or holds: the imposition
+checks report the sets never reached, and the pair checks judge there,
+reporting the first violating pair (i, j) in scan order. A
+TiesUnsupportedError or InstanceTooLargeError from a profile's own output
 closes every open predicate; one raised inside a predicate closes that
-predicate only. Every witness is the first its predicate meets, so `replay`
-walks the same predicate over the stored profile(s) alone, through an engine
-of its own so that the witness is re-derived from the rule. Sweeps run in
-one process.
+predicate only. Sweeps run in one process.
+
+One place, `_verdicts`, decides what each check walks and sizes the engine
+for it: the universe's profiles (`Universe.raw_profiles`, in scan order) on
+the shared engine of (rule, universe), or the majority relations (below).
+Every witness is the first its predicate meets, so `replay` checks that the
+stored profile(s) fit the universe and hands them to `_verdicts`, which
+walks the same predicate over them alone, or over their relations, through
+an engine of its own so that the witness is re-derived from the rule.
 
 Relation walk. A majoritarian rule's robust-dominant check
 (`_over_relations`) walks every majority relation in `enumerate_relations`
 order instead, realized as `realize_relation(rel, 2)`, two voters per pair
-of alternatives; its replay realizes the stored profiles' relations alike.
+of alternatives, on an engine sized max(2, m*(m-1)).
+
+One-ballot-move axioms. Weak monotonicity, weak set monotonicity, IUA and
+weak localizedness are each one `_perturbation`: a move kind (see Move
+tables), what makes a move a violation, and what the witness names.
 
 Margin code. The sweep engine keeps a profile's margins as one integer. For
 m alternatives and electorates of at most N voters, field i = x*m + y holds
@@ -80,8 +88,9 @@ table over relation keys or margin codes, so its engine, memo included, is
 shared by every call and walk on that (rule, layout) in the process: a
 one-profile search such as `find_manipulation` evaluates each relation once,
 however many calls meet it. `_engine` hands the shared engines out, keyed
-also on the evaluator the rule's basis table holds, so that a replaced
-evaluator never reads outputs of the old one. A memo past `_MEMO_ENTRIES`
+also on the evaluator the rule's basis table holds (a rule's basis is the
+table that holds its evaluator), so that a replaced evaluator never reads
+outputs of the old one. A memo past `_MEMO_ENTRIES`
 starts afresh when its engine is next handed out, never during a walk.
 Profile-based rules key on the ballots themselves and get a fresh engine per
 call or walk. Errors (ties, empty choices, out-of-range parameters) are
@@ -110,7 +119,7 @@ from .core import (
     enumerate_ballots,
     enumerate_relations,
 )
-from .extensions import ExtensionKind, _fish, _fplus_weak, _rank_of
+from .extensions import ExtensionKind, _at_least, _fish, _prefers, _rank_of
 from .mcgarvey import realize_relation
 from .rules import (
     _MAJORITARIAN,
@@ -282,23 +291,6 @@ class AxiomVerdict:
 
 
 # ---------------------------------------------------------------------------
-# set preference on bit masks (hot path of the searches)
-
-
-def _prefers(extension: ExtensionKind, rank, xmask, ymask) -> bool:
-    """Does the voter strictly prefer X to Y (X != Y) under the extension?"""
-    if extension == ExtensionKind.FISHBURN:
-        return _fish(rank, xmask, ymask)
-    return _fplus_weak(rank, xmask, ymask) and not _fplus_weak(rank, ymask, xmask)
-
-
-def _strong_violation(kind: ExtensionKind, rank, out, honest) -> bool:
-    """Strong reading: is the honest outcome not at least as good as `out`?"""
-    at_least = _fish if kind == ExtensionKind.FISHBURN else _fplus_weak
-    return not at_least(rank, honest, out)
-
-
-# ---------------------------------------------------------------------------
 # margin codes and memoized rule evaluation keyed by the rule's declared basis
 
 # one-ballot move tables kept per layout, counted in entries; past the bound
@@ -440,11 +432,10 @@ def _shared_engine(rule: RuleSpec, m: int, size: int, evaluator) -> _Engine:
 def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
     """The engine for one call or walk on layout (m, size): the shared one of
     a majoritarian or pairwise rule, a fresh one for a profile-based rule."""
-    tag = basis(rule)
-    if tag == BasisTag.PROFILE_BASED:
+    evaluator = _MAJORITARIAN.get(rule.id) or _PAIRWISE.get(rule.id)
+    if evaluator is None:
         return _Engine(rule, m, size)
-    table = _MAJORITARIAN if tag == BasisTag.MAJORITARIAN else _PAIRWISE
-    engine = _shared_engine(rule, m, size, table[rule.id])
+    engine = _shared_engine(rule, m, size, evaluator)
     if len(engine.cache) > _MEMO_ENTRIES:
         engine.cache.clear()
     return engine
@@ -483,18 +474,11 @@ def _holds():
     return Outcome.HOLDS, None
 
 
-def _walk(
-    rule: RuleSpec, universe: Universe, checks: dict, profiles=None, engine=None
-) -> dict:
-    """Run the predicates `checks` (name -> predicate) on one walk of the
-    universe or, when given, of `profiles` (ballot tuples), through `engine`
-    or the universe's own; see the walk contract in the module docstring.
-    Returns name -> AxiomVerdict, or the not-evaluable error that closed the
-    check."""
-    if engine is None:
-        engine = _engine(rule, universe.m, universe.n_max * universe.k_hom)
-    if profiles is None:
-        profiles = universe.raw_profiles()
+def _walk(rule: RuleSpec, universe: Universe, checks: dict, profiles, engine) -> dict:
+    """Run the predicates `checks` (name -> predicate) on one walk of
+    `profiles` (ballot tuples) through `engine`; see the walk contract in the
+    module docstring. Returns name -> AxiomVerdict on the universe, or the
+    not-evaluable error that closed the check."""
     found: dict = {}
     active = dict(checks)
     for ballots in profiles:
@@ -571,10 +555,14 @@ def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation |
     """The first deviation from the scanned profile that the voter strictly
     prefers or, under the strong reading, the first whose outcome the honest
     one is not at least as good as."""
-    gains = _strong_violation if strong else _prefers
     ballots, honest, m = ctx.ballots, ctx.out, ctx.m
     for voter, mis, _, out in _moved(ctx.engine, ballots, ctx.code, honest, _misreports):
-        if gains(extension, _rank_of(ballots[voter]), out, honest):
+        rank = _rank_of(ballots[voter])
+        if strong:
+            gain = not _at_least(extension, rank, honest, out)
+        else:
+            gain = _prefers(extension, rank, out, honest)
+        if gain:
             return Manipulation(
                 profile=ctx.profile,
                 voter=voter,
@@ -847,33 +835,36 @@ def _check_cos(ctx):
     return None
 
 
-def _first_perturbation(ctx, kind, violated, reads_out=True):
-    """For each voter in turn, try the one-ballot changes `kind(ballot, out)`
-    yields as (new_ballot, info); a kind that does not read the output is
-    tabled without it. The first with violated(out, after, info) is returned
-    as (voter, new_ballot, info, after); None if there is none."""
-    out = ctx.out
-    moved = _moved(ctx.engine, ctx.ballots, ctx.code, out, kind, out if reads_out else None)
-    for voter, new_ballot, info, after in moved:
-        if violated(out, after, info):
-            return voter, new_ballot, info, after
-    return None
+def _perturbation(kind, violated, both_profiles, extra, reads_out=True):
+    """The factory of a one-ballot-move axiom's predicate: for each voter in
+    turn, try the changes `kind(ballot, out)` yields as (new_ballot, info)
+    (a kind that does not read the output is tabled without it). The first
+    with violated(out, after, info) is the witness: the profile, or both
+    profiles if `both_profiles`, the voter, extra(info), then both outputs."""
+
+    def violation(ctx):
+        out, ballots, m = ctx.out, ctx.ballots, ctx.m
+        moved = _moved(ctx.engine, ballots, ctx.code, out, kind, out if reads_out else None)
+        for voter, new_ballot, info, after in moved:
+            if violated(out, after, info):
+                if both_profiles:
+                    changed = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
+                    head = {"profiles": (ctx.profile, Profile(m, changed))}
+                else:
+                    head = {"profile": ctx.profile}
+                return Outcome.VIOLATED, {
+                    **head,
+                    "voter": voter,
+                    **extra(info),
+                    "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
+                }
+        return None
+
+    return _stateless(violation)
 
 
 def _changed(out, after, _info) -> bool:
     return after != out
-
-
-def _two_profile_witness(ctx, hit, **extra):
-    voter, new_ballot, _, after = hit
-    ballots = ctx.ballots
-    changed = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
-    return Outcome.VIOLATED, {
-        "profiles": (ctx.profile, Profile(ctx.m, changed)),
-        "voter": voter,
-        **extra,
-        "outputs": (ChoiceSet(ctx.m, ctx.out), ChoiceSet(ctx.m, after)),
-    }
 
 
 def _swaps(ballot, out):
@@ -891,21 +882,12 @@ def _reinforced_dropped(out, after, pair):
     return not (after >> above & 1 and not out >> above & 1)
 
 
-@_stateless
-def _check_wmon(ctx):
-    """Reinforcing a chosen alternative by one adjacent swap keeps it chosen,
-    unless the swapped-down alternative newly enters the choice set."""
-    hit = _first_perturbation(ctx, _swaps, _reinforced_dropped)
-    if hit is None:
-        return None
-    voter, _, (above, below), after = hit
-    return Outcome.VIOLATED, {
-        "profile": ctx.profile,
-        "voter": voter,
-        "reinforced": below,
-        "against": above,
-        "outputs": (ChoiceSet(ctx.m, ctx.out), ChoiceSet(ctx.m, after)),
-    }
+# weak monotonicity: reinforcing a chosen alternative by one adjacent swap
+# keeps it chosen, unless the swapped-down alternative newly enters the
+# choice set
+_check_wmon = _perturbation(
+    _swaps, _reinforced_dropped, False, lambda pair: {"reinforced": pair[1], "against": pair[0]}
+)
 
 
 def _pushes(ballot, out):
@@ -914,19 +896,9 @@ def _pushes(ballot, out):
         yield ballot[1:] + ballot[:1], ballot[0]
 
 
-@_stateless
-def _check_wsmon(ctx):
-    """Pushing an unchosen top-ranked alternative to the bottom changes nothing."""
-    hit = _first_perturbation(ctx, _pushes, _changed)
-    if hit is None:
-        return None
-    voter, _, top, after = hit
-    return Outcome.VIOLATED, {
-        "profile": ctx.profile,
-        "voter": voter,
-        "alternative": top,
-        "outputs": (ChoiceSet(ctx.m, ctx.out), ChoiceSet(ctx.m, after)),
-    }
+# weak set monotonicity: pushing an unchosen top-ranked alternative to the
+# bottom changes nothing
+_check_wsmon = _perturbation(_pushes, _changed, False, lambda top: {"alternative": top})
 
 
 def _runs(ballot, member_mask):
@@ -962,11 +934,9 @@ def _unchosen_reorders(ballot, out):
             yield new_ballot, None
 
 
-@_stateless
-def _check_iua(ctx):
-    """Reordering a block of unchosen alternatives changes nothing."""
-    hit = _first_perturbation(ctx, _unchosen_reorders, _changed)
-    return None if hit is None else _two_profile_witness(ctx, hit)
+# independence of unchosen alternatives: reordering a block of unchosen
+# alternatives changes nothing
+_check_iua = _perturbation(_unchosen_reorders, _changed, True, lambda _: {})
 
 
 def _block_reorders_anywhere(ballot, _out=None):
@@ -984,16 +954,15 @@ def _changed_beyond_block(out, after, block):
     return block & out == block & after and after != out
 
 
-@_stateless
-def _check_wloc(ctx):
-    """Reordering any ballot block that keeps its own chosen members fixed
-    must keep the whole choice set fixed."""
-    hit = _first_perturbation(
-        ctx, _block_reorders_anywhere, _changed_beyond_block, reads_out=False
-    )
-    if hit is None:
-        return None
-    return _two_profile_witness(ctx, hit, block=tuple(sorted(_mask_bits(hit[2]))))
+# weak localizedness: reordering any ballot block that keeps its own chosen
+# members fixed must keep the whole choice set fixed
+_check_wloc = _perturbation(
+    _block_reorders_anywhere,
+    _changed_beyond_block,
+    True,
+    lambda block: {"block": tuple(sorted(_mask_bits(block)))},
+    reads_out=False,
+)
 
 
 @_stateless
@@ -1174,12 +1143,6 @@ def _over_relations(name: str, rule: RuleSpec) -> bool:
     return name == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN
 
 
-def _realized(relations, m: int):
-    """The ballot tuples of a relation walk over `relations` on m
-    alternatives, and the largest electorate among them."""
-    return (realize_relation(rel, 2).ballots for rel in relations), max(2, m * (m - 1))
-
-
 def _estimate(name: str, rule: RuleSpec, universe: Universe, sizes=None) -> int:
     """The rule evaluations the check may make on the universe, which the
     budget bounds: ordered pairs of relations (3 per pair of alternatives)
@@ -1202,19 +1165,28 @@ def _estimate(name: str, rule: RuleSpec, universe: Universe, sizes=None) -> int:
     return profiles * (universe.n_max * factorial(m) * m + universe.k_hom - 1)
 
 
-def _verdicts(rule: RuleSpec, universe: Universe, checks: dict) -> dict:
+def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -> dict:
     """Run the predicates `checks` (name -> predicate) on the rule, all on one
     walk of the universe but a check `_over_relations` selects, which walks
-    the realized majority relations. Returns what `_walk` returns."""
+    the majority relations, each realized with two voters per pair. Given
+    `profiles`, walk those alone, or their relations, through a private
+    engine, so that every output is re-derived from the rule and not read
+    back from a memo a sweep filled. Returns what `_walk` returns."""
+    m, replaying = universe.m, profiles is not None
     on_relations = {n: c for n, c in checks.items() if _over_relations(n, rule)}
-    results: dict = {}
-    if len(on_relations) < len(checks):
-        rest = {n: c for n, c in checks.items() if n not in on_relations}
-        results.update(_walk(rule, universe, rest))
+    rest = {n: c for n, c in checks.items() if n not in on_relations}
+    walks = []
+    if rest:
+        ballots = (p.ballots for p in profiles) if replaying else universe.raw_profiles()
+        walks.append((rest, ballots, universe.n_max * universe.k_hom))
     if on_relations:
-        m = universe.m
-        ballots, size = _realized(enumerate_relations(m), m)
-        results.update(_walk(rule, universe, on_relations, ballots, _engine(rule, m, size)))
+        rels = map(MajorityRelation.from_profile, profiles) if replaying else enumerate_relations(m)
+        ballots = (realize_relation(rel, 2).ballots for rel in rels)
+        walks.append((on_relations, ballots, max(2, m * (m - 1))))
+    results: dict = {}
+    for group, ballots, size in walks:
+        engine = _Engine(rule, m, size) if replaying else _engine(rule, m, size)
+        results.update(_walk(rule, universe, group, ballots, engine))
     return results
 
 
@@ -1235,28 +1207,17 @@ def replay(verdict: AxiomVerdict) -> bool:
     if verdict.outcome != Outcome.VIOLATED:
         raise ValueError("only violation witnesses can be replayed")
     w = verdict.witness
-    rule = verdict.rule
-    axiom = verdict.axiom
-    universe = verdict.universe
-    m = universe.m
+    name, rule, universe = verdict.axiom, verdict.rule, verdict.universe
     if "manipulation" in w:
         profiles = (w["manipulation"].profile,)
     else:
         profiles = w.get("profiles") or (w["profile"],)
-    check = _check(axiom, universe)
-    if any(p.m != m for p in profiles):
+    check = _check(name, universe)
+    if any(p.m != universe.m for p in profiles):
         return False
-    if _over_relations(axiom, rule):
-        ballots, size = _realized(map(MajorityRelation.from_profile, profiles), m)
-    elif any(p.n > universe.n_max for p in profiles):
+    if not _over_relations(name, rule) and any(p.n > universe.n_max for p in profiles):
         return False  # no walk of this universe meets such a profile
-    else:
-        ballots = (p.ballots for p in profiles)
-        size = universe.n_max * universe.k_hom
-    # a private engine: the witness is re-derived from the rule, not read
-    # back from the memo the sweep filled
-    engine = _Engine(rule, m, size)
-    return _walk(rule, universe, {axiom: check}, ballots, engine)[axiom] == verdict
+    return _verdicts(rule, universe, {name: check}, profiles)[name] == verdict
 
 
 # ---------------------------------------------------------------------------

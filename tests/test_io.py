@@ -239,6 +239,37 @@ class TestCli:
         produced = parse_profile(capsys.readouterr().out)
         assert np.array_equal(margins(produced), margins(fig1))
 
+    @pytest.mark.parametrize("command", ["tc", "mcgarvey"])
+    @pytest.mark.parametrize("margins_text,message", [
+        ("[[0,1,1],[-1,0],[-1,-1,0]]", "'margins' must be 3 rows of 3 integers each"),
+        (
+            f"[[0,{2**63},1],[-1,0,1],[-1,-1,0]]",
+            "every margin must lie strictly between -2^63 and 2^63",
+        ),
+    ])
+    def test_malformed_graph_exits_2_with_our_message(
+        self, tmp_path, capsys, command, margins_text, message
+    ):
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(f'{{"m":3,"margins":{margins_text}}}')
+        assert cli.main([command, "--graph", str(graph_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        for numpy_text in ("sequence", "inhomogeneous", "C long"):
+            assert numpy_text not in captured.err
+        assert captured.out == ""
+
+    def test_mcgarvey_refuses_a_huge_electorate(self, tmp_path, capsys):
+        big = 2**63 - 1
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps({
+            "m": 3, "margins": [[0, big, 1], [-big, 0, 1], [-1, -1, 0]],
+        }))
+        assert cli.main(["mcgarvey", "--graph", str(graph_file)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: realizing these margins needs {big} voters" in captured.err
+        assert captured.out == ""
+
     def test_sweep(self, capsys):
         code = cli.main(["sweep", "--m", "3", "--n", "3"])
         out = capsys.readouterr().out

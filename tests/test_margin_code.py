@@ -116,7 +116,8 @@ def test_unanimous_profiles_fill_the_fields(m, n):
 def test_homogeneity_tiling_fits_the_universe_layout(m, n_max, k_hom):
     # the layout of the engine behind a walk's scan contexts
     probe = {"layout": lambda ctx: (Outcome.HOLDS, ctx.engine.layout)}
-    layout = verify._walk(catalog()[0], Universe(m, n_max, k_hom=k_hom), probe)["layout"].witness
+    universe = Universe(m, n_max, k_hom=k_hom)
+    layout = verify._verdicts(catalog()[0], universe, probe)["layout"].witness
     assert layout.size == n_max * k_hom
     rng = random.Random(m * 100 + n_max * 10 + k_hom)
     profiles = [(tuple(range(m)),) * n_max]

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from setvote.core import MajorityRelation, Profile, enumerate_relations, margins
+from setvote import mcgarvey
 from setvote.mcgarvey import (
+    MAX_ELECTORATE,
     ParityError,
     WeightedMajorityGraph,
     _cancelling_pair,
@@ -70,6 +72,27 @@ class TestRealize:
             assert np.array_equal(margins(prof), graph.target)
             cap = max(1, int(np.abs(graph.target).max()))
             assert prof.n <= cap * m * m + 1
+
+    def test_a_huge_electorate_is_refused_before_any_ballot_is_built(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a ballot was built")
+
+        monkeypatch.setattr(mcgarvey, "_cancelling_pair", unreachable)
+        monkeypatch.setattr(mcgarvey, "Profile", unreachable)
+        big = 2**63 - 1
+        graph = WeightedMajorityGraph(3, np.array([[0, big, 1], [-big, 0, 1], [-1, -1, 0]]))
+        # the seed voter, then (big - 1) / 2 canceling pairs for g(a, b)
+        with pytest.raises(ValueError, match=f"needs {big} voters, more than {MAX_ELECTORATE}"):
+            realize(graph)
+
+    def test_the_electorate_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(mcgarvey, "MAX_ELECTORATE", 5)
+        assert realize(WeightedMajorityGraph(2, np.array([[0, 5], [-5, 0]]))).n == 5
+        assert realize_relation(MajorityRelation(3, (0b110, 0b100, 0)), 1).n == 1
+        with pytest.raises(ValueError, match="needs 7 voters, more than 5"):
+            realize(WeightedMajorityGraph(2, np.array([[0, 7], [-7, 0]])))
+        with pytest.raises(ValueError, match="needs 7 voters, more than 5"):
+            realize_relation(MajorityRelation(3, (0b110, 0b100, 0)), 3)
 
     def test_deterministic(self):
         graph = WeightedMajorityGraph(4, np.array([

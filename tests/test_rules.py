@@ -16,6 +16,7 @@ from setvote.core import (
     margins,
     top_cycle,
 )
+from setvote import rules as rules_module
 from setvote.rules import (
     BasisTag,
     InstanceTooLargeError,
@@ -195,6 +196,27 @@ class TestBasisDeclarations:
         assert basis(rule("tc")) == BasisTag.MAJORITARIAN
         assert basis(rule("borda")) == BasisTag.PAIRWISE
         assert basis(rule("omninomination")) == BasisTag.PROFILE_BASED
+
+    def test_each_rule_is_in_exactly_one_evaluator_table_which_basis_names(self):
+        tables = {
+            BasisTag.MAJORITARIAN: rules_module._MAJORITARIAN,
+            BasisTag.PAIRWISE: rules_module._PAIRWISE,
+            BasisTag.PROFILE_BASED: rules_module._PROFILE_BASED,
+        }
+        for rule_id in RuleId:
+            holding = [tag for tag, table in tables.items() if rule_id in table]
+            assert holding == [basis(RuleSpec(rule_id))], rule_id
+
+    def test_margins_entry_point_refuses_a_profile_based_rule(self):
+        with pytest.raises(ValueError, match="plurality needs the ballots, not just margins"):
+            rules_module.evaluate_mask_from_margins(rule("plurality"), (0, 1, -1, 0), 2)
+
+    @pytest.mark.parametrize("name", ["borda", "plurality"])
+    def test_relation_entry_point_refuses_a_non_majoritarian_rule(self, name):
+        with pytest.raises(
+            ValueError, match=f"{name} is not a function of the majority relation"
+        ):
+            rules_module.evaluate_mask_from_relation(rule(name), (0b10, 0), 2)
 
     def test_omninomination_is_genuinely_profile_based(self):
         left = Profile.from_rankings([(A, B, C), (C, B, A)])

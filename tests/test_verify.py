@@ -530,7 +530,7 @@ class TestWalk:
             raise rules.TiesUnsupportedError("this check only")
 
         cos = Axiom.COS.value
-        results = verify._walk(
+        results = verify._verdicts(
             TC, universe, {"refuses": refuses, cos: verify._check(cos, universe)}
         )
         assert str(results["refuses"]) == "this check only"
