@@ -3,8 +3,6 @@
 Run with: python3 demos/05_margin_graph_synthesis.py
 """
 
-import numpy as np
-
 from setvote import (
     MajorityRelation,
     WeightedMajorityGraph,
@@ -20,19 +18,18 @@ print("Any antisymmetric integer matrix with uniform parity off the diagonal")
 print("is the margin matrix of some electorate. Ask for a 3-cycle with margin")
 print("2 on every edge plus a fourth alternative losing 4-0 to everyone:\n")
 
-target = np.array(
-    [
-        [0, 2, -2, 4],
-        [-2, 0, 2, 4],
-        [2, -2, 0, 4],
-        [-4, -4, -4, 0],
-    ]
-)
+target = [
+    [0, 2, -2, 4],
+    [-2, 0, 2, 4],
+    [2, -2, 0, 4],
+    [-4, -4, -4, 0],
+]
 graph = WeightedMajorityGraph(4, target)
 profile = realize(graph)
 print(serialize_profile(profile))
-assert np.array_equal(margins(profile), target)
-print(f"{profile.n} voters realize it exactly (bound: {int(np.abs(target).max())} * 16 + 1).")
+assert margins(profile).tolist() == target
+bound = max(abs(v) for row in target for v in row)
+print(f"{profile.n} voters realize it exactly (bound: {bound} * 16 + 1).")
 print("Its top cycle:", top_cycle(relation(target)))
 
 print("\nThe construction works one pair at a time: each canceling voter pair")

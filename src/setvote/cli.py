@@ -14,7 +14,7 @@ from pathlib import Path
 from string import ascii_lowercase
 
 from . import io as svio
-from .core import MajorityRelation, Profile, margins, relation, top_cycle
+from .core import MajorityRelation, Profile, _margins_flat, relation, top_cycle
 from .extensions import ExtensionKind
 from .mcgarvey import realize
 from .rules import evaluate, parse_rule
@@ -30,16 +30,12 @@ def _load_profile(path: str) -> Profile:
 
 
 def _print_margins(profile: Profile) -> None:
-    g = margins(profile)
-    names = ascii_lowercase[: profile.m]
-    width = max(3, max(len(str(v)) for v in g.ravel()) + 1)
-    print(" " * 3 + "".join(f"{x:>{width}}" for x in names))
-    for x in range(profile.m):
-        print(f"{names[x]:>3}" + "".join(f"{v:>{width}}" for v in g[x]))
-
-
-def _ballot_letters(ballot) -> str:
-    return " ".join(ascii_lowercase[x] for x in ballot)
+    m = profile.m
+    flat = _margins_flat(profile.ballots, m)
+    width = max(3, max(len(str(v)) for v in flat) + 1)
+    print(" " * 3 + "".join(f"{x:>{width}}" for x in ascii_lowercase[:m]))
+    for x, name in enumerate(ascii_lowercase[:m]):
+        print(f"{name:>3}" + "".join(f"{v:>{width}}" for v in flat[x * m:(x + 1) * m]))
 
 
 def cmd_eval(args) -> int:
@@ -72,8 +68,8 @@ def cmd_manipulate(args) -> int:
         print(f"no {extension.value} manipulation of {rule.name} on this profile")
         return 0
     print(
-        f"voter {witness.voter} (true ballot {_ballot_letters(witness.true_ballot)}) "
-        f"can report {_ballot_letters(witness.misreport)}: "
+        f"voter {witness.voter} (true ballot {svio._ballot_text(witness.true_ballot)}) "
+        f"can report {svio._ballot_text(witness.misreport)}: "
         f"{witness.honest_set} -> {witness.manipulated_set}"
     )
     return 1
@@ -100,6 +96,8 @@ def cmd_sweep(args) -> int:
         print("\nnot evaluable on this universe:")
         for (rule_name, check), reason in sorted(report.not_evaluable.items()):
             print(f"  {rule_name} / {check}: {reason}")
+        print(f"warning: {len(report.not_evaluable)} checks not evaluable on this universe",
+              file=sys.stderr)
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=1), encoding="utf-8")
     return 0 if report.passed else 1

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from string import ascii_lowercase
 
-import numpy as np
-
 Ballot = tuple[int, ...]
 
 __all__ = [
@@ -172,8 +170,9 @@ def _margins_flat(ballots, m: int) -> tuple[int, ...]:
     return tuple(map(sum, zip(*map(_pair_vector, ballots)))) or (0,) * (m * m)
 
 
-def margins(profile: Profile) -> np.ndarray:
-    """The m-by-m majority margin matrix g with g[x, y] = #(x over y) - #(y over x)."""
+def margins(profile: Profile):
+    """The m-by-m int64 numpy array g with g[x, y] = #(x over y) - #(y over x)."""
+    import numpy as np  # only for this public return type, which the benchmark calls .tolist() on
     flat = _margins_flat(profile.ballots, profile.m)
     return np.array(flat, dtype=np.int64).reshape(profile.m, profile.m)
 
@@ -214,11 +213,14 @@ class MajorityRelation:
 
     @classmethod
     def from_margins(cls, g) -> "MajorityRelation":
-        arr = np.asarray(g)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("margin matrix must be square")
-        m = arr.shape[0]
-        return cls(m, _strict_masks_from_flat(arr.ravel().tolist(), m))
+        try:
+            rows = [list(row) for row in g]
+            m = len(rows)
+            if m and all(len(row) == m for row in rows):
+                return cls(m, _strict_masks_from_flat([v for row in rows for v in row], m))
+        except TypeError:
+            pass
+        raise ValueError("margin matrix must be square")
 
     @classmethod
     def from_profile(cls, profile: Profile) -> "MajorityRelation":

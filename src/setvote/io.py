@@ -22,8 +22,6 @@ from importlib import resources
 from pathlib import Path
 from string import ascii_lowercase
 
-import numpy as np
-
 from .core import ChoiceSet, Profile
 from .mcgarvey import WeightedMajorityGraph
 from .verify import AxiomVerdict, Manipulation, Outcome, Universe
@@ -148,13 +146,13 @@ def parse_graph(text: str) -> WeightedMajorityGraph:
     if any(abs(v) >= 1 << 63 for row in rows for v in row):
         raise ParseError("every margin must lie strictly between -2^63 and 2^63")
     try:
-        return WeightedMajorityGraph(m, np.array(rows, dtype=np.int64))
+        return WeightedMajorityGraph(m, rows)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def serialize_graph(graph: WeightedMajorityGraph) -> str:
-    return json.dumps({"m": graph.m, "margins": graph.target.tolist()}, indent=1) + "\n"
+    return json.dumps({"m": graph.m, "margins": graph.target}, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ any ballot is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .core import MajorityRelation, Profile
 
@@ -34,32 +33,32 @@ class ParityError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedMajorityGraph:
-    """A target margin matrix: antisymmetric, zero diagonal, uniform parity."""
+    """A target margin matrix of int tuple rows: antisymmetric, zero diagonal, uniform parity."""
 
     m: int
-    target: np.ndarray = field(compare=False)
+    target: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.target, dtype=np.int64)
-        object.__setattr__(self, "target", arr)
-        if arr.shape != (self.m, self.m):
-            raise ValueError(f"target must be {self.m}x{self.m}")
-        if np.diagonal(arr).any():
+        m = self.m
+        try:
+            rows = tuple(tuple(row) for row in self.target)
+        except TypeError:
+            rows = None
+        if rows is None or len(rows) != m or any(len(row) != m for row in rows):
+            raise ValueError(f"target must be {m}x{m}")
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            raise ValueError("target entries must be integers") from None
+        object.__setattr__(self, "target", rows)
+        if any(rows[x][x] for x in range(m)):
             raise ValueError("diagonal must be zero")
-        if not np.array_equal(arr, -arr.T):
+        if any(rows[x][y] != -rows[y][x] for x in range(m) for y in range(x)):
             raise ValueError("target must be antisymmetric")
-        off = [arr[x, y] for x in range(self.m) for y in range(self.m) if x != y]
-        parities = {int(v) & 1 for v in off}
+        parities = {v & 1 for x, row in enumerate(rows) for v in row[:x]}
         if len(parities) > 1:
             raise ParityError("off-diagonal margins must share one parity")
         object.__setattr__(self, "parity", parities.pop() if parities else 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightedMajorityGraph)
-            and self.m == other.m
-            and np.array_equal(self.target, other.target)
-        )
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +96,7 @@ def _realize(m: int, rows, odd: int) -> Profile:
 
 def realize(graph: WeightedMajorityGraph) -> Profile:
     """A profile whose margin matrix equals the target exactly."""
-    return _realize(graph.m, graph.target.tolist(), graph.parity)
+    return _realize(graph.m, graph.target, graph.parity)
 
 
 def realize_relation(rel: MajorityRelation, weight: int) -> Profile:

@@ -1277,6 +1277,8 @@ def corroborate_theorems(
     """
     from .rules import catalog
 
+    if universe.m < 2:
+        raise ValueError(f"corroboration needs m >= 2 alternatives, got m={universe.m}")
     rules = tuple(rules) if rules is not None else tuple(catalog())
     names = (SP_FISHBURN, *(axiom.value for axiom in full_suite()), _ROBUST_DOMINANT)
     sizes = _profiles_by_size(universe)

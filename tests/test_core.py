@@ -125,6 +125,18 @@ class TestRelation:
         assert rel.strictly_prefers(1, 2)
         assert rel.strictly_prefers(0, 2)
 
+    @pytest.mark.parametrize(
+        "g",
+        [[[0, 1], [-1]], [0, 1], [], [[[0]]], FIG1_MARGINS, FIG1_MARGINS.tolist()],
+        ids=["ragged", "1-D", "empty", "3-D", "ndarray", "list"],
+    )
+    def test_reads_any_square_nested_sequence(self, g, fig1):
+        if len(g) != fig1.m:
+            with pytest.raises(ValueError, match="margin matrix must be square"):
+                relation(g)
+        else:
+            assert relation(g) == MajorityRelation.from_profile(fig1)
+
 
 class TestCondorcet:
     def test_fig1_has_neither(self, fig1):

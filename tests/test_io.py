@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setvote import cli
+from setvote import cli, verify
 from setvote.core import MajorityRelation, Profile, margins, top_cycle
 from setvote.io import (
     ParseError,
@@ -27,6 +31,8 @@ from setvote.verify import (
     sweep_strategyproofness,
 )
 from test_core import FIG1_MARGINS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestProfileDocuments:
@@ -272,9 +278,54 @@ class TestCli:
 
     def test_sweep(self, capsys):
         code = cli.main(["sweep", "--m", "3", "--n", "3"])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 0
-        assert "assertions" in out and "FAIL" not in out
+        assert "assertions" in captured.out and "FAIL" not in captured.out
+        # the uncovered set's 14 checks need tie-free relations, which n <= 3
+        # does not guarantee; skipping them warns but does not fail the sweep
+        assert captured.err == "warning: 14 checks not evaluable on this universe\n"
+
+    def test_sweep_refuses_fewer_than_two_alternatives_before_any_walk(
+        self, monkeypatch, capsys
+    ):
+        def unreachable(*args):
+            raise AssertionError("a universe was walked")
+
+        monkeypatch.setattr(verify, "_verdicts", unreachable)
+        assert cli.main(["sweep", "--m", "1", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: corroboration needs m >= 2 alternatives, got m=1\n"
+        assert captured.out == ""
+
+    def test_no_command_loads_numpy(self, tmp_path):
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text('{"m": 3, "margins": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}')
+        fig1, fig2 = self.fixture("fig1.prof"), self.fixture("fig2-left.prof")
+        commands = [
+            ["eval", "--rule", "tc", "--profile", fig1],
+            ["margins", "--profile", fig1],
+            ["manipulate", "--rule", "plurality", "--profile", fig2],
+            ["tc", "--graph", str(graph_file)],
+            ["mcgarvey", "--graph", str(graph_file)],
+        ]
+        script = (
+            "import sys\n"
+            "import setvote\n"
+            "from setvote import cli\n"
+            "if 'numpy' in sys.modules:\n"
+            "    sys.exit('numpy loaded by import setvote')\n"
+            f"for argv in {commands!r}:\n"
+            "    if cli.main(argv) == 2 or 'numpy' in sys.modules:\n"
+            "        sys.exit(f'numpy loaded or error in {argv}')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_negative_margin_cap_exits_2(self, capsys):
         code = cli.main([

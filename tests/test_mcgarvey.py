@@ -44,6 +44,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightedMajorityGraph(2, target)
 
+    def test_a_wrapping_negation_is_not_antisymmetric(self):
+        # in int64, -(-2^63) wraps to -2^63, so a fixed-width check read both
+        # negative margins as mirror images
+        with pytest.raises(ValueError, match="target must be antisymmetric"):
+            WeightedMajorityGraph(2, [[0, -2**63], [-2**63, 0]])
+
+    def test_a_non_integer_margin_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="target entries must be integers"):
+            WeightedMajorityGraph(2, [[0, 1.7], [-1.7, 0]])
+
+    @pytest.mark.parametrize("target", [[0, 1], [[0, 1], [-1]], [[0, 1]], 5])
+    def test_a_non_square_target_is_refused(self, target):
+        with pytest.raises(ValueError, match="target must be 2x2"):
+            WeightedMajorityGraph(2, target)
+
+    def test_target_is_tuple_rows_of_python_ints(self):
+        graph = WeightedMajorityGraph(2, np.array([[0, 3], [-3, 0]]))
+        assert graph.target == ((0, 3), (-3, 0))
+        assert all(type(v) is int for row in graph.target for v in row)
+        same = WeightedMajorityGraph(2, [[0, 3], [-3, 0]])
+        assert graph == same and hash(graph) == hash(same)
+        assert graph != WeightedMajorityGraph(2, [[0, 1], [-1, 0]])
+
 
 class TestRealize:
     def test_all_zero_target_is_a_ballot_and_its_reverse(self):
