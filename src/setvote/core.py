@@ -154,7 +154,7 @@ class Profile:
 # margins and the majority relation
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _pair_vector(ballot: Ballot) -> tuple[int, ...]:
     """Flat m*m vector with +1 at (x, y) if the ballot ranks x above y."""
     m = len(ballot)

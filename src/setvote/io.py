@@ -18,6 +18,8 @@ any reported counterexample can be replayed.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 from string import ascii_lowercase
@@ -165,15 +167,9 @@ def _encode(value):
     if isinstance(value, ChoiceSet):
         return {"$choice_set": {"m": value.m, "members": list(value.members)}}
     if isinstance(value, Manipulation):
-        return {"$manipulation": {
-            "profile": _encode(value.profile),
-            "voter": value.voter,
-            "true_ballot": _encode(value.true_ballot),
-            "misreport": _encode(value.misreport),
-            "honest_set": _encode(value.honest_set),
-            "manipulated_set": _encode(value.manipulated_set),
-            "extension": value.extension.value,
-        }}
+        return {"$manipulation": {f.name: _encode(getattr(value, f.name)) for f in fields(value)}}
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, (tuple, list)):
         return {"$tuple": [_encode(v) for v in value]}
     if isinstance(value, dict):
@@ -200,15 +196,6 @@ def _decode(value):
             return tuple(_decode(v) for v in value["$tuple"])
         return {k: _decode(v) for k, v in value.items()}
     return value
-
-
-def _universe_payload(universe: Universe) -> dict:
-    return {
-        "m": universe.m,
-        "n_max": universe.n_max,
-        "k_hom": universe.k_hom,
-        "margin_cap": universe.margin_cap,
-    }
 
 
 def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
@@ -248,7 +235,7 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
             {
                 "axiom": v.axiom,
                 "rule": v.rule.name,
-                "universe": _universe_payload(v.universe),
+                "universe": asdict(v.universe),
                 "outcome": v.outcome.value,
                 "witness": _encode(v.witness) if v.witness else None,
             }
@@ -275,7 +262,7 @@ def parse_report(payload) -> list[AxiomVerdict]:
             AxiomVerdict(
                 axiom=item["axiom"],
                 rule=parse_rule(item["rule"]),
-                universe=Universe(u["m"], u["n_max"], u["k_hom"], u["margin_cap"]),
+                universe=Universe(**{f.name: u[f.name] for f in fields(Universe)}),
                 outcome=Outcome(item["outcome"]),
                 witness=_decode(item["witness"]) if item["witness"] else None,
             )

@@ -40,6 +40,8 @@ class WeightedMajorityGraph:
 
     def __post_init__(self):
         m = self.m
+        if m < 1:
+            raise ValueError("need at least one alternative")
         try:
             rows = tuple(tuple(row) for row in self.target)
         except TypeError:

@@ -94,9 +94,10 @@ _THRESHOLD_RULES = (RuleId.SUPERMAJORITY_TC, RuleId.SHIFTED_TC)
 class RuleSpec:
     """A rule identifier plus its parameters.
 
-    ``k`` is the threshold of the supermajority / shifted variants and is
-    ignored elsewhere; ``pair`` is the privileged pair of the two-alternative
-    special rule.
+    ``k`` is the threshold of the supermajority / shifted variants and must
+    stay 0 elsewhere; ``pair`` is the privileged pair of the two-alternative
+    special rule, two distinct letters ``a``..``z``, and must stay (0, 1)
+    elsewhere. So every spec is what ``parse_rule`` reads back from its name.
     """
 
     id: RuleId
@@ -104,10 +105,20 @@ class RuleSpec:
     pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
-        if self.id in _THRESHOLD_RULES and self.k < 0:
-            raise ValueError("threshold k must be non-negative")
-        if self.id == RuleId.FAB and self.pair[0] == self.pair[1]:
-            raise ValueError("the special pair must be two distinct alternatives")
+        if self.id in _THRESHOLD_RULES:
+            if type(self.k) is not int:
+                raise ValueError("threshold k must be an integer")
+            if self.k < 0:
+                raise ValueError("threshold k must be non-negative")
+        elif self.k != 0:
+            raise ValueError(f"rule {self.id.value!r} takes no threshold k")
+        if self.id == RuleId.FAB:
+            if len(self.pair) != 2 or not all(type(x) is int and 0 <= x < 26 for x in self.pair):
+                raise ValueError("the special pair must be two alternatives among 0..25")
+            if self.pair[0] == self.pair[1]:
+                raise ValueError("the special pair must be two distinct alternatives")
+        elif self.pair != (0, 1):
+            raise ValueError(f"rule {self.id.value!r} takes no special pair")
 
     @property
     def name(self) -> str:

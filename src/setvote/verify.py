@@ -31,10 +31,12 @@ predicate only. Sweeps run in one process.
 One place, `_verdicts`, decides what each check walks and sizes the engine
 for it: the universe's profiles (`Universe.raw_profiles`, in scan order) on
 the shared engine of (rule, universe), or the majority relations (below).
-Every witness is the first its predicate meets, so `replay` checks that the
-stored profile(s) fit the universe and hands them to `_verdicts`, which
-walks the same predicate over them alone, or over their relations, through
-an engine of its own so that the witness is re-derived from the rule.
+Every witness is the first its predicate meets, so `replay` hands the stored
+profile(s) to `_verdicts`, which walks the same predicate over those the
+universe holds (its m, at most n_max voters, every margin within the cap),
+or over the relations of those with its m, through an engine of its own so
+that the witness is re-derived from the rule. A witness the universe does
+not hold is never met, so it does not replay.
 
 Relation walk. A majoritarian rule's robust-dominant check
 (`_over_relations`) walks every majority relation in `enumerate_relations`
@@ -229,33 +231,39 @@ class Universe:
         if self.margin_cap is not None and self.margin_cap < 0:
             raise ValueError(f"margin_cap must be non-negative, got {self.margin_cap}")
 
+    @cached_property
+    def _by_size(self) -> dict:
+        """Electorate size -> number of profiles, counted once per instance:
+        m!^n, or under a margin cap the profiles it keeps, one by one."""
+        if self.margin_cap is not None:
+            return Counter(map(len, self.raw_profiles()))
+        b = factorial(self.m)
+        return {n: b**n for n in range(1, self.n_max + 1)}
+
     def count_profiles(self) -> int:
-        return sum(_profiles_by_size(self).values())
+        return sum(self._by_size.values())
+
+    def _within_cap(self, ballots) -> bool:
+        return all(abs(v) <= self.margin_cap for v in _margins_flat(ballots, self.m))
+
+    def _contains(self, profile: Profile) -> bool:
+        """Is the profile one of the universe's?"""
+        return (
+            profile.m == self.m
+            and profile.n <= self.n_max
+            and (self.margin_cap is None or self._within_cap(profile.ballots))
+        )
 
     def raw_profiles(self):
         """Ballot tuples in scan order: n ascending, then lexicographic."""
         ballots = enumerate_ballots(self.m)
-        cap = self.margin_cap
         for n in range(1, self.n_max + 1):
-            for combo in itertools.product(ballots, repeat=n):
-                if cap is not None and any(
-                    abs(v) > cap for v in _margins_flat(combo, self.m)
-                ):
-                    continue
-                yield combo
+            combos = itertools.product(ballots, repeat=n)
+            yield from combos if self.margin_cap is None else filter(self._within_cap, combos)
 
     def profiles(self):
         for ballots in self.raw_profiles():
             yield Profile(self.m, ballots)
-
-
-def _profiles_by_size(universe: Universe) -> dict:
-    """Electorate size -> number of profiles: m!^n, or under a margin cap
-    the profiles it keeps, counted one by one."""
-    if universe.margin_cap is not None:
-        return Counter(map(len, universe.raw_profiles()))
-    b = factorial(universe.m)
-    return {n: b**n for n in range(1, universe.n_max + 1)}
 
 
 @dataclass(frozen=True)
@@ -586,15 +594,20 @@ def _manipulability(extension: ExtensionKind, strong: bool):
     return violation
 
 
-def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
-    """The first manipulation of one profile, in the scan order of the
-    sweeps."""
+def _one_profile(rule: RuleSpec, profile: Profile) -> _Scan:
+    """The scan context every one-profile search starts from; refuses a
+    profile whose m! misreports per voter no search should enumerate."""
     if profile.m > 8:
         raise InstanceTooLargeError(
             f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
         )
-    ctx = _Scan(_engine(rule, profile.m, profile.n), profile.ballots)
-    return _manipulation(ctx, extension, strong)
+    return _Scan(_engine(rule, profile.m, profile.n), profile.ballots)
+
+
+def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
+    """The first manipulation of one profile, in the scan order of the
+    sweeps."""
+    return _manipulation(_one_profile(rule, profile), extension, strong)
 
 
 def find_manipulation(
@@ -647,36 +660,30 @@ def find_group_manipulation(
     Groups are scanned by size then by voter indices; joint misreports in the
     same per-voter order as the single-voter search. Members may keep their
     own ballot, so witnesses for smaller groups stay visible inside larger
-    ones.
+    ones. Refuses m > 8 as the single-voter search does.
     """
     if max_group < 1:
         raise ValueError(f"max_group must be positive, got {max_group}")
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
-    fact = factorial(m)
-    _within_budget(sum(comb(n, g) * fact**g for g in range(1, max_group + 1)), budget)
-    ballots = profile.ballots
-    engine = _engine(rule, m, n)
-    layout = engine.layout
-    code = layout.of(ballots)
-    honest = engine.output(code, ballots)
+    _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
+    ctx = _one_profile(rule, profile)
+    engine, ballots, code, honest = ctx.engine, ctx.ballots, ctx.code, ctx.out
     ranks = [_rank_of(b) for b in ballots]
     for size in range(1, max_group + 1):
         for group in itertools.combinations(range(n), size):
             options = [
-                ((ballots[v], 0, None),) + layout.moves(_misreports, ballots[v]) for v in group
+                ((ballots[v], 0, None),) + engine.layout.moves(_misreports, ballots[v])
+                for v in group
             ]
             judged = {honest}
             # the first joint report keeps every member's own ballot
             for choice in itertools.islice(itertools.product(*options), 1, None):
                 reports = tuple(r for r, _, _ in choice)
-                new_ballots = None
-                if engine.by_ballots:
-                    new_ballots = list(ballots)
-                    for v, r in zip(group, reports):
-                        new_ballots[v] = r
-                    new_ballots = tuple(new_ballots)
-                out = engine.output(code + sum(d for _, d, _ in choice), new_ballots)
+                joint = list(ballots)
+                for v, r in zip(group, reports):
+                    joint[v] = r
+                out = engine.output(code + sum(d for _, d, _ in choice), tuple(joint))
                 if out in judged:
                     continue
                 judged.add(out)
@@ -779,12 +786,13 @@ def _check_homogeneity(universe):
 
 
 class _Imposition:
-    """Every target set must be the output on some profile; holds as soon as
-    all are reached, and ends "not witnessed" otherwise."""
+    """Every target set (every singleton, or every non-empty set) must be the
+    output on some profile; holds as soon as all are reached, and ends "not
+    witnessed" otherwise."""
 
-    def __init__(self, m, targets):
-        self.m = m
-        self.missing = set(targets)
+    def __init__(self, universe, singletons: bool):
+        self.m = m = universe.m
+        self.missing = {1 << x for x in range(m)} if singletons else set(range(1, 1 << m))
 
     def __call__(self, ctx):
         self.missing.discard(ctx.out)
@@ -794,14 +802,6 @@ class _Imposition:
         return Outcome.NOT_WITNESSED, {
             "missing": tuple(ChoiceSet(self.m, t) for t in sorted(self.missing))
         }
-
-
-def _check_non_imposition(universe):
-    return _Imposition(universe.m, [1 << x for x in range(universe.m)])
-
-
-def _check_set_non_imposition(universe):
-    return _Imposition(universe.m, range(1, 1 << universe.m))
 
 
 @_stateless
@@ -967,9 +967,10 @@ _check_wloc = _perturbation(
 
 @_stateless
 def _check_fishburn_efficiency(ctx):
-    """No other set is strictly preferred to the output by every single voter."""
+    """No other set is strictly preferred to the output by every single voter;
+    voters with equal ballots judge alike, so each ballot is judged once."""
     m, out = ctx.m, ctx.out
-    ranks = [_rank_of(b) for b in ctx.ballots]
+    ranks = [_rank_of(b) for b in dict.fromkeys(ctx.ballots)]
     for challenger in range(1, 1 << m):
         if challenger == out:
             continue
@@ -1112,8 +1113,8 @@ _CHECKS = {
     Axiom.MAJORITARIANESS.value: partial(_grouped, by_relation=True),
     Axiom.NEUTRALITY.value: _check_neutrality,
     Axiom.HOMOGENEITY.value: _check_homogeneity,
-    Axiom.NON_IMPOSITION.value: _check_non_imposition,
-    Axiom.SET_NON_IMPOSITION.value: _check_set_non_imposition,
+    Axiom.NON_IMPOSITION.value: partial(_Imposition, singletons=True),
+    Axiom.SET_NON_IMPOSITION.value: partial(_Imposition, singletons=False),
     Axiom.STRONG_CONDORCET_CONSISTENCY.value: _check_strong_condorcet,
     Axiom.COS.value: _check_cos,
     Axiom.WMON.value: _check_wmon,
@@ -1143,20 +1144,16 @@ def _over_relations(name: str, rule: RuleSpec) -> bool:
     return name == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN
 
 
-def _estimate(name: str, rule: RuleSpec, universe: Universe, sizes=None) -> int:
+def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
     """The rule evaluations the check may make on the universe, which the
     budget bounds: ordered pairs of relations (3 per pair of alternatives)
     or of profiles for a pair check, every profile and misreport for
     strategyproofness, and for an axiom a constant number per (profile,
-    voter, block) plus the k_hom - 1 tilings homogeneity evaluates. A caller
-    estimating many checks passes `sizes`, `_profiles_by_size(universe)`, so
-    that a margin-capped universe is counted once."""
+    voter, block) plus the k_hom - 1 tilings homogeneity evaluates."""
     m = universe.m
     if _over_relations(name, rule):
         return 9 ** comb(m, 2)
-    if sizes is None:
-        sizes = _profiles_by_size(universe)
-    profiles = sum(sizes.values())
+    sizes, profiles = universe._by_size, universe.count_profiles()
     if name in (_ROBUST_DOMINANT, _WEAK_ROBUSTNESS):
         return profiles**2
     if name in _DEVIATION_CHECKS:
@@ -1169,18 +1166,25 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
     """Run the predicates `checks` (name -> predicate) on the rule, all on one
     walk of the universe but a check `_over_relations` selects, which walks
     the majority relations, each realized with two voters per pair. Given
-    `profiles`, walk those alone, or their relations, through a private
-    engine, so that every output is re-derived from the rule and not read
-    back from a memo a sweep filled. Returns what `_walk` returns."""
+    `profiles`, walk those the universe holds alone, or the relations of
+    those with its m, through a private engine, so that every output is
+    re-derived from the rule and not read back from a memo a sweep filled.
+    Returns what `_walk` returns."""
     m, replaying = universe.m, profiles is not None
     on_relations = {n: c for n, c in checks.items() if _over_relations(n, rule)}
     rest = {n: c for n, c in checks.items() if n not in on_relations}
     walks = []
     if rest:
-        ballots = (p.ballots for p in profiles) if replaying else universe.raw_profiles()
+        if replaying:
+            ballots = (p.ballots for p in profiles if universe._contains(p))
+        else:
+            ballots = universe.raw_profiles()
         walks.append((rest, ballots, universe.n_max * universe.k_hom))
     if on_relations:
-        rels = map(MajorityRelation.from_profile, profiles) if replaying else enumerate_relations(m)
+        if replaying:
+            rels = (MajorityRelation.from_profile(p) for p in profiles if p.m == m)
+        else:
+            rels = enumerate_relations(m)
         ballots = (realize_relation(rel, 2).ballots for rel in rels)
         walks.append((on_relations, ballots, max(2, m * (m - 1))))
     results: dict = {}
@@ -1203,7 +1207,9 @@ def _run(name: str, rule: RuleSpec, universe: Universe, budget: int | None) -> A
 
 def replay(verdict: AxiomVerdict) -> bool:
     """Re-verify a violation witness: the check that found it, walked over
-    the stored witness profile(s) alone, must report exactly this witness."""
+    the stored witness profile(s) alone, must report exactly this witness.
+    Only the stored profiles the universe holds are walked (see
+    `_verdicts`), so a witness the universe never meets does not replay."""
     if verdict.outcome != Outcome.VIOLATED:
         raise ValueError("only violation witnesses can be replayed")
     w = verdict.witness
@@ -1212,12 +1218,7 @@ def replay(verdict: AxiomVerdict) -> bool:
         profiles = (w["manipulation"].profile,)
     else:
         profiles = w.get("profiles") or (w["profile"],)
-    check = _check(name, universe)
-    if any(p.m != universe.m for p in profiles):
-        return False
-    if not _over_relations(name, rule) and any(p.n > universe.n_max for p in profiles):
-        return False  # no walk of this universe meets such a profile
-    return _verdicts(rule, universe, {name: check}, profiles)[name] == verdict
+    return _verdicts(rule, universe, {name: _check(name, universe)}, profiles)[name] == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1281,10 +1282,8 @@ def corroborate_theorems(
         raise ValueError(f"corroboration needs m >= 2 alternatives, got m={universe.m}")
     rules = tuple(rules) if rules is not None else tuple(catalog())
     names = (SP_FISHBURN, *(axiom.value for axiom in full_suite()), _ROBUST_DOMINANT)
-    sizes = _profiles_by_size(universe)
     _within_budget(
-        max((_estimate(n, r, universe, sizes) for r in rules for n in names), default=0),
-        budget,
+        max((_estimate(n, r, universe) for r in rules for n in names), default=0), budget
     )
     verdicts: list[AxiomVerdict] = []
     not_evaluable: dict = {}

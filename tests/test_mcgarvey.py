@@ -54,6 +54,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="target entries must be integers"):
             WeightedMajorityGraph(2, [[0, 1.7], [-1.7, 0]])
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_alternatives_is_refused(self, m):
+        with pytest.raises(ValueError, match="^need at least one alternative$"):
+            WeightedMajorityGraph(m, [])
+
     @pytest.mark.parametrize("target", [[0, 1], [[0, 1], [-1]], [[0, 1]], 5])
     def test_a_non_square_target_is_refused(self, target):
         with pytest.raises(ValueError, match="target must be 2x2"):

@@ -58,13 +58,35 @@ class TestCatalog:
         assert len(catalog()) == 19
 
     def test_names_roundtrip(self):
-        for spec in catalog():
+        variants = [
+            RuleSpec(RuleId.SUPERMAJORITY_TC, k=0),
+            RuleSpec(RuleId.SHIFTED_TC, k=7),
+            RuleSpec(RuleId.FAB, pair=(25, 0)),
+            RuleSpec(RuleId.FAB, pair=(3, 1)),
+        ]
+        for spec in catalog() + variants:
             assert parse_rule(spec.name) == spec
 
     def test_parameterized_names(self):
         assert parse_rule("supermajority-tc:k=3") == RuleSpec(RuleId.SUPERMAJORITY_TC, k=3)
         assert parse_rule("fab:bc") == RuleSpec(RuleId.FAB, pair=(1, 2))
         assert parse_rule("supermajority-tc").k == 2
+
+    @pytest.mark.parametrize("rid,kwargs,message", [
+        (RuleId.FAB, {"pair": (0, 30)}, "two alternatives among 0..25"),
+        (RuleId.FAB, {"pair": (-1, 2)}, "two alternatives among 0..25"),
+        (RuleId.FAB, {"pair": (0, 1, 2)}, "two alternatives among 0..25"),
+        (RuleId.FAB, {"pair": (2, 2)}, "two distinct alternatives"),
+        (RuleId.FAB, {"k": 1}, "'fab' takes no threshold k"),
+        (RuleId.TOP_CYCLE, {"k": 3}, "'tc' takes no threshold k"),
+        (RuleId.TOP_CYCLE, {"pair": (1, 2)}, "'tc' takes no special pair"),
+        (RuleId.SHIFTED_TC, {"pair": (1, 0)}, "'shifted-tc' takes no special pair"),
+        (RuleId.SUPERMAJORITY_TC, {"k": -1}, "threshold k must be non-negative"),
+        (RuleId.SHIFTED_TC, {"k": 1.5}, "threshold k must be an integer"),
+    ])
+    def test_a_spec_its_name_cannot_say_is_refused(self, rid, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RuleSpec(rid, **kwargs)
 
     def test_special_pair_needs_two_distinct_lowercase_letters(self):
         for bad in ("AB", "aB", "a1", "a", "abc", "aa", "\u00e9a", "\uff41b"):

@@ -13,6 +13,7 @@ from setvote.extensions import ExtensionKind, fishburn_prefers
 from setvote.rules import (
     BasisTag,
     EmptyChoiceError,
+    InstanceTooLargeError,
     RuleId,
     basis,
     catalog,
@@ -173,6 +174,21 @@ class TestGroupManipulation:
         with pytest.raises(ValueError, match=f"max_group must be positive, got {max_group}"):
             find_group_manipulation(parse_rule("plurality"), fig2_left, max_group)
 
+    def test_more_than_eight_alternatives_are_refused_before_any_move(self, monkeypatch):
+        # the single-voter search refuses m > 8; the group search must refuse
+        # it the same way instead of tabling 9! misreports
+        profile = Profile(9, [tuple(range(9))])
+        with pytest.raises(InstanceTooLargeError) as single:
+            find_manipulation(TC, profile)
+        tabled = []
+        monkeypatch.setattr(verify._MarginCode, "moves", lambda *args: tabled.append(args))
+        with pytest.raises(InstanceTooLargeError) as group:
+            find_group_manipulation(TC, profile, 1)
+        assert str(group.value) == str(single.value) == (
+            "deviation scan enumerates m! ballots; refusing m=9 > 8"
+        )
+        assert tabled == []
+
 
 class TestCheckAxiom:
     def test_lenient_top_cycle_fails_homogeneity_with_one_voter(self):
@@ -207,20 +223,22 @@ class TestCheckAxiom:
             with pytest.raises(BudgetExceededError, match=f"^estimated {count} evaluations"):
                 check(count - 1)
 
-    def test_a_margin_capped_universe_is_counted_once_per_call(self, monkeypatch):
-        # one raw_profiles call counts the universe and one more walks it, per
-        # rule in a corroboration; a majoritarian rule's robust-dominant
-        # check walks the majority relations and counts nothing
+    def test_a_margin_capped_universe_is_counted_once(self, monkeypatch):
+        # a universe counts its profiles with one raw_profiles call, on its
+        # first estimate, and every walk of it is one more call; a
+        # majoritarian rule's robust-dominant check walks the majority
+        # relations instead
         universe = Universe(3, 2, margin_cap=0)
         borda = parse_rule("borda")
         calls = counted_raw_profiles(monkeypatch)
         for call, expected in (
             (lambda: check_axiom(Axiom.COS, TC, universe), 2),
-            (lambda: sweep_strong_strategyproofness(TC, universe), 2),
-            (lambda: check_robust_dominant(borda, universe), 2),
+            (lambda: sweep_strong_strategyproofness(TC, universe), 1),
+            (lambda: check_robust_dominant(borda, universe), 1),
             (lambda: check_robust_dominant(TC, universe), 0),
-            (lambda: check_weak_robustness(TC, universe), 2),
-            (lambda: corroborate_theorems(universe), 1 + len(catalog())),
+            (lambda: check_weak_robustness(TC, universe), 1),
+            (lambda: corroborate_theorems(universe), len(catalog())),
+            (lambda: corroborate_theorems(Universe(3, 2, margin_cap=0)), 1 + len(catalog())),
         ):
             calls.clear()
             call()
@@ -503,6 +521,21 @@ class TestReplay:
         man = verdict.witness["manipulation"]
         tripled = dataclasses.replace(man, profile=Profile(3, man.profile.ballots * 3))
         assert not replay(dataclasses.replace(verdict, witness={"manipulation": tripled}))
+
+    def test_witness_beyond_the_margin_cap_is_refused(self):
+        # abc, abc, bac has |g(a, c)| = 3, so Universe(3, 3, margin_cap=1)
+        # never holds it, although it has the universe's m and n
+        borda = parse_rule("borda")
+        profile = Profile(3, ((A, B, C), (A, B, C), (B, A, C)))
+        capped = Universe(3, 3, margin_cap=1)
+        assert profile.ballots not in set(capped.raw_profiles())
+        verdict = AxiomVerdict(
+            "strategyproofness-fishburn", borda, capped, Outcome.VIOLATED,
+            {"manipulation": find_manipulation(borda, profile)},
+        )
+        assert not replay(verdict)
+        assert replay(dataclasses.replace(verdict, universe=Universe(3, 3)))
+        assert replay(sweep_strategyproofness(borda, capped))
 
     def test_invented_weak_monotonicity_witness_is_refused(self):
         # no catalog rule violates weak monotonicity on a small universe; the
