@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from string import ascii_lowercase
 
 Ballot = tuple[int, ...]
@@ -216,8 +217,10 @@ class MajorityRelation:
         try:
             rows = [list(row) for row in g]
             m = len(rows)
-            if m and all(len(row) == m for row in rows):
-                return cls(m, _strict_masks_from_flat([v for row in rows for v in row], m))
+            flat = [v for row in rows for v in row]
+            # an entry that is itself a sequence (a 3-D array) is not a margin
+            if m and all(len(row) == m for row in rows) and all(isinstance(v, Real) for v in flat):
+                return cls(m, _strict_masks_from_flat(flat, m))
         except TypeError:
             pass
         raise ValueError("margin matrix must be square")

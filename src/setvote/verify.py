@@ -121,7 +121,7 @@ from .core import (
     enumerate_ballots,
     enumerate_relations,
 )
-from .extensions import ExtensionKind, _at_least, _fish, _prefers, _rank_of
+from .extensions import ExtensionKind, _better, _gains
 from .mcgarvey import realize_relation
 from .rules import (
     _MAJORITARIAN,
@@ -564,13 +564,9 @@ def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation |
     prefers or, under the strong reading, the first whose outcome the honest
     one is not at least as good as."""
     ballots, honest, m = ctx.ballots, ctx.out, ctx.m
+    verdicts = _gains if strong else _better
     for voter, mis, _, out in _moved(ctx.engine, ballots, ctx.code, honest, _misreports):
-        rank = _rank_of(ballots[voter])
-        if strong:
-            gain = not _at_least(extension, rank, honest, out)
-        else:
-            gain = _prefers(extension, rank, out, honest)
-        if gain:
+        if verdicts(extension, ballots[voter], honest) >> out & 1:
             return Manipulation(
                 profile=ctx.profile,
                 voter=voter,
@@ -669,9 +665,11 @@ def find_group_manipulation(
     _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
     ctx = _one_profile(rule, profile)
     engine, ballots, code, honest = ctx.engine, ctx.ballots, ctx.code, ctx.out
-    ranks = [_rank_of(b) for b in ballots]
     for size in range(1, max_group + 1):
         for group in itertools.combinations(range(n), size):
+            wanted = -1
+            for v in group:
+                wanted &= _better(ExtensionKind.FISHBURN, ballots[v], honest)
             options = [
                 ((ballots[v], 0, None),) + engine.layout.moves(_misreports, ballots[v])
                 for v in group
@@ -687,7 +685,7 @@ def find_group_manipulation(
                 if out in judged:
                     continue
                 judged.add(out)
-                if all(_fish(ranks[v], out, honest) for v in group):
+                if wanted >> out & 1:
                     return GroupManipulation(
                         profile=profile,
                         voters=group,
@@ -968,19 +966,19 @@ _check_wloc = _perturbation(
 @_stateless
 def _check_fishburn_efficiency(ctx):
     """No other set is strictly preferred to the output by every single voter;
-    voters with equal ballots judge alike, so each ballot is judged once."""
+    voters with equal ballots judge alike, so each ballot is judged once. The
+    first witness is the lowest challenger mask every voter prefers."""
     m, out = ctx.m, ctx.out
-    ranks = [_rank_of(b) for b in dict.fromkeys(ctx.ballots)]
-    for challenger in range(1, 1 << m):
-        if challenger == out:
-            continue
-        if all(_fish(rank, challenger, out) for rank in ranks):
-            return Outcome.VIOLATED, {
-                "profile": ctx.profile,
-                "challenger": ChoiceSet(m, challenger),
-                "output": ChoiceSet(m, out),
-            }
-    return None
+    shared = -1
+    for ballot in dict.fromkeys(ctx.ballots):
+        shared &= _better(ExtensionKind.FISHBURN, ballot, out)
+        if not shared:
+            return None
+    return Outcome.VIOLATED, {
+        "profile": ctx.profile,
+        "challenger": ChoiceSet(m, (shared & -shared).bit_length() - 1),
+        "output": ChoiceSet(m, out),
+    }
 
 
 @_stateless

@@ -127,8 +127,16 @@ class TestRelation:
 
     @pytest.mark.parametrize(
         "g",
-        [[[0, 1], [-1]], [0, 1], [], [[[0]]], FIG1_MARGINS, FIG1_MARGINS.tolist()],
-        ids=["ragged", "1-D", "empty", "3-D", "ndarray", "list"],
+        [
+            [[0, 1], [-1]],
+            [0, 1],
+            [],
+            [[[0]]],
+            np.zeros((2, 2, 2)),
+            FIG1_MARGINS,
+            FIG1_MARGINS.tolist(),
+        ],
+        ids=["ragged", "1-D", "empty", "3-D", "3-D ndarray", "ndarray", "list"],
     )
     def test_reads_any_square_nested_sequence(self, g, fig1):
         if len(g) != fig1.m:

@@ -3,12 +3,17 @@ import itertools
 import pytest
 
 from oracles import fishburn_literal, fplus_weak_literal
+from setvote import extensions
 from setvote.core import ChoiceSet
 from setvote.extensions import (
     ExtensionKind,
     SetComparison,
+    _at_least,
+    _better,
     _fish,
     _fplus_weak,
+    _gains,
+    _prefers,
     _rank_of,
     compare,
     exists_prefers,
@@ -192,3 +197,30 @@ class TestMaskLiftings:
         with pytest.raises(ValueError):
             fplus_weakly_prefers(ABC, ChoiceSet(3, 0), {A})
         assert exists_prefers(ABC, {A}, ())
+
+
+class TestVerdictTables:
+    """The tables the searches read against the direct readings, for every
+    ballot with m <= 4, every pair of non-empty masks and both liftings."""
+
+    def test_every_bit_matches_the_direct_reading(self):
+        for kind in ExtensionKind:
+            for m in (1, 2, 3, 4):
+                full = 1 << m
+                for ballot in itertools.permutations(range(m)):
+                    rank = _rank_of(ballot)
+                    for y in range(1, full):
+                        better, gains = _better(kind, ballot, y), _gains(kind, ballot, y)
+                        assert better >> full == 0 and gains >> full == 0
+                        assert better & 1 == 0 and gains & 1 == 0
+                        assert better >> y & 1 == 0
+                        for x in range(1, full):
+                            if x != y:
+                                assert better >> x & 1 == _prefers(kind, rank, x, y)
+                            assert gains >> x & 1 == (not _at_least(kind, rank, y, x))
+
+    def test_a_table_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(extensions, "_verdict_tables", {})
+        table = _better(ExtensionKind.FISHBURN, ABC, 0b011)
+        monkeypatch.setattr(extensions, "_rank_of", None)
+        assert _better(ExtensionKind.FISHBURN, ABC, 0b011) == table

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import witness_holds
-from setvote import rules, verify
+from setvote import extensions, rules, verify
 from setvote.core import ChoiceSet, MajorityRelation, Profile, enumerate_ballots, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
 from setvote.rules import (
@@ -188,6 +188,29 @@ class TestGroupManipulation:
             "deviation scan enumerates m! ballots; refusing m=9 > 8"
         )
         assert tabled == []
+
+
+class TestVerdictTableBound:
+    @staticmethod
+    def verdicts(fig2_left):
+        return (
+            sweep_strategyproofness(TC, Universe(4, 3)),
+            sweep_strong_strategyproofness(
+                parse_rule("borda"), Universe(3, 3), ExtensionKind.FPLUS
+            ),
+            find_group_manipulation(parse_rule("plurality"), fig2_left, 2),
+            check_axiom(Axiom.FISHBURN_EFFICIENCY, parse_rule("condorcet"), Universe(3, 2)),
+        )
+
+    def test_tables_that_start_afresh_give_the_same_verdicts(self, monkeypatch, fig2_left):
+        monkeypatch.setattr(extensions, "_verdict_tables", {})
+        default = self.verdicts(fig2_left)
+        tables = {}
+        monkeypatch.setattr(extensions, "_verdict_tables", tables)
+        monkeypatch.setattr(extensions, "_VERDICT_TABLE_ENTRIES", 2)
+        assert self.verdicts(fig2_left) == default
+        # past the bound the tables were emptied, not grown
+        assert 0 < len(tables) <= 3
 
 
 class TestCheckAxiom:
