@@ -12,11 +12,18 @@ Alternatives are dense integer indices so that sets can be bit masks and
 ballots can be enumerated as permutations. Every function is a pure function
 of immutable values. Each relation-level question is answered once, on the
 strict-beat masks; the public functions of a `MajorityRelation` wrap that.
+The top-cycle and Schwartz kernels keep their last few answers, so the
+questions asked of one relation in a row share one computation.
+
+The public constructors check their arguments. Values that are valid by
+construction (kernel outputs, enumerated relations, realized ballots) are
+built with the unchecked `_unchecked_*` builders instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
@@ -56,6 +63,13 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# answers the relation kernels keep: every key of the last few relations
+_KERNEL_MEMO = 64
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,18 @@ class ChoiceSet:
         return to_letters(self.members)
 
 
+# The unchecked builders set the fields in declaration order, as the
+# generated __init__ does, so instances keep CPython's key-sharing dicts.
+
+
+def _unchecked_choice(m: int, mask: int) -> ChoiceSet:
+    """A ChoiceSet of a mask known to lie in 0 <= mask < 2**m, unchecked."""
+    choice = _new(ChoiceSet)
+    _set(choice, "m", m)
+    _set(choice, "mask", mask)
+    return choice
+
+
 @dataclass(frozen=True)
 class Profile:
     """A non-empty sequence of ballots over a common set of m alternatives."""
@@ -149,6 +175,14 @@ class Profile:
         if k < 1:
             raise ValueError("k must be positive")
         return Profile(self.m, self.ballots * k)
+
+
+def _unchecked_profile(m: int, ballots: tuple[Ballot, ...]) -> Profile:
+    """A Profile of a non-empty tuple of permutations of 0..m-1, unchecked."""
+    profile = _new(Profile)
+    _set(profile, "m", m)
+    _set(profile, "ballots", ballots)
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +237,21 @@ class MajorityRelation:
     strict: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.strict) != self.m:
+        try:
+            strict = tuple(map(operator.index, self.strict))
+        except TypeError:
+            raise ValueError("strict masks must be a sequence of integers") from None
+        object.__setattr__(self, "strict", strict)
+        if len(strict) != self.m:
             raise ValueError("strict masks must have one entry per alternative")
-        for x, mask in enumerate(self.strict):
+        for x, mask in enumerate(strict):
+            if not 0 <= mask < 1 << self.m:
+                raise ValueError(f"mask {mask:#x} of alternative {x} out of range for m={self.m}")
+        for x, mask in enumerate(strict):
             if mask >> x & 1:
                 raise ValueError("an alternative cannot beat itself")
             for y in _bits(mask):
-                if self.strict[y] >> x & 1:
+                if strict[y] >> x & 1:
                     raise ValueError(f"both {x} beats {y} and {y} beats {x}")
 
     @classmethod
@@ -246,6 +288,15 @@ class MajorityRelation:
         return tuple((full & ~(1 << x) & ~beaten_by[x]) for x in range(self.m))
 
 
+def _unchecked_relation(m: int, strict: tuple[int, ...]) -> MajorityRelation:
+    """A MajorityRelation of m int masks in range, irreflexive and
+    asymmetric, unchecked."""
+    rel = _new(MajorityRelation)
+    _set(rel, "m", m)
+    _set(rel, "strict", strict)
+    return rel
+
+
 def _beaten_by(strict, m: int) -> list[int]:
     """beaten_by[x] = alternatives that strictly beat x (the transposed masks)."""
     beaten_by = [0] * m
@@ -278,7 +329,7 @@ def enumerate_relations(m: int):
                 strict[x] |= 1 << y
             elif c == 1:
                 strict[y] |= 1 << x
-        yield MajorityRelation(m, tuple(strict))
+        yield _unchecked_relation(m, tuple(strict))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +375,7 @@ def _dominant(strict, mask: int) -> bool:
     return all(strict[x] & comp == comp for x in _bits(mask))
 
 
+@lru_cache(maxsize=_KERNEL_MEMO)
 def _tc_mask(strict: tuple[int, ...], subset: int) -> int:
     """Smallest dominant subset of `subset` under the relation restricted to it."""
     # Seed with an alternative with the most strict wins inside `subset`. It
@@ -356,7 +408,7 @@ def _tc_mask(strict: tuple[int, ...], subset: int) -> int:
 def top_cycle(rel: MajorityRelation) -> ChoiceSet:
     """The smallest dominant set, equivalently the maximal elements of the
     transitive closure of the weak majority relation (ties traversable both ways)."""
-    return ChoiceSet(rel.m, _tc_mask(rel.strict, (1 << rel.m) - 1))
+    return _unchecked_choice(rel.m, _tc_mask(rel.strict, (1 << rel.m) - 1))
 
 
 def dominant_chain(rel: MajorityRelation) -> tuple[ChoiceSet, ...]:
@@ -368,38 +420,59 @@ def dominant_chain(rel: MajorityRelation) -> tuple[ChoiceSet, ...]:
     """
     full = (1 << rel.m) - 1
     s = _tc_mask(rel.strict, full)
-    chain = [ChoiceSet(rel.m, s)]
+    chain = [_unchecked_choice(rel.m, s)]
     while s != full:
         s |= _tc_mask(rel.strict, full & ~s)
-        chain.append(ChoiceSet(rel.m, s))
+        chain.append(_unchecked_choice(rel.m, s))
     return tuple(chain)
 
 
-def _schwartz_mask(strict, m: int) -> int:
+@lru_cache(maxsize=_KERNEL_MEMO)
+def _schwartz_mask(strict: tuple[int, ...], m: int) -> int:
     """Maximal elements of the transitive closure of the strict part only."""
-    reach = list(strict)
-    for k in range(m):
-        bit_k = 1 << k
-        row_k = reach[k]
-        for x in range(m):
-            if reach[x] & bit_k:
-                reach[x] |= row_k
-    mask = 0
+    # reach[x]: everything x reaches in one or more strict steps. A step to
+    # an earlier y adds y's finished closure at once, and nothing in it needs
+    # visiting again.
+    reach = []
     for x in range(m):
-        bit_x = 1 << x
-        # x is dominated when some y reaches x without x reaching y (y = x
-        # reaches x only on a cycle, and then x reaches itself)
-        for y in range(m):
-            if reach[y] & bit_x and not reach[x] >> y & 1:
-                break
-        else:
-            mask |= bit_x
-    return mask
+        r = todo = strict[x]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            y = low.bit_length() - 1
+            if y < x:
+                r |= reach[y]
+                todo &= ~reach[y]
+            else:
+                more = strict[y] & ~r
+                r |= more
+                todo |= more
+        reach.append(r)
+    # y dominates what it reaches and is not reached back by. Off a cycle (y
+    # does not reach itself) that is all it reaches; on one it is all but
+    # y's cycle class, whose members reach the same set and are skipped.
+    dominated = seen = 0
+    for y, r in enumerate(reach):
+        if seen >> y & 1:
+            continue
+        if not r >> y & 1:
+            dominated |= r
+            continue
+        cls = 0
+        rest = r
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if reach[low.bit_length() - 1] >> y & 1:
+                cls |= low
+        dominated |= r & ~cls
+        seen |= cls
+    return ((1 << m) - 1) & ~dominated
 
 
 def schwartz_set(rel: MajorityRelation) -> ChoiceSet:
     """Maximal elements of the transitive closure of the strict part only."""
-    return ChoiceSet(rel.m, _schwartz_mask(rel.strict, rel.m))
+    return _unchecked_choice(rel.m, _schwartz_mask(rel.strict, rel.m))
 
 
 def restrict(rel: MajorityRelation, members) -> tuple[MajorityRelation, tuple[int, ...]]:
@@ -433,8 +506,8 @@ def connected_set(rel: MajorityRelation, x: int) -> ChoiceSet:
     # since a smaller dominant subset would beat x too. {x, y}: the pair ties,
     # so y beats everything else and {y} is the top cycle without x.
     if not tc & bit or tc.bit_count() <= 2:
-        return ChoiceSet(rel.m, 0)
-    return ChoiceSet(rel.m, tc & ~_tc_mask(strict, full & ~bit) & ~bit)
+        return _unchecked_choice(rel.m, 0)
+    return _unchecked_choice(rel.m, tc & ~_tc_mask(strict, full & ~bit) & ~bit)
 
 
 def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:

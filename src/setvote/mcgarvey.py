@@ -14,11 +14,12 @@ any ballot is built.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import MajorityRelation, Profile
+from .core import MajorityRelation, Profile, _unchecked_profile
 
 __all__ = ["ParityError", "WeightedMajorityGraph", "realize", "realize_relation"]
 
@@ -70,49 +71,60 @@ def _cancelling_pair(x: int, y: int, m: int) -> tuple[tuple[int, ...], tuple[int
     return (x, y, *rest), (*reversed(rest), x, y)
 
 
-def _realize(m: int, rows, odd: int) -> Profile:
-    """The profile for target margins ``rows[x][y]`` (only x < y is read) of
-    parity ``odd``: an index-order seed voter if odd, then canceling pairs.
-    An electorate over MAX_ELECTORATE is refused before any ballot is built."""
+@lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The pairs x < y of 0..m-1 in lexicographic order."""
+    return tuple(itertools.combinations(range(m), 2))
+
+
+def _realize(m: int, values, odd: int) -> Profile:
+    """The profile for target margins ``values``, one g(x, y) per pair x < y
+    in `_pairs` order, of parity ``odd``: an index-order seed voter if odd,
+    then canceling pairs. An electorate over MAX_ELECTORATE is refused
+    before any ballot is built."""
     # the seed voter already paid +1 towards every g(x, y) with x < y, and
     # the even rest |g(x, y) - odd| is paid one canceling pair per 2
-    size = odd + sum(abs(rows[x][y] - odd) for x in range(m) for y in range(x + 1, m))
+    size = odd + sum(abs(v - odd) for v in values)
     if size > MAX_ELECTORATE:
         raise ValueError(
             f"realizing these margins needs {size} voters, more than {MAX_ELECTORATE}"
         )
     seed = tuple(range(m))
     ballots: list[tuple[int, ...]] = [seed] if odd else []
-    for x in range(m):
-        row = rows[x]
-        for y in range(x + 1, m):
-            value = row[y] - odd
-            if value:
-                hi, lo = (x, y) if value > 0 else (y, x)
-                ballots.extend(_cancelling_pair(hi, lo, m) * (abs(value) // 2))
+    for (x, y), v in zip(_pairs(m), values):
+        value = v - odd
+        if value:
+            hi, lo = (x, y) if value > 0 else (y, x)
+            ballots.extend(_cancelling_pair(hi, lo, m) * (abs(value) // 2))
     if not ballots:
         # all-zero even target: one ballot and its reverse
         ballots = [seed, seed[::-1]]
-    return Profile(m, tuple(ballots))
+    # every ballot is the seed permutation or half of a canceling pair
+    return _unchecked_profile(m, tuple(ballots))
 
 
 def realize(graph: WeightedMajorityGraph) -> Profile:
     """A profile whose margin matrix equals the target exactly."""
-    return _realize(graph.m, graph.target, graph.parity)
+    target = graph.target
+    return _realize(graph.m, [target[x][y] for x, y in _pairs(graph.m)], graph.parity)
 
 
 def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
     """A profile whose relation equals ``rel``, all strict margins equal to
     ``weight`` and all ties exactly zero."""
+    try:
+        weight = operator.index(weight)
+    except TypeError:
+        raise ValueError("weight must be an integer") from None
     if weight < 1:
         raise ValueError("weight must be at least 1")
     m, strict = rel.m, rel.strict
     has_tie = sum(s.bit_count() for s in strict) < m * (m - 1) // 2
     if has_tie and weight % 2:
         raise ParityError("ties force even margins, so the weight must be even")
-    rows = [
-        [weight if s >> y & 1 else -weight if strict[y] >> x & 1 else 0 for y in range(m)]
-        for x, s in enumerate(strict)
+    values = [
+        weight if strict[x] >> y & 1 else -weight if strict[y] >> x & 1 else 0
+        for x, y in _pairs(m)
     ]
     # a single alternative has no margins, hence even parity
-    return _realize(m, rows, weight & 1 if m > 1 else 0)
+    return _realize(m, values, weight & 1 if m > 1 else 0)

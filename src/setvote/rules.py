@@ -29,6 +29,7 @@ from .core import (
     _schwartz_mask,
     _strict_masks_from_flat,
     _tc_mask,
+    _unchecked_choice,
 )
 
 __all__ = [
@@ -447,4 +448,5 @@ def evaluate_on_relation(rule: RuleSpec, rel: MajorityRelation) -> ChoiceSet:
     """Evaluate a majoritarian rule directly on a majority relation; the
     result is never empty."""
     mask = evaluate_mask_from_relation(rule, rel.strict, rel.m)
-    return ChoiceSet(rel.m, _nonempty(rule, mask))
+    # a majoritarian evaluator only ever sets bits of alternatives 0..m-1
+    return _unchecked_choice(rel.m, _nonempty(rule, mask))

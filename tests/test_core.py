@@ -1,10 +1,17 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import setvote
+from setvote import rules
 
 from oracles import (
     brute_dominant_sets,
@@ -144,6 +151,35 @@ class TestRelation:
                 relation(g)
         else:
             assert relation(g) == MajorityRelation.from_profile(fig1)
+
+
+class TestRelationValidation:
+    def test_a_list_of_masks_is_stored_as_a_hashable_tuple(self):
+        rel = MajorityRelation(3, [2, 4, 1])
+        twin = MajorityRelation(3, (2, 4, 1))
+        assert rel.strict == (2, 4, 1) and rel == twin and hash(rel) == hash(twin)
+        assert top_cycle(rel) == ChoiceSet(3, 0b111)
+
+    def test_numpy_masks_become_python_ints(self):
+        rel = MajorityRelation(3, np.array([2, 4, 1]))
+        assert all(type(mask) is int for mask in rel.strict)
+        assert rel == MajorityRelation(3, (2, 4, 1))
+
+    @pytest.mark.parametrize("strict", [(8, 0, 0), (0, 0, 1 << 5), (-1, 0, 0), (-2, 0, 0), (2, -1, 0)])
+    def test_a_mask_out_of_range_is_refused(self, strict):
+        with pytest.raises(ValueError, match="out of range for m=3"):
+            MajorityRelation(3, strict)
+
+    @pytest.mark.parametrize("strict", [[2.0, 4, 1], ["2", 4, 1], 5])
+    def test_a_non_integer_mask_is_refused(self, strict):
+        with pytest.raises(ValueError, match="strict masks must be a sequence of integers"):
+            MajorityRelation(3, strict)
+
+    def test_self_beat_and_both_ways_are_refused(self):
+        with pytest.raises(ValueError, match="cannot beat itself"):
+            MajorityRelation(2, (1, 0))
+        with pytest.raises(ValueError, match="both 0 beats 1 and 1 beats 0"):
+            MajorityRelation(2, (2, 1))
 
 
 class TestCondorcet:
@@ -391,6 +427,14 @@ class TestMaskKernelAgainstOracles:
         digest = hashlib.sha256(repr(cycles).encode()).hexdigest()
         assert digest == "737a70f9298924805a3354df82c7fe223f232cf7dfc202e355e2fd785f1d708a"
 
+    def test_schwartz_sets_pinned_m_le_5(self):
+        # SHA-256 of the repr of every Schwartz mask, relations in
+        # enumeration order for m = 1..5, as the Floyd-Warshall closure
+        # produced them (the oracle comparison above stops at m = 4)
+        masks = [schwartz_set(rel).mask for rel in relations_up_to(5)]
+        digest = hashlib.sha256(repr(masks).encode()).hexdigest()
+        assert digest == "14e41dbf23daadc1f9fc38c14b055342463c2161e8374321d22bb74e5e343cfc"
+
 
 @st.composite
 def profiles(draw, max_m=5, max_n=6):
@@ -420,3 +464,51 @@ class TestMarginProperties:
                 or rel.strictly_prefers(y, x)
                 or rel.ties(x, y)
             )
+
+
+class TestValuesBuiltByConstruction:
+    """The unchecked builders skip validation; their values must still pass it."""
+
+    def test_enumerated_relations_pass_the_public_constructor(self):
+        for rel in relations_up_to(5):
+            assert MajorityRelation(rel.m, rel.strict) == rel
+
+    def test_kernel_choice_sets_pass_the_public_constructor(self):
+        majoritarian = [r for r in rules.catalog() if rules.basis(r) == rules.BasisTag.MAJORITARIAN]
+        for rel in relations_up_to(4):
+            outputs = [top_cycle(rel), schwartz_set(rel), *dominant_chain(rel)]
+            outputs += [connected_set(rel, x) for x in range(rel.m)]
+            for rule in majoritarian:
+                try:
+                    outputs.append(rules.evaluate_on_relation(rule, rel))
+                except ValueError:
+                    pass  # the uncovered set on ties, fab's pair out of range
+            for cs in outputs:
+                assert ChoiceSet(cs.m, cs.mask) == cs
+
+
+class TestKernelMemo:
+    def test_answers_do_not_depend_on_call_order(self):
+        # a fresh process asks each relation's questions in the natural
+        # order; here they are asked backwards, connected sets first, with
+        # the memo warm from other relations
+        script = (
+            "from setvote.core import *\n"
+            "print(repr([(top_cycle(r), dominant_chain(r), schwartz_set(r), covering_cycle(r),"
+            " tuple(connected_set(r, x) for x in range(r.m)))"
+            " for m in (3, 4) for r in enumerate_relations(m)]))"
+        )
+        src = str(Path(setvote.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.strip()
+        got = []
+        for rel in (r for m in (3, 4) for r in enumerate_relations(m)):
+            connected = tuple(connected_set(rel, x) for x in reversed(range(rel.m)))[::-1]
+            cycle = covering_cycle(rel)
+            sw = schwartz_set(rel)
+            chain = dominant_chain(rel)
+            tc = top_cycle(rel)
+            got.append((tc, chain, sw, cycle, connected))
+        assert repr(got) == fresh

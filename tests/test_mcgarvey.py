@@ -107,11 +107,16 @@ class TestRealize:
 
         monkeypatch.setattr(mcgarvey, "_cancelling_pair", unreachable)
         monkeypatch.setattr(mcgarvey, "Profile", unreachable)
+        monkeypatch.setattr(mcgarvey, "_unchecked_profile", unreachable)
         big = 2**63 - 1
         graph = WeightedMajorityGraph(3, np.array([[0, big, 1], [-big, 0, 1], [-1, -1, 0]]))
         # the seed voter, then (big - 1) / 2 canceling pairs for g(a, b)
         with pytest.raises(ValueError, match=f"needs {big} voters, more than {MAX_ELECTORATE}"):
             realize(graph)
+        # the seed voter, then (big - 1) / 2 canceling pairs for each of the 3 pairs
+        tournament = MajorityRelation(3, (0b110, 0b100, 0))
+        with pytest.raises(ValueError, match=f"needs {3 * big - 2} voters, more than"):
+            realize_relation(tournament, big)
 
     def test_the_electorate_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(mcgarvey, "MAX_ELECTORATE", 5)
@@ -202,5 +207,37 @@ class TestRealizeRelation:
         assert realize_relation(MajorityRelation(1, (0,)), 1).ballots == ((0,), (0,))
 
     def test_weight_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            realize_relation(MajorityRelation(2, (1, 0)), 0)
+        # (2, 0): a beats b; the mask (1, 0) would have a beat itself, which
+        # the relation's constructor refuses before any weight is read
+        with pytest.raises(ValueError, match="weight must be at least 1"):
+            realize_relation(MajorityRelation(2, (2, 0)), 0)
+
+    @pytest.mark.parametrize("weight", [2.0, 1.5, "2", None])
+    def test_a_non_integer_weight_is_refused(self, weight):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            realize_relation(MajorityRelation(2, (2, 0)), weight)
+
+    def test_an_integer_like_weight_is_read_as_its_int(self):
+        rel = MajorityRelation(2, (2, 0))
+        assert realize_relation(rel, np.int64(3)) == realize_relation(rel, 3)
+
+
+class TestRealizedProfilesAreValid:
+    """Realized profiles skip Profile's checks; they must still pass them."""
+
+    def test_every_relation_realization_passes_the_public_constructor(self):
+        # odd weights (the seed voter) only where no pair ties
+        for m in range(1, 6):
+            for rel in enumerate_relations(m):
+                tie_free = sum(s.bit_count() for s in rel.strict) == m * (m - 1) // 2
+                for weight in (1, 2) if tie_free else (2,):
+                    p = realize_relation(rel, weight)
+                    assert Profile(p.m, p.ballots) == p
+
+    def test_every_graph_realization_passes_the_public_constructor(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            p = realize(random_graph(rng, rng.randint(1, 6), 5))
+            assert Profile(p.m, p.ballots) == p
+        p = realize(WeightedMajorityGraph(3, np.zeros((3, 3), dtype=int)))
+        assert Profile(p.m, p.ballots) == p
