@@ -72,6 +72,14 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _integer(value, what: str) -> int:
+    """`value` as a Python int, or a ValueError naming `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ChoiceSet:
     """A subset of the alternatives 0..m-1, stored as a bit mask.
@@ -85,8 +93,13 @@ class ChoiceSet:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.m):
-            raise ValueError(f"mask {self.mask:#x} out of range for m={self.m}")
+        m, mask = _integer(self.m, "m"), _integer(self.mask, "mask")
+        _set(self, "m", m)
+        _set(self, "mask", mask)
+        if m < 0:
+            raise ValueError(f"m must be non-negative, got {m}")
+        if not 0 <= mask < (1 << m):
+            raise ValueError(f"mask {mask:#x} out of range for m={m}")
 
     @classmethod
     def from_members(cls, m: int, members) -> "ChoiceSet":
@@ -237,6 +250,7 @@ class MajorityRelation:
     strict: tuple[int, ...]
 
     def __post_init__(self):
+        _set(self, "m", _integer(self.m, "m"))
         try:
             strict = tuple(map(operator.index, self.strict))
         except TypeError:

@@ -81,9 +81,17 @@ entries, when the next table is built. One step, `_moved`, turns a table
 into outputs: code + delta, the key, the memo lookup or the single miss
 site. A majoritarian or pairwise engine skips a voter whose ballot an
 earlier voter has: that voter's moves reach the same codes, so none can be
-the first witness. A profile-based engine keys on the ballots themselves and
-tries every voter. Neutrality sums each voter's relabeling delta into the
-relabeled code instead of encoding relabeled ballots.
+the first witness. What a voter reaches depends only on its ballot and the
+margin code, never on its position, so such an engine also keeps, per (move
+kind, output argument, ballot, margin code), the moves `_moved` yields for
+that voter, and answers every later voter with that ballot on a profile with
+that code (any ordering of the same electorate) from it. A table is stored
+only once the voter's moves have all been tried: a consumer that stops
+early, or an evaluation that raises, stores nothing, so every error still
+surfaces at the first move that raises it. A profile-based engine keys on
+the ballots themselves, tries every voter and stores nothing. Neutrality
+sums each voter's relabeling delta into the relabeled code instead of
+encoding relabeled ballots.
 
 Memo lifetime. A majoritarian or pairwise rule at a fixed layout is a finite
 table over relation keys or margin codes, so its engine, memo included, is
@@ -93,10 +101,11 @@ however many calls meet it. `_engine` hands the shared engines out, keyed
 also on the evaluator the rule's basis table holds (a rule's basis is the
 table that holds its evaluator), so that a replaced evaluator never reads
 outputs of the old one. A memo past `_MEMO_ENTRIES`
-starts afresh when its engine is next handed out, never during a walk.
-Profile-based rules key on the ballots themselves and get a fresh engine per
-call or walk. Errors (ties, empty choices, out-of-range parameters) are
-never memoized.
+starts afresh when its engine is next handed out, never during a walk; the
+stored moves past `_MEMO_ENTRIES` (an empty table counted as one) start
+afresh when the next table is stored. Profile-based rules key on the
+ballots themselves and get a fresh engine per call or walk. Errors (ties,
+empty choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -404,6 +413,10 @@ class _Engine:
         else:
             self.add, self.guard = 0, -1
         self.cache: dict = {}
+        # code-keyed engines: (kind, out, ballot, code) -> the moves `_moved`
+        # yields for a voter with that ballot, as (new_ballot, info, after)
+        self.reached: dict = {}
+        self.reached_moves = 0
 
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
@@ -424,6 +437,46 @@ class _Engine:
             mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
         self.cache[key] = _nonempty(self.rule, mask)
         return mask
+
+    def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
+        """What `voter` reaches by one move of `kind` (see `_moved`), as
+        (new_ballot, info, output after) in table order: the stored tuple of
+        a code-keyed engine, or a generator that evaluates each move as it is
+        asked for and, on a code-keyed engine, stores the tuple once it has
+        run to its end. A consumer that stops early, or an evaluation that
+        raises, stores nothing."""
+        key = None if self.by_ballots else (kind, out, ballots[voter], code)
+        found = self.reached.get(key)
+        if found is None:
+            found = self._reaching(ballots, voter, code, honest, kind, out, key)
+        return found
+
+    def _reaching(self, ballots, voter, code, honest, kind, out, key):
+        cache, add, guard, miss = self.cache, self.add, self.guard, self.miss
+        by_ballots = self.by_ballots
+        judged = set()
+        found = []
+        for new_ballot, delta, info in self.layout.moves(kind, ballots[voter], out):
+            new = code + delta
+            if by_ballots:
+                at = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
+            else:
+                at = (new + add) & guard
+            after = cache.get(at)
+            if after is None:
+                after = miss(at, new)
+            # a move's mark is its output, paired with its info if it has one
+            mark = after if info is None else (after, info)
+            if after != honest and mark not in judged:
+                judged.add(mark)
+                found.append((new_ballot, info, after))
+                yield new_ballot, info, after
+        if key is not None:
+            if self.reached_moves > _MEMO_ENTRIES:
+                self.reached.clear()
+                self.reached_moves = 0
+            self.reached[key] = tuple(found)
+            self.reached_moves += len(found) or 1
 
 
 # engines shared across calls, and the memo size past which a shared engine
@@ -523,32 +576,20 @@ def _moved(engine: _Engine, ballots, code: int, honest: int, kind, out: int | No
     output after it alone, accepts none that leaves the output as it was, and
     stops at the first it accepts. So a voter's move is yielded only at its
     first (output, info), and a code-keyed engine skips a voter whose ballot
-    an earlier voter has: the same moves reach the same codes. Every move
-    tried is evaluated in order, so an evaluation error surfaces at the first
-    move that raises it."""
-    cache, add, guard = engine.cache, engine.add, engine.guard
-    by_ballots, miss, moves = engine.by_ballots, engine.miss, engine.layout.moves
+    an earlier voter has: the same moves reach the same codes. For the same
+    reason a code-keyed engine answers a voter from what any voter with the
+    same ballot on a profile with the same code reached before
+    (`_Engine.reach`). Every move tried is evaluated in order, so an
+    evaluation error surfaces at the first move that raises it."""
+    by_ballots, reach = engine.by_ballots, engine.reach
     tried = set()
     for voter, ballot in enumerate(ballots):
         if not by_ballots:
             if ballot in tried:
                 continue
             tried.add(ballot)
-        judged = set()
-        for new_ballot, delta, info in moves(kind, ballot, out):
-            new = code + delta
-            if by_ballots:
-                key = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
-            else:
-                key = (new + add) & guard
-            after = cache.get(key)
-            if after is None:
-                after = miss(key, new)
-            # a move's mark is its output, paired with its info if it has one
-            mark = after if info is None else (after, info)
-            if after != honest and mark not in judged:
-                judged.add(mark)
-                yield voter, new_ballot, info, after
+        for new_ballot, info, after in reach(ballots, voter, code, honest, kind, out):
+            yield voter, new_ballot, info, after
 
 
 def _misreports(true_ballot: Ballot, _out=None):

@@ -181,6 +181,42 @@ class TestRelationValidation:
         with pytest.raises(ValueError, match="both 0 beats 1 and 1 beats 0"):
             MajorityRelation(2, (2, 1))
 
+    @pytest.mark.parametrize("m", [3.0, "3", None])
+    def test_a_non_integer_m_is_refused(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            MajorityRelation(m, (0, 0, 0))
+
+    def test_a_numpy_m_becomes_a_python_int(self):
+        rel = MajorityRelation(np.int64(3), (2, 4, 1))
+        assert type(rel.m) is int and rel == MajorityRelation(3, (2, 4, 1))
+
+
+class TestChoiceSetValidation:
+    @pytest.mark.parametrize("mask", [1.0, "1", None])
+    def test_a_non_integer_mask_is_refused(self, mask):
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            ChoiceSet(3, mask)
+
+    @pytest.mark.parametrize("m", [3.0, "3", None])
+    def test_a_non_integer_m_is_refused(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ChoiceSet(m, 1)
+
+    def test_a_negative_m_is_refused(self):
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            ChoiceSet(-1, 0)
+
+    @pytest.mark.parametrize("mask", [-1, 8])
+    def test_a_mask_out_of_range_is_refused(self, mask):
+        with pytest.raises(ValueError, match="out of range for m=3"):
+            ChoiceSet(3, mask)
+
+    def test_numpy_integers_become_python_ints(self):
+        choice = ChoiceSet(np.int64(3), np.int64(5))
+        assert type(choice.m) is int and type(choice.mask) is int
+        assert choice == ChoiceSet(3, 5) and hash(choice) == hash(ChoiceSet(3, 5))
+        assert choice.members == (0, 2) and len(choice) == 2
+
 
 class TestCondorcet:
     def test_fig1_has_neither(self, fig1):

@@ -17,7 +17,7 @@ from oracles import (
 from setvote import verify
 from setvote.core import Profile, _margins_flat, _strict_masks_from_flat
 from setvote.extensions import ExtensionKind
-from setvote.rules import TiesUnsupportedError, catalog
+from setvote.rules import TiesUnsupportedError, catalog, parse_rule
 from setvote.verify import (
     Outcome,
     Universe,
@@ -97,6 +97,35 @@ def test_a_move_table_past_its_bound_is_empty_when_next_used(monkeypatch):
     assert list(layout._moves) == [(verify._misreports, first, None)]
     layout.moves(verify._block_reorders_anywhere, second)
     assert list(layout._moves) == [(verify._block_reorders_anywhere, second, None)]
+
+
+def moved(engine, ballots, kind=verify._misreports):
+    """Every move `_moved` yields on the profile against its honest output."""
+    code = engine.layout.of(ballots)
+    return list(verify._moved(engine, ballots, code, engine.output(code, ballots), kind))
+
+
+def test_a_reach_memo_past_its_bound_starts_afresh_when_next_stored(monkeypatch):
+    engine = verify._Engine(parse_rule("tc"), 3, 2)
+    first, second = ((0, 1, 2), (1, 2, 0)), ((2, 1, 0),)
+    found = moved(engine, first)
+    held = dict(engine.reached)
+    assert len(held) == 2 and engine.reached_moves == len(found) == 4
+    monkeypatch.setattr(verify, "_MEMO_ENTRIES", 2)
+    # the tables already held are served as they are
+    assert moved(engine, first) == found
+    assert engine.reached == held
+    moved(engine, second)
+    assert list(engine.reached) == [
+        (verify._misreports, None, second[0], engine.layout.of(second))
+    ]
+
+
+def test_a_profile_based_engine_stores_no_reach():
+    engine = verify._Engine(parse_rule("plurality"), 3, 3)
+    ballots = ((0, 1, 2), (1, 2, 0), (0, 1, 2))
+    assert moved(engine, ballots) == moved(engine, ballots)
+    assert engine.reached == {}
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -231,3 +260,56 @@ def test_group_witnesses_match_the_oracle(rule):
             )
 
     cold_then_warm(compare)
+
+
+# The uncovered set refuses ties. On a tie-free profile with an even
+# electorate every margin is at least 2 and one ballot moves it by 2, so a
+# move changes the majority relation only through a tie; with an odd
+# electorate no move ties. So on 4-voter profiles every search stops at its
+# first tie-making misreport, after the voters whose every misreport kept the
+# output, and a 3-voter search stops at its first accepted misreport.
+UNCOVERED_CUT_SHORT = [
+    # voter 0 keeps the output on every misreport, voter 1 ties at its first
+    (Profile(3, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (0, 2, 1))), 1),
+    (Profile(4, ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 1, 3), (0, 2, 1, 3))), 1),
+    # voter 0 keeps the output on two misreports and ties at its third
+    (Profile(3, ((0, 2, 1), (0, 1, 2), (1, 0, 2), (0, 1, 2))), 0),
+    # voter 2 gains at misreport ecdab: {a,b,d} becomes {a,b,d,e}
+    (Profile(5, ((0, 1, 2, 3, 4), (1, 3, 4, 0, 2), (2, 4, 3, 0, 1))), 2),
+]
+
+
+@pytest.mark.parametrize("profile,cut", UNCOVERED_CUT_SHORT)
+def test_a_voter_cut_short_stores_no_reach(profile, cut):
+    uncovered = parse_rule("uncovered-set")
+    m, ballots = profile.m, profile.ballots
+
+    def search():
+        try:
+            return as_tuple(find_manipulation(uncovered, profile))
+        except TiesUnsupportedError as exc:
+            return str(exc)
+
+    results = []
+
+    def compare():
+        results.append(search())
+        agree(
+            lambda: as_tuple(find_manipulation(uncovered, profile)),
+            lambda: naive_manipulation(uncovered, ballots, m, True),
+        )
+        engine = verify._engine(uncovered, m, profile.n)
+        code = engine.layout.of(ballots)
+        stored = {
+            ballot for ballot in ballots
+            if (verify._misreports, None, ballot, code) in engine.reached
+        }
+        assert stored == set(ballots[:cut])
+
+    cold_then_warm(compare)
+    cold, warm = results
+    assert cold == warm
+    if m == 5:
+        assert cold == (2, (4, 2, 3, 0, 1), frozenset({0, 1, 3}), frozenset({0, 1, 3, 4}))
+    else:
+        assert "tie" in cold

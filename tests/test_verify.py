@@ -112,6 +112,12 @@ class TestSweepStrategyproofness:
         verdict = sweep_strategyproofness(TC, Universe(3, 3))
         assert verdict.outcome == Outcome.HOLDS
 
+    def test_top_cycle_holds_on_four_voters_and_four_alternatives(self):
+        # 346,200 ordered profiles, each voter's misreports answered once per
+        # (ballot, margin code)
+        verdict = sweep_strategyproofness(TC, Universe(4, 4))
+        assert verdict.outcome == Outcome.HOLDS
+
     def test_condorcet_rule_holds(self):
         verdict = sweep_strategyproofness(parse_rule("condorcet"), Universe(3, 3))
         assert verdict.outcome == Outcome.HOLDS
