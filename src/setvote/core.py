@@ -157,15 +157,29 @@ class Profile:
     ballots: tuple[Ballot, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ballots", tuple(tuple(b) for b in self.ballots))
-        if self.m < 1:
+        m = _integer(self.m, "m")
+        _set(self, "m", m)
+        if m < 1:
             raise ValueError("need at least one alternative")
-        if not self.ballots:
-            raise ValueError("profile needs at least one ballot")
-        expected = set(range(self.m))
+        expected = set(range(m))
+        ballots = []
         for i, ballot in enumerate(self.ballots):
-            if set(ballot) != expected or len(ballot) != self.m:
-                raise ValueError(f"ballot {i} is not a permutation of 0..{self.m - 1}: {ballot}")
+            # a tuple whose sum is a Python int holds ints (a float, a numpy
+            # integer or a string makes the sum something else, or raises):
+            # it is kept as it is, so that profiles built from the same
+            # ballots share them; anything else is read through
+            # operator.index
+            try:
+                if type(ballot) is not tuple or type(sum(ballot)) is not int:
+                    ballot = tuple(map(operator.index, ballot))
+            except TypeError:
+                raise ValueError("ballots must be sequences of integers") from None
+            if set(ballot) != expected or len(ballot) != m:
+                raise ValueError(f"ballot {i} is not a permutation of 0..{m - 1}: {ballot}")
+            ballots.append(ballot)
+        if not ballots:
+            raise ValueError("profile needs at least one ballot")
+        _set(self, "ballots", tuple(ballots))
 
     @classmethod
     def from_rankings(cls, rankings) -> "Profile":

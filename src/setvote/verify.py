@@ -29,14 +29,38 @@ closes every open predicate; one raised inside a predicate closes that
 predicate only. Sweeps run in one process.
 
 One place, `_verdicts`, decides what each check walks and sizes the engine
-for it: the universe's profiles (`Universe.raw_profiles`, in scan order) on
-the shared engine of (rule, universe), or the majority relations (below).
+for it: the universe's profiles on the shared engine of (rule, universe), in
+scan order (n ascending, then lexicographic), one ordering per electorate
+for an anonymous rule (below), or the majority relations (Relation walk).
 Every witness is the first its predicate meets, so `replay` hands the stored
 profile(s) to `_verdicts`, which walks the same predicate over those the
 universe holds (its m, at most n_max voters, every margin within the cap),
 or over the relations of those with its m, through an engine of its own so
 that the witness is re-derived from the rule. A witness the universe does
 not hold is never met, so it does not replay.
+
+Electorate walk. An anonymous rule reads the ballots only as a multiset:
+every majoritarian and pairwise rule, and a profile-based rule whose
+evaluator `rules._ANONYMOUS` declares (the tests check the declaration). It
+walks `Universe._electorates`, the sorted tuple of each multiset, which is
+the first ordering of it that `Universe.raw_profiles` meets, in the order
+`raw_profiles` first meets them; any other rule walks every ordering. The
+skipped reorderings change no verdict and no witness: each check's verdict
+on a reordering is its verdict on the first ordering, and that returned
+None, or the check would be closed.
+- A per-profile predicate (the deviation checks, the one-ballot-move
+  axioms, neutrality, homogeneity, strong Condorcet consistency, COS,
+  Fishburn efficiency, twin symmetry) that returned None on the first
+  ordering evaluated every profile it tries there without an error. On a
+  reordering it tries reorderings of those profiles (a voter's move, a
+  relabeling, a tiling), which have the same outputs, and judges each by
+  the moved ballot and the outputs alone, so it returns None too.
+- `_grouped` keeps at each key the earliest profile with that key, a first
+  ordering, and a reordering has the key and the output of its first one.
+- `_Imposition`: a reordering reaches no output its first ordering did not.
+- The pair checks report the first p, and for it the first q, whose outputs
+  and margins have a property; a reordering has those of its first
+  ordering, so both are first orderings.
 
 Relation walk. A majoritarian rule's robust-dominant check
 (`_over_relations`) walks every majority relation in `enumerate_relations`
@@ -85,13 +109,14 @@ the first witness. What a voter reaches depends only on its ballot and the
 margin code, never on its position, so such an engine also keeps, per (move
 kind, output argument, ballot, margin code), the moves `_moved` yields for
 that voter, and answers every later voter with that ballot on a profile with
-that code (any ordering of the same electorate) from it. A table is stored
-only once the voter's moves have all been tried: a consumer that stops
-early, or an evaluation that raises, stores nothing, so every error still
-surfaces at the first move that raises it. A profile-based engine keys on
-the ballots themselves, tries every voter and stores nothing. Neutrality
-sums each voter's relabeling delta into the relabeled code instead of
-encoding relabeled ballots.
+that code (another electorate with the same margins, or a one-profile search
+that meets the code again) from it. A table is stored only once the voter's
+moves have all been tried: a consumer that stops early, or an evaluation
+that raises, stores nothing, so every error still surfaces at the first
+move that raises it. A profile-based engine keys on the ballots themselves,
+tries every voter and stores nothing. Neutrality sums each voter's
+relabeling delta into the relabeled code instead of encoding relabeled
+ballots.
 
 Memo lifetime. A majoritarian or pairwise rule at a fixed layout is a finite
 table over relation keys or margin codes, so its engine, memo included, is
@@ -139,6 +164,7 @@ from .rules import (
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
+    _anonymous,
     _nonempty,
     basis,
     evaluate_mask,
@@ -268,6 +294,17 @@ class Universe:
         ballots = enumerate_ballots(self.m)
         for n in range(1, self.n_max + 1):
             combos = itertools.product(ballots, repeat=n)
+            yield from combos if self.margin_cap is None else filter(self._within_cap, combos)
+
+    def _electorates(self):
+        """One ballot tuple per electorate (multiset of ballots), its first
+        ordering in scan order: n ascending, then the sorted tuples in
+        lexicographic order, which is the order `raw_profiles` first meets
+        each multiset in. The margin cap reads the multiset alone, so it
+        keeps or drops every ordering of an electorate together."""
+        ballots = enumerate_ballots(self.m)
+        for n in range(1, self.n_max + 1):
+            combos = itertools.combinations_with_replacement(ballots, n)
             yield from combos if self.margin_cap is None else filter(self._within_cap, combos)
 
     def profiles(self):
@@ -697,7 +734,11 @@ def find_group_manipulation(
     Groups are scanned by size then by voter indices; joint misreports in the
     same per-voter order as the single-voter search. Members may keep their
     own ballot, so witnesses for smaller groups stay visible inside larger
-    ones. Refuses m > 8 as the single-voter search does.
+    ones. A group with no set that every member prefers to the honest one
+    is skipped untried. So an evaluation error (a tie, an empty output)
+    surfaces only at a joint report the search tries: the first such report
+    that raises, in scan order. Refuses m > 8 as the single-voter search
+    does.
     """
     if max_group < 1:
         raise ValueError(f"max_group must be positive, got {max_group}")
@@ -711,6 +752,8 @@ def find_group_manipulation(
             wanted = -1
             for v in group:
                 wanted &= _better(ExtensionKind.FISHBURN, ballots[v], honest)
+            if not wanted:
+                continue
             options = [
                 ((ballots[v], 0, None),) + engine.layout.moves(_misreports, ballots[v])
                 for v in group
@@ -1216,6 +1259,8 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
     if rest:
         if replaying:
             ballots = (p.ballots for p in profiles if universe._contains(p))
+        elif _anonymous(rule):
+            ballots = universe._electorates()
         else:
             ballots = universe.raw_profiles()
         walks.append((rest, ballots, universe.n_max * universe.k_hom))

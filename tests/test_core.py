@@ -92,6 +92,32 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             Profile(3, ((0, 1),))
 
+    # a float equal to an int used to pass the permutation check, and then
+    # rule evaluation and the deviation scan raised a raw TypeError
+    @pytest.mark.parametrize(
+        "ballots", [((0.0, 1, 2), (1, 2, 0)), ((0, 1, 2), (1, "2", 0)), ((0, 1, None),), (5,)]
+    )
+    def test_a_non_integer_entry_is_refused(self, ballots):
+        with pytest.raises(ValueError, match="^ballots must be sequences of integers$"):
+            Profile(3, ballots)
+
+    @pytest.mark.parametrize("m", [3.0, "3", None])
+    def test_a_non_integer_m_is_refused(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            Profile(m, ((0, 1, 2),))
+
+    def test_a_tuple_of_ints_is_kept_as_it_is(self):
+        # profiles built from the same ballot tuples share them
+        ballot = (0, 1, 2)
+        profile = Profile(3, (ballot, [0, 1, 2]))
+        assert profile.ballots[0] is ballot and profile.ballots == (ballot, ballot)
+
+    def test_numpy_entries_become_python_ints(self):
+        profile = Profile(np.int64(3), np.array([[0, 1, 2], [2, 0, 1]]))
+        assert type(profile.m) is int
+        assert all(type(x) is int for ballot in profile.ballots for x in ballot)
+        assert profile == Profile(3, ((0, 1, 2), (2, 0, 1)))
+
 
 class TestMargins:
     def test_fig1_matches_frozen_matrix(self, fig1):

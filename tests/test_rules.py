@@ -247,6 +247,20 @@ class TestBasisDeclarations:
         assert out("omninomination", left) == {A, C}
         assert out("omninomination", right) == {B, C}
 
+    @pytest.mark.parametrize("m, n_max", [(3, 4), (4, 3)])
+    def test_declared_anonymous_evaluators_read_a_multiset(self, m, n_max):
+        # the sweeps walk one ordering per electorate for an anonymous rule,
+        # so every ordering of one multiset of ballots must give one mask
+        holders = {fn: rule_id for rule_id, fn in rules_module._PROFILE_BASED.items()}
+        assert rules_module._ANONYMOUS <= holders.keys()
+        for fn in rules_module._ANONYMOUS:
+            spec = RuleSpec(holders[fn])
+            masks = {}
+            for n in range(1, n_max + 1):
+                for ballots in itertools.product(enumerate_ballots(m), repeat=n):
+                    mask = fn(spec, ballots, m)
+                    assert masks.setdefault(tuple(sorted(ballots)), mask) == mask, spec.name
+
     def test_declared_bases_are_sound_m3(self):
         # identical relations (or margins) must give identical outputs, m=3, n<=3
         for spec in catalog():

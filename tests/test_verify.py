@@ -57,17 +57,22 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
-def counted_raw_profiles(monkeypatch):
-    """The universes whose `raw_profiles` is called from here on, once per
-    call: a count of a margin-capped universe, or a walk."""
+def counted_enumerations(monkeypatch):
+    """The universes enumerated from here on, once per call of either
+    enumerator: `raw_profiles` (a count of a margin-capped universe, or the
+    walk of a rule not known to be anonymous) or `_electorates` (the walk of
+    an anonymous rule)."""
     calls = []
-    raw_profiles = Universe.raw_profiles
 
-    def counted(universe):
-        calls.append(universe)
-        return raw_profiles(universe)
+    def counting(enumerate_):
+        def counted(universe):
+            calls.append(universe)
+            return enumerate_(universe)
 
-    monkeypatch.setattr(Universe, "raw_profiles", counted)
+        return counted
+
+    for name in ("raw_profiles", "_electorates"):
+        monkeypatch.setattr(Universe, name, counting(getattr(Universe, name)))
     return calls
 
 
@@ -171,6 +176,22 @@ class TestGroupManipulation:
     def test_top_cycle_fig1_safe_up_to_pairs(self, fig1):
         assert find_group_manipulation(TC, fig1, 2) is None
 
+    def test_a_group_without_a_common_gain_is_skipped(self, fig1, monkeypatch):
+        # on fig. 1 under tc only voters 1 and 3 both prefer some set to the
+        # honest one, so of the six pairs only (1, 3) tries its 120^2 - 1
+        # joint reports (it used to be all six); every voter alone tries its
+        # 119 misreports, and the honest output is the first evaluation
+        asked = []
+        output = verify._Engine.output
+
+        def counted(engine, code, ballots):
+            asked.append(code)
+            return output(engine, code, ballots)
+
+        monkeypatch.setattr(verify._Engine, "output", counted)
+        assert find_group_manipulation(TC, fig1, 2) is None
+        assert len(asked) == 1 + 4 * 119 + (120**2 - 1)
+
     def test_budget_guard(self, fig1):
         with pytest.raises(BudgetExceededError):
             find_group_manipulation(TC, fig1, 3, budget=100)
@@ -254,12 +275,12 @@ class TestCheckAxiom:
 
     def test_a_margin_capped_universe_is_counted_once(self, monkeypatch):
         # a universe counts its profiles with one raw_profiles call, on its
-        # first estimate, and every walk of it is one more call; a
+        # first estimate, and every walk of it is one more enumeration; a
         # majoritarian rule's robust-dominant check walks the majority
         # relations instead
         universe = Universe(3, 2, margin_cap=0)
         borda = parse_rule("borda")
-        calls = counted_raw_profiles(monkeypatch)
+        calls = counted_enumerations(monkeypatch)
         for call, expected in (
             (lambda: check_axiom(Axiom.COS, TC, universe), 2),
             (lambda: sweep_strong_strategyproofness(TC, universe), 1),
@@ -446,7 +467,7 @@ class TestCorroboration:
     ):
         universe, catalog_rules = Universe(3, 2), tuple(map(parse_rule, names))
         corroborate_theorems(universe, rules=catalog_rules, budget=largest)
-        calls = counted_raw_profiles(monkeypatch)
+        calls = counted_enumerations(monkeypatch)
         with pytest.raises(
             BudgetExceededError, match=f"^estimated {largest} evaluations exceed the budget$"
         ):
@@ -738,3 +759,64 @@ class TestSharedMemo:
         calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
         assert replay(verdict)
         assert calls
+
+
+def ordered_walk(rule, universe):
+    """Every check of `_CHECKS` but those `_over_relations` selects, on one
+    walk of every ordering of every electorate (`raw_profiles`) through a
+    fresh engine; as name -> verdict, or (type, message) of the
+    not-evaluable error that closed the check."""
+    checks = {
+        name: verify._check(name, universe)
+        for name in verify._CHECKS
+        if not verify._over_relations(name, rule)
+    }
+    engine = verify._Engine(rule, universe.m, universe.n_max * universe.k_hom)
+    return as_results(verify._walk(rule, universe, checks, universe.raw_profiles(), engine))
+
+
+def as_results(found):
+    return {
+        name: (type(r), str(r)) if isinstance(r, Exception) else r for name, r in found.items()
+    }
+
+
+WALKED_UNIVERSES = [Universe(3, 3), Universe(2, 4), Universe(3, 3, margin_cap=1)]
+
+
+class TestElectorateWalk:
+    def test_every_catalog_rule_walks_one_ordering_per_electorate(self):
+        assert all(rules._anonymous(rule) for rule in catalog())
+
+    @pytest.mark.parametrize("universe", WALKED_UNIVERSES, ids=str)
+    @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
+    def test_verdicts_match_the_ordered_walk(self, rule, universe):
+        names = list(verify._CHECKS)
+        found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
+        expected = ordered_walk(rule, universe)
+        assert as_results({n: found[n] for n in expected}) == expected
+
+    def test_an_evaluator_not_declared_anonymous_keeps_the_ordered_walk(self, monkeypatch):
+        # the first voter's top alone: the first pairwiseness witness pairs
+        # (abc, bac) with its reordering (bac, abc), which the electorate
+        # walk never meets
+        def first_voter_decides(rule, ballots, m):
+            return 1 << ballots[0][0]
+
+        monkeypatch.setitem(rules._PROFILE_BASED, RuleId.PLURALITY, first_voter_decides)
+        plurality, universe = parse_rule("plurality"), Universe(3, 2)
+        assert not rules._anonymous(plurality)
+        verdict = check_axiom(Axiom.PAIRWISENESS, plurality, universe)
+        assert [p.ballots for p in verdict.witness["profiles"]] == [
+            ((A, B, C), (B, A, C)),
+            ((B, A, C), (A, B, C)),
+        ]
+        assert replay(verdict)
+        expected = ordered_walk(plurality, universe)
+        assert expected[Axiom.PAIRWISENESS.value] == verdict
+        names = list(verify._CHECKS)
+        found = verify._verdicts(plurality, universe, {n: verify._check(n, universe) for n in names})
+        assert as_results(found) == expected
+        # declared anonymous, the walk would report a later witness
+        monkeypatch.setattr(rules, "_ANONYMOUS", rules._ANONYMOUS | {first_voter_decides})
+        assert check_axiom(Axiom.PAIRWISENESS, plurality, universe) != verdict
