@@ -388,6 +388,8 @@ def _pb_po_of_tc(rule, ballots, m):
     return tc & po
 
 
+# every evaluator here reads the ballots only as a multiset, as margins do, so
+# a sweep walks one ordering per electorate (checked by the tests)
 _PROFILE_BASED = {
     RuleId.OMNINOMINATION: _pb_omninomination,
     RuleId.PARETO: _pb_pareto,
@@ -395,19 +397,6 @@ _PROFILE_BASED = {
     RuleId.TC_OF_PO: _pb_tc_of_po,
     RuleId.PO_OF_TC: _pb_po_of_tc,
 }
-
-# the profile-based evaluators that read the ballots only as a multiset, so
-# reordering the voters never changes their output (checked by the tests);
-# keyed on the function, so an evaluator put in its place is not declared
-# anonymous. Majoritarian and pairwise evaluators are anonymous by
-# construction: margins are sums over the ballots.
-_ANONYMOUS = frozenset({
-    _pb_omninomination,
-    _pb_pareto,
-    _pb_plurality,
-    _pb_tc_of_po,
-    _pb_po_of_tc,
-})
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +412,6 @@ def basis(rule: RuleSpec) -> BasisTag:
     if rule.id in _PAIRWISE:
         return BasisTag.PAIRWISE
     return BasisTag.PROFILE_BASED
-
-
-def _anonymous(rule: RuleSpec) -> bool:
-    """Does the rule's output read the ballots only as a multiset? True for
-    every majoritarian and pairwise rule, and for a profile-based rule whose
-    evaluator `_ANONYMOUS` holds."""
-    return basis(rule) != BasisTag.PROFILE_BASED or _PROFILE_BASED.get(rule.id) in _ANONYMOUS
 
 
 def evaluate_mask(rule: RuleSpec, ballots, m: int) -> int:

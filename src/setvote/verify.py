@@ -31,7 +31,7 @@ predicate only. Sweeps run in one process.
 One place, `_verdicts`, decides what each check walks and sizes the engine
 for it: the universe's profiles on the shared engine of (rule, universe), in
 scan order (n ascending, then lexicographic), one ordering per electorate
-for an anonymous rule (below), or the majority relations (Relation walk).
+(below), or the majority relations (Relation walk).
 Every witness is the first its predicate meets, so `replay` hands the stored
 profile(s) to `_verdicts`, which walks the same predicate over those the
 universe holds (its m, at most n_max voters, every margin within the cap),
@@ -39,15 +39,14 @@ or over the relations of those with its m, through an engine of its own so
 that the witness is re-derived from the rule. A witness the universe does
 not hold is never met, so it does not replay.
 
-Electorate walk. An anonymous rule reads the ballots only as a multiset:
-every majoritarian and pairwise rule, and a profile-based rule whose
-evaluator `rules._ANONYMOUS` declares (the tests check the declaration). It
-walks `Universe._electorates`, the sorted tuple of each multiset, which is
-the first ordering of it that `Universe.raw_profiles` meets, in the order
-`raw_profiles` first meets them; any other rule walks every ordering. The
-skipped reorderings change no verdict and no witness: each check's verdict
-on a reordering is its verdict on the first ordering, and that returned
-None, or the check would be closed.
+Electorate walk. Every rule reads the ballots only as a multiset: margins
+are sums over the ballots, and the tests check each profile-based evaluator
+in `rules._PROFILE_BASED`. So a universe walk takes `Universe._electorates`,
+the sorted tuple of each multiset, which is the first ordering of it that
+`Universe.raw_profiles` meets, in the order `raw_profiles` first meets
+them. The skipped reorderings change no verdict and no witness: each
+check's verdict on a reordering is its verdict on the first ordering, and
+that returned None, or the check would be closed.
 - A per-profile predicate (the deviation checks, the one-ballot-move
   axioms, neutrality, homogeneity, strong Condorcet consistency, COS,
   Fishburn efficiency, twin symmetry) that returned None on the first
@@ -164,7 +163,6 @@ from .rules import (
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
-    _anonymous,
     _nonempty,
     basis,
     evaluate_mask,
@@ -289,23 +287,26 @@ class Universe:
             and (self.margin_cap is None or self._within_cap(profile.ballots))
         )
 
-    def raw_profiles(self):
-        """Ballot tuples in scan order: n ascending, then lexicographic."""
+    def _enumerated(self, combine):
+        """Ballot tuples in scan order, n ascending, each size's as
+        `combine(ballots, n)` lists them (lexicographic for both enumerators
+        below); under a margin cap, those within it."""
         ballots = enumerate_ballots(self.m)
         for n in range(1, self.n_max + 1):
-            combos = itertools.product(ballots, repeat=n)
+            combos = combine(ballots, n)
             yield from combos if self.margin_cap is None else filter(self._within_cap, combos)
 
+    def raw_profiles(self):
+        """Every ordered ballot tuple in scan order: n ascending, then
+        lexicographic."""
+        return self._enumerated(lambda ballots, n: itertools.product(ballots, repeat=n))
+
     def _electorates(self):
-        """One ballot tuple per electorate (multiset of ballots), its first
-        ordering in scan order: n ascending, then the sorted tuples in
-        lexicographic order, which is the order `raw_profiles` first meets
-        each multiset in. The margin cap reads the multiset alone, so it
-        keeps or drops every ordering of an electorate together."""
-        ballots = enumerate_ballots(self.m)
-        for n in range(1, self.n_max + 1):
-            combos = itertools.combinations_with_replacement(ballots, n)
-            yield from combos if self.margin_cap is None else filter(self._within_cap, combos)
+        """One ballot tuple per electorate (multiset of ballots): its sorted
+        tuple, the first ordering of it `raw_profiles` meets, in the order
+        `raw_profiles` first meets them. The margin cap reads the multiset
+        alone, so it keeps or drops every ordering of an electorate together."""
+        return self._enumerated(itertools.combinations_with_replacement)
 
     def profiles(self):
         for ballots in self.raw_profiles():
@@ -1259,10 +1260,8 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
     if rest:
         if replaying:
             ballots = (p.ballots for p in profiles if universe._contains(p))
-        elif _anonymous(rule):
-            ballots = universe._electorates()
         else:
-            ballots = universe.raw_profiles()
+            ballots = universe._electorates()
         walks.append((rest, ballots, universe.n_max * universe.k_hom))
     if on_relations:
         if replaying:

@@ -248,13 +248,11 @@ class TestBasisDeclarations:
         assert out("omninomination", right) == {B, C}
 
     @pytest.mark.parametrize("m, n_max", [(3, 4), (4, 3)])
-    def test_declared_anonymous_evaluators_read_a_multiset(self, m, n_max):
-        # the sweeps walk one ordering per electorate for an anonymous rule,
-        # so every ordering of one multiset of ballots must give one mask
-        holders = {fn: rule_id for rule_id, fn in rules_module._PROFILE_BASED.items()}
-        assert rules_module._ANONYMOUS <= holders.keys()
-        for fn in rules_module._ANONYMOUS:
-            spec = RuleSpec(holders[fn])
+    def test_profile_based_evaluators_read_a_multiset(self, m, n_max):
+        # the sweeps walk one ordering per electorate, so every ordering of
+        # one multiset of ballots must give one mask
+        for rule_id, fn in rules_module._PROFILE_BASED.items():
+            spec = RuleSpec(rule_id)
             masks = {}
             for n in range(1, n_max + 1):
                 for ballots in itertools.product(enumerate_ballots(m), repeat=n):

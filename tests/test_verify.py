@@ -59,9 +59,8 @@ def counted_calls(monkeypatch, name):
 
 def counted_enumerations(monkeypatch):
     """The universes enumerated from here on, once per call of either
-    enumerator: `raw_profiles` (a count of a margin-capped universe, or the
-    walk of a rule not known to be anonymous) or `_electorates` (the walk of
-    an anonymous rule)."""
+    enumerator: `raw_profiles` (a count of a margin-capped universe) or
+    `_electorates` (a walk)."""
     calls = []
 
     def counting(enumerate_):
@@ -785,9 +784,6 @@ WALKED_UNIVERSES = [Universe(3, 3), Universe(2, 4), Universe(3, 3, margin_cap=1)
 
 
 class TestElectorateWalk:
-    def test_every_catalog_rule_walks_one_ordering_per_electorate(self):
-        assert all(rules._anonymous(rule) for rule in catalog())
-
     @pytest.mark.parametrize("universe", WALKED_UNIVERSES, ids=str)
     @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
     def test_verdicts_match_the_ordered_walk(self, rule, universe):
@@ -795,28 +791,3 @@ class TestElectorateWalk:
         found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
         expected = ordered_walk(rule, universe)
         assert as_results({n: found[n] for n in expected}) == expected
-
-    def test_an_evaluator_not_declared_anonymous_keeps_the_ordered_walk(self, monkeypatch):
-        # the first voter's top alone: the first pairwiseness witness pairs
-        # (abc, bac) with its reordering (bac, abc), which the electorate
-        # walk never meets
-        def first_voter_decides(rule, ballots, m):
-            return 1 << ballots[0][0]
-
-        monkeypatch.setitem(rules._PROFILE_BASED, RuleId.PLURALITY, first_voter_decides)
-        plurality, universe = parse_rule("plurality"), Universe(3, 2)
-        assert not rules._anonymous(plurality)
-        verdict = check_axiom(Axiom.PAIRWISENESS, plurality, universe)
-        assert [p.ballots for p in verdict.witness["profiles"]] == [
-            ((A, B, C), (B, A, C)),
-            ((B, A, C), (A, B, C)),
-        ]
-        assert replay(verdict)
-        expected = ordered_walk(plurality, universe)
-        assert expected[Axiom.PAIRWISENESS.value] == verdict
-        names = list(verify._CHECKS)
-        found = verify._verdicts(plurality, universe, {n: verify._check(n, universe) for n in names})
-        assert as_results(found) == expected
-        # declared anonymous, the walk would report a later witness
-        monkeypatch.setattr(rules, "_ANONYMOUS", rules._ANONYMOUS | {first_voter_decides})
-        assert check_axiom(Axiom.PAIRWISENESS, plurality, universe) != verdict
