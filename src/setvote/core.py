@@ -12,8 +12,16 @@ Alternatives are dense integer indices so that sets can be bit masks and
 ballots can be enumerated as permutations. Every function is a pure function
 of immutable values. Each relation-level question is answered once, on the
 strict-beat masks; the public functions of a `MajorityRelation` wrap that.
-The top-cycle and Schwartz kernels keep their last few answers, so the
-questions asked of one relation in a row share one computation.
+The top-cycle, Schwartz, connected-set and transposed-mask kernels keep
+their last few answers, so the questions asked of one relation in a row
+share one computation: every alternative's connected set comes from one
+call, which looks for the top cycle without x inside the top cycle alone.
+
+Margins come from one packed integer per ballot, m*m fixed 64-bit fields
+(+1 where the ballot ranks x over y, -1 where under), made once per ballot
+and summed once per profile; the sum's fields are read back with `struct`
+as Python ints, or with numpy for the public `margins` array, so numpy
+stays off the import path.
 
 The public constructors check their arguments. Values that are valid by
 construction (kernel outputs, enumerated relations, realized ballots) are
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
@@ -216,27 +226,51 @@ def _unchecked_profile(m: int, ballots: tuple[Ballot, ...]) -> Profile:
 # margins and the majority relation
 
 
+# Every ballot is one integer of m*m fixed 64-bit fields, the field of (x, y)
+# at bit 64 * (x*m + y): +1 where the ballot ranks x above y, -1 where below,
+# 0 on the diagonal. A profile's margins are the sum of its ballots' codes.
+# The sum starts from 2**63 in every field, so that no field is negative and
+# none borrows from the next (|g(x, y)| <= n < 2**63); flipping each field's
+# top bit then leaves g(x, y) in it as a signed 64-bit int.
+_FIELD_BITS = 64
+
+
 @lru_cache(maxsize=1 << 16)
-def _pair_vector(ballot: Ballot) -> tuple[int, ...]:
-    """Flat m*m vector with +1 at (x, y) if the ballot ranks x above y."""
+def _ballot_code(ballot: Ballot) -> int:
+    """The packed margin code of one ballot."""
     m = len(ballot)
-    vec = [0] * (m * m)
-    for hi_pos, x in enumerate(ballot):
-        for y in ballot[hi_pos + 1:]:
-            vec[x * m + y] = 1
-            vec[y * m + x] = -1
-    return tuple(vec)
+    code = 0
+    for hi, x in enumerate(ballot):
+        for y in ballot[hi + 1:]:
+            code += (1 << _FIELD_BITS * (x * m + y)) - (1 << _FIELD_BITS * (y * m + x))
+    return code
+
+
+@lru_cache(maxsize=None)
+def _code_layout(m: int) -> tuple[int, int, struct.Struct]:
+    """The field bias, the byte length and the int64 decoder of m*m fields."""
+    bias = sum(1 << _FIELD_BITS * i + _FIELD_BITS - 1 for i in range(m * m))
+    return bias, _FIELD_BITS // 8 * m * m, struct.Struct(f"{m * m}q")
+
+
+def _margin_bytes(ballots, m: int) -> bytes:
+    """The margins of the ballots as m*m native-order int64s, row-major."""
+    bias, size, _ = _code_layout(m)
+    return (sum(map(_ballot_code, ballots), bias) ^ bias).to_bytes(size, sys.byteorder)
 
 
 def _margins_flat(ballots, m: int) -> tuple[int, ...]:
-    return tuple(map(sum, zip(*map(_pair_vector, ballots)))) or (0,) * (m * m)
+    """The margins of the ballots as a flat row-major tuple of m*m ints."""
+    return _code_layout(m)[2].unpack(_margin_bytes(ballots, m))
 
 
 def margins(profile: Profile):
     """The m-by-m int64 numpy array g with g[x, y] = #(x over y) - #(y over x)."""
     import numpy as np  # only for this public return type, which the benchmark calls .tolist() on
-    flat = _margins_flat(profile.ballots, profile.m)
-    return np.array(flat, dtype=np.int64).reshape(profile.m, profile.m)
+    m = profile.m
+    # a bytearray, so that the array is writable as a fresh np.array would be
+    raw = bytearray(_margin_bytes(profile.ballots, m))
+    return np.frombuffer(raw, dtype=np.int64).reshape(m, m)
 
 
 def _strict_masks_from_flat(flat, m: int, threshold: int = 0) -> tuple[int, ...]:
@@ -264,7 +298,10 @@ class MajorityRelation:
     strict: tuple[int, ...]
 
     def __post_init__(self):
-        _set(self, "m", _integer(self.m, "m"))
+        m = _integer(self.m, "m")
+        _set(self, "m", m)
+        if m < 1:
+            raise ValueError("need at least one alternative")
         try:
             strict = tuple(map(operator.index, self.strict))
         except TypeError:
@@ -325,7 +362,8 @@ def _unchecked_relation(m: int, strict: tuple[int, ...]) -> MajorityRelation:
     return rel
 
 
-def _beaten_by(strict, m: int) -> list[int]:
+@lru_cache(maxsize=_KERNEL_MEMO)
+def _beaten_by(strict: tuple[int, ...], m: int) -> tuple[int, ...]:
     """beaten_by[x] = alternatives that strictly beat x (the transposed masks)."""
     beaten_by = [0] * m
     for y in range(m):
@@ -334,7 +372,7 @@ def _beaten_by(strict, m: int) -> list[int]:
             low = mask & -mask
             beaten_by[low.bit_length() - 1] |= bit
             mask ^= low
-    return beaten_by
+    return tuple(beaten_by)
 
 
 def relation(g) -> MajorityRelation:
@@ -348,7 +386,14 @@ def enumerate_ballots(m: int) -> list[Ballot]:
 
 
 def enumerate_relations(m: int):
-    """All complete majority relations on m alternatives (3 per unordered pair)."""
+    """All complete majority relations on m >= 1 alternatives (3 per
+    unordered pair), refusing m < 1 at the call."""
+    if m < 1:
+        raise ValueError("need at least one alternative")
+    return _relations(m)
+
+
+def _relations(m: int):
     pairs = list(itertools.combinations(range(m), 2))
     for assignment in itertools.product((0, 1, 2), repeat=len(pairs)):
         strict = [0] * m
@@ -403,8 +448,7 @@ def _dominant(strict, mask: int) -> bool:
     return all(strict[x] & comp == comp for x in _bits(mask))
 
 
-@lru_cache(maxsize=_KERNEL_MEMO)
-def _tc_mask(strict: tuple[int, ...], subset: int) -> int:
+def _smallest_dominant(strict: tuple[int, ...], subset: int) -> int:
     """Smallest dominant subset of `subset` under the relation restricted to it."""
     # Seed with an alternative with the most strict wins inside `subset`. It
     # lies in the smallest dominant set T: a member of T beats all of
@@ -431,6 +475,9 @@ def _tc_mask(strict: tuple[int, ...], subset: int) -> int:
             add ^= low
         add = subset & ~s & ~beats_all
     return s
+
+
+_tc_mask = lru_cache(maxsize=_KERNEL_MEMO)(_smallest_dominant)
 
 
 def top_cycle(rel: MajorityRelation) -> ChoiceSet:
@@ -520,22 +567,41 @@ def restrict(rel: MajorityRelation, members) -> tuple[MajorityRelation, tuple[in
     return MajorityRelation(len(old), tuple(strict)), old
 
 
+@lru_cache(maxsize=_KERNEL_MEMO)
+def _connected_masks(strict: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Every alternative's connected set, as masks indexed by alternative."""
+    tc = _tc_mask(strict, (1 << m) - 1)
+    # {x, y}: the pair ties, so y beats everything else and {y} is the top
+    # cycle without x
+    if tc.bit_count() <= 2:
+        return (0,) * m
+    connected = []
+    for x in range(m):
+        rest = tc & ~(1 << x)
+        if rest == tc:
+            # x outside: the top cycle stays dominant without x and stays
+            # minimal, since a smaller dominant subset would beat x too
+            connected.append(0)
+        else:
+            # tc - x is dominant in A - x, so the smallest dominant set of
+            # A - x lies inside it and is its smallest dominant subset
+            connected.append(rest & ~_smallest_dominant(strict, rest))
+    return tuple(connected)
+
+
 def connected_set(rel: MajorityRelation, x: int) -> ChoiceSet:
     """Alternatives (other than x) that drop out of the top cycle when x is removed.
 
     Empty whenever x is not needed to hold the top cycle together; only
     members of a top cycle of size >= 3 can have a non-empty connected set.
     """
-    strict = rel.strict
-    full = (1 << rel.m) - 1
-    tc = _tc_mask(strict, full)
-    bit = 1 << x
-    # x outside: the top cycle stays dominant without x and stays minimal,
-    # since a smaller dominant subset would beat x too. {x, y}: the pair ties,
-    # so y beats everything else and {y} is the top cycle without x.
-    if not tc & bit or tc.bit_count() <= 2:
-        return _unchecked_choice(rel.m, 0)
-    return _unchecked_choice(rel.m, tc & ~_tc_mask(strict, full & ~bit) & ~bit)
+    m = rel.m
+    try:
+        if 0 <= x < m:
+            return _unchecked_choice(m, _connected_masks(rel.strict, m)[x])
+    except TypeError:  # x is not an integer
+        pass
+    raise ValueError(f"alternative {x!r} out of range for m={m}")
 
 
 def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:
@@ -552,28 +618,34 @@ def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:
     """
     m, strict = rel.m, rel.strict
     tc = _tc_mask(strict, (1 << m) - 1)
-    if tc.bit_count() == 1:
+    if not tc & tc - 1:
         return None
-    beaten_by = _beaten_by(strict, m)
 
     # Walk predecessors (u weakly over v: v does not beat u) until a repeat
-    # closes a cycle.
-    walk = [(tc & -tc).bit_length() - 1]
-    seen_at = {walk[0]: 0}
-    while True:
-        v = walk[-1]
-        preds = tc & ~strict[v] & ~(1 << v)
-        pred = (preds & -preds).bit_length() - 1
-        if pred in seen_at:
-            cycle = walk[seen_at[pred]:][::-1]
-            break
-        seen_at[pred] = len(walk)
-        walk.append(pred)
+    # closes a cycle. Every member of a top cycle of two or more has a weak
+    # predecessor inside it, or it alone would be dominant.
+    low = tc & -tc
+    walk, seen = [], 0
+    while not seen & low:
+        seen |= low
+        v = low.bit_length() - 1
+        walk.append(v)
+        preds = tc & ~strict[v] & ~low
+        low = preds & -preds
+    start = walk.index(low.bit_length() - 1)
+    cycle = walk[start:][::-1]
+    cycle_mask = seen
+    for v in walk[:start]:
+        cycle_mask ^= 1 << v
 
-    cycle_mask = sum(1 << v for v in cycle)
+    beaten_by = _beaten_by(strict, m)
     while cycle_mask != tc:
         above = below = 0
-        for y in _bits(tc & ~cycle_mask):
+        rest = tc & ~cycle_mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            y = bit.bit_length() - 1
             into = cycle_mask & ~strict[y]  # members weakly over y
             out_of = cycle_mask & ~beaten_by[y]  # members y is weakly over
             if into and out_of:
@@ -583,12 +655,12 @@ def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:
                     if into >> cycle[k] & 1 and out_of >> cycle[(k + 1) % q] & 1
                 )
                 cycle.insert(k + 1, y)
-                cycle_mask |= 1 << y
+                cycle_mask |= bit
                 break
             if into:
-                below |= 1 << y
+                below |= bit
             else:
-                above |= 1 << y
+                above |= bit
         else:
             # nothing splices: a lower member weakly over an upper one closes
             # a longer cycle

@@ -29,9 +29,11 @@ judgments to build and pays only when one (ballot, Y) is read many times.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
+from functools import lru_cache
 
-from .core import Ballot, ChoiceSet, _bits
+from .core import Ballot, ChoiceSet
 
 __all__ = [
     "ExtensionKind",
@@ -55,13 +57,29 @@ class SetComparison(str, Enum):
     EQUAL = "equal"
 
 
-def _as_mask(xs) -> int:
+def _as_mask(xs, m: int) -> int:
+    """The members of `xs`, a ChoiceSet or a collection of alternatives, as
+    a mask; every member must be on a ballot of m alternatives."""
     if isinstance(xs, ChoiceSet):
+        if xs.m > m:
+            raise ValueError(f"a set over {xs.m} alternatives needs a ballot of as many, got {m}")
         return xs.mask
     mask = 0
-    for x in xs:
+    for member in xs:
+        try:
+            x = operator.index(member)
+        except TypeError:
+            x = -1
+        if not 0 <= x < m:
+            raise ValueError(f"set member {member!r} is not on a ballot of {m} alternatives")
         mask |= 1 << x
     return mask
+
+
+def _operands(ballot: Ballot, xs, ys) -> tuple[tuple[int, ...], int, int]:
+    """The ballot's rank vector and the two sets as masks, all checked."""
+    rank = _rank_of(tuple(ballot))
+    return rank, _as_mask(xs, len(rank)), _as_mask(ys, len(rank))
 
 
 def _check_nonempty(xmask: int, ymask: int) -> None:
@@ -69,19 +87,45 @@ def _check_nonempty(xmask: int, ymask: int) -> None:
         raise ValueError("set preference needs non-empty sets")
 
 
+@lru_cache(maxsize=1 << 16)
 def _rank_of(ballot: Ballot) -> tuple[int, ...]:
-    rank = [0] * len(ballot)
+    """rank[x] is the position of x on the ballot, which is checked, once
+    per ballot, to be a ranking of 0..len(ballot)-1."""
+    rank = [-1] * len(ballot)
     for i, x in enumerate(ballot):
-        rank[x] = i
+        try:
+            if x < 0 or rank[x] >= 0:
+                raise IndexError
+            rank[x] = i
+        except (IndexError, TypeError):
+            raise ValueError(
+                f"ballot {ballot!r} is not a ranking of 0..{len(ballot) - 1}"
+            ) from None
     return tuple(rank)
 
 
 def _best(rank, mask):
-    return min(rank[x] for x in _bits(mask))
+    """The position of the mask's highest-ranked member."""
+    best = len(rank)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        r = rank[low.bit_length() - 1]
+        if r < best:
+            best = r
+    return best
 
 
 def _worst(rank, mask):
-    return max(rank[x] for x in _bits(mask))
+    """The position of the mask's lowest-ranked member."""
+    worst = -1
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        r = rank[low.bit_length() - 1]
+        if r > worst:
+            worst = r
+    return worst
 
 
 def _fish(rank, xmask, ymask) -> bool:
@@ -167,16 +211,16 @@ def fishburn_prefers(ballot: Ballot, xs, ys) -> bool:
 
     Defined only for X != Y (passing equal sets is a contract violation).
     """
-    xmask, ymask = _as_mask(xs), _as_mask(ys)
+    rank, xmask, ymask = _operands(ballot, xs, ys)
     _check_nonempty(xmask, ymask)
     if xmask == ymask:
         raise ValueError("set preference is defined for distinct sets only")
-    return _fish(_rank_of(ballot), xmask, ymask)
+    return _fish(rank, xmask, ymask)
 
 
 def exists_prefers(ballot: Ballot, xs, ys) -> bool:
     """True iff X or Y is empty, or some member of X beats some member of Y."""
-    return _exists(_rank_of(ballot), _as_mask(xs), _as_mask(ys))
+    return _exists(*_operands(ballot, xs, ys))
 
 
 def fplus_weakly_prefers(ballot: Ballot, xs, ys) -> bool:
@@ -186,9 +230,9 @@ def fplus_weakly_prefers(ballot: Ballot, xs, ys) -> bool:
     existential witness from X \\ Y into the overlap and from the overlap into
     Y \\ X.
     """
-    xmask, ymask = _as_mask(xs), _as_mask(ys)
+    rank, xmask, ymask = _operands(ballot, xs, ys)
     _check_nonempty(xmask, ymask)
-    return _fplus_weak(_rank_of(ballot), xmask, ymask)
+    return _fplus_weak(rank, xmask, ymask)
 
 
 def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
@@ -197,11 +241,10 @@ def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
     Equal sets compare as EQUAL. Under the weak lifting, the strict part is
     used, so mutually weakly-preferred distinct sets come out INCOMPARABLE.
     """
-    xmask, ymask = _as_mask(xs), _as_mask(ys)
+    rank, xmask, ymask = _operands(ballot, xs, ys)
     if xmask == ymask:
         return SetComparison.EQUAL
     _check_nonempty(xmask, ymask)
-    rank = _rank_of(ballot)
     if _prefers(kind, rank, xmask, ymask):
         return SetComparison.LEFT_PREFERRED
     if _prefers(kind, rank, ymask, xmask):

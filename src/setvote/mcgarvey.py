@@ -10,6 +10,12 @@ c * m^2 + 1 voters for a maximum absolute margin c >= 1 (an all-zero target
 still needs one canceling pair, because profiles are non-empty). A target
 needing more than MAX_ELECTORATE voters is refused with a ValueError before
 any ballot is built.
+
+Both entry points reduce their target to one signed count of canceling
+pairs per pair x < y and build the ballots from the arc table of m: for
+each pair, its canceling pair in either direction, made once per m on
+first use. So a realization appends table entries, in pair order after the
+seed voter, the same way for every weight.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ class WeightedMajorityGraph:
         object.__setattr__(self, "parity", parities.pop() if parities else 0)
 
 
-@lru_cache(maxsize=None)
 def _cancelling_pair(x: int, y: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two ballots that together add +2 to g(x, y) and 0 everywhere else."""
     rest = [z for z in range(m) if z != x and z != y]
@@ -72,30 +77,33 @@ def _cancelling_pair(x: int, y: int, m: int) -> tuple[tuple[int, ...], tuple[int
 
 
 @lru_cache(maxsize=None)
-def _pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """The pairs x < y of 0..m-1 in lexicographic order."""
-    return tuple(itertools.combinations(range(m), 2))
+def _arcs(m: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The arc table of m alternatives, built on first use: for each pair
+    x < y in lexicographic order, the canceling pair adding +2 to g(x, y)
+    and the one adding +2 to g(y, x)."""
+    return tuple(
+        (_cancelling_pair(x, y, m), _cancelling_pair(y, x, m))
+        for x, y in itertools.combinations(range(m), 2)
+    )
 
 
-def _realize(m: int, values, odd: int) -> Profile:
-    """The profile for target margins ``values``, one g(x, y) per pair x < y
-    in `_pairs` order, of parity ``odd``: an index-order seed voter if odd,
-    then canceling pairs. An electorate over MAX_ELECTORATE is refused
-    before any ballot is built."""
-    # the seed voter already paid +1 towards every g(x, y) with x < y, and
-    # the even rest |g(x, y) - odd| is paid one canceling pair per 2
-    size = odd + sum(abs(v - odd) for v in values)
+def _realize(m: int, odd: int, counts) -> Profile:
+    """The profile of an index-order seed voter if ``odd``, then, for each
+    arc of `_arcs(m)` in order, ``counts[k]`` canceling pairs towards g(x, y)
+    if positive, or ``-counts[k]`` towards g(y, x) if negative. An
+    electorate over MAX_ELECTORATE is refused before any ballot is built."""
+    size = odd + 2 * sum(map(abs, counts))
     if size > MAX_ELECTORATE:
         raise ValueError(
             f"realizing these margins needs {size} voters, more than {MAX_ELECTORATE}"
         )
     seed = tuple(range(m))
     ballots: list[tuple[int, ...]] = [seed] if odd else []
-    for (x, y), v in zip(_pairs(m), values):
-        value = v - odd
-        if value:
-            hi, lo = (x, y) if value > 0 else (y, x)
-            ballots.extend(_cancelling_pair(hi, lo, m) * (abs(value) // 2))
+    for (up, down), count in zip(_arcs(m), counts):
+        if count > 0:
+            ballots += up * count
+        elif count:
+            ballots += down * -count
     if not ballots:
         # all-zero even target: one ballot and its reverse
         ballots = [seed, seed[::-1]]
@@ -105,8 +113,13 @@ def _realize(m: int, values, odd: int) -> Profile:
 
 def realize(graph: WeightedMajorityGraph) -> Profile:
     """A profile whose margin matrix equals the target exactly."""
-    target = graph.target
-    return _realize(graph.m, [target[x][y] for x, y in _pairs(graph.m)], graph.parity)
+    target, odd = graph.target, graph.parity
+    # the seed voter already paid +1 towards every g(x, y) with x < y, and
+    # the even rest g(x, y) - odd is paid one canceling pair per 2
+    counts = [
+        (target[x][y] - odd) // 2 for x, y in itertools.combinations(range(graph.m), 2)
+    ]
+    return _realize(graph.m, odd, counts)
 
 
 def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
@@ -119,12 +132,16 @@ def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
     if weight < 1:
         raise ValueError("weight must be at least 1")
     m, strict = rel.m, rel.strict
-    has_tie = sum(s.bit_count() for s in strict) < m * (m - 1) // 2
+    has_tie = sum(map(int.bit_count, strict)) < m * (m - 1) // 2
     if has_tie and weight % 2:
         raise ParityError("ties force even margins, so the weight must be even")
-    values = [
-        weight if strict[x] >> y & 1 else -weight if strict[y] >> x & 1 else 0
-        for x, y in _pairs(m)
-    ]
     # a single alternative has no margins, hence even parity
-    return _realize(m, values, weight & 1 if m > 1 else 0)
+    odd = weight & 1 if m > 1 else 0
+    # the seed voter's +1 leaves weight - odd to pay on an arc x -> y with
+    # x < y, and weight + odd on y -> x
+    up, down = (weight - odd) // 2, -((weight + odd) // 2)
+    counts = [
+        up if strict[x] >> y & 1 else down if strict[y] >> x & 1 else 0
+        for x, y in itertools.combinations(range(m), 2)
+    ]
+    return _realize(m, odd, counts)

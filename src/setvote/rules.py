@@ -200,28 +200,26 @@ def _maj_condorcet_non_loser(rule, m, strict):
 
 
 def _maj_copeland(rule, m, strict):
-    beaten_by = _beaten_by(strict, m)
-    scores = [strict[x].bit_count() - beaten_by[x].bit_count() for x in range(m)]
+    scores = [s.bit_count() - b.bit_count() for s, b in zip(strict, _beaten_by(strict, m))]
     best = max(scores)
-    return sum(1 << x for x in range(m) if scores[x] == best)
+    mask = 0
+    for x, score in enumerate(scores):
+        if score == best:
+            mask |= 1 << x
+    return mask
 
 
 def _maj_uncovered(rule, m, strict):
-    for x in range(m):
-        for y in range(x + 1, m):
-            if not (strict[x] >> y & 1) and not (strict[y] >> x & 1):
-                raise TiesUnsupportedError(
-                    "the uncovered set is defined on tie-free majority relations only"
-                )
-    mask = 0
-    for x in range(m):
-        # y covers x when y beats x and everything x beats, y beats too
-        covered = any(
-            strict[y] >> x & 1 and strict[x] & ~strict[y] == 0
-            for y in range(m)
-            if y != x
+    # the relation is asymmetric, so it has a tie iff it has fewer arcs than pairs
+    if sum(map(int.bit_count, strict)) < m * (m - 1) // 2:
+        raise TiesUnsupportedError(
+            "the uncovered set is defined on tie-free majority relations only"
         )
-        if not covered:
+    mask = 0
+    for x, beats in enumerate(strict):
+        # y covers x when y beats x and everything x beats, y beats too (no
+        # y beats itself)
+        if not any(s >> x & 1 and not beats & ~s for s in strict):
             mask |= 1 << x
     return mask
 
@@ -428,10 +426,15 @@ def evaluate_mask_from_margins(rule: RuleSpec, flat, m: int) -> int:
     raise ValueError(f"{rule.name} needs the ballots, not just margins")
 
 
-def evaluate_mask_from_relation(rule: RuleSpec, strict: tuple[int, ...], m: int) -> int:
-    if rule.id not in _MAJORITARIAN:
+def _relation_evaluator(rule: RuleSpec):
+    evaluator = _MAJORITARIAN.get(rule.id)
+    if evaluator is None:
         raise ValueError(f"{rule.name} is not a function of the majority relation")
-    return _MAJORITARIAN[rule.id](rule, m, strict)
+    return evaluator
+
+
+def evaluate_mask_from_relation(rule: RuleSpec, strict: tuple[int, ...], m: int) -> int:
+    return _relation_evaluator(rule)(rule, m, strict)
 
 
 def _nonempty(rule: RuleSpec, mask: int) -> int:
@@ -449,6 +452,10 @@ def evaluate(rule: RuleSpec, profile: Profile) -> ChoiceSet:
 def evaluate_on_relation(rule: RuleSpec, rel: MajorityRelation) -> ChoiceSet:
     """Evaluate a majoritarian rule directly on a majority relation; the
     result is never empty."""
-    mask = evaluate_mask_from_relation(rule, rel.strict, rel.m)
+    # each fallback runs only to raise: for a rule outside the table, or an
+    # empty output
+    evaluator = _MAJORITARIAN.get(rule.id) or _relation_evaluator(rule)
+    m = rel.m
+    mask = evaluator(rule, m, rel.strict) or _nonempty(rule, 0)
     # a majoritarian evaluator only ever sets bits of alternatives 0..m-1
-    return _unchecked_choice(rel.m, _nonempty(rule, mask))
+    return _unchecked_choice(m, mask)

@@ -265,16 +265,21 @@ class Universe:
             raise ValueError(f"margin_cap must be non-negative, got {self.margin_cap}")
 
     @cached_property
-    def _by_size(self) -> dict:
-        """Electorate size -> number of profiles, counted once per instance:
-        m!^n, or under a margin cap the profiles it keeps, one by one."""
+    def _electorates_by_size(self) -> dict:
+        """Electorate size n -> number of electorates (multisets of n
+        ballots), counted once per instance: comb(m! + n - 1, n), or under a
+        margin cap the electorates it keeps, one by one."""
         if self.margin_cap is not None:
-            return Counter(map(len, self.raw_profiles()))
+            return Counter(map(len, self._electorates()))
         b = factorial(self.m)
-        return {n: b**n for n in range(1, self.n_max + 1)}
+        return {n: comb(b + n - 1, n) for n in range(1, self.n_max + 1)}
 
     def count_profiles(self) -> int:
-        return sum(self._by_size.values())
+        """The ordered profiles: m!^n of each size n, or under a margin cap
+        those it keeps, counted one by one."""
+        if self.margin_cap is not None:
+            return sum(1 for _ in self.raw_profiles())
+        return sum(factorial(self.m) ** n for n in range(1, self.n_max + 1))
 
     def _within_cap(self, ballots) -> bool:
         return all(abs(v) <= self.margin_cap for v in _margins_flat(ballots, self.m))
@@ -1229,20 +1234,22 @@ def _over_relations(name: str, rule: RuleSpec) -> bool:
 
 def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
     """The rule evaluations the check may make on the universe, which the
-    budget bounds: ordered pairs of relations (3 per pair of alternatives)
-    or of profiles for a pair check, every profile and misreport for
-    strategyproofness, and for an axiom a constant number per (profile,
+    budget bounds. A walk meets one ordering per electorate, so electorates
+    are counted: ordered pairs of relations (3 per pair of alternatives) or
+    of electorates for a pair check, every electorate and misreport for
+    strategyproofness, and for an axiom a constant number per (electorate,
     voter, block) plus the k_hom - 1 tilings homogeneity evaluates."""
     m = universe.m
     if _over_relations(name, rule):
         return 9 ** comb(m, 2)
-    sizes, profiles = universe._by_size, universe.count_profiles()
+    sizes = universe._electorates_by_size
+    electorates = sum(sizes.values())
     if name in (_ROBUST_DOMINANT, _WEAK_ROBUSTNESS):
-        return profiles**2
+        return electorates**2
     if name in _DEVIATION_CHECKS:
         deviations = factorial(m) - 1
         return sum(count * (n * deviations + 1) for n, count in sizes.items())
-    return profiles * (universe.n_max * factorial(m) * m + universe.k_hom - 1)
+    return electorates * (universe.n_max * factorial(m) * m + universe.k_hom - 1)
 
 
 def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -> dict:

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from setvote.core import (
     ChoiceSet,
     MajorityRelation,
     Profile,
+    _margins_flat,
     _tc_mask,
     condorcet_loser,
     condorcet_winner,
@@ -138,6 +141,50 @@ class TestMargins:
         assert not margins(doubled).any()
 
 
+def counted_margins(ballots, m):
+    """g(x, y) by counting, per distinct ballot, the pairs it orders."""
+    g = [[0] * m for _ in range(m)]
+    for ballot, k in Counter(ballots).items():
+        for i, x in enumerate(ballot):
+            for y in ballot[i + 1:]:
+                g[x][y] += k
+                g[y][x] -= k
+    return g
+
+
+class TestPackedMarginCode:
+    """The packed per-ballot code against a pairwise count."""
+
+    @pytest.mark.parametrize("m,n", [
+        (1, 1), (1, 7), (2, 1), (2, 2), (3, 5), (5, 12), (8, 1), (8, 9), (8, 40),
+        (3, 100_000), (8, 100_000),
+    ])
+    def test_margins_match_a_pairwise_count(self, m, n):
+        rng = random.Random(m * 1_000_003 + n)
+        ballots = tuple(tuple(rng.sample(range(m), m)) for _ in range(n))
+        expected = counted_margins(ballots, m)
+        assert _margins_flat(ballots, m) == tuple(v for row in expected for v in row)
+        g = margins(Profile(m, ballots))
+        assert g.dtype == np.int64 and g.shape == (m, m) and g.tolist() == expected
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_a_unanimous_electorate_reaches_n_in_every_field(self, m):
+        # the largest margins a profile of n voters has, both signs
+        n = 100_001
+        g = margins(Profile(m, (tuple(range(m)),) * n))
+        assert g.tolist() == [
+            [n if x < y else -n if x > y else 0 for y in range(m)] for x in range(m)
+        ]
+
+    def test_margins_are_a_fresh_writable_array(self, fig1):
+        g = margins(fig1)
+        g[0, 1] = 99
+        assert margins(fig1)[0, 1] == 0
+
+    def test_no_ballots_have_zero_margins(self):
+        assert _margins_flat((), 3) == (0,) * 9
+
+
 class TestRelation:
     def test_fig1_sign_pattern(self, fig1):
         rel = relation(margins(fig1))
@@ -215,6 +262,16 @@ class TestRelationValidation:
     def test_a_numpy_m_becomes_a_python_int(self):
         rel = MajorityRelation(np.int64(3), (2, 4, 1))
         assert type(rel.m) is int and rel == MajorityRelation(3, (2, 4, 1))
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_alternatives_is_refused(self, m):
+        with pytest.raises(ValueError, match="^need at least one alternative$"):
+            MajorityRelation(m, ())
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_enumerating_no_alternatives_is_refused_at_the_call(self, m):
+        with pytest.raises(ValueError, match="^need at least one alternative$"):
+            enumerate_relations(m)
 
 
 class TestChoiceSetValidation:
@@ -401,6 +458,12 @@ class TestConnectedSet:
         rel = MajorityRelation.from_profile(Profile.from_rankings([(0,)]))
         assert not connected_set(rel, 0)
 
+    @pytest.mark.parametrize("x", [5, 6, -1, -5, 1.5, "a", None])
+    def test_an_alternative_out_of_range_is_refused(self, x):
+        rel = cycle_relation((0, 1), (1, 2), (2, 0), (3, 4))
+        with pytest.raises(ValueError, match="out of range for m=5"):
+            connected_set(rel, x)
+
 
 class TestCoveringCycle:
     def test_fig1_covers_abc(self, fig1):
@@ -480,6 +543,14 @@ class TestMaskKernelAgainstOracles:
                     sub, idx = restrict(rel, rest)
                     tc_rest = {idx[i] for i in top_cycle_literal(sub, range(sub.m))}
                 assert members(connected_set(rel, x)) == tc - tc_rest - {x}
+
+    def test_connected_set_is_what_leaves_with_x_m5(self):
+        # the kernel reads the top cycle without x, not all of A without x
+        for rel in enumerate_relations(5):
+            tc = top_cycle_literal(rel, range(5))
+            for x in range(5):
+                rest = [y for y in range(5) if y != x]
+                assert members(connected_set(rel, x)) == tc - top_cycle_literal(rel, rest) - {x}
 
     def test_covering_cycles_pinned_m_le_5(self):
         # SHA-256 of the repr of every covering cycle, relations in

@@ -199,6 +199,42 @@ class TestMaskLiftings:
         assert exists_prefers(ABC, {A}, ())
 
 
+PUBLIC_LIFTINGS = [
+    lambda ballot, xs, ys: compare(ExtensionKind.FISHBURN, ballot, xs, ys),
+    lambda ballot, xs, ys: compare(ExtensionKind.FPLUS, ballot, xs, ys),
+    fishburn_prefers,
+    exists_prefers,
+    fplus_weakly_prefers,
+]
+
+
+class TestOperandValidation:
+    @pytest.mark.parametrize("lifting", PUBLIC_LIFTINGS)
+    @pytest.mark.parametrize("ballot", [(0, 0, 1), (0, 1, 3), (-1, 0, 1), (0, 1.5, 2), ("a", 1, 2)])
+    def test_a_ballot_that_is_not_a_ranking_is_refused(self, lifting, ballot):
+        with pytest.raises(ValueError, match="is not a ranking of 0..2"):
+            lifting(ballot, {A}, {B})
+
+    def test_equal_sets_on_a_bad_ballot_are_refused(self):
+        with pytest.raises(ValueError, match="is not a ranking"):
+            compare(ExtensionKind.FISHBURN, (0, 0, 1), {A}, {A})
+
+    @pytest.mark.parametrize("lifting", PUBLIC_LIFTINGS)
+    @pytest.mark.parametrize("xs", [{3}, {A, 5}, {-1}, {1.5}, ChoiceSet(4, 0b0001)])
+    def test_a_set_beyond_the_ballot_is_refused(self, lifting, xs):
+        with pytest.raises(ValueError, match="on a ballot of|needs a ballot of as many"):
+            lifting(ABC, xs, {B})
+        with pytest.raises(ValueError, match="on a ballot of|needs a ballot of as many"):
+            lifting(ABC, {B}, xs)
+
+    def test_a_list_ballot_reads_as_its_tuple(self):
+        assert compare(ExtensionKind.FISHBURN, [B, C, A], {C}, {A, C}) == SetComparison.LEFT_PREFERRED
+        assert fishburn_prefers([B, C, A], {C}, {A, C})
+
+    def test_a_smaller_set_universe_fits_a_longer_ballot(self):
+        assert fishburn_prefers((3, 0, 1, 2), ChoiceSet(3, 0b001), ChoiceSet(3, 0b110))
+
+
 class TestVerdictTables:
     """The tables the searches read against the direct readings, for every
     ballot with m <= 4, every pair of non-empty masks and both liftings."""

@@ -106,6 +106,7 @@ class TestRealize:
             raise AssertionError("a ballot was built")
 
         monkeypatch.setattr(mcgarvey, "_cancelling_pair", unreachable)
+        monkeypatch.setattr(mcgarvey, "_arcs", unreachable)
         monkeypatch.setattr(mcgarvey, "Profile", unreachable)
         monkeypatch.setattr(mcgarvey, "_unchecked_profile", unreachable)
         big = 2**63 - 1
@@ -187,6 +188,28 @@ class TestRealizeRelation:
         ballots = [realize_relation(rel, 2).ballots for rel in rels]
         digest = hashlib.sha256(repr(ballots).encode()).hexdigest()
         assert digest == "9f397726153a0f4f7f5715da67e27b440212f8c7fff28f06277b3a7eddf2ac1d"
+
+    def test_ballot_sequences_pinned_every_weight_m_le_4(self):
+        # SHA-256 of the repr of every realized ballot sequence for m = 1..4,
+        # relations in enumeration order, weights 1-4 where no pair ties and
+        # 2 and 4 where one does, as the realization loop before the arc
+        # table produced them; every strict margin is the weight, every tie 0
+        sequences = []
+        for m in (1, 2, 3, 4):
+            for rel in enumerate_relations(m):
+                tie_free = sum(s.bit_count() for s in rel.strict) == m * (m - 1) // 2
+                for weight in (1, 2, 3, 4) if tie_free else (2, 4):
+                    prof = realize_relation(rel, weight)
+                    sequences.append(prof.ballots)
+                    assert margins(prof).tolist() == [
+                        [weight if rel.strictly_prefers(x, y)
+                         else -weight if rel.strictly_prefers(y, x) else 0
+                         for y in range(m)]
+                        for x in range(m)
+                    ]
+        assert len(sequences) == 1670
+        digest = hashlib.sha256(repr(sequences).encode()).hexdigest()
+        assert digest == "a042056d33d087d8adda1170b4f1c143007f06adbf6f9cbaee39c3d62dbbda6a"
 
     def test_matches_realize_of_the_same_target(self):
         for m in (1, 2, 3, 4):

@@ -59,8 +59,8 @@ def counted_calls(monkeypatch, name):
 
 def counted_enumerations(monkeypatch):
     """The universes enumerated from here on, once per call of either
-    enumerator: `raw_profiles` (a count of a margin-capped universe) or
-    `_electorates` (a walk)."""
+    enumerator: `raw_profiles` (`count_profiles` of a margin-capped
+    universe) or `_electorates` (its electorate count, or a walk)."""
     calls = []
 
     def counting(enumerate_):
@@ -258,22 +258,23 @@ class TestCheckAxiom:
 
     def test_budget_counts_a_margin_capped_universe_exactly(self):
         # a margin cap of 0 keeps 6 two-voter and 90 four-voter profiles of
-        # the 1,554 on (3, <=4): 96 * (4 * 3! * 3 + 1) = 7,008 axiom
-        # evaluations, and 6 * (2 * 5 + 1) + 90 * (4 * 5 + 1) = 1,956
-        # deviations and honest outputs
+        # the 1,554 on (3, <=4), which are 3 and 6 electorates, one walked
+        # each: 9 * (4 * 3! * 3 + 1) = 657 axiom evaluations, and
+        # 3 * (2 * 5 + 1) + 6 * (4 * 5 + 1) = 159 deviations and honest outputs
         universe = Universe(3, 4, margin_cap=0)
         assert universe.count_profiles() == 96
+        assert universe._electorates_by_size == {2: 3, 4: 6}
         assert check_axiom(Axiom.COS, TC, universe, budget=10**4).outcome == Outcome.HOLDS
         for check, count in (
-            (lambda budget: check_axiom(Axiom.COS, TC, universe, budget=budget), 7008),
-            (lambda budget: sweep_strategyproofness(TC, universe, budget=budget), 1956),
+            (lambda budget: check_axiom(Axiom.COS, TC, universe, budget=budget), 657),
+            (lambda budget: sweep_strategyproofness(TC, universe, budget=budget), 159),
         ):
             check(count)
             with pytest.raises(BudgetExceededError, match=f"^estimated {count} evaluations"):
                 check(count - 1)
 
     def test_a_margin_capped_universe_is_counted_once(self, monkeypatch):
-        # a universe counts its profiles with one raw_profiles call, on its
+        # a universe counts its electorates with one _electorates call, on its
         # first estimate, and every walk of it is one more enumeration; a
         # majoritarian rule's robust-dominant check walks the majority
         # relations instead
@@ -392,15 +393,18 @@ class TestRobustness:
         assert digest == "6381fe46f0b5d268d63583e6333eb23a14c9c14f74d945dda1b0d8b5b50b2d4c"
 
     @pytest.mark.parametrize("name", ["tc", "borda", "plurality"])
-    @pytest.mark.parametrize("cap,profiles", [(None, 6 + 36), (0, 6)])
-    def test_pair_budget_is_the_square_of_what_is_paired(self, name, cap, profiles):
-        # ordered pairs of the profiles on (3, <=2), of which a margin cap of
-        # 0 keeps the six ballot-and-reversal pairs, or of the 27 relations on
-        # three alternatives when a majoritarian rule's robustness ranges
-        # over relations
+    @pytest.mark.parametrize("cap,electorates", [(None, 6 + 21), (0, 3)])
+    def test_pair_budget_is_the_square_of_what_is_paired(self, name, cap, electorates):
+        # ordered pairs of the electorates on (3, <=2) (6 single ballots and
+        # comb(6 + 1, 2) = 21 pairs of them), of which a margin cap of 0 keeps
+        # the three {ballot, reversal} pairs, or of the 27 relations on three
+        # alternatives when a majoritarian rule's robustness ranges over
+        # relations
         rule, universe = parse_rule(name), Universe(3, 2, margin_cap=cap)
-        robust = 27 if basis(rule) == BasisTag.MAJORITARIAN else profiles
-        for check, count in ((check_robust_dominant, robust), (check_weak_robustness, profiles)):
+        robust = 27 if basis(rule) == BasisTag.MAJORITARIAN else electorates
+        for check, count in (
+            (check_robust_dominant, robust), (check_weak_robustness, electorates)
+        ):
             check(rule, universe, budget=count**2)
             with pytest.raises(
                 BudgetExceededError,
@@ -455,16 +459,17 @@ class TestCorroboration:
         report = corroborate_theorems(Universe(3, 3))
         assert report.passed, [a for a in report.assertions if not a[1]]
 
-    @pytest.mark.parametrize("names,largest", [
-        # the axiom bound of (3, <=2): 42 profiles * (2 * 3! * 3 + 1)
-        (("tc",), 1554),
-        # borda's robust-dominant check pairs the 42 profiles: 42^2
-        (("tc", "borda"), 1764),
+    @pytest.mark.parametrize("names,n_max,largest", [
+        # the axiom bound of (3, <=2): 27 electorates * (2 * 3! * 3 + 1)
+        (("tc",), 2, 999),
+        # borda's robust-dominant check pairs the 83 electorates of (3, <=3):
+        # 83^2, above their axiom bound 83 * (3 * 3! * 3 + 1) = 4,565
+        (("tc", "borda"), 3, 6889),
     ])
     def test_refused_below_its_largest_estimate_before_any_walk(
-        self, monkeypatch, names, largest
+        self, monkeypatch, names, n_max, largest
     ):
-        universe, catalog_rules = Universe(3, 2), tuple(map(parse_rule, names))
+        universe, catalog_rules = Universe(3, n_max), tuple(map(parse_rule, names))
         corroborate_theorems(universe, rules=catalog_rules, budget=largest)
         calls = counted_enumerations(monkeypatch)
         with pytest.raises(
@@ -472,6 +477,20 @@ class TestCorroboration:
         ):
             corroborate_theorems(universe, rules=catalog_rules, budget=largest - 1)
         assert calls == []
+
+    def test_four_alternatives_and_four_voters_fit_the_default_budget(self):
+        # 20,474 electorates, not 346,200 ordered profiles: the largest
+        # estimate is the robust-dominant pair count 20,474^2 of the
+        # non-majoritarian rules
+        universe = Universe(4, 4)
+        # comb(4! + n - 1, n) multisets of n ballots
+        assert universe._electorates_by_size == {1: 24, 2: 300, 3: 2600, 4: 17550}
+        largest = 20474**2
+        assert largest <= verify.DEFAULT_BUDGET
+        with pytest.raises(
+            BudgetExceededError, match=f"^estimated {largest} evaluations exceed the budget$"
+        ):
+            corroborate_theorems(universe, budget=largest - 1)
 
     def test_all_violation_witnesses_replay(self):
         report = corroborate_theorems(Universe(3, 2))
