@@ -12,10 +12,14 @@ Alternatives are dense integer indices so that sets can be bit masks and
 ballots can be enumerated as permutations. Every function is a pure function
 of immutable values. Each relation-level question is answered once, on the
 strict-beat masks; the public functions of a `MajorityRelation` wrap that.
-The top-cycle, Schwartz, connected-set and transposed-mask kernels keep
-their last few answers, so the questions asked of one relation in a row
-share one computation: every alternative's connected set comes from one
-call, which looks for the top cycle without x inside the top cycle alone.
+The top-cycle, Schwartz, covering-cycle, connected-set and transposed-mask
+kernels keep their last few answers, so the questions asked of one relation
+in a row share one computation, and the kernels reuse one another's:
+every alternative's connected set is read off the memoized covering cycle,
+whose path from x's successor round to x's predecessor walks down the
+strong components of the top cycle without x. Kernel answers are interned,
+one shared `ChoiceSet` per (m, mask), which is safe because a ChoiceSet is
+frozen and compared by value.
 
 Margins come from one packed integer per ballot, m*m fixed 64-bit fields
 (+1 where the ballot ranks x over y, -1 where under), made once per ballot
@@ -77,6 +81,8 @@ def _bits(mask: int):
 
 # answers the relation kernels keep: every key of the last few relations
 _KERNEL_MEMO = 64
+# kernel answers kept as shared ChoiceSets: as many as 12 alternatives have subsets
+_CHOICE_MEMO = 1 << 12
 
 _new = object.__new__
 _set = object.__setattr__
@@ -88,6 +94,24 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _alternative(value, m: int) -> int:
+    """`value` as a Python int in 0..m-1, or a ValueError."""
+    try:
+        x = operator.index(value)
+    except TypeError:
+        x = -1
+    if not 0 <= x < m:
+        raise ValueError(f"alternative {value!r} out of range for m={m}")
+    return x
+
+
+def _fits(choice: "ChoiceSet", m: int) -> int:
+    """The mask of a ChoiceSet, refused if it is over more than m alternatives."""
+    if choice.m > m:
+        raise ValueError(f"a set over {choice.m} alternatives does not fit m={m}")
+    return choice.mask
 
 
 @dataclass(frozen=True)
@@ -113,11 +137,10 @@ class ChoiceSet:
 
     @classmethod
     def from_members(cls, m: int, members) -> "ChoiceSet":
+        m = _integer(m, "m")
         mask = 0
         for x in members:
-            if not 0 <= x < m:
-                raise ValueError(f"alternative {x} out of range for m={m}")
-            mask |= 1 << x
+            mask |= 1 << _alternative(x, m)
         return cls(m, mask)
 
     @classmethod
@@ -151,8 +174,11 @@ class ChoiceSet:
 # generated __init__ does, so instances keep CPython's key-sharing dicts.
 
 
+@lru_cache(maxsize=_CHOICE_MEMO)
 def _unchecked_choice(m: int, mask: int) -> ChoiceSet:
-    """A ChoiceSet of a mask known to lie in 0 <= mask < 2**m, unchecked."""
+    """The shared ChoiceSet of a mask known to lie in 0 <= mask < 2**m,
+    unchecked. A ChoiceSet is frozen and compared by value, so one instance
+    per (m, mask) can stand for every kernel answer of that set."""
     choice = _new(ChoiceSet)
     _set(choice, "m", m)
     _set(choice, "mask", mask)
@@ -437,7 +463,13 @@ def condorcet_loser(rel: MajorityRelation) -> int | None:
 
 def is_dominant(rel: MajorityRelation, choice: ChoiceSet | int) -> bool:
     """True iff every member strictly beats every non-member (X = A is vacuously dominant)."""
-    mask = choice.mask if isinstance(choice, ChoiceSet) else choice
+    m = rel.m
+    if isinstance(choice, ChoiceSet):
+        mask = _fits(choice, m)
+    else:
+        mask = _integer(choice, "choice")
+        if not 0 <= mask < 1 << m:
+            raise ValueError(f"mask {mask:#x} out of range for m={m}")
     if mask == 0:
         raise ValueError("dominance is defined for non-empty sets only")
     return _dominant(rel.strict, mask)
@@ -448,7 +480,8 @@ def _dominant(strict, mask: int) -> bool:
     return all(strict[x] & comp == comp for x in _bits(mask))
 
 
-def _smallest_dominant(strict: tuple[int, ...], subset: int) -> int:
+@lru_cache(maxsize=_KERNEL_MEMO)
+def _tc_mask(strict: tuple[int, ...], subset: int) -> int:
     """Smallest dominant subset of `subset` under the relation restricted to it."""
     # Seed with an alternative with the most strict wins inside `subset`. It
     # lies in the smallest dominant set T: a member of T beats all of
@@ -475,9 +508,6 @@ def _smallest_dominant(strict: tuple[int, ...], subset: int) -> int:
             add ^= low
         add = subset & ~s & ~beats_all
     return s
-
-
-_tc_mask = lru_cache(maxsize=_KERNEL_MEMO)(_smallest_dominant)
 
 
 def top_cycle(rel: MajorityRelation) -> ChoiceSet:
@@ -553,9 +583,9 @@ def schwartz_set(rel: MajorityRelation) -> ChoiceSet:
 def restrict(rel: MajorityRelation, members) -> tuple[MajorityRelation, tuple[int, ...]]:
     """The relation induced on a non-empty subset, plus the new-index -> old-index map."""
     if isinstance(members, ChoiceSet):
-        old = members.members
+        old = tuple(_bits(_fits(members, rel.m)))
     else:
-        old = tuple(sorted(set(members)))
+        old = tuple(sorted({_alternative(x, rel.m) for x in members}))
     if not old:
         raise ValueError("cannot restrict to the empty set")
     back = {x: i for i, x in enumerate(old)}
@@ -570,22 +600,38 @@ def restrict(rel: MajorityRelation, members) -> tuple[MajorityRelation, tuple[in
 @lru_cache(maxsize=_KERNEL_MEMO)
 def _connected_masks(strict: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Every alternative's connected set, as masks indexed by alternative."""
+    # An x outside the top cycle leaves it whole: it stays dominant without
+    # x, and minimal, since a smaller dominant subset would beat x too.
+    # Inside, read off the covering cycle c_0 ... c_{k-1}, each member
+    # weakly over the next (k >= 2). For x = c_i, tc - x is dominant in
+    # A - x, so the top cycle of A - x lies inside it; and the path
+    # c_{i+1} ... c_{i-1} covers tc - x along weak edges. The strong
+    # components of a complete relation are linearly ordered, each member
+    # of a higher one beating every member of a lower one, so the path
+    # walks down them in order: the top cycle of A - x is its shortest
+    # prefix whose members all strictly beat the rest of tc - x, and the
+    # connected set is that rest. When c_{i-1} is weakly over c_{i+1} the
+    # path closes into a cycle, tc - x is one component, and nothing leaves.
+    cycle = _covering_cycle(strict, m)
+    connected = [0] * m
+    if cycle is None:
+        return tuple(connected)
     tc = _tc_mask(strict, (1 << m) - 1)
-    # {x, y}: the pair ties, so y beats everything else and {y} is the top
-    # cycle without x
-    if tc.bit_count() <= 2:
-        return (0,) * m
-    connected = []
-    for x in range(m):
-        rest = tc & ~(1 << x)
-        if rest == tc:
-            # x outside: the top cycle stays dominant without x and stays
-            # minimal, since a smaller dominant subset would beat x too
-            connected.append(0)
-        else:
-            # tc - x is dominant in A - x, so the smallest dominant set of
-            # A - x lies inside it and is its smallest dominant subset
-            connected.append(rest & ~_smallest_dominant(strict, rest))
+    k = len(cycle)
+    for i, x in enumerate(cycle):
+        if not strict[cycle[i + 1 - k]] >> cycle[i - 1] & 1:
+            continue
+        rest = tc ^ 1 << x
+        # below: what every member of the prefix beats, which never holds
+        # the prefix itself; the prefix is dominant when that is the rest
+        prefix, below = 0, rest
+        for j in range(i + 1 - k, i):
+            y = cycle[j]
+            prefix |= 1 << y
+            below &= strict[y]
+            if below == rest ^ prefix:
+                break
+        connected[x] = below
     return tuple(connected)
 
 
@@ -616,7 +662,12 @@ def covering_cycle(rel: MajorityRelation) -> tuple[int, ...] | None:
     (lowest upper member, then lowest lower one) is appended. The result is
     deterministic for a given relation.
     """
-    m, strict = rel.m, rel.strict
+    return _covering_cycle(rel.strict, rel.m)
+
+
+@lru_cache(maxsize=_KERNEL_MEMO)
+def _covering_cycle(strict: tuple[int, ...], m: int) -> tuple[int, ...] | None:
+    """The covering cycle of `covering_cycle`, on the strict-beat masks."""
     tc = _tc_mask(strict, (1 << m) - 1)
     if not tc & tc - 1:
         return None

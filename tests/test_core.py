@@ -294,6 +294,15 @@ class TestChoiceSetValidation:
         with pytest.raises(ValueError, match="out of range for m=3"):
             ChoiceSet(3, mask)
 
+    @pytest.mark.parametrize("member", [1.5, "a", None, 3, -1])
+    def test_a_member_that_is_no_alternative_is_refused(self, member):
+        with pytest.raises(ValueError, match="out of range for m=3"):
+            ChoiceSet.from_members(3, [0, member])
+
+    def test_numpy_members_become_python_ints(self):
+        choice = ChoiceSet.from_members(np.int64(3), [np.int64(0), True])
+        assert choice == ChoiceSet(3, 0b11) and type(choice.m) is int
+
     def test_numpy_integers_become_python_ints(self):
         choice = ChoiceSet(np.int64(3), np.int64(5))
         assert type(choice.m) is int and type(choice.mask) is int
@@ -335,6 +344,29 @@ class TestDominance:
     def test_full_set_vacuously_dominant(self):
         for rel in enumerate_relations(3):
             assert is_dominant(rel, ChoiceSet.full(3))
+
+    @pytest.mark.parametrize("choice", [0b1000, -1, 0b11111])
+    def test_a_mask_out_of_range_is_refused(self, choice):
+        rel = MajorityRelation(3, (2, 4, 1))
+        with pytest.raises(ValueError, match="out of range for m=3"):
+            is_dominant(rel, choice)
+
+    @pytest.mark.parametrize("choice", [ChoiceSet(5, 0b10000), ChoiceSet(4, 0b1)])
+    def test_a_set_over_more_alternatives_is_refused(self, choice):
+        rel = MajorityRelation(3, (2, 4, 1))
+        with pytest.raises(ValueError, match="does not fit m=3"):
+            is_dominant(rel, choice)
+
+    @pytest.mark.parametrize("choice", [1.0, "1", None])
+    def test_a_non_integer_mask_is_refused(self, choice):
+        with pytest.raises(ValueError, match="must be an integer"):
+            is_dominant(MajorityRelation(3, (2, 4, 1)), choice)
+
+    def test_a_set_over_fewer_alternatives_reads_as_its_members(self):
+        # 0 beats 1 beats 2 beats 0: no proper subset is dominant
+        rel = MajorityRelation(3, (2, 4, 1))
+        assert not is_dominant(rel, ChoiceSet(2, 0b11))
+        assert is_dominant(linear_relation((0, 1, 2)), ChoiceSet(2, 0b11))
 
     def test_fig1_chain(self, fig1):
         rel = MajorityRelation.from_profile(fig1)
@@ -423,6 +455,25 @@ class TestRestrict:
         rel = MajorityRelation.from_profile(fig1)
         sub, idx = restrict(rel, range(5))
         assert sub == rel and idx == tuple(range(5))
+
+    @pytest.mark.parametrize("members", [[-1], [3], [0.5], [0, "b"], [None]])
+    def test_a_member_that_is_no_alternative_is_refused(self, members):
+        rel = MajorityRelation(3, (2, 4, 1))
+        with pytest.raises(ValueError, match="out of range for m=3"):
+            restrict(rel, members)
+
+    @pytest.mark.parametrize("members", [ChoiceSet(5, 0b10000), ChoiceSet(4, 0b11)])
+    def test_a_set_over_more_alternatives_is_refused(self, members):
+        rel = MajorityRelation(3, (2, 4, 1))
+        with pytest.raises(ValueError, match="does not fit m=3"):
+            restrict(rel, members)
+
+    def test_members_are_read_as_integers(self):
+        rel = MajorityRelation(3, (2, 4, 1))
+        sub, idx = restrict(rel, [np.int64(2), True, 2])
+        assert idx == (1, 2) and type(idx[0]) is int
+        assert sub == MajorityRelation(2, (2, 0))
+        assert restrict(rel, ChoiceSet(2, 0b11)) == restrict(rel, [0, 1])
 
     def test_top_cycle_stable_under_superset_restriction(self):
         # restricting to any superset of the top cycle keeps it intact, m <= 4
@@ -569,6 +620,51 @@ class TestMaskKernelAgainstOracles:
         assert digest == "14e41dbf23daadc1f9fc38c14b055342463c2161e8374321d22bb74e5e343cfc"
 
 
+def sampled_relations(m, count, seed):
+    """`count` relations on m alternatives from a fixed seed: every other one
+    a tournament, the rest with each pair tied one time in three."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(m), 2))
+    for i in range(count):
+        strict = [0] * m
+        for x, y in pairs:
+            side = rng.randrange(2 if i % 2 else 3)
+            if side == 0:
+                strict[x] |= 1 << y
+            elif side == 1:
+                strict[y] |= 1 << x
+        yield MajorityRelation(m, tuple(strict))
+
+
+class TestKernelsOnSampledRelations:
+    """The connected-set and covering-cycle kernels past the exhaustive
+    m <= 5 checks, on a fixed-seed sample of 300 relations for each m."""
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_connected_set_is_what_leaves_with_x(self, m):
+        leaving = 0
+        for rel in sampled_relations(m, 300, seed=m):
+            tc = top_cycle_literal(rel, range(m))
+            for x in range(m):
+                rest = [y for y in range(m) if y != x]
+                connected = members(connected_set(rel, x))
+                assert connected == tc - top_cycle_literal(rel, rest) - {x}
+                leaving += bool(connected)
+        # the sample reaches the prefix walk, not only closed paths
+        assert leaving >= 30
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_covering_cycle_visits_exactly_the_top_cycle(self, m):
+        for rel in sampled_relations(m, 300, seed=m):
+            tc = members(top_cycle(rel))
+            cyc = covering_cycle(rel)
+            if len(tc) == 1:
+                assert cyc is None
+            else:
+                assert set(cyc) == tc and valid_cycle(rel, cyc)
+                assert has_covering_cycle(rel, tc)
+
+
 @st.composite
 def profiles(draw, max_m=5, max_n=6):
     m = draw(st.integers(min_value=1, max_value=max_m))
@@ -617,10 +713,17 @@ class TestValuesBuiltByConstruction:
                 except ValueError:
                     pass  # the uncovered set on ties, fab's pair out of range
             for cs in outputs:
-                assert ChoiceSet(cs.m, cs.mask) == cs
+                built = ChoiceSet(cs.m, cs.mask)
+                assert built == cs and hash(built) == hash(cs)
 
 
 class TestKernelMemo:
+    def test_kernel_answers_share_one_choice_set_per_mask(self):
+        for rel in relations_up_to(4):
+            tc = top_cycle(rel)
+            assert dominant_chain(rel)[0] is tc
+            assert rules.evaluate_on_relation(rules.parse_rule("tc"), rel) is tc
+
     def test_answers_do_not_depend_on_call_order(self):
         # a fresh process asks each relation's questions in the natural
         # order; here they are asked backwards, connected sets first, with
