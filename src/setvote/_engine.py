@@ -1,0 +1,322 @@
+"""The sweep engine behind `verify`: margin codes, one-ballot move tables and
+memoized rule outputs. It imports only `core` and `rules`, so that code which
+needs the engine without the checks can import it alone.
+
+Margin code. The engine keeps a profile's margins as one integer. For m
+alternatives and electorates of at most N voters, field i = x*m + y holds
+g(x, y) + N in w = bit_length(2N) value bits (0 <= g + N <= 2N < 2^w),
+followed by a guard bit that stays zero; field i starts at bit i*(w + 1), so
+a code has m*m*(w + 1) bits (64 for m = 4, N = 3). A ballot's encoding
+enc[b] adds 1 to each field (x, y) it ranks x over y and subtracts 1 from the
+mirrored field, so:
+
+- a profile's code is BIAS + sum(enc[b] for its ballots), BIAS holding N in
+  every field;
+- one voter changing ballot is code - enc[old] + enc[new], one add once the
+  difference is tabled (see Move tables below);
+- adding ADD, which holds 2^w - N - 1 in every field, carries into the guard
+  bit of field (x, y) exactly when g(x, y) > 0, so (code + ADD) & GUARD is in
+  bijection with the strict majority relation and keys majoritarian rules;
+  pairwise rules key on the code itself.
+
+Each engine has one layout, sized for the largest electorate it will see: n
+for a single profile, n_max * k_hom in a universe (homogeneity tiles
+profiles k_hom times, `_Scan.tiled`), max(2, m*(m-1)) on the relation walk.
+Strict masks and margin vectors are decoded only on a memo miss, or when a
+check reads them from the scan context.
+
+Move tables. Every one-ballot change a check tries (a misreport, a
+relabeling of the alternatives, a reinforcing swap, a top pushed to the
+bottom, a reordered ballot block) is read from the layout's tables, which
+its engines share as `_Engine.moves`: per (move kind, ballot, output), the
+output only for kinds that read it, the tuple of (new ballot, enc[new] -
+enc[ballot], info) in the kind's own generator order, so every first
+witness is kept. One step, `_moved`, turns a table into outputs: code +
+delta, the key, the memo lookup or the single miss site. It skips a voter
+whose ballot an earlier voter has: every rule reads the ballots only as a
+multiset (the tests check each profile-based evaluator), so that voter's
+moves reach the same outputs. On a code-keyed (majoritarian or pairwise)
+engine what a voter reaches depends only on its ballot and the margin code,
+so the engine also keeps, per (move kind, output argument, ballot, margin
+code), the moves `_moved` yields for that voter, and answers every later
+such voter from them. They are stored only once the voter's moves have all
+been tried: a consumer that stops early, or an evaluation that raises,
+stores nothing, so every error still surfaces at the first move that raises
+it.
+
+Memo lifetime. A rule on one layout keeps one engine, shared by every call
+and walk in the process but a replay, so calling `find_manipulation` once
+per profile evaluates each relation once. `_engine` hands the engines out,
+keyed also on the evaluator the rule's basis table holds, so that a replaced
+evaluator never reads outputs of the old one. Every memo counts its entries
+and starts afresh past `_MEMO_ENTRIES`: the output memo when its engine is
+next handed out, never during a walk; the tables (a tuple counts its length,
+an empty one one) when the next is stored. Errors (ties, empty choices,
+out-of-range parameters) are never memoized.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import cached_property, lru_cache
+
+from .core import Ballot, Profile
+from .rules import (
+    _MAJORITARIAN,
+    _PAIRWISE,
+    _PROFILE_BASED,
+    BasisTag,
+    RuleSpec,
+    _nonempty,
+    basis,
+    evaluate_mask,
+    evaluate_mask_from_margins,
+    evaluate_mask_from_relation,
+)
+
+# engines shared across calls, and the entries past which a memo starts
+# afresh; 3^10 relations on five alternatives fit
+_SHARED_ENGINES = 8
+_MEMO_ENTRIES = 1 << 16
+
+
+class _Tables(dict):
+    """Tuples weighted by their length (an empty one weighs one); once the
+    weight passes `_MEMO_ENTRIES` they start afresh when the next is stored."""
+
+    weight = 0
+
+    def store(self, key, value: tuple) -> tuple:
+        if self.weight > _MEMO_ENTRIES:
+            self.clear()
+            self.weight = 0
+        self[key] = value
+        self.weight += len(value) or 1
+        return value
+
+
+class _MarginCode:
+    """One margin-code layout (see the module docstring), with the ballot
+    encodings and one-ballot move tables it has needed so far."""
+
+    def __init__(self, m: int, size: int):
+        self.m = m
+        self.size = size
+        self.width = (2 * size).bit_length()
+        self.stride = self.width + 1
+        self.shifts = tuple(i * self.stride for i in range(m * m))
+        ones = sum(1 << s for s in self.shifts)
+        self.bias = size * ones
+        self.add = ((1 << self.width) - size - 1) * ones
+        self.guard = ones << self.width
+        self._enc: dict = {}
+        self._moves = _Tables()
+
+    def enc(self, ballot: Ballot) -> int:
+        code = self._enc.get(ballot)
+        if code is None:
+            m, shifts = self.m, self.shifts
+            code = 0
+            for hi, x in enumerate(ballot):
+                for y in ballot[hi + 1:]:
+                    code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
+            self._enc[ballot] = code
+        return code
+
+    def of(self, ballots) -> int:
+        if len(ballots) > self.size:
+            raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
+        return sum(map(self.enc, ballots), self.bias)
+
+    def moves(self, kind, ballot: Ballot, out: int | None = None) -> tuple:
+        """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
+        info), tabled once per (kind, ballot, out) in that order as
+        (new_ballot, enc[new_ballot] - enc[ballot], info). Kinds that do
+        not read the output are asked with out=None."""
+        key = (kind, ballot, out)
+        table = self._moves.get(key)
+        if table is None:
+            enc, base = self.enc, self.enc(ballot)
+            moved = tuple((new, enc(new) - base, info) for new, info in kind(ballot, out))
+            table = self._moves.store(key, moved)
+        return table
+
+    def key(self, code: int) -> int:
+        """The relation key: guard bit (x, y) set iff g(x, y) > 0."""
+        return (code + self.add) & self.guard
+
+    def flat(self, code: int) -> tuple[int, ...]:
+        field_mask = (1 << self.width) - 1
+        return tuple((code >> s & field_mask) - self.size for s in self.shifts)
+
+    def strict(self, key: int) -> tuple[int, ...]:
+        m, stride = self.m, self.stride
+        strict = [0] * m
+        key >>= self.width
+        while key:
+            low = key & -key
+            x, y = divmod((low.bit_length() - 1) // stride, m)
+            strict[x] |= 1 << y
+            key ^= low
+        return tuple(strict)
+
+
+# a few layouts stay alive across calls, so that engines on one layout share
+# its at most m! encodings and its move tables
+_margin_code = lru_cache(maxsize=4)(_MarginCode)
+
+
+class _Engine:
+    """Memoized rule outputs on one layout. The key follows the rule's basis:
+    the ballots for profile-based rules, the margin code for pairwise ones,
+    the relation key for majoritarian ones. Build one through `_engine`,
+    which shares it across calls."""
+
+    def __init__(self, rule: RuleSpec, m: int, size: int):
+        self.rule = rule
+        self.m = m
+        self.tag = basis(rule)
+        self.layout = _margin_code(m, size)
+        self.by_ballots = self.tag == BasisTag.PROFILE_BASED
+        # (code + add) & guard is the key; pairwise rules keep the code whole
+        if self.tag == BasisTag.MAJORITARIAN:
+            self.add, self.guard = self.layout.add, self.layout.guard
+        else:
+            self.add, self.guard = 0, -1
+        self.cache: dict = {}
+        # the layout's move tables, and on a code-keyed engine what `_moved`
+        # yields for a voter, by (kind, out, ballot, code)
+        self.moves = self.layout.moves
+        self.reached = _Tables()
+
+    def output(self, code: int, ballots) -> int:
+        """The output on the profile with this code; `ballots` is read by
+        profile-based rules only."""
+        key = ballots if self.by_ballots else (code + self.add) & self.guard
+        out = self.cache.get(key)
+        if out is None:
+            out = self.miss(key, code)
+        return out
+
+    def miss(self, key, code: int) -> int:
+        """The single memo-miss site."""
+        if self.by_ballots:
+            mask = evaluate_mask(self.rule, key, self.m)
+        elif self.tag == BasisTag.PAIRWISE:
+            mask = evaluate_mask_from_margins(self.rule, self.layout.flat(code), self.m)
+        else:
+            mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
+        self.cache[key] = _nonempty(self.rule, mask)
+        return mask
+
+    def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
+        """What `voter` reaches by one move of `kind` (see `_moved`), as
+        (new_ballot, info, output after) in table order: a stored tuple, or a
+        generator that evaluates each move as it is asked for and, on a
+        code-keyed engine, stores the tuple once it has run to its end."""
+        key = None if self.by_ballots else (kind, out, ballots[voter], code)
+        found = self.reached.get(key)
+        if found is None:
+            found = self._reaching(ballots, voter, code, honest, kind, out, key)
+        return found
+
+    def _reaching(self, ballots, voter, code, honest, kind, out, key):
+        cache, add, guard, miss = self.cache, self.add, self.guard, self.miss
+        by_ballots = self.by_ballots
+        judged = set()
+        found = []
+        for new_ballot, delta, info in self.moves(kind, ballots[voter], out):
+            new = code + delta
+            if by_ballots:
+                at = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
+            else:
+                at = (new + add) & guard
+            after = cache.get(at)
+            if after is None:
+                after = miss(at, new)
+            # a move's mark is its output, paired with its info if it has one
+            mark = after if info is None else (after, info)
+            if after != honest and mark not in judged:
+                judged.add(mark)
+                found.append((new_ballot, info, after))
+                yield new_ballot, info, after
+        if key is not None:
+            self.reached.store(key, tuple(found))
+
+
+@lru_cache(maxsize=_SHARED_ENGINES)
+def _shared_engine(rule: RuleSpec, m: int, size: int, evaluator) -> _Engine:
+    return _Engine(rule, m, size)
+
+
+def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
+    """The shared engine of the rule on layout (m, size), its output memo
+    emptied if it is past `_MEMO_ENTRIES`."""
+    rid = rule.id
+    evaluator = _MAJORITARIAN.get(rid) or _PAIRWISE.get(rid) or _PROFILE_BASED.get(rid)
+    engine = _shared_engine(rule, m, size, evaluator)
+    if len(engine.cache) > _MEMO_ENTRIES:
+        engine.cache.clear()
+    return engine
+
+
+class _Scan:
+    """The scan context of one profile: its ballots, margin code and memoized
+    output. The relation key, the margin vector and the strict masks are
+    decoded on first use."""
+
+    def __init__(self, engine: _Engine, ballots):
+        self.engine = engine
+        self.m = engine.m
+        self.ballots = ballots
+        self.code = engine.layout.of(ballots)
+        self.out = engine.output(self.code, ballots)
+
+    @cached_property
+    def key(self) -> int:
+        return self.engine.layout.key(self.code)
+
+    @cached_property
+    def flat(self) -> tuple[int, ...]:
+        return self.engine.layout.flat(self.code)
+
+    @cached_property
+    def strict(self) -> tuple[int, ...]:
+        return self.engine.layout.strict(self.key)
+
+    def tiled(self, k: int) -> int:
+        """The output on k copies of the electorate, whose margins are k
+        times the profile's."""
+        bias = self.engine.layout.bias
+        return self.engine.output(bias + k * (self.code - bias), self.ballots * k)
+
+    @property
+    def profile(self) -> Profile:
+        return Profile(self.m, self.ballots)
+
+
+def _moved(ctx: _Scan, kind, out: int | None = None):
+    """The one-ballot moves of `kind` (see `_Engine.moves`) that change the
+    scanned profile's output, voter by voter in table order, as (voter,
+    new_ballot, info, output after the move).
+
+    Every consumer judges a move by the voter's ballot, its info and the
+    output after it alone, accepts none that leaves the output as it was, and
+    stops at the first it accepts. So a voter's move is yielded only at its
+    first (output, info), and a voter whose ballot an earlier voter has is
+    skipped: the same moves reach the same outputs. Every move tried is
+    evaluated in order, so an evaluation error surfaces at the first move
+    that raises it."""
+    engine, ballots, code, honest = ctx.engine, ctx.ballots, ctx.code, ctx.out
+    for voter, ballot in enumerate(ballots):
+        if ballots.index(ballot) == voter:
+            for new_ballot, info, after in engine.reach(ballots, voter, code, honest, kind, out):
+                yield voter, new_ballot, info, after
+
+
+def _misreports(true_ballot: Ballot, _out=None):
+    """All deviations, nearest first: lexicographic in the voter's own ranking
+    (the permutations of the ballot in order, less the first, itself), each
+    with no info."""
+    for mis in itertools.islice(itertools.permutations(true_ballot), 1, None):
+        yield mis, None

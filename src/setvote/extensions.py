@@ -19,12 +19,11 @@ The searches read a lifting through verdict tables, not through these
 predicates directly: `_better(kind, ballot, Y)` is an int whose bit X is set
 when the voter strictly prefers X to Y, and `_gains(kind, ballot, Y)` one
 whose bit X is set when Y is not at least as good as X (the strong reading's
-gain). Each table is built once from `_prefers` or `_at_least` for every
-non-empty X and kept for the life of the process, so a manipulation, group
-or efficiency verdict is a shift and a mask. The tables start afresh once
-they hold more than `_VERDICT_TABLE_ENTRIES` entries, when the next one is
-built. The public functions stay on the direct path: a table costs 2^m
-judgments to build and pays only when one (ballot, Y) is read many times.
+gain). `_table` builds each from `_prefers` or `_at_least` for every
+non-empty X and keeps the last 65,536 it built, so a manipulation, group or
+efficiency verdict is a shift and a mask. The public functions stay on the
+direct path: a table costs 2^m judgments to build and pays only when one
+(ballot, Y) is read many times.
 """
 
 from __future__ import annotations
@@ -173,25 +172,14 @@ def _gain_over(kind: ExtensionKind, rank, xmask, ymask) -> bool:
     return not _at_least(kind, rank, ymask, xmask)
 
 
-# verdict tables kept for the life of the process, counted in entries; past
-# the bound they start afresh when the next one is built
-_VERDICT_TABLE_ENTRIES = 1 << 16
-_verdict_tables: dict = {}
-
-
+@lru_cache(maxsize=1 << 16)
 def _table(reading, kind: ExtensionKind, ballot: Ballot, ymask: int) -> int:
     """Bit X set iff `reading(kind, rank, X, Y)` holds, over the non-empty X."""
-    key = (reading, kind, ballot, ymask)
-    bits = _verdict_tables.get(key)
-    if bits is None:
-        if len(_verdict_tables) > _VERDICT_TABLE_ENTRIES:
-            _verdict_tables.clear()
-        rank = _rank_of(ballot)
-        bits = 0
-        for xmask in range(1, 1 << len(ballot)):
-            if reading(kind, rank, xmask, ymask):
-                bits |= 1 << xmask
-        _verdict_tables[key] = bits
+    rank = _rank_of(ballot)
+    bits = 0
+    for xmask in range(1, 1 << len(ballot)):
+        if reading(kind, rank, xmask, ymask):
+            bits |= 1 << xmask
     return bits
 
 

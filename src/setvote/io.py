@@ -250,21 +250,24 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
 
 
 def parse_report(payload) -> list[AxiomVerdict]:
-    """Rebuild the verdict list from a JSON payload (inverse of serialize_report)."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    if payload.get("kind") != "axiom-report":
-        raise ParseError("not an axiom report document")
-    out = []
-    for item in payload["verdicts"]:
-        u = item["universe"]
-        out.append(
+    """Rebuild the verdict list from a JSON payload (inverse of
+    serialize_report); a malformed document raises ParseError."""
+    try:
+        if isinstance(payload, str):
+            payload = json.loads(payload)
+        if payload.get("kind") != "axiom-report":
+            raise ParseError("not an axiom report document")
+        return [
             AxiomVerdict(
                 axiom=item["axiom"],
                 rule=parse_rule(item["rule"]),
-                universe=Universe(**{f.name: u[f.name] for f in fields(Universe)}),
+                universe=Universe(**{f.name: item["universe"][f.name] for f in fields(Universe)}),
                 outcome=Outcome(item["outcome"]),
                 witness=_decode(item["witness"]) if item["witness"] else None,
             )
-        )
-    return out
+            for item in payload["verdicts"]
+        ]
+    except ParseError:
+        raise
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed axiom report: {exc!r}") from None

@@ -67,69 +67,11 @@ order instead, realized as `realize_relation(rel, 2)`, two voters per pair
 of alternatives, on an engine sized max(2, m*(m-1)).
 
 One-ballot-move axioms. Weak monotonicity, weak set monotonicity, IUA and
-weak localizedness are each one `_perturbation`: a move kind (see Move
-tables), what makes a move a violation, and what the witness names.
-
-Margin code. The sweep engine keeps a profile's margins as one integer. For
-m alternatives and electorates of at most N voters, field i = x*m + y holds
-g(x, y) + N in w = bit_length(2N) value bits (0 <= g + N <= 2N < 2^w),
-followed by a guard bit that stays zero; field i starts at bit i*(w + 1), so
-a code has m*m*(w + 1) bits (64 for m = 4, N = 3). A ballot's encoding
-enc[b] adds 1 to each field (x, y) it ranks x over y and subtracts 1 from the
-mirrored field, so:
-
-- a profile's code is BIAS + sum(enc[b] for its ballots), BIAS holding N in
-  every field;
-- one voter changing ballot is code - enc[old] + enc[new], one add once the
-  difference is tabled (see Move tables below);
-- adding ADD, which holds 2^w - N - 1 in every field, carries into the guard
-  bit of field (x, y) exactly when g(x, y) > 0, so (code + ADD) & GUARD is in
-  bijection with the strict majority relation and keys majoritarian rules;
-  pairwise rules key on the code itself.
-
-Each engine has one layout, sized for the largest electorate it will see: n
-for a single profile, n_max * k_hom in a universe (homogeneity tiles
-profiles k_hom times), max(2, m*(m-1)) on the relation walk. Strict masks
-and margin vectors are decoded only on a memo miss, or when a check reads
-them from the scan context.
-
-Move tables. Every one-ballot change a check tries (a misreport, a
-relabeling of the alternatives, a reinforcing swap, a top pushed to the
-bottom, a reordered ballot block) is read from one table per layout,
-`_MarginCode.moves`: per (move kind, ballot, output), the output only for
-kinds that read it, the tuple of (new ballot, enc[new] - enc[ballot], info)
-in the kind's own generator order, so every first witness is kept. A
-layout's tables start afresh once they hold more than `_MOVE_TABLE_ENTRIES`
-entries, when the next table is built. One step, `_moved`, turns a table
-into outputs: code + delta, the key, the memo lookup or the single miss
-site. A majoritarian or pairwise engine skips a voter whose ballot an
-earlier voter has: that voter's moves reach the same codes, so none can be
-the first witness. What a voter reaches depends only on its ballot and the
-margin code, never on its position, so such an engine also keeps, per (move
-kind, output argument, ballot, margin code), the moves `_moved` yields for
-that voter, and answers every later voter with that ballot on a profile with
-that code (another electorate with the same margins, or a one-profile search
-that meets the code again) from it. A table is stored only once the voter's
-moves have all been tried: a consumer that stops early, or an evaluation
-that raises, stores nothing, so every error still surfaces at the first
-move that raises it. A profile-based engine keys on the ballots themselves,
-tries every voter and stores nothing. Neutrality sums each voter's
-relabeling delta into the relabeled code instead of encoding relabeled
-ballots.
-
-Memo lifetime. A majoritarian or pairwise rule at a fixed layout is a finite
-table over relation keys or margin codes, so its engine, memo included, is
-shared by every call and walk on that (rule, layout) in the process: a
-one-profile search such as `find_manipulation` evaluates each relation once,
-however many calls meet it. `_engine` hands the shared engines out, keyed
-also on the evaluator the rule's basis table holds (a rule's basis is the
-table that holds its evaluator), so that a replaced evaluator never reads
-outputs of the old one. A memo past `_MEMO_ENTRIES`
-starts afresh when its engine is next handed out, never during a walk; the
-stored moves past `_MEMO_ENTRIES` (an empty table counted as one) start
-afresh when the next table is stored. Profile-based rules key on the
-ballots themselves and get a fresh engine per call or walk. Errors (ties,
-empty choices, out-of-range parameters) are never memoized.
+weak localizedness are each one `_perturbation`: a move kind, what makes a
+move a violation, and what the witness names. The sweep engine (margin
+codes, move tables, the shared engines and their memos) is `_engine`; a
+check reads a profile through its scan context, `_Scan`, and moves through
+the engine's move tables, never through the layout.
 """
 
 from __future__ import annotations
@@ -139,9 +81,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import comb, factorial
 
+from ._engine import _Engine, _engine, _misreports, _moved, _Scan
 from .core import (
     Ballot,
     ChoiceSet,
@@ -150,6 +93,7 @@ from .core import (
     _bits as _mask_bits,
     _condorcet_winner,
     _dominant,
+    _integer,
     _margins_flat,
     enumerate_ballots,
     enumerate_relations,
@@ -157,14 +101,12 @@ from .core import (
 from .extensions import ExtensionKind, _better, _gains
 from .mcgarvey import realize_relation
 from .rules import (
-    _MAJORITARIAN,
-    _PAIRWISE,
     BasisTag,
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
-    _nonempty,
     basis,
+    # the engine calls these; perfbench/layers.py wraps them here by name
     evaluate_mask,
     evaluate_mask_from_margins,
     evaluate_mask_from_relation,
@@ -257,6 +199,9 @@ class Universe:
     margin_cap: int | None = None
 
     def __post_init__(self):
+        for name in ("m", "n_max", "k_hom", "margin_cap"):
+            if getattr(self, name) is not None or name != "margin_cap":
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1 or self.n_max < 1:
             raise ValueError("m and n_max must be positive")
         if self.k_hom < 2:
@@ -350,226 +295,6 @@ class AxiomVerdict:
     witness: dict | None = field(default=None, compare=True)
 
 
-# ---------------------------------------------------------------------------
-# margin codes and memoized rule evaluation keyed by the rule's declared basis
-
-# one-ballot move tables kept per layout, counted in entries; past the bound
-# a layout's tables start afresh when it next builds one
-_MOVE_TABLE_ENTRIES = 1 << 16
-
-
-class _MarginCode:
-    """One margin-code layout (see the module docstring), with the ballot
-    encodings and one-ballot move tables it has needed so far."""
-
-    def __init__(self, m: int, size: int):
-        self.m = m
-        self.size = size
-        self.width = (2 * size).bit_length()
-        self.stride = self.width + 1
-        self.shifts = tuple(i * self.stride for i in range(m * m))
-        ones = sum(1 << s for s in self.shifts)
-        self.bias = size * ones
-        self.add = ((1 << self.width) - size - 1) * ones
-        self.guard = ones << self.width
-        self._enc: dict = {}
-        self._moves: dict = {}
-        self._move_entries = 0
-
-    def enc(self, ballot: Ballot) -> int:
-        code = self._enc.get(ballot)
-        if code is None:
-            m, shifts = self.m, self.shifts
-            code = 0
-            for hi, x in enumerate(ballot):
-                for y in ballot[hi + 1:]:
-                    code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
-            self._enc[ballot] = code
-        return code
-
-    def of(self, ballots) -> int:
-        if len(ballots) > self.size:
-            raise ValueError(
-                f"margin code sized for {self.size} voters got {len(ballots)}"
-            )
-        return sum(map(self.enc, ballots), self.bias)
-
-    def moves(self, kind, ballot: Ballot, out: int | None = None):
-        """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
-        info), tabled once per (kind, ballot, out) in that order as
-        (new_ballot, enc[new_ballot] - enc[ballot], info). Kinds that do
-        not read the output are asked with out=None."""
-        key = (kind, ballot, out)
-        table = self._moves.get(key)
-        if table is None:
-            if self._move_entries > _MOVE_TABLE_ENTRIES:
-                self._moves.clear()
-                self._move_entries = 0
-            enc, base = self.enc, self.enc(ballot)
-            table = tuple((new, enc(new) - base, info) for new, info in kind(ballot, out))
-            self._moves[key] = table
-            self._move_entries += len(table)
-        return table
-
-    def key(self, code: int) -> int:
-        """The relation key: guard bit (x, y) set iff g(x, y) > 0."""
-        return (code + self.add) & self.guard
-
-    def flat(self, code: int) -> tuple[int, ...]:
-        field_mask = (1 << self.width) - 1
-        return tuple((code >> s & field_mask) - self.size for s in self.shifts)
-
-    def strict(self, key: int) -> tuple[int, ...]:
-        m, stride = self.m, self.stride
-        strict = [0] * m
-        key >>= self.width
-        while key:
-            low = key & -key
-            x, y = divmod((low.bit_length() - 1) // stride, m)
-            strict[x] |= 1 << y
-            key ^= low
-        return tuple(strict)
-
-
-# a few layouts stay alive across calls, so that one-profile searches such as
-# find_manipulation do not re-encode every misreport; each holds at most m!
-# encodings and bounded move tables, filled on first use (the shared
-# engines hold their own layout, so evicting one here costs them nothing)
-_margin_code = lru_cache(maxsize=4)(_MarginCode)
-
-
-class _Engine:
-    """Memoized rule outputs on one layout. The key follows the rule's basis:
-    the ballots for profile-based rules, the margin code for pairwise ones,
-    the relation key for majoritarian ones. Build one through `_engine`,
-    which shares it across calls where the key space is finite."""
-
-    def __init__(self, rule: RuleSpec, m: int, size: int):
-        self.rule = rule
-        self.m = m
-        self.tag = basis(rule)
-        self.layout = _margin_code(m, size)
-        self.by_ballots = self.tag == BasisTag.PROFILE_BASED
-        # (code + add) & guard is the key; pairwise rules keep the code whole
-        if self.tag == BasisTag.MAJORITARIAN:
-            self.add, self.guard = self.layout.add, self.layout.guard
-        else:
-            self.add, self.guard = 0, -1
-        self.cache: dict = {}
-        # code-keyed engines: (kind, out, ballot, code) -> the moves `_moved`
-        # yields for a voter with that ballot, as (new_ballot, info, after)
-        self.reached: dict = {}
-        self.reached_moves = 0
-
-    def output(self, code: int, ballots) -> int:
-        """The output on the profile with this code; `ballots` is read by
-        profile-based rules only."""
-        key = ballots if self.by_ballots else (code + self.add) & self.guard
-        out = self.cache.get(key)
-        if out is None:
-            out = self.miss(key, code)
-        return out
-
-    def miss(self, key, code: int) -> int:
-        """The single memo-miss site."""
-        if self.by_ballots:
-            mask = evaluate_mask(self.rule, key, self.m)
-        elif self.tag == BasisTag.PAIRWISE:
-            mask = evaluate_mask_from_margins(self.rule, self.layout.flat(code), self.m)
-        else:
-            mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
-        self.cache[key] = _nonempty(self.rule, mask)
-        return mask
-
-    def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
-        """What `voter` reaches by one move of `kind` (see `_moved`), as
-        (new_ballot, info, output after) in table order: the stored tuple of
-        a code-keyed engine, or a generator that evaluates each move as it is
-        asked for and, on a code-keyed engine, stores the tuple once it has
-        run to its end. A consumer that stops early, or an evaluation that
-        raises, stores nothing."""
-        key = None if self.by_ballots else (kind, out, ballots[voter], code)
-        found = self.reached.get(key)
-        if found is None:
-            found = self._reaching(ballots, voter, code, honest, kind, out, key)
-        return found
-
-    def _reaching(self, ballots, voter, code, honest, kind, out, key):
-        cache, add, guard, miss = self.cache, self.add, self.guard, self.miss
-        by_ballots = self.by_ballots
-        judged = set()
-        found = []
-        for new_ballot, delta, info in self.layout.moves(kind, ballots[voter], out):
-            new = code + delta
-            if by_ballots:
-                at = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
-            else:
-                at = (new + add) & guard
-            after = cache.get(at)
-            if after is None:
-                after = miss(at, new)
-            # a move's mark is its output, paired with its info if it has one
-            mark = after if info is None else (after, info)
-            if after != honest and mark not in judged:
-                judged.add(mark)
-                found.append((new_ballot, info, after))
-                yield new_ballot, info, after
-        if key is not None:
-            if self.reached_moves > _MEMO_ENTRIES:
-                self.reached.clear()
-                self.reached_moves = 0
-            self.reached[key] = tuple(found)
-            self.reached_moves += len(found) or 1
-
-
-# engines shared across calls, and the memo size past which a shared engine
-# starts afresh; 3^10 relations on five alternatives fit
-_SHARED_ENGINES = 8
-_MEMO_ENTRIES = 1 << 16
-
-
-@lru_cache(maxsize=_SHARED_ENGINES)
-def _shared_engine(rule: RuleSpec, m: int, size: int, evaluator) -> _Engine:
-    return _Engine(rule, m, size)
-
-
-def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
-    """The engine for one call or walk on layout (m, size): the shared one of
-    a majoritarian or pairwise rule, a fresh one for a profile-based rule."""
-    evaluator = _MAJORITARIAN.get(rule.id) or _PAIRWISE.get(rule.id)
-    if evaluator is None:
-        return _Engine(rule, m, size)
-    engine = _shared_engine(rule, m, size, evaluator)
-    if len(engine.cache) > _MEMO_ENTRIES:
-        engine.cache.clear()
-    return engine
-
-
-class _Scan:
-    """The scan context of one profile: its ballots, margin code and memoized
-    output. The margin vector and the strict masks are decoded on first use."""
-
-    def __init__(self, engine: _Engine, ballots):
-        self.engine = engine
-        self.m = engine.m
-        self.ballots = ballots
-        self.code = engine.layout.of(ballots)
-        self.out = engine.output(self.code, ballots)
-
-    @cached_property
-    def flat(self) -> tuple[int, ...]:
-        return self.engine.layout.flat(self.code)
-
-    @cached_property
-    def strict(self) -> tuple[int, ...]:
-        layout = self.engine.layout
-        return layout.strict(layout.key(self.code))
-
-    @property
-    def profile(self) -> Profile:
-        return Profile(self.m, self.ballots)
-
-
 # errors that leave a check not evaluable on a universe instead of failing it
 _NOT_EVALUABLE = (TiesUnsupportedError, InstanceTooLargeError)
 
@@ -610,46 +335,13 @@ def _walk(rule: RuleSpec, universe: Universe, checks: dict, profiles, engine) ->
     }
 
 
-def _moved(engine: _Engine, ballots, code: int, honest: int, kind, out: int | None = None):
-    """The one-ballot moves of `kind` (see `_MarginCode.moves`) that change
-    the output `honest`, voter by voter in table order, as (voter,
-    new_ballot, info, output after the move).
-
-    Every consumer judges a move by the voter's ballot, its info and the
-    output after it alone, accepts none that leaves the output as it was, and
-    stops at the first it accepts. So a voter's move is yielded only at its
-    first (output, info), and a code-keyed engine skips a voter whose ballot
-    an earlier voter has: the same moves reach the same codes. For the same
-    reason a code-keyed engine answers a voter from what any voter with the
-    same ballot on a profile with the same code reached before
-    (`_Engine.reach`). Every move tried is evaluated in order, so an
-    evaluation error surfaces at the first move that raises it."""
-    by_ballots, reach = engine.by_ballots, engine.reach
-    tried = set()
-    for voter, ballot in enumerate(ballots):
-        if not by_ballots:
-            if ballot in tried:
-                continue
-            tried.add(ballot)
-        for new_ballot, info, after in reach(ballots, voter, code, honest, kind, out):
-            yield voter, new_ballot, info, after
-
-
-def _misreports(true_ballot: Ballot, _out=None):
-    """All deviations, nearest first: lexicographic in the voter's own ranking
-    (the permutations of the ballot in order, less the first, itself), each
-    with no info."""
-    for mis in itertools.islice(itertools.permutations(true_ballot), 1, None):
-        yield mis, None
-
-
 def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation | None:
     """The first deviation from the scanned profile that the voter strictly
     prefers or, under the strong reading, the first whose outcome the honest
     one is not at least as good as."""
     ballots, honest, m = ctx.ballots, ctx.out, ctx.m
     verdicts = _gains if strong else _better
-    for voter, mis, _, out in _moved(ctx.engine, ballots, ctx.code, honest, _misreports):
+    for voter, mis, _, out in _moved(ctx, _misreports):
         if verdicts(extension, ballots[voter], honest) >> out & 1:
             return Manipulation(
                 profile=ctx.profile,
@@ -761,7 +453,7 @@ def find_group_manipulation(
             if not wanted:
                 continue
             options = [
-                ((ballots[v], 0, None),) + engine.layout.moves(_misreports, ballots[v])
+                ((ballots[v], 0, None),) + engine.moves(_misreports, ballots[v])
                 for v in group
             ]
             judged = {honest}
@@ -808,7 +500,7 @@ def _grouped(universe, by_relation):
     seen: dict = {}
 
     def violation(ctx):
-        key = ctx.engine.layout.key(ctx.code) if by_relation else ctx.code
+        key = ctx.key if by_relation else ctx.code
         prior = seen.setdefault(key, (ctx.ballots, ctx.out))
         if prior[1] == ctx.out:
             return None
@@ -837,12 +529,11 @@ def _relabelings(ballot, _out=None):
 @_stateless
 def _check_neutrality(ctx):
     m, engine = ctx.m, ctx.engine
-    tables = [engine.layout.moves(_relabelings, b) for b in ctx.ballots]
+    tables = [engine.moves(_relabelings, b) for b in ctx.ballots]
     # one column per relabeling: every voter's relabeled ballot
     for column in zip(*tables):
-        perm = column[0][2]
-        relabeled = tuple(b for b, _, _ in column) if engine.by_ballots else None
-        actual = engine.output(ctx.code + sum(d for _, d, _ in column), relabeled)
+        relabeled, deltas, (perm, *_) = zip(*column)
+        actual = engine.output(ctx.code + sum(deltas), relabeled)
         expected = _apply_perm_mask(perm, ctx.out)
         if actual != expected:
             return Outcome.VIOLATED, {
@@ -857,11 +548,8 @@ def _check_homogeneity(universe):
     m = universe.m
 
     def violation(ctx):
-        engine, code = ctx.engine, ctx.code
-        bias = engine.layout.bias
         for k in range(2, universe.k_hom + 1):
-            # k copies of the electorate scale every margin by k
-            out_k = engine.output(bias + k * (code - bias), ctx.ballots * k)
+            out_k = ctx.tiled(k)
             if out_k != ctx.out:
                 return Outcome.VIOLATED, {
                     "profile": ctx.profile,
@@ -932,8 +620,7 @@ def _perturbation(kind, violated, both_profiles, extra, reads_out=True):
 
     def violation(ctx):
         out, ballots, m = ctx.out, ctx.ballots, ctx.m
-        moved = _moved(ctx.engine, ballots, ctx.code, out, kind, out if reads_out else None)
-        for voter, new_ballot, info, after in moved:
+        for voter, new_ballot, info, after in _moved(ctx, kind, out if reads_out else None):
             if violated(out, after, info):
                 if both_profiles:
                     changed = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]

@@ -256,7 +256,7 @@ class TestVerdictTables:
                             assert gains >> x & 1 == (not _at_least(kind, rank, y, x))
 
     def test_a_table_is_built_once(self, monkeypatch):
-        monkeypatch.setattr(extensions, "_verdict_tables", {})
+        extensions._table.cache_clear()
         table = _better(ExtensionKind.FISHBURN, ABC, 0b011)
         monkeypatch.setattr(extensions, "_rank_of", None)
         assert _better(ExtensionKind.FISHBURN, ABC, 0b011) == table

@@ -148,6 +148,28 @@ class TestGraphDocuments:
             parse_graph('{"m": 2}')
 
 
+# where a strategyproofness witness keeps its honest set
+HONEST_SET = ("manipulation", "$manipulation", "honest_set", "$choice_set")
+
+
+def edited(doc, path, value):
+    """A copy of the JSON document with the entry at `path` set to `value`,
+    or removed if `value` is None; the empty path stands for a list holding
+    the document."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return [doc]
+    *parents, last = path
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    if value is None:
+        del inner[last]
+    else:
+        inner[last] = value
+    return doc
+
+
 class TestReports:
     def test_empty_report_is_header_only(self):
         text, payload = serialize_report([])
@@ -178,6 +200,34 @@ class TestReports:
         ]
         _, payload = serialize_report(verdicts)
         assert parse_report(json.dumps(payload)) == verdicts
+
+    @pytest.mark.parametrize("path,value", [
+        ((), "a list"),
+        (("verdicts",), None),
+        (("verdicts", 0, "universe", "k_hom"), None),
+        (("verdicts", 0, "witness", *HONEST_SET, "members"), None),
+        (("verdicts", 0, "universe", "m"), "3"),
+        (("verdicts", 0, "outcome"), "maybe"),
+    ])
+    def test_a_malformed_report_raises_a_parse_error(self, path, value):
+        verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 3))
+        doc = edited(serialize_report([verdict])[1], path, value)
+        for payload in (doc, json.dumps(doc)):
+            with pytest.raises(ParseError, match="^malformed axiom report: "):
+                parse_report(payload)
+
+    def test_a_report_nested_past_the_recursion_limit_raises_a_parse_error(self):
+        verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 3))
+        doc = edited(serialize_report([verdict])[1], ("verdicts", 0, "witness"), "@")
+        depth = sys.getrecursionlimit()
+        nested = 1
+        for _ in range(depth):
+            nested = {"$tuple": [nested]}
+        text = json.dumps(doc).replace('"@"', '{"$tuple": [' * depth + "1" + "]}" * depth)
+        doc["verdicts"][0]["witness"] = nested
+        for payload in (doc, text):
+            with pytest.raises(ParseError, match="^malformed axiom report: "):
+                parse_report(payload)
 
 
 class TestCli:

@@ -1,8 +1,10 @@
 """The integer margin code behind the sweep engine, and the deviation scans
 built on it, checked against from-scratch recomputation."""
 
+import ast
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,14 @@ from oracles import (
     naive_strong_manipulation,
     own_order_misreports,
 )
-from setvote import verify
+from setvote import _engine, verify
+from setvote._engine import _Engine, _MarginCode, _misreports, _moved, _Scan
 from setvote.core import Profile, _margins_flat, _strict_masks_from_flat
 from setvote.extensions import ExtensionKind
 from setvote.rules import TiesUnsupportedError, catalog, parse_rule
 from setvote.verify import (
     Outcome,
     Universe,
-    _MarginCode,
     find_group_manipulation,
     find_manipulation,
     find_strong_manipulation,
@@ -56,7 +58,7 @@ def test_code_decodes_to_margins_and_relation(case):
 
 # every kind of one-ballot move a check tries, and whether it reads the output
 MOVE_KINDS = [
-    (verify._misreports, False),
+    (_misreports, False),
     (verify._relabelings, False),
     (verify._swaps, True),
     (verify._pushes, True),
@@ -74,7 +76,7 @@ def test_one_ballot_change_is_one_add(case, data):
     voter = data.draw(st.integers(0, len(ballots) - 1))
     out = data.draw(st.integers(1, (1 << m) - 1))
     ballot = ballots[voter]
-    table = layout.moves(verify._misreports, ballot)
+    table = layout.moves(_misreports, ballot)
     assert [mis for mis, _, _ in table] == own_order_misreports(ballot)
     for kind, reads_out in MOVE_KINDS:
         given_out = out if reads_out else None
@@ -90,39 +92,36 @@ def test_one_ballot_change_is_one_add(case, data):
 def test_a_move_table_past_its_bound_is_empty_when_next_used(monkeypatch):
     layout = _MarginCode(3, 2)
     first, second = (0, 1, 2), (2, 1, 0)
-    assert len(layout.moves(verify._misreports, first)) == 5
-    monkeypatch.setattr(verify, "_MOVE_TABLE_ENTRIES", 4)
+    assert len(layout.moves(_misreports, first)) == 5
+    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 4)
     # the table already held is served as it is
-    assert layout.moves(verify._misreports, first)
-    assert list(layout._moves) == [(verify._misreports, first, None)]
+    assert layout.moves(_misreports, first)
+    assert list(layout._moves) == [(_misreports, first, None)]
     layout.moves(verify._block_reorders_anywhere, second)
     assert list(layout._moves) == [(verify._block_reorders_anywhere, second, None)]
 
 
-def moved(engine, ballots, kind=verify._misreports):
+def moved(engine, ballots, kind=_misreports):
     """Every move `_moved` yields on the profile against its honest output."""
-    code = engine.layout.of(ballots)
-    return list(verify._moved(engine, ballots, code, engine.output(code, ballots), kind))
+    return list(_moved(_Scan(engine, ballots), kind))
 
 
 def test_a_reach_memo_past_its_bound_starts_afresh_when_next_stored(monkeypatch):
-    engine = verify._Engine(parse_rule("tc"), 3, 2)
+    engine = _Engine(parse_rule("tc"), 3, 2)
     first, second = ((0, 1, 2), (1, 2, 0)), ((2, 1, 0),)
     found = moved(engine, first)
     held = dict(engine.reached)
-    assert len(held) == 2 and engine.reached_moves == len(found) == 4
-    monkeypatch.setattr(verify, "_MEMO_ENTRIES", 2)
+    assert len(held) == 2 and engine.reached.weight == len(found) == 4
+    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 2)
     # the tables already held are served as they are
     assert moved(engine, first) == found
     assert engine.reached == held
     moved(engine, second)
-    assert list(engine.reached) == [
-        (verify._misreports, None, second[0], engine.layout.of(second))
-    ]
+    assert list(engine.reached) == [(_misreports, None, second[0], engine.layout.of(second))]
 
 
 def test_a_profile_based_engine_stores_no_reach():
-    engine = verify._Engine(parse_rule("plurality"), 3, 3)
+    engine = _Engine(parse_rule("plurality"), 3, 3)
     ballots = ((0, 1, 2), (1, 2, 0), (0, 1, 2))
     assert moved(engine, ballots) == moved(engine, ballots)
     assert engine.reached == {}
@@ -160,6 +159,21 @@ def test_homogeneity_tiling_fits_the_universe_layout(m, n_max, k_hom):
             assert tiled == decodes_to_margins(layout, ballots * k, m)
 
 
+def test_the_engine_imports_only_core_rules_and_the_standard_library():
+    tree = ast.parse(open(_engine.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.level, node.module))
+    assert {name for level, name in imported if level} == {"core", "rules"}
+    assert all(
+        level in (0, 1) and (level or name.split(".")[0] in sys.stdlib_module_names)
+        for level, name in imported
+    )
+
+
 def test_code_refuses_more_voters_than_its_layout():
     with pytest.raises(ValueError):
         _MarginCode(3, 2).of(((0, 1, 2),) * 3)
@@ -194,7 +208,7 @@ def as_tuple(man):
 def cold_then_warm(compare):
     """Run a comparison from empty shared memos, then again through the memos
     the first run filled."""
-    verify._shared_engine.cache_clear()
+    _engine._shared_engine.cache_clear()
     compare()
     compare()
 
@@ -298,11 +312,11 @@ def test_a_voter_cut_short_stores_no_reach(profile, cut):
             lambda: as_tuple(find_manipulation(uncovered, profile)),
             lambda: naive_manipulation(uncovered, ballots, m, True),
         )
-        engine = verify._engine(uncovered, m, profile.n)
+        engine = _engine._engine(uncovered, m, profile.n)
         code = engine.layout.of(ballots)
         stored = {
             ballot for ballot in ballots
-            if (verify._misreports, None, ballot, code) in engine.reached
+            if (_misreports, None, ballot, code) in engine.reached
         }
         assert stored == set(ballots[:cut])
 

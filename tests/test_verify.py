@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oracles import witness_holds
-from setvote import extensions, rules, verify
+from oracles import own_order_misreports, witness_holds
+from setvote import _engine, extensions, rules, verify
 from setvote.core import ChoiceSet, MajorityRelation, Profile, enumerate_ballots, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
 from setvote.rules import (
@@ -45,15 +46,15 @@ TC = parse_rule("tc")
 
 def counted_calls(monkeypatch, name):
     """The argument tuples of every call the engine makes to the rule
-    evaluator `verify.<name>` from here on."""
+    evaluator `_engine.<name>` from here on."""
     calls = []
-    evaluator = getattr(verify, name)
+    evaluator = getattr(_engine, name)
 
     def counted(*args):
         calls.append(args)
         return evaluator(*args)
 
-    monkeypatch.setattr(verify, name, counted)
+    monkeypatch.setattr(_engine, name, counted)
     return calls
 
 
@@ -141,6 +142,23 @@ class TestSweepStrategyproofness:
         with pytest.raises(ValueError, match="margin_cap must be non-negative, got -1"):
             Universe(3, 3, margin_cap=-1)
 
+    @pytest.mark.parametrize("args,kwargs,name", [
+        ((3, 2.0), {}, "n_max"),
+        (("3", 2), {}, "m"),
+        ((3.0, 2), {}, "m"),
+        ((3, 2), {"k_hom": 2.5}, "k_hom"),
+        ((3, 2), {"margin_cap": 1.5}, "margin_cap"),
+        ((3, 2), {"margin_cap": "1"}, "margin_cap"),
+    ])
+    def test_a_non_integer_bound_is_refused(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            Universe(*args, **kwargs)
+
+    def test_integer_like_bounds_are_read_as_ints(self):
+        universe = Universe(np.int64(3), True, k_hom=np.int8(2), margin_cap=np.uint8(1))
+        assert universe == Universe(3, 1, margin_cap=1)
+        assert all(type(getattr(universe, f)) is int for f in ("m", "n_max", "k_hom", "margin_cap"))
+
     def test_margin_cap_keeps_exactly_the_profiles_within_it(self):
         expected = [
             p for p in Universe(3, 3).profiles() if np.abs(margins(p)).max() <= 1
@@ -181,13 +199,13 @@ class TestGroupManipulation:
         # joint reports (it used to be all six); every voter alone tries its
         # 119 misreports, and the honest output is the first evaluation
         asked = []
-        output = verify._Engine.output
+        output = _engine._Engine.output
 
         def counted(engine, code, ballots):
             asked.append(code)
             return output(engine, code, ballots)
 
-        monkeypatch.setattr(verify._Engine, "output", counted)
+        monkeypatch.setattr(_engine._Engine, "output", counted)
         assert find_group_manipulation(TC, fig1, 2) is None
         assert len(asked) == 1 + 4 * 119 + (120**2 - 1)
 
@@ -207,7 +225,7 @@ class TestGroupManipulation:
         with pytest.raises(InstanceTooLargeError) as single:
             find_manipulation(TC, profile)
         tabled = []
-        monkeypatch.setattr(verify._MarginCode, "moves", lambda *args: tabled.append(args))
+        monkeypatch.setattr(_engine._MarginCode, "moves", lambda *args: tabled.append(args))
         with pytest.raises(InstanceTooLargeError) as group:
             find_group_manipulation(TC, profile, 1)
         assert str(group.value) == str(single.value) == (
@@ -229,14 +247,14 @@ class TestVerdictTableBound:
         )
 
     def test_tables_that_start_afresh_give_the_same_verdicts(self, monkeypatch, fig2_left):
-        monkeypatch.setattr(extensions, "_verdict_tables", {})
+        assert extensions._table.cache_info().maxsize == 1 << 16
+        extensions._table.cache_clear()
         default = self.verdicts(fig2_left)
-        tables = {}
-        monkeypatch.setattr(extensions, "_verdict_tables", tables)
-        monkeypatch.setattr(extensions, "_VERDICT_TABLE_ENTRIES", 2)
+        tables = lru_cache(maxsize=2)(extensions._table.__wrapped__)
+        monkeypatch.setattr(extensions, "_table", tables)
         assert self.verdicts(fig2_left) == default
-        # past the bound the tables were emptied, not grown
-        assert 0 < len(tables) <= 3
+        # past the bound the oldest tables were dropped, not kept
+        assert tables.cache_info().currsize == 2 < tables.cache_info().misses
 
 
 class TestCheckAxiom:
@@ -428,7 +446,7 @@ class TestStrongStrategyproofness:
     def test_one_memo_serves_the_whole_sweep(self, monkeypatch):
         calls = counted_calls(monkeypatch, "evaluate_mask_from_relation")
         # start from an empty shared memo, so that the count is the sweep's own
-        verify._shared_engine.cache_clear()
+        _engine._shared_engine.cache_clear()
         sweep_strong_strategyproofness(TC, Universe(3, 3))
         # at most one evaluation per majority relation on three alternatives
         assert len(calls) <= 27
@@ -708,13 +726,12 @@ class TestEmptyOutputs:
 
 
 class TestSharedMemo:
-    def test_majoritarian_and_pairwise_engines_are_shared(self):
-        for name in ("tc", "borda"):
+    def test_every_engine_is_shared(self):
+        # one rule of each basis: majoritarian, pairwise, profile-based
+        for name in ("tc", "borda", "plurality"):
             rule = parse_rule(name)
-            assert verify._engine(rule, 3, 4) is verify._engine(rule, 3, 4)
-            assert verify._engine(rule, 3, 4) is not verify._engine(rule, 3, 5)
-        plurality = parse_rule("plurality")
-        assert verify._engine(plurality, 3, 4) is not verify._engine(plurality, 3, 4)
+            assert _engine._engine(rule, 3, 4) is _engine._engine(rule, 3, 4)
+            assert _engine._engine(rule, 3, 4) is not _engine._engine(rule, 3, 5)
 
     def test_one_profile_searches_evaluate_each_tournament_once(self, monkeypatch):
         # every 3-voter profile on 4 alternatives and each of its deviations
@@ -725,7 +742,7 @@ class TestSharedMemo:
             Profile(4, combo)
             for combo in itertools.product(enumerate_ballots(4), repeat=3)
         ]
-        verify._shared_engine.cache_clear()
+        _engine._shared_engine.cache_clear()
         for most in (64, 0):  # a cold pass, then a warm one
             before = len(calls)
             for profile in profiles:
@@ -738,38 +755,28 @@ class TestSharedMemo:
         for _ in range(2):
             with pytest.raises(rules.TiesUnsupportedError):
                 find_manipulation(uncovered, tied)
-        engine = verify._engine(uncovered, 3, 2)
+        engine = _engine._engine(uncovered, 3, 2)
         assert engine.layout.key(engine.layout.of(tied.ballots)) not in engine.cache
 
     def test_a_memo_past_its_bound_starts_afresh_when_handed_out(self, monkeypatch, fig1):
         find_manipulation(TC, fig1)
-        engine = verify._engine(TC, 5, 4)
+        engine = _engine._engine(TC, 5, 4)
         assert len(engine.cache) > 2
-        monkeypatch.setattr(verify, "_MEMO_ENTRIES", 2)
-        assert verify._engine(TC, 5, 4) is engine
+        monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 2)
+        assert _engine._engine(TC, 5, 4) is engine
         assert engine.cache == {}
 
-    def test_a_repeated_ballot_is_still_tried_by_a_profile_based_rule(self, monkeypatch):
-        # a non-anonymous rule: everything for one voter; otherwise c alone
-        # if voter 1 ranks a over b, else everything. On (abc, abc) only
-        # voter 1, whose ballot voter 0 shares, can change the output
-        def voter_one_decides(rule, ballots, m):
-            if len(ballots) == 1 or ballots[1].index(B) < ballots[1].index(A):
-                return 0b111
-            return 1 << C
-
-        monkeypatch.setitem(rules._PROFILE_BASED, RuleId.PLURALITY, voter_one_decides)
-        plurality, universe = parse_rule("plurality"), Universe(3, 2)
-        shared = ((A, B, C), (A, B, C))
-        for axiom in (Axiom.IUA, Axiom.WSMON):
-            verdict = check_axiom(axiom, plurality, universe)
-            w = verdict.witness
-            assert w["voter"] == 1, axiom
-            assert (w["profiles"][0] if "profiles" in w else w["profile"]).ballots == shared
-            assert replay(verdict)
-        man = find_manipulation(plurality, Profile(3, shared))
-        assert (man.voter, man.misreport) == (1, (B, A, C))
-        assert sweep_strategyproofness(plurality, universe).witness["manipulation"] == man
+    def test_a_profile_based_search_tries_each_distinct_ballot_once(self, monkeypatch):
+        # on (abc, bca, abc) pareto chooses {a, b}, and no voter gains by a
+        # misreport, so the search runs to its end; voter 2 repeats voter
+        # 0's ballot, so only voters 0 and 1 try their five misreports
+        calls = counted_calls(monkeypatch, "evaluate_mask")
+        _engine._shared_engine.cache_clear()
+        abc, bca = (A, B, C), (B, C, A)
+        assert find_manipulation(parse_rule("pareto"), Profile(3, (abc, bca, abc))) is None
+        assert [ballots for _, ballots, _ in calls] == [(abc, bca, abc)] + [
+            (mis, bca, abc) for mis in own_order_misreports(abc)
+        ] + [(abc, mis, abc) for mis in own_order_misreports(bca)]
 
     def test_replay_evaluates_through_its_own_engine(self, monkeypatch):
         borda = parse_rule("borda")
@@ -789,7 +796,7 @@ def ordered_walk(rule, universe):
         for name in verify._CHECKS
         if not verify._over_relations(name, rule)
     }
-    engine = verify._Engine(rule, universe.m, universe.n_max * universe.k_hom)
+    engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
     return as_results(verify._walk(rule, universe, checks, universe.raw_profiles(), engine))
 
 
