@@ -10,22 +10,27 @@ Schwartz set (maximal elements of the strict reachability order).
 
 Alternatives are dense integer indices so that sets can be bit masks and
 ballots can be enumerated as permutations. Every function is a pure function
-of immutable values. Each relation-level question is answered once, on the
-strict-beat masks; the public functions of a `MajorityRelation` wrap that.
-The top-cycle, Schwartz, covering-cycle, connected-set and transposed-mask
-kernels keep their last few answers, so the questions asked of one relation
-in a row share one computation, and the kernels reuse one another's:
-every alternative's connected set is read off the memoized covering cycle,
-whose path from x's successor round to x's predecessor walks down the
-strong components of the top cycle without x. Kernel answers are interned,
-one shared `ChoiceSet` per (m, mask), which is safe because a ChoiceSet is
-frozen and compared by value.
+of immutable values: `ChoiceSet`, `Profile` and `MajorityRelation` are
+frozen, slotted dataclasses, with no instance dict. Each relation-level
+question is answered once, on the strict-beat masks; the public functions
+of a `MajorityRelation` wrap that. The covering cycle tests each splice
+position on the strict masks directly; only Copeland and `weak_masks` read
+the transposed masks. The top-cycle, Schwartz, covering-cycle,
+connected-set and transposed-mask kernels keep their last few answers, so
+the questions asked of one relation in a row share one computation, and the
+kernels reuse one another's: every alternative's connected set is read off
+the memoized covering cycle, whose path from x's successor round to x's
+predecessor walks down the strong components of the top cycle without x.
+Kernel answers are interned, one shared `ChoiceSet` per (m, mask), which is
+safe because a ChoiceSet is frozen and compared by value. Relations are
+enumerated a batch at a time, the masks after each prefix of pair choices
+built once and shared by every relation that extends them.
 
 Margins come from one packed integer per ballot, m*m fixed 64-bit fields
 (+1 where the ballot ranks x over y, -1 where under), made once per ballot
 and summed once per profile; the sum's fields are read back with `struct`
-as Python ints, or with numpy for the public `margins` array, so numpy
-stays off the import path.
+as Python ints, or with numpy for the public `margins` array; numpy is
+bound by the first `margins` call, so it stays off the import path.
 
 The public constructors check their arguments. Values that are valid by
 construction (kernel outputs, enumerated relations, realized ballots) are
@@ -114,7 +119,7 @@ def _fits(choice: "ChoiceSet", m: int) -> int:
     return choice.mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceSet:
     """A subset of the alternatives 0..m-1, stored as a bit mask.
 
@@ -170,10 +175,6 @@ class ChoiceSet:
         return to_letters(self.members)
 
 
-# The unchecked builders set the fields in declaration order, as the
-# generated __init__ does, so instances keep CPython's key-sharing dicts.
-
-
 @lru_cache(maxsize=_CHOICE_MEMO)
 def _unchecked_choice(m: int, mask: int) -> ChoiceSet:
     """The shared ChoiceSet of a mask known to lie in 0 <= mask < 2**m,
@@ -185,7 +186,7 @@ def _unchecked_choice(m: int, mask: int) -> ChoiceSet:
     return choice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """A non-empty sequence of ballots over a common set of m alternatives."""
 
@@ -290,13 +291,18 @@ def _margins_flat(ballots, m: int) -> tuple[int, ...]:
     return _code_layout(m)[2].unpack(_margin_bytes(ballots, m))
 
 
+# numpy, bound by the first `margins` call: only its public return type needs it
+_np = None
+
+
 def margins(profile: Profile):
     """The m-by-m int64 numpy array g with g[x, y] = #(x over y) - #(y over x)."""
-    import numpy as np  # only for this public return type, which the benchmark calls .tolist() on
+    global _np
+    if _np is None:
+        import numpy as _np
     m = profile.m
-    # a bytearray, so that the array is writable as a fresh np.array would be
-    raw = bytearray(_margin_bytes(profile.ballots, m))
-    return np.frombuffer(raw, dtype=np.int64).reshape(m, m)
+    # over a bytearray, so that the array is writable as a fresh np.array would be
+    return _np.ndarray((m, m), _np.int64, bytearray(_margin_bytes(profile.ballots, m)))
 
 
 def _strict_masks_from_flat(flat, m: int, threshold: int = 0) -> tuple[int, ...]:
@@ -312,7 +318,7 @@ def _strict_masks_from_flat(flat, m: int, threshold: int = 0) -> tuple[int, ...]
     return tuple(strict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MajorityRelation:
     """The complete majority relation: for x != y, either x beats y, y beats x, or they tie.
 
@@ -420,15 +426,38 @@ def enumerate_relations(m: int):
 
 
 def _relations(m: int):
-    pairs = list(itertools.combinations(range(m), 2))
-    for assignment in itertools.product((0, 1, 2), repeat=len(pairs)):
-        strict = [0] * m
-        for (x, y), c in zip(pairs, assignment):
-            if c == 0:
-                strict[x] |= 1 << y
-            elif c == 1:
-                strict[y] |= 1 << x
-        yield _unchecked_relation(m, tuple(strict))
+    for batch in _batches(tuple(itertools.combinations(range(m), 2)), (0,) * m):
+        for strict in batch:
+            yield _unchecked_relation(m, strict)
+
+
+# the last pairs, whose choices are made a level at a time: 3**6 relations per batch
+_BATCH_PAIRS = 6
+
+
+def _batches(pairs, strict):
+    """The strict masks of every choice on `pairs` added to `strict`, in
+    product order, in lists of at most 3**_BATCH_PAIRS. The masks after each
+    prefix of choices are built once and shared by every relation that
+    extends them."""
+    if len(pairs) > _BATCH_PAIRS:
+        for prefix in _extended([strict], pairs[:1]):
+            yield from _batches(pairs[1:], prefix)
+    else:
+        yield _extended([strict], pairs)
+
+
+def _extended(level, pairs):
+    """Each strict-mask tuple of `level` with one choice per pair x < y
+    added, pair by pair (x beats y, y beats x, a tie; the first pair
+    slowest)."""
+    for x, y in pairs:
+        xy, yx = 1 << y, 1 << x
+        extended = []
+        for s in level:
+            extended += (s[:x] + (s[x] | xy,) + s[x + 1:], s[:y] + (s[y] | yx,) + s[y + 1:], s)
+        level = extended
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +718,6 @@ def _covering_cycle(strict: tuple[int, ...], m: int) -> tuple[int, ...] | None:
     for v in walk[:start]:
         cycle_mask ^= 1 << v
 
-    beaten_by = _beaten_by(strict, m)
     while cycle_mask != tc:
         above = below = 0
         rest = tc & ~cycle_mask
@@ -698,26 +726,30 @@ def _covering_cycle(strict: tuple[int, ...], m: int) -> tuple[int, ...] | None:
             rest ^= bit
             y = bit.bit_length() - 1
             into = cycle_mask & ~strict[y]  # members weakly over y
-            out_of = cycle_mask & ~beaten_by[y]  # members y is weakly over
-            if into and out_of:
-                q = len(cycle)
-                k = next(
-                    k for k in range(q)
-                    if into >> cycle[k] & 1 and out_of >> cycle[(k + 1) % q] & 1
-                )
-                cycle.insert(k + 1, y)
-                cycle_mask |= bit
-                break
-            if into:
-                below |= bit
-            else:
+            if not into:
                 above |= bit
+                continue
+            # splice y after the first member weakly over it whose successor
+            # it is weakly over; if y is weakly over any member, going round
+            # the cycle finds such a place, so with none, every member beats y
+            q = len(cycle)
+            for k in range(q):
+                if into >> cycle[k] & 1 and not strict[cycle[k + 1 - q]] >> y & 1:
+                    cycle.insert(k + 1, y)
+                    cycle_mask |= bit
+                    break
+            else:
+                below |= bit
+                continue
+            break
         else:
             # nothing splices: a lower member weakly over an upper one closes
-            # a longer cycle
-            lo, hi = next(
-                (lo, hi) for hi in _bits(above) for lo in _bits(below & ~strict[hi])
-            )
+            # a longer cycle (the lowest upper member, then the lowest lower)
+            for hi in _bits(above):
+                lows = below & ~strict[hi]
+                if lows:
+                    break
+            lo = (lows & -lows).bit_length() - 1
             cycle += (lo, hi)
             cycle_mask |= 1 << lo | 1 << hi
     return tuple(cycle)

@@ -56,6 +56,17 @@ class SetComparison(str, Enum):
     EQUAL = "equal"
 
 
+def _lifting(kind) -> ExtensionKind:
+    """`kind` as an ExtensionKind, given a member or its value; anything
+    else is a ValueError. `compare` and the one-profile searches skip the
+    call for a member, on an identity test."""
+    try:
+        return ExtensionKind(kind)
+    except (TypeError, ValueError):
+        expected = ", ".join(repr(k.value) for k in ExtensionKind)
+        raise ValueError(f"unknown lifting {kind!r}; expected one of {expected}") from None
+
+
 def _as_mask(xs, m: int) -> int:
     """The members of `xs`, a ChoiceSet or a collection of alternatives, as
     a mask; every member must be on a ballot of m alternatives."""
@@ -229,6 +240,8 @@ def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
     Equal sets compare as EQUAL. Under the weak lifting, the strict part is
     used, so mutually weakly-preferred distinct sets come out INCOMPARABLE.
     """
+    if kind is not ExtensionKind.FISHBURN and kind is not ExtensionKind.FPLUS:
+        kind = _lifting(kind)
     rank, xmask, ymask = _operands(ballot, xs, ys)
     if xmask == ymask:
         return SetComparison.EQUAL

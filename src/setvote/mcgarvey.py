@@ -11,11 +11,12 @@ still needs one canceling pair, because profiles are non-empty). A target
 needing more than MAX_ELECTORATE voters is refused with a ValueError before
 any ballot is built.
 
-Both entry points reduce their target to one signed count of canceling
-pairs per pair x < y and build the ballots from the arc table of m: for
-each pair, its canceling pair in either direction, made once per m on
-first use. So a realization appends table entries, in pair order after the
-seed voter, the same way for every weight.
+Both entry points build the ballots from the arc table of m: for each pair
+x < y, its canceling pair in either direction, made once per m on first
+use. A realization appends table entries, in pair order after the seed
+voter, the same way for every weight: `realize` a signed count of canceling
+pairs per pair, `realize_relation` the weight's count towards whichever
+side of each pair wins, read off the strict masks as it goes.
 """
 
 from __future__ import annotations
@@ -77,49 +78,49 @@ def _cancelling_pair(x: int, y: int, m: int) -> tuple[tuple[int, ...], tuple[int
 
 
 @lru_cache(maxsize=None)
-def _arcs(m: int) -> tuple[tuple[tuple, tuple], ...]:
+def _arcs(m: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
     """The arc table of m alternatives, built on first use: for each pair
-    x < y in lexicographic order, the canceling pair adding +2 to g(x, y)
-    and the one adding +2 to g(y, x)."""
+    x < y in lexicographic order, (x, y, the canceling pair adding +2 to
+    g(x, y), the one adding +2 to g(y, x))."""
     return tuple(
-        (_cancelling_pair(x, y, m), _cancelling_pair(y, x, m))
+        (x, y, _cancelling_pair(x, y, m), _cancelling_pair(y, x, m))
         for x, y in itertools.combinations(range(m), 2)
     )
 
 
-def _realize(m: int, odd: int, counts) -> Profile:
-    """The profile of an index-order seed voter if ``odd``, then, for each
-    arc of `_arcs(m)` in order, ``counts[k]`` canceling pairs towards g(x, y)
-    if positive, or ``-counts[k]`` towards g(y, x) if negative. An
-    electorate over MAX_ELECTORATE is refused before any ballot is built."""
-    size = odd + 2 * sum(map(abs, counts))
+def _seeded(m: int, odd: int, size: int) -> list[tuple[int, ...]]:
+    """The ballots a realization of ``size`` voters starts from: the
+    index-order seed voter if ``odd``. An electorate over MAX_ELECTORATE is
+    refused here, before any ballot is built."""
     if size > MAX_ELECTORATE:
         raise ValueError(
             f"realizing these margins needs {size} voters, more than {MAX_ELECTORATE}"
         )
-    seed = tuple(range(m))
-    ballots: list[tuple[int, ...]] = [seed] if odd else []
-    for (up, down), count in zip(_arcs(m), counts):
-        if count > 0:
-            ballots += up * count
-        elif count:
-            ballots += down * -count
+    return [tuple(range(m))] if odd else []
+
+
+def _profile(m: int, ballots: list[tuple[int, ...]]) -> Profile:
     if not ballots:
         # all-zero even target: one ballot and its reverse
-        ballots = [seed, seed[::-1]]
+        ballots = [tuple(range(m)), tuple(range(m - 1, -1, -1))]
     # every ballot is the seed permutation or half of a canceling pair
     return _unchecked_profile(m, tuple(ballots))
 
 
 def realize(graph: WeightedMajorityGraph) -> Profile:
     """A profile whose margin matrix equals the target exactly."""
-    target, odd = graph.target, graph.parity
+    m, target, odd = graph.m, graph.target, graph.parity
     # the seed voter already paid +1 towards every g(x, y) with x < y, and
-    # the even rest g(x, y) - odd is paid one canceling pair per 2
-    counts = [
-        (target[x][y] - odd) // 2 for x, y in itertools.combinations(range(graph.m), 2)
-    ]
-    return _realize(graph.m, odd, counts)
+    # the even rest g(x, y) - odd is paid one canceling pair per 2: towards
+    # g(x, y) if positive, g(y, x) if negative
+    counts = [(target[x][y] - odd) // 2 for x, y in itertools.combinations(range(m), 2)]
+    ballots = _seeded(m, odd, odd + 2 * sum(map(abs, counts)))
+    for (_, _, raise_xy, raise_yx), count in zip(_arcs(m), counts):
+        if count > 0:
+            ballots += raise_xy * count
+        elif count:
+            ballots += raise_yx * -count
+    return _profile(m, ballots)
 
 
 def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
@@ -132,16 +133,24 @@ def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
     if weight < 1:
         raise ValueError("weight must be at least 1")
     m, strict = rel.m, rel.strict
-    has_tie = sum(map(int.bit_count, strict)) < m * (m - 1) // 2
-    if has_tie and weight % 2:
+    arcs = sum(map(int.bit_count, strict))
+    if weight % 2 and arcs < m * (m - 1) // 2:
         raise ParityError("ties force even margins, so the weight must be even")
     # a single alternative has no margins, hence even parity
     odd = weight & 1 if m > 1 else 0
     # the seed voter's +1 leaves weight - odd to pay on an arc x -> y with
-    # x < y, and weight + odd on y -> x
-    up, down = (weight - odd) // 2, -((weight + odd) // 2)
-    counts = [
-        up if strict[x] >> y & 1 else down if strict[y] >> x & 1 else 0
-        for x, y in itertools.combinations(range(m), 2)
-    ]
-    return _realize(m, odd, counts)
+    # x < y, and weight + odd on y -> x, half a canceling pair per unit
+    up, down = (weight - odd) // 2, (weight + odd) // 2
+    size = weight * arcs
+    if odd:
+        # the seed voter, then one voter fewer per arc x -> y with x < y and
+        # one more per arc y -> x
+        ascending = sum((s >> x + 1).bit_count() for x, s in enumerate(strict))
+        size += 1 - ascending + (arcs - ascending)
+    ballots = _seeded(m, odd, size)
+    for x, y, raise_xy, raise_yx in _arcs(m):
+        if strict[x] >> y & 1:
+            ballots += raise_xy * up
+        elif strict[y] >> x & 1:
+            ballots += raise_yx * down
+    return _profile(m, ballots)

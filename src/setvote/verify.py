@@ -98,7 +98,7 @@ from .core import (
     enumerate_ballots,
     enumerate_relations,
 )
-from .extensions import ExtensionKind, _better, _gains
+from .extensions import ExtensionKind, _better, _gains, _lifting
 from .mcgarvey import realize_relation
 from .rules import (
     BasisTag,
@@ -379,6 +379,8 @@ def _one_profile(rule: RuleSpec, profile: Profile) -> _Scan:
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
     """The first manipulation of one profile, in the scan order of the
     sweeps."""
+    if extension is not ExtensionKind.FISHBURN and extension is not ExtensionKind.FPLUS:
+        extension = _lifting(extension)
     return _manipulation(_one_profile(rule, profile), extension, strong)
 
 
@@ -872,7 +874,7 @@ def check_weak_robustness(
 
 def _sp_name(extension: ExtensionKind, strong: bool = False) -> str:
     """The name a strategyproofness verdict carries."""
-    return f"{'strong-' if strong else ''}strategyproofness-{extension.value}"
+    return f"{'strong-' if strong else ''}strategyproofness-{_lifting(extension).value}"
 
 
 # the checks that try every misreport of every voter of every profile

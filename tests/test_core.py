@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setvote
-from setvote import rules
+from setvote import core, rules
 
 from oracles import (
     brute_dominant_sets,
@@ -272,6 +275,45 @@ class TestRelationValidation:
     def test_enumerating_no_alternatives_is_refused_at_the_call(self, m):
         with pytest.raises(ValueError, match="^need at least one alternative$"):
             enumerate_relations(m)
+
+
+def relations_in_product_order(m):
+    """The strict masks of every relation on m alternatives, one choice per
+    pair x < y in lexicographic order (x beats y, y beats x, a tie), the
+    first pair slowest."""
+    pairs = list(itertools.combinations(range(m), 2))
+    for choices in itertools.product((0, 1, 2), repeat=len(pairs)):
+        strict = [0] * m
+        for (x, y), c in zip(pairs, choices):
+            if c == 0:
+                strict[x] |= 1 << y
+            elif c == 1:
+                strict[y] |= 1 << x
+        yield tuple(strict)
+
+
+class TestEnumerationOrder:
+    def test_relations_pinned_m_le_5(self):
+        # SHA-256 of the repr of every relation's strict masks, m = 1..5 in
+        # enumeration order, as the one-relation-at-a-time product loop
+        # produced them
+        strict = [rel.strict for m in range(1, 6) for rel in enumerate_relations(m)]
+        assert len(strict) == 1 + 3 + 27 + 729 + 59049
+        digest = hashlib.sha256(repr(strict).encode()).hexdigest()
+        assert digest == "2544d4e91e45fa46f8f13bcf605ec548bda9f6d4eb4661619f9ed1e96b97e22c"
+
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    def test_every_batch_size_keeps_the_product_order(self, monkeypatch, batch):
+        # small batches take the shared-prefix recursion for every pair
+        monkeypatch.setattr(core, "_BATCH_PAIRS", batch)
+        for m in range(1, 6):
+            got = [rel.strict for rel in enumerate_relations(m)]
+            assert got == list(relations_in_product_order(m))
+
+    def test_enumeration_is_lazy(self):
+        # m = 6 has 3**15 relations; the first few come without the rest
+        first = [rel.strict for rel in itertools.islice(enumerate_relations(6), 1000)]
+        assert first == list(itertools.islice(relations_in_product_order(6), 1000))
 
 
 class TestChoiceSetValidation:
@@ -715,6 +757,60 @@ class TestValuesBuiltByConstruction:
             for cs in outputs:
                 built = ChoiceSet(cs.m, cs.mask)
                 assert built == cs and hash(built) == hash(cs)
+
+
+SLOTTED_VALUES = [
+    ChoiceSet(4, 0b1010),
+    Profile(3, ((0, 1, 2), (2, 0, 1))),
+    MajorityRelation(3, (0b010, 0b100, 0b001)),
+]
+
+
+class TestSlottedValues:
+    @pytest.mark.parametrize("value", SLOTTED_VALUES, ids=lambda v: type(v).__name__)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 1)
+
+    @pytest.mark.parametrize("value", SLOTTED_VALUES, ids=lambda v: type(v).__name__)
+    def test_fields_and_new_attributes_cannot_be_set(self, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.m = 5
+        # a new name can get past the frozen check of a slotted dataclass
+        # and fail in its super() call with a TypeError (Python 3.11)
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 5
+        assert not hasattr(value, "extra")
+
+    @pytest.mark.parametrize("value", SLOTTED_VALUES, ids=lambda v: type(v).__name__)
+    def test_pickle_and_copy_round_trips(self, value):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and hash(back) == hash(value) and type(back) is type(value)
+        for back in (copy.copy(value), copy.deepcopy(value)):
+            assert back == value and hash(back) == hash(value)
+
+    def test_unchecked_values_round_trip_too(self):
+        rel = next(iter(enumerate_relations(3)))
+        for value in (rel, top_cycle(rel), connected_set(rel, 0)):
+            assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+
+    def test_fields_and_replace(self):
+        classes = (ChoiceSet, Profile, MajorityRelation)
+        names = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in classes}
+        assert names == {
+            ChoiceSet: ("m", "mask"),
+            Profile: ("m", "ballots"),
+            MajorityRelation: ("m", "strict"),
+        }
+        choice, profile, rel = SLOTTED_VALUES
+        assert dataclasses.replace(choice, mask=0b0001) == ChoiceSet(4, 1)
+        assert dataclasses.replace(profile, ballots=((1, 0, 2),)).n == 1
+        assert dataclasses.replace(rel, strict=(0, 0, 0)) == MajorityRelation(3, (0, 0, 0))
+        # replace runs the checks of the public constructor
+        with pytest.raises(ValueError):
+            dataclasses.replace(choice, mask=1 << 4)
 
 
 class TestKernelMemo:

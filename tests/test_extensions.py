@@ -156,6 +156,24 @@ class TestCompare:
                             assert bwd == SetComparison.INCOMPARABLE
 
 
+class TestLiftingNames:
+    @pytest.mark.parametrize("kind", ["bogus", "Fishburn", "", None, 0, ["fplus"]])
+    def test_an_unknown_lifting_is_refused(self, kind):
+        # it used to be answered with the weak optimistic lifting
+        with pytest.raises(ValueError, match="unknown lifting"):
+            compare(kind, ABC, {A}, {B})
+
+    def test_a_member_and_its_value_give_one_verdict(self):
+        for kind in ExtensionKind:
+            for xs, ys in itertools.product(nonempty_subsets(3), repeat=2):
+                assert compare(kind.value, ABC, xs, ys) == compare(kind, ABC, xs, ys)
+
+    def test_a_member_passes_through_unchanged(self):
+        for kind in ExtensionKind:
+            assert extensions._lifting(kind) is kind
+            assert extensions._lifting(kind.value) is kind
+
+
 def mask_of(xs):
     return sum(1 << x for x in xs)
 

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -188,6 +190,19 @@ class TestRealizeRelation:
         ballots = [realize_relation(rel, 2).ballots for rel in rels]
         digest = hashlib.sha256(repr(ballots).encode()).hexdigest()
         assert digest == "9f397726153a0f4f7f5715da67e27b440212f8c7fff28f06277b3a7eddf2ac1d"
+
+    def test_ballot_sequences_pinned_m5(self):
+        # SHA-256 of the repr of every realized ballot sequence at weight 2
+        # (the relation sweep's call), m = 5 relations in enumeration order,
+        # as the per-pair count list produced them
+        ballots = [realize_relation(rel, 2).ballots for rel in enumerate_relations(5)]
+        digest = hashlib.sha256(repr(ballots).encode()).hexdigest()
+        assert digest == "8b5364a3b8684755a21132b2b5a3b0c30d030e85a5d03b2dcc1155a4cd94e120"
+
+    def test_unchecked_profiles_round_trip(self):
+        prof = realize_relation(MajorityRelation(3, (0b010, 0b100, 0b001)), 2)
+        assert not hasattr(prof, "__dict__")
+        assert pickle.loads(pickle.dumps(prof)) == prof == copy.deepcopy(prof)
 
     def test_ballot_sequences_pinned_every_weight_m_le_4(self):
         # SHA-256 of the repr of every realized ballot sequence for m = 1..4,

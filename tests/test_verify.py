@@ -111,6 +111,20 @@ class TestFindManipulation:
         rule = parse_rule("plurality")
         assert find_manipulation(rule, fig2_left) == find_manipulation(rule, fig2_left)
 
+    @pytest.mark.parametrize("find", [find_manipulation, find_strong_manipulation])
+    @pytest.mark.parametrize("kind", ["bogus", None, 1])
+    def test_an_unknown_lifting_is_refused(self, fig2_left, find, kind):
+        # find_manipulation used to return None for it
+        with pytest.raises(ValueError, match="unknown lifting"):
+            find(parse_rule("plurality"), fig2_left, kind)
+
+    def test_a_lifting_given_by_value_finds_the_same_witness(self, fig2_left):
+        rule = parse_rule("plurality")
+        for kind in ExtensionKind:
+            by_value = find_manipulation(rule, fig2_left, kind.value)
+            assert by_value == find_manipulation(rule, fig2_left, kind)
+            assert by_value is None or by_value.extension is kind
+
 
 class TestSweepStrategyproofness:
     def test_top_cycle_holds(self):
@@ -137,6 +151,20 @@ class TestSweepStrategyproofness:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             sweep_strategyproofness(TC, Universe(3, 3), budget=10)
+
+    @pytest.mark.parametrize("sweep", [sweep_strategyproofness, sweep_strong_strategyproofness])
+    @pytest.mark.parametrize("kind", ["bogus", None, 1])
+    def test_an_unknown_lifting_is_refused(self, sweep, kind):
+        # it used to leak an AttributeError from reading kind.value
+        with pytest.raises(ValueError, match="unknown lifting"):
+            sweep(TC, Universe(3, 2), kind)
+
+    def test_a_lifting_given_by_value_gives_the_same_verdict(self):
+        borda = parse_rule("borda")
+        for kind in ExtensionKind:
+            by_value = sweep_strategyproofness(borda, Universe(3, 3), kind.value)
+            assert by_value == sweep_strategyproofness(borda, Universe(3, 3), kind)
+            assert by_value.axiom == f"strategyproofness-{kind.value}"
 
     def test_negative_margin_cap_is_refused(self):
         with pytest.raises(ValueError, match="margin_cap must be non-negative, got -1"):
