@@ -48,16 +48,21 @@ Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
 per profile evaluates each relation once. `_engine` hands the engines out,
 keyed also on the evaluator the rule's basis table holds, so that a replaced
-evaluator never reads outputs of the old one. Every memo counts its entries
-and starts afresh past `_MEMO_ENTRIES`: the output memo when its engine is
-next handed out, never during a walk; the tables (a tuple counts its length,
-an empty one one) when the next is stored. Errors (ties, empty choices,
+evaluator never reads outputs of the old one. A profile-based engine keys
+its outputs on the electorate, the sorted ballot tuple, since every
+evaluator reads a multiset, so every ordering of one electorate shares one
+output. The output memo, the move tables and the reach memo are each a
+`_Tables`, bounded when an entry is stored: past `_MEMO_ENTRIES` (an output
+weighs one, a tuple its length, an empty one one) it starts afresh before
+the next is stored, even during a walk; only the at most m! ballot
+encodings of a layout are kept unbounded. Errors (ties, empty choices,
 out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import cached_property, lru_cache
 
 from .core import Ballot, Profile
@@ -81,17 +86,18 @@ _MEMO_ENTRIES = 1 << 16
 
 
 class _Tables(dict):
-    """Tuples weighted by their length (an empty one weighs one); once the
-    weight passes `_MEMO_ENTRIES` they start afresh when the next is stored."""
+    """Memo entries weighted by their size: a tuple by its length (an empty
+    one weighs one), any other value one; once the weight passes
+    `_MEMO_ENTRIES` they start afresh when the next is stored."""
 
     weight = 0
 
-    def store(self, key, value: tuple) -> tuple:
+    def store(self, key, value):
         if self.weight > _MEMO_ENTRIES:
             self.clear()
             self.weight = 0
         self[key] = value
-        self.weight += len(value) or 1
+        self.weight += (len(value) or 1) if type(value) is tuple else 1
         return value
 
 
@@ -168,9 +174,9 @@ _margin_code = lru_cache(maxsize=4)(_MarginCode)
 
 class _Engine:
     """Memoized rule outputs on one layout. The key follows the rule's basis:
-    the ballots for profile-based rules, the margin code for pairwise ones,
-    the relation key for majoritarian ones. Build one through `_engine`,
-    which shares it across calls."""
+    the electorate (the sorted ballots) for profile-based rules, the margin
+    code for pairwise ones, the relation key for majoritarian ones. Build
+    one through `_engine`, which shares it across calls."""
 
     def __init__(self, rule: RuleSpec, m: int, size: int):
         self.rule = rule
@@ -183,7 +189,7 @@ class _Engine:
             self.add, self.guard = self.layout.add, self.layout.guard
         else:
             self.add, self.guard = 0, -1
-        self.cache: dict = {}
+        self.cache = _Tables()
         # the layout's move tables, and on a code-keyed engine what `_moved`
         # yields for a voter, by (kind, out, ballot, code)
         self.moves = self.layout.moves
@@ -192,7 +198,7 @@ class _Engine:
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
         profile-based rules only."""
-        key = ballots if self.by_ballots else (code + self.add) & self.guard
+        key = tuple(sorted(ballots)) if self.by_ballots else (code + self.add) & self.guard
         out = self.cache.get(key)
         if out is None:
             out = self.miss(key, code)
@@ -206,8 +212,7 @@ class _Engine:
             mask = evaluate_mask_from_margins(self.rule, self.layout.flat(code), self.m)
         else:
             mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
-        self.cache[key] = _nonempty(self.rule, mask)
-        return mask
+        return self.cache.store(key, _nonempty(self.rule, mask))
 
     def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
         """What `voter` reaches by one move of `kind` (see `_moved`), as
@@ -221,17 +226,22 @@ class _Engine:
         return found
 
     def _reaching(self, ballots, voter, code, honest, kind, out, key):
-        cache, add, guard, miss = self.cache, self.add, self.guard, self.miss
+        known, add, guard, miss = self.cache.get, self.add, self.guard, self.miss
         by_ballots = self.by_ballots
         judged = set()
         found = []
+        if by_ballots:
+            # the electorate after a move: the new ballot put in its place
+            # among the others, sorted once per voter
+            rest = tuple(sorted(ballots[:voter] + ballots[voter + 1:]))
         for new_ballot, delta, info in self.moves(kind, ballots[voter], out):
             new = code + delta
             if by_ballots:
-                at = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
+                i = bisect_right(rest, new_ballot)
+                at = rest[:i] + (new_ballot,) + rest[i:]
             else:
                 at = (new + add) & guard
-            after = cache.get(at)
+            after = known(at)
             if after is None:
                 after = miss(at, new)
             # a move's mark is its output, paired with its info if it has one
@@ -250,14 +260,10 @@ def _shared_engine(rule: RuleSpec, m: int, size: int, evaluator) -> _Engine:
 
 
 def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
-    """The shared engine of the rule on layout (m, size), its output memo
-    emptied if it is past `_MEMO_ENTRIES`."""
+    """The shared engine of the rule on layout (m, size)."""
     rid = rule.id
     evaluator = _MAJORITARIAN.get(rid) or _PAIRWISE.get(rid) or _PROFILE_BASED.get(rid)
-    engine = _shared_engine(rule, m, size, evaluator)
-    if len(engine.cache) > _MEMO_ENTRIES:
-        engine.cache.clear()
-    return engine
+    return _shared_engine(rule, m, size, evaluator)
 
 
 class _Scan:

@@ -13,12 +13,10 @@ ballots can be enumerated as permutations. Every function is a pure function
 of immutable values: `ChoiceSet`, `Profile` and `MajorityRelation` are
 frozen, slotted dataclasses, with no instance dict. Each relation-level
 question is answered once, on the strict-beat masks; the public functions
-of a `MajorityRelation` wrap that. The covering cycle tests each splice
-position on the strict masks directly; only Copeland and `weak_masks` read
-the transposed masks. The top-cycle, Schwartz, covering-cycle,
-connected-set and transposed-mask kernels keep their last few answers, so
-the questions asked of one relation in a row share one computation, and the
-kernels reuse one another's: every alternative's connected set is read off
+of a `MajorityRelation` wrap that. The top-cycle, Schwartz, covering-cycle
+and connected-set kernels keep their last few answers, so the questions
+asked of one relation in a row share one computation, and the kernels
+reuse one another's: every alternative's connected set is read off
 the memoized covering cycle, whose path from x's successor round to x's
 predecessor walks down the strong components of the top cycle without x.
 Kernel answers are interned, one shared `ChoiceSet` per (m, mask), which is
@@ -236,6 +234,7 @@ class Profile:
 
     def tiled(self, k: int) -> "Profile":
         """The profile consisting of k copies of this electorate."""
+        k = _integer(k, "k")
         if k < 1:
             raise ValueError("k must be positive")
         return Profile(self.m, self.ballots * k)
@@ -380,9 +379,10 @@ class MajorityRelation:
 
     def weak_masks(self) -> tuple[int, ...]:
         """weak[x] = alternatives y != x with x weakly over y (not y beats x)."""
-        full = (1 << self.m) - 1
-        beaten_by = _beaten_by(self.strict, self.m)
-        return tuple((full & ~(1 << x) & ~beaten_by[x]) for x in range(self.m))
+        m, strict = self.m, self.strict
+        return tuple(
+            sum(1 << y for y in range(m) if y != x and not strict[y] >> x & 1) for x in range(m)
+        )
 
 
 def _unchecked_relation(m: int, strict: tuple[int, ...]) -> MajorityRelation:
@@ -392,19 +392,6 @@ def _unchecked_relation(m: int, strict: tuple[int, ...]) -> MajorityRelation:
     _set(rel, "m", m)
     _set(rel, "strict", strict)
     return rel
-
-
-@lru_cache(maxsize=_KERNEL_MEMO)
-def _beaten_by(strict: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """beaten_by[x] = alternatives that strictly beat x (the transposed masks)."""
-    beaten_by = [0] * m
-    for y in range(m):
-        mask, bit = strict[y], 1 << y
-        while mask:
-            low = mask & -mask
-            beaten_by[low.bit_length() - 1] |= bit
-            mask ^= low
-    return tuple(beaten_by)
 
 
 def relation(g) -> MajorityRelation:

@@ -22,7 +22,6 @@ from .core import (
     ChoiceSet,
     MajorityRelation,
     Profile,
-    _beaten_by,
     _condorcet_loser,
     _condorcet_winner,
     _margins_flat,
@@ -200,7 +199,13 @@ def _maj_condorcet_non_loser(rule, m, strict):
 
 
 def _maj_copeland(rule, m, strict):
-    scores = [s.bit_count() - b.bit_count() for s, b in zip(strict, _beaten_by(strict, m))]
+    # wins less losses: each strict arc x -> y is a loss of y
+    scores = [s.bit_count() for s in strict]
+    for s in strict:
+        while s:
+            low = s & -s
+            scores[low.bit_length() - 1] -= 1
+            s ^= low
     best = max(scores)
     mask = 0
     for x, score in enumerate(scores):

@@ -140,7 +140,7 @@ DEFAULT_BUDGET = 10**9
 
 def _budget(value: int | None) -> int:
     if value is not None:
-        return value
+        return _integer(value, "budget")
     raw = os.environ.get("SETVOTE_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -440,6 +440,7 @@ def find_group_manipulation(
     that raises, in scan order. Refuses m > 8 as the single-voter search
     does.
     """
+    max_group = _integer(max_group, "max_group")
     if max_group < 1:
         raise ValueError(f"max_group must be positive, got {max_group}")
     m, n = profile.m, profile.n

@@ -112,6 +112,13 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="^m must be an integer"):
             Profile(m, ((0, 1, 2),))
 
+    @pytest.mark.parametrize("k", ["2", 2.0])
+    def test_a_non_integer_tiling_is_refused(self, k):
+        one = Profile(3, ((0, 1, 2), (2, 0, 1)))
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            one.tiled(k)
+        assert one.tiled(np.int64(2)) == one.tiled(2)
+
     def test_a_tuple_of_ints_is_kept_as_it_is(self):
         # profiles built from the same ballot tuples share them
         ballot = (0, 1, 2)

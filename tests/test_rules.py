@@ -167,6 +167,18 @@ class TestWorkedExamples:
         prof = Profile.from_rankings([(A, B, C), (B, A, C)])
         assert out("copeland", prof) == {A, B}
 
+    def test_copeland_is_the_argmax_of_wins_less_losses(self):
+        copeland = parse_rule("copeland")
+        for m in range(1, 6):
+            for rel in enumerate_relations(m):
+                score = [
+                    sum(rel.strictly_prefers(x, y) - rel.strictly_prefers(y, x) for y in range(m))
+                    for x in range(m)
+                ]
+                best = max(score)
+                expected = {x for x in range(m) if score[x] == best}
+                assert set(evaluate_on_relation(copeland, rel).members) == expected
+
     def test_uncovered_set_on_three_cycle(self):
         cycle = Profile.from_rankings([(A, B, C), (B, C, A), (C, A, B)])
         assert out("uncovered-set", cycle) == {A, B, C}

@@ -246,6 +246,14 @@ class TestGroupManipulation:
         with pytest.raises(ValueError, match=f"max_group must be positive, got {max_group}"):
             find_group_manipulation(parse_rule("plurality"), fig2_left, max_group)
 
+    @pytest.mark.parametrize("max_group", ["2", 2.0])
+    def test_a_non_integer_group_size_is_refused(self, fig2_left, max_group):
+        plurality = parse_rule("plurality")
+        with pytest.raises(ValueError, match="^max_group must be an integer, got "):
+            find_group_manipulation(plurality, fig2_left, max_group)
+        found = find_group_manipulation(plurality, fig2_left, np.int64(2))
+        assert found == find_group_manipulation(plurality, fig2_left, 2)
+
     def test_more_than_eight_alternatives_are_refused_before_any_move(self, monkeypatch):
         # the single-voter search refuses m > 8; the group search must refuse
         # it the same way instead of tabling 9! misreports
@@ -703,6 +711,20 @@ class TestBudgetVariable:
         with pytest.raises(BudgetExceededError):
             check_axiom(Axiom.COS, TC, Universe(2, 1))
 
+    @pytest.mark.parametrize("check", [
+        lambda budget: sweep_strategyproofness(TC, Universe(2, 1), budget=budget),
+        lambda budget: check_axiom(Axiom.COS, TC, Universe(2, 1), budget=budget),
+        lambda budget: find_group_manipulation(TC, Profile(3, ((A, B, C),)), 1, budget=budget),
+    ], ids=["sweep", "check_axiom", "group"])
+    def test_a_non_integer_budget_is_refused(self, check):
+        for budget in ("5", 5.0):
+            with pytest.raises(ValueError, match="^budget must be an integer, got "):
+                check(budget)
+        with pytest.raises(BudgetExceededError):
+            check(np.int64(0))
+        check(np.int64(10**6))
+        assert type(verify._budget(np.int64(5))) is int
+
     def test_explicit_budget_wins(self, monkeypatch):
         monkeypatch.setenv("SETVOTE_BUDGET", "abc")
         assert sweep_strategyproofness(TC, Universe(2, 1), budget=10**6).outcome == Outcome.HOLDS
@@ -786,25 +808,54 @@ class TestSharedMemo:
         engine = _engine._engine(uncovered, 3, 2)
         assert engine.layout.key(engine.layout.of(tied.ballots)) not in engine.cache
 
-    def test_a_memo_past_its_bound_starts_afresh_when_handed_out(self, monkeypatch, fig1):
-        find_manipulation(TC, fig1)
-        engine = _engine._engine(TC, 5, 4)
-        assert len(engine.cache) > 2
-        monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 2)
-        assert _engine._engine(TC, 5, 4) is engine
-        assert engine.cache == {}
+    def test_the_output_memo_is_bounded_where_it_is_stored(self, monkeypatch):
+        pareto, universe = parse_rule("pareto"), Universe(3, 3)
+
+        def verdicts():
+            _engine._shared_engine.cache_clear()
+            checks = {n: verify._check(n, universe) for n in verify._CHECKS}
+            return as_results(verify._verdicts(pareto, universe, checks))
+
+        default = verdicts()
+        weights = []
+        store = _engine._Tables.store
+
+        def recorded(table, key, value):
+            stored = store(table, key, value)
+            weights.append((table, table.weight))
+            return stored
+
+        monkeypatch.setattr(_engine._Tables, "store", recorded)
+        monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 8)
+        assert verdicts() == default
+        engine = _engine._engine(pareto, universe.m, universe.n_max * universe.k_hom)
+        seen = [weight for table, weight in weights if table is engine.cache]
+        # the walk stored far more outputs than the bound, each weighing one
+        assert len(seen) > 8 * 9 and max(seen) == 9
 
     def test_a_profile_based_search_tries_each_distinct_ballot_once(self, monkeypatch):
         # on (abc, bca, abc) pareto chooses {a, b}, and no voter gains by a
         # misreport, so the search runs to its end; voter 2 repeats voter
-        # 0's ballot, so only voters 0 and 1 try their five misreports
+        # 0's ballot, so only voters 0 and 1 try their five misreports; each
+        # profile is evaluated as its electorate, the sorted ballots
         calls = counted_calls(monkeypatch, "evaluate_mask")
         _engine._shared_engine.cache_clear()
         abc, bca = (A, B, C), (B, C, A)
         assert find_manipulation(parse_rule("pareto"), Profile(3, (abc, bca, abc))) is None
-        assert [ballots for _, ballots, _ in calls] == [(abc, bca, abc)] + [
-            (mis, bca, abc) for mis in own_order_misreports(abc)
-        ] + [(abc, mis, abc) for mis in own_order_misreports(bca)]
+        assert [ballots for _, ballots, _ in calls] == [(abc, abc, bca)] + [
+            tuple(sorted((mis, bca, abc))) for mis in own_order_misreports(abc)
+        ] + [tuple(sorted((abc, mis, abc))) for mis in own_order_misreports(bca)]
+
+    def test_a_reordered_electorate_reuses_its_outputs(self, monkeypatch):
+        # the second profile is the first's electorate in another order:
+        # each voter's misreports reach the electorates the first search met
+        calls = counted_calls(monkeypatch, "evaluate_mask")
+        _engine._shared_engine.cache_clear()
+        pareto, abc, bca = parse_rule("pareto"), (A, B, C), (B, C, A)
+        assert find_manipulation(pareto, Profile(3, (abc, bca, abc))) is None
+        before = len(calls)
+        assert find_manipulation(pareto, Profile(3, (bca, abc, abc))) is None
+        assert len(calls) == before == 11
 
     def test_replay_evaluates_through_its_own_engine(self, monkeypatch):
         borda = parse_rule("borda")
