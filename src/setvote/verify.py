@@ -31,7 +31,8 @@ predicate only. Sweeps run in one process.
 One place, `_verdicts`, decides what each check walks and sizes the engine
 for it: the universe's profiles on the shared engine of (rule, universe), in
 scan order (n ascending, then lexicographic), one ordering per electorate
-(below), or the majority relations (Relation walk).
+(below), one electorate per relabeling class first (Orbit walk), or the
+majority relations (Relation walk).
 Every witness is the first its predicate meets, so `replay` hands the stored
 profile(s) to `_verdicts`, which walks the same predicate over those the
 universe holds (its m, at most n_max voters, every margin within the cap),
@@ -60,6 +61,38 @@ that returned None, or the check would be closed.
 - The pair checks report the first p, and for it the first q, whose outputs
   and margins have a property; a reordering has those of its first
   ordering, so both are first orderings.
+
+Orbit walk. The move checks (the four strategyproofness readings and the
+four one-ballot-move axioms below) first walk `Universe._orbit_representatives`,
+the electorates that hold the identity ballot, with the neutrality predicate
+always among them; neutrality, when asked for, is settled there too. Every
+electorate is a relabeling σP of a representative P. If f(σP) = σf(P) for
+every relabeling σ and every representative P, then f is neutral on the
+whole universe (f(σ'σP) = σ'σf(P) = σ'f(σP)), and every output in it was
+evaluated without an error, since neutrality evaluated each σP. A move check
+asks whether some voter's move (a misreport, a swap, a push, a block reorder)
+changes the output in a way its predicate rejects, and the moves of σP are
+the relabelings of the moves of P, so for a neutral f it returns None on σP
+exactly when it returns None on P. So a move check that holds on the
+representatives holds on the universe, and that is its verdict. A check the
+orbit walk finds violated or not evaluable is rerun on the electorate walk,
+and so is every orbit check if neutrality does not hold; the orbit walk ends
+as soon as neutrality closes or no check it may settle is open. The
+representatives are electorates in scan order, so a rerun closes at or
+before the representative that closed the check: its first witness is the
+electorate walk's, at no more than the electorate walk's cost. What stays on
+the electorate walk, and why:
+- the grouped checks (pairwiseness, majoritarianess), the imposition checks
+  and the pair checks compare outputs across profiles, not one profile with
+  its relabelings;
+- homogeneity tiles a profile past n_max voters, where the orbit walk
+  checks no neutrality;
+- strong Condorcet consistency, COS, Fishburn efficiency and twin symmetry
+  read one output per profile and ride the electorate walk nearly for free,
+  while the orbit walk would pay the m! outputs of neutrality for them;
+- a margin-capped universe walks every check on the electorate walk: a
+  move can leave the cap, where neutrality is not checked;
+- `replay` walks the stored profiles alone.
 
 Relation walk. A majoritarian rule's robust-dominant check
 (`_over_relations`) walks every majority relation in `enumerate_relations`
@@ -140,7 +173,10 @@ DEFAULT_BUDGET = 10**9
 
 def _budget(value: int | None) -> int:
     if value is not None:
-        return _integer(value, "budget")
+        budget = _integer(value, "budget")
+        if budget < 0:
+            raise ValueError(f"budget must be a non-negative integer, got {budget}")
+        return budget
     raw = os.environ.get("SETVOTE_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -258,6 +294,18 @@ class Universe:
         alone, so it keeps or drops every ordering of an electorate together."""
         return self._enumerated(itertools.combinations_with_replacement)
 
+    def _orbit_representatives(self):
+        """The electorates that hold the identity ballot, in scan order: those
+        of `_electorates` whose first ballot is the identity. Every electorate
+        is a relabeling of one of them: relabel any of its ballots to the
+        identity."""
+        return self._enumerated(
+            lambda ballots, n: (
+                (ballots[0],) + rest
+                for rest in itertools.combinations_with_replacement(ballots, n - 1)
+            )
+        )
+
     def profiles(self):
         for ballots in self.raw_profiles():
             yield Profile(self.m, ballots)
@@ -303,11 +351,14 @@ def _holds():
     return Outcome.HOLDS, None
 
 
-def _walk(rule: RuleSpec, universe: Universe, checks: dict, profiles, engine) -> dict:
+def _walk(
+    rule: RuleSpec, universe: Universe, checks: dict, profiles, engine, until=None
+) -> dict:
     """Run the predicates `checks` (name -> predicate) on one walk of
     `profiles` (ballot tuples) through `engine`; see the walk contract in the
-    module docstring. Returns name -> AxiomVerdict on the universe, or the
-    not-evaluable error that closed the check."""
+    module docstring. Given `until`, the walk also ends after a profile once
+    `until(open checks)` is true. Returns name -> AxiomVerdict on the
+    universe, or the not-evaluable error that closed the check."""
     found: dict = {}
     active = dict(checks)
     for ballots in profiles:
@@ -325,7 +376,7 @@ def _walk(rule: RuleSpec, universe: Universe, checks: dict, profiles, engine) ->
             if result is not None:
                 found[name] = result
                 del active[name]
-        if not active:
+        if not active or until is not None and until(active):
             break
     for name, check in active.items():
         found[name] = getattr(check, "end", _holds)()
@@ -907,6 +958,19 @@ _CHECKS = {
 }
 
 
+# the checks the orbit walk settles when they hold: the move checks, and
+# neutrality, which it runs anyway
+_NEUTRALITY = Axiom.NEUTRALITY.value
+_ORBIT_CHECKS = frozenset({
+    *_DEVIATION_CHECKS,
+    Axiom.WMON.value,
+    Axiom.WSMON.value,
+    Axiom.IUA.value,
+    Axiom.WLOC.value,
+    _NEUTRALITY,
+})
+
+
 def _check(name: str, universe: Universe):
     """A fresh predicate for the check reported under `name`."""
     factory = _CHECKS.get(name)
@@ -928,7 +992,9 @@ def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
     are counted: ordered pairs of relations (3 per pair of alternatives) or
     of electorates for a pair check, every electorate and misreport for
     strategyproofness, and for an axiom a constant number per (electorate,
-    voter, block) plus the k_hom - 1 tilings homogeneity evaluates."""
+    voter, block) plus the k_hom - 1 tilings homogeneity evaluates. A check
+    the orbit walk settles counts its electorate walk too: that walk is its
+    fallback, which the estimate still bounds, so it is left unchanged."""
     m = universe.m
     if _over_relations(name, rule):
         return 9 ** comb(m, 2)
@@ -945,21 +1011,29 @@ def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
 def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -> dict:
     """Run the predicates `checks` (name -> predicate) on the rule, all on one
     walk of the universe but a check `_over_relations` selects, which walks
-    the majority relations, each realized with two voters per pair. Given
+    the majority relations, each realized with two voters per pair. On an
+    uncapped universe the checks of `_ORBIT_CHECKS` take the orbit walk
+    first, and only those it does not settle join the universe walk. Given
     `profiles`, walk those the universe holds alone, or the relations of
     those with its m, through a private engine, so that every output is
     re-derived from the rule and not read back from a memo a sweep filled.
     Returns what `_walk` returns."""
     m, replaying = universe.m, profiles is not None
+    size = universe.n_max * universe.k_hom
     on_relations = {n: c for n, c in checks.items() if _over_relations(n, rule)}
     rest = {n: c for n, c in checks.items() if n not in on_relations}
+    results: dict = {}
+    orbit = {n: c for n, c in rest.items() if n in _ORBIT_CHECKS}
+    if orbit and not replaying and universe.margin_cap is None:
+        results = _orbit_walk(rule, universe, orbit, _engine(rule, m, size))
+        rest = {n: c for n, c in rest.items() if n not in results}
     walks = []
     if rest:
         if replaying:
             ballots = (p.ballots for p in profiles if universe._contains(p))
         else:
             ballots = universe._electorates()
-        walks.append((rest, ballots, universe.n_max * universe.k_hom))
+        walks.append((rest, ballots, size))
     if on_relations:
         if replaying:
             rels = (MajorityRelation.from_profile(p) for p in profiles if p.m == m)
@@ -967,11 +1041,25 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
             rels = enumerate_relations(m)
         ballots = (realize_relation(rel, 2).ballots for rel in rels)
         walks.append((on_relations, ballots, max(2, m * (m - 1))))
-    results: dict = {}
     for group, ballots, size in walks:
         engine = _Engine(rule, m, size) if replaying else _engine(rule, m, size)
         results.update(_walk(rule, universe, group, ballots, engine))
     return results
+
+
+def _orbit_walk(rule: RuleSpec, universe: Universe, checks: dict, engine) -> dict:
+    """The orbit walk (see the module docstring): `checks` and neutrality on
+    one walk of the orbit representatives, which ends once neutrality closes
+    or no check of `checks` is open. Returns the verdicts it settles: those
+    of `checks` that hold, if neutrality held, and none otherwise."""
+    walked = {_NEUTRALITY: _check_neutrality(universe), **checks}
+
+    def until(active):
+        return _NEUTRALITY not in active or not active.keys() & checks.keys()
+
+    found = _walk(rule, universe, walked, universe._orbit_representatives(), engine, until)
+    held = {n: r for n, r in found.items() if getattr(r, "outcome", None) == Outcome.HOLDS}
+    return {n: held[n] for n in checks if n in held} if _NEUTRALITY in held else {}
 
 
 def _run(name: str, rule: RuleSpec, universe: Universe, budget: int | None) -> AxiomVerdict:

@@ -725,6 +725,26 @@ class TestBudgetVariable:
         check(np.int64(10**6))
         assert type(verify._budget(np.int64(5))) is int
 
+    @pytest.mark.parametrize("check", [
+        lambda budget: sweep_strategyproofness(TC, Universe(2, 1), budget=budget),
+        lambda budget: check_axiom(Axiom.COS, TC, Universe(2, 1), budget=budget),
+        lambda budget: corroborate_theorems(Universe(2, 1), budget=budget),
+        lambda budget: find_group_manipulation(TC, Profile(3, ((A, B, C),)), 1, budget=budget),
+    ], ids=["sweep", "check_axiom", "corroborate", "group"])
+    def test_a_negative_budget_is_refused_by_either_path(self, monkeypatch, check):
+        # as an argument and as the environment variable, the same bound is
+        # refused with the same message
+        with pytest.raises(ValueError, match=r"^budget must be a non-negative integer, got -1$"):
+            check(-1)
+        monkeypatch.setenv("SETVOTE_BUDGET", "-1")
+        with pytest.raises(
+            ValueError, match=r"^SETVOTE_BUDGET must be a non-negative integer, got '-1'$"
+        ):
+            check(None)
+        # an argument still wins over the variable, and zero is a budget
+        with pytest.raises(BudgetExceededError):
+            check(0)
+
     def test_explicit_budget_wins(self, monkeypatch):
         monkeypatch.setenv("SETVOTE_BUDGET", "abc")
         assert sweep_strategyproofness(TC, Universe(2, 1), budget=10**6).outcome == Outcome.HOLDS
@@ -885,7 +905,15 @@ def as_results(found):
     }
 
 
-WALKED_UNIVERSES = [Universe(3, 3), Universe(2, 4), Universe(3, 3, margin_cap=1)]
+# the first two and the last two take the orbit walk for the checks it
+# settles, whose verdicts must still be those of every ordering
+WALKED_UNIVERSES = [
+    Universe(3, 3),
+    Universe(2, 4),
+    Universe(3, 3, margin_cap=1),
+    Universe(4, 2),
+    Universe(3, 2, k_hom=3),
+]
 
 
 class TestElectorateWalk:
@@ -896,3 +924,163 @@ class TestElectorateWalk:
         found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
         expected = ordered_walk(rule, universe)
         assert as_results({n: found[n] for n in expected}) == expected
+
+
+def electorate_walk(rule, universe, names):
+    """The oracle of the orbit walk: the checks `names` on one walk of every
+    electorate (`_electorates`) through a fresh engine, as `as_results`
+    gives them."""
+    checks = {name: verify._check(name, universe) for name in names}
+    engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
+    return as_results(verify._walk(rule, universe, checks, universe._electorates(), engine))
+
+
+def counted_representatives(monkeypatch):
+    """The orbit representatives every orbit walk meets from here on."""
+    met = []
+    representatives = Universe._orbit_representatives
+
+    def counted(universe):
+        for ballots in representatives(universe):
+            met.append(ballots)
+            yield ballots
+
+    monkeypatch.setattr(Universe, "_orbit_representatives", counted)
+    return met
+
+
+ORBIT_UNIVERSES = [Universe(3, 4), Universe(4, 3), Universe(3, 3, margin_cap=1)]
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("universe", ORBIT_UNIVERSES, ids=str)
+    @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
+    def test_verdicts_match_the_electorate_walk(self, rule, universe):
+        # every check but those that walk the majority relations; on
+        # (4, <=3) weak robustness is left out: a quadratic pair check that
+        # only the electorate walk runs, it takes about 2 s per rule there
+        names = [
+            n
+            for n in verify._CHECKS
+            if not verify._over_relations(n, rule)
+            and not (universe.m == 4 and n == verify._WEAK_ROBUSTNESS)
+        ]
+        found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
+        assert as_results(found) == electorate_walk(rule, universe, names)
+
+    @pytest.mark.parametrize("universe", ORBIT_UNIVERSES[:2], ids=str)
+    @pytest.mark.parametrize("name", sorted(verify._ORBIT_CHECKS))
+    def test_each_check_alone_matches_the_electorate_walk(self, name, universe):
+        # one check per walk, as `check_axiom` and the strategyproofness
+        # sweeps run it: the orbit walk ends once that check closes
+        for rule in map(parse_rule, ("tc", "borda", "plurality", "fab:ab", "uncovered-set")):
+            found = verify._verdicts(rule, universe, {name: verify._check(name, universe)})
+            assert as_results(found) == electorate_walk(rule, universe, [name]), rule.name
+
+    def test_the_representatives_hold_the_identity_ballot(self):
+        for universe in (Universe(3, 4), Universe(4, 3), Universe(1, 3)):
+            identity = enumerate_ballots(universe.m)[0]
+            expected = [e for e in universe._electorates() if e[0] == identity]
+            assert list(universe._orbit_representatives()) == expected
+            # every electorate relabels to one of them
+            for electorate in universe._electorates():
+                inverse = {x: i for i, x in enumerate(electorate[-1])}
+                relabeled = tuple(sorted(tuple(inverse[x] for x in b) for b in electorate))
+                assert relabeled in expected
+        assert sum(1 for _ in Universe(4, 4)._orbit_representatives()) == 2925
+
+    @pytest.mark.parametrize("name,last", [
+        # the first representatives a relabeling changes the output of
+        ("fab:ab", ((A, B, C), (B, A, C))),
+        ("shifted-tc:k=2", ((A, B, C),)),
+        # the first whose relation has a tie, which the uncovered set refuses
+        ("uncovered-set", ((A, B, C), (A, C, B))),
+    ])
+    def test_a_rule_not_shown_neutral_settles_nothing(self, monkeypatch, name, last):
+        # every check falls back to the electorate walk, and the orbit walk
+        # ends at the representative that closed neutrality
+        rule, universe = parse_rule(name), Universe(3, 4)
+        met = counted_representatives(monkeypatch)
+        checks = {n: verify._check(n, universe) for n in verify._ORBIT_CHECKS}
+        engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
+        assert verify._orbit_walk(rule, universe, checks, engine) == {}
+        assert met[-1] == last
+
+    def test_a_neutral_rule_settles_what_holds(self):
+        universe = Universe(3, 4)
+        checks = {n: verify._check(n, universe) for n in verify._ORBIT_CHECKS}
+        engine = _engine._Engine(TC, universe.m, universe.n_max * universe.k_hom)
+        settled = verify._orbit_walk(TC, universe, checks, engine)
+        # the strict strong reading is violated, so it is left to the rerun
+        assert set(settled) == verify._ORBIT_CHECKS - {"strong-strategyproofness-fishburn"}
+        assert all(v.outcome == Outcome.HOLDS and v.witness is None for v in settled.values())
+
+    def test_a_violation_ends_the_orbit_walk_at_its_representative(self, monkeypatch):
+        # with neutrality not asked for, the walk ends at the first
+        # representative a manipulation is found on; the rerun finds the
+        # first witness of the electorate walk
+        borda, universe = parse_rule("borda"), Universe(4, 3)
+        met = counted_representatives(monkeypatch)
+        verdict = sweep_strategyproofness(borda, universe)
+        assert [find_manipulation(borda, Profile(4, b)) is not None for b in met] == [
+            False
+        ] * (len(met) - 1) + [True]
+        assert as_results({verdict.axiom: verdict}) == electorate_walk(
+            borda, universe, [verdict.axiom]
+        )
+
+    def test_a_rule_neutral_only_within_the_universe(self, monkeypatch):
+        # a profile-based stand-in that is plurality up to n_max voters;
+        # beyond, where only homogeneity's tilings reach, it is plurality
+        # when some voter casts the identity ballot and {a} otherwise. So
+        # homogeneity holds on every electorate that holds the identity
+        # ballot and fails elsewhere: the orbit walk shows the rule neutral
+        # and settles the move checks, and homogeneity, which the electorate
+        # walk keeps, is violated with the oracle's witness
+        universe = Universe(3, 3)
+        plurality = rules._PROFILE_BASED[RuleId.PLURALITY]
+
+        def stand_in(rule, ballots, m):
+            if len(ballots) <= universe.n_max or (A, B, C) in ballots:
+                return plurality(rule, ballots, m)
+            return 1
+
+        monkeypatch.setitem(rules._PROFILE_BASED, RuleId.PLURALITY, stand_in)
+        rule = parse_rule("plurality")
+        names = [n for n in verify._CHECKS if not verify._over_relations(n, rule)]
+        found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
+        assert as_results(found) == electorate_walk(rule, universe, names)
+        assert found[Axiom.NEUTRALITY.value].outcome == Outcome.HOLDS
+        homogeneity = found[Axiom.HOMOGENEITY.value]
+        assert homogeneity.outcome == Outcome.VIOLATED
+        # one voter tiles to two, within n_max; plurality chooses {a, b} on
+        # (acb, bac), the first electorate without the identity ballot on
+        # which it does not choose {a}
+        assert homogeneity.witness["profile"] == Profile(3, ((A, C, B), (B, A, C)))
+        assert homogeneity.witness["k"] == 2
+
+    def test_five_alternatives_and_three_voters(self):
+        # 7,381 representatives instead of 302,620 electorates: tc holds,
+        # and borda's witness is the one the electorate walk finds first
+        universe = Universe(5, 3)
+        assert sweep_strategyproofness(TC, universe).outcome == Outcome.HOLDS
+        borda = parse_rule("borda")
+        verdict = sweep_strategyproofness(borda, universe)
+        assert verdict.outcome == Outcome.VIOLATED
+        assert as_results({verdict.axiom: verdict}) == electorate_walk(
+            borda, universe, [verdict.axiom]
+        )
+
+    def test_a_margin_capped_universe_takes_no_orbit_walk(self, monkeypatch):
+        met = counted_representatives(monkeypatch)
+        universe = Universe(3, 3, margin_cap=1)
+        sweep_strategyproofness(TC, universe)
+        check_axiom(Axiom.WLOC, TC, universe)
+        corroborate_theorems(universe, rules=(TC,))
+        assert met == []
+
+    def test_replay_takes_no_orbit_walk(self, monkeypatch):
+        verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 3))
+        met = counted_representatives(monkeypatch)
+        assert replay(verdict)
+        assert met == []
