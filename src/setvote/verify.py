@@ -64,15 +64,16 @@ that returned None, or the check would be closed.
 
 Orbit walk. The move checks (the four strategyproofness readings and the
 four one-ballot-move axioms below) first walk `Universe._orbit_representatives`,
-the electorates that hold the identity ballot, with the neutrality predicate
-always among them; neutrality, when asked for, is settled there too. Every
-electorate is a relabeling σP of a representative P. If f(σP) = σf(P) for
-every relabeling σ and every representative P, then f is neutral on the
-whole universe (f(σ'σP) = σ'σf(P) = σ'f(σP)), and every output in it was
-evaluated without an error, since neutrality evaluated each σP. A move check
-asks whether some voter's move (a misreport, a swap, a push, a block reorder)
-changes the output in a way its predicate rejects, and the moves of σP are
-the relabelings of the moves of P, so for a neutral f it returns None on σP
+one electorate per relabeling class (the least of its class in scan order),
+with the neutrality predicate always among them; neutrality, when asked for,
+is settled there too. Every electorate is a relabeling σP of the
+representative P of its class. If f(σP) = σf(P) for every relabeling σ and
+every representative P, then f is neutral on the whole universe
+(f(σ'σP) = σ'σf(P) = σ'f(σP)), and every output in it was evaluated without
+an error, since neutrality evaluated each σP. A move check asks whether
+some voter's move (a misreport, a swap, a push, a block reorder) changes the
+output in a way its predicate rejects, and the moves of σP are the
+relabelings of the moves of P, so for a neutral f it returns None on σP
 exactly when it returns None on P. So a move check that holds on the
 representatives holds on the universe, and that is its verdict. A check the
 orbit walk finds violated or not evaluable is rerun on the electorate walk,
@@ -295,20 +296,59 @@ class Universe:
         return self._enumerated(itertools.combinations_with_replacement)
 
     def _orbit_representatives(self):
-        """The electorates that hold the identity ballot, in scan order: those
-        of `_electorates` whose first ballot is the identity. Every electorate
-        is a relabeling of one of them: relabel any of its ballots to the
-        identity."""
-        return self._enumerated(
-            lambda ballots, n: (
-                (ballots[0],) + rest
-                for rest in itertools.combinations_with_replacement(ballots, n - 1)
-            )
-        )
+        """One electorate per relabeling class, in scan order: the first of
+        its class that scan order meets, which is the least sorted tuple of
+        ballot indices (lexicographic ballot order is index order). It holds
+        the identity, index 0, since relabeling any ballot of an electorate
+        to the identity gives one of its class that does. So a candidate
+        `(0,) + rest` is the least of its class unless a relabeling that
+        takes one of its ballots to the identity gives a smaller sorted
+        tuple: every relabeling that yields a tuple holding the identity is
+        one of those. The orbit walk's two arguments (module docstring) read
+        no more than this: every electorate is a relabeling of one
+        representative, and the representatives are electorates met in scan
+        order."""
+        ballots = enumerate_ballots(self.m)
+        least = _least_of_class(ballots)
+
+        def candidates(_, n):
+            for rest in itertools.combinations_with_replacement(range(len(ballots)), n - 1):
+                electorate = (0,) + rest
+                if least(electorate):
+                    yield tuple(ballots[i] for i in electorate)
+
+        return self._enumerated(candidates)
 
     def profiles(self):
         for ballots in self.raw_profiles():
             yield Profile(self.m, ballots)
+
+
+def _least_of_class(ballots):
+    """The test that a sorted tuple of indices into `ballots` (all m!
+    ballots in lexicographic order) that starts with the identity, 0, is the
+    least of its relabeling class. Row j of the table holds, for every
+    ballot, the index of its relabeling by the one that takes ballot j to the
+    identity; a row is built when a candidate first holds ballot j."""
+    index = {b: i for i, b in enumerate(ballots)}
+    rows: dict = {}
+
+    def row(j):
+        rank = {x: pos for pos, x in enumerate(ballots[j])}
+        rows[j] = r = [index[tuple(rank[x] for x in b)] for b in ballots]
+        return r
+
+    def least(electorate):
+        prior = 0
+        for j in electorate:
+            if j != prior:
+                prior = j
+                r = rows.get(j) or row(j)
+                if sorted([r[i] for i in electorate]) < list(electorate):
+                    return False
+        return True
+
+    return least
 
 
 @dataclass(frozen=True)
@@ -884,18 +924,42 @@ class _RobustDominant(_Pairs):
 
 
 class _WeakRobustness(_Pairs):
-    """The predicate of `check_weak_robustness`."""
+    """The predicate of `check_weak_robustness`: p and q violate it when q
+    chooses outside p's output O and no margin g(x, y), x in O, y outside O,
+    is smaller at q than at p. That test reads only the two outputs and
+    margin vectors, so a scan with the (output, margin vector) of an earlier
+    one violates with the same partners as that one: only the first scan of
+    each is judged, and the first violating pair (i, j) is unchanged."""
 
     def end(self):
         m = self.m
         full = (1 << m) - 1
+        firsts: dict = {}
         for p in self.scans:
-            fields = [x * m + y for x in _mask_bits(p.out) for y in _mask_bits(full & ~p.out)]
-            gp = p.flat
-            for q in self.scans:
-                # never true for q = p, nor for any q when p chooses everything
-                if q.out & ~p.out and all(gp[f] <= q.flat[f] for f in fields):
-                    return self.violated(p, q)
+            firsts.setdefault((p.out, p.flat), p)
+        scans = list(firsts.values())
+        # at_least[f][v]: the scans whose margin field f is at least v, one
+        # bit per scan in scan order, so that each p's partners are one
+        # intersection and its first partner the lowest bit
+        at_least = []
+        for f in range(m * m):
+            bits: dict = {}
+            for i, q in enumerate(scans):
+                bits[q.flat[f]] = bits.get(q.flat[f], 0) | 1 << i
+            above = 0
+            for v in sorted(bits, reverse=True):
+                above = bits[v] = above | bits[v]
+            at_least.append(bits)
+        outside: dict = {}
+        for p in scans:
+            if p.out not in outside:
+                outside[p.out] = sum(1 << i for i, q in enumerate(scans) if q.out & ~p.out)
+            partners = outside[p.out]
+            for x in _mask_bits(p.out):
+                for y in _mask_bits(full & ~p.out):
+                    partners &= at_least[x * m + y][p.flat[x * m + y]]
+            if partners:
+                return self.violated(p, scans[(partners & -partners).bit_length() - 1])
         return _holds()
 
 

@@ -429,6 +429,39 @@ class TestRobustness:
     def test_vacuous_premise_holds(self):
         assert check_weak_robustness(TC, Universe(1, 1)).outcome == Outcome.HOLDS
 
+    @pytest.mark.parametrize("universe", [Universe(3, 4), Universe(4, 3)], ids=str)
+    @pytest.mark.parametrize("name", [
+        # tc and fab:ab hold on both universes, maximin and schwartz on
+        # (4, <=3) only; the rest are violated on both
+        "tc", "fab:ab", "maximin", "schwartz", "plurality", "borda", "pareto", "kemeny",
+        "omninomination",
+    ])
+    def test_weak_robustness_matches_the_all_pairs_scan(self, universe, name):
+        # the oracle tries every ordered pair of electorates, duplicates of
+        # an earlier (output, margins) included, and reports the first
+        # violating one
+        rule, m = parse_rule(name), universe.m
+        profiles = [Profile(m, e) for e in universe._electorates()]
+        outs = np.array([evaluate(rule, p).mask for p in profiles])
+        gs = np.array([margins(p) for p in profiles])
+        expected = None
+        for p, out, g in zip(profiles, outs, gs):
+            inside = [x for x in range(m) if out >> x & 1]
+            outside = [y for y in range(m) if not out >> y & 1]
+            rows, cols = np.ix_(inside, outside)
+            gained = np.all(gs[:, rows, cols] >= g[rows, cols], axis=(1, 2))
+            (partners,) = np.nonzero(gained & (outs & ~out != 0))
+            if len(partners):
+                q = partners[0]
+                expected = {
+                    "profiles": (p, profiles[q]),
+                    "outputs": (ChoiceSet(m, int(out)), ChoiceSet(m, int(outs[q]))),
+                }
+                break
+        verdict = check_weak_robustness(rule, universe)
+        assert verdict.outcome == (Outcome.HOLDS if expected is None else Outcome.VIOLATED)
+        assert verdict.witness == expected
+
     def test_verdicts_are_pinned(self):
         # SHA-256 of the repr of every robust-dominant and weak-robustness
         # verdict (or not-evaluable error) over the catalog on three small
@@ -956,15 +989,8 @@ class TestOrbitWalk:
     @pytest.mark.parametrize("universe", ORBIT_UNIVERSES, ids=str)
     @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
     def test_verdicts_match_the_electorate_walk(self, rule, universe):
-        # every check but those that walk the majority relations; on
-        # (4, <=3) weak robustness is left out: a quadratic pair check that
-        # only the electorate walk runs, it takes about 2 s per rule there
-        names = [
-            n
-            for n in verify._CHECKS
-            if not verify._over_relations(n, rule)
-            and not (universe.m == 4 and n == verify._WEAK_ROBUSTNESS)
-        ]
+        # every check but those that walk the majority relations
+        names = [n for n in verify._CHECKS if not verify._over_relations(n, rule)]
         found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
         assert as_results(found) == electorate_walk(rule, universe, names)
 
@@ -977,17 +1003,33 @@ class TestOrbitWalk:
             found = verify._verdicts(rule, universe, {name: verify._check(name, universe)})
             assert as_results(found) == electorate_walk(rule, universe, [name]), rule.name
 
-    def test_the_representatives_hold_the_identity_ballot(self):
+    def test_the_representatives_are_one_per_relabeling_class(self):
+        # the oracle: an electorate's class is named by its least sorted
+        # tuple over all m! relabelings; each class holds exactly one
+        # representative, that least electorate, met in scan order
         for universe in (Universe(3, 4), Universe(4, 3), Universe(1, 3)):
-            identity = enumerate_ballots(universe.m)[0]
-            expected = [e for e in universe._electorates() if e[0] == identity]
-            assert list(universe._orbit_representatives()) == expected
-            # every electorate relabels to one of them
-            for electorate in universe._electorates():
-                inverse = {x: i for i, x in enumerate(electorate[-1])}
-                relabeled = tuple(sorted(tuple(inverse[x] for x in b) for b in electorate))
-                assert relabeled in expected
-        assert sum(1 for _ in Universe(4, 4)._orbit_representatives()) == 2925
+            perms = list(itertools.permutations(range(universe.m)))
+
+            def least(electorate):
+                return min(
+                    tuple(sorted(tuple(p[x] for x in b) for b in electorate)) for p in perms
+                )
+
+            electorates = list(universe._electorates())
+            representatives = list(universe._orbit_representatives())
+            kept = set(representatives)
+            assert [least(r) for r in representatives] == representatives
+            assert kept == set(map(least, electorates))
+            assert representatives == [e for e in electorates if e in kept]
+        # the Burnside counts of relabeling classes
+        for universe, count in [
+            (Universe(3, 4), 40),
+            (Universe(4, 3), 129),
+            (Universe(4, 4), 891),
+            (Universe(5, 3), 2541),
+            (Universe(1, 3), 3),
+        ]:
+            assert sum(1 for _ in universe._orbit_representatives()) == count
 
     @pytest.mark.parametrize("name,last", [
         # the first representatives a relabeling changes the output of
@@ -1060,7 +1102,7 @@ class TestOrbitWalk:
         assert homogeneity.witness["k"] == 2
 
     def test_five_alternatives_and_three_voters(self):
-        # 7,381 representatives instead of 302,620 electorates: tc holds,
+        # 2,541 representatives instead of 302,620 electorates: tc holds,
         # and borda's witness is the one the electorate walk finds first
         universe = Universe(5, 3)
         assert sweep_strategyproofness(TC, universe).outcome == Outcome.HOLDS
