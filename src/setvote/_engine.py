@@ -46,17 +46,27 @@ it.
 
 Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
-per profile evaluates each relation once. `_engine` hands the engines out,
-keyed also on the evaluator the rule's basis table holds, so that a replaced
-evaluator never reads outputs of the old one. A profile-based engine keys
-its outputs on the electorate, the sorted ballot tuple, since every
-evaluator reads a multiset, so every ordering of one electorate shares one
-output. The output memo, the move tables and the reach memo are each a
+per profile evaluates each relation once. Every single-voter search (both
+readings, in `find_manipulation`, `find_strong_manipulation`, every walk and
+`replay`) asks `_Engine.misreport` for each voter whose ballot no earlier
+voter has: its first misreport whose output is in the accept mask of the
+lifting and reading, or None. On a code-keyed engine the honest output is
+fixed by the code, so that answer depends on (lifting, reading, ballot,
+code) alone, and the verdict memo `verdicts` keeps it under that key: a hit
+as the one-move tuple ((new_ballot, info, output after),) at once, None as
+() only once the voter's whole reach has run, so an evaluation error is
+never stored; the accept mask is read only on a miss. A profile-based
+engine asks every time. `_engine` hands the engines out, keyed also on the
+evaluator the rule's basis table holds, so that a replaced evaluator never
+reads outputs of the old one. A profile-based engine keys its outputs on
+the electorate, the sorted ballot tuple, since every evaluator reads a
+multiset, so every ordering of one electorate shares one output. The output
+memo, the move tables, the reach memo and the verdict memo are each a
 `_Tables`, bounded when an entry is stored: past `_MEMO_ENTRIES` (an output
-weighs one, a tuple its length, an empty one one) it starts afresh before
-the next is stored, even during a walk; only the at most m! ballot
-encodings of a layout are kept unbounded. Errors (ties, empty choices,
-out-of-range parameters) are never memoized.
+or a verdict weighs one, a tuple of moves its length, an empty one one) it
+starts afresh before the next is stored, even during a walk; only the at
+most m! ballot encodings of a layout are kept unbounded. Errors (ties,
+empty choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -191,9 +201,11 @@ class _Engine:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
         # the layout's move tables, and on a code-keyed engine what `_moved`
-        # yields for a voter, by (kind, out, ballot, code)
+        # yields for a voter, by (kind, out, ballot, code), and the voter's
+        # first accepted misreport, by (lifting, reading, ballot, code)
         self.moves = self.layout.moves
         self.reached = _Tables()
+        self.verdicts = _Tables()
 
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
@@ -224,6 +236,26 @@ class _Engine:
         if found is None:
             found = self._reaching(ballots, voter, code, honest, kind, out, key)
         return found
+
+    def misreport(self, ballots, voter: int, code: int, honest: int, reading, lifting):
+        """The first misreport of `voter` (see `_misreports`) whose output
+        after is in the accept mask reading(lifting, ballot, honest), as
+        (new_ballot, info, output after), or None. A code-keyed engine keeps
+        the answer per (lifting, reading, ballot, code): a hit as a one-move
+        tuple at once, None as () only once the voter's whole reach has run,
+        so an evaluation error is never stored."""
+        ballot = ballots[voter]
+        key = None if self.by_ballots else (lifting, reading, ballot, code)
+        found = self.verdicts.get(key)
+        if found is None:
+            accept, found = reading(lifting, ballot, honest), ()
+            for move in self.reach(ballots, voter, code, honest, _misreports, None):
+                if accept >> move[2] & 1:
+                    found = (move,)
+                    break
+            if key is not None:
+                self.verdicts.store(key, found)
+        return found[0] if found else None
 
     def _reaching(self, ballots, voter, code, honest, kind, out, key):
         known, add, guard, miss = self.cache.get, self.add, self.guard, self.miss

@@ -430,18 +430,17 @@ def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation |
     """The first deviation from the scanned profile that the voter strictly
     prefers or, under the strong reading, the first whose outcome the honest
     one is not at least as good as."""
-    ballots, honest, m = ctx.ballots, ctx.out, ctx.m
-    verdicts = _gains if strong else _better
-    for voter, mis, _, out in _moved(ctx, _misreports):
-        if verdicts(extension, ballots[voter], honest) >> out & 1:
+    engine, ballots, honest, m = ctx.engine, ctx.ballots, ctx.out, ctx.m
+    reading = _gains if strong else _better
+    for voter, ballot in enumerate(ballots):
+        # a voter whose ballot an earlier voter has reaches the same outputs
+        found = ballots.index(ballot) == voter and engine.misreport(
+            ballots, voter, ctx.code, honest, reading, extension
+        )
+        if found:
+            mis, _, out = found
             return Manipulation(
-                profile=ctx.profile,
-                voter=voter,
-                true_ballot=ballots[voter],
-                misreport=mis,
-                honest_set=ChoiceSet(m, honest),
-                manipulated_set=ChoiceSet(m, out),
-                extension=extension,
+                ctx.profile, voter, ballot, mis, ChoiceSet(m, honest), ChoiceSet(m, out), extension
             )
     return None
 

@@ -861,13 +861,16 @@ class TestSharedMemo:
         engine = _engine._engine(uncovered, 3, 2)
         assert engine.layout.key(engine.layout.of(tied.ballots)) not in engine.cache
 
-    def test_the_output_memo_is_bounded_where_it_is_stored(self, monkeypatch):
-        pareto, universe = parse_rule("pareto"), Universe(3, 3)
+    # the output memo of a profile-based rule, and the per-voter verdict
+    # memo of a majoritarian one (profile-based engines keep none)
+    @pytest.mark.parametrize("name,memo", [("pareto", "cache"), ("tc", "verdicts")])
+    def test_every_memo_is_bounded_where_it_is_stored(self, monkeypatch, name, memo):
+        rule, universe = parse_rule(name), Universe(3, 3)
 
         def verdicts():
             _engine._shared_engine.cache_clear()
             checks = {n: verify._check(n, universe) for n in verify._CHECKS}
-            return as_results(verify._verdicts(pareto, universe, checks))
+            return as_results(verify._verdicts(rule, universe, checks))
 
         default = verdicts()
         weights = []
@@ -881,9 +884,9 @@ class TestSharedMemo:
         monkeypatch.setattr(_engine._Tables, "store", recorded)
         monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 8)
         assert verdicts() == default
-        engine = _engine._engine(pareto, universe.m, universe.n_max * universe.k_hom)
-        seen = [weight for table, weight in weights if table is engine.cache]
-        # the walk stored far more outputs than the bound, each weighing one
+        engine = _engine._engine(rule, universe.m, universe.n_max * universe.k_hom)
+        seen = [weight for table, weight in weights if table is getattr(engine, memo)]
+        # the walk stored far more entries than the bound, each weighing one
         assert len(seen) > 8 * 9 and max(seen) == 9
 
     def test_a_profile_based_search_tries_each_distinct_ballot_once(self, monkeypatch):
@@ -916,6 +919,145 @@ class TestSharedMemo:
         calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
         assert replay(verdict)
         assert calls
+
+
+def moved_manipulation(ctx, extension, strong):
+    """The single-voter search as a loop over every move `_moved` yields, each
+    judged by the verdict table: the reference the per-voter verdict memo
+    must reproduce, voter index and witness included."""
+    ballots, honest, m = ctx.ballots, ctx.out, ctx.m
+    reading = extensions._gains if strong else extensions._better
+    for voter, mis, _, out in _engine._moved(ctx, _engine._misreports):
+        if reading(extension, ballots[voter], honest) >> out & 1:
+            return verify.Manipulation(
+                ctx.profile, voter, ballots[voter], mis,
+                ChoiceSet(m, honest), ChoiceSet(m, out), extension,
+            )
+    return None
+
+
+def outcome(search):
+    """What a search returns, or the type and text of the error it raises."""
+    try:
+        return search()
+    except (rules.TiesUnsupportedError, EmptyChoiceError) as exc:
+        return type(exc), str(exc)
+
+
+CODE_KEYED = [r for r in catalog() if basis(r) != BasisTag.PROFILE_BASED]
+# both liftings under both readings: (lifting, strong)
+READINGS = [(kind, strong) for kind in ExtensionKind for strong in (False, True)]
+SEARCHES = {False: find_manipulation, True: find_strong_manipulation}
+
+
+def ordered_profiles(m, sizes):
+    """Every profile on m alternatives with an electorate size in `sizes`."""
+    ballots = enumerate_ballots(m)
+    return [Profile(m, combo) for n in sizes for combo in itertools.product(ballots, repeat=n)]
+
+
+class TestVerdictMemo:
+    """`_Engine.misreport`, the per-voter verdict memo behind every
+    single-voter search, against the `_moved` loop it replaced."""
+
+    @staticmethod
+    def agrees_with_the_moved_loop(rule, profiles):
+        # the reference and the memoized search each on fresh engines of
+        # their own, then the public searches from a cold shared engine and
+        # again warm
+        reference, fresh = {}, {}
+        _engine._shared_engine.cache_clear()
+        for profile in profiles:
+            size = (profile.m, profile.n)
+            if size not in fresh:
+                reference[size] = _engine._Engine(rule, *size)
+                fresh[size] = _engine._Engine(rule, *size)
+            for kind, strong in READINGS:
+                expected = outcome(
+                    lambda: moved_manipulation(
+                        _engine._Scan(reference[size], profile.ballots), kind, strong
+                    )
+                )
+                assert outcome(
+                    lambda: verify._manipulation(
+                        _engine._Scan(fresh[size], profile.ballots), kind, strong
+                    )
+                ) == expected
+                for _ in range(2):
+                    assert outcome(lambda: SEARCHES[strong](rule, profile, kind)) == expected
+
+    @pytest.mark.parametrize("rule", CODE_KEYED, ids=lambda r: r.name)
+    def test_every_search_matches_the_moved_loop(self, rule):
+        self.agrees_with_the_moved_loop(rule, ordered_profiles(3, (1, 2, 3)))
+
+    @pytest.mark.parametrize("name", ["uncovered-set", "tc"])
+    def test_every_four_alternative_search_matches_the_moved_loop(self, name):
+        profiles = ordered_profiles(4, (3,))
+        assert len(profiles) == 13824
+        self.agrees_with_the_moved_loop(parse_rule(name), profiles)
+
+    def test_an_evaluation_error_is_never_stored(self, monkeypatch):
+        # tc chooses the whole cycle on (abc, bca, cab) and no voter gains
+        # by a misreport under Fishburn's extension, so each voter's
+        # misreports run to their end; the evaluator is replaced to choose
+        # nothing on one relation that only voter 1's misreports reach
+        profile = Profile(3, ((A, B, C), (B, C, A), (C, A, B)))
+        layout = _engine._Engine(TC, 3, 3).layout
+        code = layout.of(profile.ballots)
+
+        def reached(voter):
+            table = layout.moves(_engine._misreports, profile.ballots[voter])
+            return [layout.key(code + delta) for _, delta, _ in table]
+
+        empty_on = next(
+            key for key in reached(1) if key not in reached(0) and key != layout.key(code)
+        )
+        evaluator = rules._MAJORITARIAN[RuleId.TOP_CYCLE]
+
+        def empty_on_one(rule, m, strict):
+            return 0 if strict == layout.strict(empty_on) else evaluator(rule, m, strict)
+
+        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, empty_on_one)
+        _engine._shared_engine.cache_clear()
+        for _ in range(3):
+            with pytest.raises(EmptyChoiceError):
+                find_manipulation(TC, profile)
+        engine = _engine._engine(TC, 3, 3)
+        fishburn, bal = ExtensionKind.FISHBURN, profile.ballots
+        assert list(engine.verdicts) == [(fishburn, extensions._better, bal[0], code)]
+        assert engine.verdicts[(fishburn, extensions._better, bal[0], code)] == ()
+        assert (_engine._misreports, None, bal[1], code) not in engine.reached
+
+    def test_a_reordered_electorate_reaches_nothing_again(self, monkeypatch):
+        # on (abcd, abdc, bacd) under borda voters 0 and 1 gain by no
+        # misreport, so they stored none, and voter 2 gains: every
+        # reordering is answered from the verdict memo alone, with the
+        # witness at its own voter index
+        borda = parse_rule("borda")
+        _engine._shared_engine.cache_clear()
+        found = find_manipulation(borda, Profile(4, ((0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3))))
+        assert found.voter == 2
+        electorate = found.profile.ballots
+        reaching = []
+        _reaching = _engine._Engine._reaching
+
+        def counted(*args):
+            reaching.append(args)
+            return _reaching(*args)
+
+        monkeypatch.setattr(_engine._Engine, "_reaching", counted)
+        for order in itertools.permutations(electorate):
+            profile = Profile(4, order)
+            before = len(reaching)
+            man = find_manipulation(borda, profile)
+            assert len(reaching) == before
+            voter = order.index(found.true_ballot)
+            assert man == dataclasses.replace(found, profile=profile, voter=voter)
+            assert man == moved_manipulation(
+                _engine._Scan(_engine._Engine(borda, 4, 3), order), ExtensionKind.FISHBURN, False
+            )
+        # only the reference, on engines of its own, reached: up to its witness
+        assert len(reaching) == 1 + 1 + 2 + 2 + 3 + 3
 
 
 def ordered_walk(rule, universe):
