@@ -31,18 +31,21 @@ bottom, a reordered ballot block) is read from the layout's tables, which
 its engines share as `_Engine.moves`: per (move kind, ballot, output), the
 output only for kinds that read it, the tuple of (new ballot, enc[new] -
 enc[ballot], info) in the kind's own generator order, so every first
-witness is kept. One step, `_moved`, turns a table into outputs: code +
-delta, the key, the memo lookup or the single miss site. It skips a voter
-whose ballot an earlier voter has: every rule reads the ballots only as a
-multiset (the tests check each profile-based evaluator), so that voter's
-moves reach the same outputs. On a code-keyed (majoritarian or pairwise)
-engine what a voter reaches depends only on its ballot and the margin code,
-so the engine also keeps, per (move kind, output argument, ballot, margin
-code), the moves `_moved` yields for that voter, and answers every later
-such voter from them. They are stored only once the voter's moves have all
-been tried: a consumer that stops early, or an evaluation that raises,
-stores nothing, so every error still surfaces at the first move that raises
-it.
+witness is kept. One step, `_moved`, turns a table into outputs. It skips a
+voter whose ballot an earlier voter has: every rule reads the ballots only
+as a multiset (the tests check each profile-based evaluator), so that
+voter's moves reach the same outputs. On a code-keyed (majoritarian or
+pairwise) engine the output after any move of a voter is a function of two
+things, the margin code its co-voters cast, code - enc[ballot], and the new
+ballot; so the engine keeps one row per co-voters' code, a `_Row` mapping a
+ballot in the voter's place to the output there. Every move kind reads the
+row and fills it with each output it looks up, in the order its moves are
+tried, starting from the honest output: no search evaluates an output it
+did not evaluate before, and an evaluation that raises stores nothing, so
+every error still surfaces at the first move that raises it. A row that
+holds all m! ballots keeps the union of its outputs as a bit set over
+output masks. A profile-based engine looks up the electorate after each
+move instead.
 
 Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
@@ -54,19 +57,22 @@ lifting and reading, or None. On a code-keyed engine the honest output is
 fixed by the code, so that answer depends on (lifting, reading, ballot,
 code) alone, and the verdict memo `verdicts` keeps it under that key: a hit
 as the one-move tuple ((new_ballot, info, output after),) at once, None as
-() only once the voter's whole reach has run, so an evaluation error is
-never stored; the accept mask is read only on a miss. A profile-based
-engine asks every time. `_engine` hands the engines out, keyed also on the
-evaluator the rule's basis table holds, so that a replaced evaluator never
-reads outputs of the old one. A profile-based engine keys its outputs on
-the electorate, the sorted ballot tuple, since every evaluator reads a
-multiset, so every ordering of one electorate shares one output. The output
-memo, the move tables, the reach memo and the verdict memo are each a
-`_Tables`, bounded when an entry is stored: past `_MEMO_ENTRIES` (an output
-or a verdict weighs one, a tuple of moves its length, an empty one one) it
-starts afresh before the next is stored, even during a walk; only the at
-most m! ballot encodings of a layout are kept unbounded. Errors (ties,
-empty choices, out-of-range parameters) are never memoized.
+() only once every misreport has been evaluated, so an evaluation error is
+never stored; the accept mask is read only on a miss. On a miss a complete
+row answers None at once when the accept mask misses its union, and
+otherwise gives the first misreport in table order whose output in the row
+is accepted. A profile-based engine asks every time. `_engine` hands the
+engines out, keyed also on the evaluator the rule's basis table holds, so
+that a replaced evaluator never reads outputs of the old one. A
+profile-based engine keys its outputs on the electorate, the sorted ballot
+tuple, since every evaluator reads a multiset, so every ordering of one
+electorate shares one output. The output memo, the move tables, the rows
+and the verdict memo are each a `_Tables`, bounded when an entry is stored:
+past `_MEMO_ENTRIES` (an output or a verdict weighs one, a tuple of moves
+its length, an empty one one, a row the m! ballots it may hold) it starts
+afresh before the next is stored, even during a walk; only the at most m!
+ballot encodings of a layout are kept unbounded. Errors (ties, empty
+choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import cached_property, lru_cache
+from math import factorial
 
 from .core import Ballot, Profile
 from .rules import (
@@ -97,8 +104,9 @@ _MEMO_ENTRIES = 1 << 16
 
 class _Tables(dict):
     """Memo entries weighted by their size: a tuple by its length (an empty
-    one weighs one), any other value one; once the weight passes
-    `_MEMO_ENTRIES` they start afresh when the next is stored."""
+    one weighs one), a `_Row` by the m! ballots it may hold, any other value
+    one; once the weight passes `_MEMO_ENTRIES` they start afresh when the
+    next is stored."""
 
     weight = 0
 
@@ -107,8 +115,32 @@ class _Tables(dict):
             self.clear()
             self.weight = 0
         self[key] = value
-        self.weight += (len(value) or 1) if type(value) is tuple else 1
+        kind = type(value)
+        self.weight += (len(value) or 1) if kind is tuple else value.full if kind is _Row else 1
         return value
+
+
+class _Row(dict):
+    """The outputs of the profiles that one voter's co-voters make with each
+    of the `full` ballots in the voter's place, by that ballot, as far as they
+    have been evaluated."""
+
+    __slots__ = ("full", "union")
+
+    def __init__(self, full: int, ballot: Ballot, out: int):
+        super().__init__(((ballot, out),))
+        self.full = full
+        self.union = 0
+
+    def complete(self) -> int:
+        """Once the row holds every ballot, the union of its outputs (bit X
+        set iff some ballot's output is X); 0 before."""
+        if not self.union and len(self) == self.full:
+            union = 0
+            for out in self.values():
+                union |= 1 << out
+            self.union = union
+        return self.union
 
 
 class _MarginCode:
@@ -200,11 +232,12 @@ class _Engine:
         else:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
-        # the layout's move tables, and on a code-keyed engine what `_moved`
-        # yields for a voter, by (kind, out, ballot, code), and the voter's
-        # first accepted misreport, by (lifting, reading, ballot, code)
+        # the layout's move tables, and on a code-keyed engine one `_Row` per
+        # co-voters' code, each weighing the m! ballots it may hold, and the
+        # voter's first accepted misreport, by (lifting, reading, ballot, code)
         self.moves = self.layout.moves
-        self.reached = _Tables()
+        self.full = factorial(m)
+        self.rows = _Tables()
         self.verdicts = _Tables()
 
     def output(self, code: int, ballots) -> int:
@@ -227,63 +260,84 @@ class _Engine:
         return self.cache.store(key, _nonempty(self.rule, mask))
 
     def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
-        """What `voter` reaches by one move of `kind` (see `_moved`), as
-        (new_ballot, info, output after) in table order: a stored tuple, or a
-        generator that evaluates each move as it is asked for and, on a
-        code-keyed engine, stores the tuple once it has run to its end."""
-        key = None if self.by_ballots else (kind, out, ballots[voter], code)
-        found = self.reached.get(key)
-        if found is None:
-            found = self._reaching(ballots, voter, code, honest, kind, out, key)
-        return found
+        """What `voter` reaches by one move of `kind` (see `_moved`): each
+        move that changes the output, at its first (output, info), as
+        (new_ballot, info, output after) in table order."""
+        judged = set()
+        for move in self._reaching(ballots, voter, code, honest, kind, out):
+            _, info, after = move
+            # a move's mark is its output, paired with its info if it has one
+            mark = after if info is None else (after, info)
+            if after != honest and mark not in judged:
+                judged.add(mark)
+                yield move
 
     def misreport(self, ballots, voter: int, code: int, honest: int, reading, lifting):
         """The first misreport of `voter` (see `_misreports`) whose output
         after is in the accept mask reading(lifting, ballot, honest), as
         (new_ballot, info, output after), or None. A code-keyed engine keeps
         the answer per (lifting, reading, ballot, code): a hit as a one-move
-        tuple at once, None as () only once the voter's whole reach has run,
-        so an evaluation error is never stored."""
+        tuple at once, None as () only once every misreport has been
+        evaluated, so an evaluation error is never stored. On a miss, a
+        complete row whose outputs the accept mask misses answers None at
+        once."""
         ballot = ballots[voter]
         key = None if self.by_ballots else (lifting, reading, ballot, code)
         found = self.verdicts.get(key)
         if found is None:
             accept, found = reading(lifting, ballot, honest), ()
-            for move in self.reach(ballots, voter, code, honest, _misreports, None):
-                if accept >> move[2] & 1:
-                    found = (move,)
-                    break
+            union = 0 if key is None else self._row(ballot, code, honest).complete()
+            if not union or accept & union:
+                for move in self._reaching(ballots, voter, code, honest, _misreports, None):
+                    if accept >> move[2] & 1:
+                        found = (move,)
+                        break
             if key is not None:
                 self.verdicts.store(key, found)
         return found[0] if found else None
 
-    def _reaching(self, ballots, voter, code, honest, kind, out, key):
-        known, add, guard, miss = self.cache.get, self.add, self.guard, self.miss
-        by_ballots = self.by_ballots
-        judged = set()
-        found = []
-        if by_ballots:
+    def _row(self, ballot: Ballot, code: int, honest: int) -> _Row:
+        """The row of the co-voters of a voter casting `ballot` in the profile
+        with this code and output, started from that output if new."""
+        others = code - self.layout.enc(ballot)
+        row = self.rows.get(others)
+        if row is None:
+            row = self.rows.store(others, _Row(self.full, ballot, honest))
+        return row
+
+    def _reaching(self, ballots, voter, code, honest, kind, out):
+        """The output after each move of `kind` by `voter`, as (new_ballot,
+        info, output after) in table order. A code-keyed engine reads it from
+        the row of the voter's co-voters and stores there each output it
+        looks up; a profile-based one looks up the electorate."""
+        known, miss = self.cache.get, self.miss
+        ballot = ballots[voter]
+        table = self.moves(kind, ballot, out)
+        if self.by_ballots:
             # the electorate after a move: the new ballot put in its place
             # among the others, sorted once per voter
             rest = tuple(sorted(ballots[:voter] + ballots[voter + 1:]))
-        for new_ballot, delta, info in self.moves(kind, ballots[voter], out):
-            new = code + delta
-            if by_ballots:
+            for new_ballot, delta, info in table:
                 i = bisect_right(rest, new_ballot)
                 at = rest[:i] + (new_ballot,) + rest[i:]
-            else:
-                at = (new + add) & guard
-            after = known(at)
-            if after is None:
-                after = miss(at, new)
-            # a move's mark is its output, paired with its info if it has one
-            mark = after if info is None else (after, info)
-            if after != honest and mark not in judged:
-                judged.add(mark)
-                found.append((new_ballot, info, after))
+                after = known(at)
+                if after is None:
+                    after = miss(at, code + delta)
                 yield new_ballot, info, after
-        if key is not None:
-            self.reached.store(key, tuple(found))
+            return
+        add, guard = self.add, self.guard
+        row = self._row(ballot, code, honest)
+        filled = row.get
+        for new_ballot, delta, info in table:
+            after = filled(new_ballot)
+            if after is None:
+                new = code + delta
+                at = (new + add) & guard
+                after = known(at)
+                if after is None:
+                    after = miss(at, new)
+                row[new_ballot] = after
+            yield new_ballot, info, after
 
 
 @lru_cache(maxsize=_SHARED_ENGINES)

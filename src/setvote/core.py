@@ -41,7 +41,7 @@ import itertools
 import operator
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from numbers import Real
 from string import ascii_lowercase
@@ -91,6 +91,23 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _frozen(cls):
+    """A frozen, slotted dataclass whose attributes cannot be set or deleted,
+    fields or not, each refused with a FrozenInstanceError. The methods that
+    `dataclass(slots=True)` generates refuse a field so, but a name that is
+    not a field reaches a `super()` call on the class it replaced, which
+    raises a TypeError (Python 3.10 and 3.11)."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
 def _integer(value, what: str) -> int:
     """`value` as a Python int, or a ValueError naming `what`."""
     try:
@@ -117,6 +134,7 @@ def _fits(choice: "ChoiceSet", m: int) -> int:
     return choice.mask
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class ChoiceSet:
     """A subset of the alternatives 0..m-1, stored as a bit mask.
@@ -184,6 +202,7 @@ def _unchecked_choice(m: int, mask: int) -> ChoiceSet:
     return choice
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Profile:
     """A non-empty sequence of ballots over a common set of m alternatives."""
@@ -317,6 +336,7 @@ def _strict_masks_from_flat(flat, m: int, threshold: int = 0) -> tuple[int, ...]
     return tuple(strict)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class MajorityRelation:
     """The complete majority relation: for x != y, either x beats y, y beats x, or they tie.

@@ -106,25 +106,32 @@ def moved(engine, ballots, kind=_misreports):
     return list(_moved(_Scan(engine, ballots), kind))
 
 
-def test_a_reach_memo_past_its_bound_starts_afresh_when_next_stored(monkeypatch):
+def rows_of(engine):
+    """Each row the engine holds, by co-voters' code, as a plain dict."""
+    return {others: dict(row) for others, row in engine.rows.items()}
+
+
+def test_rows_past_their_bound_start_afresh_when_next_stored(monkeypatch):
     engine = _Engine(parse_rule("tc"), 3, 2)
     first, second = ((0, 1, 2), (1, 2, 0)), ((2, 1, 0),)
     found = moved(engine, first)
-    held = dict(engine.reached)
-    assert len(held) == 2 and engine.reached.weight == len(found) == 4
-    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 2)
-    # the tables already held are served as they are
+    held = rows_of(engine)
+    # one row per voter, each complete and weighing the 3! ballots it holds
+    assert [len(row) for row in held.values()] == [6, 6] and engine.rows.weight == 12
+    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 6)
+    # the rows already held are served as they are
     assert moved(engine, first) == found
-    assert engine.reached == held
+    assert rows_of(engine) == held
     moved(engine, second)
-    assert list(engine.reached) == [(_misreports, None, second[0], engine.layout.of(second))]
+    # the lone voter's co-voters cast no ballot
+    assert list(engine.rows) == [engine.layout.bias]
 
 
-def test_a_profile_based_engine_stores_no_reach():
+def test_a_profile_based_engine_keeps_no_rows():
     engine = _Engine(parse_rule("plurality"), 3, 3)
     ballots = ((0, 1, 2), (1, 2, 0), (0, 1, 2))
     assert moved(engine, ballots) == moved(engine, ballots)
-    assert engine.reached == {}
+    assert engine.rows == {}
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -283,18 +290,23 @@ def test_group_witnesses_match_the_oracle(rule):
 # first tie-making misreport, after the voters whose every misreport kept the
 # output, and a 3-voter search stops at its first accepted misreport.
 UNCOVERED_CUT_SHORT = [
-    # voter 0 keeps the output on every misreport, voter 1 ties at its first
-    (Profile(3, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (0, 2, 1))), 1),
-    (Profile(4, ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 1, 3), (0, 2, 1, 3))), 1),
+    # voter 0 keeps the output on every misreport; voter 1 ties at its first
+    # misreport, and on four alternatives keeps the output on its first and
+    # ties at its second
+    (Profile(3, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (0, 2, 1))), 1, 0),
+    (Profile(4, ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 1, 3), (0, 2, 1, 3))), 1, 1),
     # voter 0 keeps the output on two misreports and ties at its third
-    (Profile(3, ((0, 2, 1), (0, 1, 2), (1, 0, 2), (0, 1, 2))), 0),
-    # voter 2 gains at misreport ecdab: {a,b,d} becomes {a,b,d,e}
-    (Profile(5, ((0, 1, 2, 3, 4), (1, 3, 4, 0, 2), (2, 4, 3, 0, 1))), 2),
+    (Profile(3, ((0, 2, 1), (0, 1, 2), (1, 0, 2), (0, 1, 2))), 0, 2),
+    # voter 2 gains at its 24th misreport ecdab: {a,b,d} becomes {a,b,d,e}
+    (Profile(5, ((0, 1, 2, 3, 4), (1, 3, 4, 0, 2), (2, 4, 3, 0, 1))), 2, 24),
 ]
 
 
-@pytest.mark.parametrize("profile,cut", UNCOVERED_CUT_SHORT)
-def test_a_voter_cut_short_stores_no_reach(profile, cut):
+@pytest.mark.parametrize("profile,cut,tried", UNCOVERED_CUT_SHORT)
+def test_a_voter_cut_short_keeps_a_partial_row(profile, cut, tried):
+    # the voters before the cut complete their rows; the cut voter's row
+    # holds its own ballot and the misreports it tried up to the one that
+    # stopped it: the tying one is left out, the accepted one kept
     uncovered = parse_rule("uncovered-set")
     m, ballots = profile.m, profile.ballots
 
@@ -314,11 +326,13 @@ def test_a_voter_cut_short_stores_no_reach(profile, cut):
         )
         engine = _engine._engine(uncovered, m, profile.n)
         code = engine.layout.of(ballots)
-        stored = {
-            ballot for ballot in ballots
-            if (_misreports, None, ballot, code) in engine.reached
-        }
-        assert stored == set(ballots[:cut])
+        rows = {ballot: engine.rows.get(code - engine.layout.enc(ballot)) for ballot in ballots}
+        assert {ballot for ballot, row in rows.items() if row and row.complete()} == set(
+            ballots[:cut]
+        )
+        ballot = ballots[cut]
+        assert list(rows[ballot]) == [ballot] + own_order_misreports(ballot)[:tried]
+        assert all(rows[b] is None for b in ballots[cut + 1:] if b not in ballots[:cut + 1])
 
     cold_then_warm(compare)
     cold, warm = results

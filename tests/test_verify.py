@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import own_order_misreports, witness_holds
+from oracles import naive_manipulation, own_order_misreports, witness_holds
 from setvote import _engine, extensions, rules, verify
 from setvote.core import ChoiceSet, MajorityRelation, Profile, enumerate_ballots, margins
 from setvote.extensions import ExtensionKind, fishburn_prefers
@@ -1026,7 +1026,15 @@ class TestVerdictMemo:
         fishburn, bal = ExtensionKind.FISHBURN, profile.ballots
         assert list(engine.verdicts) == [(fishburn, extensions._better, bal[0], code)]
         assert engine.verdicts[(fishburn, extensions._better, bal[0], code)] == ()
-        assert (_engine._misreports, None, bal[1], code) not in engine.reached
+        # voter 0's row is complete; voter 1's holds the outputs up to the
+        # misreport whose evaluation raised, and not that one
+        assert engine.rows[code - layout.enc(bal[0])].complete()
+        table = layout.moves(_engine._misreports, bal[1])
+        raised = next(
+            i for i, (_, delta, _) in enumerate(table) if layout.key(code + delta) == empty_on
+        )
+        row = engine.rows[code - layout.enc(bal[1])]
+        assert list(row) == [bal[1]] + [mis for mis, _, _ in table[:raised]]
 
     def test_a_reordered_electorate_reaches_nothing_again(self, monkeypatch):
         # on (abcd, abdc, bacd) under borda voters 0 and 1 gain by no
@@ -1058,6 +1066,49 @@ class TestVerdictMemo:
             )
         # only the reference, on engines of its own, reached: up to its witness
         assert len(reaching) == 1 + 1 + 2 + 2 + 3 + 3
+
+    def test_a_first_misreport_witness_evaluates_nothing_more(self, monkeypatch):
+        # voter 0's first misreport (eb acd fc) is the witness under borda, so
+        # the search evaluates the honest profile and that misreport alone,
+        # not the other 718 ballots of the voter's row
+        calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
+        borda = parse_rule("borda")
+        _engine._shared_engine.cache_clear()
+        ballots = ((4, 1, 0, 5, 3, 2), (3, 5, 0, 1, 2, 4))
+        found = find_manipulation(borda, Profile(6, ballots))
+        assert (found.voter, found.misreport) == (0, own_order_misreports(ballots[0])[0])
+        assert len(calls) == 2
+
+    def test_a_voter_whose_co_voters_cast_a_known_code_is_answered_from_the_row(
+        self, monkeypatch
+    ):
+        # no voter of (adcb, abcd, bcad) gains under borda, so each voter's
+        # row is complete; in (abcd, abcd, bcad) voter 0's co-voters cast the
+        # same ballots as in the first profile, so its search reads its
+        # honest output from the output memo and every misreport from the row
+        borda, abcd, bcad = parse_rule("borda"), (A, B, C, 3), (B, C, A, 3)
+        _engine._shared_engine.cache_clear()
+        assert find_manipulation(borda, Profile(4, ((A, 3, C, B), abcd, bcad))) is None
+        engine = _engine._engine(borda, 4, 3)
+        assert len(engine.rows) == 3 and all(row.complete() for row in engine.rows.values())
+        looked = []
+
+        class Counted(_engine._Tables):
+            def get(self, key, default=None):
+                looked.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(engine, "cache", Counted(engine.cache))
+        calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
+        profile = Profile(4, (abcd, abcd, bcad))
+        found = find_manipulation(borda, profile)
+        assert calls == [] and looked == [engine.layout.of(profile.ballots)]
+        assert (
+            found.voter,
+            found.misreport,
+            frozenset(found.honest_set.members),
+            frozenset(found.manipulated_set.members),
+        ) == naive_manipulation(borda, profile.ballots, 4)
 
 
 def ordered_walk(rule, universe):
