@@ -559,13 +559,20 @@ def dominant_chain(rel: MajorityRelation) -> tuple[ChoiceSet, ...]:
     alternatives, which is exactly how the inclusion chain of dominant sets
     is generated.
     """
-    full = (1 << rel.m) - 1
-    s = _tc_mask(rel.strict, full)
-    chain = [_unchecked_choice(rel.m, s)]
+    m = rel.m
+    return tuple([_unchecked_choice(m, s) for s in _chain(rel.strict)])
+
+
+def _chain(strict) -> list[int]:
+    """The masks of `dominant_chain`: every dominant set, in increasing
+    inclusion order."""
+    full = (1 << len(strict)) - 1
+    s = _tc_mask(strict, full)
+    chain = [s]
     while s != full:
-        s |= _tc_mask(rel.strict, full & ~s)
-        chain.append(_unchecked_choice(rel.m, s))
-    return tuple(chain)
+        s |= _tc_mask(strict, full & ~s)
+        chain.append(s)
+    return chain
 
 
 @lru_cache(maxsize=_KERNEL_MEMO)

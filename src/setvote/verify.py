@@ -22,8 +22,8 @@ margin code and memoized output) it returns None to go on, or its verdict as
 (outcome, witness). One walker, `_walk`, takes ballot tuples and an engine,
 feeds every open predicate and closes each at its first verdict. A predicate
 still open at walk end gives its `end()` verdict, or holds: the imposition
-checks report the sets never reached, and the pair checks judge there,
-reporting the first violating pair (i, j) in scan order. A
+checks report the sets never reached, and the pair checks judge the scans
+they kept, reporting the first violating pair (i, j) in scan order. A
 TiesUnsupportedError or InstanceTooLargeError from a profile's own output
 closes every open predicate; one raised inside a predicate closes that
 predicate only. Sweeps run in one process.
@@ -125,8 +125,8 @@ from .core import (
     MajorityRelation,
     Profile,
     _bits as _mask_bits,
+    _chain,
     _condorcet_winner,
-    _dominant,
     _integer,
     _margins_flat,
     enumerate_ballots,
@@ -880,63 +880,58 @@ _ROBUST_DOMINANT = "robust-dominant-set"
 _WEAK_ROBUSTNESS = "weak-robustness"
 
 
-class _Pairs:
-    """A pair check: keeps every scan context and judges at walk end."""
-
-    def __init__(self, universe: Universe):
-        self.m = universe.m
-        self.scans: list = []
-
-    def __call__(self, ctx):
-        self.scans.append(ctx)
-
-    def violated(self, p, q):
-        return Outcome.VIOLATED, {
-            "profiles": (p.profile, q.profile),
-            "outputs": (ChoiceSet(self.m, p.out), ChoiceSet(self.m, q.out)),
-        }
+def _pair_violated(p, q):
+    """The verdict of a pair check on its first violating pair (p, q)."""
+    outputs = (ChoiceSet(p.m, p.out), ChoiceSet(q.m, q.out))
+    return Outcome.VIOLATED, {"profiles": (p.profile, q.profile), "outputs": outputs}
 
 
-class _RobustDominant(_Pairs):
+class _RobustDominant:
     """The predicate of `check_robust_dominant`: closes at the first output
-    that is not a dominant set, and judges the pairs at walk end."""
+    that is not a dominant set. Otherwise p and q violate it when p's output
+    is dominant at q and q chooses outside it: a link of q's dominant chain
+    strictly inside q's output. The first scan of each output and of each
+    such link is kept; the first violating pair (i, j) is the first output
+    that has a link scan, with that scan."""
+
+    def __init__(self, _universe: Universe):
+        self.firsts: dict = {}
+        self.clash: dict = {}
 
     def __call__(self, ctx):
-        if _dominant(ctx.strict, ctx.out):
-            return super().__call__(ctx)
-        return Outcome.VIOLATED, {"profile": ctx.profile, "output": ChoiceSet(self.m, ctx.out)}
+        out = ctx.out
+        chain = _chain(ctx.strict)
+        if out not in chain:
+            return Outcome.VIOLATED, {"profile": ctx.profile, "output": ChoiceSet(ctx.m, out)}
+        self.firsts.setdefault(out, ctx)
+        for link in chain[: chain.index(out)]:
+            self.clash.setdefault(link, ctx)
+        return None
 
     def end(self):
-        # For each distinct output O, the first position where O is dominant
-        # but the output there pokes outside O (never O's own positions).
-        # When robustness holds there is none, so the quadratic pair scan
-        # degenerates to a linear one; the witness is still the first in
-        # (i, j) order.
-        clash = {
-            out: next((q for q in self.scans if q.out & ~out and _dominant(q.strict, out)), None)
-            for out in {p.out for p in self.scans}
-        }
-        for p in self.scans:
-            if clash[p.out] is not None:
-                return self.violated(p, clash[p.out])
-        return _holds()
+        p = next((p for p in self.firsts.values() if p.out in self.clash), None)
+        return _holds() if p is None else _pair_violated(p, self.clash[p.out])
 
 
-class _WeakRobustness(_Pairs):
+class _WeakRobustness:
     """The predicate of `check_weak_robustness`: p and q violate it when q
     chooses outside p's output O and no margin g(x, y), x in O, y outside O,
     is smaller at q than at p. That test reads only the two outputs and
     margin vectors, so a scan with the (output, margin vector) of an earlier
     one violates with the same partners as that one: only the first scan of
-    each is judged, and the first violating pair (i, j) is unchanged."""
+    each is kept and judged, and the first violating pair (i, j) is unchanged."""
+
+    def __init__(self, universe: Universe):
+        self.m = universe.m
+        self.firsts: dict = {}
+
+    def __call__(self, ctx):
+        self.firsts.setdefault((ctx.out, ctx.flat), ctx)
 
     def end(self):
         m = self.m
         full = (1 << m) - 1
-        firsts: dict = {}
-        for p in self.scans:
-            firsts.setdefault((p.out, p.flat), p)
-        scans = list(firsts.values())
+        scans = list(self.firsts.values())
         # at_least[f][v]: the scans whose margin field f is at least v, one
         # bit per scan in scan order, so that each p's partners are one
         # intersection and its first partner the lowest bit
@@ -958,7 +953,7 @@ class _WeakRobustness(_Pairs):
                 for y in _mask_bits(full & ~p.out):
                     partners &= at_least[x * m + y][p.flat[x * m + y]]
             if partners:
-                return self.violated(p, scans[(partners & -partners).bit_length() - 1])
+                return _pair_violated(p, scans[(partners & -partners).bit_length() - 1])
         return _holds()
 
 
@@ -969,8 +964,8 @@ def check_robust_dominant(
     dominant elsewhere, the choice there can only shrink inside it.
 
     For majoritarian rules the scan runs over all majority relations, each
-    realized as a two-voter-per-pair profile; otherwise over all ordered
-    pairs of universe profiles.
+    realized as a two-voter-per-pair profile; otherwise over the universe's
+    profiles, judging every ordered pair of them in that one pass.
     """
     return _run(_ROBUST_DOMINANT, rule, universe, budget)
 
@@ -1052,18 +1047,20 @@ def _over_relations(name: str, rule: RuleSpec) -> bool:
 def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
     """The rule evaluations the check may make on the universe, which the
     budget bounds. A walk meets one ordering per electorate, so electorates
-    are counted: ordered pairs of relations (3 per pair of alternatives) or
-    of electorates for a pair check, every electorate and misreport for
-    strategyproofness, and for an axiom a constant number per (electorate,
-    voter, block) plus the k_hom - 1 tilings homogeneity evaluates. A check
-    the orbit walk settles counts its electorate walk too: that walk is its
-    fallback, which the estimate still bounds, so it is left unchanged."""
+    are counted: once for robust dominance (or its relations, 3 per pair of
+    alternatives), in ordered pairs for weak robustness, with every
+    misreport for strategyproofness, and for an axiom a constant number per
+    (electorate, voter, block) plus the k_hom - 1 tilings homogeneity
+    evaluates. A check the orbit walk settles counts its electorate walk
+    too: that walk is its fallback, which the estimate still bounds."""
     m = universe.m
     if _over_relations(name, rule):
-        return 9 ** comb(m, 2)
+        return 3 ** comb(m, 2)
     sizes = universe._electorates_by_size
     electorates = sum(sizes.values())
-    if name in (_ROBUST_DOMINANT, _WEAK_ROBUSTNESS):
+    if name == _ROBUST_DOMINANT:
+        return electorates
+    if name == _WEAK_ROBUSTNESS:
         return electorates**2
     if name in _DEVIATION_CHECKS:
         deviations = factorial(m) - 1

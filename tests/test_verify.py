@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -9,8 +10,16 @@ import pytest
 
 from oracles import naive_manipulation, own_order_misreports, witness_holds
 from setvote import _engine, extensions, rules, verify
-from setvote.core import ChoiceSet, MajorityRelation, Profile, enumerate_ballots, margins
+from setvote.core import (
+    ChoiceSet,
+    MajorityRelation,
+    Profile,
+    enumerate_ballots,
+    enumerate_relations,
+    margins,
+)
 from setvote.extensions import ExtensionKind, fishburn_prefers
+from setvote.mcgarvey import realize_relation
 from setvote.rules import (
     BasisTag,
     EmptyChoiceError,
@@ -462,6 +471,58 @@ class TestRobustness:
         assert verdict.outcome == (Outcome.HOLDS if expected is None else Outcome.VIOLATED)
         assert verdict.witness == expected
 
+    @pytest.mark.parametrize("universe", [Universe(3, 4), Universe(4, 3)], ids=str)
+    @pytest.mark.parametrize("name", [r.name for r in catalog()])
+    def test_robust_dominance_matches_the_all_pairs_scan(self, universe, name):
+        # the oracle walks what the check walks (every majority relation,
+        # realized with two voters per pair, for a majoritarian rule, and
+        # the electorates otherwise), reads dominance off the margins, and
+        # reports the first error or non-dominant output in walk order,
+        # else the first ordered pair (p, q) where p's output is dominant at
+        # q and q chooses outside it
+        rule, m = parse_rule(name), universe.m
+        if basis(rule) == BasisTag.MAJORITARIAN:
+            profiles = [realize_relation(rel, 2) for rel in enumerate_relations(m)]
+        else:
+            profiles = [Profile(m, e) for e in universe._electorates()]
+        subsets = range(1 << m)
+        # dominant[q, s]: every member of s strictly beats every non-member at q
+        dominant = np.empty((len(profiles), len(subsets)), dtype=bool)
+        outs, expected = [], None
+        for q, p in enumerate(profiles):
+            try:
+                out = evaluate(rule, p).mask
+            except (rules.TiesUnsupportedError, rules.InstanceTooLargeError) as exc:
+                expected = exc
+                break
+            g = margins(p)
+            for s in subsets:
+                dominant[q, s] = all(
+                    g[x, y] > 0 for x in range(m) for y in range(m) if s >> x & 1 > s >> y & 1
+                )
+            if not dominant[q, out]:
+                expected = {"profile": p, "output": ChoiceSet(m, out)}
+                break
+            outs.append(out)
+        if expected is None:
+            outs = np.array(outs)
+            for p, out in zip(profiles, outs):
+                (partners,) = np.nonzero(dominant[:, out] & (outs & ~out != 0))
+                if len(partners):
+                    q = partners[0]
+                    expected = {
+                        "profiles": (p, profiles[q]),
+                        "outputs": (ChoiceSet(m, int(out)), ChoiceSet(m, int(outs[q]))),
+                    }
+                    break
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                check_robust_dominant(rule, universe)
+            return
+        verdict = check_robust_dominant(rule, universe)
+        assert verdict.outcome == (Outcome.HOLDS if expected is None else Outcome.VIOLATED)
+        assert verdict.witness == expected
+
     def test_verdicts_are_pinned(self):
         # SHA-256 of the repr of every robust-dominant and weak-robustness
         # verdict (or not-evaluable error) over the catalog on three small
@@ -482,22 +543,37 @@ class TestRobustness:
     @pytest.mark.parametrize("name", ["tc", "borda", "plurality"])
     @pytest.mark.parametrize("cap,electorates", [(None, 6 + 21), (0, 3)])
     def test_pair_budget_is_the_square_of_what_is_paired(self, name, cap, electorates):
-        # ordered pairs of the electorates on (3, <=2) (6 single ballots and
-        # comb(6 + 1, 2) = 21 pairs of them), of which a margin cap of 0 keeps
-        # the three {ballot, reversal} pairs, or of the 27 relations on three
-        # alternatives when a majoritarian rule's robustness ranges over
-        # relations
+        # weak robustness: ordered pairs of the electorates on (3, <=2) (6
+        # single ballots and comb(6 + 1, 2) = 21 pairs of them), of which a
+        # margin cap of 0 keeps the three {ballot, reversal} pairs
         rule, universe = parse_rule(name), Universe(3, 2, margin_cap=cap)
-        robust = 27 if basis(rule) == BasisTag.MAJORITARIAN else electorates
-        for check, count in (
-            (check_robust_dominant, robust), (check_weak_robustness, electorates)
+        check_weak_robustness(rule, universe, budget=electorates**2)
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^estimated {electorates**2} evaluations exceed the budget$",
         ):
-            check(rule, universe, budget=count**2)
-            with pytest.raises(
-                BudgetExceededError,
-                match=f"^estimated {count**2} evaluations exceed the budget$",
-            ):
-                check(rule, universe, budget=count**2 - 1)
+            check_weak_robustness(rule, universe, budget=electorates**2 - 1)
+
+    @pytest.mark.parametrize("name", ["tc", "borda", "plurality"])
+    @pytest.mark.parametrize("cap,electorates", [(None, 6 + 21), (0, 3)])
+    def test_robust_dominant_budget_counts_its_one_pass(self, name, cap, electorates):
+        # robust dominance judges every pair in one pass, so it counts what
+        # that pass walks: the electorates above, or the 27 relations on
+        # three alternatives when a majoritarian rule's robustness ranges
+        # over relations
+        rule, universe = parse_rule(name), Universe(3, 2, margin_cap=cap)
+        count = 27 if basis(rule) == BasisTag.MAJORITARIAN else electorates
+        check_robust_dominant(rule, universe, budget=count)
+        with pytest.raises(
+            BudgetExceededError, match=f"^estimated {count} evaluations exceed the budget$"
+        ):
+            check_robust_dominant(rule, universe, budget=count - 1)
+
+    def test_top_cycle_on_five_alternatives_fits_the_default_budget(self, monkeypatch):
+        # the estimate is the 3^10 = 59,049 relations on five alternatives,
+        # each walked once, not the 9^10 ordered pairs of them
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        assert check_robust_dominant(TC, Universe(5, 1)).outcome == Outcome.HOLDS
 
 
 class TestStrongStrategyproofness:
@@ -549,9 +625,9 @@ class TestCorroboration:
     @pytest.mark.parametrize("names,n_max,largest", [
         # the axiom bound of (3, <=2): 27 electorates * (2 * 3! * 3 + 1)
         (("tc",), 2, 999),
-        # borda's robust-dominant check pairs the 83 electorates of (3, <=3):
-        # 83^2, above their axiom bound 83 * (3 * 3! * 3 + 1) = 4,565
-        (("tc", "borda"), 3, 6889),
+        # the axiom bound of (3, <=3): 83 electorates * (3 * 3! * 3 + 1), above
+        # the 83 that borda's robust-dominant check walks once each
+        (("tc", "borda"), 3, 4565),
     ])
     def test_refused_below_its_largest_estimate_before_any_walk(
         self, monkeypatch, names, n_max, largest
@@ -567,12 +643,13 @@ class TestCorroboration:
 
     def test_four_alternatives_and_four_voters_fit_the_default_budget(self):
         # 20,474 electorates, not 346,200 ordered profiles: the largest
-        # estimate is the robust-dominant pair count 20,474^2 of the
-        # non-majoritarian rules
+        # estimate is their axiom bound 20,474 * (4 * 4! * 4 + 1), since the
+        # robust-dominant check of the non-majoritarian rules walks each
+        # electorate once
         universe = Universe(4, 4)
         # comb(4! + n - 1, n) multisets of n ballots
         assert universe._electorates_by_size == {1: 24, 2: 300, 3: 2600, 4: 17550}
-        largest = 20474**2
+        largest = 20474 * 385
         assert largest <= verify.DEFAULT_BUDGET
         with pytest.raises(
             BudgetExceededError, match=f"^estimated {largest} evaluations exceed the budget$"
