@@ -12,8 +12,8 @@ mirrored field, so:
 
 - a profile's code is BIAS + sum(enc[b] for its ballots), BIAS holding N in
   every field;
-- one voter changing ballot is code - enc[old] + enc[new], one add once the
-  difference is tabled (see Move tables below);
+- one voter changing ballot is code - enc[old] + enc[new], one add to the
+  co-voters' code, code - enc[old] (see Move tables below);
 - adding ADD, which holds 2^w - N - 1 in every field, carries into the guard
   bit of field (x, y) exactly when g(x, y) > 0, so (code + ADD) & GUARD is in
   bijection with the strict majority relation and keys majoritarian rules;
@@ -28,66 +28,80 @@ check reads them from the scan context.
 Move tables. Every one-ballot change a check tries (a misreport, a
 relabeling of the alternatives, a reinforcing swap, a top pushed to the
 bottom, a reordered ballot block) is read from the layout's tables, which
-its engines share as `_Engine.moves`: per (move kind, ballot, output), the
-output only for kinds that read it, the tuple of (new ballot, enc[new] -
-enc[ballot], info) in the kind's own generator order, so every first
-witness is kept. One step, `_moved`, turns a table into outputs. It skips a
-voter whose ballot an earlier voter has: every rule reads the ballots only
-as a multiset (the tests check each profile-based evaluator), so that
-voter's moves reach the same outputs. On a code-keyed (majoritarian or
-pairwise) engine the output after any move of a voter is a function of two
-things, the margin code its co-voters cast, code - enc[ballot], and the new
-ballot; so the engine keeps one row per co-voters' code, a `_Row` mapping a
-ballot in the voter's place to the output there. Every move kind reads the
-row and fills it with each output it looks up, in the order its moves are
-tried, starting from the honest output: no search evaluates an output it
-did not evaluate before, and an evaluation that raises stores nothing, so
-every error still surfaces at the first move that raises it. A row that
-holds all m! ballots keeps the union of its outputs as a bit set over
-output masks. A profile-based engine looks up the electorate after each
-move instead.
+its engines share. A layout ranks the m! ballots in lexicographic order and
+keeps each one's encoding by rank. Per (move kind, ballot, output), the
+output only for kinds that read it, a `_Ranks` table holds the rank of each
+new ballot, in the kind's own generator order, so every first witness is
+kept, and the moves' infos unless all are None; enc[new] - enc[ballot] is
+read off the encodings by rank. `_MarginCode.moves` gives the same moves as
+a tuple of (new ballot, enc[new] - enc[ballot], info), which the group
+search reads. Neutrality reads `_MarginCode.relabelings`, per ballot the
+ranks of its relabelings, built per ballot when first met, since a complete
+table of m! by m! ranks takes 3.2 GB at m = 8. One step, `_moved`, turns a
+table into outputs. It skips a voter whose ballot an earlier voter has:
+every rule reads the ballots only as a multiset (the tests check each
+profile-based evaluator), so that voter's moves reach the same outputs. On a
+code-keyed (majoritarian or pairwise) engine the output after any move of a
+voter is a function of two things, the margin code its co-voters cast
+(code - enc[ballot]) and the new ballot; so the engine keeps one row per
+co-voters' code, a `_Row` of m! output masks indexed by the rank of the
+ballot in the voter's place, 0 where not yet evaluated (no output is
+empty); a byte holds every mask up to m = 8, and a wider array type serves
+past that. Every move kind reads the row and fills it with each output it
+looks up, in the order its moves are tried, starting from the honest
+output: no search evaluates an output it did not evaluate before, and an
+evaluation that raises stores nothing, so every error still surfaces at the
+first move that raises it. A row that holds all m! ballots keeps the union
+of its outputs as a bit set over output masks. A profile-based engine looks
+up the electorate after each move instead.
 
 Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
 per profile evaluates each relation once. Every single-voter search (both
 readings, in `find_manipulation`, `find_strong_manipulation`, every walk and
-`replay`) asks `_Engine.misreport` for each voter whose ballot no earlier
-voter has: its first misreport whose output is in the accept mask of the
-lifting and reading, or None. On a code-keyed engine the honest output is
-fixed by the code, so that answer depends on (lifting, reading, ballot,
-code) alone, and the verdict memo `verdicts` keeps it under that key: a hit
-as the one-move tuple ((new_ballot, info, output after),) at once, None as
-() only once every misreport has been evaluated, so an evaluation error is
-never stored; the accept mask is read only on a miss. On a miss a complete
-row answers None at once when the accept mask misses its union, and
-otherwise gives the first misreport in table order whose output in the row
-is accepted. A profile-based engine asks every time. `_engine` hands the
-engines out, keyed also on the evaluator the rule's basis table holds, so
-that a replaced evaluator never reads outputs of the old one. A
+`replay`) asks `_Engine.misreport` for the first voter, among those whose
+ballot no earlier voter has, with a misreport whose output is in the accept
+mask of the lifting and reading, and that misreport. On a code-keyed engine
+the honest output is fixed by the code, so each voter's answer depends on
+(lifting, reading, ballot, code) alone, and the verdict memo `verdicts`
+keeps it under that key: a hit as the one-move tuple ((new_ballot, info,
+output after),) at once, None as () only once every misreport has been
+evaluated, so an evaluation error is never stored; the accept mask is read
+only on a miss. On a miss a complete row answers None at once when the
+accept mask misses its union, and otherwise gives the first misreport in
+table order whose output in the row is accepted. A profile-based engine
+asks every time. `_engine` hands the engines out, keyed also on the
+evaluator the rule's basis table holds, so that a replaced evaluator never
+reads outputs of the old one; a repeated call with the same rule object is
+answered from the last call's engine without hashing the rule. A
 profile-based engine keys its outputs on the electorate, the sorted ballot
 tuple, since every evaluator reads a multiset, so every ordering of one
-electorate shares one output. The output memo, the move tables, the rows
-and the verdict memo are each a `_Tables`, bounded when an entry is stored:
-past `_MEMO_ENTRIES` (an output or a verdict weighs one, a tuple of moves
-its length, an empty one one, a row the m! ballots it may hold) it starts
-afresh before the next is stored, even during a walk; only the at most m!
-ballot encodings of a layout are kept unbounded. Errors (ties, empty
+electorate shares one output. The output memo, the move tables (both
+kinds), the rows and the verdict memo are each a `_Tables`, bounded when an
+entry is stored: past `_MEMO_ENTRIES` (an output or a verdict weighs one, a
+tuple of moves its length, an empty one one, a row or a `_Ranks` table one
+unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6) it starts
+afresh before the next is stored, even during a walk; only the m! ballot
+ranks and encodings of a layout are kept unbounded. Errors (ties, empty
 choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
-from .core import Ballot, Profile
+from .core import Ballot, Profile, enumerate_ballots
 from .rules import (
     _MAJORITARIAN,
     _PAIRWISE,
     _PROFILE_BASED,
     BasisTag,
+    InstanceTooLargeError,
     RuleSpec,
     _nonempty,
     basis,
@@ -104,9 +118,9 @@ _MEMO_ENTRIES = 1 << 16
 
 class _Tables(dict):
     """Memo entries weighted by their size: a tuple by its length (an empty
-    one weighs one), a `_Row` by the m! ballots it may hold, any other value
-    one; once the weight passes `_MEMO_ENTRIES` they start afresh when the
-    next is stored."""
+    one weighs one), an array (a `_Row`, a `_Ranks` table) by its bytes, one
+    unit per 64 rounded up, any other value one; once the weight passes
+    `_MEMO_ENTRIES` they start afresh when the next is stored."""
 
     weight = 0
 
@@ -115,37 +129,91 @@ class _Tables(dict):
             self.clear()
             self.weight = 0
         self[key] = value
-        kind = type(value)
-        self.weight += (len(value) or 1) if kind is tuple else value.full if kind is _Row else 1
+        if type(value) is tuple:
+            self.weight += len(value) or 1
+        else:
+            self.weight += value.units() if isinstance(value, (_Row, _Ranks)) else 1
         return value
 
 
-class _Row(dict):
+@lru_cache(maxsize=None)
+def _typecode(bits: int) -> str:
+    """The narrowest array type whose items hold `bits` bits."""
+    for code in "BHIQ":
+        if array(code).itemsize * 8 >= bits:
+            return code
+    raise InstanceTooLargeError(f"no array type holds {bits}-bit items")
+
+
+class _Row:
     """The outputs of the profiles that one voter's co-voters make with each
-    of the `full` ballots in the voter's place, by that ballot, as far as they
-    have been evaluated."""
+    of the m! ballots in the voter's place, by the ballot's rank in
+    lexicographic order, as far as they have been evaluated: 0 where not yet,
+    since no output is empty. A byte holds every output mask up to m = 8
+    (`_ByteRow`); past that the row is an array of the narrowest type that
+    holds m bits (`_WideRow`)."""
 
-    __slots__ = ("full", "union")
-
-    def __init__(self, full: int, ballot: Ballot, out: int):
-        super().__init__(((ballot, out),))
-        self.full = full
-        self.union = 0
+    __slots__ = ()
 
     def complete(self) -> int:
         """Once the row holds every ballot, the union of its outputs (bit X
         set iff some ballot's output is X); 0 before."""
-        if not self.union and len(self) == self.full:
+        if not self.union and 0 not in self:
             union = 0
-            for out in self.values():
+            for out in set(self):
                 union |= 1 << out
             self.union = union
         return self.union
 
+    def units(self) -> int:
+        return -(-memoryview(self).nbytes // 64)
+
+
+class _ByteRow(_Row, bytearray):
+    __slots__ = ("union",)
+
+
+class _WideRow(_Row, array):
+    __slots__ = ("union",)
+
+
+def _empty_row(m: int, full: int) -> _Row:
+    """A row of `full` ballots on m alternatives, none evaluated yet."""
+    code = _typecode(m)
+    if code == "B":
+        row = _ByteRow(full)
+    else:
+        row = _WideRow(code, bytes(full * array(code).itemsize))
+    row.union = 0
+    return row
+
+
+# the infos of a table whose infos are all None
+_NO_INFOS = itertools.repeat(None)
+
+
+class _Ranks(array):
+    """A one-ballot move table: the rank of each new ballot in table order,
+    and the infos of the moves, or None if every info is None."""
+
+    __slots__ = ("infos",)
+
+    def units(self) -> int:
+        infos = self.infos
+        return -(-(memoryview(self).nbytes + (8 * len(infos) if infos else 0)) // 64)
+
+
+@lru_cache(maxsize=4)
+def _ranked_ballots(m: int) -> tuple[tuple, dict]:
+    """The m! ballots in lexicographic order, and each one's rank there."""
+    ballots = tuple(enumerate_ballots(m))
+    return ballots, {b: rank for rank, b in enumerate(ballots)}
+
 
 class _MarginCode:
-    """One margin-code layout (see the module docstring), with the ballot
-    encodings and one-ballot move tables it has needed so far."""
+    """One margin-code layout (see the module docstring): every ballot's
+    rank and encoding, and the one-ballot move tables it has needed so
+    far."""
 
     def __init__(self, m: int, size: int):
         self.m = m
@@ -159,6 +227,12 @@ class _MarginCode:
         self.guard = ones << self.width
         self._enc: dict = {}
         self._moves = _Tables()
+        self._ranks = _Tables()
+        # every ballot by rank, the rank of each, and its encoding by rank
+        self.ballots, self.rank = _ranked_ballots(m)
+        self.encs = [self.enc(b) for b in self.ballots]
+        self._known = self._enc.__getitem__
+        self.rank_code = _typecode((len(self.ballots) - 1).bit_length())
 
     def enc(self, ballot: Ballot) -> int:
         code = self._enc.get(ballot)
@@ -174,7 +248,7 @@ class _MarginCode:
     def of(self, ballots) -> int:
         if len(ballots) > self.size:
             raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
-        return sum(map(self.enc, ballots), self.bias)
+        return sum(map(self._known, ballots), self.bias)
 
     def moves(self, kind, ballot: Ballot, out: int | None = None) -> tuple:
         """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
@@ -184,9 +258,38 @@ class _MarginCode:
         key = (kind, ballot, out)
         table = self._moves.get(key)
         if table is None:
-            enc, base = self.enc, self.enc(ballot)
-            moved = tuple((new, enc(new) - base, info) for new, info in kind(ballot, out))
-            table = self._moves.store(key, moved)
+            ranks = self.ranked(kind, ballot, out)
+            at, encs = self.ballots, self.encs
+            base = encs[self.rank[ballot]]
+            moved = zip(ranks, ranks.infos or _NO_INFOS)
+            table = self._moves.store(key, tuple((at[r], encs[r] - base, i) for r, i in moved))
+        return table
+
+    def ranked(self, kind, ballot: Ballot, out: int | None = None) -> _Ranks:
+        """The moves of `moves(kind, ballot, out)` as a `_Ranks` table: the
+        rank of each new ballot, and the infos."""
+        key = (kind, ballot, out)
+        table = self._ranks.get(key)
+        if table is None:
+            moved = list(kind(ballot, out))
+            table = _Ranks(self.rank_code, [self.rank[new] for new, _ in moved])
+            infos = tuple(info for _, info in moved)
+            table.infos = infos if any(info is not None for info in infos) else None
+            table = self._ranks.store(key, table)
+        return table
+
+    def relabelings(self, ballot: Ballot) -> _Ranks:
+        """The rank of the ballot under every relabeling of the alternatives
+        but the identity, the permutations of range(m) in lexicographic
+        order, which are the ballots by rank from 1 on: the tuples
+        (perm[x] for x in ballot)."""
+        table = self._ranks.get(ballot)
+        if table is None:
+            relabeled = map(itemgetter(*ballot), itertools.islice(self.ballots, 1, None))
+            table = _Ranks(self.rank_code, map(self.rank.__getitem__, relabeled))
+            table.infos = None
+            # a ballot is its own key: no (kind, ballot, out) key equals it
+            table = self._ranks.store(ballot, table)
         return table
 
     def key(self, code: int) -> int:
@@ -233,8 +336,8 @@ class _Engine:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
         # the layout's move tables, and on a code-keyed engine one `_Row` per
-        # co-voters' code, each weighing the m! ballots it may hold, and the
-        # voter's first accepted misreport, by (lifting, reading, ballot, code)
+        # co-voters' code and the voter's first accepted misreport, by
+        # (lifting, reading, ballot, code)
         self.moves = self.layout.moves
         self.full = factorial(m)
         self.rows = _Tables()
@@ -259,6 +362,25 @@ class _Engine:
             mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
         return self.cache.store(key, _nonempty(self.rule, mask))
 
+    def relabeled(self, ballots):
+        """The output on each relabeling of the profile but the identity, in
+        the order of `_MarginCode.relabelings`, each evaluated when asked
+        for."""
+        layout = self.layout
+        columns = zip(*[layout.relabelings(b) for b in ballots])
+        encs, bias = layout.encs.__getitem__, layout.bias
+        if self.by_ballots:
+            at = layout.ballots.__getitem__
+            for column in columns:
+                yield self.output(sum(map(encs, column), bias), tuple(map(at, column)))
+            return
+        add, guard, known = self.add, self.guard, self.cache.get
+        for column in columns:
+            code = sum(map(encs, column), bias)
+            key = (code + add) & guard
+            out = known(key)
+            yield self.miss(key, code) if out is None else out
+
     def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
         """What `voter` reaches by one move of `kind` (see `_moved`): each
         move that changes the output, at its first (output, info), as
@@ -272,37 +394,52 @@ class _Engine:
                 judged.add(mark)
                 yield move
 
-    def misreport(self, ballots, voter: int, code: int, honest: int, reading, lifting):
-        """The first misreport of `voter` (see `_misreports`) whose output
-        after is in the accept mask reading(lifting, ballot, honest), as
-        (new_ballot, info, output after), or None. A code-keyed engine keeps
-        the answer per (lifting, reading, ballot, code): a hit as a one-move
-        tuple at once, None as () only once every misreport has been
-        evaluated, so an evaluation error is never stored. On a miss, a
+    def misreport(self, ballots, code: int, honest: int, reading, lifting):
+        """The first voter with a misreport (see `_misreports`) whose output
+        after is in the accept mask reading(lifting, ballot, honest), and
+        its first such misreport, as (voter, new_ballot, info, output
+        after), or None. A voter whose ballot an earlier voter has reaches
+        the same outputs, so it is skipped. A code-keyed engine keeps each
+        voter's answer per (lifting, reading, ballot, code): a hit as a
+        one-move tuple at once, None as () only once every misreport has
+        been evaluated, so an evaluation error is never stored. On a miss, a
         complete row whose outputs the accept mask misses answers None at
         once."""
-        ballot = ballots[voter]
-        key = None if self.by_ballots else (lifting, reading, ballot, code)
-        found = self.verdicts.get(key)
-        if found is None:
-            accept, found = reading(lifting, ballot, honest), ()
-            union = 0 if key is None else self._row(ballot, code, honest).complete()
-            if not union or accept & union:
-                for move in self._reaching(ballots, voter, code, honest, _misreports, None):
-                    if accept >> move[2] & 1:
-                        found = (move,)
-                        break
-            if key is not None:
-                self.verdicts.store(key, found)
-        return found[0] if found else None
+        known, by_ballots = self.verdicts.get, self.by_ballots
+        for voter, ballot in enumerate(ballots):
+            if ballots.index(ballot) != voter:
+                continue
+            key = None if by_ballots else (lifting, reading, ballot, code)
+            found = known(key)
+            if found is None:
+                accept, found = reading(lifting, ballot, honest), ()
+                if by_ballots:
+                    union = 0
+                else:
+                    row = self._row(ballot, code, honest)
+                    union = row.union or row.complete()
+                if not union or accept & union:
+                    for move in self._reaching(ballots, voter, code, honest, _misreports, None):
+                        if accept >> move[2] & 1:
+                            found = (move,)
+                            break
+                if key is not None:
+                    self.verdicts.store(key, found)
+            if found:
+                return (voter, *found[0])
+        return None
 
     def _row(self, ballot: Ballot, code: int, honest: int) -> _Row:
-        """The row of the co-voters of a voter casting `ballot` in the profile
-        with this code and output, started from that output if new."""
-        others = code - self.layout.enc(ballot)
+        """The row of the co-voters of a voter casting `ballot` in the
+        profile with this code and output, started from that output if
+        new."""
+        rank = self.layout.rank[ballot]
+        others = code - self.layout.encs[rank]
         row = self.rows.get(others)
         if row is None:
-            row = self.rows.store(others, _Row(self.full, ballot, honest))
+            row = _empty_row(self.m, self.full)
+            row[rank] = honest
+            self.rows.store(others, row)
         return row
 
     def _reaching(self, ballots, voter, code, honest, kind, out):
@@ -310,46 +447,71 @@ class _Engine:
         info, output after) in table order. A code-keyed engine reads it from
         the row of the voter's co-voters and stores there each output it
         looks up; a profile-based one looks up the electorate."""
-        known, miss = self.cache.get, self.miss
+        layout = self.layout
         ballot = ballots[voter]
-        table = self.moves(kind, ballot, out)
+        table = layout.ranked(kind, ballot, out)
+        moved = zip(table, table.infos or _NO_INFOS)
+        at, encs = layout.ballots, layout.encs
+        others = code - encs[layout.rank[ballot]]
+        known, miss = self.cache.get, self.miss
         if self.by_ballots:
             # the electorate after a move: the new ballot put in its place
             # among the others, sorted once per voter
             rest = tuple(sorted(ballots[:voter] + ballots[voter + 1:]))
-            for new_ballot, delta, info in table:
+            for rank, info in moved:
+                new_ballot = at[rank]
                 i = bisect_right(rest, new_ballot)
-                at = rest[:i] + (new_ballot,) + rest[i:]
-                after = known(at)
+                electorate = rest[:i] + (new_ballot,) + rest[i:]
+                after = known(electorate)
                 if after is None:
-                    after = miss(at, code + delta)
+                    after = miss(electorate, others + encs[rank])
                 yield new_ballot, info, after
             return
         add, guard = self.add, self.guard
         row = self._row(ballot, code, honest)
-        filled = row.get
-        for new_ballot, delta, info in table:
-            after = filled(new_ballot)
-            if after is None:
-                new = code + delta
-                at = (new + add) & guard
-                after = known(at)
+        for rank, info in moved:
+            after = row[rank]
+            if not after:
+                new = others + encs[rank]
+                key = (new + add) & guard
+                after = known(key)
                 if after is None:
-                    after = miss(at, new)
-                row[new_ballot] = after
-            yield new_ballot, info, after
+                    after = miss(key, new)
+                row[rank] = after
+            yield at[rank], info, after
 
 
-@lru_cache(maxsize=_SHARED_ENGINES)
-def _shared_engine(rule: RuleSpec, m: int, size: int, evaluator) -> _Engine:
-    return _Engine(rule, m, size)
+class _SharedEngines:
+    """The engines shared across calls: the `_SHARED_ENGINES` most recently
+    used, by (rule, m, size, evaluator), and the arguments and engine of the
+    last call, which a repeated call with the same rule object answers
+    without hashing the rule."""
+
+    def __init__(self):
+        self.built = lru_cache(maxsize=_SHARED_ENGINES)(
+            lambda rule, m, size, evaluator: _Engine(rule, m, size)
+        )
+        self.last = (None, None)
+
+    def cache_clear(self) -> None:
+        self.built.cache_clear()
+        self.last = (None, None)
+
+
+_shared_engine = _SharedEngines()
 
 
 def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
     """The shared engine of the rule on layout (m, size)."""
     rid = rule.id
     evaluator = _MAJORITARIAN.get(rid) or _PAIRWISE.get(rid) or _PROFILE_BASED.get(rid)
-    return _shared_engine(rule, m, size, evaluator)
+    key = (rule, m, size, evaluator)
+    args, engine = _shared_engine.last
+    # a tuple compares its items by identity first, so the rule is not hashed
+    if args is None or args[0] is not rule or args != key:
+        engine = _shared_engine.built(*key)
+        _shared_engine.last = (key, engine)
+    return engine
 
 
 class _Scan:
@@ -357,24 +519,36 @@ class _Scan:
     output. The relation key, the margin vector and the strict masks are
     decoded on first use."""
 
+    __slots__ = ("engine", "m", "ballots", "code", "out", "_key", "_flat", "_strict")
+
     def __init__(self, engine: _Engine, ballots):
         self.engine = engine
         self.m = engine.m
         self.ballots = ballots
-        self.code = engine.layout.of(ballots)
-        self.out = engine.output(self.code, ballots)
+        self.code = code = engine.layout.of(ballots)
+        self.out = engine.output(code, ballots)
+        self._key = self._flat = self._strict = None
 
-    @cached_property
+    @property
     def key(self) -> int:
-        return self.engine.layout.key(self.code)
+        key = self._key
+        if key is None:
+            key = self._key = self.engine.layout.key(self.code)
+        return key
 
-    @cached_property
+    @property
     def flat(self) -> tuple[int, ...]:
-        return self.engine.layout.flat(self.code)
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = self.engine.layout.flat(self.code)
+        return flat
 
-    @cached_property
+    @property
     def strict(self) -> tuple[int, ...]:
-        return self.engine.layout.strict(self.key)
+        strict = self._strict
+        if strict is None:
+            strict = self._strict = self.engine.layout.strict(self.key)
+        return strict
 
     def tiled(self, k: int) -> int:
         """The output on k copies of the electorate, whose margins are k

@@ -112,13 +112,23 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb, factorial
+from operator import itemgetter
 
-from ._engine import _Engine, _engine, _misreports, _moved, _Scan
+from ._engine import (
+    _Engine,
+    _engine,
+    _misreports,
+    _moved,
+    _ranked_ballots,
+    _Scan,
+    _typecode,
+)
 from .core import (
     Ballot,
     ChoiceSet,
@@ -140,7 +150,8 @@ from .rules import (
     RuleSpec,
     TiesUnsupportedError,
     basis,
-    # the engine calls these; perfbench/layers.py wraps them here by name
+    # unused here: the engine calls its own imports, so these names stay only
+    # because perfbench/layers.py wraps them here by name
     evaluate_mask,
     evaluate_mask_from_margins,
     evaluate_mask_from_relation,
@@ -308,8 +319,8 @@ class Universe:
         no more than this: every electorate is a relabeling of one
         representative, and the representatives are electorates met in scan
         order."""
-        ballots = enumerate_ballots(self.m)
-        least = _least_of_class(ballots)
+        ballots = _ranked_ballots(self.m)[0]
+        least = _least_of_class(self.m)
 
         def candidates(_, n):
             for rest in itertools.combinations_with_replacement(range(len(ballots)), n - 1):
@@ -324,18 +335,23 @@ class Universe:
             yield Profile(self.m, ballots)
 
 
-def _least_of_class(ballots):
-    """The test that a sorted tuple of indices into `ballots` (all m!
+def _least_of_class(m: int):
+    """The test that a sorted tuple of ballot ranks (indices into all m!
     ballots in lexicographic order) that starts with the identity, 0, is the
     least of its relabeling class. Row j of the table holds, for every
-    ballot, the index of its relabeling by the one that takes ballot j to the
-    identity; a row is built when a candidate first holds ballot j."""
-    index = {b: i for i, b in enumerate(ballots)}
+    ballot, the rank of its relabeling by the one that takes ballot j to the
+    identity, as an array of the narrowest type that holds m! - 1; a row is
+    built when a candidate first holds ballot j."""
+    ballots, index = _ranked_ballots(m)
+    code = _typecode((len(ballots) - 1).bit_length())
+    # the relabeling of ballot b by perm is (perm[x] for x in b)
+    relabel = [itemgetter(*b) for b in ballots]
     rows: dict = {}
 
     def row(j):
-        rank = {x: pos for pos, x in enumerate(ballots[j])}
-        rows[j] = r = [index[tuple(rank[x] for x in b)] for b in ballots]
+        # the relabeling that takes ballot j to the identity: x to its position
+        perm = tuple(sorted(range(m), key=ballots[j].__getitem__))
+        rows[j] = r = array(code, [index[of(perm)] for of in relabel])
         return r
 
     def least(electorate):
@@ -430,19 +446,14 @@ def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation |
     """The first deviation from the scanned profile that the voter strictly
     prefers or, under the strong reading, the first whose outcome the honest
     one is not at least as good as."""
-    engine, ballots, honest, m = ctx.engine, ctx.ballots, ctx.out, ctx.m
-    reading = _gains if strong else _better
-    for voter, ballot in enumerate(ballots):
-        # a voter whose ballot an earlier voter has reaches the same outputs
-        found = ballots.index(ballot) == voter and engine.misreport(
-            ballots, voter, ctx.code, honest, reading, extension
-        )
-        if found:
-            mis, _, out = found
-            return Manipulation(
-                ctx.profile, voter, ballot, mis, ChoiceSet(m, honest), ChoiceSet(m, out), extension
-            )
-    return None
+    ballots, honest, reading = ctx.ballots, ctx.out, _gains if strong else _better
+    found = ctx.engine.misreport(ballots, ctx.code, honest, reading, extension)
+    if found is None:
+        return None
+    m, (voter, mis, _, out) = ctx.m, found
+    return Manipulation(
+        ctx.profile, voter, ballots[voter], mis, ChoiceSet(m, honest), ChoiceSet(m, out), extension
+    )
 
 
 def _manipulability(extension: ExtensionKind, strong: bool):
@@ -463,7 +474,8 @@ def _one_profile(rule: RuleSpec, profile: Profile) -> _Scan:
         raise InstanceTooLargeError(
             f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
         )
-    return _Scan(_engine(rule, profile.m, profile.n), profile.ballots)
+    ballots = profile.ballots
+    return _Scan(_engine(rule, profile.m, len(ballots)), ballots)
 
 
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
@@ -619,20 +631,28 @@ def _relabelings(ballot, _out=None):
         yield tuple(perm[x] for x in ballot), perm
 
 
+@lru_cache(maxsize=256)
+def _relabeled_masks(m: int, mask: int) -> array:
+    """The mask under every relabeling of the alternatives but the identity,
+    in `_relabelings` order."""
+    perms = itertools.islice(itertools.permutations(range(m)), 1, None)
+    return array(_typecode(m), [_apply_perm_mask(perm, mask) for perm in perms])
+
+
 @_stateless
 def _check_neutrality(ctx):
-    m, engine = ctx.m, ctx.engine
-    tables = [engine.moves(_relabelings, b) for b in ctx.ballots]
-    # one column per relabeling: every voter's relabeled ballot
-    for column in zip(*tables):
-        relabeled, deltas, (perm, *_) = zip(*column)
-        actual = engine.output(ctx.code + sum(deltas), relabeled)
-        expected = _apply_perm_mask(perm, ctx.out)
+    m, out = ctx.m, ctx.out
+    # the output on each relabeling against the relabeled output, in
+    # `_relabelings` order
+    for j, (actual, expected) in enumerate(
+        zip(ctx.engine.relabeled(ctx.ballots), _relabeled_masks(m, out))
+    ):
         if actual != expected:
+            perms = itertools.permutations(range(m))
             return Outcome.VIOLATED, {
                 "profile": ctx.profile,
-                "permutation": perm,
-                "outputs": (ChoiceSet(m, ctx.out), ChoiceSet(m, actual)),
+                "permutation": next(itertools.islice(perms, j + 1, None)),
+                "outputs": (ChoiceSet(m, out), ChoiceSet(m, actual)),
             }
     return None
 

@@ -5,6 +5,7 @@ import ast
 import itertools
 import random
 import sys
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -106,9 +107,14 @@ def moved(engine, ballots, kind=_misreports):
     return list(_moved(_Scan(engine, ballots), kind))
 
 
+def filled(layout, row):
+    """The ballots a row holds an output for, with that output."""
+    return {layout.ballots[rank]: out for rank, out in enumerate(row) if out}
+
+
 def rows_of(engine):
     """Each row the engine holds, by co-voters' code, as a plain dict."""
-    return {others: dict(row) for others, row in engine.rows.items()}
+    return {others: filled(engine.layout, row) for others, row in engine.rows.items()}
 
 
 def test_rows_past_their_bound_start_afresh_when_next_stored(monkeypatch):
@@ -116,15 +122,44 @@ def test_rows_past_their_bound_start_afresh_when_next_stored(monkeypatch):
     first, second = ((0, 1, 2), (1, 2, 0)), ((2, 1, 0),)
     found = moved(engine, first)
     held = rows_of(engine)
-    # one row per voter, each complete and weighing the 3! ballots it holds
-    assert [len(row) for row in held.values()] == [6, 6] and engine.rows.weight == 12
-    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 6)
+    # one row per voter, each complete and weighing its 3! bytes, one unit
+    assert [len(row) for row in held.values()] == [6, 6] and engine.rows.weight == 2
+    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 1)
     # the rows already held are served as they are
     assert moved(engine, first) == found
     assert rows_of(engine) == held
     moved(engine, second)
     # the lone voter's co-voters cast no ballot
     assert list(engine.rows) == [engine.layout.bias]
+
+
+@pytest.mark.parametrize("m,units", [(3, 1), (4, 1), (5, 2), (6, 12)])
+def test_a_row_weighs_its_bytes(m, units):
+    # one byte per ballot, one unit per 64 bytes rounded up
+    row = _engine._empty_row(m, factorial(m))
+    assert type(row) is _engine._ByteRow and len(row) == factorial(m)
+    table = _engine._Tables()
+    table.store(0, row)
+    assert table.weight == units
+
+
+@pytest.mark.parametrize("m,code", [(9, "H"), (16, "H"), (17, "I")])
+def test_a_row_past_eight_alternatives_holds_every_mask(m, code):
+    # a byte holds the masks of at most 8 alternatives; past that a row's
+    # items are the narrowest that hold m bits (a short row stands in for
+    # the m! ballots)
+    assert _engine._typecode(8) == "B" and _engine._typecode(m) == code
+    row = _engine._empty_row(m, 5)
+    assert type(row) is _engine._WideRow and row.typecode == code
+    full = (1 << m) - 1
+    for rank, out in enumerate((full, 1, 1 << (m - 1), full ^ 1)):
+        row[rank] = out
+    assert row.complete() == 0 and list(row) == [full, 1, 1 << (m - 1), full ^ 1, 0]
+    row[4] = full
+    assert row.complete() == (1 << full) | 2 | 1 << (1 << (m - 1)) | 1 << (full ^ 1)
+    table = _engine._Tables()
+    table.store(0, row)
+    assert table.weight == 1
 
 
 def test_a_profile_based_engine_keeps_no_rows():
@@ -306,7 +341,8 @@ UNCOVERED_CUT_SHORT = [
 def test_a_voter_cut_short_keeps_a_partial_row(profile, cut, tried):
     # the voters before the cut complete their rows; the cut voter's row
     # holds its own ballot and the misreports it tried up to the one that
-    # stopped it: the tying one is left out, the accepted one kept
+    # stopped it: the tying one is left out, the accepted one kept. A row
+    # is filled in table order, so it holds a prefix of the misreports
     uncovered = parse_rule("uncovered-set")
     m, ballots = profile.m, profile.ballots
 
@@ -331,7 +367,9 @@ def test_a_voter_cut_short_keeps_a_partial_row(profile, cut, tried):
             ballots[:cut]
         )
         ballot = ballots[cut]
-        assert list(rows[ballot]) == [ballot] + own_order_misreports(ballot)[:tried]
+        assert set(filled(engine.layout, rows[ballot])) == {
+            ballot, *own_order_misreports(ballot)[:tried]
+        }
         assert all(rows[b] is None for b in ballots[cut + 1:] if b not in ballots[:cut + 1])
 
     cold_then_warm(compare)
@@ -341,3 +379,78 @@ def test_a_voter_cut_short_keeps_a_partial_row(profile, cut, tried):
         assert cold == (2, (4, 2, 3, 0, 1), frozenset({0, 1, 3}), frozenset({0, 1, 3, 4}))
     else:
         assert "tie" in cold
+
+
+# ---------------------------------------------------------------------------
+# the lean tables behind the walks
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_relabeling_tables_give_the_relabelings_in_order(m):
+    # the oracle is `_relabelings` itself: in order, the relabeled ballot,
+    # its delta from the ballot's own encoding, and the permutation
+    layout = _MarginCode(m, 3)
+    for ballot in itertools.permutations(range(m)):
+        table = layout.relabelings(ballot)
+        assert table.typecode == ("B" if m <= 5 else "H") and len(table) == factorial(m) - 1
+        base = layout.enc(ballot)
+        expected = [
+            (new, layout.enc(new) - base, perm) for new, perm in verify._relabelings(ballot)
+        ]
+        assert [
+            (layout.ballots[rank], layout.encs[rank] - base, layout.ballots[j + 1])
+            for j, rank in enumerate(table)
+        ] == expected == list(layout.moves(verify._relabelings, ballot))
+
+
+def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch):
+    # fab:ab is not neutral, so its Fishburn sweep on (5, <=3) walks every
+    # electorate: 4,351 co-voters' codes get a row, each of 120 bytes.
+    # Neither the output memo, the rows nor the move tables start afresh;
+    # the verdict memo does, since the walk meets each of its 667,193
+    # (ballot, margin code) keys once
+    restarted = []
+    store = _engine._Tables.store
+
+    def counted(table, key, value):
+        if table.weight > _engine._MEMO_ENTRIES:
+            restarted.append(id(table))
+        return store(table, key, value)
+
+    _engine._shared_engine.cache_clear()
+    _engine._margin_code.cache_clear()
+    monkeypatch.setattr(_engine._Tables, "store", counted)
+    fab = parse_rule("fab:ab")
+    assert verify.sweep_strategyproofness(fab, Universe(5, 3)).outcome == Outcome.HOLDS
+    engine = _engine._engine(fab, 5, 6)
+    layout = engine.layout
+    roles = {
+        id(engine.cache): "outputs",
+        id(engine.rows): "rows",
+        id(layout._moves): "move tables",
+        id(layout._ranks): "rank tables",
+        id(engine.verdicts): "verdicts",
+    }
+    # every row the walk built is still held
+    assert len(engine.rows) == 4351
+    assert {roles.get(table, "other") for table in restarted} == {"verdicts"}
+
+
+@pytest.mark.parametrize("rule", ["tc", "borda", "plurality"])
+def test_a_scan_decodes_its_code_into_slots(rule):
+    rule = parse_rule(rule)
+    profiles = [
+        ((0, 1, 2, 3),),
+        ((0, 1, 2, 3), (3, 2, 1, 0)),
+        ((1, 0, 2, 3), (2, 3, 0, 1), (0, 2, 1, 3)),
+    ]
+    for ballots in profiles:
+        engine = _Engine(rule, 4, 3)
+        ctx = _Scan(engine, ballots)
+        assert not hasattr(ctx, "__dict__")
+        layout = engine.layout
+        assert ctx.code == layout.of(ballots)
+        assert (ctx.key, ctx.flat, ctx.strict) == (
+            layout.key(ctx.code), layout.flat(ctx.code), layout.strict(layout.key(ctx.code))
+        )
+        assert ctx.flat == _margins_flat(ballots, 4)
