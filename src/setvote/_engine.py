@@ -30,30 +30,29 @@ relabeling of the alternatives, a reinforcing swap, a top pushed to the
 bottom, a reordered ballot block) is read from the layout's tables, which
 its engines share. A layout ranks the m! ballots in lexicographic order and
 keeps each one's encoding by rank. Per (move kind, ballot, output), the
-output only for kinds that read it, a `_Ranks` table holds the rank of each
-new ballot, in the kind's own generator order, so every first witness is
-kept, and the moves' infos unless all are None; enc[new] - enc[ballot] is
-read off the encodings by rank. `_MarginCode.moves` gives the same moves as
-a tuple of (new ballot, enc[new] - enc[ballot], info), which the group
-search reads. Neutrality reads `_MarginCode.relabelings`, per ballot the
-ranks of its relabelings, built per ballot when first met, since a complete
-table of m! by m! ranks takes 3.2 GB at m = 8. One step, `_moved`, turns a
-table into outputs. It skips a voter whose ballot an earlier voter has:
-every rule reads the ballots only as a multiset (the tests check each
-profile-based evaluator), so that voter's moves reach the same outputs. On a
-code-keyed (majoritarian or pairwise) engine the output after any move of a
-voter is a function of two things, the margin code its co-voters cast
-(code - enc[ballot]) and the new ballot; so the engine keeps one row per
-co-voters' code, a `_Row` of m! output masks indexed by the rank of the
-ballot in the voter's place, 0 where not yet evaluated (no output is
-empty); a byte holds every mask up to m = 8, and a wider array type serves
-past that. Every move kind reads the row and fills it with each output it
-looks up, in the order its moves are tried, starting from the honest
-output: no search evaluates an output it did not evaluate before, and an
-evaluation that raises stores nothing, so every error still surfaces at the
-first move that raises it. A row that holds all m! ballots keeps the union
-of its outputs as a bit set over output masks. A profile-based engine looks
-up the electorate after each move instead.
+output only for kinds that read it, `_MarginCode.ranked` keeps a `_Ranks`
+table: the rank of each new ballot, in the kind's own generator order, so
+every first witness is kept, and the moves' infos unless all are None;
+enc[new] - enc[ballot] is read off the encodings by rank, which the group
+search does for each member's misreports. Neutrality reads
+`_MarginCode.relabelings`, per ballot the ranks of its relabelings, built
+per ballot when first met, since a complete table of m! by m! ranks takes
+3.2 GB at m = 8. One step, `_moved`, turns a table into outputs. It skips a
+voter whose ballot an earlier voter has: every rule reads the ballots only
+as a multiset (the tests check each profile-based evaluator), so that
+voter's moves reach the same outputs. On a code-keyed (majoritarian or
+pairwise) engine the output after any move of a voter is a function of two
+things, the margin code its co-voters cast (code - enc[ballot]) and the new
+ballot; so the engine keeps one row per co-voters' code, a `_Row` of m!
+output masks indexed by the rank of the ballot in the voter's place, 0 where
+not yet evaluated (no output is empty); a byte holds every mask up to m = 8,
+and a wider array type serves past that. Every move kind reads the row and
+fills it with each output it looks up, in the order its moves are tried,
+starting from the honest output: no search evaluates an output it did not
+evaluate before, and an evaluation that raises stores nothing, so every
+error still surfaces at the first move that raises it. A row that holds all
+m! ballots keeps the union of its outputs as a bit set over output masks. A
+profile-based engine looks up the electorate after each move instead.
 
 Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
@@ -61,29 +60,31 @@ per profile evaluates each relation once. Every single-voter search (both
 readings, in `find_manipulation`, `find_strong_manipulation`, every walk and
 `replay`) asks `_Engine.misreport` for the first voter, among those whose
 ballot no earlier voter has, with a misreport whose output is in the accept
-mask of the lifting and reading, and that misreport. On a code-keyed engine
-the honest output is fixed by the code, so each voter's answer depends on
-(lifting, reading, ballot, code) alone, and the verdict memo `verdicts`
-keeps it under that key: a hit as the one-move tuple ((new_ballot, info,
-output after),) at once, None as () only once every misreport has been
-evaluated, so an evaluation error is never stored; the accept mask is read
-only on a miss. On a miss a complete row answers None at once when the
-accept mask misses its union, and otherwise gives the first misreport in
-table order whose output in the row is accepted. A profile-based engine
-asks every time. `_engine` hands the engines out, keyed also on the
-evaluator the rule's basis table holds, so that a replaced evaluator never
-reads outputs of the old one; a repeated call with the same rule object is
-answered from the last call's engine without hashing the rule. A
-profile-based engine keys its outputs on the electorate, the sorted ballot
-tuple, since every evaluator reads a multiset, so every ordering of one
-electorate shares one output. The output memo, the move tables (both
-kinds), the rows and the verdict memo are each a `_Tables`, bounded when an
-entry is stored: past `_MEMO_ENTRIES` (an output or a verdict weighs one, a
-tuple of moves its length, an empty one one, a row or a `_Ranks` table one
-unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6) it starts
-afresh before the next is stored, even during a walk; only the m! ballot
-ranks and encodings of a layout are kept unbounded. Errors (ties, empty
-choices, out-of-range parameters) are never memoized.
+mask of the lifting and reading, and that misreport. A one-profile search
+asks it straight from the profile's code (`_MarginCode.of`) and honest
+output (`_Engine.output`), building no scan context; a walk passes the
+fields of its `_Scan`. On a code-keyed engine the honest output is fixed by
+the code, so each voter's answer depends on (lifting, reading, ballot, code)
+alone, and the verdict memo `verdicts` keeps it under that key: a hit as the
+one-move tuple ((new_ballot, info, output after),) at once, None as () only
+once every misreport has been evaluated, so an evaluation error is never
+stored; the accept mask is read only on a miss. On a miss a complete row
+answers None at once when the accept mask misses its union, and otherwise
+gives the first misreport in table order whose output in the row is
+accepted. A profile-based engine asks every time. `_engine` hands the
+engines out, keyed also on the evaluator the rule's basis table holds, so
+that a replaced evaluator never reads outputs of the old one; a repeated
+call with the same rule object and evaluator is answered from the last
+call's engine without hashing the rule. A profile-based engine keys its
+outputs on the electorate, the sorted ballot tuple, since every evaluator
+reads a multiset, so every ordering of one electorate shares one output. The
+output memo, the move tables (ranked moves and relabelings alike), the rows
+and the verdict memo are each a `_Tables`, bounded when an entry is stored:
+past `_MEMO_ENTRIES` (an output or a verdict weighs one, a row or a `_Ranks`
+table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6)
+it starts afresh before the next is stored, even during a walk; only the m!
+ballot ranks and encodings of a layout are kept unbounded. Errors (ties,
+empty choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ _MEMO_ENTRIES = 1 << 16
 
 
 class _Tables(dict):
-    """Memo entries weighted by their size: a tuple by its length (an empty
-    one weighs one), an array (a `_Row`, a `_Ranks` table) by its bytes, one
-    unit per 64 rounded up, any other value one; once the weight passes
-    `_MEMO_ENTRIES` they start afresh when the next is stored."""
+    """Memo entries weighted by their size: an array (a `_Row`, a `_Ranks`
+    table) by its bytes, one unit per 64 rounded up, any other value one;
+    once the weight passes `_MEMO_ENTRIES` they start afresh when the next
+    is stored."""
 
     weight = 0
 
@@ -129,10 +130,7 @@ class _Tables(dict):
             self.clear()
             self.weight = 0
         self[key] = value
-        if type(value) is tuple:
-            self.weight += len(value) or 1
-        else:
-            self.weight += value.units() if isinstance(value, (_Row, _Ranks)) else 1
+        self.weight += value.units() if isinstance(value, (_Row, _Ranks)) else 1
         return value
 
 
@@ -226,7 +224,6 @@ class _MarginCode:
         self.add = ((1 << self.width) - size - 1) * ones
         self.guard = ones << self.width
         self._enc: dict = {}
-        self._moves = _Tables()
         self._ranks = _Tables()
         # every ballot by rank, the rank of each, and its encoding by rank
         self.ballots, self.rank = _ranked_ballots(m)
@@ -250,24 +247,11 @@ class _MarginCode:
             raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
         return sum(map(self._known, ballots), self.bias)
 
-    def moves(self, kind, ballot: Ballot, out: int | None = None) -> tuple:
-        """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
-        info), tabled once per (kind, ballot, out) in that order as
-        (new_ballot, enc[new_ballot] - enc[ballot], info). Kinds that do
-        not read the output are asked with out=None."""
-        key = (kind, ballot, out)
-        table = self._moves.get(key)
-        if table is None:
-            ranks = self.ranked(kind, ballot, out)
-            at, encs = self.ballots, self.encs
-            base = encs[self.rank[ballot]]
-            moved = zip(ranks, ranks.infos or _NO_INFOS)
-            table = self._moves.store(key, tuple((at[r], encs[r] - base, i) for r, i in moved))
-        return table
-
     def ranked(self, kind, ballot: Ballot, out: int | None = None) -> _Ranks:
-        """The moves of `moves(kind, ballot, out)` as a `_Ranks` table: the
-        rank of each new ballot, and the infos."""
+        """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
+        info), tabled once per (kind, ballot, out) in that order as a
+        `_Ranks` table: the rank of each new ballot, and the infos. Kinds
+        that do not read the output are asked with out=None."""
         key = (kind, ballot, out)
         table = self._ranks.get(key)
         if table is None:
@@ -335,10 +319,9 @@ class _Engine:
         else:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
-        # the layout's move tables, and on a code-keyed engine one `_Row` per
-        # co-voters' code and the voter's first accepted misreport, by
-        # (lifting, reading, ballot, code)
-        self.moves = self.layout.moves
+        # on a code-keyed engine one `_Row` per co-voters' code and the
+        # voter's first accepted misreport, by (lifting, reading, ballot,
+        # code)
         self.full = factorial(m)
         self.rows = _Tables()
         self.verdicts = _Tables()
@@ -483,41 +466,41 @@ class _Engine:
 
 class _SharedEngines:
     """The engines shared across calls: the `_SHARED_ENGINES` most recently
-    used, by (rule, m, size, evaluator), and the arguments and engine of the
-    last call, which a repeated call with the same rule object answers
-    without hashing the rule."""
+    used, by (rule, m, size, evaluator), and the last call's (rule, m, size,
+    evaluator, engine), which a repeated call with the same rule object
+    answers without hashing the rule."""
 
     def __init__(self):
         self.built = lru_cache(maxsize=_SHARED_ENGINES)(
             lambda rule, m, size, evaluator: _Engine(rule, m, size)
         )
-        self.last = (None, None)
+        self.last = (None,) * 5
 
     def cache_clear(self) -> None:
         self.built.cache_clear()
-        self.last = (None, None)
+        self.last = (None,) * 5
 
 
 _shared_engine = _SharedEngines()
 
 
 def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
-    """The shared engine of the rule on layout (m, size)."""
+    """The shared engine of the rule on layout (m, size) and of the evaluator
+    the rule's basis table holds; a call that repeats the last one gets its
+    engine back, compared item by item without hashing the rule."""
+    last_rule, last_m, last_size, last_eval, engine = _shared_engine.last
     rid = rule.id
     evaluator = _MAJORITARIAN.get(rid) or _PAIRWISE.get(rid) or _PROFILE_BASED.get(rid)
-    key = (rule, m, size, evaluator)
-    args, engine = _shared_engine.last
-    # a tuple compares its items by identity first, so the rule is not hashed
-    if args is None or args[0] is not rule or args != key:
-        engine = _shared_engine.built(*key)
-        _shared_engine.last = (key, engine)
+    if last_rule is not rule or last_eval is not evaluator or last_m != m or last_size != size:
+        engine = _shared_engine.built(rule, m, size, evaluator)
+        _shared_engine.last = (rule, m, size, evaluator, engine)
     return engine
 
 
 class _Scan:
-    """The scan context of one profile: its ballots, margin code and memoized
-    output. The relation key, the margin vector and the strict masks are
-    decoded on first use."""
+    """The scan context of one profile a walk meets: its ballots, margin code
+    and memoized output. The relation key, the margin vector and the strict
+    masks are decoded on first use. The one-profile searches build none."""
 
     __slots__ = ("engine", "m", "ballots", "code", "out", "_key", "_flat", "_strict")
 
@@ -562,8 +545,8 @@ class _Scan:
 
 
 def _moved(ctx: _Scan, kind, out: int | None = None):
-    """The one-ballot moves of `kind` (see `_Engine.moves`) that change the
-    scanned profile's output, voter by voter in table order, as (voter,
+    """The one-ballot moves of `kind` (see `_MarginCode.ranked`) that change
+    the scanned profile's output, voter by voter in table order, as (voter,
     new_ballot, info, output after the move).
 
     Every consumer judges a move by the voter's ballot, its info and the

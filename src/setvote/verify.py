@@ -105,7 +105,12 @@ weak localizedness are each one `_perturbation`: a move kind, what makes a
 move a violation, and what the witness names. The sweep engine (margin
 codes, move tables, the shared engines and their memos) is `_engine`; a
 check reads a profile through its scan context, `_Scan`, and moves through
-the engine's move tables, never through the layout.
+the engine (`_moved`, `_Engine.relabeled`), never through the layout.
+The one-profile searches build no scan context: `_honest` reads the
+profile's margin code and honest output off the shared engine, and the
+single-voter ones ask `_Engine.misreport` directly, as the strategyproofness
+predicates do with their `_Scan`'s fields; both build their witness in
+`_manipulation`.
 """
 
 from __future__ import annotations
@@ -442,17 +447,20 @@ def _walk(
     }
 
 
-def _manipulation(ctx, extension: ExtensionKind, strong: bool) -> Manipulation | None:
-    """The first deviation from the scanned profile that the voter strictly
-    prefers or, under the strong reading, the first whose outcome the honest
-    one is not at least as good as."""
-    ballots, honest, reading = ctx.ballots, ctx.out, _gains if strong else _better
-    found = ctx.engine.misreport(ballots, ctx.code, honest, reading, extension)
+def _manipulation(
+    engine: _Engine, ballots, code: int, honest: int, extension, strong: bool, profile=None
+) -> Manipulation | None:
+    """The first deviation from the profile of these ballots, margin code and
+    honest output that the voter strictly prefers or, under the strong
+    reading, the first whose outcome the honest one is not at least as good
+    as. The witness carries `profile`, or one built from the ballots."""
+    found = engine.misreport(ballots, code, honest, _gains if strong else _better, extension)
     if found is None:
         return None
-    m, (voter, mis, _, out) = ctx.m, found
+    m, (voter, mis, _, out) = engine.m, found
     return Manipulation(
-        ctx.profile, voter, ballots[voter], mis, ChoiceSet(m, honest), ChoiceSet(m, out), extension
+        Profile(m, ballots) if profile is None else profile,
+        voter, ballots[voter], mis, ChoiceSet(m, honest), ChoiceSet(m, out), extension,
     )
 
 
@@ -461,21 +469,22 @@ def _manipulability(extension: ExtensionKind, strong: bool):
     reading."""
 
     def violation(ctx):
-        found = _manipulation(ctx, extension, strong)
+        found = _manipulation(ctx.engine, ctx.ballots, ctx.code, ctx.out, extension, strong)
         return None if found is None else (Outcome.VIOLATED, {"manipulation": found})
 
     return violation
 
 
-def _one_profile(rule: RuleSpec, profile: Profile) -> _Scan:
-    """The scan context every one-profile search starts from; refuses a
-    profile whose m! misreports per voter no search should enumerate."""
-    if profile.m > 8:
-        raise InstanceTooLargeError(
-            f"deviation scan enumerates m! ballots; refusing m={profile.m} > 8"
-        )
-    ballots = profile.ballots
-    return _Scan(_engine(rule, profile.m, len(ballots)), ballots)
+def _honest(rule: RuleSpec, profile: Profile) -> tuple[_Engine, int, int]:
+    """The shared engine a one-profile search asks, with the profile's margin
+    code and honest output; refuses a profile whose m! misreports per voter
+    no search should enumerate."""
+    m, ballots = profile.m, profile.ballots
+    if m > 8:
+        raise InstanceTooLargeError(f"deviation scan enumerates m! ballots; refusing m={m} > 8")
+    engine = _engine(rule, m, len(ballots))
+    code = engine.layout.of(ballots)
+    return engine, code, engine.output(code, ballots)
 
 
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
@@ -483,7 +492,8 @@ def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipula
     sweeps."""
     if extension is not ExtensionKind.FISHBURN and extension is not ExtensionKind.FPLUS:
         extension = _lifting(extension)
-    return _manipulation(_one_profile(rule, profile), extension, strong)
+    engine, code, honest = _honest(rule, profile)
+    return _manipulation(engine, profile.ballots, code, honest, extension, strong, profile)
 
 
 def find_manipulation(
@@ -548,8 +558,15 @@ def find_group_manipulation(
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
     _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
-    ctx = _one_profile(rule, profile)
-    engine, ballots, code, honest = ctx.engine, ctx.ballots, ctx.code, ctx.out
+    engine, code, honest = _honest(rule, profile)
+    ballots, layout = profile.ballots, engine.layout
+    at, encs = layout.ballots, layout.encs
+
+    def options(ballot):
+        # the own ballot, then the misreports, each with its change to the code
+        base, ranks = encs[layout.rank[ballot]], layout.ranked(_misreports, ballot)
+        return ((ballot, 0), *((at[r], encs[r] - base) for r in ranks))
+
     for size in range(1, max_group + 1):
         for group in itertools.combinations(range(n), size):
             wanted = -1
@@ -557,18 +574,15 @@ def find_group_manipulation(
                 wanted &= _better(ExtensionKind.FISHBURN, ballots[v], honest)
             if not wanted:
                 continue
-            options = [
-                ((ballots[v], 0, None),) + engine.moves(_misreports, ballots[v])
-                for v in group
-            ]
             judged = {honest}
             # the first joint report keeps every member's own ballot
-            for choice in itertools.islice(itertools.product(*options), 1, None):
-                reports = tuple(r for r, _, _ in choice)
+            joints = itertools.product(*(options(ballots[v]) for v in group))
+            for choice in itertools.islice(joints, 1, None):
+                reports = tuple(r for r, _ in choice)
                 joint = list(ballots)
                 for v, r in zip(group, reports):
                     joint[v] = r
-                out = engine.output(code + sum(d for _, d, _ in choice), tuple(joint))
+                out = engine.output(code + sum(d for _, d in choice), tuple(joint))
                 if out in judged:
                     continue
                 judged.add(out)
@@ -1068,8 +1082,9 @@ def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
     """The rule evaluations the check may make on the universe, which the
     budget bounds. A walk meets one ordering per electorate, so electorates
     are counted: once for robust dominance (or its relations, 3 per pair of
-    alternatives), in ordered pairs for weak robustness, with every
-    misreport for strategyproofness, and for an axiom a constant number per
+    alternatives) and for weak robustness, which evaluates each electorate
+    once and judges its pairs on bit sets, with every misreport for
+    strategyproofness, and for an axiom a constant number per
     (electorate, voter, block) plus the k_hom - 1 tilings homogeneity
     evaluates. A check the orbit walk settles counts its electorate walk
     too: that walk is its fallback, which the estimate still bounds."""
@@ -1078,10 +1093,8 @@ def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
         return 3 ** comb(m, 2)
     sizes = universe._electorates_by_size
     electorates = sum(sizes.values())
-    if name == _ROBUST_DOMINANT:
+    if name == _ROBUST_DOMINANT or name == _WEAK_ROBUSTNESS:
         return electorates
-    if name == _WEAK_ROBUSTNESS:
-        return electorates**2
     if name in _DEVIATION_CHECKS:
         deviations = factorial(m) - 1
         return sum(count * (n * deviations + 1) for n, count in sizes.items())

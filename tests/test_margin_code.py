@@ -68,6 +68,15 @@ MOVE_KINDS = [
 ]
 
 
+def ranked_moves(layout, kind, ballot, out=None):
+    """A ranked move table read back as (new_ballot, enc[new] - enc[ballot],
+    info) in table order."""
+    table = layout.ranked(kind, ballot, out)
+    base = layout.encs[layout.rank[ballot]]
+    infos = table.infos or [None] * len(table)
+    return [(layout.ballots[r], layout.encs[r] - base, i) for r, i in zip(table, infos)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(coded_profiles(), st.data())
 def test_one_ballot_change_is_one_add(case, data):
@@ -77,13 +86,14 @@ def test_one_ballot_change_is_one_add(case, data):
     voter = data.draw(st.integers(0, len(ballots) - 1))
     out = data.draw(st.integers(1, (1 << m) - 1))
     ballot = ballots[voter]
-    table = layout.moves(_misreports, ballot)
+    table = ranked_moves(layout, _misreports, ballot)
     assert [mis for mis, _, _ in table] == own_order_misreports(ballot)
     for kind, reads_out in MOVE_KINDS:
         given_out = out if reads_out else None
-        table = layout.moves(kind, ballot, given_out)
+        ranks = layout.ranked(kind, ballot, given_out)
+        assert layout.ranked(kind, ballot, given_out) is ranks
+        table = ranked_moves(layout, kind, ballot, given_out)
         assert [(new, info) for new, _, info in table] == list(kind(ballot, given_out))
-        assert layout.moves(kind, ballot, given_out) is table
         for new, delta, _ in table:
             changed = ballots[:voter] + (new,) + ballots[voter + 1:]
             assert code + delta == layout.of(changed)
@@ -91,15 +101,19 @@ def test_one_ballot_change_is_one_add(case, data):
 
 
 def test_a_move_table_past_its_bound_is_empty_when_next_used(monkeypatch):
+    # each table here holds at most 7 one-byte ranks and 7 infos of 8
+    # bytes: at most 64 bytes, one unit
     layout = _MarginCode(3, 2)
     first, second = (0, 1, 2), (2, 1, 0)
-    assert len(layout.moves(_misreports, first)) == 5
-    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 4)
+    assert len(layout.ranked(_misreports, first)) == 5
+    assert layout._ranks.weight == 1
+    monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 0)
     # the table already held is served as it is
-    assert layout.moves(_misreports, first)
-    assert list(layout._moves) == [(_misreports, first, None)]
-    layout.moves(verify._block_reorders_anywhere, second)
-    assert list(layout._moves) == [(verify._block_reorders_anywhere, second, None)]
+    assert layout.ranked(_misreports, first)
+    assert list(layout._ranks) == [(_misreports, first, None)]
+    layout.ranked(verify._block_reorders_anywhere, second)
+    assert list(layout._ranks) == [(verify._block_reorders_anywhere, second, None)]
+    assert layout._ranks.weight == 1
 
 
 def moved(engine, ballots, kind=_misreports):
@@ -247,6 +261,17 @@ def as_tuple(man):
     )
 
 
+def as_group(g):
+    if g is None:
+        return None
+    return (
+        g.voters,
+        g.misreports,
+        frozenset(g.honest_set.members),
+        frozenset(g.manipulated_set.members),
+    )
+
+
 def cold_then_warm(compare):
     """Run a comparison from empty shared memos, then again through the memos
     the first run filled."""
@@ -293,25 +318,56 @@ def test_single_voter_witnesses_match_the_oracle(rule):
     cold_then_warm(compare)
 
 
+# seed 5 gives 15 group witnesses over the catalog, 6 of them by a pair
+GROUP_PROFILES = seeded_profiles(5, 8, (3, 3), (3, 4))
+
+
 @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
 def test_group_witnesses_match_the_oracle(rule):
-    def as_group(g):
-        if g is None:
-            return None
-        return (
-            g.voters,
-            g.misreports,
-            frozenset(g.honest_set.members),
-            frozenset(g.manipulated_set.members),
-        )
-
-    # seed 5 gives 15 witnesses over the catalog, 6 of them by a pair
-    profiles = seeded_profiles(5, 8, (3, 3), (3, 4))
-
     def compare():
-        for profile in profiles:
+        for profile in GROUP_PROFILES:
             agree(
                 lambda: as_group(find_group_manipulation(rule, profile, 2)),
+                lambda: naive_group_manipulation(rule, profile.ballots, profile.m, 2),
+            )
+
+    cold_then_warm(compare)
+
+
+@pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
+def test_one_profile_searches_build_no_scan_context(monkeypatch, rule):
+    # the three one-profile searches ask the shared engine straight from the
+    # profile's code and honest output: a scan context built on the way
+    # raises, yet every witness and None is the oracle's, and every witness
+    # carries a profile equal to the caller's
+    def no_scan(*_):
+        raise AssertionError("a one-profile search built a scan context")
+
+    monkeypatch.setattr(_engine._Scan, "__init__", no_scan)
+
+    def carried(found, profile, as_witness):
+        assert found is None or found.profile == profile
+        return as_witness(found)
+
+    single = (
+        (find_manipulation, naive_manipulation),
+        (find_strong_manipulation, naive_strong_manipulation),
+    )
+
+    def compare():
+        for profile in PROFILES:
+            m, ballots = profile.m, profile.ballots
+            for fishburn, kind in (
+                (True, ExtensionKind.FISHBURN), (False, ExtensionKind.FPLUS)
+            ):
+                for search, naive in single:
+                    agree(
+                        lambda: carried(search(rule, profile, kind), profile, as_tuple),
+                        lambda: naive(rule, ballots, m, fishburn),
+                    )
+        for profile in GROUP_PROFILES:
+            agree(
+                lambda: carried(find_group_manipulation(rule, profile, 2), profile, as_group),
                 lambda: naive_group_manipulation(rule, profile.ballots, profile.m, 2),
             )
 
@@ -400,15 +456,15 @@ def test_relabeling_tables_give_the_relabelings_in_order(m):
         assert [
             (layout.ballots[rank], layout.encs[rank] - base, layout.ballots[j + 1])
             for j, rank in enumerate(table)
-        ] == expected == list(layout.moves(verify._relabelings, ballot))
+        ] == expected == ranked_moves(layout, verify._relabelings, ballot)
 
 
 def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch):
     # fab:ab is not neutral, so its Fishburn sweep on (5, <=3) walks every
     # electorate: 4,351 co-voters' codes get a row, each of 120 bytes.
-    # Neither the output memo, the rows nor the move tables start afresh;
-    # the verdict memo does, since the walk meets each of its 667,193
-    # (ballot, margin code) keys once
+    # Neither the output memo, the rows nor the move tables (the layout's
+    # ranked moves) start afresh; the verdict memo does, since the walk
+    # meets each of its 667,193 (ballot, margin code) keys once
     restarted = []
     store = _engine._Tables.store
 
@@ -427,8 +483,7 @@ def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch)
     roles = {
         id(engine.cache): "outputs",
         id(engine.rows): "rows",
-        id(layout._moves): "move tables",
-        id(layout._ranks): "rank tables",
+        id(layout._ranks): "move tables",
         id(engine.verdicts): "verdicts",
     }
     # every row the walk built is still held
