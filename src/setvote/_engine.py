@@ -27,17 +27,20 @@ check reads them from the scan context.
 
 Move tables. Every one-ballot change a check tries (a misreport, a
 relabeling of the alternatives, a reinforcing swap, a top pushed to the
-bottom, a reordered ballot block) is read from the layout's tables, which
-its engines share. A layout ranks the m! ballots in lexicographic order and
-keeps each one's encoding by rank. Per (move kind, ballot, output), the
-output only for kinds that read it, `_MarginCode.ranked` keeps a `_Ranks`
-table: the rank of each new ballot, in the kind's own generator order, so
-every first witness is kept, and the moves' infos unless all are None;
-enc[new] - enc[ballot] is read off the encodings by rank, which the group
-search does for each member's misreports. Neutrality reads
-`_MarginCode.relabelings`, per ballot the ranks of its relabelings, built
-per ballot when first met, since a complete table of m! by m! ranks takes
-3.2 GB at m = 8. One step, `_moved`, turns a table into outputs. It skips a
+bottom, a reordered ballot block) is read from one ballot table per m,
+`_Ballots`, which every layout of that m shares: the m! ballots by rank in
+lexicographic order, each one's rank, and one bounded store of the tables
+read off them. Per (move kind, ballot, output), the output only for kinds
+that read it, `_Ballots.ranked` keeps a `_Ranks` table: the rank of each new
+ballot, in the kind's own generator order, so every first witness is kept,
+and the moves' infos unless all are None. A layout keeps only each ballot's
+encoding by rank, so enc[new] - enc[ballot] is read off the encodings, which
+the group search does for each member's misreports. Neutrality reads
+`_Ballots.relabelings`, per ballot the ranks of its relabelings, the
+permutations of range(m) in rank order from 1 on, built per ballot when
+first met, since a complete table of m! by m! ranks takes 3.2 GB at m = 8;
+the orbit walk's least-of-class test reads the same tables. One step,
+`_moved`, turns a table into the moves that change the output. It skips a
 voter whose ballot an earlier voter has: every rule reads the ballots only
 as a multiset (the tests check each profile-based evaluator), so that
 voter's moves reach the same outputs. On a code-keyed (majoritarian or
@@ -82,16 +85,15 @@ output memo, the move tables (ranked moves and relabelings alike), the rows
 and the verdict memo are each a `_Tables`, bounded when an entry is stored:
 past `_MEMO_ENTRIES` (an output or a verdict weighs one, a row or a `_Ranks`
 table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6)
-it starts afresh before the next is stored, even during a walk; only the m!
-ballot ranks and encodings of a layout are kept unbounded. Errors (ties,
-empty choices, out-of-range parameters) are never memoized.
+it starts afresh before the next is stored, even during a walk; only each
+m's ballots and ranks and each layout's encodings are kept unbounded.
+Errors (ties, empty choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_right
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
@@ -201,51 +203,17 @@ class _Ranks(array):
         return -(-(memoryview(self).nbytes + (8 * len(infos) if infos else 0)) // 64)
 
 
-@lru_cache(maxsize=4)
-def _ranked_ballots(m: int) -> tuple[tuple, dict]:
-    """The m! ballots in lexicographic order, and each one's rank there."""
-    ballots = tuple(enumerate_ballots(m))
-    return ballots, {b: rank for rank, b in enumerate(ballots)}
+class _Ballots:
+    """The m! ballots on m alternatives, shared by every layout of that m:
+    the ballots by rank in lexicographic order, each one's rank, and one
+    bounded store of the tables read off them, the one-ballot move tables
+    and the relabeling tables."""
 
-
-class _MarginCode:
-    """One margin-code layout (see the module docstring): every ballot's
-    rank and encoding, and the one-ballot move tables it has needed so
-    far."""
-
-    def __init__(self, m: int, size: int):
-        self.m = m
-        self.size = size
-        self.width = (2 * size).bit_length()
-        self.stride = self.width + 1
-        self.shifts = tuple(i * self.stride for i in range(m * m))
-        ones = sum(1 << s for s in self.shifts)
-        self.bias = size * ones
-        self.add = ((1 << self.width) - size - 1) * ones
-        self.guard = ones << self.width
-        self._enc: dict = {}
-        self._ranks = _Tables()
-        # every ballot by rank, the rank of each, and its encoding by rank
-        self.ballots, self.rank = _ranked_ballots(m)
-        self.encs = [self.enc(b) for b in self.ballots]
-        self._known = self._enc.__getitem__
+    def __init__(self, m: int):
+        self.ballots = tuple(enumerate_ballots(m))
+        self.rank = {b: rank for rank, b in enumerate(self.ballots)}
         self.rank_code = _typecode((len(self.ballots) - 1).bit_length())
-
-    def enc(self, ballot: Ballot) -> int:
-        code = self._enc.get(ballot)
-        if code is None:
-            m, shifts = self.m, self.shifts
-            code = 0
-            for hi, x in enumerate(ballot):
-                for y in ballot[hi + 1:]:
-                    code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
-            self._enc[ballot] = code
-        return code
-
-    def of(self, ballots) -> int:
-        if len(ballots) > self.size:
-            raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
-        return sum(map(self._known, ballots), self.bias)
+        self._ranks = _Tables()
 
     def ranked(self, kind, ballot: Ballot, out: int | None = None) -> _Ranks:
         """The one-ballot changes `kind(ballot, out)` yields as (new_ballot,
@@ -276,6 +244,43 @@ class _MarginCode:
             table = self._ranks.store(ballot, table)
         return table
 
+
+# the ballot table of each m in use, shared by its layouts
+_ballots = lru_cache(maxsize=4)(_Ballots)
+
+
+class _MarginCode:
+    """One margin-code layout (see the module docstring): the encoding of
+    every ballot of its m's table, by rank."""
+
+    def __init__(self, m: int, size: int):
+        self.m = m
+        self.size = size
+        self.width = (2 * size).bit_length()
+        self.stride = self.width + 1
+        self.shifts = tuple(i * self.stride for i in range(m * m))
+        ones = sum(1 << s for s in self.shifts)
+        self.bias = size * ones
+        self.add = ((1 << self.width) - size - 1) * ones
+        self.guard = ones << self.width
+        self.table = _ballots(m)
+        ballots = self.table.ballots
+        self.encs = list(map(self._encoded, ballots))
+        self.enc = dict(zip(ballots, self.encs)).__getitem__
+
+    def _encoded(self, ballot: Ballot) -> int:
+        m, shifts = self.m, self.shifts
+        code = 0
+        for hi, x in enumerate(ballot):
+            for y in ballot[hi + 1:]:
+                code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
+        return code
+
+    def of(self, ballots) -> int:
+        if len(ballots) > self.size:
+            raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
+        return sum(map(self.enc, ballots), self.bias)
+
     def key(self, code: int) -> int:
         """The relation key: guard bit (x, y) set iff g(x, y) > 0."""
         return (code + self.add) & self.guard
@@ -297,7 +302,7 @@ class _MarginCode:
 
 
 # a few layouts stay alive across calls, so that engines on one layout share
-# its at most m! encodings and its move tables
+# its m! encodings
 _margin_code = lru_cache(maxsize=4)(_MarginCode)
 
 
@@ -312,6 +317,7 @@ class _Engine:
         self.m = m
         self.tag = basis(rule)
         self.layout = _margin_code(m, size)
+        self.table = self.layout.table
         self.by_ballots = self.tag == BasisTag.PROFILE_BASED
         # (code + add) & guard is the key; pairwise rules keep the code whole
         if self.tag == BasisTag.MAJORITARIAN:
@@ -347,13 +353,13 @@ class _Engine:
 
     def relabeled(self, ballots):
         """The output on each relabeling of the profile but the identity, in
-        the order of `_MarginCode.relabelings`, each evaluated when asked
+        the order of `_Ballots.relabelings`, each evaluated when asked
         for."""
-        layout = self.layout
-        columns = zip(*[layout.relabelings(b) for b in ballots])
+        layout, table = self.layout, self.table
+        columns = zip(*map(table.relabelings, ballots))
         encs, bias = layout.encs.__getitem__, layout.bias
         if self.by_ballots:
-            at = layout.ballots.__getitem__
+            at = table.ballots.__getitem__
             for column in columns:
                 yield self.output(sum(map(encs, column), bias), tuple(map(at, column)))
             return
@@ -363,19 +369,6 @@ class _Engine:
             key = (code + add) & guard
             out = known(key)
             yield self.miss(key, code) if out is None else out
-
-    def reach(self, ballots, voter: int, code: int, honest: int, kind, out):
-        """What `voter` reaches by one move of `kind` (see `_moved`): each
-        move that changes the output, at its first (output, info), as
-        (new_ballot, info, output after) in table order."""
-        judged = set()
-        for move in self._reaching(ballots, voter, code, honest, kind, out):
-            _, info, after = move
-            # a move's mark is its output, paired with its info if it has one
-            mark = after if info is None else (after, info)
-            if after != honest and mark not in judged:
-                judged.add(mark)
-                yield move
 
     def misreport(self, ballots, code: int, honest: int, reading, lifting):
         """The first voter with a misreport (see `_misreports`) whose output
@@ -416,7 +409,7 @@ class _Engine:
         """The row of the co-voters of a voter casting `ballot` in the
         profile with this code and output, started from that output if
         new."""
-        rank = self.layout.rank[ballot]
+        rank = self.table.rank[ballot]
         others = code - self.layout.encs[rank]
         row = self.rows.get(others)
         if row is None:
@@ -429,28 +422,19 @@ class _Engine:
         """The output after each move of `kind` by `voter`, as (new_ballot,
         info, output after) in table order. A code-keyed engine reads it from
         the row of the voter's co-voters and stores there each output it
-        looks up; a profile-based one looks up the electorate."""
-        layout = self.layout
-        ballot = ballots[voter]
-        table = layout.ranked(kind, ballot, out)
-        moved = zip(table, table.infos or _NO_INFOS)
-        at, encs = layout.ballots, layout.encs
-        others = code - encs[layout.rank[ballot]]
-        known, miss = self.cache.get, self.miss
+        looks up; a profile-based one asks `output` for the moved ballots."""
+        ballot, at, encs = ballots[voter], self.table.ballots, self.layout.encs
+        moves = self.table.ranked(kind, ballot, out)
+        moved = zip(moves, moves.infos or _NO_INFOS)
+        others = code - encs[self.table.rank[ballot]]
         if self.by_ballots:
-            # the electorate after a move: the new ballot put in its place
-            # among the others, sorted once per voter
-            rest = tuple(sorted(ballots[:voter] + ballots[voter + 1:]))
+            head, tail = ballots[:voter], ballots[voter + 1:]
             for rank, info in moved:
                 new_ballot = at[rank]
-                i = bisect_right(rest, new_ballot)
-                electorate = rest[:i] + (new_ballot,) + rest[i:]
-                after = known(electorate)
-                if after is None:
-                    after = miss(electorate, others + encs[rank])
+                after = self.output(others + encs[rank], head + (new_ballot,) + tail)
                 yield new_ballot, info, after
             return
-        add, guard = self.add, self.guard
+        add, guard, known, miss = self.add, self.guard, self.cache.get, self.miss
         row = self._row(ballot, code, honest)
         for rank, info in moved:
             after = row[rank]
@@ -545,22 +529,23 @@ class _Scan:
 
 
 def _moved(ctx: _Scan, kind, out: int | None = None):
-    """The one-ballot moves of `kind` (see `_MarginCode.ranked`) that change
+    """The one-ballot moves of `kind` (see `_Ballots.ranked`) that change
     the scanned profile's output, voter by voter in table order, as (voter,
     new_ballot, info, output after the move).
 
     Every consumer judges a move by the voter's ballot, its info and the
     output after it alone, accepts none that leaves the output as it was, and
-    stops at the first it accepts. So a voter's move is yielded only at its
-    first (output, info), and a voter whose ballot an earlier voter has is
-    skipped: the same moves reach the same outputs. Every move tried is
-    evaluated in order, so an evaluation error surfaces at the first move
+    stops at the first it accepts. So a voter whose ballot an earlier voter
+    has is skipped: the same moves reach the same outputs. Every move tried
+    is evaluated in order, so an evaluation error surfaces at the first move
     that raises it."""
     engine, ballots, code, honest = ctx.engine, ctx.ballots, ctx.code, ctx.out
     for voter, ballot in enumerate(ballots):
         if ballots.index(ballot) == voter:
-            for new_ballot, info, after in engine.reach(ballots, voter, code, honest, kind, out):
-                yield voter, new_ballot, info, after
+            moves = engine._reaching(ballots, voter, code, honest, kind, out)
+            for new_ballot, info, after in moves:
+                if after != honest:
+                    yield voter, new_ballot, info, after
 
 
 def _misreports(true_ballot: Ballot, _out=None):

@@ -105,7 +105,8 @@ weak localizedness are each one `_perturbation`: a move kind, what makes a
 move a violation, and what the witness names. The sweep engine (margin
 codes, move tables, the shared engines and their memos) is `_engine`; a
 check reads a profile through its scan context, `_Scan`, and moves through
-the engine (`_moved`, `_Engine.relabeled`), never through the layout.
+the engine (`_moved`, `_Engine.relabeled`); only the group search reads
+each member's misreports off the ballot table itself.
 The one-profile searches build no scan context: `_honest` reads the
 profile's margin code and honest output off the shared engine, and the
 single-voter ones ask `_Engine.misreport` directly, as the strategyproofness
@@ -123,14 +124,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from math import comb, factorial
-from operator import itemgetter
 
 from ._engine import (
+    _ballots,
     _Engine,
     _engine,
     _misreports,
     _moved,
-    _ranked_ballots,
     _Scan,
     _typecode,
 )
@@ -324,7 +324,7 @@ class Universe:
         no more than this: every electorate is a relabeling of one
         representative, and the representatives are electorates met in scan
         order."""
-        ballots = _ranked_ballots(self.m)[0]
+        ballots = _ballots(self.m).ballots
         least = _least_of_class(self.m)
 
         def candidates(_, n):
@@ -343,29 +343,29 @@ class Universe:
 def _least_of_class(m: int):
     """The test that a sorted tuple of ballot ranks (indices into all m!
     ballots in lexicographic order) that starts with the identity, 0, is the
-    least of its relabeling class. Row j of the table holds, for every
-    ballot, the rank of its relabeling by the one that takes ballot j to the
-    identity, as an array of the narrowest type that holds m! - 1; a row is
-    built when a candidate first holds ballot j."""
-    ballots, index = _ranked_ballots(m)
-    code = _typecode((len(ballots) - 1).bit_length())
-    # the relabeling of ballot b by perm is (perm[x] for x in b)
-    relabel = [itemgetter(*b) for b in ballots]
-    rows: dict = {}
-
-    def row(j):
-        # the relabeling that takes ballot j to the identity: x to its position
-        perm = tuple(sorted(range(m), key=ballots[j].__getitem__))
-        rows[j] = r = array(code, [index[of(perm)] for of in relabel])
-        return r
+    least of its relabeling class. It reads neutrality's relabeling tables
+    (`_Ballots.relabelings`): ballot j's table holds the identity's rank, 0,
+    at the relabeling that takes j to the identity, and under that
+    relabeling every ballot i has the rank i's table holds there. Each
+    table is read once, when a candidate first holds its rank or a higher
+    one."""
+    table = _ballots(m)
+    # the relabeling tables by rank, and where each but the identity's own
+    # holds the identity
+    tables: list = []
+    to_identity: list = []
 
     def least(electorate):
+        while len(tables) <= electorate[-1]:
+            relabeled = table.relabelings(table.ballots[len(tables)])
+            to_identity.append(relabeled.index(0) if tables else None)
+            tables.append(relabeled)
         prior = 0
         for j in electorate:
             if j != prior:
                 prior = j
-                r = rows.get(j) or row(j)
-                if sorted([r[i] for i in electorate]) < list(electorate):
+                k = to_identity[j]
+                if sorted([tables[i][k] for i in electorate]) < list(electorate):
                     return False
         return True
 
@@ -559,12 +559,12 @@ def find_group_manipulation(
     max_group = min(max_group, n)
     _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
     engine, code, honest = _honest(rule, profile)
-    ballots, layout = profile.ballots, engine.layout
-    at, encs = layout.ballots, layout.encs
+    ballots, table, encs = profile.ballots, engine.table, engine.layout.encs
+    at = table.ballots
 
     def options(ballot):
         # the own ballot, then the misreports, each with its change to the code
-        base, ranks = encs[layout.rank[ballot]], layout.ranked(_misreports, ballot)
+        base, ranks = encs[table.rank[ballot]], table.ranked(_misreports, ballot)
         return ((ballot, 0), *((at[r], encs[r] - base) for r in ranks))
 
     for size in range(1, max_group + 1):
@@ -602,8 +602,14 @@ def find_group_manipulation(
 
 
 def check_axiom(
-    axiom: Axiom, rule: RuleSpec, universe: Universe, *, budget: int | None = None
+    axiom: Axiom | str, rule: RuleSpec, universe: Universe, *, budget: int | None = None
 ) -> AxiomVerdict:
+    """The verdict of one axiom, given as an `Axiom` or its value."""
+    try:
+        axiom = Axiom(axiom)
+    except ValueError:
+        known = ", ".join(a.value for a in Axiom)
+        raise ValueError(f"unknown axiom {axiom!r}; expected one of: {known}") from None
     return _run(axiom.value, rule, universe, budget)
 
 
@@ -638,18 +644,12 @@ def _apply_perm_mask(perm, mask):
     return out
 
 
-def _relabelings(ballot, _out=None):
-    """The ballot under every relabeling of the alternatives but the
-    identity, which comes first, with the relabeling."""
-    for perm in itertools.islice(itertools.permutations(range(len(ballot))), 1, None):
-        yield tuple(perm[x] for x in ballot), perm
-
-
 @lru_cache(maxsize=256)
 def _relabeled_masks(m: int, mask: int) -> array:
-    """The mask under every relabeling of the alternatives but the identity,
-    in `_relabelings` order."""
-    perms = itertools.islice(itertools.permutations(range(m)), 1, None)
+    """The mask under every relabeling of the alternatives but the identity:
+    the permutations of range(m) in lexicographic order, which are the
+    ballots by rank from 1 on."""
+    perms = _ballots(m).ballots[1:]
     return array(_typecode(m), [_apply_perm_mask(perm, mask) for perm in perms])
 
 
@@ -657,15 +657,14 @@ def _relabeled_masks(m: int, mask: int) -> array:
 def _check_neutrality(ctx):
     m, out = ctx.m, ctx.out
     # the output on each relabeling against the relabeled output, in
-    # `_relabelings` order
+    # `_relabeled_masks` order
     for j, (actual, expected) in enumerate(
         zip(ctx.engine.relabeled(ctx.ballots), _relabeled_masks(m, out))
     ):
         if actual != expected:
-            perms = itertools.permutations(range(m))
             return Outcome.VIOLATED, {
                 "profile": ctx.profile,
-                "permutation": next(itertools.islice(perms, j + 1, None)),
+                "permutation": ctx.engine.table.ballots[j + 1],
                 "outputs": (ChoiceSet(m, out), ChoiceSet(m, actual)),
             }
     return None
@@ -1170,15 +1169,18 @@ def replay(verdict: AxiomVerdict) -> bool:
     """Re-verify a violation witness: the check that found it, walked over
     the stored witness profile(s) alone, must report exactly this witness.
     Only the stored profiles the universe holds are walked (see
-    `_verdicts`), so a witness the universe never meets does not replay."""
+    `_verdicts`), so a witness the universe never meets does not replay,
+    and neither does one that holds no `Profile` where it should."""
     if verdict.outcome != Outcome.VIOLATED:
         raise ValueError("only violation witnesses can be replayed")
-    w = verdict.witness
+    w = verdict.witness if isinstance(verdict.witness, dict) else {}
     name, rule, universe = verdict.axiom, verdict.rule, verdict.universe
     if "manipulation" in w:
-        profiles = (w["manipulation"].profile,)
+        profiles = (getattr(w["manipulation"], "profile", None),)
     else:
-        profiles = w.get("profiles") or (w["profile"],)
+        profiles = w.get("profiles") or (w.get("profile"),)
+    if not isinstance(profiles, tuple) or not all(isinstance(p, Profile) for p in profiles):
+        return False
     return _verdicts(rule, universe, {name: _check(name, universe)}, profiles)[name] == verdict
 
 

@@ -189,6 +189,15 @@ def naive_outcome(rule, ballots, m):
     return frozenset(x for x in range(m) if mask >> x & 1)
 
 
+def relabelings(ballot, _out=None):
+    """The ballot under every relabeling of the alternatives but the
+    identity, with the relabeling: perm takes the ballot to
+    (perm[x] for x in ballot), perms in lexicographic order."""
+    for perm in itertools.permutations(range(len(ballot))):
+        if perm != tuple(range(len(ballot))):
+            yield tuple(perm[x] for x in ballot), perm
+
+
 def own_order_misreports(ballot):
     """Every other ballot, lexicographic in the voter's own ranking."""
     m = len(ballot)

@@ -216,6 +216,16 @@ class TestReports:
             with pytest.raises(ParseError, match="^malformed axiom report: "):
                 parse_report(payload)
 
+    @pytest.mark.parametrize("witness", [{"profile": 5}, {"manipulation": 1}, {"x": 1}, None])
+    def test_a_witness_without_its_profile_does_not_replay(self, witness):
+        # each document parses, and its violation names no profile to walk
+        verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 3))
+        doc = serialize_report([verdict])[1]
+        doc["verdicts"][0]["witness"] = witness
+        (parsed,) = parse_report(json.dumps(doc))
+        assert parsed.outcome == Outcome.VIOLATED and parsed.witness == witness
+        assert not verify.replay(parsed)
+
     def test_a_report_nested_past_the_recursion_limit_raises_a_parse_error(self):
         verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 3))
         doc = edited(serialize_report([verdict])[1], ("verdicts", 0, "witness"), "@")

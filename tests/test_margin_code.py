@@ -16,9 +16,10 @@ from oracles import (
     naive_manipulation,
     naive_strong_manipulation,
     own_order_misreports,
+    relabelings,
 )
 from setvote import _engine, verify
-from setvote._engine import _Engine, _MarginCode, _misreports, _moved, _Scan
+from setvote._engine import _Ballots, _Engine, _MarginCode, _misreports, _moved, _Scan
 from setvote.core import Profile, _margins_flat, _strict_masks_from_flat
 from setvote.extensions import ExtensionKind
 from setvote.rules import TiesUnsupportedError, catalog, parse_rule
@@ -60,7 +61,7 @@ def test_code_decodes_to_margins_and_relation(case):
 # every kind of one-ballot move a check tries, and whether it reads the output
 MOVE_KINDS = [
     (_misreports, False),
-    (verify._relabelings, False),
+    (relabelings, False),
     (verify._swaps, True),
     (verify._pushes, True),
     (verify._unchosen_reorders, True),
@@ -69,12 +70,13 @@ MOVE_KINDS = [
 
 
 def ranked_moves(layout, kind, ballot, out=None):
-    """A ranked move table read back as (new_ballot, enc[new] - enc[ballot],
-    info) in table order."""
-    table = layout.ranked(kind, ballot, out)
-    base = layout.encs[layout.rank[ballot]]
+    """A ranked move table of the layout's ballot table read back as
+    (new_ballot, enc[new] - enc[ballot], info) in table order."""
+    ballots = layout.table
+    table = ballots.ranked(kind, ballot, out)
+    base = layout.encs[ballots.rank[ballot]]
     infos = table.infos or [None] * len(table)
-    return [(layout.ballots[r], layout.encs[r] - base, i) for r, i in zip(table, infos)]
+    return [(ballots.ballots[r], layout.encs[r] - base, i) for r, i in zip(table, infos)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,8 +92,8 @@ def test_one_ballot_change_is_one_add(case, data):
     assert [mis for mis, _, _ in table] == own_order_misreports(ballot)
     for kind, reads_out in MOVE_KINDS:
         given_out = out if reads_out else None
-        ranks = layout.ranked(kind, ballot, given_out)
-        assert layout.ranked(kind, ballot, given_out) is ranks
+        ranks = layout.table.ranked(kind, ballot, given_out)
+        assert layout.table.ranked(kind, ballot, given_out) is ranks
         table = ranked_moves(layout, kind, ballot, given_out)
         assert [(new, info) for new, _, info in table] == list(kind(ballot, given_out))
         for new, delta, _ in table:
@@ -102,18 +104,19 @@ def test_one_ballot_change_is_one_add(case, data):
 
 def test_a_move_table_past_its_bound_is_empty_when_next_used(monkeypatch):
     # each table here holds at most 7 one-byte ranks and 7 infos of 8
-    # bytes: at most 64 bytes, one unit
-    layout = _MarginCode(3, 2)
+    # bytes: at most 64 bytes, one unit; a fresh ballot table, since the
+    # one of each m is shared
+    table = _Ballots(3)
     first, second = (0, 1, 2), (2, 1, 0)
-    assert len(layout.ranked(_misreports, first)) == 5
-    assert layout._ranks.weight == 1
+    assert len(table.ranked(_misreports, first)) == 5
+    assert table._ranks.weight == 1
     monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 0)
     # the table already held is served as it is
-    assert layout.ranked(_misreports, first)
-    assert list(layout._ranks) == [(_misreports, first, None)]
-    layout.ranked(verify._block_reorders_anywhere, second)
-    assert list(layout._ranks) == [(verify._block_reorders_anywhere, second, None)]
-    assert layout._ranks.weight == 1
+    assert table.ranked(_misreports, first)
+    assert list(table._ranks) == [(_misreports, first, None)]
+    table.ranked(verify._block_reorders_anywhere, second)
+    assert list(table._ranks) == [(verify._block_reorders_anywhere, second, None)]
+    assert table._ranks.weight == 1
 
 
 def moved(engine, ballots, kind=_misreports):
@@ -123,7 +126,7 @@ def moved(engine, ballots, kind=_misreports):
 
 def filled(layout, row):
     """The ballots a row holds an output for, with that output."""
-    return {layout.ballots[rank]: out for rank, out in enumerate(row) if out}
+    return {layout.table.ballots[rank]: out for rank, out in enumerate(row) if out}
 
 
 def rows_of(engine):
@@ -443,27 +446,53 @@ def test_a_voter_cut_short_keeps_a_partial_row(profile, cut, tried):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_relabeling_tables_give_the_relabelings_in_order(m):
-    # the oracle is `_relabelings` itself: in order, the relabeled ballot,
-    # its delta from the ballot's own encoding, and the permutation
+    # the oracle is the literal relabeling generator: in order, the
+    # relabeled ballot, its delta from the ballot's own encoding, and the
+    # permutation, which is the ballot of the next rank
     layout = _MarginCode(m, 3)
+    ballots = layout.table
     for ballot in itertools.permutations(range(m)):
-        table = layout.relabelings(ballot)
+        table = ballots.relabelings(ballot)
         assert table.typecode == ("B" if m <= 5 else "H") and len(table) == factorial(m) - 1
         base = layout.enc(ballot)
-        expected = [
-            (new, layout.enc(new) - base, perm) for new, perm in verify._relabelings(ballot)
-        ]
+        expected = [(new, layout.enc(new) - base, perm) for new, perm in relabelings(ballot)]
         assert [
-            (layout.ballots[rank], layout.encs[rank] - base, layout.ballots[j + 1])
+            (ballots.ballots[rank], layout.encs[rank] - base, ballots.ballots[j + 1])
             for j, rank in enumerate(table)
-        ] == expected == ranked_moves(layout, verify._relabelings, ballot)
+        ] == expected == ranked_moves(layout, relabelings, ballot)
+
+
+def test_one_relabeling_table_per_m_serves_the_orbit_test_and_neutrality(monkeypatch):
+    # the least-of-class test behind the representatives of (4, <=3) builds
+    # each ballot's relabeling table once, in the ballot table every layout
+    # of m = 4 shares, so neutrality's orbit walk there builds none
+    _engine._shared_engine.cache_clear()
+    _engine._margin_code.cache_clear()
+    _engine._ballots.cache_clear()
+    ballots = set(itertools.permutations(range(4)))
+    built = []
+    store = _engine._Tables.store
+
+    def counted(table, key, value):
+        if key in ballots:
+            built.append(key)
+        return store(table, key, value)
+
+    monkeypatch.setattr(_engine._Tables, "store", counted)
+    universe = Universe(4, 3)
+    assert sum(1 for _ in universe._orbit_representatives()) == 129
+    assert sorted(built) == sorted(ballots)
+    built.clear()
+    verdict = verify.check_axiom(verify.Axiom.NEUTRALITY, parse_rule("tc"), universe)
+    assert verdict.outcome == Outcome.HOLDS and built == []
+    assert _engine._margin_code(4, 3).table is _engine._margin_code(4, 8).table
 
 
 def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch):
     # fab:ab is not neutral, so its Fishburn sweep on (5, <=3) walks every
     # electorate: 4,351 co-voters' codes get a row, each of 120 bytes.
-    # Neither the output memo, the rows nor the move tables (the layout's
-    # ranked moves) start afresh; the verdict memo does, since the walk
+    # Neither the output memo, the rows nor the move tables (those of the
+    # ballot table of m = 5) start afresh; the verdict memo does, since the walk
     # meets each of its 667,193 (ballot, margin code) keys once
     restarted = []
     store = _engine._Tables.store
@@ -475,15 +504,15 @@ def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch)
 
     _engine._shared_engine.cache_clear()
     _engine._margin_code.cache_clear()
+    _engine._ballots.cache_clear()
     monkeypatch.setattr(_engine._Tables, "store", counted)
     fab = parse_rule("fab:ab")
     assert verify.sweep_strategyproofness(fab, Universe(5, 3)).outcome == Outcome.HOLDS
     engine = _engine._engine(fab, 5, 6)
-    layout = engine.layout
     roles = {
         id(engine.cache): "outputs",
         id(engine.rows): "rows",
-        id(layout._ranks): "move tables",
+        id(_engine._ballots(5)._ranks): "move tables",
         id(engine.verdicts): "verdicts",
     }
     # every row the walk built is still held

@@ -270,7 +270,7 @@ class TestGroupManipulation:
         with pytest.raises(InstanceTooLargeError) as single:
             find_manipulation(TC, profile)
         tabled = []
-        monkeypatch.setattr(_engine._MarginCode, "ranked", lambda *args: tabled.append(args))
+        monkeypatch.setattr(_engine._Ballots, "ranked", lambda *args: tabled.append(args))
         with pytest.raises(InstanceTooLargeError) as group:
             find_group_manipulation(TC, profile, 1)
         assert str(group.value) == str(single.value) == (
@@ -356,6 +356,20 @@ class TestCheckAxiom:
             calls.clear()
             call()
             assert len(calls) == expected
+
+    @pytest.mark.parametrize("name", ["tc", "fab"])
+    def test_an_axiom_given_by_value_gives_the_same_verdict(self, name):
+        rule, universe = parse_rule(name), Universe(3, 2)
+        by_value = check_axiom("neutrality", rule, universe)
+        assert by_value == check_axiom(Axiom.NEUTRALITY, rule, universe)
+
+    @pytest.mark.parametrize("axiom", ["bogus", 3])
+    def test_an_unknown_axiom_is_refused_with_the_axioms_listed(self, axiom):
+        with pytest.raises(ValueError) as refused:
+            check_axiom(axiom, TC, Universe(3, 2))
+        message = str(refused.value)
+        assert message.startswith(f"unknown axiom {axiom!r}")
+        assert all(a.value in message for a in Axiom)
 
     def test_special_pair_rule_fails_neutrality(self):
         verdict = check_axiom(Axiom.NEUTRALITY, parse_rule("fab"), Universe(3, 3))
@@ -1093,15 +1107,16 @@ class TestVerdictMemo:
         # nothing on one relation that only voter 1's misreports reach
         profile = Profile(3, ((A, B, C), (B, C, A), (C, A, B)))
         layout = _engine._Engine(TC, 3, 3).layout
+        table = layout.table
         code = layout.of(profile.ballots)
 
         def reached(voter):
             # the relation key after each misreport, in table order
             ballot = profile.ballots[voter]
-            others = code - layout.encs[layout.rank[ballot]]
+            others = code - layout.encs[table.rank[ballot]]
             return [
                 layout.key(others + layout.encs[r])
-                for r in layout.ranked(_engine._misreports, ballot)
+                for r in table.ranked(_engine._misreports, ballot)
             ]
 
         empty_on = next(
@@ -1126,10 +1141,10 @@ class TestVerdictMemo:
         # ballot not evaluated in a row indexed by ballot rank
         assert engine.rows[code - layout.enc(bal[0])].complete()
         raised = reached(1).index(empty_on)
-        ranks = layout.ranked(_engine._misreports, bal[1])
+        ranks = table.ranked(_engine._misreports, bal[1])
         row = engine.rows[code - layout.enc(bal[1])]
-        assert {layout.ballots[rank] for rank, out in enumerate(row) if out} == {
-            bal[1], *(layout.ballots[rank] for rank in ranks[:raised])
+        assert {table.ballots[rank] for rank, out in enumerate(row) if out} == {
+            bal[1], *(table.ballots[rank] for rank in ranks[:raised])
         }
 
     def test_a_reordered_electorate_reaches_nothing_again(self, monkeypatch):
