@@ -30,9 +30,12 @@ and summed once per profile; the sum's fields are read back with `struct`
 as Python ints, or with numpy for the public `margins` array; numpy is
 bound by the first `margins` call, so it stays off the import path.
 
-The public constructors check their arguments. Values that are valid by
-construction (kernel outputs, enumerated relations, realized ballots) are
-built with the unchecked `_unchecked_*` builders instead.
+The public constructors check their arguments. A `Profile` checks each
+ballot tuple once: a bounded memo keeps, per ballot value, the first tuple
+that passed, and a ballot that is that very tuple is not checked again.
+Values that are valid by construction (kernel outputs, enumerated relations,
+realized ballots) are built with the unchecked `_unchecked_*` builders
+instead.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ def _bits(mask: int):
 _KERNEL_MEMO = 64
 # kernel answers kept as shared ChoiceSets: as many as 12 alternatives have subsets
 _CHOICE_MEMO = 1 << 12
+# checked ballot tuples kept by value: all 8! ballots of 8 alternatives fit
+_CHECKED_MEMO = 1 << 16
 
 _new = object.__new__
 _set = object.__setattr__
@@ -202,42 +207,66 @@ def _unchecked_choice(m: int, mask: int) -> ChoiceSet:
     return choice
 
 
+# per ballot value, the first tuple of that value that passed the full check;
+# past `_CHECKED_MEMO` entries they start afresh before the next is stored
+_checked: dict[Ballot, Ballot] = {}
+
+
+def _checked_ballot(ballot, m: int, i: int) -> Ballot:
+    """Ballot i as a tuple of Python ints, or a ValueError if it is not a
+    permutation of 0..m-1. A tuple whose sum is a Python int holds ints (a
+    float, a numpy integer or a string makes the sum something else, or
+    raises): it is kept as it is, so that profiles built from the same
+    ballots share them; anything else is read through operator.index."""
+    try:
+        if type(ballot) is not tuple or type(sum(ballot)) is not int:
+            ballot = tuple(map(operator.index, ballot))
+    except TypeError:
+        raise ValueError("ballots must be sequences of integers") from None
+    if set(ballot) != set(range(m)) or len(ballot) != m:
+        raise ValueError(f"ballot {i} is not a permutation of 0..{m - 1}: {ballot}")
+    if ballot not in _checked:
+        if len(_checked) >= _CHECKED_MEMO:
+            _checked.clear()
+        _checked[ballot] = ballot
+    return ballot
+
+
 @_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Profile:
     """A non-empty sequence of ballots over a common set of m alternatives."""
 
     m: int
     ballots: tuple[Ballot, ...]
 
-    def __post_init__(self):
-        m = _integer(self.m, "m")
-        _set(self, "m", m)
+    def __init__(self, m: int, ballots):
+        m = _integer(m, "m")
         if m < 1:
             raise ValueError("need at least one alternative")
-        expected = set(range(m))
-        ballots = []
-        for i, ballot in enumerate(self.ballots):
-            # a tuple whose sum is a Python int holds ints (a float, a numpy
-            # integer or a string makes the sum something else, or raises):
-            # it is kept as it is, so that profiles built from the same
-            # ballots share them; anything else is read through
-            # operator.index
+        # a ballot that is the very tuple an earlier check passed, of length
+        # m, is a permutation of 0..m-1 and is not checked again
+        known = _checked.get
+        kept = []
+        for ballot in ballots:
             try:
-                if type(ballot) is not tuple or type(sum(ballot)) is not int:
-                    ballot = tuple(map(operator.index, ballot))
-            except TypeError:
-                raise ValueError("ballots must be sequences of integers") from None
-            if set(ballot) != expected or len(ballot) != m:
-                raise ValueError(f"ballot {i} is not a permutation of 0..{m - 1}: {ballot}")
-            ballots.append(ballot)
-        if not ballots:
+                if type(ballot) is tuple and len(ballot) == m and known(ballot) is ballot:
+                    kept.append(ballot)
+                    continue
+            except TypeError:  # an element is not hashable
+                pass
+            kept.append(_checked_ballot(ballot, m, len(kept)))
+        if not kept:
             raise ValueError("profile needs at least one ballot")
-        _set(self, "ballots", tuple(ballots))
+        _set(self, "m", m)
+        _set(self, "ballots", tuple(kept))
 
     @classmethod
     def from_rankings(cls, rankings) -> "Profile":
-        rankings = tuple(tuple(r) for r in rankings)
+        try:
+            rankings = tuple(map(tuple, rankings))
+        except TypeError:
+            raise ValueError("ballots must be sequences of integers") from None
         if not rankings:
             raise ValueError("profile needs at least one ballot")
         return cls(len(rankings[0]), rankings)
@@ -247,8 +276,12 @@ class Profile:
         return len(self.ballots)
 
     def replace_ballot(self, voter: int, ballot: Ballot) -> "Profile":
+        """This profile with voter 0..n-1 casting `ballot` instead."""
+        voter = _integer(voter, "voter")
+        if not 0 <= voter < self.n:
+            raise ValueError(f"voter {voter} out of range for n={self.n}")
         new = list(self.ballots)
-        new[voter] = tuple(ballot)
+        new[voter] = ballot
         return Profile(self.m, tuple(new))
 
     def tiled(self, k: int) -> "Profile":

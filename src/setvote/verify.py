@@ -1203,11 +1203,16 @@ class CorroborationReport:
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.assertions)
 
-    def outcome(self, rule_name: str, axiom: str) -> Outcome | None:
+    @cached_property
+    def _outcomes(self) -> dict:
+        """The outcome of the first verdict per (rule name, axiom)."""
+        outcomes = {}
         for v in self.verdicts:
-            if v.rule.name == rule_name and v.axiom == axiom:
-                return v.outcome
-        return None
+            outcomes.setdefault((v.rule.name, v.axiom), v.outcome)
+        return outcomes
+
+    def outcome(self, rule_name: str, axiom: str) -> Outcome | None:
+        return self._outcomes.get((rule_name, axiom))
 
     def failures(self, rule_name: str, among: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(

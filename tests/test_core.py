@@ -5,6 +5,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -41,6 +42,7 @@ from setvote.core import (
     connected_set,
     covering_cycle,
     dominant_chain,
+    enumerate_ballots,
     enumerate_relations,
     is_dominant,
     margins,
@@ -130,6 +132,117 @@ class TestProfileValidation:
         assert type(profile.m) is int
         assert all(type(x) is int for ballot in profile.ballots for x in ballot)
         assert profile == Profile(3, ((0, 1, 2), (2, 0, 1)))
+
+
+class TestProfileEdits:
+    @pytest.mark.parametrize("voter,message", [
+        (-1, "^voter -1 out of range for n=3$"),
+        (3, "^voter 3 out of range for n=3$"),
+        (1.0, "^voter must be an integer, got 1.0$"),
+        ("0", "^voter must be an integer, got '0'$"),
+    ])
+    def test_replacing_a_voter_outside_0_to_n_minus_1_is_refused(self, voter, message):
+        # -1 used to replace the last voter, 3 raised a raw IndexError and
+        # 1.0 or "0" a raw TypeError
+        profile = Profile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        with pytest.raises(ValueError, match=message):
+            profile.replace_ballot(voter, (2, 1, 0))
+
+    def test_replacing_a_voter_keeps_the_others(self):
+        profile = Profile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        replaced = profile.replace_ballot(np.int64(2), [2, 1, 0])
+        assert replaced.ballots == ((0, 1, 2), (1, 2, 0), (2, 1, 0))
+        assert replaced.ballots[0] is profile.ballots[0]
+        with pytest.raises(ValueError, match="^ballots must be sequences of integers$"):
+            profile.replace_ballot(0, 5)
+
+    def test_a_ranking_that_is_not_a_sequence_is_refused(self):
+        # used to raise a raw TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match="^ballots must be sequences of integers$"):
+            Profile.from_rankings([5])
+        with pytest.raises(ValueError, match="^ballots must be sequences of integers$"):
+            Profile.from_rankings([(0, 1, 2), None])
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """A fresh, empty memo of checked ballot tuples."""
+    memo = {}
+    monkeypatch.setattr(core, "_checked", memo)
+    return memo
+
+
+class TestCheckedBallotMemo:
+    """A ballot tuple is checked once and then recognized by identity; no
+    other ballot passes on the strength of an earlier check."""
+
+    def test_an_equal_float_ballot_is_refused_after_its_int_twin(self, checked):
+        ballot = (0, 1, 2)
+        Profile(3, (ballot,))
+        assert checked[ballot] is ballot
+        with pytest.raises(ValueError, match="^ballots must be sequences of integers$"):
+            Profile(3, ((0.0, 1, 2),))
+
+    def test_numpy_entries_become_python_ints_after_their_ballots_are_checked(self, checked):
+        Profile(3, ((0, 1, 2), (2, 0, 1)))
+        rows = np.array([[0, 1, 2], [2, 0, 1]])
+        for ballots in (rows, tuple(map(tuple, rows))):
+            profile = Profile(3, ballots)
+            assert all(type(x) is int for ballot in profile.ballots for x in ballot)
+            assert profile.ballots == ((0, 1, 2), (2, 0, 1))
+
+    @pytest.mark.parametrize("m,ballot", [(4, (0, 1, 2)), (3, (0, 1, 2, 3)), (2, (0, 1, 2))])
+    def test_a_checked_ballot_is_refused_for_another_m(self, checked, ballot, m):
+        Profile(len(ballot), (ballot,))
+        with pytest.raises(
+            ValueError, match=rf"^ballot 0 is not a permutation of 0..{m - 1}: {re.escape(str(ballot))}$"
+        ):
+            Profile(m, (ballot,))
+
+    def test_a_refusal_names_the_ballot_after_checked_ones(self, checked):
+        known, short = (1, 0, 3, 2), (0, 1, 2)
+        Profile(4, (known,))
+        Profile(3, (short,))
+        with pytest.raises(
+            ValueError, match=r"^ballot 2 is not a permutation of 0..3: \(0, 1, 2\)$"
+        ):
+            Profile(4, (known, known, short))
+
+    def test_a_tuple_holding_an_unhashable_entry_is_read_as_before(self, checked):
+        Profile(3, ((0, 1, 2),))
+        profile = Profile(3, ((np.array(0), 1, 2),))
+        assert profile.ballots == ((0, 1, 2),) and type(profile.ballots[0][0]) is int
+
+    def test_a_checked_tuple_is_not_checked_again(self, checked, monkeypatch):
+        ballots = tuple(enumerate_ballots(3))
+        Profile(3, ballots)
+        calls = []
+        check = core._checked_ballot
+        monkeypatch.setattr(
+            core, "_checked_ballot", lambda *args: calls.append(args) or check(*args)
+        )
+        assert Profile(3, ballots[::-1]).ballots == ballots[::-1]
+        assert calls == []
+        # an equal but distinct tuple is checked, and kept as given
+        twin = tuple(list(ballots[0]))
+        assert Profile(3, (twin,)).ballots[0] is twin
+        assert len(calls) == 1
+
+    def test_one_entry_per_ballot_value_the_first_tuple_that_passed(self, checked):
+        first, twin = (0, 2, 1), tuple([0, 2, 1])
+        profile = Profile(3, (first, twin, [0, 2, 1], first))
+        assert profile.ballots[1] is twin
+        assert list(checked) == [first] and checked[first] is first
+
+    def test_the_memo_stays_within_its_bound(self, checked, monkeypatch):
+        monkeypatch.setattr(core, "_CHECKED_MEMO", 8)
+        ballots = enumerate_ballots(4)
+        for _ in range(2):
+            for i, ballot in enumerate(ballots):
+                profile = Profile(4, (ballot, ballots[-1 - i]))
+                assert profile.ballots == (ballot, ballots[-1 - i])
+                assert 0 < len(checked) <= 8
+                assert all(key is value for key, value in checked.items())
 
 
 class TestMargins:

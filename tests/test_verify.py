@@ -680,6 +680,24 @@ class TestCorroboration:
         ):
             corroborate_theorems(universe, budget=largest - 1)
 
+    def test_an_outcome_is_the_first_verdict_of_its_rule_and_axiom(self):
+        report = corroborate_theorems(
+            Universe(3, 2), rules=(parse_rule("tc"), parse_rule("borda"))
+        )
+        flipped = tuple(
+            dataclasses.replace(v, outcome=Outcome.NOT_WITNESSED) for v in report.verdicts
+        )
+        doubled = dataclasses.replace(report, verdicts=report.verdicts + flipped)
+        assert {v.outcome for v in report.verdicts} != {Outcome.NOT_WITNESSED}
+        for v in report.verdicts:
+            assert doubled.outcome(v.rule.name, v.axiom) == v.outcome
+        assert doubled.outcome("tc", Axiom.NEUTRALITY) == Outcome.HOLDS
+        assert doubled.outcome("tc", "no-such-axiom") is None
+        assert doubled.outcome("plurality", Axiom.NEUTRALITY.value) is None
+        assert doubled.failures("borda", ("pairwiseness", "no-such-axiom")) == (
+            ("no-such-axiom",)
+        )
+
     def test_all_violation_witnesses_replay(self):
         report = corroborate_theorems(Universe(3, 2))
         violated = [v for v in report.verdicts if v.outcome == Outcome.VIOLATED]
