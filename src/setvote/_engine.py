@@ -21,7 +21,8 @@ mirrored field, so:
 
 Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
-profiles k_hom times, `_Scan.tiled`), max(2, m*(m-1)) on the relation walk.
+profiles k_hom times, `_Scan.tiled`). The relation walk needs none: it
+evaluates each relation's strict masks directly (`verify._RelationEngine`).
 Strict masks and margin vectors are decoded only on a memo miss, or when a
 check reads them from the scan context.
 
@@ -63,31 +64,39 @@ per profile evaluates each relation once. Every single-voter search (both
 readings, in `find_manipulation`, `find_strong_manipulation`, every walk and
 `replay`) asks `_Engine.misreport` for the first voter, among those whose
 ballot no earlier voter has, with a misreport whose output is in the accept
-mask of the lifting and reading, and that misreport. A one-profile search
-asks it straight from the profile's code (`_MarginCode.of`) and honest
-output (`_Engine.output`), building no scan context; a walk passes the
-fields of its `_Scan`. On a code-keyed engine the honest output is fixed by
-the code, so each voter's answer depends on (lifting, reading, ballot, code)
-alone, and the verdict memo `verdicts` keeps it under that key: a hit as the
-one-move tuple ((new_ballot, info, output after),) at once, None as () only
-once every misreport has been evaluated, so an evaluation error is never
-stored; the accept mask is read only on a miss. On a miss a complete row
-answers None at once when the accept mask misses its union, and otherwise
-gives the first misreport in table order whose output in the row is
-accepted. A profile-based engine asks every time. `_engine` hands the
-engines out, keyed also on the evaluator the rule's basis table holds, so
-that a replaced evaluator never reads outputs of the old one; a repeated
+mask of the lifting and reading, and that misreport. A walk passes the
+fields of its `_Scan`. A one-profile search builds no scan context: it asks
+straight from the profile's code (`_MarginCode.of`) with honest=None, and
+reads the honest output (`_Engine.output`) back only to build a witness. On
+a code-keyed engine the honest output is fixed by the code, so each voter's
+answer depends on (lifting, reading, code) and its ballot alone, and the
+verdict memo `verdicts` keeps, per (lifting, reading, code), a dict from
+each voter's ballot to its answer: a hit as the one-move tuple
+((new_ballot, info, output after),) at once, None as () only once every
+misreport has been evaluated, so an evaluation error is never stored. So a
+search hashes its key once and then each distinct voter's ballot. The
+honest output is evaluated at the first voter the memo does not answer, as
+is the accept mask: a search answered in full evaluates nothing, and a code
+with a stored answer is one whose honest output was evaluated without an
+error, so every error still surfaces. On a miss a complete row answers None
+at once when the accept mask misses its union, and otherwise gives the
+first misreport in table order whose output in the row is accepted. A
+profile-based engine keeps no verdicts, so it evaluates the honest output at
+its first voter and asks every time. `_engine` hands the engines out, keyed
+also on the evaluator the rule's basis table holds, so that a replaced
+evaluator never reads outputs of the old one; a repeated
 call with the same rule object and evaluator is answered from the last
 call's engine without hashing the rule. A profile-based engine keys its
 outputs on the electorate, the sorted ballot tuple, since every evaluator
 reads a multiset, so every ordering of one electorate shares one output. The
 output memo, the move tables (ranked moves and relabelings alike), the rows
 and the verdict memo are each a `_Tables`, bounded when an entry is stored:
-past `_MEMO_ENTRIES` (an output or a verdict weighs one, a row or a `_Ranks`
-table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6)
-it starts afresh before the next is stored, even during a walk; only each
-m's ballots and ranks and each layout's encodings are kept unbounded.
-Errors (ties, empty choices, out-of-range parameters) are never memoized.
+past `_MEMO_ENTRIES` (an output or a voter's verdict weighs one, a row or a
+`_Ranks` table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12
+at m = 6) it starts afresh before the next is stored, even during a walk;
+only each m's ballots and ranks and each layout's encodings are kept
+unbounded. Errors (ties, empty choices, out-of-range parameters) are never
+memoized.
 """
 
 from __future__ import annotations
@@ -325,12 +334,16 @@ class _Engine:
         else:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
-        # on a code-keyed engine one `_Row` per co-voters' code and the
-        # voter's first accepted misreport, by (lifting, reading, ballot,
-        # code)
+        # on a code-keyed engine one `_Row` per co-voters' code and, per
+        # (lifting, reading, code), each voter's first accepted misreport by
+        # its ballot
         self.full = factorial(m)
         self.rows = _Tables()
         self.verdicts = _Tables()
+
+    def scan(self, ballots) -> "_Scan":
+        """The scan context of the profile of these ballots."""
+        return _Scan(self, ballots)
 
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
@@ -370,24 +383,28 @@ class _Engine:
             out = known(key)
             yield self.miss(key, code) if out is None else out
 
-    def misreport(self, ballots, code: int, honest: int, reading, lifting):
+    def misreport(self, ballots, code: int, honest: int | None, reading, lifting):
         """The first voter with a misreport (see `_misreports`) whose output
         after is in the accept mask reading(lifting, ballot, honest), and
         its first such misreport, as (voter, new_ballot, info, output
         after), or None. A voter whose ballot an earlier voter has reaches
-        the same outputs, so it is skipped. A code-keyed engine keeps each
-        voter's answer per (lifting, reading, ballot, code): a hit as a
-        one-move tuple at once, None as () only once every misreport has
-        been evaluated, so an evaluation error is never stored. On a miss, a
-        complete row whose outputs the accept mask misses answers None at
-        once."""
-        known, by_ballots = self.verdicts.get, self.by_ballots
+        the same outputs, so it is skipped. Given honest=None, the honest
+        output is evaluated at the first voter not answered from the memo.
+        A code-keyed engine keeps each voter's answer under (lifting,
+        reading, code), by ballot: a hit as a one-move tuple at once, None
+        as () only once every misreport has been evaluated, so an
+        evaluation error is never stored. On a miss, a complete row whose
+        outputs the accept mask misses answers None at once."""
+        by_ballots, verdicts = self.by_ballots, self.verdicts
+        key = None if by_ballots else (lifting, reading, code)
+        known = None if by_ballots else verdicts.get(key)
         for voter, ballot in enumerate(ballots):
             if ballots.index(ballot) != voter:
                 continue
-            key = None if by_ballots else (lifting, reading, ballot, code)
-            found = known(key)
+            found = None if known is None else known.get(ballot)
             if found is None:
+                if honest is None:
+                    honest = self.output(code, ballots)
                 accept, found = reading(lifting, ballot, honest), ()
                 if by_ballots:
                     union = 0
@@ -400,7 +417,13 @@ class _Engine:
                             found = (move,)
                             break
                 if key is not None:
-                    self.verdicts.store(key, found)
+                    # each answer is stored through `store`, so it weighs
+                    # one; a dict that `store` is about to drop is not stored
+                    # again, a fresh one is
+                    if known is None or verdicts.weight > _MEMO_ENTRIES:
+                        known = {}
+                    known[ballot] = found
+                    verdicts.store(key, known)
             if found:
                 return (voter, *found[0])
         return None

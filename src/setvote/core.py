@@ -248,14 +248,19 @@ class Profile:
         # m, is a permutation of 0..m-1 and is not checked again
         known = _checked.get
         kept = []
-        for ballot in ballots:
-            try:
-                if type(ballot) is tuple and len(ballot) == m and known(ballot) is ballot:
-                    kept.append(ballot)
-                    continue
-            except TypeError:  # an element is not hashable
-                pass
-            kept.append(_checked_ballot(ballot, m, len(kept)))
+        try:
+            for ballot in ballots:
+                try:
+                    if type(ballot) is tuple and len(ballot) == m and known(ballot) is ballot:
+                        kept.append(ballot)
+                        continue
+                except TypeError:  # an element is not hashable
+                    pass
+                kept.append(_checked_ballot(ballot, m, len(kept)))
+        except TypeError:  # `ballots` is not iterable: the loop body raises none
+            raise ValueError(
+                f"ballots must be a sequence of ballots, got {type(ballots).__name__}"
+            ) from None
         if not kept:
             raise ValueError("profile needs at least one ballot")
         _set(self, "m", m)
@@ -466,9 +471,15 @@ def enumerate_relations(m: int):
 
 
 def _relations(m: int):
-    for batch in _batches(tuple(itertools.combinations(range(m), 2)), (0,) * m):
-        for strict in batch:
-            yield _unchecked_relation(m, strict)
+    for strict in _relation_masks(m):
+        yield _unchecked_relation(m, strict)
+
+
+def _relation_masks(m: int):
+    """The strict masks of each relation `enumerate_relations(m)` yields, in
+    its order."""
+    pairs = tuple(itertools.combinations(range(m), 2))
+    return itertools.chain.from_iterable(_batches(pairs, (0,) * m))
 
 
 # the last pairs, whose choices are made a level at a time: 3**6 relations per batch

@@ -19,14 +19,15 @@ verdicts carry through one lookup, `_check`, which also keys its budget
 estimate, `_estimate`; `_run` runs one check by name. A check is a
 per-profile predicate: given the scan context of one profile (its ballots,
 margin code and memoized output) it returns None to go on, or its verdict as
-(outcome, witness). One walker, `_walk`, takes ballot tuples and an engine,
-feeds every open predicate and closes each at its first verdict. A predicate
-still open at walk end gives its `end()` verdict, or holds: the imposition
-checks report the sets never reached, and the pair checks judge the scans
-they kept, reporting the first violating pair (i, j) in scan order. A
-TiesUnsupportedError or InstanceTooLargeError from a profile's own output
-closes every open predicate; one raised inside a predicate closes that
-predicate only. Sweeps run in one process.
+(outcome, witness). One walker, `_walk`, takes the profiles and an engine,
+whose `scan` reads each into its scan context, feeds every open predicate
+and closes each at its first verdict. A predicate still open at walk end
+gives its `end()` verdict, or holds: the imposition checks report the sets
+never reached, and the pair checks judge the scans they kept, reporting the
+first violating pair (i, j) in scan order. A TiesUnsupportedError or
+InstanceTooLargeError from a profile's own output closes every open
+predicate; one raised inside a predicate closes that predicate only. Sweeps
+run in one process.
 
 One place, `_verdicts`, decides what each check walks and sizes the engine
 for it: the universe's profiles on the shared engine of (rule, universe), in
@@ -97,8 +98,14 @@ the electorate walk, and why:
 
 Relation walk. A majoritarian rule's robust-dominant check
 (`_over_relations`) walks every majority relation in `enumerate_relations`
-order instead, realized as `realize_relation(rel, 2)`, two voters per pair
-of alternatives, on an engine sized max(2, m*(m-1)).
+order instead, as its strict masks (`core._relation_masks`). Its engine, a
+`_RelationEngine`, reads each into a `_RelationScan`, which evaluates the
+rule on the masks directly; no margin code is built or decoded, and nothing
+is memoized, since the walk meets each relation once. A scan's profile is
+the relation realized as `realize_relation(rel, 2)`, two voters per pair of
+alternatives, built only for a witness. `replay` reads the relation of each
+stored profile (`MajorityRelation.from_profile`), so a witness replays
+exactly when it is that relation's realization.
 
 One-ballot-move axioms. Weak monotonicity, weak set monotonicity, IUA and
 weak localizedness are each one `_perturbation`: a move kind, what makes a
@@ -107,11 +114,14 @@ codes, move tables, the shared engines and their memos) is `_engine`; a
 check reads a profile through its scan context, `_Scan`, and moves through
 the engine (`_moved`, `_Engine.relabeled`); only the group search reads
 each member's misreports off the ballot table itself.
-The one-profile searches build no scan context: `_honest` reads the
-profile's margin code and honest output off the shared engine, and the
-single-voter ones ask `_Engine.misreport` directly, as the strategyproofness
-predicates do with their `_Scan`'s fields; both build their witness in
-`_manipulation`.
+The one-profile searches build no scan context: `_searched` refuses m > 8
+first and reads the profile's margin code off the shared engine. The
+single-voter ones then ask `_Engine.misreport` with no honest output, which
+the engine evaluates only at the first voter its verdict memo does not
+answer, and read the honest output back (a memo hit by then) only to build
+a found witness; the strategyproofness predicates ask with their `_Scan`'s
+fields. Both build their witness in `_manipulation`. The group search
+evaluates the honest output at once, as its first test reads it.
 """
 
 from __future__ import annotations
@@ -131,7 +141,6 @@ from ._engine import (
     _engine,
     _misreports,
     _moved,
-    _Scan,
     _typecode,
 )
 from .core import (
@@ -140,12 +149,12 @@ from .core import (
     MajorityRelation,
     Profile,
     _bits as _mask_bits,
-    _chain,
     _condorcet_winner,
     _integer,
     _margins_flat,
+    _relation_masks,
+    _tc_mask,
     enumerate_ballots,
-    enumerate_relations,
 )
 from .extensions import ExtensionKind, _better, _gains, _lifting
 from .mcgarvey import realize_relation
@@ -154,9 +163,11 @@ from .rules import (
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
+    _nonempty,
+    _relation_evaluator,
     basis,
-    # unused here: the engine calls its own imports, so these names stay only
-    # because perfbench/layers.py wraps them here by name
+    # unused here: the engines call the evaluators themselves, so these names
+    # stay only because perfbench/layers.py wraps them here by name
     evaluate_mask,
     evaluate_mask_from_margins,
     evaluate_mask_from_relation,
@@ -416,15 +427,18 @@ def _walk(
     rule: RuleSpec, universe: Universe, checks: dict, profiles, engine, until=None
 ) -> dict:
     """Run the predicates `checks` (name -> predicate) on one walk of
-    `profiles` (ballot tuples) through `engine`; see the walk contract in the
-    module docstring. Given `until`, the walk also ends after a profile once
+    `profiles` through `engine`, whose `scan` reads each into its scan
+    context: an `_Engine` reads ballot tuples, a `_RelationEngine` the strict
+    masks of majority relations; see the walk contract in the module
+    docstring. Given `until`, the walk also ends after a profile once
     `until(open checks)` is true. Returns name -> AxiomVerdict on the
     universe, or the not-evaluable error that closed the check."""
     found: dict = {}
     active = dict(checks)
-    for ballots in profiles:
+    scan = engine.scan
+    for item in profiles:
         try:
-            ctx = _Scan(engine, ballots)
+            ctx = scan(item)
         except _NOT_EVALUABLE as exc:
             found.update(dict.fromkeys(active, exc))
             active = {}
@@ -447,16 +461,45 @@ def _walk(
     }
 
 
+class _RelationEngine:
+    """The relation walk's engine: it reads the strict masks of each majority
+    relation into a `_RelationScan`, evaluating the rule on them directly."""
+
+    def __init__(self, rule: RuleSpec):
+        self.scan = partial(_RelationScan, rule, _relation_evaluator(rule))
+
+
+class _RelationScan:
+    """The scan context of one majority relation: its strict masks and the
+    rule's output on them. Its profile, the McGarvey realization
+    `realize_relation(rel, 2)`, is built only when a witness asks for it."""
+
+    __slots__ = ("m", "strict", "out")
+
+    def __init__(self, rule: RuleSpec, evaluator, strict: tuple[int, ...]):
+        self.m = m = len(strict)
+        self.strict = strict
+        self.out = evaluator(rule, m, strict) or _nonempty(rule, 0)
+
+    @property
+    def profile(self) -> Profile:
+        return realize_relation(MajorityRelation(self.m, self.strict), 2)
+
+
 def _manipulation(
-    engine: _Engine, ballots, code: int, honest: int, extension, strong: bool, profile=None
+    engine: _Engine, ballots, code: int, honest, extension, strong: bool, profile=None
 ) -> Manipulation | None:
     """The first deviation from the profile of these ballots, margin code and
     honest output that the voter strictly prefers or, under the strong
     reading, the first whose outcome the honest one is not at least as good
-    as. The witness carries `profile`, or one built from the ballots."""
+    as. Given honest=None, the engine evaluates the honest output only when
+    its verdict memo does not answer, and a witness reads it back. The
+    witness carries `profile`, or one built from the ballots."""
     found = engine.misreport(ballots, code, honest, _gains if strong else _better, extension)
     if found is None:
         return None
+    if honest is None:
+        honest = engine.output(code, ballots)
     m, (voter, mis, _, out) = engine.m, found
     return Manipulation(
         Profile(m, ballots) if profile is None else profile,
@@ -475,25 +518,25 @@ def _manipulability(extension: ExtensionKind, strong: bool):
     return violation
 
 
-def _honest(rule: RuleSpec, profile: Profile) -> tuple[_Engine, int, int]:
+def _searched(rule: RuleSpec, profile: Profile) -> tuple[_Engine, int]:
     """The shared engine a one-profile search asks, with the profile's margin
-    code and honest output; refuses a profile whose m! misreports per voter
-    no search should enumerate."""
+    code; refuses a profile whose m! misreports per voter no search should
+    enumerate."""
     m, ballots = profile.m, profile.ballots
     if m > 8:
         raise InstanceTooLargeError(f"deviation scan enumerates m! ballots; refusing m={m} > 8")
     engine = _engine(rule, m, len(ballots))
-    code = engine.layout.of(ballots)
-    return engine, code, engine.output(code, ballots)
+    return engine, engine.layout.of(ballots)
 
 
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
     """The first manipulation of one profile, in the scan order of the
     sweeps."""
-    if extension is not ExtensionKind.FISHBURN and extension is not ExtensionKind.FPLUS:
+    # a member is kept as it is, read without an Enum attribute lookup
+    if type(extension) is not ExtensionKind:
         extension = _lifting(extension)
-    engine, code, honest = _honest(rule, profile)
-    return _manipulation(engine, profile.ballots, code, honest, extension, strong, profile)
+    engine, code = _searched(rule, profile)
+    return _manipulation(engine, profile.ballots, code, None, extension, strong, profile)
 
 
 def find_manipulation(
@@ -558,8 +601,9 @@ def find_group_manipulation(
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
     _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
-    engine, code, honest = _honest(rule, profile)
+    engine, code = _searched(rule, profile)
     ballots, table, encs = profile.ballots, engine.table, engine.layout.encs
+    honest = engine.output(code, ballots)
     at = table.ballots
 
     def options(ballot):
@@ -932,12 +976,20 @@ class _RobustDominant:
         self.clash: dict = {}
 
     def __call__(self, ctx):
-        out = ctx.out
-        chain = _chain(ctx.strict)
-        if out not in chain:
-            return Outcome.VIOLATED, {"profile": ctx.profile, "output": ChoiceSet(ctx.m, out)}
+        out, strict, full = ctx.out, ctx.strict, (1 << ctx.m) - 1
+        # the links of the dominant chain (as `core._chain` builds it), in
+        # increasing order, as far as the output: each link strictly inside
+        # it is kept, and a link that leaves it shows it is not in the chain
+        inside, link = [], 0
+        while True:
+            link |= _tc_mask(strict, full & ~link)
+            if link == out:
+                break
+            if link & ~out:
+                return Outcome.VIOLATED, {"profile": ctx.profile, "output": ChoiceSet(ctx.m, out)}
+            inside.append(link)
         self.firsts.setdefault(out, ctx)
-        for link in chain[: chain.index(out)]:
+        for link in inside:
             self.clash.setdefault(link, ctx)
         return None
 
@@ -996,8 +1048,9 @@ def check_robust_dominant(
     """Outputs must be dominant sets, and whenever the set chosen somewhere is
     dominant elsewhere, the choice there can only shrink inside it.
 
-    For majoritarian rules the scan runs over all majority relations, each
-    realized as a two-voter-per-pair profile; otherwise over the universe's
+    For majoritarian rules the scan runs over all majority relations, the
+    rule evaluated on each directly, and a witness profile is a relation
+    realized with two voters per pair; otherwise over the universe's
     profiles, judging every ordered pair of them in that one pass.
     """
     return _run(_ROBUST_DOMINANT, rule, universe, budget)
@@ -1103,13 +1156,13 @@ def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
 def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -> dict:
     """Run the predicates `checks` (name -> predicate) on the rule, all on one
     walk of the universe but a check `_over_relations` selects, which walks
-    the majority relations, each realized with two voters per pair. On an
-    uncapped universe the checks of `_ORBIT_CHECKS` take the orbit walk
-    first, and only those it does not settle join the universe walk. Given
-    `profiles`, walk those the universe holds alone, or the relations of
-    those with its m, through a private engine, so that every output is
-    re-derived from the rule and not read back from a memo a sweep filled.
-    Returns what `_walk` returns."""
+    the majority relations (Relation walk). On an uncapped universe the
+    checks of `_ORBIT_CHECKS` take the orbit walk first, and only those it
+    does not settle join the universe walk. Given `profiles`, walk those the
+    universe holds alone, through a private engine, or the relations of
+    those with its m, so that every output is re-derived from the rule and
+    not read back from a memo a sweep filled. Returns what `_walk`
+    returns."""
     m, replaying = universe.m, profiles is not None
     size = universe.n_max * universe.k_hom
     on_relations = {n: c for n, c in checks.items() if _over_relations(n, rule)}
@@ -1119,23 +1172,19 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
     if orbit and not replaying and universe.margin_cap is None:
         results = _orbit_walk(rule, universe, orbit, _engine(rule, m, size))
         rest = {n: c for n, c in rest.items() if n not in results}
-    walks = []
     if rest:
         if replaying:
             ballots = (p.ballots for p in profiles if universe._contains(p))
         else:
             ballots = universe._electorates()
-        walks.append((rest, ballots, size))
+        engine = _Engine(rule, m, size) if replaying else _engine(rule, m, size)
+        results.update(_walk(rule, universe, rest, ballots, engine))
     if on_relations:
         if replaying:
-            rels = (MajorityRelation.from_profile(p) for p in profiles if p.m == m)
+            rels = (MajorityRelation.from_profile(p).strict for p in profiles if p.m == m)
         else:
-            rels = enumerate_relations(m)
-        ballots = (realize_relation(rel, 2).ballots for rel in rels)
-        walks.append((on_relations, ballots, max(2, m * (m - 1))))
-    for group, ballots, size in walks:
-        engine = _Engine(rule, m, size) if replaying else _engine(rule, m, size)
-        results.update(_walk(rule, universe, group, ballots, engine))
+            rels = _relation_masks(m)
+        results.update(_walk(rule, universe, on_relations, rels, _RelationEngine(rule)))
     return results
 
 

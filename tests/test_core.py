@@ -109,6 +109,14 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="^ballots must be sequences of integers$"):
             Profile(3, ballots)
 
+    # a ballots argument that is not iterable used to raise a raw TypeError
+    @pytest.mark.parametrize("ballots,kind", [(5, "int"), (None, "NoneType"), (1.5, "float")])
+    def test_ballots_that_are_not_a_sequence_are_refused(self, ballots, kind):
+        with pytest.raises(
+            ValueError, match=f"^ballots must be a sequence of ballots, got {kind}$"
+        ):
+            Profile(3, ballots)
+
     @pytest.mark.parametrize("m", [3.0, "3", None])
     def test_a_non_integer_m_is_refused(self, m):
         with pytest.raises(ValueError, match="^m must be an integer"):

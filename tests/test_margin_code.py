@@ -493,7 +493,7 @@ def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch)
     # electorate: 4,351 co-voters' codes get a row, each of 120 bytes.
     # Neither the output memo, the rows nor the move tables (those of the
     # ballot table of m = 5) start afresh; the verdict memo does, since the walk
-    # meets each of its 667,193 (ballot, margin code) keys once
+    # stores 667,193 voter verdicts, nearly each met once
     restarted = []
     store = _engine._Tables.store
 

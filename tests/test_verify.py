@@ -12,6 +12,7 @@ from oracles import naive_manipulation, own_order_misreports, witness_holds
 from setvote import _engine, extensions, rules, verify
 from setvote.core import (
     ChoiceSet,
+    _chain,
     MajorityRelation,
     Profile,
     enumerate_ballots,
@@ -997,16 +998,20 @@ class TestSharedMemo:
 
         def recorded(table, key, value):
             stored = store(table, key, value)
-            weights.append((table, table.weight))
+            # the verdict memo keeps a dict of answers per code: what it
+            # holds is the answers in all of them
+            held = sum(map(len, table.values())) if isinstance(value, dict) else table.weight
+            weights.append((table, table.weight, held))
             return stored
 
         monkeypatch.setattr(_engine._Tables, "store", recorded)
         monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 8)
         assert verdicts() == default
         engine = _engine._engine(rule, universe.m, universe.n_max * universe.k_hom)
-        seen = [weight for table, weight in weights if table is getattr(engine, memo)]
+        seen = [(w, held) for table, w, held in weights if table is getattr(engine, memo)]
         # the walk stored far more entries than the bound, each weighing one
-        assert len(seen) > 8 * 9 and max(seen) == 9
+        assert len(seen) > 8 * 9 and max(w for w, _ in seen) == 9
+        assert all(held == w for w, held in seen)
 
     def test_a_profile_based_search_tries_each_distinct_ballot_once(self, monkeypatch):
         # on (abc, bca, abc) pareto chooses {a, b}, and no voter gains by a
@@ -1152,8 +1157,7 @@ class TestVerdictMemo:
                 find_manipulation(TC, profile)
         engine = _engine._engine(TC, 3, 3)
         fishburn, bal = ExtensionKind.FISHBURN, profile.ballots
-        assert list(engine.verdicts) == [(fishburn, extensions._better, bal[0], code)]
-        assert engine.verdicts[(fishburn, extensions._better, bal[0], code)] == ()
+        assert engine.verdicts == {(fishburn, extensions._better, code): {bal[0]: ()}}
         # voter 0's row is complete; voter 1's holds the outputs up to the
         # misreport whose evaluation raised, and not that one: 0 marks a
         # ballot not evaluated in a row indexed by ballot rank
@@ -1214,7 +1218,8 @@ class TestVerdictMemo:
         # no voter of (adcb, abcd, bcad) gains under borda, so each voter's
         # row is complete; in (abcd, abcd, bcad) voter 0's co-voters cast the
         # same ballots as in the first profile, so its search reads its
-        # honest output from the output memo and every misreport from the row
+        # honest output from the output memo, once at its verdict miss and
+        # once for the witness, and every misreport from the row
         borda, abcd, bcad = parse_rule("borda"), (A, B, C, 3), (B, C, A, 3)
         _engine._shared_engine.cache_clear()
         assert find_manipulation(borda, Profile(4, ((A, 3, C, B), abcd, bcad))) is None
@@ -1231,13 +1236,71 @@ class TestVerdictMemo:
         calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
         profile = Profile(4, (abcd, abcd, bcad))
         found = find_manipulation(borda, profile)
-        assert calls == [] and looked == [engine.layout.of(profile.ballots)]
+        assert calls == [] and looked == [engine.layout.of(profile.ballots)] * 2
         assert (
             found.voter,
             found.misreport,
             frozenset(found.honest_set.members),
             frozenset(found.manipulated_set.members),
         ) == naive_manipulation(borda, profile.ballots, 4)
+
+    def test_a_tie_is_refused_by_a_warm_memo_and_stores_no_verdict(self):
+        # the six one-voter profiles on the two-voter layout of three
+        # alternatives are tie-free, and each search of them stores its
+        # voter's verdict; (abc, cba) ties every pair, so a search of it
+        # evaluates its honest output at the first verdict miss, which
+        # raises before any verdict is stored under its code
+        uncovered = parse_rule("uncovered-set")
+        _engine._shared_engine.cache_clear()
+        engine = _engine._engine(uncovered, 3, 2)
+        fishburn = ExtensionKind.FISHBURN
+        for ballot in enumerate_ballots(3):
+            code = engine.layout.of((ballot,))
+            for reading in (extensions._better, extensions._gains):
+                assert engine.misreport((ballot,), code, None, reading, fishburn) is None
+        assert sum(map(len, engine.verdicts.values())) == 12
+        tied = Profile(3, ((A, B, C), (C, B, A)))
+        code = engine.layout.of(tied.ballots)
+        for search in SEARCHES.values():
+            for _ in range(2):
+                with pytest.raises(rules.TiesUnsupportedError):
+                    search(uncovered, tied)
+        assert _engine._engine(uncovered, 3, 2) is engine
+        assert all(key[2] != code for key in engine.verdicts)
+
+    @pytest.mark.parametrize("name", ["uncovered-set", "tc", "borda"])
+    def test_a_search_answered_from_the_memo_evaluates_no_output(self, monkeypatch, name):
+        # a second search of a profile finds every voter it reaches in the
+        # verdict memo: it evaluates nothing, and reads the honest output
+        # (a memo hit) only to build a witness; its answer is the cold one
+        rule = parse_rule(name)
+        profiles = ordered_profiles(4, (3,))[::97]
+        _engine._shared_engine.cache_clear()
+        cold = {
+            (kind, strong): [SEARCHES[strong](rule, p, kind) for p in profiles]
+            for kind, strong in READINGS
+        }
+        outputs, misses = [], []
+        output, miss = _engine._Engine.output, _engine._Engine.miss
+
+        def counted_output(engine, *args):
+            outputs.append(args)
+            return output(engine, *args)
+
+        def counted_miss(engine, *args):
+            misses.append(args)
+            return miss(engine, *args)
+
+        monkeypatch.setattr(_engine._Engine, "output", counted_output)
+        monkeypatch.setattr(_engine._Engine, "miss", counted_miss)
+        for (kind, strong), expected in cold.items():
+            before = len(outputs)
+            assert [SEARCHES[strong](rule, p, kind) for p in profiles] == expected
+            assert len(outputs) - before == sum(found is not None for found in expected)
+        assert misses == []
+        # the sample holds searches that build a witness and searches that
+        # find none
+        assert any(map(any, cold.values())) and any(None in found for found in cold.values())
 
 
 def ordered_walk(rule, universe):
@@ -1448,3 +1511,66 @@ class TestOrbitWalk:
         met = counted_representatives(monkeypatch)
         assert replay(verdict)
         assert met == []
+
+
+
+MAJORITARIAN_RULES = [r for r in catalog() if basis(r) == BasisTag.MAJORITARIAN]
+
+
+def realized_walk(rule, m):
+    """The oracle of the relation walk: robust dominance on one walk of each
+    relation's realization with two voters per pair, through an engine sized
+    for it, as `as_results` gives it."""
+    universe, name = Universe(m, 1), verify._ROBUST_DOMINANT
+    engine = _engine._Engine(rule, m, max(2, m * (m - 1)))
+    realized = (realize_relation(rel, 2).ballots for rel in enumerate_relations(m))
+    checks = {name: verify._check(name, universe)}
+    return as_results(verify._walk(rule, universe, checks, realized, engine))
+
+
+def counted_realizations(monkeypatch):
+    """The relations `verify` realizes from here on."""
+    calls = []
+
+    def counted(rel, weight):
+        calls.append(rel)
+        return realize_relation(rel, weight)
+
+    monkeypatch.setattr(verify, "realize_relation", counted)
+    return calls
+
+
+class TestRelationWalk:
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("rule", MAJORITARIAN_RULES, ids=lambda r: r.name)
+    def test_the_relation_walk_matches_a_walk_of_the_realized_profiles(
+        self, monkeypatch, rule, m
+    ):
+        # the relation walk evaluates the strict masks directly and realizes
+        # a relation only for its witness
+        expected = realized_walk(rule, m)
+        calls = counted_realizations(monkeypatch)
+        universe, name = Universe(m, 1), verify._ROBUST_DOMINANT
+        found = as_results(verify._verdicts(rule, universe, {name: verify._check(name, universe)}))
+        assert found == expected
+        witness = getattr(found[name], "witness", None) or {}
+        assert len(calls) == len(witness.get("profiles", ())) + ("profile" in witness)
+
+    def test_a_pair_witness_realizes_both_relations_and_replays(self, monkeypatch):
+        # tc replaced by the second link of the dominant chain (the whole set
+        # where it is the only link): every output is dominant, so the first
+        # violation is a pair, the catalog's majoritarian rules have none
+        def second_link(rule, m, strict):
+            chain = _chain(strict)
+            return chain[min(1, len(chain) - 1)]
+
+        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, second_link)
+        expected = realized_walk(TC, 4)
+        calls = counted_realizations(monkeypatch)
+        verdict = check_robust_dominant(TC, Universe(4, 1))
+        assert as_results({verdict.axiom: verdict}) == expected
+        p, q = verdict.witness["profiles"]
+        assert len(calls) == 2
+        assert replay(verdict)
+        swapped = dataclasses.replace(verdict, witness={**verdict.witness, "profiles": (q, p)})
+        assert not replay(swapped)
