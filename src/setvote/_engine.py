@@ -49,11 +49,12 @@ pairwise) engine the output after any move of a voter is a function of two
 things, the margin code its co-voters cast (code - enc[ballot]) and the new
 ballot; so the engine keeps one row per co-voters' code, a `_Row` of m!
 output masks indexed by the rank of the ballot in the voter's place, 0 where
-not yet evaluated (no output is empty); a byte holds every mask up to m = 8,
-and a wider array type serves past that. Every move kind reads the row and
-fills it with each output it looks up, in the order its moves are tried,
-starting from the honest output: no search evaluates an output it did not
-evaluate before, and an evaluation that raises stores nothing, so every
+not yet evaluated (no output is empty); a byte holds every mask, since the
+engine serves m <= 8 alternatives: `_Ballots`, where every m!-sized table
+starts, refuses a larger m before building any. Every move kind reads the
+row and fills it with each output it looks up, in the order its moves are
+tried, starting from the honest output: no search evaluates an output it did
+not evaluate before, and an evaluation that raises stores nothing, so every
 error still surfaces at the first move that raises it. A row that holds all
 m! ballots keeps the union of its outputs as a bit set over output masks. A
 profile-based engine looks up the electorate after each move instead.
@@ -110,6 +111,7 @@ from operator import itemgetter
 from .core import Ballot, Profile, enumerate_ballots
 from .rules import (
     _MAJORITARIAN,
+    _MAX_ENUMERATED_M,
     _PAIRWISE,
     _PROFILE_BASED,
     BasisTag,
@@ -129,8 +131,8 @@ _MEMO_ENTRIES = 1 << 16
 
 
 class _Tables(dict):
-    """Memo entries weighted by their size: an array (a `_Row`, a `_Ranks`
-    table) by its bytes, one unit per 64 rounded up, any other value one;
+    """Memo entries weighted by their size: a `_Row` or a `_Ranks` table
+    by its bytes, one unit per 64 rounded up, any other value one;
     once the weight passes `_MEMO_ENTRIES` they start afresh when the next
     is stored."""
 
@@ -145,24 +147,14 @@ class _Tables(dict):
         return value
 
 
-@lru_cache(maxsize=None)
-def _typecode(bits: int) -> str:
-    """The narrowest array type whose items hold `bits` bits."""
-    for code in "BHIQ":
-        if array(code).itemsize * 8 >= bits:
-            return code
-    raise InstanceTooLargeError(f"no array type holds {bits}-bit items")
-
-
-class _Row:
+class _Row(bytearray):
     """The outputs of the profiles that one voter's co-voters make with each
     of the m! ballots in the voter's place, by the ballot's rank in
     lexicographic order, as far as they have been evaluated: 0 where not yet,
-    since no output is empty. A byte holds every output mask up to m = 8
-    (`_ByteRow`); past that the row is an array of the narrowest type that
-    holds m bits (`_WideRow`)."""
+    since no output is empty. A byte holds every output mask of the engine's
+    m <= 8 alternatives."""
 
-    __slots__ = ()
+    __slots__ = ("union",)
 
     def complete(self) -> int:
         """Once the row holds every ballot, the union of its outputs (bit X
@@ -175,26 +167,7 @@ class _Row:
         return self.union
 
     def units(self) -> int:
-        return -(-memoryview(self).nbytes // 64)
-
-
-class _ByteRow(_Row, bytearray):
-    __slots__ = ("union",)
-
-
-class _WideRow(_Row, array):
-    __slots__ = ("union",)
-
-
-def _empty_row(m: int, full: int) -> _Row:
-    """A row of `full` ballots on m alternatives, none evaluated yet."""
-    code = _typecode(m)
-    if code == "B":
-        row = _ByteRow(full)
-    else:
-        row = _WideRow(code, bytes(full * array(code).itemsize))
-    row.union = 0
-    return row
+        return -(-len(self) // 64)
 
 
 # the infos of a table whose infos are all None
@@ -216,12 +189,18 @@ class _Ballots:
     """The m! ballots on m alternatives, shared by every layout of that m:
     the ballots by rank in lexicographic order, each one's rank, and one
     bounded store of the tables read off them, the one-ballot move tables
-    and the relabeling tables."""
+    and the relabeling tables. Every m!-sized table of the engine starts
+    here, so m > 8 is refused here before any is built."""
 
     def __init__(self, m: int):
+        if m > _MAX_ENUMERATED_M:
+            raise InstanceTooLargeError(
+                f"the sweep engine tables all m! ballots; refusing m={m} > {_MAX_ENUMERATED_M}"
+            )
         self.ballots = tuple(enumerate_ballots(m))
         self.rank = {b: rank for rank, b in enumerate(self.ballots)}
-        self.rank_code = _typecode((len(self.ballots) - 1).bit_length())
+        # every rank, below m!, fits a byte up to m = 5 and two up to m = 8
+        self.rank_code = "B" if m <= 5 else "H"
         self._ranks = _Tables()
 
     def ranked(self, kind, ballot: Ballot, out: int | None = None) -> _Ranks:
@@ -436,7 +415,8 @@ class _Engine:
         others = code - self.layout.encs[rank]
         row = self.rows.get(others)
         if row is None:
-            row = _empty_row(self.m, self.full)
+            row = _Row(self.full)
+            row.union = 0
             row[rank] = honest
             self.rows.store(others, row)
         return row

@@ -49,6 +49,11 @@ class ExtensionKind(str, Enum):
     FPLUS = "fplus"
 
 
+# the members, bound once: a hot path tests a member by identity instead of
+# reading it off the Enum class on every call
+_FISHBURN, _FPLUS = ExtensionKind.FISHBURN, ExtensionKind.FPLUS
+
+
 class SetComparison(str, Enum):
     LEFT_PREFERRED = "left-preferred"
     RIGHT_PREFERRED = "right-preferred"
@@ -165,14 +170,14 @@ def _fplus_weak(rank, xmask, ymask) -> bool:
 
 def _prefers(kind: ExtensionKind, rank, xmask, ymask) -> bool:
     """Does the voter strictly prefer X to Y (X != Y) under the lifting?"""
-    if kind == ExtensionKind.FISHBURN:
+    if kind is _FISHBURN:
         return _fish(rank, xmask, ymask)
     return _fplus_weak(rank, xmask, ymask) and not _fplus_weak(rank, ymask, xmask)
 
 
 def _at_least(kind: ExtensionKind, rank, xmask, ymask) -> bool:
     """Is X at least as good as Y for the voter under the lifting?"""
-    return (_fish if kind == ExtensionKind.FISHBURN else _fplus_weak)(rank, xmask, ymask)
+    return (_fish if kind is _FISHBURN else _fplus_weak)(rank, xmask, ymask)
 
 
 def _better_than(kind: ExtensionKind, rank, xmask, ymask) -> bool:
@@ -240,7 +245,7 @@ def compare(kind: ExtensionKind, ballot: Ballot, xs, ys) -> SetComparison:
     Equal sets compare as EQUAL. Under the weak lifting, the strict part is
     used, so mutually weakly-preferred distinct sets come out INCOMPARABLE.
     """
-    if kind is not ExtensionKind.FISHBURN and kind is not ExtensionKind.FPLUS:
+    if kind is not _FISHBURN and kind is not _FPLUS:
         kind = _lifting(kind)
     rank, xmask, ymask = _operands(ballot, xs, ys)
     if xmask == ymask:

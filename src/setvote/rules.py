@@ -44,7 +44,9 @@ __all__ = [
     "parse_rule",
 ]
 
-KEMENY_MAX_ALTERNATIVES = 8
+# the most alternatives whose m! orderings are enumerated: Kemeny's rankings
+# and the sweep engine's ballot table (`_engine._Ballots`)
+_MAX_ENUMERATED_M = 8
 
 
 class TiesUnsupportedError(ValueError):
@@ -298,9 +300,9 @@ def _pw_maximin(rule, m, flat):
 
 
 def _pw_kemeny(rule, m, flat):
-    if m > KEMENY_MAX_ALTERNATIVES:
+    if m > _MAX_ENUMERATED_M:
         raise InstanceTooLargeError(
-            f"kemeny enumerates m! rankings; refusing m={m} > {KEMENY_MAX_ALTERNATIVES}"
+            f"kemeny enumerates m! rankings; refusing m={m} > {_MAX_ENUMERATED_M}"
         )
     best_score = None
     mask = 0

@@ -114,8 +114,9 @@ codes, move tables, the shared engines and their memos) is `_engine`; a
 check reads a profile through its scan context, `_Scan`, and moves through
 the engine (`_moved`, `_Engine.relabeled`); only the group search reads
 each member's misreports off the ballot table itself.
-The one-profile searches build no scan context: `_searched` refuses m > 8
-first and reads the profile's margin code off the shared engine. The
+The one-profile searches build no scan context: `_searched` reads the
+profile's margin code off the shared engine, whose ballot table refuses
+m > 8 before any table is built, as it does for every walk. The
 single-voter ones then ask `_Engine.misreport` with no honest output, which
 the engine evaluates only at the first voter its verdict memo does not
 answer, and read the honest output back (a memo hit by then) only to build
@@ -128,7 +129,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -141,7 +141,6 @@ from ._engine import (
     _engine,
     _misreports,
     _moved,
-    _typecode,
 )
 from .core import (
     Ballot,
@@ -156,7 +155,7 @@ from .core import (
     _tc_mask,
     enumerate_ballots,
 )
-from .extensions import ExtensionKind, _better, _gains, _lifting
+from .extensions import _FISHBURN, ExtensionKind, _better, _gains, _lifting
 from .mcgarvey import realize_relation
 from .rules import (
     BasisTag,
@@ -520,12 +519,10 @@ def _manipulability(extension: ExtensionKind, strong: bool):
 
 def _searched(rule: RuleSpec, profile: Profile) -> tuple[_Engine, int]:
     """The shared engine a one-profile search asks, with the profile's margin
-    code; refuses a profile whose m! misreports per voter no search should
-    enumerate."""
-    m, ballots = profile.m, profile.ballots
-    if m > 8:
-        raise InstanceTooLargeError(f"deviation scan enumerates m! ballots; refusing m={m} > 8")
-    engine = _engine(rule, m, len(ballots))
+    code; the engine's ballot table refuses m > 8 before any move is
+    tabled."""
+    ballots = profile.ballots
+    engine = _engine(rule, profile.m, len(ballots))
     return engine, engine.layout.of(ballots)
 
 
@@ -615,7 +612,7 @@ def find_group_manipulation(
         for group in itertools.combinations(range(n), size):
             wanted = -1
             for v in group:
-                wanted &= _better(ExtensionKind.FISHBURN, ballots[v], honest)
+                wanted &= _better(_FISHBURN, ballots[v], honest)
             if not wanted:
                 continue
             judged = {honest}
@@ -689,12 +686,12 @@ def _apply_perm_mask(perm, mask):
 
 
 @lru_cache(maxsize=256)
-def _relabeled_masks(m: int, mask: int) -> array:
+def _relabeled_masks(m: int, mask: int) -> bytes:
     """The mask under every relabeling of the alternatives but the identity:
     the permutations of range(m) in lexicographic order, which are the
     ballots by rank from 1 on."""
     perms = _ballots(m).ballots[1:]
-    return array(_typecode(m), [_apply_perm_mask(perm, mask) for perm in perms])
+    return bytes(_apply_perm_mask(perm, mask) for perm in perms)
 
 
 @_stateless
@@ -918,7 +915,7 @@ def _check_fishburn_efficiency(ctx):
     m, out = ctx.m, ctx.out
     shared = -1
     for ballot in dict.fromkeys(ctx.ballots):
-        shared &= _better(ExtensionKind.FISHBURN, ballot, out)
+        shared &= _better(_FISHBURN, ballot, out)
         if not shared:
             return None
     return Outcome.VIOLATED, {

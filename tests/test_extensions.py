@@ -164,9 +164,13 @@ class TestLiftingNames:
             compare(kind, ABC, {A}, {B})
 
     def test_a_member_and_its_value_give_one_verdict(self):
-        for kind in ExtensionKind:
-            for xs, ys in itertools.product(nonempty_subsets(3), repeat=2):
-                assert compare(kind.value, ABC, xs, ys) == compare(kind, ABC, xs, ys)
+        # the readings test the kind by identity with a member, so a value
+        # must be made a member before it reaches them
+        for kind, m in itertools.product(ExtensionKind, (3, 4)):
+            for ballot in itertools.permutations(range(m)):
+                for xs, ys in itertools.product(nonempty_subsets(m), repeat=2):
+                    verdict = compare(kind, ballot, xs, ys)
+                    assert compare(kind.value, ballot, xs, ys) == verdict
 
     def test_a_member_passes_through_unchanged(self):
         for kind in ExtensionKind:

@@ -152,31 +152,17 @@ def test_rows_past_their_bound_start_afresh_when_next_stored(monkeypatch):
 
 @pytest.mark.parametrize("m,units", [(3, 1), (4, 1), (5, 2), (6, 12)])
 def test_a_row_weighs_its_bytes(m, units):
-    # one byte per ballot, one unit per 64 bytes rounded up
-    row = _engine._empty_row(m, factorial(m))
-    assert type(row) is _engine._ByteRow and len(row) == factorial(m)
+    # one byte per ballot, one unit per 64 bytes rounded up; a new row holds
+    # only the honest output
+    engine = _Engine(parse_rule("tc"), m, 1)
+    ballot = tuple(range(m))
+    code = engine.layout.of((ballot,))
+    row = engine._row(ballot, code, engine.output(code, (ballot,)))
+    assert type(row) is _engine._Row and len(row) == factorial(m)
+    assert row.complete() == 0 and engine.rows.weight == units
     table = _engine._Tables()
     table.store(0, row)
     assert table.weight == units
-
-
-@pytest.mark.parametrize("m,code", [(9, "H"), (16, "H"), (17, "I")])
-def test_a_row_past_eight_alternatives_holds_every_mask(m, code):
-    # a byte holds the masks of at most 8 alternatives; past that a row's
-    # items are the narrowest that hold m bits (a short row stands in for
-    # the m! ballots)
-    assert _engine._typecode(8) == "B" and _engine._typecode(m) == code
-    row = _engine._empty_row(m, 5)
-    assert type(row) is _engine._WideRow and row.typecode == code
-    full = (1 << m) - 1
-    for rank, out in enumerate((full, 1, 1 << (m - 1), full ^ 1)):
-        row[rank] = out
-    assert row.complete() == 0 and list(row) == [full, 1, 1 << (m - 1), full ^ 1, 0]
-    row[4] = full
-    assert row.complete() == (1 << full) | 2 | 1 << (1 << (m - 1)) | 1 << (full ^ 1)
-    table = _engine._Tables()
-    table.store(0, row)
-    assert table.weight == 1
 
 
 def test_a_profile_based_engine_keeps_no_rows():

@@ -190,7 +190,9 @@ class TestWorkedExamples:
 
     def test_kemeny_refuses_large_instances(self):
         prof = Profile.from_rankings([tuple(range(9))])
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(
+            InstanceTooLargeError, match=r"^kemeny enumerates m! rankings; refusing m=9 > 8$"
+        ):
             evaluate(rule("kemeny"), prof)
 
     def test_fab_picks_its_favourite_despite_a_tie(self):

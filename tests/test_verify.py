@@ -265,8 +265,8 @@ class TestGroupManipulation:
         assert found == find_group_manipulation(plurality, fig2_left, 2)
 
     def test_more_than_eight_alternatives_are_refused_before_any_move(self, monkeypatch):
-        # the single-voter search refuses m > 8; the group search must refuse
-        # it the same way instead of tabling 9! misreports
+        # the engine's ballot table refuses m > 8; the group search must
+        # reach the same refusal instead of tabling 9! misreports
         profile = Profile(9, [tuple(range(9))])
         with pytest.raises(InstanceTooLargeError) as single:
             find_manipulation(TC, profile)
@@ -275,7 +275,7 @@ class TestGroupManipulation:
         with pytest.raises(InstanceTooLargeError) as group:
             find_group_manipulation(TC, profile, 1)
         assert str(group.value) == str(single.value) == (
-            "deviation scan enumerates m! ballots; refusing m=9 > 8"
+            "the sweep engine tables all m! ballots; refusing m=9 > 8"
         )
         assert tabled == []
 
@@ -599,6 +599,24 @@ class TestRobustness:
         # (not 9.2 * 10^10)
         monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
         assert check(TC, universe).outcome == Outcome.HOLDS
+
+    @pytest.mark.parametrize("m", [9, 12])
+    @pytest.mark.parametrize("check", [check_robust_dominant, check_weak_robustness])
+    def test_more_than_eight_alternatives_are_refused_before_any_table(
+        self, monkeypatch, check, m
+    ):
+        # the default budget admits one voter on m! ballots, but the engine
+        # refuses to table them: no ballot table and no layout is kept
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        _engine._ballots.cache_clear()
+        _engine._margin_code.cache_clear()
+        with pytest.raises(
+            InstanceTooLargeError,
+            match=f"^the sweep engine tables all m! ballots; refusing m={m} > 8$",
+        ):
+            check(parse_rule("borda"), Universe(m, 1))
+        assert _engine._ballots.cache_info().currsize == 0
+        assert _engine._margin_code.cache_info().currsize == 0
 
 
 class TestStrongStrategyproofness:
