@@ -22,7 +22,7 @@ mirrored field, so:
 Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
 profiles k_hom times, `_Scan.tiled`). The relation walk needs none: it
-evaluates each relation's strict masks directly (`verify._RelationEngine`).
+evaluates each relation's strict masks directly (`verify._RelationScan`).
 Strict masks and margin vectors are decoded only on a memo miss, or when a
 check reads them from the scan context.
 
@@ -44,20 +44,24 @@ the orbit walk's least-of-class test reads the same tables. One step,
 `_moved`, turns a table into the moves that change the output. It skips a
 voter whose ballot an earlier voter has: every rule reads the ballots only
 as a multiset (the tests check each profile-based evaluator), so that
-voter's moves reach the same outputs. On a code-keyed (majoritarian or
-pairwise) engine the output after any move of a voter is a function of two
-things, the margin code its co-voters cast (code - enc[ballot]) and the new
-ballot; so the engine keeps one row per co-voters' code, a `_Row` of m!
-output masks indexed by the rank of the ballot in the voter's place, 0 where
-not yet evaluated (no output is empty); a byte holds every mask, since the
-engine serves m <= 8 alternatives: `_Ballots`, where every m!-sized table
-starts, refuses a larger m before building any. Every move kind reads the
-row and fills it with each output it looks up, in the order its moves are
-tried, starting from the honest output: no search evaluates an output it did
-not evaluate before, and an evaluation that raises stores nothing, so every
-error still surfaces at the first move that raises it. A row that holds all
-m! ballots keeps the union of its outputs as a bit set over output masks. A
-profile-based engine looks up the electorate after each move instead.
+voter's moves reach the same outputs. The output after any move of a voter
+is a function of two things, its co-voters and the new ballot: of the
+margin code they cast (code - enc[ballot]) under a code-keyed (majoritarian
+or pairwise) rule, and of their electorate, the sorted tuple of their
+ballots, under a profile-based one. So the engine keeps one row per
+co-voters' code or electorate, a `_Row` of m! output masks indexed by the
+rank of the ballot in the voter's place, 0 where not yet evaluated (no
+output is empty); a byte holds every mask, since the engine serves m <= 8
+alternatives: `_Ballots`, where every m!-sized table starts, refuses a
+larger m before building any. Every move kind reads the row and fills it
+with each output it looks up, in the order its moves are tried, starting
+from the honest output: no search evaluates an output it did not evaluate
+before, and an evaluation that raises stores nothing, so every error still
+surfaces at the first move that raises it. Only the output memo key a row
+miss forms differs by basis: the key of the co-voters' code plus enc[new],
+or the co-voters' electorate with the new ballot sorted in. A row that holds
+all m! ballots keeps the union of its outputs as a bit set over output
+masks.
 
 Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
@@ -68,36 +72,34 @@ ballot no earlier voter has, with a misreport whose output is in the accept
 mask of the lifting and reading, and that misreport. A walk passes the
 fields of its `_Scan`. A one-profile search builds no scan context: it asks
 straight from the profile's code (`_MarginCode.of`) with honest=None, and
-reads the honest output (`_Engine.output`) back only to build a witness. On
-a code-keyed engine the honest output is fixed by the code, so each voter's
-answer depends on (lifting, reading, code) and its ballot alone, and the
-verdict memo `verdicts` keeps, per (lifting, reading, code), a dict from
-each voter's ballot to its answer: a hit as the one-move tuple
-((new_ballot, info, output after),) at once, None as () only once every
-misreport has been evaluated, so an evaluation error is never stored. So a
-search hashes its key once and then each distinct voter's ballot. The
-honest output is evaluated at the first voter the memo does not answer, as
-is the accept mask: a search answered in full evaluates nothing, and a code
-with a stored answer is one whose honest output was evaluated without an
-error, so every error still surfaces. On a miss a complete row answers None
-at once when the accept mask misses its union, and otherwise gives the
-first misreport in table order whose output in the row is accepted. A
-profile-based engine keeps no verdicts, so it evaluates the honest output at
-its first voter and asks every time. `_engine` hands the engines out, keyed
-also on the evaluator the rule's basis table holds, so that a replaced
-evaluator never reads outputs of the old one; a repeated
-call with the same rule object and evaluator is answered from the last
-call's engine without hashing the rule. A profile-based engine keys its
-outputs on the electorate, the sorted ballot tuple, since every evaluator
-reads a multiset, so every ordering of one electorate shares one output. The
-output memo, the move tables (ranked moves and relabelings alike), the rows
-and the verdict memo are each a `_Tables`, bounded when an entry is stored:
-past `_MEMO_ENTRIES` (an output or a voter's verdict weighs one, a row or a
-`_Ranks` table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12
-at m = 6) it starts afresh before the next is stored, even during a walk;
-only each m's ballots and ranks and each layout's encodings are kept
-unbounded. Errors (ties, empty choices, out-of-range parameters) are never
-memoized.
+reads the honest output (`_Engine.output`) back only to build a witness. The
+honest output is fixed by the code on a code-keyed engine and by the
+electorate on a profile-based one, so each voter's answer depends on
+(lifting, reading, code or electorate) and its ballot alone, and the verdict
+memo `verdicts` keeps, per such key, a dict from each voter's ballot to its
+answer: a hit as the one-move tuple ((new_ballot, info, output after),) at
+once, None as () only once every misreport has been evaluated, so an
+evaluation error is never stored. So a search hashes its key once and then
+each distinct voter's ballot. The honest output is evaluated at the first
+voter the memo does not answer, as is the accept mask: a search answered in
+full evaluates nothing, and a key with a stored answer is one whose honest
+output was evaluated without an error, so every error still surfaces. On a
+miss a complete row answers None at once when the accept mask misses its
+union, and otherwise gives the first misreport in table order whose output
+in the row is accepted. `_engine` hands the engines out, keyed also on the
+evaluator the rule's basis table holds, so that a replaced evaluator never
+reads outputs of the old one; a repeated call with the same rule object and
+evaluator is answered from the last call's engine without hashing the rule.
+A profile-based engine keys its outputs on the electorate, the sorted ballot
+tuple, since every evaluator reads a multiset, so every ordering of one
+electorate shares one output. The output memo, the move tables (ranked moves
+and relabelings alike), the rows and the verdict memo are each a `_Tables`,
+bounded when an entry is stored: past `_MEMO_ENTRIES` (an output or a
+voter's verdict weighs one, a row or a `_Ranks` table one unit per 64 bytes,
+rounded up: a row 2 at m = 5 and 12 at m = 6) it starts afresh before the
+next is stored, even during a walk; only each m's ballots and ranks and each
+layout's encodings are kept unbounded. Errors (ties, empty choices,
+out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ from array import array
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
+from types import MappingProxyType
 
 from .core import Ballot, Profile, enumerate_ballots
 from .rules import (
@@ -172,6 +175,9 @@ class _Row(bytearray):
 
 # the infos of a table whose infos are all None
 _NO_INFOS = itertools.repeat(None)
+# the verdicts of a key the verdict memo does not hold, read and never
+# written
+_UNKNOWN = MappingProxyType({})
 
 
 class _Ranks(array):
@@ -313,16 +319,12 @@ class _Engine:
         else:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
-        # on a code-keyed engine one `_Row` per co-voters' code and, per
-        # (lifting, reading, code), each voter's first accepted misreport by
-        # its ballot
+        # one `_Row` per co-voters' code or electorate and, per (lifting,
+        # reading, code or electorate), each voter's first accepted
+        # misreport by its ballot
         self.full = factorial(m)
         self.rows = _Tables()
         self.verdicts = _Tables()
-
-    def scan(self, ballots) -> "_Scan":
-        """The scan context of the profile of these ballots."""
-        return _Scan(self, ballots)
 
     def output(self, code: int, ballots) -> int:
         """The output on the profile with this code; `ballots` is read by
@@ -347,18 +349,13 @@ class _Engine:
         """The output on each relabeling of the profile but the identity, in
         the order of `_Ballots.relabelings`, each evaluated when asked
         for."""
-        layout, table = self.layout, self.table
-        columns = zip(*map(table.relabelings, ballots))
-        encs, bias = layout.encs.__getitem__, layout.bias
-        if self.by_ballots:
-            at = table.ballots.__getitem__
-            for column in columns:
-                yield self.output(sum(map(encs, column), bias), tuple(map(at, column)))
-            return
+        layout, table, by_ballots = self.layout, self.table, self.by_ballots
+        encs, bias, at = layout.encs.__getitem__, layout.bias, table.ballots.__getitem__
         add, guard, known = self.add, self.guard, self.cache.get
-        for column in columns:
+        for column in zip(*map(table.relabelings, ballots)):
             code = sum(map(encs, column), bias)
-            key = (code + add) & guard
+            # ranks sort as their ballots do
+            key = tuple(map(at, sorted(column))) if by_ballots else (code + add) & guard
             out = known(key)
             yield self.miss(key, code) if out is None else out
 
@@ -369,81 +366,76 @@ class _Engine:
         after), or None. A voter whose ballot an earlier voter has reaches
         the same outputs, so it is skipped. Given honest=None, the honest
         output is evaluated at the first voter not answered from the memo.
-        A code-keyed engine keeps each voter's answer under (lifting,
-        reading, code), by ballot: a hit as a one-move tuple at once, None
-        as () only once every misreport has been evaluated, so an
-        evaluation error is never stored. On a miss, a complete row whose
-        outputs the accept mask misses answers None at once."""
-        by_ballots, verdicts = self.by_ballots, self.verdicts
-        key = None if by_ballots else (lifting, reading, code)
-        known = None if by_ballots else verdicts.get(key)
+        Each voter's answer is kept under (lifting, reading, code), or
+        (lifting, reading, electorate) on a profile-based engine, by ballot:
+        a hit as a one-move tuple at once, None as () only once every
+        misreport has been evaluated, so an evaluation error is never
+        stored. On a miss, a complete row whose outputs the accept mask
+        misses answers None at once."""
+        verdicts = self.verdicts
+        key = (lifting, reading, tuple(sorted(ballots)) if self.by_ballots else code)
+        known = verdicts.get(key, _UNKNOWN)
         for voter, ballot in enumerate(ballots):
             if ballots.index(ballot) != voter:
                 continue
-            found = None if known is None else known.get(ballot)
+            found = known.get(ballot)
             if found is None:
                 if honest is None:
                     honest = self.output(code, ballots)
                 accept, found = reading(lifting, ballot, honest), ()
-                if by_ballots:
-                    union = 0
-                else:
-                    row = self._row(ballot, code, honest)
-                    union = row.union or row.complete()
+                others, row = self._row(ballots, voter, code, honest)
+                union = row.union or row.complete()
                 if not union or accept & union:
-                    for move in self._reaching(ballots, voter, code, honest, _misreports, None):
+                    for move in self._reaching(ballot, others, row, _misreports, None):
                         if accept >> move[2] & 1:
                             found = (move,)
                             break
-                if key is not None:
-                    # each answer is stored through `store`, so it weighs
-                    # one; a dict that `store` is about to drop is not stored
-                    # again, a fresh one is
-                    if known is None or verdicts.weight > _MEMO_ENTRIES:
-                        known = {}
-                    known[ballot] = found
-                    verdicts.store(key, known)
+                # each answer is stored through `store`, so it weighs one; a
+                # dict that `store` is about to drop is not stored again, a
+                # fresh one is
+                if known is _UNKNOWN or verdicts.weight > _MEMO_ENTRIES:
+                    known = {}
+                known[ballot] = found
+                verdicts.store(key, known)
             if found:
                 return (voter, *found[0])
         return None
 
-    def _row(self, ballot: Ballot, code: int, honest: int) -> _Row:
-        """The row of the co-voters of a voter casting `ballot` in the
-        profile with this code and output, started from that output if
-        new."""
-        rank = self.table.rank[ballot]
-        others = code - self.layout.encs[rank]
+    def _row(self, ballots, voter: int, code: int, honest: int):
+        """The co-voters of `voter` in the profile of these ballots, code and
+        output, and their row, started from that output if new: the
+        co-voters are their margin code, code - enc[ballot], or on a
+        profile-based engine their electorate, the sorted ballots."""
+        rank = self.table.rank[ballots[voter]]
+        if self.by_ballots:
+            others = tuple(sorted(ballots[:voter] + ballots[voter + 1:]))
+        else:
+            others = code - self.layout.encs[rank]
         row = self.rows.get(others)
         if row is None:
             row = _Row(self.full)
             row.union = 0
             row[rank] = honest
             self.rows.store(others, row)
-        return row
+        return others, row
 
-    def _reaching(self, ballots, voter, code, honest, kind, out):
-        """The output after each move of `kind` by `voter`, as (new_ballot,
-        info, output after) in table order. A code-keyed engine reads it from
-        the row of the voter's co-voters and stores there each output it
-        looks up; a profile-based one asks `output` for the moved ballots."""
-        ballot, at, encs = ballots[voter], self.table.ballots, self.layout.encs
+    def _reaching(self, ballot: Ballot, others, row: _Row, kind, out):
+        """The output after each move of `kind` by a voter casting `ballot`,
+        as (new_ballot, info, output after) in table order, read from the
+        row of its co-voters `others` (see `_row`); each output the row
+        lacks is looked up, under the code or the electorate the move makes,
+        and stored there."""
+        at, encs, by_ballots = self.table.ballots, self.layout.encs, self.by_ballots
         moves = self.table.ranked(kind, ballot, out)
-        moved = zip(moves, moves.infos or _NO_INFOS)
-        others = code - encs[self.table.rank[ballot]]
-        if self.by_ballots:
-            head, tail = ballots[:voter], ballots[voter + 1:]
-            for rank, info in moved:
-                new_ballot = at[rank]
-                after = self.output(others + encs[rank], head + (new_ballot,) + tail)
-                yield new_ballot, info, after
-            return
         add, guard, known, miss = self.add, self.guard, self.cache.get, self.miss
-        row = self._row(ballot, code, honest)
-        for rank, info in moved:
+        for rank, info in zip(moves, moves.infos or _NO_INFOS):
             after = row[rank]
             if not after:
-                new = others + encs[rank]
-                key = (new + add) & guard
+                if by_ballots:
+                    new, key = None, tuple(sorted((*others, at[rank])))
+                else:
+                    new = others + encs[rank]
+                    key = (new + add) & guard
                 after = known(key)
                 if after is None:
                     after = miss(key, new)
@@ -545,8 +537,8 @@ def _moved(ctx: _Scan, kind, out: int | None = None):
     engine, ballots, code, honest = ctx.engine, ctx.ballots, ctx.code, ctx.out
     for voter, ballot in enumerate(ballots):
         if ballots.index(ballot) == voter:
-            moves = engine._reaching(ballots, voter, code, honest, kind, out)
-            for new_ballot, info, after in moves:
+            others, row = engine._row(ballots, voter, code, honest)
+            for new_ballot, info, after in engine._reaching(ballot, others, row, kind, out):
                 if after != honest:
                     yield voter, new_ballot, info, after
 

@@ -19,8 +19,8 @@ verdicts carry through one lookup, `_check`, which also keys its budget
 estimate, `_estimate`; `_run` runs one check by name. A check is a
 per-profile predicate: given the scan context of one profile (its ballots,
 margin code and memoized output) it returns None to go on, or its verdict as
-(outcome, witness). One walker, `_walk`, takes the profiles and an engine,
-whose `scan` reads each into its scan context, feeds every open predicate
+(outcome, witness). One walker, `_walk`, takes the profiles and a `scan`
+callable, which reads each into its scan context, feeds every open predicate
 and closes each at its first verdict. A predicate still open at walk end
 gives its `end()` verdict, or holds: the imposition checks report the sets
 never reached, and the pair checks judge the scans they kept, reporting the
@@ -98,10 +98,10 @@ the electorate walk, and why:
 
 Relation walk. A majoritarian rule's robust-dominant check
 (`_over_relations`) walks every majority relation in `enumerate_relations`
-order instead, as its strict masks (`core._relation_masks`). Its engine, a
-`_RelationEngine`, reads each into a `_RelationScan`, which evaluates the
-rule on the masks directly; no margin code is built or decoded, and nothing
-is memoized, since the walk meets each relation once. A scan's profile is
+order instead, as its strict masks (`core._relation_masks`). The walk reads
+each into a `_RelationScan`, which evaluates the rule on the masks directly;
+no margin code is built or decoded, and nothing is memoized, since the walk
+meets each relation once. A scan's profile is
 the relation realized as `realize_relation(rel, 2)`, two voters per pair of
 alternatives, built only for a witness. `replay` reads the relation of each
 stored profile (`MajorityRelation.from_profile`), so a witness replays
@@ -141,6 +141,7 @@ from ._engine import (
     _engine,
     _misreports,
     _moved,
+    _Scan,
 )
 from .core import (
     Ballot,
@@ -423,18 +424,17 @@ def _holds():
 
 
 def _walk(
-    rule: RuleSpec, universe: Universe, checks: dict, profiles, engine, until=None
+    rule: RuleSpec, universe: Universe, checks: dict, profiles, scan, until=None
 ) -> dict:
     """Run the predicates `checks` (name -> predicate) on one walk of
-    `profiles` through `engine`, whose `scan` reads each into its scan
-    context: an `_Engine` reads ballot tuples, a `_RelationEngine` the strict
-    masks of majority relations; see the walk contract in the module
-    docstring. Given `until`, the walk also ends after a profile once
-    `until(open checks)` is true. Returns name -> AxiomVerdict on the
-    universe, or the not-evaluable error that closed the check."""
+    `profiles`, each read into its scan context by `scan`: a `_Scan` of an
+    engine reads ballot tuples, a `_RelationScan` the strict masks of
+    majority relations; see the walk contract in the module docstring.
+    Given `until`, the walk also ends after a profile once `until(open
+    checks)` is true. Returns name -> AxiomVerdict on the universe, or the
+    not-evaluable error that closed the check."""
     found: dict = {}
     active = dict(checks)
-    scan = engine.scan
     for item in profiles:
         try:
             ctx = scan(item)
@@ -458,14 +458,6 @@ def _walk(
         name: r if isinstance(r, Exception) else AxiomVerdict(name, rule, universe, *r)
         for name, r in found.items()
     }
-
-
-class _RelationEngine:
-    """The relation walk's engine: it reads the strict masks of each majority
-    relation into a `_RelationScan`, evaluating the rule on them directly."""
-
-    def __init__(self, rule: RuleSpec):
-        self.scan = partial(_RelationScan, rule, _relation_evaluator(rule))
 
 
 class _RelationScan:
@@ -1167,7 +1159,7 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
     results: dict = {}
     orbit = {n: c for n, c in rest.items() if n in _ORBIT_CHECKS}
     if orbit and not replaying and universe.margin_cap is None:
-        results = _orbit_walk(rule, universe, orbit, _engine(rule, m, size))
+        results = _orbit_walk(rule, universe, orbit, partial(_Scan, _engine(rule, m, size)))
         rest = {n: c for n, c in rest.items() if n not in results}
     if rest:
         if replaying:
@@ -1175,27 +1167,29 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
         else:
             ballots = universe._electorates()
         engine = _Engine(rule, m, size) if replaying else _engine(rule, m, size)
-        results.update(_walk(rule, universe, rest, ballots, engine))
+        results.update(_walk(rule, universe, rest, ballots, partial(_Scan, engine)))
     if on_relations:
         if replaying:
             rels = (MajorityRelation.from_profile(p).strict for p in profiles if p.m == m)
         else:
             rels = _relation_masks(m)
-        results.update(_walk(rule, universe, on_relations, rels, _RelationEngine(rule)))
+        scan = partial(_RelationScan, rule, _relation_evaluator(rule))
+        results.update(_walk(rule, universe, on_relations, rels, scan))
     return results
 
 
-def _orbit_walk(rule: RuleSpec, universe: Universe, checks: dict, engine) -> dict:
+def _orbit_walk(rule: RuleSpec, universe: Universe, checks: dict, scan) -> dict:
     """The orbit walk (see the module docstring): `checks` and neutrality on
-    one walk of the orbit representatives, which ends once neutrality closes
-    or no check of `checks` is open. Returns the verdicts it settles: those
-    of `checks` that hold, if neutrality held, and none otherwise."""
+    one walk of the orbit representatives, each read by `scan`, which ends
+    once neutrality closes or no check of `checks` is open. Returns the
+    verdicts it settles: those of `checks` that hold, if neutrality held,
+    and none otherwise."""
     walked = {_NEUTRALITY: _check_neutrality(universe), **checks}
 
     def until(active):
         return _NEUTRALITY not in active or not active.keys() & checks.keys()
 
-    found = _walk(rule, universe, walked, universe._orbit_representatives(), engine, until)
+    found = _walk(rule, universe, walked, universe._orbit_representatives(), scan, until)
     held = {n: r for n, r in found.items() if getattr(r, "outcome", None) == Outcome.HOLDS}
     return {n: held[n] for n in checks if n in held} if _NEUTRALITY in held else {}
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,19 @@ class TestReports:
         doc = edited(serialize_report([verdict])[1], path, value)
         for payload in (doc, json.dumps(doc)):
             with pytest.raises(ParseError, match="^malformed axiom report: "):
+                parse_report(payload)
+
+    @pytest.mark.parametrize("field,value", [
+        ("m", True), ("n_max", True), ("k_hom", True), ("margin_cap", False), ("margin_cap", True),
+    ])
+    def test_a_boolean_universe_field_raises_a_parse_error(self, field, value):
+        # JSON true and false are ints to Python: "margin_cap": false would
+        # read as a cap of 0, and "n_max": true as 1
+        verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 3))
+        doc = edited(serialize_report([verdict])[1], ("verdicts", 0, "universe", field), value)
+        message = f"malformed axiom report: ValueError('{field} must be an integer, got {value}')"
+        for payload in (doc, json.dumps(doc)):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
                 parse_report(payload)
 
     @pytest.mark.parametrize("witness", [{"profile": 5}, {"manipulation": 1}, {"x": 1}, None])

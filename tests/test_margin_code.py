@@ -18,7 +18,7 @@ from oracles import (
     own_order_misreports,
     relabelings,
 )
-from setvote import _engine, verify
+from setvote import _engine, rules, verify
 from setvote._engine import _Ballots, _Engine, _MarginCode, _misreports, _moved, _Scan
 from setvote.core import Profile, _margins_flat, _strict_masks_from_flat
 from setvote.extensions import ExtensionKind
@@ -153,11 +153,13 @@ def test_rows_past_their_bound_start_afresh_when_next_stored(monkeypatch):
 @pytest.mark.parametrize("m,units", [(3, 1), (4, 1), (5, 2), (6, 12)])
 def test_a_row_weighs_its_bytes(m, units):
     # one byte per ballot, one unit per 64 bytes rounded up; a new row holds
-    # only the honest output
+    # only the honest output, under the lone voter's co-voters' code, which
+    # holds no ballot
     engine = _Engine(parse_rule("tc"), m, 1)
-    ballot = tuple(range(m))
-    code = engine.layout.of((ballot,))
-    row = engine._row(ballot, code, engine.output(code, (ballot,)))
+    ballots = (tuple(range(m)),)
+    code = engine.layout.of(ballots)
+    others, row = engine._row(ballots, 0, code, engine.output(code, ballots))
+    assert others == engine.layout.bias and engine.rows == {others: row}
     assert type(row) is _engine._Row and len(row) == factorial(m)
     assert row.complete() == 0 and engine.rows.weight == units
     table = _engine._Tables()
@@ -165,11 +167,29 @@ def test_a_row_weighs_its_bytes(m, units):
     assert table.weight == units
 
 
-def test_a_profile_based_engine_keeps_no_rows():
-    engine = _Engine(parse_rule("plurality"), 3, 3)
-    ballots = ((0, 1, 2), (1, 2, 0), (0, 1, 2))
-    assert moved(engine, ballots) == moved(engine, ballots)
-    assert engine.rows == {}
+@pytest.mark.parametrize("name", ["pareto", "plurality"])
+def test_profile_based_voters_whose_co_voters_cast_one_electorate_share_a_row(name):
+    # voter 0 of the first profile and voter 2 of the second have the
+    # co-voters bca and cab, in another order: their moves read one row,
+    # keyed on the co-voters' sorted ballots, and every output in it is the
+    # rule's on the profile the move makes, in either profile's order
+    rule = parse_rule(name)
+    engine = _Engine(rule, 3, 3)
+    abc, acb, bca, cab = (0, 1, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
+    first, second = (abc, bca, cab), (cab, bca, acb)
+    moved(engine, first)
+    moved(engine, second)
+    # three co-voters' electorates per profile, one of them shared
+    assert len(engine.rows) == 5
+    code = engine.layout.of(first)
+    others, row = engine._row(first, 0, code, engine.output(code, first))
+    assert others == (bca, cab)
+    code = engine.layout.of(second)
+    shared, again = engine._row(second, 2, code, engine.output(code, second))
+    assert shared == others and again is row and row.complete()
+    for rank, ballot in enumerate(engine.table.ballots):
+        for ballots in (first[1:] + (ballot,), second[:2] + (ballot,)):
+            assert row[rank] == rules.evaluate(rule, Profile(3, ballots)).mask
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

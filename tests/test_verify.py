@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -999,11 +999,18 @@ class TestSharedMemo:
         engine = _engine._engine(uncovered, 3, 2)
         assert engine.layout.key(engine.layout.of(tied.ballots)) not in engine.cache
 
-    # the output memo of a profile-based rule, and the per-voter verdict
-    # memo of a majoritarian one (profile-based engines keep none)
-    @pytest.mark.parametrize("name,memo", [("pareto", "cache"), ("tc", "verdicts")])
-    def test_every_memo_is_bounded_where_it_is_stored(self, monkeypatch, name, memo):
-        rule, universe = parse_rule(name), Universe(3, 3)
+    # the output memo, the rows and the per-voter verdict memo of a
+    # profile-based rule, and the verdict memo of a majoritarian one; the
+    # rows on four alternatives, since on (3, <=3) the orbit walk meets only
+    # 16 co-voters' electorates
+    @pytest.mark.parametrize("name,memo,m", [
+        ("pareto", "cache", 3),
+        ("pareto", "rows", 4),
+        ("pareto", "verdicts", 3),
+        ("tc", "verdicts", 3),
+    ])
+    def test_every_memo_is_bounded_where_it_is_stored(self, monkeypatch, name, memo, m):
+        rule, universe = parse_rule(name), Universe(m, 3)
 
         def verdicts():
             _engine._shared_engine.cache_clear()
@@ -1286,7 +1293,7 @@ class TestVerdictMemo:
         assert _engine._engine(uncovered, 3, 2) is engine
         assert all(key[2] != code for key in engine.verdicts)
 
-    @pytest.mark.parametrize("name", ["uncovered-set", "tc", "borda"])
+    @pytest.mark.parametrize("name", ["uncovered-set", "tc", "borda", "plurality"])
     def test_a_search_answered_from_the_memo_evaluates_no_output(self, monkeypatch, name):
         # a second search of a profile finds every voter it reaches in the
         # verdict memo: it evaluates nothing, and reads the honest output
@@ -1332,7 +1339,8 @@ def ordered_walk(rule, universe):
         if not verify._over_relations(name, rule)
     }
     engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
-    return as_results(verify._walk(rule, universe, checks, universe.raw_profiles(), engine))
+    scan = partial(_engine._Scan, engine)
+    return as_results(verify._walk(rule, universe, checks, universe.raw_profiles(), scan))
 
 
 def as_results(found):
@@ -1368,7 +1376,8 @@ def electorate_walk(rule, universe, names):
     gives them."""
     checks = {name: verify._check(name, universe) for name in names}
     engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
-    return as_results(verify._walk(rule, universe, checks, universe._electorates(), engine))
+    scan = partial(_engine._Scan, engine)
+    return as_results(verify._walk(rule, universe, checks, universe._electorates(), scan))
 
 
 def counted_representatives(monkeypatch):
@@ -1448,14 +1457,16 @@ class TestOrbitWalk:
         met = counted_representatives(monkeypatch)
         checks = {n: verify._check(n, universe) for n in verify._ORBIT_CHECKS}
         engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
-        assert verify._orbit_walk(rule, universe, checks, engine) == {}
+        scan = partial(_engine._Scan, engine)
+        assert verify._orbit_walk(rule, universe, checks, scan) == {}
         assert met[-1] == last
 
     def test_a_neutral_rule_settles_what_holds(self):
         universe = Universe(3, 4)
         checks = {n: verify._check(n, universe) for n in verify._ORBIT_CHECKS}
         engine = _engine._Engine(TC, universe.m, universe.n_max * universe.k_hom)
-        settled = verify._orbit_walk(TC, universe, checks, engine)
+        scan = partial(_engine._Scan, engine)
+        settled = verify._orbit_walk(TC, universe, checks, scan)
         # the strict strong reading is violated, so it is left to the rerun
         assert set(settled) == verify._ORBIT_CHECKS - {"strong-strategyproofness-fishburn"}
         assert all(v.outcome == Outcome.HOLDS and v.witness is None for v in settled.values())
@@ -1540,10 +1551,10 @@ def realized_walk(rule, m):
     relation's realization with two voters per pair, through an engine sized
     for it, as `as_results` gives it."""
     universe, name = Universe(m, 1), verify._ROBUST_DOMINANT
-    engine = _engine._Engine(rule, m, max(2, m * (m - 1)))
+    scan = partial(_engine._Scan, _engine._Engine(rule, m, max(2, m * (m - 1))))
     realized = (realize_relation(rel, 2).ballots for rel in enumerate_relations(m))
     checks = {name: verify._check(name, universe)}
-    return as_results(verify._walk(rule, universe, checks, realized, engine))
+    return as_results(verify._walk(rule, universe, checks, realized, scan))
 
 
 def counted_realizations(monkeypatch):
