@@ -86,20 +86,24 @@ full evaluates nothing, and a key with a stored answer is one whose honest
 output was evaluated without an error, so every error still surfaces. On a
 miss a complete row answers None at once when the accept mask misses its
 union, and otherwise gives the first misreport in table order whose output
-in the row is accepted. `_engine` hands the engines out, keyed also on the
-evaluator the rule's basis table holds, so that a replaced evaluator never
-reads outputs of the old one; a repeated call with the same rule object and
-evaluator is answered from the last call's engine without hashing the rule.
-A profile-based engine keys its outputs on the electorate, the sorted ballot
-tuple, since every evaluator reads a multiset, so every ordering of one
-electorate shares one output. The output memo, the move tables (ranked moves
-and relabelings alike), the rows and the verdict memo are each a `_Tables`,
-bounded when an entry is stored: past `_MEMO_ENTRIES` (an output or a
-voter's verdict weighs one, a row or a `_Ranks` table one unit per 64 bytes,
-rounded up: a row 2 at m = 5 and 12 at m = 6) it starts afresh before the
-next is stored, even during a walk; only each m's ballots and ranks and each
-layout's encodings are kept unbounded. Errors (ties, empty choices,
-out-of-range parameters) are never memoized.
+in the row is accepted. `_engine` hands the engines out by (rule, m, size);
+a repeated call with the same rule object is answered from the last call's
+engine without hashing the rule. An engine reads the rule's entry in
+`rules._EVALUATORS`, its basis tag and evaluator, once when it is built, and
+on each miss calls that evaluator on the part of the profile its key holds:
+the electorate, the margins of the code, or the strict masks of the relation
+key. So an engine keeps its evaluator until the shared engines are cleared
+(`_shared_engine.cache_clear()`), which code that replaces an entry does
+itself. A profile-based engine keys its outputs on the electorate, the
+sorted ballot tuple, since every evaluator reads a multiset, so every
+ordering of one electorate shares one output. The output memo, the move
+tables (ranked moves and relabelings alike), the rows and the verdict memo
+are each a `_Tables`, bounded when an entry is stored: past `_MEMO_ENTRIES`
+(an output or a voter's verdict weighs one, a row or a `_Ranks` table one
+unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6) it starts
+afresh before the next is stored, even during a walk; only each m's ballots
+and ranks and each layout's encodings are kept unbounded. Errors (ties,
+empty choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -113,18 +117,12 @@ from types import MappingProxyType
 
 from .core import Ballot, Profile, enumerate_ballots
 from .rules import (
-    _MAJORITARIAN,
+    _EVALUATORS,
     _MAX_ENUMERATED_M,
-    _PAIRWISE,
-    _PROFILE_BASED,
     BasisTag,
     InstanceTooLargeError,
     RuleSpec,
     _nonempty,
-    basis,
-    evaluate_mask,
-    evaluate_mask_from_margins,
-    evaluate_mask_from_relation,
 )
 
 # engines shared across calls, and the entries past which a memo starts
@@ -301,15 +299,16 @@ _margin_code = lru_cache(maxsize=4)(_MarginCode)
 
 
 class _Engine:
-    """Memoized rule outputs on one layout. The key follows the rule's basis:
-    the electorate (the sorted ballots) for profile-based rules, the margin
-    code for pairwise ones, the relation key for majoritarian ones. Build
-    one through `_engine`, which shares it across calls."""
+    """Memoized rule outputs on one layout, from the evaluator of the rule's
+    entry in the evaluator table, read once here. The key follows the rule's
+    basis: the electorate (the sorted ballots) for profile-based rules, the
+    margin code for pairwise ones, the relation key for majoritarian ones.
+    Build one through `_engine`, which shares it across calls."""
 
     def __init__(self, rule: RuleSpec, m: int, size: int):
         self.rule = rule
         self.m = m
-        self.tag = basis(rule)
+        self.tag, self.evaluator = _EVALUATORS[rule.id]
         self.layout = _margin_code(m, size)
         self.table = self.layout.table
         self.by_ballots = self.tag == BasisTag.PROFILE_BASED
@@ -336,13 +335,16 @@ class _Engine:
         return out
 
     def miss(self, key, code: int) -> int:
-        """The single memo-miss site."""
+        """The single memo-miss site: the evaluator on the key's part of the
+        profile, the electorate itself, the margins of the code or the
+        strict masks of the relation key."""
         if self.by_ballots:
-            mask = evaluate_mask(self.rule, key, self.m)
+            part = key
         elif self.tag == BasisTag.PAIRWISE:
-            mask = evaluate_mask_from_margins(self.rule, self.layout.flat(code), self.m)
+            part = self.layout.flat(code)
         else:
-            mask = evaluate_mask_from_relation(self.rule, self.layout.strict(key), self.m)
+            part = self.layout.strict(key)
+        mask = self.evaluator(self.rule, self.m, part)
         return self.cache.store(key, _nonempty(self.rule, mask))
 
     def relabeled(self, ballots):
@@ -445,34 +447,30 @@ class _Engine:
 
 class _SharedEngines:
     """The engines shared across calls: the `_SHARED_ENGINES` most recently
-    used, by (rule, m, size, evaluator), and the last call's (rule, m, size,
-    evaluator, engine), which a repeated call with the same rule object
-    answers without hashing the rule."""
+    used, by (rule, m, size), and the last call's (rule, m, size, engine),
+    which a repeated call with the same rule object answers without hashing
+    the rule."""
 
     def __init__(self):
-        self.built = lru_cache(maxsize=_SHARED_ENGINES)(
-            lambda rule, m, size, evaluator: _Engine(rule, m, size)
-        )
-        self.last = (None,) * 5
+        self.built = lru_cache(maxsize=_SHARED_ENGINES)(_Engine)
+        self.last = (None,) * 4
 
     def cache_clear(self) -> None:
         self.built.cache_clear()
-        self.last = (None,) * 5
+        self.last = (None,) * 4
 
 
 _shared_engine = _SharedEngines()
 
 
 def _engine(rule: RuleSpec, m: int, size: int) -> _Engine:
-    """The shared engine of the rule on layout (m, size) and of the evaluator
-    the rule's basis table holds; a call that repeats the last one gets its
-    engine back, compared item by item without hashing the rule."""
-    last_rule, last_m, last_size, last_eval, engine = _shared_engine.last
-    rid = rule.id
-    evaluator = _MAJORITARIAN.get(rid) or _PAIRWISE.get(rid) or _PROFILE_BASED.get(rid)
-    if last_rule is not rule or last_eval is not evaluator or last_m != m or last_size != size:
-        engine = _shared_engine.built(rule, m, size, evaluator)
-        _shared_engine.last = (rule, m, size, evaluator, engine)
+    """The shared engine of the rule on layout (m, size); a call that repeats
+    the last one gets its engine back, compared item by item without
+    hashing the rule."""
+    last_rule, last_m, last_size, engine = _shared_engine.last
+    if last_rule is not rule or last_m != m or last_size != size:
+        engine = _shared_engine.built(rule, m, size)
+        _shared_engine.last = (rule, m, size, engine)
     return engine
 
 

@@ -114,17 +114,20 @@ def _frozen(cls):
 
 
 def _integer(value, what: str) -> int:
-    """`value` as a Python int, or a ValueError naming `what`."""
+    """`value` as a Python int, or a ValueError naming `what`. A bool is
+    refused: Python counts False and True as ints, so False would read as 0."""
     try:
-        return operator.index(value)
+        if type(value) is not bool:
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _alternative(value, m: int) -> int:
-    """`value` as a Python int in 0..m-1, or a ValueError."""
+    """`value` as a Python int in 0..m-1, or a ValueError; a bool is none."""
     try:
-        x = operator.index(value)
+        x = -1 if type(value) is bool else operator.index(value)
     except TypeError:
         x = -1
     if not 0 <= x < m:
@@ -730,7 +733,7 @@ def connected_set(rel: MajorityRelation, x: int) -> ChoiceSet:
     """
     m = rel.m
     try:
-        if 0 <= x < m:
+        if type(x) is not bool and 0 <= x < m:
             return _unchecked_choice(m, _connected_masks(rel.strict, m)[x])
     except TypeError:  # x is not an integer
         pass

@@ -249,16 +249,6 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", payload
 
 
-def _universe(doc) -> Universe:
-    """The universe a report names. JSON booleans are ints to Python, so one
-    is refused here, where `Universe` would read false as 0."""
-    values = {f.name: doc[f.name] for f in fields(Universe)}
-    for name, value in values.items():
-        if type(value) is bool:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    return Universe(**values)
-
-
 def parse_report(payload) -> list[AxiomVerdict]:
     """Rebuild the verdict list from a JSON payload (inverse of
     serialize_report); a malformed document raises ParseError."""
@@ -271,7 +261,7 @@ def parse_report(payload) -> list[AxiomVerdict]:
             AxiomVerdict(
                 axiom=item["axiom"],
                 rule=parse_rule(item["rule"]),
-                universe=_universe(item["universe"]),
+                universe=Universe(**{f.name: item["universe"][f.name] for f in fields(Universe)}),
                 outcome=Outcome(item["outcome"]),
                 witness=_decode(item["witness"]) if item["witness"] else None,
             )

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import MajorityRelation, Profile, _unchecked_profile
+from .core import MajorityRelation, Profile, _integer, _unchecked_profile
 
 __all__ = ["ParityError", "WeightedMajorityGraph", "realize", "realize_relation"]
 
@@ -126,10 +126,7 @@ def realize(graph: WeightedMajorityGraph) -> Profile:
 def realize_relation(rel: MajorityRelation, weight: int) -> Profile:
     """A profile whose relation equals ``rel``, all strict margins equal to
     ``weight`` and all ties exactly zero."""
-    try:
-        weight = operator.index(weight)
-    except TypeError:
-        raise ValueError("weight must be an integer") from None
+    weight = _integer(weight, "weight")
     if weight < 1:
         raise ValueError("weight must be at least 1")
     m, strict = rel.m, rel.strict

@@ -3,10 +3,11 @@
 Each rule maps a profile to a non-empty set of alternatives. Rules are
 classified by how much of the profile they actually read: majoritarian rules
 see only the sign pattern of the margins, pairwise rules see the margins, and
-profile-based rules need the ballots. A rule's classification is the table
-that holds its evaluator, and nothing else declares it. It is used by the
-verification sweeps to group equivalent inputs, and it is itself checked by
-the test suite rather than trusted.
+profile-based rules need the ballots. A rule's classification is the basis
+tag of its one entry in the evaluator table, next to its evaluator, and
+nothing else declares it. It is used by the verification sweeps to group
+equivalent inputs, and it is itself checked by the test suite rather than
+trusted.
 
 Rules are addressed by stable string names (``tc``, ``borda``,
 ``supermajority-tc:k=2``, ``fab:ab``, ...) so they can be selected from the
@@ -246,17 +247,6 @@ def _maj_schwartz(rule, m, strict):
     return _schwartz_mask(strict, m)
 
 
-_MAJORITARIAN = {
-    RuleId.TOP_CYCLE: _maj_top_cycle,
-    RuleId.CONDORCET: _maj_condorcet,
-    RuleId.CONDORCET_NON_LOSER: _maj_condorcet_non_loser,
-    RuleId.COPELAND: _maj_copeland,
-    RuleId.UNCOVERED_SET: _maj_uncovered,
-    RuleId.FAB: _maj_fab,
-    RuleId.SCHWARTZ: _maj_schwartz,
-}
-
-
 # ---------------------------------------------------------------------------
 # pairwise rules: functions of the flat margin vector
 
@@ -327,19 +317,8 @@ def _pw_margin_threshold(rule, m, flat):
     return _full(m)
 
 
-_PAIRWISE = {
-    RuleId.TC_STAR: _pw_tc_star,
-    RuleId.BORDA: _pw_borda,
-    RuleId.MAXIMIN: _pw_maximin,
-    RuleId.KEMENY: _pw_kemeny,
-    RuleId.MARGIN_THRESHOLD: _pw_margin_threshold,
-    RuleId.SUPERMAJORITY_TC: _pw_supermajority_tc,
-    RuleId.SHIFTED_TC: _pw_shifted_tc,
-}
-
-
 # ---------------------------------------------------------------------------
-# profile-based rules
+# profile-based rules: functions of the ballots, each read as a multiset
 
 
 def _unanimous_masks(ballots, m):
@@ -361,18 +340,18 @@ def _pareto_mask(ballots, m):
     return _full(m) & ~dominated
 
 
-def _pb_omninomination(rule, ballots, m):
+def _pb_omninomination(rule, m, ballots):
     mask = 0
     for ballot in ballots:
         mask |= 1 << ballot[0]
     return mask
 
 
-def _pb_pareto(rule, ballots, m):
+def _pb_pareto(rule, m, ballots):
     return _pareto_mask(ballots, m)
 
 
-def _pb_plurality(rule, ballots, m):
+def _pb_plurality(rule, m, ballots):
     counts = [0] * m
     for ballot in ballots:
         counts[ballot[0]] += 1
@@ -380,68 +359,83 @@ def _pb_plurality(rule, ballots, m):
     return sum(1 << x for x in range(m) if counts[x] == best)
 
 
-def _pb_tc_of_po(rule, ballots, m):
+def _pb_tc_of_po(rule, m, ballots):
     po = _pareto_mask(ballots, m)
     flat = _margins_flat(ballots, m)
     return _tc_mask(_strict_masks_from_flat(flat, m), po)
 
 
-def _pb_po_of_tc(rule, ballots, m):
+def _pb_po_of_tc(rule, m, ballots):
     flat = _margins_flat(ballots, m)
     tc = _tc_mask(_strict_masks_from_flat(flat, m), _full(m))
     po = _pareto_mask(ballots, m)
     return tc & po
 
 
-# every evaluator here reads the ballots only as a multiset, as margins do, so
-# a sweep walks one ordering per electorate (checked by the tests)
-_PROFILE_BASED = {
-    RuleId.OMNINOMINATION: _pb_omninomination,
-    RuleId.PARETO: _pb_pareto,
-    RuleId.PLURALITY: _pb_plurality,
-    RuleId.TC_OF_PO: _pb_tc_of_po,
-    RuleId.PO_OF_TC: _pb_po_of_tc,
+# ---------------------------------------------------------------------------
+# the evaluator table, and the basis and the entry points read off it
+
+# one entry per rule: its basis tag and its evaluator, called as
+# evaluator(rule, m, part) on the part of the profile the tag names, the
+# strict-beat masks, the flat margin vector or the ballots. Every
+# profile-based evaluator reads the ballots only as a multiset, as margins
+# do, so a sweep walks one ordering per electorate (checked by the tests)
+_EVALUATORS = {
+    RuleId.TOP_CYCLE: (BasisTag.MAJORITARIAN, _maj_top_cycle),
+    RuleId.TC_STAR: (BasisTag.PAIRWISE, _pw_tc_star),
+    RuleId.CONDORCET: (BasisTag.MAJORITARIAN, _maj_condorcet),
+    RuleId.CONDORCET_NON_LOSER: (BasisTag.MAJORITARIAN, _maj_condorcet_non_loser),
+    RuleId.OMNINOMINATION: (BasisTag.PROFILE_BASED, _pb_omninomination),
+    RuleId.PARETO: (BasisTag.PROFILE_BASED, _pb_pareto),
+    RuleId.TC_OF_PO: (BasisTag.PROFILE_BASED, _pb_tc_of_po),
+    RuleId.PO_OF_TC: (BasisTag.PROFILE_BASED, _pb_po_of_tc),
+    RuleId.PLURALITY: (BasisTag.PROFILE_BASED, _pb_plurality),
+    RuleId.BORDA: (BasisTag.PAIRWISE, _pw_borda),
+    RuleId.COPELAND: (BasisTag.MAJORITARIAN, _maj_copeland),
+    RuleId.MAXIMIN: (BasisTag.PAIRWISE, _pw_maximin),
+    RuleId.KEMENY: (BasisTag.PAIRWISE, _pw_kemeny),
+    RuleId.UNCOVERED_SET: (BasisTag.MAJORITARIAN, _maj_uncovered),
+    RuleId.FAB: (BasisTag.MAJORITARIAN, _maj_fab),
+    RuleId.MARGIN_THRESHOLD: (BasisTag.PAIRWISE, _pw_margin_threshold),
+    RuleId.SUPERMAJORITY_TC: (BasisTag.PAIRWISE, _pw_supermajority_tc),
+    RuleId.SHIFTED_TC: (BasisTag.PAIRWISE, _pw_shifted_tc),
+    RuleId.SCHWARTZ: (BasisTag.MAJORITARIAN, _maj_schwartz),
 }
 
-
-# ---------------------------------------------------------------------------
-# the basis, the public evaluator, plus raw entry points used by the sweep
-# engine, all read off the evaluator tables above
+# the tag the relation entry points require, read once: before Python 3.12
+# each read of an Enum member through its class calls a descriptor, and
+# `evaluate_on_relation` checks the tag on every call
+_RELATION_TAG = BasisTag.MAJORITARIAN
 
 
 def basis(rule: RuleSpec) -> BasisTag:
-    """How much of the profile the rule reads: the table that holds its
-    evaluator (checked by tests, not assumed)."""
-    if rule.id in _MAJORITARIAN:
-        return BasisTag.MAJORITARIAN
-    if rule.id in _PAIRWISE:
-        return BasisTag.PAIRWISE
-    return BasisTag.PROFILE_BASED
+    """How much of the profile the rule reads: the tag of its entry in the
+    evaluator table (checked by tests, not assumed)."""
+    return _EVALUATORS[rule.id][0]
 
 
 def evaluate_mask(rule: RuleSpec, ballots, m: int) -> int:
-    if rule.id in _PROFILE_BASED:
-        return _PROFILE_BASED[rule.id](rule, ballots, m)
-    return evaluate_mask_from_margins(rule, _margins_flat(ballots, m), m)
+    tag, evaluator = _EVALUATORS[rule.id]
+    if tag is BasisTag.PROFILE_BASED:
+        return evaluator(rule, m, ballots)
+    flat = _margins_flat(ballots, m)
+    part = flat if tag is BasisTag.PAIRWISE else _strict_masks_from_flat(flat, m)
+    return evaluator(rule, m, part)
 
 
 def evaluate_mask_from_margins(rule: RuleSpec, flat, m: int) -> int:
-    if rule.id in _PAIRWISE:
-        return _PAIRWISE[rule.id](rule, m, flat)
-    if rule.id in _MAJORITARIAN:
-        return _MAJORITARIAN[rule.id](rule, m, _strict_masks_from_flat(flat, m))
-    raise ValueError(f"{rule.name} needs the ballots, not just margins")
-
-
-def _relation_evaluator(rule: RuleSpec):
-    evaluator = _MAJORITARIAN.get(rule.id)
-    if evaluator is None:
-        raise ValueError(f"{rule.name} is not a function of the majority relation")
-    return evaluator
+    tag, evaluator = _EVALUATORS[rule.id]
+    if tag is BasisTag.PROFILE_BASED:
+        raise ValueError(f"{rule.name} needs the ballots, not just margins")
+    part = flat if tag is BasisTag.PAIRWISE else _strict_masks_from_flat(flat, m)
+    return evaluator(rule, m, part)
 
 
 def evaluate_mask_from_relation(rule: RuleSpec, strict: tuple[int, ...], m: int) -> int:
-    return _relation_evaluator(rule)(rule, m, strict)
+    tag, evaluator = _EVALUATORS[rule.id]
+    if tag is not _RELATION_TAG:
+        raise ValueError(f"{rule.name} is not a function of the majority relation")
+    return evaluator(rule, m, strict)
 
 
 def _nonempty(rule: RuleSpec, mask: int) -> int:
@@ -459,10 +453,11 @@ def evaluate(rule: RuleSpec, profile: Profile) -> ChoiceSet:
 def evaluate_on_relation(rule: RuleSpec, rel: MajorityRelation) -> ChoiceSet:
     """Evaluate a majoritarian rule directly on a majority relation; the
     result is never empty."""
-    # each fallback runs only to raise: for a rule outside the table, or an
-    # empty output
-    evaluator = _MAJORITARIAN.get(rule.id) or _relation_evaluator(rule)
+    tag, evaluator = _EVALUATORS[rule.id]
+    if tag is not _RELATION_TAG:
+        raise ValueError(f"{rule.name} is not a function of the majority relation")
     m = rel.m
+    # the fallback runs only to raise on an empty output
     mask = evaluator(rule, m, rel.strict) or _nonempty(rule, 0)
     # a majoritarian evaluator only ever sets bits of alternatives 0..m-1
     return _unchecked_choice(m, mask)

@@ -43,7 +43,7 @@ not hold is never met, so it does not replay.
 
 Electorate walk. Every rule reads the ballots only as a multiset: margins
 are sums over the ballots, and the tests check each profile-based evaluator
-in `rules._PROFILE_BASED`. So a universe walk takes `Universe._electorates`,
+in `rules._EVALUATORS`. So a universe walk takes `Universe._electorates`,
 the sorted tuple of each multiset, which is the first ordering of it that
 `Universe.raw_profiles` meets, in the order `raw_profiles` first meets
 them. The skipped reorderings change no verdict and no witness: each
@@ -159,12 +159,12 @@ from .core import (
 from .extensions import _FISHBURN, ExtensionKind, _better, _gains, _lifting
 from .mcgarvey import realize_relation
 from .rules import (
+    _EVALUATORS,
     BasisTag,
     InstanceTooLargeError,
     RuleSpec,
     TiesUnsupportedError,
     _nonempty,
-    _relation_evaluator,
     basis,
     # unused here: the engines call the evaluators themselves, so these names
     # stay only because perfbench/layers.py wraps them here by name
@@ -1173,7 +1173,7 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
             rels = (MajorityRelation.from_profile(p).strict for p in profiles if p.m == m)
         else:
             rels = _relation_masks(m)
-        scan = partial(_RelationScan, rule, _relation_evaluator(rule))
+        scan = partial(_RelationScan, rule, _EVALUATORS[rule.id][1])
         results.update(_walk(rule, universe, on_relations, rels, scan))
     return results
 

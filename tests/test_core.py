@@ -470,7 +470,7 @@ class TestChoiceSetValidation:
             ChoiceSet.from_members(3, [0, member])
 
     def test_numpy_members_become_python_ints(self):
-        choice = ChoiceSet.from_members(np.int64(3), [np.int64(0), True])
+        choice = ChoiceSet.from_members(np.int64(3), [np.int64(0), np.int8(1)])
         assert choice == ChoiceSet(3, 0b11) and type(choice.m) is int
 
     def test_numpy_integers_become_python_ints(self):
@@ -640,7 +640,7 @@ class TestRestrict:
 
     def test_members_are_read_as_integers(self):
         rel = MajorityRelation(3, (2, 4, 1))
-        sub, idx = restrict(rel, [np.int64(2), True, 2])
+        sub, idx = restrict(rel, [np.int64(2), np.int8(1), 2])
         assert idx == (1, 2) and type(idx[0]) is int
         assert sub == MajorityRelation(2, (2, 0))
         assert restrict(rel, ChoiceSet(2, 0b11)) == restrict(rel, [0, 1])

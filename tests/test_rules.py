@@ -233,15 +233,13 @@ class TestBasisDeclarations:
         assert basis(rule("borda")) == BasisTag.PAIRWISE
         assert basis(rule("omninomination")) == BasisTag.PROFILE_BASED
 
-    def test_each_rule_is_in_exactly_one_evaluator_table_which_basis_names(self):
-        tables = {
-            BasisTag.MAJORITARIAN: rules_module._MAJORITARIAN,
-            BasisTag.PAIRWISE: rules_module._PAIRWISE,
-            BasisTag.PROFILE_BASED: rules_module._PROFILE_BASED,
-        }
-        for rule_id in RuleId:
-            holding = [tag for tag, table in tables.items() if rule_id in table]
-            assert holding == [basis(RuleSpec(rule_id))], rule_id
+    def test_each_rule_has_one_evaluator_entry_whose_tag_basis_names(self):
+        # a dict holds one entry per key; a rule without one would have no
+        # basis, and none is assumed for it
+        assert set(rules_module._EVALUATORS) == set(RuleId)
+        for rule_id, (tag, evaluator) in rules_module._EVALUATORS.items():
+            assert isinstance(tag, BasisTag) and callable(evaluator), rule_id
+            assert basis(RuleSpec(rule_id)) is tag, rule_id
 
     def test_margins_entry_point_refuses_a_profile_based_rule(self):
         with pytest.raises(ValueError, match="plurality needs the ballots, not just margins"):
@@ -265,12 +263,14 @@ class TestBasisDeclarations:
     def test_profile_based_evaluators_read_a_multiset(self, m, n_max):
         # the sweeps walk one ordering per electorate, so every ordering of
         # one multiset of ballots must give one mask
-        for rule_id, fn in rules_module._PROFILE_BASED.items():
+        for rule_id, (tag, fn) in rules_module._EVALUATORS.items():
+            if tag != BasisTag.PROFILE_BASED:
+                continue
             spec = RuleSpec(rule_id)
             masks = {}
             for n in range(1, n_max + 1):
                 for ballots in itertools.product(enumerate_ballots(m), repeat=n):
-                    mask = fn(spec, ballots, m)
+                    mask = fn(spec, m, ballots)
                     assert masks.setdefault(tuple(sorted(ballots)), mask) == mask, spec.name
 
     def test_declared_bases_are_sound_m3(self):

@@ -15,6 +15,7 @@ from setvote.core import (
     _chain,
     MajorityRelation,
     Profile,
+    connected_set,
     enumerate_ballots,
     enumerate_relations,
     margins,
@@ -54,17 +55,28 @@ A, B, C = 0, 1, 2
 TC = parse_rule("tc")
 
 
-def counted_calls(monkeypatch, name):
-    """The argument tuples of every call the engine makes to the rule
-    evaluator `_engine.<name>` from here on."""
+def replace_evaluator(monkeypatch, rule_id, evaluator):
+    """Put `evaluator` in the rule's entry of the evaluator table, keeping its
+    basis tag. An engine keeps the evaluator it was built with, so the shared
+    engines are cleared, and the test gets shared engines of its own, which
+    go when it ends."""
+    tag, _ = rules._EVALUATORS[rule_id]
+    monkeypatch.setitem(rules._EVALUATORS, rule_id, (tag, evaluator))
+    _engine._shared_engine.cache_clear()
+    monkeypatch.setattr(_engine, "_shared_engine", _engine._SharedEngines())
+
+
+def counted_calls(monkeypatch, rule_id):
+    """The argument tuples (rule, m, part) of every call to the rule's
+    evaluator from here on, from empty shared engines."""
     calls = []
-    evaluator = getattr(_engine, name)
+    evaluator = rules._EVALUATORS[rule_id][1]
 
     def counted(*args):
         calls.append(args)
         return evaluator(*args)
 
-    monkeypatch.setattr(_engine, name, counted)
+    replace_evaluator(monkeypatch, rule_id, counted)
     return calls
 
 
@@ -193,7 +205,9 @@ class TestSweepStrategyproofness:
             Universe(*args, **kwargs)
 
     def test_integer_like_bounds_are_read_as_ints(self):
-        universe = Universe(np.int64(3), True, k_hom=np.int8(2), margin_cap=np.uint8(1))
+        universe = Universe(
+            np.int64(3), np.int16(1), k_hom=np.int8(2), margin_cap=np.uint8(1)
+        )
         assert universe == Universe(3, 1, margin_cap=1)
         assert all(type(getattr(universe, f)) is int for f in ("m", "n_max", "k_hom", "margin_cap"))
 
@@ -278,6 +292,54 @@ class TestGroupManipulation:
             "the sweep engine tables all m! ballots; refusing m=9 > 8"
         )
         assert tabled == []
+
+
+CYCLE = Profile(3, ((A, B, C), (B, C, A), (C, A, B)))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(
+        lambda: Universe(3, 2, margin_cap=False), "margin_cap must be an integer, got False",
+        id="margin-cap",
+    ),
+    pytest.param(lambda: Universe(True, 2), "m must be an integer, got True", id="universe-m"),
+    pytest.param(lambda: ChoiceSet(True, 1), "m must be an integer, got True", id="choice-set-m"),
+    pytest.param(
+        lambda: sweep_strategyproofness(TC, Universe(2, 1), budget=True),
+        "budget must be an integer, got True",
+        id="budget",
+    ),
+    pytest.param(
+        lambda: find_group_manipulation(TC, CYCLE, True),
+        "max_group must be an integer, got True",
+        id="max-group",
+    ),
+    pytest.param(lambda: CYCLE.tiled(True), "k must be an integer, got True", id="tiled"),
+    pytest.param(
+        lambda: CYCLE.replace_ballot(True, (C, B, A)),
+        "voter must be an integer, got True",
+        id="replace-ballot",
+    ),
+    pytest.param(
+        lambda: connected_set(MajorityRelation.from_profile(CYCLE), True),
+        "alternative True out of range for m=3",
+        id="connected-set",
+    ),
+    pytest.param(
+        lambda: ChoiceSet.from_members(3, [False]),
+        "alternative False out of range for m=3",
+        id="alternative",
+    ),
+    pytest.param(
+        lambda: realize_relation(MajorityRelation.from_profile(CYCLE), True),
+        "weight must be an integer, got True",
+        id="weight",
+    ),
+])
+def test_a_boolean_is_refused_where_an_integer_is_read(call, message):
+    # Python counts False and True as ints: each of these read one as 0 or 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestVerdictTableBound:
@@ -632,9 +694,8 @@ class TestStrongStrategyproofness:
         assert verdict.outcome == Outcome.HOLDS
 
     def test_one_memo_serves_the_whole_sweep(self, monkeypatch):
-        calls = counted_calls(monkeypatch, "evaluate_mask_from_relation")
-        # start from an empty shared memo, so that the count is the sweep's own
-        _engine._shared_engine.cache_clear()
+        # counted from empty shared engines, so that the count is the sweep's own
+        calls = counted_calls(monkeypatch, RuleId.TOP_CYCLE)
         sweep_strong_strategyproofness(TC, Universe(3, 3))
         # at most one evaluation per majority relation on three alternatives
         assert len(calls) <= 27
@@ -924,7 +985,7 @@ class TestBudgetVariable:
 class TestEmptyOutputs:
     @pytest.fixture
     def empty_tc(self, monkeypatch):
-        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, lambda rule, m, strict: 0)
+        replace_evaluator(monkeypatch, RuleId.TOP_CYCLE, lambda rule, m, strict: 0)
 
     def test_evaluate_refuses(self, empty_tc, fig1):
         with pytest.raises(EmptyChoiceError, match="tc produced an empty choice set"):
@@ -942,13 +1003,15 @@ class TestEmptyOutputs:
             lambda: find_strong_manipulation(TC, profile),
             lambda: find_group_manipulation(TC, profile, 2),
             lambda: sweep_strategyproofness(TC, universe),
-            lambda: check_robust_dominant(TC, universe),
             lambda: check_weak_robustness(TC, universe),
-            lambda: corroborate_theorems(universe, rules=(TC,)),
             *[
                 lambda a=axiom: check_axiom(a, TC, universe)
                 for axiom in Axiom
             ],
+            # the last two walk the majority relations, which read the
+            # evaluator table on each walk
+            lambda: check_robust_dominant(TC, universe),
+            lambda: corroborate_theorems(universe, rules=(TC,)),
         ]
 
     def test_no_sweep_carries_an_empty_set(self, empty_tc, fig2_left):
@@ -956,11 +1019,31 @@ class TestEmptyOutputs:
             with pytest.raises(EmptyChoiceError):
                 call()
 
-    def test_a_warm_memo_does_not_hide_a_replaced_evaluator(self, monkeypatch, fig2_left):
+    def test_an_engine_keeps_its_evaluator_until_the_shared_engines_are_cleared(
+        self, monkeypatch, fig2_left
+    ):
+        # an evaluator put in the table reaches no engine built before: every
+        # call a warm shared engine serves still answers, and so does a search
+        # through an engine whose memos are emptied, since it evaluates anew
+        # with its own evaluator. Once the shared engines are cleared, every
+        # call builds its engine anew and refuses the empty set
         calls = self.call_sites(fig2_left)
         for call in calls:
             call()
-        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, lambda rule, m, strict: 0)
+        def empty(rule, m, strict):
+            return 0
+
+        engine = _engine._engine(TC, 3, fig2_left.n)
+        kept = engine.evaluator
+        monkeypatch.setitem(rules._EVALUATORS, RuleId.TOP_CYCLE, (BasisTag.MAJORITARIAN, empty))
+        for call in calls[:-2]:
+            call()
+        for memo in (engine.cache, engine.rows, engine.verdicts):
+            memo.clear()
+        find_manipulation(TC, fig2_left)
+        assert _engine._engine(TC, 3, fig2_left.n) is engine and engine.evaluator is kept
+        assert engine.cache
+        replace_evaluator(monkeypatch, RuleId.TOP_CYCLE, empty)
         for call in calls:
             with pytest.raises(EmptyChoiceError):
                 call()
@@ -977,13 +1060,12 @@ class TestSharedMemo:
     def test_one_profile_searches_evaluate_each_tournament_once(self, monkeypatch):
         # every 3-voter profile on 4 alternatives and each of its deviations
         # is one of the 64 tournaments on 4 alternatives
-        calls = counted_calls(monkeypatch, "evaluate_mask_from_relation")
+        calls = counted_calls(monkeypatch, RuleId.UNCOVERED_SET)
         uncovered = parse_rule("uncovered-set")
         profiles = [
             Profile(4, combo)
             for combo in itertools.product(enumerate_ballots(4), repeat=3)
         ]
-        _engine._shared_engine.cache_clear()
         for most in (64, 0):  # a cold pass, then a warm one
             before = len(calls)
             for profile in profiles:
@@ -1043,19 +1125,17 @@ class TestSharedMemo:
         # misreport, so the search runs to its end; voter 2 repeats voter
         # 0's ballot, so only voters 0 and 1 try their five misreports; each
         # profile is evaluated as its electorate, the sorted ballots
-        calls = counted_calls(monkeypatch, "evaluate_mask")
-        _engine._shared_engine.cache_clear()
+        calls = counted_calls(monkeypatch, RuleId.PARETO)
         abc, bca = (A, B, C), (B, C, A)
         assert find_manipulation(parse_rule("pareto"), Profile(3, (abc, bca, abc))) is None
-        assert [ballots for _, ballots, _ in calls] == [(abc, abc, bca)] + [
+        assert [ballots for _, _, ballots in calls] == [(abc, abc, bca)] + [
             tuple(sorted((mis, bca, abc))) for mis in own_order_misreports(abc)
         ] + [tuple(sorted((abc, mis, abc))) for mis in own_order_misreports(bca)]
 
     def test_a_reordered_electorate_reuses_its_outputs(self, monkeypatch):
         # the second profile is the first's electorate in another order:
         # each voter's misreports reach the electorates the first search met
-        calls = counted_calls(monkeypatch, "evaluate_mask")
-        _engine._shared_engine.cache_clear()
+        calls = counted_calls(monkeypatch, RuleId.PARETO)
         pareto, abc, bca = parse_rule("pareto"), (A, B, C), (B, C, A)
         assert find_manipulation(pareto, Profile(3, (abc, bca, abc))) is None
         before = len(calls)
@@ -1063,11 +1143,13 @@ class TestSharedMemo:
         assert len(calls) == before == 11
 
     def test_replay_evaluates_through_its_own_engine(self, monkeypatch):
+        # the sweep's shared engine holds every output the replay needs
         borda = parse_rule("borda")
+        calls = counted_calls(monkeypatch, RuleId.BORDA)
         verdict = sweep_strategyproofness(borda, Universe(3, 3))
-        calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
+        swept = len(calls)
         assert replay(verdict)
-        assert calls
+        assert len(calls) > swept
 
 
 def moved_manipulation(ctx, extension, strong):
@@ -1170,13 +1252,12 @@ class TestVerdictMemo:
         empty_on = next(
             key for key in reached(1) if key not in reached(0) and key != layout.key(code)
         )
-        evaluator = rules._MAJORITARIAN[RuleId.TOP_CYCLE]
+        evaluator = rules._EVALUATORS[RuleId.TOP_CYCLE][1]
 
         def empty_on_one(rule, m, strict):
             return 0 if strict == layout.strict(empty_on) else evaluator(rule, m, strict)
 
-        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, empty_on_one)
-        _engine._shared_engine.cache_clear()
+        replace_evaluator(monkeypatch, RuleId.TOP_CYCLE, empty_on_one)
         for _ in range(3):
             with pytest.raises(EmptyChoiceError):
                 find_manipulation(TC, profile)
@@ -1229,9 +1310,8 @@ class TestVerdictMemo:
         # voter 0's first misreport (eb acd fc) is the witness under borda, so
         # the search evaluates the honest profile and that misreport alone,
         # not the other 718 ballots of the voter's row
-        calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
+        calls = counted_calls(monkeypatch, RuleId.BORDA)
         borda = parse_rule("borda")
-        _engine._shared_engine.cache_clear()
         ballots = ((4, 1, 0, 5, 3, 2), (3, 5, 0, 1, 2, 4))
         found = find_manipulation(borda, Profile(6, ballots))
         assert (found.voter, found.misreport) == (0, own_order_misreports(ballots[0])[0])
@@ -1246,7 +1326,7 @@ class TestVerdictMemo:
         # honest output from the output memo, once at its verdict miss and
         # once for the witness, and every misreport from the row
         borda, abcd, bcad = parse_rule("borda"), (A, B, C, 3), (B, C, A, 3)
-        _engine._shared_engine.cache_clear()
+        calls = counted_calls(monkeypatch, RuleId.BORDA)
         assert find_manipulation(borda, Profile(4, ((A, 3, C, B), abcd, bcad))) is None
         engine = _engine._engine(borda, 4, 3)
         assert len(engine.rows) == 3 and all(row.complete() for row in engine.rows.values())
@@ -1258,10 +1338,10 @@ class TestVerdictMemo:
                 return super().get(key, default)
 
         monkeypatch.setattr(engine, "cache", Counted(engine.cache))
-        calls = counted_calls(monkeypatch, "evaluate_mask_from_margins")
+        evaluated = len(calls)
         profile = Profile(4, (abcd, abcd, bcad))
         found = find_manipulation(borda, profile)
-        assert calls == [] and looked == [engine.layout.of(profile.ballots)] * 2
+        assert len(calls) == evaluated and looked == [engine.layout.of(profile.ballots)] * 2
         assert (
             found.voter,
             found.misreport,
@@ -1494,14 +1574,14 @@ class TestOrbitWalk:
         # and settles the move checks, and homogeneity, which the electorate
         # walk keeps, is violated with the oracle's witness
         universe = Universe(3, 3)
-        plurality = rules._PROFILE_BASED[RuleId.PLURALITY]
+        plurality = rules._EVALUATORS[RuleId.PLURALITY][1]
 
-        def stand_in(rule, ballots, m):
+        def stand_in(rule, m, ballots):
             if len(ballots) <= universe.n_max or (A, B, C) in ballots:
-                return plurality(rule, ballots, m)
+                return plurality(rule, m, ballots)
             return 1
 
-        monkeypatch.setitem(rules._PROFILE_BASED, RuleId.PLURALITY, stand_in)
+        replace_evaluator(monkeypatch, RuleId.PLURALITY, stand_in)
         rule = parse_rule("plurality")
         names = [n for n in verify._CHECKS if not verify._over_relations(n, rule)]
         found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
@@ -1593,7 +1673,7 @@ class TestRelationWalk:
             chain = _chain(strict)
             return chain[min(1, len(chain) - 1)]
 
-        monkeypatch.setitem(rules._MAJORITARIAN, RuleId.TOP_CYCLE, second_link)
+        replace_evaluator(monkeypatch, RuleId.TOP_CYCLE, second_link)
         expected = realized_walk(TC, 4)
         calls = counted_realizations(monkeypatch)
         verdict = check_robust_dominant(TC, Universe(4, 1))
