@@ -79,7 +79,8 @@ def cmd_axioms(args) -> int:
     rule = parse_rule(args.rule)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     wanted = args.axiom or [a.value for a in full_suite()]
-    verdicts = [_run(name, rule, universe, None) for name in wanted]
+    results = _run(wanted, rule, universe, None)
+    verdicts = [results[name] for name in wanted]
     text, payload = svio.serialize_report(verdicts)
     print(text, end="")
     if args.json:

@@ -22,7 +22,6 @@ side of each pair wins, read off the strict masks as it goes.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,7 +46,8 @@ class WeightedMajorityGraph:
     target: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = self.m
+        m = _integer(self.m, "m")
+        object.__setattr__(self, "m", m)
         if m < 1:
             raise ValueError("need at least one alternative")
         try:
@@ -57,8 +57,8 @@ class WeightedMajorityGraph:
         if rows is None or len(rows) != m or any(len(row) != m for row in rows):
             raise ValueError(f"target must be {m}x{m}")
         try:
-            rows = tuple(tuple(map(operator.index, row)) for row in rows)
-        except TypeError:
+            rows = tuple(tuple(_integer(v, "target entry") for v in row) for row in rows)
+        except ValueError:
             raise ValueError("target entries must be integers") from None
         object.__setattr__(self, "target", rows)
         if any(rows[x][x] for x in range(m)):

@@ -10,21 +10,26 @@ the deliberately weaker "not witnessed in universe", never a refutation.
 
 Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
-environment variable). Corroboration checks the estimate of every (rule,
-check) before its first walk, and counts a margin-capped universe once.
+environment variable). Corroboration and `_run` check the largest estimate
+of the checks they run before the first walk, and count a margin-capped
+universe once.
 
 Walk contract. Every universe check (the axioms, both strategyproofness
 readings and the two dominant-set pair checks) is reached by the name its
 verdicts carry through one lookup, `_check`, which also keys its budget
-estimate, `_estimate`; `_run` runs one check by name. A check is a
+estimate, `_estimate`. `_run` runs any set of checks by name through one
+`_verdicts` call, so the universe is walked once for all of them; the
+single-check functions and `setvote axioms` call it. A check is a
 per-profile predicate: given the scan context of one profile (its ballots,
 margin code and memoized output) it returns None to go on, or its verdict as
-(outcome, witness). One walker, `_walk`, takes the profiles and a `scan`
-callable, which reads each into its scan context, feeds every open predicate
-and closes each at its first verdict. A predicate still open at walk end
-gives its `end()` verdict, or holds: the imposition checks report the sets
-never reached, and the pair checks judge the scans they kept, reporting the
-first violating pair (i, j) in scan order. A TiesUnsupportedError or
+(outcome, witness). Every violation witness but strategyproofness's
+`Manipulation` is written by one builder, `_violated`, which states the
+layout. One walker, `_walk`, takes the profiles and a `scan` callable,
+which reads each into its scan context, feeds every open predicate and
+closes each at its first verdict. A predicate still open at walk end gives
+its `end()` verdict, or holds: the imposition checks report the sets never
+reached, and the pair checks judge the scans they kept, reporting the first
+violating pair (i, j) in scan order. A TiesUnsupportedError or
 InstanceTooLargeError from a profile's own output closes every open
 predicate; one raised inside a predicate closes that predicate only. Sweeps
 run in one process.
@@ -423,6 +428,20 @@ def _holds():
     return Outcome.HOLDS, None
 
 
+def _violated(m: int, profiles, outputs, **facts):
+    """A violation and its witness, in the one layout every check but
+    strategyproofness writes: "profile" for a `Profile` or "profiles" for a
+    tuple of them, then the facts the check names, in call order, then
+    "output" for one output mask or "outputs" for a tuple of them, each as a
+    `ChoiceSet`."""
+    witness = {"profiles" if isinstance(profiles, tuple) else "profile": profiles, **facts}
+    if isinstance(outputs, tuple):
+        witness["outputs"] = tuple(ChoiceSet(m, out) for out in outputs)
+    else:
+        witness["output"] = ChoiceSet(m, outputs)
+    return Outcome.VIOLATED, witness
+
+
 def _walk(
     rule: RuleSpec, universe: Universe, checks: dict, profiles, scan, until=None
 ) -> dict:
@@ -544,7 +563,8 @@ def sweep_strategyproofness(
     budget: int | None = None,
 ) -> AxiomVerdict:
     """Exhaustive manipulation search over the universe."""
-    return _run(_sp_name(extension), rule, universe, budget)
+    name = _sp_name(extension)
+    return _run((name,), rule, universe, budget)[name]
 
 
 def find_strong_manipulation(
@@ -567,7 +587,8 @@ def sweep_strong_strategyproofness(
     *,
     budget: int | None = None,
 ) -> AxiomVerdict:
-    return _run(_sp_name(kind, strong=True), rule, universe, budget)
+    name = _sp_name(kind, strong=True)
+    return _run((name,), rule, universe, budget)[name]
 
 
 def find_group_manipulation(
@@ -643,7 +664,7 @@ def check_axiom(
     except ValueError:
         known = ", ".join(a.value for a in Axiom)
         raise ValueError(f"unknown axiom {axiom!r}; expected one of: {known}") from None
-    return _run(axiom.value, rule, universe, budget)
+    return _run((axiom.value,), rule, universe, budget)[axiom.value]
 
 
 def _stateless(predicate):
@@ -662,10 +683,7 @@ def _grouped(universe, by_relation):
         prior = seen.setdefault(key, (ctx.ballots, ctx.out))
         if prior[1] == ctx.out:
             return None
-        return Outcome.VIOLATED, {
-            "profiles": (Profile(m, prior[0]), ctx.profile),
-            "outputs": (ChoiceSet(m, prior[1]), ChoiceSet(m, ctx.out)),
-        }
+        return _violated(m, (Profile(m, prior[0]), ctx.profile), (prior[1], ctx.out))
 
     return violation
 
@@ -695,11 +713,8 @@ def _check_neutrality(ctx):
         zip(ctx.engine.relabeled(ctx.ballots), _relabeled_masks(m, out))
     ):
         if actual != expected:
-            return Outcome.VIOLATED, {
-                "profile": ctx.profile,
-                "permutation": ctx.engine.table.ballots[j + 1],
-                "outputs": (ChoiceSet(m, out), ChoiceSet(m, actual)),
-            }
+            permutation = ctx.engine.table.ballots[j + 1]
+            return _violated(m, ctx.profile, (out, actual), permutation=permutation)
     return None
 
 
@@ -710,11 +725,7 @@ def _check_homogeneity(universe):
         for k in range(2, universe.k_hom + 1):
             out_k = ctx.tiled(k)
             if out_k != ctx.out:
-                return Outcome.VIOLATED, {
-                    "profile": ctx.profile,
-                    "k": k,
-                    "outputs": (ChoiceSet(m, ctx.out), ChoiceSet(m, out_k)),
-                }
+                return _violated(m, ctx.profile, (ctx.out, out_k), k=k)
         return None
 
     return violation
@@ -749,11 +760,7 @@ def _check_strong_condorcet(ctx):
         violated = out != 1 << winner
     if not violated:
         return None
-    return Outcome.VIOLATED, {
-        "profile": ctx.profile,
-        "condorcet_winner": winner,
-        "output": ChoiceSet(m, out),
-    }
+    return _violated(m, ctx.profile, out, condorcet_winner=winner)
 
 
 @_stateless
@@ -762,11 +769,7 @@ def _check_cos(ctx):
     for x in range(m):
         rest = out & ~(1 << x)
         if rest and strict[x] & rest == rest:
-            return Outcome.VIOLATED, {
-                "profile": ctx.profile,
-                "alternative": x,
-                "output": ChoiceSet(m, out),
-            }
+            return _violated(m, ctx.profile, out, alternative=x)
     return None
 
 
@@ -774,24 +777,19 @@ def _perturbation(kind, violated, both_profiles, extra, reads_out=True):
     """The factory of a one-ballot-move axiom's predicate: for each voter in
     turn, try the changes `kind(ballot, out)` yields as (new_ballot, info)
     (a kind that does not read the output is tabled without it). The first
-    with violated(out, after, info) is the witness: the profile, or both
-    profiles if `both_profiles`, the voter, extra(info), then both outputs."""
+    with violated(out, after, info) is the witness, on the profile, or on it
+    and the moved one if `both_profiles`, with the voter and extra(info) as
+    its facts."""
 
     def violation(ctx):
         out, ballots, m = ctx.out, ctx.ballots, ctx.m
         for voter, new_ballot, info, after in _moved(ctx, kind, out if reads_out else None):
             if violated(out, after, info):
+                profiles = ctx.profile
                 if both_profiles:
                     changed = ballots[:voter] + (new_ballot,) + ballots[voter + 1:]
-                    head = {"profiles": (ctx.profile, Profile(m, changed))}
-                else:
-                    head = {"profile": ctx.profile}
-                return Outcome.VIOLATED, {
-                    **head,
-                    "voter": voter,
-                    **extra(info),
-                    "outputs": (ChoiceSet(m, out), ChoiceSet(m, after)),
-                }
+                    profiles = (profiles, Profile(m, changed))
+                return _violated(m, profiles, (out, after), voter=voter, **extra(info))
         return None
 
     return _stateless(violation)
@@ -910,11 +908,8 @@ def _check_fishburn_efficiency(ctx):
         shared &= _better(_FISHBURN, ballot, out)
         if not shared:
             return None
-    return Outcome.VIOLATED, {
-        "profile": ctx.profile,
-        "challenger": ChoiceSet(m, (shared & -shared).bit_length() - 1),
-        "output": ChoiceSet(m, out),
-    }
+    challenger = ChoiceSet(m, (shared & -shared).bit_length() - 1)
+    return _violated(m, ctx.profile, out, challenger=challenger)
 
 
 @_stateless
@@ -931,11 +926,7 @@ def _check_twin_symmetry(ctx):
             ):
                 continue
             if (out >> x & 1) != (out >> y & 1):
-                return Outcome.VIOLATED, {
-                    "profile": ctx.profile,
-                    "alternatives": (x, y),
-                    "output": ChoiceSet(m, out),
-                }
+                return _violated(m, ctx.profile, out, alternatives=(x, y))
     return None
 
 
@@ -944,12 +935,6 @@ def _check_twin_symmetry(ctx):
 
 _ROBUST_DOMINANT = "robust-dominant-set"
 _WEAK_ROBUSTNESS = "weak-robustness"
-
-
-def _pair_violated(p, q):
-    """The verdict of a pair check on its first violating pair (p, q)."""
-    outputs = (ChoiceSet(p.m, p.out), ChoiceSet(q.m, q.out))
-    return Outcome.VIOLATED, {"profiles": (p.profile, q.profile), "outputs": outputs}
 
 
 class _RobustDominant:
@@ -975,7 +960,7 @@ class _RobustDominant:
             if link == out:
                 break
             if link & ~out:
-                return Outcome.VIOLATED, {"profile": ctx.profile, "output": ChoiceSet(ctx.m, out)}
+                return _violated(ctx.m, ctx.profile, out)
             inside.append(link)
         self.firsts.setdefault(out, ctx)
         for link in inside:
@@ -984,7 +969,10 @@ class _RobustDominant:
 
     def end(self):
         p = next((p for p in self.firsts.values() if p.out in self.clash), None)
-        return _holds() if p is None else _pair_violated(p, self.clash[p.out])
+        if p is None:
+            return _holds()
+        q = self.clash[p.out]
+        return _violated(p.m, (p.profile, q.profile), (p.out, q.out))
 
 
 class _WeakRobustness:
@@ -1027,7 +1015,8 @@ class _WeakRobustness:
                 for y in _mask_bits(full & ~p.out):
                     partners &= at_least[x * m + y][p.flat[x * m + y]]
             if partners:
-                return _pair_violated(p, scans[(partners & -partners).bit_length() - 1])
+                q = scans[(partners & -partners).bit_length() - 1]
+                return _violated(m, (p.profile, q.profile), (p.out, q.out))
         return _holds()
 
 
@@ -1042,7 +1031,7 @@ def check_robust_dominant(
     realized with two voters per pair; otherwise over the universe's
     profiles, judging every ordered pair of them in that one pass.
     """
-    return _run(_ROBUST_DOMINANT, rule, universe, budget)
+    return _run((_ROBUST_DOMINANT,), rule, universe, budget)[_ROBUST_DOMINANT]
 
 
 def check_weak_robustness(
@@ -1050,7 +1039,7 @@ def check_weak_robustness(
 ) -> AxiomVerdict:
     """If nobody outside the choice set gained ground on anybody inside it,
     the choice set cannot grow."""
-    return _run(_WEAK_ROBUSTNESS, rule, universe, budget)
+    return _run((_WEAK_ROBUSTNESS,), rule, universe, budget)[_WEAK_ROBUSTNESS]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1097,7 @@ def _check(name: str, universe: Universe):
     """A fresh predicate for the check reported under `name`."""
     factory = _CHECKS.get(name)
     if factory is None:
-        raise ValueError(f"unknown check {name!r}")
+        raise ValueError(f"unknown check {name!r}; expected one of: {', '.join(_CHECKS)}")
     return factory(universe)
 
 
@@ -1194,15 +1183,18 @@ def _orbit_walk(rule: RuleSpec, universe: Universe, checks: dict, scan) -> dict:
     return {n: held[n] for n in checks if n in held} if _NEUTRALITY in held else {}
 
 
-def _run(name: str, rule: RuleSpec, universe: Universe, budget: int | None) -> AxiomVerdict:
-    """The verdict of one check, refused beyond the budget; a not-evaluable
-    error is raised."""
-    checks = {name: _check(name, universe)}
-    _within_budget(_estimate(name, rule, universe), budget)
-    result = _verdicts(rule, universe, checks)[name]
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _run(names, rule: RuleSpec, universe: Universe, budget: int | None) -> dict:
+    """The verdicts of the checks `names` (name -> AxiomVerdict), all on one
+    walk (`_verdicts`). Every name is looked up, and the largest estimate
+    checked against the budget, before the walk; the not-evaluable error of
+    the first check, in `names` order, that has one is raised."""
+    checks = {name: _check(name, universe) for name in names}
+    _within_budget(max(_estimate(n, rule, universe) for n in checks), budget)
+    results = _verdicts(rule, universe, checks)
+    for name in checks:
+        if isinstance(results[name], Exception):
+            raise results[name]
+    return results
 
 
 def replay(verdict: AxiomVerdict) -> bool:

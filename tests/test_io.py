@@ -310,6 +310,9 @@ class TestCli:
         assert cli.main(command) == 2
         captured = capsys.readouterr()
         assert f"unknown check '{name}'" in captured.err
+        # and the names a report carries, as the unknown-axiom error lists the axioms
+        assert "; expected one of: pairwiseness, " in captured.err
+        assert "strategyproofness-fishburn" in captured.err
         assert captured.out == ""
 
     def test_mcgarvey(self, tmp_path, fig1, capsys):

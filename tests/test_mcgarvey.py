@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ class TestValidation:
     def test_a_non_integer_margin_is_refused_not_truncated(self):
         with pytest.raises(ValueError, match="target entries must be integers"):
             WeightedMajorityGraph(2, [[0, 1.7], [-1.7, 0]])
+
+    @pytest.mark.parametrize("m", [2.0, "2"])
+    def test_a_non_integer_m_is_refused(self, m):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            WeightedMajorityGraph(m, [[0, 2], [-2, 0]])
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_no_alternatives_is_refused(self, m):

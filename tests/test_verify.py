@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_manipulation, own_order_misreports, witness_holds
-from setvote import _engine, extensions, rules, verify
+from setvote import _engine, cli, extensions, rules, verify
 from setvote.core import (
     ChoiceSet,
     _chain,
@@ -21,7 +21,8 @@ from setvote.core import (
     margins,
 )
 from setvote.extensions import ExtensionKind, fishburn_prefers
-from setvote.mcgarvey import realize_relation
+from setvote.io import parse_report
+from setvote.mcgarvey import WeightedMajorityGraph, realize_relation
 from setvote.rules import (
     BasisTag,
     EmptyChoiceError,
@@ -334,6 +335,16 @@ CYCLE = Profile(3, ((A, B, C), (B, C, A), (C, A, B)))
         lambda: realize_relation(MajorityRelation.from_profile(CYCLE), True),
         "weight must be an integer, got True",
         id="weight",
+    ),
+    pytest.param(
+        lambda: WeightedMajorityGraph(True, ((0,),)),
+        "m must be an integer, got True",
+        id="graph-m",
+    ),
+    pytest.param(
+        lambda: WeightedMajorityGraph(2, ((0, True), (-1, 0))),
+        "target entries must be integers",
+        id="graph-entry",
     ),
 ])
 def test_a_boolean_is_refused_where_an_integer_is_read(call, message):
@@ -923,6 +934,54 @@ class TestWalk:
         assert str(results["refuses"]) == "this check only"
         assert results[cos] == check_axiom(Axiom.COS, TC, universe)
         assert results[cos].outcome == Outcome.HOLDS
+
+
+class TestAxiomsCommand:
+    """`setvote axioms` runs every requested check on one walk, through the
+    runner the single-check functions index."""
+
+    @staticmethod
+    def reported(tmp_path, rule_name, names=()):
+        out_json = tmp_path / "report.json"
+        command = ["axioms", "--rule", rule_name, "--m", "3", "--n", "3"]
+        for name in names:
+            command += ["--axiom", name]
+        cli.main([*command, "--json", str(out_json)])
+        return parse_report(out_json.read_text())
+
+    @pytest.mark.parametrize("rule_name", ["tc", "borda", "pareto"])
+    def test_the_default_suite_gives_the_single_check_verdicts(self, tmp_path, rule_name):
+        rule, universe = parse_rule(rule_name), Universe(3, 3)
+        expected = [check_axiom(axiom, rule, universe) for axiom in verify.full_suite()]
+        assert self.reported(tmp_path, rule_name) == expected
+
+    @pytest.mark.parametrize("rule_name", ["tc", "borda", "pareto"])
+    def test_a_repeated_check_is_reported_where_it_is_asked(self, tmp_path, rule_name):
+        rule, universe = parse_rule(rule_name), Universe(3, 3)
+        sp = sweep_strategyproofness(rule, universe)
+        pairwise = check_axiom(Axiom.PAIRWISENESS, rule, universe)
+        names = (sp.axiom, pairwise.axiom, sp.axiom)
+        assert self.reported(tmp_path, rule_name, names) == [sp, pairwise, sp]
+
+    @pytest.mark.parametrize("rule_name", ["tc", "borda", "pareto"])
+    def test_the_electorates_are_enumerated_once(self, monkeypatch, tmp_path, rule_name):
+        calls = counted_enumerations(monkeypatch)
+        self.reported(tmp_path, rule_name)
+        assert calls == [Universe(3, 3)]
+
+    def test_the_largest_estimate_is_refused_before_any_walk(self, monkeypatch, capsys):
+        # strategyproofness alone estimates 1,163 evaluations on (3, <=3),
+        # pairwiseness the axiom bound 83 * (3 * 3! * 3 + 1)
+        monkeypatch.setenv("SETVOTE_BUDGET", "1163")
+        evaluations = counted_calls(monkeypatch, TC.id)
+        calls = counted_enumerations(monkeypatch)
+        command = ["axioms", "--rule", "tc", "--m", "3", "--n", "3"]
+        command += ["--axiom", "strategyproofness-fishburn", "--axiom", "pairwiseness"]
+        assert cli.main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: estimated 4565 evaluations exceed the budget\n"
+        assert captured.out == ""
+        assert calls == evaluations == []
 
 
 class TestBudgetVariable:
