@@ -18,7 +18,9 @@ from .core import MajorityRelation, Profile, _margins_flat, relation, top_cycle
 from .extensions import ExtensionKind
 from .mcgarvey import realize
 from .rules import evaluate, parse_rule
-from .verify import Outcome, Universe, _run, corroborate_theorems, find_manipulation, full_suite
+from .verify import (
+    Outcome, Universe, _raised, _run, corroborate_theorems, find_manipulation, full_suite
+)
 
 
 def _read(path: str) -> str:
@@ -79,7 +81,7 @@ def cmd_axioms(args) -> int:
     rule = parse_rule(args.rule)
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     wanted = args.axiom or [a.value for a in full_suite()]
-    results = _run(wanted, rule, universe, None)
+    results = _raised(_run(wanted, (rule,), universe, None))
     verdicts = [results[name] for name in wanted]
     text, payload = svio.serialize_report(verdicts)
     print(text, end="")

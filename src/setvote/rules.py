@@ -97,8 +97,9 @@ _THRESHOLD_RULES = (RuleId.SUPERMAJORITY_TC, RuleId.SHIFTED_TC)
 class RuleSpec:
     """A rule identifier plus its parameters.
 
-    ``k`` is the threshold of the supermajority / shifted variants and must
-    stay 0 elsewhere; ``pair`` is the privileged pair of the two-alternative
+    ``id`` is a ``RuleId`` or its value, kept as the member. ``k`` is the
+    threshold of the supermajority / shifted variants and must stay 0
+    elsewhere; ``pair`` (kept as a tuple) is the privileged pair of the
     special rule, two distinct letters ``a``..``z``, and must stay (0, 1)
     elsewhere. So every spec is what ``parse_rule`` reads back from its name.
     """
@@ -108,6 +109,13 @@ class RuleSpec:
     pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
+        try:  # RuleId() raises only ValueError, tuple() only TypeError
+            object.__setattr__(self, "id", RuleId(self.id))
+            object.__setattr__(self, "pair", tuple(self.pair))
+        except ValueError:
+            raise ValueError(f"unknown rule {self.id!r}") from None
+        except TypeError:
+            raise ValueError("the special pair must be two alternatives among 0..25") from None
         if self.id in _THRESHOLD_RULES:
             if type(self.k) is not int:
                 raise ValueError("threshold k must be an integer")

@@ -10,29 +10,29 @@ the deliberately weaker "not witnessed in universe", never a refutation.
 
 Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
-environment variable). Corroboration and `_run` check the largest estimate
-of the checks they run before the first walk, and count a margin-capped
-universe once.
+environment variable). One runner, `_run`, starts every universe sweep: it
+checks the largest estimate of the checks it runs, over every rule, before
+it builds any predicate, and counts a margin-capped universe once.
 
 Walk contract. Every universe check (the axioms, both strategyproofness
 readings and the two dominant-set pair checks) is reached by the name its
-verdicts carry through one lookup, `_check`, which also keys its budget
-estimate, `_estimate`. `_run` runs any set of checks by name through one
-`_verdicts` call, so the universe is walked once for all of them; the
-single-check functions and `setvote axioms` call it. A check is a
-per-profile predicate: given the scan context of one profile (its ballots,
-margin code and memoized output) it returns None to go on, or its verdict as
-(outcome, witness). Every violation witness but strategyproofness's
-`Manipulation` is written by one builder, `_violated`, which states the
-layout. One walker, `_walk`, takes the profiles and a `scan` callable,
-which reads each into its scan context, feeds every open predicate and
-closes each at its first verdict. A predicate still open at walk end gives
-its `end()` verdict, or holds: the imposition checks report the sets never
-reached, and the pair checks judge the scans they kept, reporting the first
-violating pair (i, j) in scan order. A TiesUnsupportedError or
-InstanceTooLargeError from a profile's own output closes every open
-predicate; one raised inside a predicate closes that predicate only. Sweeps
-run in one process.
+verdicts carry through one lookup, `_factory`, which also keys its budget
+estimate, `_estimate`. `_run` runs any set of checks by name on each rule
+through one `_verdicts` call, so the universe is walked once per rule for
+all of them; the single-check functions, `setvote axioms` and corroboration
+call it. A check is a per-profile predicate: given the scan context of one
+profile (its ballots, margin code and memoized output) it returns None to go
+on, or its verdict as (outcome, witness). Every violation witness but
+strategyproofness's `Manipulation` is written by one builder, `_violated`,
+which states the layout. One walker, `_walk`, takes the profiles and a
+`scan` callable, which reads each into its scan context, feeds every open
+predicate and closes each at its first verdict. A predicate still open at
+walk end gives its `end()` verdict, or holds: the imposition checks report
+the sets never reached, and the pair checks judge the scans they kept,
+reporting the first violating pair (i, j) in scan order. A
+TiesUnsupportedError or InstanceTooLargeError from a profile's own output
+closes every open predicate; one raised inside a predicate closes that
+predicate only. Sweeps run in one process.
 
 One place, `_verdicts`, decides what each check walks and sizes the engine
 for it: the universe's profiles on the shared engine of (rule, universe), in
@@ -564,7 +564,7 @@ def sweep_strategyproofness(
 ) -> AxiomVerdict:
     """Exhaustive manipulation search over the universe."""
     name = _sp_name(extension)
-    return _run((name,), rule, universe, budget)[name]
+    return _raised(_run((name,), (rule,), universe, budget))[name]
 
 
 def find_strong_manipulation(
@@ -588,7 +588,7 @@ def sweep_strong_strategyproofness(
     budget: int | None = None,
 ) -> AxiomVerdict:
     name = _sp_name(kind, strong=True)
-    return _run((name,), rule, universe, budget)[name]
+    return _raised(_run((name,), (rule,), universe, budget))[name]
 
 
 def find_group_manipulation(
@@ -664,7 +664,7 @@ def check_axiom(
     except ValueError:
         known = ", ".join(a.value for a in Axiom)
         raise ValueError(f"unknown axiom {axiom!r}; expected one of: {known}") from None
-    return _run((axiom.value,), rule, universe, budget)[axiom.value]
+    return _raised(_run((axiom.value,), (rule,), universe, budget))[axiom.value]
 
 
 def _stateless(predicate):
@@ -1031,7 +1031,7 @@ def check_robust_dominant(
     realized with two voters per pair; otherwise over the universe's
     profiles, judging every ordered pair of them in that one pass.
     """
-    return _run((_ROBUST_DOMINANT,), rule, universe, budget)[_ROBUST_DOMINANT]
+    return _raised(_run((_ROBUST_DOMINANT,), (rule,), universe, budget))[_ROBUST_DOMINANT]
 
 
 def check_weak_robustness(
@@ -1039,7 +1039,7 @@ def check_weak_robustness(
 ) -> AxiomVerdict:
     """If nobody outside the choice set gained ground on anybody inside it,
     the choice set cannot grow."""
-    return _run((_WEAK_ROBUSTNESS,), rule, universe, budget)[_WEAK_ROBUSTNESS]
+    return _raised(_run((_WEAK_ROBUSTNESS,), (rule,), universe, budget))[_WEAK_ROBUSTNESS]
 
 
 # ---------------------------------------------------------------------------
@@ -1093,12 +1093,17 @@ _ORBIT_CHECKS = frozenset({
 })
 
 
-def _check(name: str, universe: Universe):
-    """A fresh predicate for the check reported under `name`."""
+def _factory(name: str):
+    """The factory of the check reported under `name`; it builds nothing."""
     factory = _CHECKS.get(name)
     if factory is None:
         raise ValueError(f"unknown check {name!r}; expected one of: {', '.join(_CHECKS)}")
-    return factory(universe)
+    return factory
+
+
+def _check(name: str, universe: Universe):
+    """A fresh predicate for the check reported under `name`."""
+    return _factory(name)(universe)
 
 
 def _over_relations(name: str, rule: RuleSpec) -> bool:
@@ -1183,17 +1188,24 @@ def _orbit_walk(rule: RuleSpec, universe: Universe, checks: dict, scan) -> dict:
     return {n: held[n] for n in checks if n in held} if _NEUTRALITY in held else {}
 
 
-def _run(names, rule: RuleSpec, universe: Universe, budget: int | None) -> dict:
-    """The verdicts of the checks `names` (name -> AxiomVerdict), all on one
-    walk (`_verdicts`). Every name is looked up, and the largest estimate
-    checked against the budget, before the walk; the not-evaluable error of
-    the first check, in `names` order, that has one is raised."""
-    checks = {name: _check(name, universe) for name in names}
-    _within_budget(max(_estimate(n, rule, universe) for n in checks), budget)
-    results = _verdicts(rule, universe, checks)
-    for name in checks:
-        if isinstance(results[name], Exception):
-            raise results[name]
+def _run(names, rules, universe: Universe, budget: int | None) -> list[dict]:
+    """Per rule, each check of `names` -> its AxiomVerdict or not-evaluable
+    error, in `names` order. Every name is looked up, and the largest estimate
+    over every (rule, check) checked against the budget, before any predicate
+    is built; then each rule in turn walks fresh predicates (`_verdicts`)."""
+    factories = {name: _factory(name) for name in names}
+    largest = max((_estimate(n, r, universe) for r in rules for n in factories), default=0)
+    _within_budget(largest, budget)
+    walks = (_verdicts(r, universe, {n: f(universe) for n, f in factories.items()}) for r in rules)
+    return [{n: results[n] for n in factories} for results in walks]
+
+
+def _raised(runs: list[dict]) -> dict:
+    """`_run`'s results on its one rule, raising the first not-evaluable error."""
+    (results,) = runs
+    for result in results.values():
+        if isinstance(result, Exception):
+            raise result
     return results
 
 
@@ -1275,6 +1287,9 @@ def corroborate_theorems(
     loser rule; all three are strategyproof here; among them only the top
     cycle reaches every non-empty set; and the classic near-miss rules each
     fail exactly one of the four headline axioms.
+
+    One `_run` refuses before any walk when its largest estimate exceeds the
+    budget; a check not evaluable on a rule goes to `not_evaluable` unraised.
     """
     from .rules import catalog
 
@@ -1282,15 +1297,10 @@ def corroborate_theorems(
         raise ValueError(f"corroboration needs m >= 2 alternatives, got m={universe.m}")
     rules = tuple(rules) if rules is not None else tuple(catalog())
     names = (SP_FISHBURN, *(axiom.value for axiom in full_suite()), _ROBUST_DOMINANT)
-    _within_budget(
-        max((_estimate(n, r, universe) for r in rules for n in names), default=0), budget
-    )
     verdicts: list[AxiomVerdict] = []
     not_evaluable: dict = {}
-    for rule in rules:
-        results = _verdicts(rule, universe, {n: _check(n, universe) for n in names})
-        for name in names:
-            result = results[name]
+    for rule, results in zip(rules, _run(names, rules, universe, budget)):
+        for name, result in results.items():
             if isinstance(result, Exception):
                 not_evaluable[(rule.name, name)] = str(result)
             else:

@@ -305,7 +305,9 @@ class TestCli:
         assert f"{rule}  {name}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["strategyproofness-bogus", "bogus", "Pairwiseness"])
-    def test_axioms_refuses_an_unknown_check(self, capsys, name):
+    def test_axioms_refuses_an_unknown_check(self, monkeypatch, capsys, name):
+        # before the budget check, which would refuse any sweep here
+        monkeypatch.setenv("SETVOTE_BUDGET", "1")
         command = ["axioms", "--rule", "tc", "--m", "2", "--n", "1", "--axiom", name]
         assert cli.main(command) == 2
         captured = capsys.readouterr()

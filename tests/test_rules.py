@@ -29,6 +29,7 @@ from setvote.rules import (
     evaluate_on_relation,
     parse_rule,
 )
+from setvote.verify import find_manipulation
 
 A, B, C, D = range(4)
 
@@ -83,10 +84,24 @@ class TestCatalog:
         (RuleId.SHIFTED_TC, {"pair": (1, 0)}, "'shifted-tc' takes no special pair"),
         (RuleId.SUPERMAJORITY_TC, {"k": -1}, "threshold k must be non-negative"),
         (RuleId.SHIFTED_TC, {"k": 1.5}, "threshold k must be an integer"),
+        ("bogus", {}, "unknown rule 'bogus'"),
+        (None, {}, "unknown rule None"),
+        (RuleId.FAB, {"pair": 5}, "two alternatives among 0..25"),
+        (RuleId.FAB, {"pair": None}, "two alternatives among 0..25"),
     ])
     def test_a_spec_its_name_cannot_say_is_refused(self, rid, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             RuleSpec(rid, **kwargs)
+
+    def test_a_spec_keeps_its_id_as_a_member_and_its_pair_as_a_tuple(self, fig2_left):
+        tc = RuleSpec("tc")
+        assert tc == parse_rule("tc") and tc.id is RuleId.TOP_CYCLE
+        assert tc.name == str(tc) == "tc"
+        fab = RuleSpec(RuleId.FAB, pair=[0, 1])
+        assert fab == parse_rule("fab:ab") and fab.pair == (0, 1)
+        assert find_manipulation(fab, fig2_left) == find_manipulation(
+            parse_rule("fab:ab"), fig2_left
+        )
 
     def test_special_pair_needs_two_distinct_lowercase_letters(self):
         for bad in ("AB", "aB", "a1", "a", "abc", "aa", "\u00e9a", "\uff41b"):

@@ -984,6 +984,91 @@ class TestAxiomsCommand:
         assert calls == evaluations == []
 
 
+def test_corroboration_gives_the_single_check_verdicts():
+    # every verdict is the single check's, and every check not evaluable on a
+    # rule is filed with the error the single check raises
+    universe = Universe(3, 3)
+    report = corroborate_theorems(universe)
+    singles = {
+        verify.SP_FISHBURN: lambda rule: sweep_strategyproofness(rule, universe),
+        **{
+            axiom.value: partial(check_axiom, axiom, universe=universe)
+            for axiom in verify.full_suite()
+        },
+        "robust-dominant-set": lambda rule: check_robust_dominant(rule, universe),
+    }
+    verdicts, not_evaluable = [], {}
+    for rule in catalog():
+        for name, single in singles.items():
+            try:
+                verdicts.append(single(rule))
+            except verify._NOT_EVALUABLE as error:
+                not_evaluable[(rule.name, name)] = str(error)
+    assert not_evaluable
+    assert report.verdicts == tuple(verdicts)
+    assert report.not_evaluable == not_evaluable
+
+
+def recorded_builds(monkeypatch):
+    """The names of the checks whose predicates are built from here on: every
+    factory in `verify._CHECKS` records its name when called."""
+    built = []
+
+    def recording(name, factory):
+        def recorded(universe):
+            built.append(name)
+            return factory(universe)
+
+        return recorded
+
+    for name, factory in list(verify._CHECKS.items()):
+        monkeypatch.setitem(verify._CHECKS, name, recording(name, factory))
+    return built
+
+
+class TestRefusedBeforeBuilt:
+    """A sweep the budget refuses builds no predicate: `_Imposition` alone
+    holds all 2^m - 1 target sets once built."""
+
+    _SWEEPS = {
+        "set-non-imposition": lambda universe, budget: check_axiom(
+            Axiom.SET_NON_IMPOSITION, TC, universe, budget=budget
+        ),
+        "strategyproofness": lambda universe, budget: sweep_strategyproofness(
+            TC, universe, budget=budget
+        ),
+        "robust-dominance": lambda universe, budget: check_robust_dominant(
+            TC, universe, budget=budget
+        ),
+        "corroboration": lambda universe, budget: corroborate_theorems(
+            universe, budget=budget
+        ),
+    }
+
+    @pytest.mark.parametrize("sweep", _SWEEPS.values(), ids=list(_SWEEPS))
+    def test_a_refused_sweep_builds_no_predicate(self, monkeypatch, sweep):
+        built = recorded_builds(monkeypatch)
+        with pytest.raises(
+            BudgetExceededError, match=r"^estimated \d+ evaluations exceed the budget$"
+        ):
+            sweep(Universe(3, 3), 1)
+        assert built == []
+        # the recording sees the predicates an admitted sweep builds
+        sweep(Universe(2, 1), None)
+        assert built
+
+    def test_a_refused_axioms_command_builds_no_predicate(self, monkeypatch, capsys):
+        monkeypatch.setenv("SETVOTE_BUDGET", "1")
+        built = recorded_builds(monkeypatch)
+        command = ["axioms", "--rule", "tc", "--m", "3", "--n", "3"]
+        command += ["--axiom", "set-non-imposition", "--axiom", "pairwiseness"]
+        assert cli.main(command) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: estimated \d+ evaluations exceed the budget\n", captured.err)
+        assert captured.out == ""
+        assert built == []
+
+
 class TestBudgetVariable:
     @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "", " 7", "1e9", "\u00b2", "\u0663"])
     def test_malformed_values_rejected(self, monkeypatch, raw):
