@@ -2,22 +2,13 @@
 memoized rule outputs. It imports only `core` and `rules`, so that code which
 needs the engine without the checks can import it alone.
 
-Margin code. The engine keeps a profile's margins as one integer. For m
-alternatives and electorates of at most N voters, field i = x*m + y holds
-g(x, y) + N in w = bit_length(2N) value bits (0 <= g + N <= 2N < 2^w),
-followed by a guard bit that stays zero; field i starts at bit i*(w + 1), so
-a code has m*m*(w + 1) bits (64 for m = 4, N = 3). A ballot's encoding
-enc[b] adds 1 to each field (x, y) it ranks x over y and subtracts 1 from the
-mirrored field, so:
-
-- a profile's code is BIAS + sum(enc[b] for its ballots), BIAS holding N in
-  every field;
-- one voter changing ballot is code - enc[old] + enc[new], one add to the
-  co-voters' code, code - enc[old] (see Move tables below);
-- adding ADD, which holds 2^w - N - 1 in every field, carries into the guard
-  bit of field (x, y) exactly when g(x, y) > 0, so (code + ADD) & GUARD is in
-  bijection with the strict majority relation and keys majoritarian rules;
-  pairwise rules key on the code itself.
+Margin code. The engine keeps a profile's margins as one integer, the
+margin code of `core._MarginCode`, where its fields, bias and relation key
+are stated: a profile's code is bias + sum(enc[b] for its ballots), and one
+voter changing ballot is code - enc[old] + enc[new], one add to the
+co-voters' code, code - enc[old] (see Move tables below). Majoritarian rules
+key on the relation key, (code + add) & guard; pairwise rules on the code
+itself.
 
 Each engine has one layout, sized for the largest electorate it will see: n
 for a single profile, n_max * k_hom in a universe (homogeneity tiles
@@ -116,6 +107,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .core import Ballot, Profile, enumerate_ballots
+from .core import _MarginCode as _CoreMarginCode
 from .rules import (
     _EVALUATORS,
     _MAX_ENUMERATED_M,
@@ -241,56 +233,16 @@ class _Ballots:
 _ballots = lru_cache(maxsize=4)(_Ballots)
 
 
-class _MarginCode:
-    """One margin-code layout (see the module docstring): the encoding of
-    every ballot of its m's table, by rank."""
+class _MarginCode(_CoreMarginCode):
+    """One margin-code layout (`core._MarginCode`) with its m's ballot
+    table and the encoding of every ballot in it, by rank and by ballot."""
 
     def __init__(self, m: int, size: int):
-        self.m = m
-        self.size = size
-        self.width = (2 * size).bit_length()
-        self.stride = self.width + 1
-        self.shifts = tuple(i * self.stride for i in range(m * m))
-        ones = sum(1 << s for s in self.shifts)
-        self.bias = size * ones
-        self.add = ((1 << self.width) - size - 1) * ones
-        self.guard = ones << self.width
+        super().__init__(m, size)
         self.table = _ballots(m)
         ballots = self.table.ballots
         self.encs = list(map(self._encoded, ballots))
         self.enc = dict(zip(ballots, self.encs)).__getitem__
-
-    def _encoded(self, ballot: Ballot) -> int:
-        m, shifts = self.m, self.shifts
-        code = 0
-        for hi, x in enumerate(ballot):
-            for y in ballot[hi + 1:]:
-                code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
-        return code
-
-    def of(self, ballots) -> int:
-        if len(ballots) > self.size:
-            raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
-        return sum(map(self.enc, ballots), self.bias)
-
-    def key(self, code: int) -> int:
-        """The relation key: guard bit (x, y) set iff g(x, y) > 0."""
-        return (code + self.add) & self.guard
-
-    def flat(self, code: int) -> tuple[int, ...]:
-        field_mask = (1 << self.width) - 1
-        return tuple((code >> s & field_mask) - self.size for s in self.shifts)
-
-    def strict(self, key: int) -> tuple[int, ...]:
-        m, stride = self.m, self.stride
-        strict = [0] * m
-        key >>= self.width
-        while key:
-            low = key & -key
-            x, y = divmod((low.bit_length() - 1) // stride, m)
-            strict[x] |= 1 << y
-            key ^= low
-        return tuple(strict)
 
 
 # a few layouts stay alive across calls, so that engines on one layout share

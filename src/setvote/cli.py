@@ -69,11 +69,7 @@ def cmd_manipulate(args) -> int:
     if witness is None:
         print(f"no {extension.value} manipulation of {rule.name} on this profile")
         return 0
-    print(
-        f"voter {witness.voter} (true ballot {svio._ballot_text(witness.true_ballot)}) "
-        f"can report {svio._ballot_text(witness.misreport)}: "
-        f"{witness.honest_set} -> {witness.manipulated_set}"
-    )
+    print(svio._manipulation_text(witness))
     return 1
 
 

@@ -24,11 +24,11 @@ safe because a ChoiceSet is frozen and compared by value. Relations are
 enumerated a batch at a time, the masks after each prefix of pair choices
 built once and shared by every relation that extends them.
 
-Margins come from one packed integer per ballot, m*m fixed 64-bit fields
-(+1 where the ballot ranks x over y, -1 where under), made once per ballot
-and summed once per profile; the sum's fields are read back with `struct`
-as Python ints, or with numpy for the public `margins` array; numpy is
-bound by the first `margins` call, so it stays off the import path.
+Margins come from one packed integer per profile, the margin code of
+`_MarginCode`, whose layout the sweep engine shares; its fields are read
+back with `struct` as Python ints, or with numpy for the public `margins`
+array; numpy is bound by the first `margins` call, so it stays off the
+import path.
 
 The public constructors check their arguments. A `Profile` checks each
 ballot tuple once: a bounded memo keeps, per ballot value, the first tuple
@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-import sys
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from numbers import Real
@@ -312,56 +311,98 @@ def _unchecked_profile(m: int, ballots: tuple[Ballot, ...]) -> Profile:
 # margins and the majority relation
 
 
-# Every ballot is one integer of m*m fixed 64-bit fields, the field of (x, y)
-# at bit 64 * (x*m + y): +1 where the ballot ranks x above y, -1 where below,
-# 0 on the diagonal. A profile's margins are the sum of its ballots' codes.
-# The sum starts from 2**63 in every field, so that no field is negative and
-# none borrows from the next (|g(x, y)| <= n < 2**63); flipping each field's
-# top bit then leaves g(x, y) in it as a signed 64-bit int.
-_FIELD_BITS = 64
+_FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-@lru_cache(maxsize=1 << 16)
-def _ballot_code(ballot: Ballot) -> int:
-    """The packed margin code of one ballot."""
-    m = len(ballot)
-    code = 0
-    for hi, x in enumerate(ballot):
-        for y in ballot[hi + 1:]:
-            code += (1 << _FIELD_BITS * (x * m + y)) - (1 << _FIELD_BITS * (y * m + x))
-    return code
+class _MarginCode:
+    """The one packed-margin layout, of profiles of at most `size` voters on
+    m alternatives: m*m fields, field (x, y) at bit stride * (x*m + y), the
+    narrowest stride of 8, 16, 32 and 64 bits with size < 2**(stride - 1).
+
+    A ballot's encoding (memoized, up to 65,536 ballots) adds 1 to each
+    field (x, y) it ranks x over y and subtracts 1 from the mirrored one. A
+    profile's code is bias + its ballots' encodings, bias the top bit of
+    every field, so field (x, y) holds g(x, y) + 2**(stride - 1) in
+    [0, 2**stride), and `flat` flips each top bit to read g(x, y) back as a
+    signed int. Subtracting 1 from every field (`add`) borrows from none and
+    leaves its top bit (`guard`) set exactly when g(x, y) > 0: the relation
+    `key`, in bijection with the strict majority relation.
+    """
+
+    def __init__(self, m: int, size: int):
+        self.m = m
+        self.size = size
+        self.stride = stride = next(s for s in _FIELD_FORMATS if size < 1 << s - 1)
+        self.shifts = tuple(i * stride for i in range(m * m))
+        ones = sum(1 << s for s in self.shifts)
+        self.bias = self.guard = ones << stride - 1
+        self.add = -ones
+        self.nbytes = stride // 8 * m * m
+        self._unpack = struct.Struct(f"<{m * m}{_FIELD_FORMATS[stride]}").unpack
+        self.enc = lru_cache(maxsize=1 << 16)(self._encoded)
+
+    def _encoded(self, ballot: Ballot) -> int:
+        m, shifts = self.m, self.shifts
+        code = 0
+        for hi, x in enumerate(ballot):
+            for y in ballot[hi + 1:]:
+                code += (1 << shifts[x * m + y]) - (1 << shifts[y * m + x])
+        return code
+
+    def of(self, ballots) -> int:
+        if len(ballots) > self.size:
+            raise ValueError(f"margin code sized for {self.size} voters got {len(ballots)}")
+        return sum(map(self.enc, ballots), self.bias)
+
+    def key(self, code: int) -> int:
+        """The relation key: top bit (x, y) set iff g(x, y) > 0."""
+        return (code + self.add) & self.guard
+
+    def flat(self, code: int) -> tuple[int, ...]:
+        """The margins of the code as a flat row-major tuple of m*m ints."""
+        return self._unpack((code ^ self.bias).to_bytes(self.nbytes, "little"))
+
+    def strict(self, key: int) -> tuple[int, ...]:
+        """The strict-beat masks of the relation key."""
+        m, stride = self.m, self.stride
+        strict = [0] * m
+        key >>= stride - 1
+        while key:
+            low = key & -key
+            x, y = divmod((low.bit_length() - 1) // stride, m)
+            strict[x] |= 1 << y
+            key ^= low
+        return tuple(strict)
 
 
 @lru_cache(maxsize=None)
-def _code_layout(m: int) -> tuple[int, int, struct.Struct]:
-    """The field bias, the byte length and the int64 decoder of m*m fields."""
-    bias = sum(1 << _FIELD_BITS * i + _FIELD_BITS - 1 for i in range(m * m))
-    return bias, _FIELD_BITS // 8 * m * m, struct.Struct(f"{m * m}q")
-
-
-def _margin_bytes(ballots, m: int) -> bytes:
-    """The margins of the ballots as m*m native-order int64s, row-major."""
-    bias, size, _ = _code_layout(m)
-    return (sum(map(_ballot_code, ballots), bias) ^ bias).to_bytes(size, sys.byteorder)
+def _wide_code(m: int) -> _MarginCode:
+    """The 64-bit code of m alternatives, which sums any electorate."""
+    return _MarginCode(m, (1 << 63) - 1)
 
 
 def _margins_flat(ballots, m: int) -> tuple[int, ...]:
     """The margins of the ballots as a flat row-major tuple of m*m ints."""
-    return _code_layout(m)[2].unpack(_margin_bytes(ballots, m))
+    code = _wide_code(m)
+    return code.flat(code.of(ballots))
 
 
-# numpy, bound by the first `margins` call: only its public return type needs it
-_np = None
+# numpy and the little-endian int64 dtype, bound by the first `margins`
+# call: only its public return type needs them
+_np = _int64 = None
 
 
 def margins(profile: Profile):
     """The m-by-m int64 numpy array g with g[x, y] = #(x over y) - #(y over x)."""
-    global _np
+    global _np, _int64
     if _np is None:
         import numpy as _np
+        _int64 = _np.dtype("<i8")
     m = profile.m
+    code = _wide_code(m)
+    data = (code.of(profile.ballots) ^ code.bias).to_bytes(code.nbytes, "little")
     # over a bytearray, so that the array is writable as a fresh np.array would be
-    return _np.ndarray((m, m), _np.int64, bytearray(_margin_bytes(profile.ballots, m)))
+    return _np.ndarray((m, m), _int64, bytearray(data))
 
 
 def _strict_masks_from_flat(flat, m: int, threshold: int = 0) -> tuple[int, ...]:

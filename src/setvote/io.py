@@ -124,6 +124,16 @@ def serialize_profile(profile: Profile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _manipulation_text(witness: Manipulation) -> str:
+    """A manipulation as one line: the voter, its true ballot and misreport,
+    and the honest and manipulated sets."""
+    return (
+        f"voter {witness.voter} (true ballot {_ballot_text(witness.true_ballot)}) "
+        f"can report {_ballot_text(witness.misreport)}: "
+        f"{witness.honest_set} -> {witness.manipulated_set}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # margin-graph documents
 
@@ -198,6 +208,31 @@ def _decode(value):
     return value
 
 
+def _witness_lines(key: str, value, indent: str) -> list[str]:
+    """One witness entry as report text lines: a profile as its document
+    under the key, a manipulation as its line with its lifting and profile
+    under it, a tuple holding either as one entry per element, and any other
+    value on the key's line, a tuple's elements each printed alone."""
+    if isinstance(value, Profile):
+        document = serialize_profile(value).splitlines()
+        return [f"{indent}{key}:", *(f"{indent}  {line}" for line in document)]
+    if isinstance(value, Manipulation):
+        return [
+            f"{indent}{key}: {_manipulation_text(value)}",
+            f"{indent}  extension: {value.extension.value}",
+            *_witness_lines("profile", value.profile, indent + "  "),
+        ]
+    if isinstance(value, tuple):
+        if any(isinstance(item, (Profile, Manipulation)) for item in value):
+            return [
+                line
+                for i, item in enumerate(value)
+                for line in _witness_lines(f"{key}[{i}]", item, indent)
+            ]
+        value = "(" + ", ".join(map(str, value)) + ")"
+    return [f"{indent}{key}: {value}"]
+
+
 def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
     """Render verdicts as aligned text plus a machine-readable JSON payload."""
     verdicts = list(verdicts)
@@ -208,6 +243,10 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
         for v in verdicts:
             u = v.universe
             scope = f"m={u.m} n<={u.n_max}"
+            if u.margin_cap is not None:
+                scope += f" cap<={u.margin_cap}"
+            if u.k_hom != 2:
+                scope += f" k_hom={u.k_hom}"
             lines.append(
                 f"{v.rule.name:<{width_rule}}  {v.axiom:<{width_axiom}}  "
                 f"{v.outcome.value}  [{scope}]"
@@ -217,11 +256,7 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
         lines.append("")
         lines.append(f"witness for {v.rule.name} / {v.axiom}:")
         for key, value in sorted(v.witness.items()):
-            if isinstance(value, Profile):
-                lines.append(f"  {key}:")
-                lines.extend("    " + ln for ln in serialize_profile(value).splitlines())
-            else:
-                lines.append(f"  {key}: {value}")
+            lines.extend(_witness_lines(key, value, "  "))
     if assertions:
         lines.append("")
         lines.append("assertions")

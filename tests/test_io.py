@@ -14,6 +14,7 @@ from setvote import cli, verify
 from setvote.core import MajorityRelation, Profile, margins, top_cycle
 from setvote.io import (
     ParseError,
+    _manipulation_text,
     fixture_path,
     parse_graph,
     parse_profile,
@@ -171,6 +172,32 @@ def edited(doc, path, value):
     return doc
 
 
+def witness_profiles(value):
+    """The profiles a witness holds, in the order its report text prints
+    them: by key, tuple elements in order, a manipulation's own."""
+    if isinstance(value, Profile):
+        return [value]
+    if isinstance(value, verify.Manipulation):
+        return [value.profile]
+    if isinstance(value, dict):
+        value = [value[key] for key in sorted(value)]
+    if isinstance(value, (tuple, list)):
+        return [p for item in value for p in witness_profiles(item)]
+    return []
+
+
+def profile_documents(text):
+    """Every profile document in a report text, each its header line and
+    the n ballot lines after it, parsed."""
+    lines = text.splitlines()
+    documents = []
+    for at, line in enumerate(lines):
+        header = re.fullmatch(r"\s*m=\d+ n=(\d+)", line)
+        if header:
+            documents.append(parse_profile("\n".join(lines[at:at + 1 + int(header[1])])))
+    return documents
+
+
 class TestReports:
     def test_empty_report_is_header_only(self):
         text, payload = serialize_report([])
@@ -191,6 +218,38 @@ class TestReports:
         reparsed = parse_profile(embedded)
         assert reparsed == verdict.witness["manipulation"].profile
         assert "witness for borda" in text
+
+    @pytest.mark.parametrize("verdict", [
+        lambda: sweep_strategyproofness(parse_rule("borda"), Universe(3, 3)),
+        lambda: check_axiom(Axiom.PAIRWISENESS, parse_rule("omninomination"), Universe(3, 2)),
+        lambda: check_axiom(
+            Axiom.NON_IMPOSITION, parse_rule("condorcet-non-loser"), Universe(3, 2)
+        ),
+    ], ids=["strategyproofness", "pairwiseness", "non-imposition"])
+    def test_witness_text_prints_values_not_reprs(self, verdict):
+        # each set as {a,b}, each profile as a document that parses back
+        verdict = verdict()
+        assert verdict.witness
+        text, _ = serialize_report([verdict])
+        for name in ("ChoiceSet(", "Profile(", "Manipulation(", "ExtensionKind"):
+            assert name not in text
+        assert profile_documents(text) == witness_profiles(verdict.witness)
+        if "manipulation" in verdict.witness:
+            line = _manipulation_text(verdict.witness["manipulation"])
+            assert f"  manipulation: {line}\n    extension: fishburn\n" in text
+
+    @pytest.mark.parametrize("universe,scope", [
+        (Universe(3, 2), "[m=3 n<=2]"),
+        (Universe(3, 2, margin_cap=1), "[m=3 n<=2 cap<=1]"),
+        (Universe(3, 2, margin_cap=0, k_hom=3), "[m=3 n<=2 cap<=0 k_hom=3]"),
+        (Universe(3, 2, k_hom=4), "[m=3 n<=2 k_hom=4]"),
+    ])
+    def test_scope_names_the_margin_cap_and_a_homogeneity_factor_other_than_two(
+        self, universe, scope
+    ):
+        verdict = check_axiom(Axiom.COS, parse_rule("tc"), universe)
+        text, _ = serialize_report([verdict])
+        assert text.splitlines()[2] == f"tc  condorcet-stability  holds-on-universe  {scope}"
 
     def test_report_roundtrip(self):
         verdicts = [

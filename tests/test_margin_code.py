@@ -2,6 +2,7 @@
 built on it, checked against from-scratch recomputation."""
 
 import ast
+import collections
 import itertools
 import random
 import sys
@@ -30,6 +31,7 @@ from setvote.verify import (
     find_manipulation,
     find_strong_manipulation,
 )
+from test_core import counted_margins
 
 
 @st.composite
@@ -205,6 +207,51 @@ def test_unanimous_profiles_fill_the_fields(m, n):
         )
 
 
+def counted_flat(weighted, m):
+    """The margins of (ballot, k) pairs, each ballot cast by k voters, from
+    the counting oracle, as a flat row-major tuple."""
+    flat = [0] * (m * m)
+    for ballot, k in weighted:
+        for i, g in enumerate(g for row in counted_margins((ballot,), m) for g in row):
+            flat[i] += k * g
+    return tuple(flat)
+
+
+# each side of the switches from 8- to 16- and from 16- to 32-bit fields
+@pytest.mark.parametrize("size,stride", [(127, 8), (128, 16), (32767, 16), (32768, 32)])
+def test_a_full_electorate_decodes_at_every_field_width(size, stride):
+    m = 4
+    layout = _MarginCode(m, size)
+    assert layout.stride == stride
+    rng = random.Random(size)
+    ballot = (2, 0, 3, 1)
+    for ballots in (
+        (ballot,) * size,
+        tuple(tuple(rng.sample(range(m), m)) for _ in range(size)),
+    ):
+        code = decodes_to_margins(layout, ballots, m)
+        assert layout.flat(code) == counted_flat(collections.Counter(ballots).items(), m)
+    # c over a, d and b; a over d and b; d over b
+    assert layout.strict(layout.key(layout.of((ballot,) * size))) == (10, 0, 11, 2)
+
+
+# each side of the switch from 32- to 64-bit fields, on codes summed as
+# bias + k * enc[b], k voters per ballot b, so that no electorate is built
+@pytest.mark.parametrize("size,stride", [((1 << 31) - 1, 32), (1 << 31, 64)])
+def test_synthetic_codes_decode_at_the_widest_fields(size, stride):
+    m = 4
+    layout = _MarginCode(m, size)
+    assert layout.stride == stride
+    rng = random.Random(stride)
+    first, second = sorted(rng.sample(range(size + 1), 2))
+    mixed = zip(rng.sample(layout.table.ballots, 3), (first, second - first, size - second))
+    for weighted in ([((2, 0, 3, 1), size)], list(mixed)):
+        code = layout.bias + sum(k * layout.enc(b) for b, k in weighted)
+        flat = counted_flat(weighted, m)
+        assert layout.flat(code) == flat
+        assert layout.strict(layout.key(code)) == _strict_masks_from_flat(flat, m)
+
+
 @pytest.mark.parametrize("m,n_max,k_hom", [(2, 3, 2), (3, 3, 3), (4, 2, 4), (3, 1, 2)])
 def test_homogeneity_tiling_fits_the_universe_layout(m, n_max, k_hom):
     # the layout of the engine behind a walk's scan contexts
@@ -307,10 +354,15 @@ PROFILES = seeded_profiles(11, 14, (2, 4), (1, 4)) + [
 ]
 
 
+# 130 voters, 43 on each ballot of the cycle abc, bca, cab and one on acb:
+# a one-profile search on 16-bit fields, with 8 witnesses over the catalog
+WIDE_PROFILE = Profile(3, ((0, 1, 2),) * 43 + ((1, 2, 0),) * 43 + ((2, 0, 1),) * 43 + ((0, 2, 1),))
+
+
 @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
 def test_single_voter_witnesses_match_the_oracle(rule):
     def compare():
-        for profile in PROFILES:
+        for profile in PROFILES + [WIDE_PROFILE]:
             m, ballots = profile.m, profile.ballots
             for fishburn, kind in (
                 (True, ExtensionKind.FISHBURN), (False, ExtensionKind.FPLUS)
