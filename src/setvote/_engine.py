@@ -58,26 +58,14 @@ Memo lifetime. A rule on one layout keeps one engine, shared by every call
 and walk in the process but a replay, so calling `find_manipulation` once
 per profile evaluates each relation once. Every single-voter search (both
 readings, in `find_manipulation`, `find_strong_manipulation`, every walk and
-`replay`) asks `_Engine.misreport` for the first voter, among those whose
-ballot no earlier voter has, with a misreport whose output is in the accept
-mask of the lifting and reading, and that misreport. A walk passes the
-fields of its `_Scan`. A one-profile search builds no scan context: it asks
-straight from the profile's code (`_MarginCode.of`) with honest=None, and
-reads the honest output (`_Engine.output`) back only to build a witness. The
-honest output is fixed by the code on a code-keyed engine and by the
-electorate on a profile-based one, so each voter's answer depends on
-(lifting, reading, code or electorate) and its ballot alone, and the verdict
-memo `verdicts` keeps, per such key, a dict from each voter's ballot to its
-answer: a hit as the one-move tuple ((new_ballot, info, output after),) at
-once, None as () only once every misreport has been evaluated, so an
-evaluation error is never stored. So a search hashes its key once and then
-each distinct voter's ballot. The honest output is evaluated at the first
-voter the memo does not answer, as is the accept mask: a search answered in
-full evaluates nothing, and a key with a stored answer is one whose honest
-output was evaluated without an error, so every error still surfaces. On a
-miss a complete row answers None at once when the accept mask misses its
-union, and otherwise gives the first misreport in table order whose output
-in the row is accepted. `_engine` hands the engines out by (rule, m, size);
+`replay`) asks `_Engine.misreport`, given the honest output, for the first
+voter, among those whose ballot no earlier voter has, with a misreport
+whose output is in the accept mask of the lifting and reading, and that
+misreport: a complete row answers None at once when the accept mask misses
+its union, and otherwise gives the first misreport in table order whose
+output in the row is accepted. The engine keeps no verdicts: the memo
+`verdicts` on it is the one-profile search's own (`verify._find`), which
+alone reads and writes it. `_engine` hands the engines out by (rule, m, size);
 a repeated call with the same rule object is answered from the last call's
 engine without hashing the rule. An engine reads the rule's entry in
 `rules._EVALUATORS`, its basis tag and evaluator, once when it is built, and
@@ -90,7 +78,7 @@ sorted ballot tuple, since every evaluator reads a multiset, so every
 ordering of one electorate shares one output. The output memo, the move
 tables (ranked moves and relabelings alike), the rows and the verdict memo
 are each a `_Tables`, bounded when an entry is stored: past `_MEMO_ENTRIES`
-(an output or a voter's verdict weighs one, a row or a `_Ranks` table one
+(an output or one search's verdicts weigh one, a row or a `_Ranks` table one
 unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6) it starts
 afresh before the next is stored, even during a walk; only each m's ballots
 and ranks and each layout's encodings are kept unbounded. Errors (ties,
@@ -104,7 +92,6 @@ from array import array
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
-from types import MappingProxyType
 
 from .core import Ballot, Profile, enumerate_ballots
 from .core import _MarginCode as _CoreMarginCode
@@ -165,9 +152,6 @@ class _Row(bytearray):
 
 # the infos of a table whose infos are all None
 _NO_INFOS = itertools.repeat(None)
-# the verdicts of a key the verdict memo does not hold, read and never
-# written
-_UNKNOWN = MappingProxyType({})
 
 
 class _Ranks(array):
@@ -270,9 +254,8 @@ class _Engine:
         else:
             self.add, self.guard = 0, -1
         self.cache = _Tables()
-        # one `_Row` per co-voters' code or electorate and, per (lifting,
-        # reading, code or electorate), each voter's first accepted
-        # misreport by its ballot
+        # one `_Row` per co-voters' code or electorate; `verdicts` is the
+        # one-profile search's memo (`verify._find`), which the engine never reads
         self.full = factorial(m)
         self.rows = _Tables()
         self.verdicts = _Tables()
@@ -313,46 +296,23 @@ class _Engine:
             out = known(key)
             yield self.miss(key, code) if out is None else out
 
-    def misreport(self, ballots, code: int, honest: int | None, reading, lifting):
+    def misreport(self, ballots, code: int, honest: int, reading, lifting):
         """The first voter with a misreport (see `_misreports`) whose output
         after is in the accept mask reading(lifting, ballot, honest), and
         its first such misreport, as (voter, new_ballot, info, output
         after), or None. A voter whose ballot an earlier voter has reaches
-        the same outputs, so it is skipped. Given honest=None, the honest
-        output is evaluated at the first voter not answered from the memo.
-        Each voter's answer is kept under (lifting, reading, code), or
-        (lifting, reading, electorate) on a profile-based engine, by ballot:
-        a hit as a one-move tuple at once, None as () only once every
-        misreport has been evaluated, so an evaluation error is never
-        stored. On a miss, a complete row whose outputs the accept mask
-        misses answers None at once."""
-        verdicts = self.verdicts
-        key = (lifting, reading, tuple(sorted(ballots)) if self.by_ballots else code)
-        known = verdicts.get(key, _UNKNOWN)
+        the same outputs, so it is skipped; a complete row whose outputs the
+        accept mask misses answers None at once."""
         for voter, ballot in enumerate(ballots):
             if ballots.index(ballot) != voter:
                 continue
-            found = known.get(ballot)
-            if found is None:
-                if honest is None:
-                    honest = self.output(code, ballots)
-                accept, found = reading(lifting, ballot, honest), ()
-                others, row = self._row(ballots, voter, code, honest)
-                union = row.union or row.complete()
-                if not union or accept & union:
-                    for move in self._reaching(ballot, others, row, _misreports, None):
-                        if accept >> move[2] & 1:
-                            found = (move,)
-                            break
-                # each answer is stored through `store`, so it weighs one; a
-                # dict that `store` is about to drop is not stored again, a
-                # fresh one is
-                if known is _UNKNOWN or verdicts.weight > _MEMO_ENTRIES:
-                    known = {}
-                known[ballot] = found
-                verdicts.store(key, known)
-            if found:
-                return (voter, *found[0])
+            accept = reading(lifting, ballot, honest)
+            others, row = self._row(ballots, voter, code, honest)
+            union = row.union or row.complete()
+            if not union or accept & union:
+                for move in self._reaching(ballot, others, row, _misreports, None):
+                    if accept >> move[2] & 1:
+                        return (voter, *move)
         return None
 
     def _row(self, ballots, voter: int, code: int, honest: int):

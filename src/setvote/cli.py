@@ -89,12 +89,11 @@ def cmd_axioms(args) -> int:
 def cmd_sweep(args) -> int:
     universe = Universe(args.m, args.n, k_hom=args.k_hom, margin_cap=args.margin_cap)
     report = corroborate_theorems(universe)
-    text, payload = svio.serialize_report(report.verdicts, report.assertions)
+    text, payload = svio.serialize_report(
+        report.verdicts, report.assertions, report.not_evaluable
+    )
     print(text, end="")
     if report.not_evaluable:
-        print("\nnot evaluable on this universe:")
-        for (rule_name, check), reason in sorted(report.not_evaluable.items()):
-            print(f"  {rule_name} / {check}: {reason}")
         print(f"warning: {len(report.not_evaluable)} checks not evaluable on this universe",
               file=sys.stderr)
     if args.json:

@@ -233,8 +233,10 @@ def _witness_lines(key: str, value, indent: str) -> list[str]:
     return [f"{indent}{key}: {value}"]
 
 
-def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
-    """Render verdicts as aligned text plus a machine-readable JSON payload."""
+def serialize_report(verdicts, assertions=None, not_evaluable=None) -> tuple[str, dict]:
+    """Render verdicts as aligned text plus a machine-readable JSON payload.
+    `not_evaluable` maps (rule name, check) to why the check could not be
+    evaluated; given, the payload lists it, and the text when not empty."""
     verdicts = list(verdicts)
     lines = ["axiom report", "============"]
     if verdicts:
@@ -264,6 +266,12 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
         for name, ok, detail in assertions:
             status = "pass" if ok else "FAIL"
             lines.append(f"{status}  {name}" + (f"  ({detail})" if detail else ""))
+    skipped = sorted((not_evaluable or {}).items())
+    if skipped:
+        lines.append("")
+        lines.append("not evaluable on this universe:")
+        for (rule_name, check), reason in skipped:
+            lines.append(f"  {rule_name} / {check}: {reason}")
     payload = {
         "kind": "axiom-report",
         "verdicts": [
@@ -280,6 +288,11 @@ def serialize_report(verdicts, assertions=None) -> tuple[str, dict]:
     if assertions is not None:
         payload["assertions"] = [
             {"name": name, "ok": ok, "detail": detail} for name, ok, detail in assertions
+        ]
+    if not_evaluable is not None:
+        payload["not_evaluable"] = [
+            {"rule": rule_name, "check": check, "reason": reason}
+            for (rule_name, check), reason in skipped
         ]
     return "\n".join(lines) + "\n", payload
 

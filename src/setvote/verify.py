@@ -122,12 +122,18 @@ each member's misreports off the ballot table itself.
 The one-profile searches build no scan context: `_searched` reads the
 profile's margin code off the shared engine, whose ballot table refuses
 m > 8 before any table is built, as it does for every walk. The
-single-voter ones then ask `_Engine.misreport` with no honest output, which
-the engine evaluates only at the first voter its verdict memo does not
-answer, and read the honest output back (a memo hit by then) only to build
-a found witness; the strategyproofness predicates ask with their `_Scan`'s
-fields. Both build their witness in `_manipulation`. The group search
-evaluates the honest output at once, as its first test reads it.
+single-voter ones (`_find`) keep the engine's verdict memo, which nothing
+else reads or writes: per (lifting, strong, code), or electorate on a
+profile-based engine, a dict from a voter's ballot to False, once every
+misreport of that voter was evaluated without an accepted one, or to the
+`Manipulation` found, which a later profile with the same key gets with its
+own profile and voter index. A search answered in full evaluates nothing.
+At the first voter the memo does not know, `_find` evaluates the honest
+output and runs one search, and stores its answers only once it returns,
+so an evaluation error is never stored. Every search, a walk's predicate
+with its `_Scan`'s fields and `_find` alike, asks `_Engine.misreport` with
+the honest output and builds its witness in `_manipulation`. The group
+search evaluates the honest output at once, as its first test reads it.
 """
 
 from __future__ import annotations
@@ -497,19 +503,15 @@ class _RelationScan:
 
 
 def _manipulation(
-    engine: _Engine, ballots, code: int, honest, extension, strong: bool, profile=None
+    engine: _Engine, ballots, code: int, honest: int, extension, strong: bool, profile=None
 ) -> Manipulation | None:
     """The first deviation from the profile of these ballots, margin code and
     honest output that the voter strictly prefers or, under the strong
     reading, the first whose outcome the honest one is not at least as good
-    as. Given honest=None, the engine evaluates the honest output only when
-    its verdict memo does not answer, and a witness reads it back. The
-    witness carries `profile`, or one built from the ballots."""
+    as. The witness carries `profile`, or one built from the ballots."""
     found = engine.misreport(ballots, code, honest, _gains if strong else _better, extension)
     if found is None:
         return None
-    if honest is None:
-        honest = engine.output(code, ballots)
     m, (voter, mis, _, out) = engine.m, found
     return Manipulation(
         Profile(m, ballots) if profile is None else profile,
@@ -539,12 +541,31 @@ def _searched(rule: RuleSpec, profile: Profile) -> tuple[_Engine, int]:
 
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
     """The first manipulation of one profile, in the scan order of the
-    sweeps."""
+    sweeps, answered voter by voter from the engine's verdict memo and, at
+    the first voter it does not know, by one search whose answers it
+    stores (see the module docstring)."""
     # a member is kept as it is, read without an Enum attribute lookup
     if type(extension) is not ExtensionKind:
         extension = _lifting(extension)
     engine, code = _searched(rule, profile)
-    return _manipulation(engine, profile.ballots, code, None, extension, strong, profile)
+    ballots = profile.ballots
+    key = (extension, strong, tuple(sorted(ballots)) if engine.by_ballots else code)
+    known = engine.verdicts.get(key, {})
+    for voter, ballot in enumerate(ballots):
+        found = known.get(ballot)
+        if found is None:
+            break
+        if found:
+            return replace(found, profile=profile, voter=voter)
+    else:
+        return None
+    honest = engine.output(code, ballots)
+    found = _manipulation(engine, ballots, code, honest, extension, strong, profile)
+    answers = dict.fromkeys(ballots[: found.voter] if found else ballots, False)
+    if found:
+        answers[found.true_ballot] = found
+    engine.verdicts.store(key, {**known, **answers})
+    return found
 
 
 def find_manipulation(
@@ -628,7 +649,6 @@ def find_group_manipulation(
                 wanted &= _better(_FISHBURN, ballots[v], honest)
             if not wanted:
                 continue
-            judged = {honest}
             # the first joint report keeps every member's own ballot
             joints = itertools.product(*(options(ballots[v]) for v in group))
             for choice in itertools.islice(joints, 1, None):
@@ -637,9 +657,6 @@ def find_group_manipulation(
                 for v, r in zip(group, reports):
                     joint[v] = r
                 out = engine.output(code + sum(d for _, d in choice), tuple(joint))
-                if out in judged:
-                    continue
-                judged.add(out)
                 if wanted >> out & 1:
                     return GroupManipulation(
                         profile=profile,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -202,7 +203,9 @@ class TestReports:
     def test_empty_report_is_header_only(self):
         text, payload = serialize_report([])
         assert text.splitlines() == ["axiom report", "============"]
-        assert payload["verdicts"] == []
+        assert payload["verdicts"] == [] and "not_evaluable" not in payload
+        # an empty mapping of skipped checks adds an empty list, and no text
+        assert serialize_report([], None, {}) == (text, {**payload, "not_evaluable": []})
 
     def test_single_holding_verdict(self):
         verdict = check_axiom(Axiom.COS, parse_rule("tc"), Universe(3, 2))
@@ -414,14 +417,23 @@ class TestCli:
         assert f"error: realizing these margins needs {big} voters" in captured.err
         assert captured.out == ""
 
-    def test_sweep(self, capsys):
-        code = cli.main(["sweep", "--m", "3", "--n", "3"])
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = cli.main(["sweep", "--m", "3", "--n", "3", "--json", str(out)])
         captured = capsys.readouterr()
         assert code == 0
         assert "assertions" in captured.out and "FAIL" not in captured.out
         # the uncovered set's 14 checks need tie-free relations, which n <= 3
-        # does not guarantee; skipping them warns but does not fail the sweep
+        # does not guarantee; skipping them warns but does not fail the sweep,
+        # and both the text and the JSON payload name each with its reason
         assert captured.err == "warning: 14 checks not evaluable on this universe\n"
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == "b5762098e38029613d2d70b55a60ac4c3f26e6fddbc4faa33b9cfd5ca302a161"
+        skipped = verify.corroborate_theorems(Universe(3, 3)).not_evaluable
+        listed = json.loads(out.read_text(encoding="utf-8"))["not_evaluable"]
+        assert len(listed) == 14
+        assert {(e["rule"], e["check"]): e["reason"] for e in listed} == skipped
+        assert [(e["rule"], e["check"]) for e in listed] == sorted(skipped)
 
     def test_sweep_refuses_fewer_than_two_alternatives_before_any_walk(
         self, monkeypatch, capsys

@@ -549,9 +549,9 @@ def test_one_relabeling_table_per_m_serves_the_orbit_test_and_neutrality(monkeyp
 def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch):
     # fab:ab is not neutral, so its Fishburn sweep on (5, <=3) walks every
     # electorate: 4,351 co-voters' codes get a row, each of 120 bytes.
-    # Neither the output memo, the rows nor the move tables (those of the
-    # ballot table of m = 5) start afresh; the verdict memo does, since the walk
-    # stores 667,193 voter verdicts, nearly each met once
+    # No table starts afresh: neither the output memo, the rows nor the move
+    # tables (those of the ballot table of m = 5), and the walk stores no
+    # verdict, since only the one-profile search keeps verdicts
     restarted = []
     store = _engine._Tables.store
 
@@ -567,15 +567,28 @@ def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch)
     fab = parse_rule("fab:ab")
     assert verify.sweep_strategyproofness(fab, Universe(5, 3)).outcome == Outcome.HOLDS
     engine = _engine._engine(fab, 5, 6)
-    roles = {
-        id(engine.cache): "outputs",
-        id(engine.rows): "rows",
-        id(_engine._ballots(5)._ranks): "move tables",
-        id(engine.verdicts): "verdicts",
-    }
     # every row the walk built is still held
     assert len(engine.rows) == 4351
-    assert {roles.get(table, "other") for table in restarted} == {"verdicts"}
+    assert restarted == [] and engine.verdicts == {}
+
+
+def test_only_the_one_profile_search_keeps_verdicts():
+    # a strategyproofness walk asks the engine with each scan's honest
+    # output and stores no verdict; a one-profile search on the same engine
+    # (six voters on four alternatives) stores its answers there
+    fab = parse_rule("fab:ab")
+    _engine._shared_engine.cache_clear()
+    assert verify.sweep_strategyproofness(fab, Universe(4, 3)).outcome == Outcome.HOLDS
+    engine = _engine._engine(fab, 4, 6)
+    assert engine.rows and engine.verdicts == {}
+    profile = Profile(4, ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)) * 2)
+    assert verify.find_manipulation(fab, profile) is None
+    assert _engine._engine(fab, 4, 6) is engine
+    assert engine.verdicts == {
+        (ExtensionKind.FISHBURN, False, engine.layout.of(profile.ballots)): dict.fromkeys(
+            profile.ballots, False
+        )
+    }
 
 
 @pytest.mark.parametrize("rule", ["tc", "borda", "plurality"])

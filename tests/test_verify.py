@@ -1225,15 +1225,12 @@ class TestSharedMemo:
         engine = _engine._engine(uncovered, 3, 2)
         assert engine.layout.key(engine.layout.of(tied.ballots)) not in engine.cache
 
-    # the output memo, the rows and the per-voter verdict memo of a
-    # profile-based rule, and the verdict memo of a majoritarian one; the
-    # rows on four alternatives, since on (3, <=3) the orbit walk meets only
-    # 16 co-voters' electorates
+    # the output memo and the rows of a profile-based rule; the rows on four
+    # alternatives, since on (3, <=3) the orbit walk meets only 16
+    # co-voters' electorates
     @pytest.mark.parametrize("name,memo,m", [
         ("pareto", "cache", 3),
         ("pareto", "rows", 4),
-        ("pareto", "verdicts", 3),
-        ("tc", "verdicts", 3),
     ])
     def test_every_memo_is_bounded_where_it_is_stored(self, monkeypatch, name, memo, m):
         rule, universe = parse_rule(name), Universe(m, 3)
@@ -1249,10 +1246,7 @@ class TestSharedMemo:
 
         def recorded(table, key, value):
             stored = store(table, key, value)
-            # the verdict memo keeps a dict of answers per code: what it
-            # holds is the answers in all of them
-            held = sum(map(len, table.values())) if isinstance(value, dict) else table.weight
-            weights.append((table, table.weight, held))
+            weights.append((table, table.weight, len(table)))
             return stored
 
         monkeypatch.setattr(_engine._Tables, "store", recorded)
@@ -1263,6 +1257,40 @@ class TestSharedMemo:
         # the walk stored far more entries than the bound, each weighing one
         assert len(seen) > 8 * 9 and max(w for w, _ in seen) == 9
         assert all(held == w for w, held in seen)
+
+    # a profile-based rule, keyed on electorates, and a majoritarian one,
+    # keyed on margin codes
+    @pytest.mark.parametrize("name", ["pareto", "tc"])
+    def test_the_verdict_memo_is_bounded_where_it_is_stored(self, monkeypatch, name):
+        # the one-profile searches of every three-voter profile on three
+        # alternatives, under both liftings and readings, fill the verdict
+        # memo past a bound of 8 searches: it starts afresh many times, and
+        # every answer is the one of an unbounded memo
+        rule, profiles = parse_rule(name), ordered_profiles(3, (3,))
+
+        def answers():
+            _engine._shared_engine.cache_clear()
+            return [SEARCHES[strong](rule, p, kind) for kind, strong in READINGS for p in profiles]
+
+        default = answers()
+        seen = []
+        store = _engine._Tables.store
+
+        def recorded(table, key, value):
+            stored = store(table, key, value)
+            if isinstance(value, dict):
+                seen.append((table.weight, len(table)))
+            return stored
+
+        monkeypatch.setattr(_engine._Tables, "store", recorded)
+        monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 8)
+        assert answers() == default
+        # each stored search weighs one, whether or not its key was held,
+        # and the memo restarts each time its weight passes the bound
+        assert max(w for w, _ in seen) == 9 and all(held <= w for w, held in seen)
+        restarts = sum(1 for (w, _), (after, _) in zip(seen, seen[1:]) if after < w)
+        assert restarts > 9 and len(seen) > 8 * 9
+        assert any(found is not None for found in default)
 
     def test_a_profile_based_search_tries_each_distinct_ballot_once(self, monkeypatch):
         # on (abc, bca, abc) pareto chooses {a, b}, and no voter gains by a
@@ -1332,8 +1360,9 @@ def ordered_profiles(m, sizes):
 
 
 class TestVerdictMemo:
-    """`_Engine.misreport`, the per-voter verdict memo behind every
-    single-voter search, against the `_moved` loop it replaced."""
+    """`_Engine.misreport`, behind every single-voter search, and the
+    one-profile search's verdict memo, against the `_moved` loop they
+    replaced."""
 
     @staticmethod
     def agrees_with_the_moved_loop(rule, profiles):
@@ -1406,8 +1435,9 @@ class TestVerdictMemo:
             with pytest.raises(EmptyChoiceError):
                 find_manipulation(TC, profile)
         engine = _engine._engine(TC, 3, 3)
-        fishburn, bal = ExtensionKind.FISHBURN, profile.ballots
-        assert engine.verdicts == {(fishburn, extensions._better, code): {bal[0]: ()}}
+        bal = profile.ballots
+        # the search that raised stored no answer, not even voter 0's
+        assert engine.verdicts == {}
         # voter 0's row is complete; voter 1's holds the outputs up to the
         # misreport whose evaluation raised, and not that one: 0 marks a
         # ballot not evaluated in a row indexed by ballot rank
@@ -1467,8 +1497,8 @@ class TestVerdictMemo:
         # no voter of (adcb, abcd, bcad) gains under borda, so each voter's
         # row is complete; in (abcd, abcd, bcad) voter 0's co-voters cast the
         # same ballots as in the first profile, so its search reads its
-        # honest output from the output memo, once at its verdict miss and
-        # once for the witness, and every misreport from the row
+        # honest output from the output memo once, at its verdict miss, and
+        # its witness reuses it; every misreport is read from the row
         borda, abcd, bcad = parse_rule("borda"), (A, B, C, 3), (B, C, A, 3)
         calls = counted_calls(monkeypatch, RuleId.BORDA)
         assert find_manipulation(borda, Profile(4, ((A, 3, C, B), abcd, bcad))) is None
@@ -1485,7 +1515,7 @@ class TestVerdictMemo:
         evaluated = len(calls)
         profile = Profile(4, (abcd, abcd, bcad))
         found = find_manipulation(borda, profile)
-        assert len(calls) == evaluated and looked == [engine.layout.of(profile.ballots)] * 2
+        assert len(calls) == evaluated and looked == [engine.layout.of(profile.ballots)]
         assert (
             found.voter,
             found.misreport,
@@ -1494,34 +1524,71 @@ class TestVerdictMemo:
         ) == naive_manipulation(borda, profile.ballots, 4)
 
     def test_a_tie_is_refused_by_a_warm_memo_and_stores_no_verdict(self):
-        # the six one-voter profiles on the two-voter layout of three
-        # alternatives are tie-free, and each search of them stores its
-        # voter's verdict; (abc, cba) ties every pair, so a search of it
-        # evaluates its honest output at the first verdict miss, which
-        # raises before any verdict is stored under its code
+        # each ballot cast four times is a tie-free profile on three
+        # alternatives whose top alternative alone is chosen, and every
+        # misreport leaves each margin at 2 or more, so no voter gains and
+        # both searches of it store their verdict (two voters will not do:
+        # any misreport of two equal ballots ties a pair); (abc, cba, abc,
+        # cba) ties every pair, so a search of it evaluates its honest
+        # output at its first verdict miss, which raises before any verdict
+        # is stored
         uncovered = parse_rule("uncovered-set")
         _engine._shared_engine.cache_clear()
-        engine = _engine._engine(uncovered, 3, 2)
-        fishburn = ExtensionKind.FISHBURN
+        engine = _engine._engine(uncovered, 3, 4)
         for ballot in enumerate_ballots(3):
-            code = engine.layout.of((ballot,))
-            for reading in (extensions._better, extensions._gains):
-                assert engine.misreport((ballot,), code, None, reading, fishburn) is None
-        assert sum(map(len, engine.verdicts.values())) == 12
-        tied = Profile(3, ((A, B, C), (C, B, A)))
+            for search in SEARCHES.values():
+                assert search(uncovered, Profile(3, (ballot,) * 4)) is None
+        assert len(engine.verdicts) == 12
+        assert all(list(known.values()) == [False] for known in engine.verdicts.values())
+        tied = Profile(3, ((A, B, C), (C, B, A)) * 2)
         code = engine.layout.of(tied.ballots)
         for search in SEARCHES.values():
             for _ in range(2):
                 with pytest.raises(rules.TiesUnsupportedError):
                     search(uncovered, tied)
-        assert _engine._engine(uncovered, 3, 2) is engine
-        assert all(key[2] != code for key in engine.verdicts)
+        assert _engine._engine(uncovered, 3, 4) is engine
+        assert len(engine.verdicts) == 12 and all(key[2] != code for key in engine.verdicts)
+
+    def test_a_partial_hit_searches_and_gives_the_cold_witness(self, monkeypatch):
+        # on (abcd, abdc, bacd) under borda only voter 2 gains. Its reordering
+        # (abcd, bacd, abdc) leaves voter 0's ballot known to gain nothing and
+        # abdc unknown, so a search of the first profile then reads voter 0
+        # from the memo, searches once from the honest output, and gives the
+        # witness a cold engine gives; the memo then knows all three ballots
+        borda = parse_rule("borda")
+        abcd, abdc, bacd = (0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3)
+        profile = Profile(4, (abcd, abdc, bacd))
+        _engine._shared_engine.cache_clear()
+        cold = find_manipulation(borda, profile)
+        assert cold.voter == 2
+        _engine._shared_engine.cache_clear()
+        first = find_manipulation(borda, Profile(4, (abcd, bacd, abdc)))
+        assert (first.voter, first.true_ballot) == (1, bacd)
+        engine = _engine._engine(borda, 4, 3)
+        key = (ExtensionKind.FISHBURN, False, engine.layout.of(profile.ballots))
+        assert engine.verdicts[key] == {abcd: False, bacd: first}
+        searched = []
+        misreport = _engine._Engine.misreport
+
+        def counted(engine, *args):
+            searched.append(args)
+            return misreport(engine, *args)
+
+        monkeypatch.setattr(_engine._Engine, "misreport", counted)
+        assert find_manipulation(borda, profile) == cold
+        assert len(searched) == 1
+        assert engine.verdicts[key] == {abcd: False, abdc: False, bacd: cold}
+        # a reordering is then answered in full
+        assert find_manipulation(borda, Profile(4, (abdc, bacd, abcd))) == dataclasses.replace(
+            cold, profile=Profile(4, (abdc, bacd, abcd)), voter=1
+        )
+        assert len(searched) == 1
 
     @pytest.mark.parametrize("name", ["uncovered-set", "tc", "borda", "plurality"])
     def test_a_search_answered_from_the_memo_evaluates_no_output(self, monkeypatch, name):
         # a second search of a profile finds every voter it reaches in the
-        # verdict memo: it evaluates nothing, and reads the honest output
-        # (a memo hit) only to build a witness; its answer is the cold one
+        # verdict memo: it evaluates nothing and reads no output, whether it
+        # finds a witness or not; its answer is the cold one
         rule = parse_rule(name)
         profiles = ordered_profiles(4, (3,))[::97]
         _engine._shared_engine.cache_clear()
@@ -1543,10 +1610,8 @@ class TestVerdictMemo:
         monkeypatch.setattr(_engine._Engine, "output", counted_output)
         monkeypatch.setattr(_engine._Engine, "miss", counted_miss)
         for (kind, strong), expected in cold.items():
-            before = len(outputs)
             assert [SEARCHES[strong](rule, p, kind) for p in profiles] == expected
-            assert len(outputs) - before == sum(found is not None for found in expected)
-        assert misses == []
+        assert outputs == [] and misses == []
         # the sample holds searches that build a witness and searches that
         # find none
         assert any(map(any, cold.values())) and any(None in found for found in cold.values())
