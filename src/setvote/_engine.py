@@ -26,12 +26,15 @@ read off them. Per (move kind, ballot, output), the output only for kinds
 that read it, `_Ballots.ranked` keeps a `_Ranks` table: the rank of each new
 ballot, in the kind's own generator order, so every first witness is kept,
 and the moves' infos unless all are None. A layout keeps only each ballot's
-encoding by rank, so enc[new] - enc[ballot] is read off the encodings, which
-the group search does for each member's misreports. Neutrality reads
-`_Ballots.relabelings`, per ballot the ranks of its relabelings, the
-permutations of range(m) in rank order from 1 on, built per ballot when
-first met, since a complete table of m! by m! ranks takes 3.2 GB at m = 8;
-the orbit walk's least-of-class test reads the same tables. One step,
+encoding by rank, so enc[new] - enc[ballot] is read off the encodings, as
+`_Engine.reports` does for each member of a group deviation. `_Ballots` is
+the only reader of the order of its relabeling tables, the permutations of
+range(m) in rank order from 1 on: `relabelings`, per ballot the ranks of its
+relabelings, built per ballot when first met, since a complete table of m!
+by m! ranks takes 3.2 GB at m = 8; `relabeled_mask`, an output mask under
+each relabeling; `permutation`, the relabeling at an index of both; and
+`representatives`, the orbit walk's least-of-class test, which reads the
+relabeling tables at the index of each ballot's inverse. One step,
 `_moved`, turns a table into the moves that change the output. It skips a
 voter whose ballot an earlier voter has: every rule reads the ballots only
 as a multiset (the tests check each profile-based evaluator), so that
@@ -76,13 +79,13 @@ key. So an engine keeps its evaluator until the shared engines are cleared
 itself. A profile-based engine keys its outputs on the electorate, the
 sorted ballot tuple, since every evaluator reads a multiset, so every
 ordering of one electorate shares one output. The output memo, the move
-tables (ranked moves and relabelings alike), the rows and the verdict memo
-are each a `_Tables`, bounded when an entry is stored: past `_MEMO_ENTRIES`
-(an output or one search's verdicts weigh one, a row or a `_Ranks` table one
-unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at m = 6) it starts
-afresh before the next is stored, even during a walk; only each m's ballots
-and ranks and each layout's encodings are kept unbounded. Errors (ties,
-empty choices, out-of-range parameters) are never memoized.
+tables (ranked moves, relabelings and relabeled masks alike), the rows and
+the verdict memo are each a `_Tables`, bounded when an entry is stored: past
+`_MEMO_ENTRIES` (an output or one search's verdicts weigh one, a row or a
+`_Ranks` table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at
+m = 6) it starts afresh before the next is stored, even during a walk; only
+each m's ballots and ranks and each layout's encodings are kept unbounded.
+Errors (ties, empty choices, out-of-range parameters) are never memoized.
 """
 
 from __future__ import annotations
@@ -155,8 +158,10 @@ _NO_INFOS = itertools.repeat(None)
 
 
 class _Ranks(array):
-    """A one-ballot move table: the rank of each new ballot in table order,
-    and the infos of the moves, or None if every info is None."""
+    """A table read off the ballot table, in table order: the rank of each
+    new ballot of a one-ballot move or a relabeling, or an output mask under
+    each relabeling; and the infos of the moves, or None if every info is
+    None."""
 
     __slots__ = ("infos",)
 
@@ -168,15 +173,17 @@ class _Ranks(array):
 class _Ballots:
     """The m! ballots on m alternatives, shared by every layout of that m:
     the ballots by rank in lexicographic order, each one's rank, and one
-    bounded store of the tables read off them, the one-ballot move tables
-    and the relabeling tables. Every m!-sized table of the engine starts
-    here, so m > 8 is refused here before any is built."""
+    bounded store of the tables read off them. Every m!-sized table of the
+    engine starts here, so m > 8 is refused here before any is built. It
+    alone reads the order of its relabeling tables, the permutations of
+    range(m) but the identity: the ballots of rank 1 on."""
 
     def __init__(self, m: int):
         if m > _MAX_ENUMERATED_M:
             raise InstanceTooLargeError(
                 f"the sweep engine tables all m! ballots; refusing m={m} > {_MAX_ENUMERATED_M}"
             )
+        self.m = m
         self.ballots = tuple(enumerate_ballots(m))
         self.rank = {b: rank for rank, b in enumerate(self.ballots)}
         # every rank, below m!, fits a byte up to m = 5 and two up to m = 8
@@ -200,9 +207,8 @@ class _Ballots:
 
     def relabelings(self, ballot: Ballot) -> _Ranks:
         """The rank of the ballot under every relabeling of the alternatives
-        but the identity, the permutations of range(m) in lexicographic
-        order, which are the ballots by rank from 1 on: the tuples
-        (perm[x] for x in ballot)."""
+        but the identity, in table order: the tuples (perm[x] for x in
+        ballot)."""
         table = self._ranks.get(ballot)
         if table is None:
             relabeled = map(itemgetter(*ballot), itertools.islice(self.ballots, 1, None))
@@ -211,6 +217,54 @@ class _Ballots:
             # a ballot is its own key: no (kind, ballot, out) key equals it
             table = self._ranks.store(ballot, table)
         return table
+
+    def relabeled_mask(self, mask: int) -> _Ranks:
+        """The output mask under every relabeling but the identity, in table
+        order: the set {perm[x] for x in mask}."""
+        table = self._ranks.get(mask)
+        if table is None:
+            xs = [x for x in range(self.m) if mask >> x & 1]
+            images = (sum(1 << perm[x] for x in xs) for perm in self.ballots[1:])
+            table = _Ranks("B", images)
+            table.infos = None
+            # a mask is its own key, an int, which no tuple key equals
+            table = self._ranks.store(mask, table)
+        return table
+
+    def permutation(self, j: int) -> Ballot:
+        """The relabeling at index j of every relabeling table."""
+        return self.ballots[j + 1]
+
+    def representatives(self, n: int):
+        """One electorate of n ballots per relabeling class, in scan order:
+        the least of its class, the least sorted tuple of ranks (ballot
+        order is rank order), as its ballots. It holds the identity, rank 0,
+        since relabeling any ballot of an electorate to the identity gives
+        one of its class that does. So a candidate (0,) + rest is the least
+        of its class unless a relabeling that takes one of its ballots j to
+        the identity gives a smaller sorted tuple: every relabeling that
+        yields a tuple holding the identity is one of those. That relabeling
+        is j's inverse, at index rank - 1 of every relabeling table, and
+        under it each ballot i has the rank i's table holds there. Each
+        table is read once, when a candidate first holds its rank or a
+        higher one."""
+        ballots, rank, identity = self.ballots, self.rank, range(self.m)
+        # per rank, its relabeling table and the index of its inverse there
+        tables, to_identity = [], []
+        for rest in itertools.combinations_with_replacement(range(len(ballots)), n - 1):
+            electorate = (0, *rest)
+            while len(tables) <= electorate[-1]:
+                ballot = ballots[len(tables)]
+                tables.append(self.relabelings(ballot))
+                to_identity.append(rank[tuple(map(ballot.index, identity))] - 1)
+            least, prior = list(electorate), 0
+            for j in rest:
+                if j != prior:
+                    prior, k = j, to_identity[j]
+                    if sorted([tables[i][k] for i in electorate]) < least:
+                        break
+            else:
+                yield tuple(map(ballots.__getitem__, electorate))
 
 
 # the ballot table of each m in use, shared by its layouts
@@ -314,6 +368,14 @@ class _Engine:
                     if accept >> move[2] & 1:
                         return (voter, *move)
         return None
+
+    def reports(self, ballot: Ballot):
+        """What a voter casting `ballot` may report in a group deviation: the
+        ballot itself, then its misreports in table order, each with the
+        change it makes to the margin code."""
+        table, encs = self.table, self.layout.encs
+        at, base = table.ballots, encs[table.rank[ballot]]
+        return ((ballot, 0), *((at[r], encs[r] - base) for r in table.ranked(_misreports, ballot)))
 
     def _row(self, ballots, voter: int, code: int, honest: int):
         """The co-voters of `voter` in the profile of these ballots, code and

@@ -24,7 +24,10 @@ from .verify import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} is not UTF-8 text") from None
 
 
 def _load_profile(path: str) -> Profile:

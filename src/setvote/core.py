@@ -651,16 +651,14 @@ def dominant_chain(rel: MajorityRelation) -> tuple[ChoiceSet, ...]:
     return tuple([_unchecked_choice(m, s) for s in _chain(rel.strict)])
 
 
-def _chain(strict) -> list[int]:
-    """The masks of `dominant_chain`: every dominant set, in increasing
-    inclusion order."""
+def _chain(strict):
+    """The masks of `dominant_chain`, each link computed when asked for:
+    every dominant set, in increasing inclusion order."""
     full = (1 << len(strict)) - 1
-    s = _tc_mask(strict, full)
-    chain = [s]
+    s = 0
     while s != full:
         s |= _tc_mask(strict, full & ~s)
-        chain.append(s)
-    return chain
+        yield s
 
 
 @lru_cache(maxsize=_KERNEL_MEMO)

@@ -12,12 +12,13 @@ Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
 environment variable). One runner, `_run`, starts every universe sweep: it
 checks the largest estimate of the checks it runs, over every rule, before
-it builds any predicate, and counts a margin-capped universe once.
+it builds any predicate, and counts a margin-capped universe once, or only
+until the estimate passes the budget.
 
 Walk contract. Every universe check (the axioms, both strategyproofness
 readings and the two dominant-set pair checks) is reached by the name its
 verdicts carry through one lookup, `_factory`, which also keys its budget
-estimate, `_estimate`. `_run` runs any set of checks by name on each rule
+cost, `_cost`. `_run` runs any set of checks by name on each rule
 through one `_verdicts` call, so the universe is walked once per rule for
 all of them; the single-check functions, `setvote axioms` and corroboration
 call it. A check is a per-profile predicate: given the scan context of one
@@ -70,7 +71,8 @@ that returned None, or the check would be closed.
 
 Orbit walk. The move checks (the four strategyproofness readings and the
 four one-ballot-move axioms below) first walk `Universe._orbit_representatives`,
-one electorate per relabeling class (the least of its class in scan order),
+one electorate per relabeling class (the least of its class in scan order,
+which the ballot table, the only reader of its relabeling order, finds),
 with the neutrality predicate always among them; neutrality, when asked for,
 is settled there too. Every electorate is a relabeling σP of the
 representative P of its class. If f(σP) = σf(P) for every relabeling σ and
@@ -117,17 +119,18 @@ weak localizedness are each one `_perturbation`: a move kind, what makes a
 move a violation, and what the witness names. The sweep engine (margin
 codes, move tables, the shared engines and their memos) is `_engine`; a
 check reads a profile through its scan context, `_Scan`, and moves through
-the engine (`_moved`, `_Engine.relabeled`); only the group search reads
-each member's misreports off the ballot table itself.
-The one-profile searches build no scan context: `_searched` reads the
-profile's margin code off the shared engine, whose ballot table refuses
-m > 8 before any table is built, as it does for every walk. The
-single-voter ones (`_find`) keep the engine's verdict memo, which nothing
-else reads or writes: per (lifting, strong, code), or electorate on a
-profile-based engine, a dict from a voter's ballot to False, once every
-misreport of that voter was evaluated without an accepted one, or to the
-`Manipulation` found, which a later profile with the same key gets with its
-own profile and voter index. A search answered in full evaluates nothing.
+the engine (`_moved`, `_Engine.relabeled`, `_Engine.reports`); neutrality
+reads the relabeled output and the permutation of its witness off the
+ballot table, and decodes no relabeling itself. The one-profile searches
+build no scan context: they read the profile's margin code off the shared
+engine's layout, whose ballot table refuses m > 8 before any table is
+built, as it does for every walk. The single-voter ones (`_find`) keep the
+engine's verdict memo, which nothing else reads or writes: per (lifting,
+strong, code), or electorate on a profile-based engine, a dict from a
+voter's ballot to False, once every misreport of that voter was evaluated
+without an accepted one, or to the `Manipulation` found, which a later
+profile with the same key gets with its own profile and voter index. A
+search answered in full evaluates nothing.
 At the first voter the memo does not know, `_find` evaluates the honest
 output and runs one search, and stores its answers only once it returns,
 so an evaluation error is never stored. Every search, a walk's predicate
@@ -143,28 +146,21 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import comb, factorial
 
-from ._engine import (
-    _ballots,
-    _Engine,
-    _engine,
-    _misreports,
-    _moved,
-    _Scan,
-)
+from ._engine import _ballots, _Engine, _engine, _moved, _Scan
 from .core import (
     Ballot,
     ChoiceSet,
     MajorityRelation,
     Profile,
     _bits as _mask_bits,
+    _chain,
     _condorcet_winner,
     _integer,
     _margins_flat,
     _relation_masks,
-    _tc_mask,
     enumerate_ballots,
 )
 from .extensions import _FISHBURN, ExtensionKind, _better, _gains, _lifting
@@ -294,6 +290,31 @@ class Universe:
         b = factorial(self.m)
         return {n: comb(b + n - 1, n) for n in range(1, self.n_max + 1)}
 
+    def _estimate(self, costs, budget: int) -> int:
+        """The largest of the checks' `costs` (`verify._cost`) on the
+        universe: a count as it is, and a tuple of costs per electorate size
+        summed over the electorates. Under a margin cap the first estimate
+        counts the electorates one by one and stops as soon as the estimate
+        so far passes the budget, which it returns; a count it completes is
+        kept as `_electorates_by_size`."""
+        largest = max((cost for cost in costs if isinstance(cost, int)), default=0)
+        totals = dict.fromkeys((cost for cost in costs if isinstance(cost, tuple)), 0)
+        if not totals:
+            return largest
+        if self.margin_cap is not None and "_electorates_by_size" not in vars(self):
+            sizes = Counter()
+            for electorate in self._electorates():
+                n = len(electorate)
+                sizes[n] += 1
+                for cost in totals:
+                    totals[cost] += cost[n - 1]
+                estimate = max(largest, *totals.values())
+                if estimate > budget:
+                    return estimate
+            vars(self)["_electorates_by_size"] = sizes
+        sizes = self._electorates_by_size.items()
+        return max([largest, *(sum(k * cost[n - 1] for n, k in sizes) for cost in totals)])
+
     def count_profiles(self) -> int:
         """The ordered profiles: m!^n of each size n, or under a margin cap
         those it keeps, counted one by one."""
@@ -334,64 +355,14 @@ class Universe:
         return self._enumerated(itertools.combinations_with_replacement)
 
     def _orbit_representatives(self):
-        """One electorate per relabeling class, in scan order: the first of
-        its class that scan order meets, which is the least sorted tuple of
-        ballot indices (lexicographic ballot order is index order). It holds
-        the identity, index 0, since relabeling any ballot of an electorate
-        to the identity gives one of its class that does. So a candidate
-        `(0,) + rest` is the least of its class unless a relabeling that
-        takes one of its ballots to the identity gives a smaller sorted
-        tuple: every relabeling that yields a tuple holding the identity is
-        one of those. The orbit walk's two arguments (module docstring) read
-        no more than this: every electorate is a relabeling of one
-        representative, and the representatives are electorates met in scan
-        order."""
-        ballots = _ballots(self.m).ballots
-        least = _least_of_class(self.m)
-
-        def candidates(_, n):
-            for rest in itertools.combinations_with_replacement(range(len(ballots)), n - 1):
-                electorate = (0,) + rest
-                if least(electorate):
-                    yield tuple(ballots[i] for i in electorate)
-
-        return self._enumerated(candidates)
+        """One electorate per relabeling class, the first of its class, in
+        scan order (`_Ballots.representatives`), which is all the orbit walk
+        (module docstring) reads of them."""
+        return self._enumerated(lambda _, n: _ballots(self.m).representatives(n))
 
     def profiles(self):
         for ballots in self.raw_profiles():
             yield Profile(self.m, ballots)
-
-
-def _least_of_class(m: int):
-    """The test that a sorted tuple of ballot ranks (indices into all m!
-    ballots in lexicographic order) that starts with the identity, 0, is the
-    least of its relabeling class. It reads neutrality's relabeling tables
-    (`_Ballots.relabelings`): ballot j's table holds the identity's rank, 0,
-    at the relabeling that takes j to the identity, and under that
-    relabeling every ballot i has the rank i's table holds there. Each
-    table is read once, when a candidate first holds its rank or a higher
-    one."""
-    table = _ballots(m)
-    # the relabeling tables by rank, and where each but the identity's own
-    # holds the identity
-    tables: list = []
-    to_identity: list = []
-
-    def least(electorate):
-        while len(tables) <= electorate[-1]:
-            relabeled = table.relabelings(table.ballots[len(tables)])
-            to_identity.append(relabeled.index(0) if tables else None)
-            tables.append(relabeled)
-        prior = 0
-        for j in electorate:
-            if j != prior:
-                prior = j
-                k = to_identity[j]
-                if sorted([tables[i][k] for i in electorate]) < list(electorate):
-                    return False
-        return True
-
-    return least
 
 
 @dataclass(frozen=True)
@@ -530,15 +501,6 @@ def _manipulability(extension: ExtensionKind, strong: bool):
     return violation
 
 
-def _searched(rule: RuleSpec, profile: Profile) -> tuple[_Engine, int]:
-    """The shared engine a one-profile search asks, with the profile's margin
-    code; the engine's ballot table refuses m > 8 before any move is
-    tabled."""
-    ballots = profile.ballots
-    engine = _engine(rule, profile.m, len(ballots))
-    return engine, engine.layout.of(ballots)
-
-
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
     """The first manipulation of one profile, in the scan order of the
     sweeps, answered voter by voter from the engine's verdict memo and, at
@@ -547,8 +509,9 @@ def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipula
     # a member is kept as it is, read without an Enum attribute lookup
     if type(extension) is not ExtensionKind:
         extension = _lifting(extension)
-    engine, code = _searched(rule, profile)
     ballots = profile.ballots
+    engine = _engine(rule, profile.m, len(ballots))
+    code = engine.layout.of(ballots)
     key = (extension, strong, tuple(sorted(ballots)) if engine.by_ballots else code)
     known = engine.verdicts.get(key, {})
     for voter, ballot in enumerate(ballots):
@@ -632,16 +595,10 @@ def find_group_manipulation(
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
     _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
-    engine, code = _searched(rule, profile)
-    ballots, table, encs = profile.ballots, engine.table, engine.layout.encs
+    ballots = profile.ballots
+    engine = _engine(rule, m, n)
+    code = engine.layout.of(ballots)
     honest = engine.output(code, ballots)
-    at = table.ballots
-
-    def options(ballot):
-        # the own ballot, then the misreports, each with its change to the code
-        base, ranks = encs[table.rank[ballot]], table.ranked(_misreports, ballot)
-        return ((ballot, 0), *((at[r], encs[r] - base) for r in ranks))
-
     for size in range(1, max_group + 1):
         for group in itertools.combinations(range(n), size):
             wanted = -1
@@ -650,7 +607,7 @@ def find_group_manipulation(
             if not wanted:
                 continue
             # the first joint report keeps every member's own ballot
-            joints = itertools.product(*(options(ballots[v]) for v in group))
+            joints = itertools.product(*(engine.reports(ballots[v]) for v in group))
             for choice in itertools.islice(joints, 1, None):
                 reports = tuple(r for r, _ in choice)
                 joint = list(ballots)
@@ -705,33 +662,14 @@ def _grouped(universe, by_relation):
     return violation
 
 
-def _apply_perm_mask(perm, mask):
-    out = 0
-    for x in _mask_bits(mask):
-        out |= 1 << perm[x]
-    return out
-
-
-@lru_cache(maxsize=256)
-def _relabeled_masks(m: int, mask: int) -> bytes:
-    """The mask under every relabeling of the alternatives but the identity:
-    the permutations of range(m) in lexicographic order, which are the
-    ballots by rank from 1 on."""
-    perms = _ballots(m).ballots[1:]
-    return bytes(_apply_perm_mask(perm, mask) for perm in perms)
-
-
 @_stateless
 def _check_neutrality(ctx):
-    m, out = ctx.m, ctx.out
-    # the output on each relabeling against the relabeled output, in
-    # `_relabeled_masks` order
-    for j, (actual, expected) in enumerate(
-        zip(ctx.engine.relabeled(ctx.ballots), _relabeled_masks(m, out))
-    ):
+    m, out, table = ctx.m, ctx.out, ctx.engine.table
+    # the output on each relabeling against the relabeled output
+    relabeled = zip(ctx.engine.relabeled(ctx.ballots), table.relabeled_mask(out))
+    for j, (actual, expected) in enumerate(relabeled):
         if actual != expected:
-            permutation = ctx.engine.table.ballots[j + 1]
-            return _violated(m, ctx.profile, (out, actual), permutation=permutation)
+            return _violated(m, ctx.profile, (out, actual), permutation=table.permutation(j))
     return None
 
 
@@ -967,13 +905,11 @@ class _RobustDominant:
         self.clash: dict = {}
 
     def __call__(self, ctx):
-        out, strict, full = ctx.out, ctx.strict, (1 << ctx.m) - 1
-        # the links of the dominant chain (as `core._chain` builds it), in
-        # increasing order, as far as the output: each link strictly inside
-        # it is kept, and a link that leaves it shows it is not in the chain
-        inside, link = [], 0
-        while True:
-            link |= _tc_mask(strict, full & ~link)
+        out, inside = ctx.out, []
+        # the links of the dominant chain, in increasing order, as far as the
+        # output: each link strictly inside it is kept, and a link that
+        # leaves it shows it is not in the chain
+        for link in _chain(ctx.strict):
             if link == out:
                 break
             if link & ~out:
@@ -1130,27 +1066,26 @@ def _over_relations(name: str, rule: RuleSpec) -> bool:
     return name == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN
 
 
-def _estimate(name: str, rule: RuleSpec, universe: Universe) -> int:
+def _cost(name: str, rule: RuleSpec, universe: Universe):
     """The rule evaluations the check may make on the universe, which the
-    budget bounds. A walk meets one ordering per electorate, so electorates
-    are counted: once for robust dominance (or its relations, 3 per pair of
-    alternatives) and for weak robustness, which evaluates each electorate
-    once and judges its pairs on bit sets, with every misreport for
-    strategyproofness, and for an axiom a constant number per
-    (electorate, voter, block) plus the k_hom - 1 tilings homogeneity
-    evaluates. A check the orbit walk settles counts its electorate walk
-    too: that walk is its fallback, which the estimate still bounds."""
-    m = universe.m
+    budget bounds (`Universe._estimate`): the relations it walks, 3 per pair
+    of alternatives, or else a tuple of what one electorate of each size n =
+    1..n_max costs. A walk meets one ordering per electorate, so electorates
+    are counted: once for robust dominance and for weak robustness, which
+    evaluates each electorate once and judges its pairs on bit sets, with
+    every misreport for strategyproofness, and for an axiom a constant
+    number per (electorate, voter, block) plus the k_hom - 1 tilings
+    homogeneity evaluates. A check the orbit walk settles counts its
+    electorate walk too: that walk is its fallback, which the estimate still
+    bounds."""
+    m, n_max = universe.m, universe.n_max
     if _over_relations(name, rule):
         return 3 ** comb(m, 2)
-    sizes = universe._electorates_by_size
-    electorates = sum(sizes.values())
     if name == _ROBUST_DOMINANT or name == _WEAK_ROBUSTNESS:
-        return electorates
+        return (1,) * n_max
     if name in _DEVIATION_CHECKS:
-        deviations = factorial(m) - 1
-        return sum(count * (n * deviations + 1) for n, count in sizes.items())
-    return electorates * (universe.n_max * factorial(m) * m + universe.k_hom - 1)
+        return tuple(n * (factorial(m) - 1) + 1 for n in range(1, n_max + 1))
+    return (n_max * factorial(m) * m + universe.k_hom - 1,) * n_max
 
 
 def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -> dict:
@@ -1211,8 +1146,9 @@ def _run(names, rules, universe: Universe, budget: int | None) -> list[dict]:
     over every (rule, check) checked against the budget, before any predicate
     is built; then each rule in turn walks fresh predicates (`_verdicts`)."""
     factories = {name: _factory(name) for name in names}
-    largest = max((_estimate(n, r, universe) for r in rules for n in factories), default=0)
-    _within_budget(largest, budget)
+    budget = _budget(budget)
+    costs = {_cost(n, r, universe) for r in rules for n in factories}
+    _within_budget(universe._estimate(costs, budget), budget)
     walks = (_verdicts(r, universe, {n: f(universe) for n, f in factories.items()}) for r in rules)
     return [{n: results[n] for n in factories} for results in walks]
 

@@ -496,6 +496,15 @@ class TestCli:
         good = self.fixture("fig1.prof")
         assert cli.main(["eval", "--rule", "bogus", "--profile", good]) == 2
 
+    @pytest.mark.parametrize("command", [["eval", "--rule", "tc", "--profile"], ["tc", "--graph"]])
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe m=3")
+        assert cli.main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} is not UTF-8 text\n"
+        assert captured.out == ""
+
     def test_non_ascii_digit_token_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "digits.prof"
         bad.write_text("m=2 n=1\n\u00b2 1\n", encoding="utf-8")

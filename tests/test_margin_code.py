@@ -520,6 +520,44 @@ def test_relabeling_tables_give_the_relabelings_in_order(m):
         ] == expected == ranked_moves(layout, relabelings, ballot)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_ballot_table_decodes_its_relabeling_order(m):
+    # brute force over every relabeling: the permutation the table names at
+    # index j takes every ballot b to the ballot at relabelings(b)[j] and
+    # every mask to its image there, each relabeling but the identity is
+    # named once, and the orbit test keeps exactly the candidates (the
+    # identity and n - 1 ballots, sorted) that are least of their class
+    table = _Ballots(m)
+    ballots, rank = table.ballots, table.rank
+    perms = list(itertools.permutations(range(m)))
+    named = [table.permutation(j) for j in range(factorial(m) - 1)]
+    assert sorted(named) == perms[1:]
+    for j, perm in enumerate(named):
+        for b in perms:
+            assert ballots[table.relabelings(b)[j]] == tuple(perm[x] for x in b)
+        for mask in range(1, 1 << m):
+            image = sum(1 << perm[x] for x in range(m) if mask >> x & 1)
+            assert table.relabeled_mask(mask)[j] == image
+
+    def least_of_class(electorate):
+        return min(
+            tuple(sorted(rank[tuple(p[x] for x in ballots[i])] for i in electorate))
+            for p in perms
+        )
+
+    for n in (1, 2, 3):
+        candidates = [
+            (0, *rest)
+            for rest in itertools.combinations_with_replacement(range(len(ballots)), n - 1)
+        ]
+        expected = [
+            tuple(ballots[i] for i in electorate)
+            for electorate in candidates
+            if least_of_class(electorate) == electorate
+        ]
+        assert list(table.representatives(n)) == expected
+
+
 def test_one_relabeling_table_per_m_serves_the_orbit_test_and_neutrality(monkeypatch):
     # the least-of-class test behind the representatives of (4, <=3) builds
     # each ballot's relabeling table once, in the ballot table every layout

@@ -3,13 +3,14 @@ import hashlib
 import itertools
 import random
 import re
+import types
 from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 
 from oracles import naive_manipulation, own_order_misreports, witness_holds
-from setvote import _engine, cli, extensions, rules, verify
+from setvote import _engine, cli, core, extensions, rules, verify
 from setvote.core import (
     ChoiceSet,
     _chain,
@@ -410,15 +411,60 @@ class TestCheckAxiom:
             with pytest.raises(BudgetExceededError, match=f"^estimated {count} evaluations"):
                 check(count - 1)
 
+    def test_a_capped_refusal_stops_counting_past_the_budget(self, monkeypatch):
+        # the first electorates (3, <=4) keeps under a margin cap of 0 are
+        # its three two-voter {ballot, reversal} pairs, 73 axiom evaluations
+        # each: a budget of 218 is passed at the third, where the count
+        # stops and the refusal names the estimate so far. A count left
+        # unfinished is not kept; a complete one is, and is read from then on
+        met = []
+        electorates = Universe._electorates
+
+        def counted(universe):
+            for electorate in electorates(universe):
+                met.append(electorate)
+                yield electorate
+
+        monkeypatch.setattr(Universe, "_electorates", counted)
+        universe = Universe(3, 4, margin_cap=0)
+        for budget, estimate, walked in ((218, 219, 3), (656, 657, 9)):
+            met.clear()
+            with pytest.raises(BudgetExceededError, match=f"^estimated {estimate} evaluations"):
+                check_axiom(Axiom.COS, TC, universe, budget=budget)
+            assert len(met) == walked and "_electorates_by_size" not in vars(universe)
+        met.clear()
+        assert check_axiom(Axiom.COS, TC, universe, budget=657).outcome == Outcome.HOLDS
+        # counted once, then walked once
+        assert len(met) == 2 * 9 and universe._electorates_by_size == {2: 3, 4: 6}
+        met.clear()
+        with pytest.raises(BudgetExceededError, match="^estimated 657 evaluations"):
+            check_axiom(Axiom.COS, TC, universe, budget=218)
+        assert met == []
+        # a fresh universe is admitted exactly when the complete count is
+        for budget in (0, 72, 73, 218, 219, 656, 657, 10**4):
+            try:
+                check_axiom(Axiom.COS, TC, Universe(3, 4, margin_cap=0), budget=budget)
+            except BudgetExceededError:
+                assert budget < 657
+            else:
+                assert budget >= 657
+        # (5, <=4) under a cap of 0 is refused at its first electorate, the
+        # identity ballot and its reversal, 4 * 5! * 5 + 1 evaluations
+        met.clear()
+        with pytest.raises(BudgetExceededError, match="^estimated 2401 evaluations"):
+            check_axiom(Axiom.PAIRWISENESS, TC, Universe(5, 4, margin_cap=0), budget=1)
+        assert met == [((0, 1, 2, 3, 4), (4, 3, 2, 1, 0))]
+
     def test_a_margin_capped_universe_is_counted_once(self, monkeypatch):
         # a universe counts its electorates with one _electorates call, on its
         # first estimate, and every walk of it is one more enumeration; a
         # majoritarian rule's robust-dominant check walks the majority
-        # relations instead
+        # relations instead, and counts no electorate even when none is counted
         universe = Universe(3, 2, margin_cap=0)
         borda = parse_rule("borda")
         calls = counted_enumerations(monkeypatch)
         for call, expected in (
+            (lambda: check_robust_dominant(TC, Universe(3, 2, margin_cap=0)), 0),
             (lambda: check_axiom(Axiom.COS, TC, universe), 2),
             (lambda: sweep_strong_strategyproofness(TC, universe), 1),
             (lambda: check_robust_dominant(borda, universe), 1),
@@ -627,6 +673,27 @@ class TestRobustness:
                     verdicts.append(f"{type(exc).__name__}: {exc}")
         digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
         assert digest == "6381fe46f0b5d268d63583e6333eb23a14c9c14f74d945dda1b0d8b5b50b2d4c"
+
+    def test_the_predicate_evaluates_no_chain_link_past_the_output(self, monkeypatch):
+        # the linear order a > b > c > d has the chain {a}, {a,b}, {a,b,c},
+        # {a,b,c,d}: an output that is its i-th link costs i calls of the
+        # top-cycle kernel, and {b}, which the first link leaves, costs one
+        strict = (0b1110, 0b1100, 0b1000, 0b0000)
+        calls = []
+        kernel = core._tc_mask
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(core, "_tc_mask", counted)
+        profile = Profile(4, ((A, B, C, 3),))
+        for out, links in ((0b1, 1), (0b11, 2), (0b111, 3), (0b1111, 4), (0b10, 1)):
+            calls.clear()
+            ctx = types.SimpleNamespace(m=4, strict=strict, out=out, profile=profile)
+            found = verify._RobustDominant(Universe(4, 1))(ctx)
+            assert (found is not None) == (out == 0b10)
+            assert len(calls) == links, out
 
     @pytest.mark.parametrize("name", ["tc", "borda", "plurality"])
     @pytest.mark.parametrize("cap,electorates", [(None, 6 + 21), (0, 3)])
@@ -1879,7 +1946,7 @@ class TestRelationWalk:
         # where it is the only link): every output is dominant, so the first
         # violation is a pair, the catalog's majoritarian rules have none
         def second_link(rule, m, strict):
-            chain = _chain(strict)
+            chain = list(_chain(strict))
             return chain[min(1, len(chain) - 1)]
 
         replace_evaluator(monkeypatch, RuleId.TOP_CYCLE, second_link)
