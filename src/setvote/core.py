@@ -332,6 +332,8 @@ class _MarginCode:
     def __init__(self, m: int, size: int):
         self.m = m
         self.size = size
+        if size >= 1 << 63:
+            raise ValueError(f"a margin code holds at most 2**63 - 1 voters, not {size}")
         self.stride = stride = next(s for s in _FIELD_FORMATS if size < 1 << s - 1)
         self.shifts = tuple(i * stride for i in range(m * m))
         ones = sum(1 << s for s in self.shifts)

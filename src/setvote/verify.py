@@ -11,19 +11,19 @@ the deliberately weaker "not witnessed in universe", never a refutation.
 Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
 environment variable). One runner, `_run`, starts every universe sweep: it
-checks the largest estimate of the checks it runs, over every rule, before
-it builds any predicate, and counts a margin-capped universe once, or only
-until the estimate passes the budget.
+checks the largest estimate (`Universe._estimate`) of the checks it runs,
+over every rule, before it builds any predicate.
 
 Walk contract. Every universe check (the axioms, both strategyproofness
-readings and the two dominant-set pair checks) is reached by the name its
-verdicts carry through one lookup, `_factory`, which also keys its budget
-cost, `_cost`. `_run` runs any set of checks by name on each rule
-through one `_verdicts` call, so the universe is walked once per rule for
-all of them; the single-check functions, `setvote axioms` and corroboration
-call it. A check is a per-profile predicate: given the scan context of one
-profile (its ballots, margin code and memoized output) it returns None to go
-on, or its verdict as (outcome, witness). Every violation witness but
+readings and the two dominant-set pair checks) is one entry of one table,
+`_CHECKS`, under the name its verdicts carry: its predicate's factory,
+whether the orbit walk may settle it, and its cost per electorate (`_cost`).
+`_run` runs any set of checks by name on each rule through one `_verdicts`
+call, so the universe is walked once per rule for all of them; the
+single-check functions, `setvote axioms` and corroboration call it. A check
+is a per-profile predicate: given the scan context of one profile (its
+ballots, margin code and memoized output) it returns None to go on, or its
+verdict as (outcome, witness). Every violation witness but
 strategyproofness's `Manipulation` is written by one builder, `_violated`,
 which states the layout. One walker, `_walk`, takes the profiles and a
 `scan` callable, which reads each into its scan context, feeds every open
@@ -143,7 +143,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
@@ -280,40 +279,43 @@ class Universe:
         if self.margin_cap is not None and self.margin_cap < 0:
             raise ValueError(f"margin_cap must be non-negative, got {self.margin_cap}")
 
-    @cached_property
-    def _electorates_by_size(self) -> dict:
-        """Electorate size n -> number of electorates (multisets of n
-        ballots), counted once per instance: comb(m! + n - 1, n), or under a
-        margin cap the electorates it keeps, one by one."""
-        if self.margin_cap is not None:
-            return Counter(map(len, self._electorates()))
-        b = factorial(self.m)
-        return {n: comb(b + n - 1, n) for n in range(1, self.n_max + 1)}
-
     def _estimate(self, costs, budget: int) -> int:
         """The largest of the checks' `costs` (`verify._cost`) on the
-        universe: a count as it is, and a tuple of costs per electorate size
-        summed over the electorates. Under a margin cap the first estimate
-        counts the electorates one by one and stops as soon as the estimate
-        so far passes the budget, which it returns; a count it completes is
-        kept as `_electorates_by_size`."""
-        largest = max((cost for cost in costs if isinstance(cost, int)), default=0)
-        totals = dict.fromkeys((cost for cost in costs if isinstance(cost, tuple)), 0)
-        if not totals:
-            return largest
-        if self.margin_cap is not None and "_electorates_by_size" not in vars(self):
-            sizes = Counter()
-            for electorate in self._electorates():
-                n = len(electorate)
-                sizes[n] += 1
-                for cost in totals:
-                    totals[cost] += cost[n - 1]
-                estimate = max(largest, *totals.values())
-                if estimate > budget:
-                    return estimate
-            vars(self)["_electorates_by_size"] = sizes
-        sizes = self._electorates_by_size.items()
-        return max([largest, *(sum(k * cost[n - 1] for n, k in sizes) for cost in totals)])
+        universe, or a lower bound on it past the budget. E electorates of V
+        ballots cost a walk a*E + c*V: uncapped, with b = m! and N = n_max,
+        E = C(b + N, N) - 1 and V = b*C(b + N, N - 1); under a margin cap
+        the first estimate counts them until the estimate so far passes the
+        budget, and keeps a complete count as `_counted`. No count passes
+        2^L > budget, L its bit length: 3 is raised to at most L; for
+        m > L + 1 the estimate is (L + 1)!, as every walk meets m! electorates
+        of one voter (unless a margin cap of 0 drops them) or 3^C(m,2) >= m!
+        relations; for b, N > L + 1 it is C(max(b, N) + L + 1, L + 1) - 1."""
+        m, n_max, bits = self.m, self.n_max, budget.bit_length()
+        relations = 3 ** min(comb(m, 2), bits) if None in costs else 0
+        if m > bits + 1 and (None in costs or self.margin_cap != 0):
+            return factorial(bits + 1)
+        b = factorial(m)
+        walks = [cost(self, b) for cost in costs if cost is not None]
+
+        def estimate(electorates, ballots):
+            return max(relations, *(a * electorates + c * ballots for a, c in walks))
+
+        if not walks:
+            return relations
+        if self.margin_cap is None:
+            j = min(b, n_max, bits + 1)
+            count = comb(max(b, n_max) + j, j)
+            if j < min(b, n_max):
+                return count - 1
+            return estimate(count - 1, b * count * n_max // (b + 1))
+        if "_counted" not in vars(self):
+            electorates = ballots = 0
+            for electorates, electorate in enumerate(self._electorates(), 1):
+                ballots += len(electorate)
+                if (so_far := estimate(electorates, ballots)) > budget:
+                    return so_far
+            vars(self)["_counted"] = electorates, ballots
+        return estimate(*vars(self)["_counted"])
 
     def count_profiles(self) -> int:
         """The ordered profiles: m!^n of each size n, or under a margin cap
@@ -491,14 +493,14 @@ def _manipulation(
 
 
 def _manipulability(extension: ExtensionKind, strong: bool):
-    """Strategyproofness as a predicate, under the strict or the strong
-    reading."""
+    """The factory of strategyproofness as a predicate, under the strict or
+    the strong reading."""
 
     def violation(ctx):
         found = _manipulation(ctx.engine, ctx.ballots, ctx.code, ctx.out, extension, strong)
         return None if found is None else (Outcome.VIOLATED, {"manipulation": found})
 
-    return violation
+    return _stateless(violation)
 
 
 def _find(rule: RuleSpec, profile: Profile, extension, strong: bool) -> Manipulation | None:
@@ -1004,59 +1006,66 @@ def _sp_name(extension: ExtensionKind, strong: bool = False) -> str:
     return f"{'strong-' if strong else ''}strategyproofness-{_lifting(extension).value}"
 
 
-# the checks that try every misreport of every voter of every profile
-_DEVIATION_CHECKS = {
-    _sp_name(extension, strong): _stateless(_manipulability(extension, strong))
-    for strong in (False, True)
-    for extension in ExtensionKind
-}
-# every universe check by the name its verdicts carry -> the factory of a
-# fresh predicate for a universe
+def _axiom_cost(universe: Universe, b: int) -> tuple[int, int]:
+    return universe.n_max * b * universe.m + universe.k_hom - 1, 0
+
+
+def _deviation_cost(universe: Universe, b: int) -> tuple[int, int]:
+    return 1, b - 1
+
+
+def _pair_cost(universe: Universe, b: int) -> tuple[int, int]:
+    return 1, 0
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """A universe check: its predicate's factory, whether the orbit walk may
+    settle it, and its cost: given b = m!, the (a, c) of one electorate of n
+    voters, a + c*n rule evaluations. An axiom makes a constant number per
+    (electorate, voter, block) plus the k_hom - 1 tilings homogeneity
+    evaluates; a deviation check the honest output and every misreport of
+    each voter; a pair check one output, its pairs judged on bit sets."""
+
+    factory: object
+    orbit: bool = False
+    cost: object = _axiom_cost
+
+
+# every universe check by the name its verdicts carry
 _CHECKS = {
-    Axiom.PAIRWISENESS.value: partial(_grouped, by_relation=False),
-    Axiom.MAJORITARIANESS.value: partial(_grouped, by_relation=True),
-    Axiom.NEUTRALITY.value: _check_neutrality,
-    Axiom.HOMOGENEITY.value: _check_homogeneity,
-    Axiom.NON_IMPOSITION.value: partial(_Imposition, singletons=True),
-    Axiom.SET_NON_IMPOSITION.value: partial(_Imposition, singletons=False),
-    Axiom.STRONG_CONDORCET_CONSISTENCY.value: _check_strong_condorcet,
-    Axiom.COS.value: _check_cos,
-    Axiom.WMON.value: _check_wmon,
-    Axiom.WSMON.value: _check_wsmon,
-    Axiom.IUA.value: _check_iua,
-    Axiom.WLOC.value: _check_wloc,
-    Axiom.FISHBURN_EFFICIENCY.value: _check_fishburn_efficiency,
-    Axiom.TWIN_SYMMETRY.value: _check_twin_symmetry,
-    **_DEVIATION_CHECKS,
-    _ROBUST_DOMINANT: _RobustDominant,
-    _WEAK_ROBUSTNESS: _WeakRobustness,
+    Axiom.PAIRWISENESS.value: _Entry(partial(_grouped, by_relation=False)),
+    Axiom.MAJORITARIANESS.value: _Entry(partial(_grouped, by_relation=True)),
+    Axiom.NEUTRALITY.value: _Entry(_check_neutrality, orbit=True),
+    Axiom.HOMOGENEITY.value: _Entry(_check_homogeneity),
+    Axiom.NON_IMPOSITION.value: _Entry(partial(_Imposition, singletons=True)),
+    Axiom.SET_NON_IMPOSITION.value: _Entry(partial(_Imposition, singletons=False)),
+    Axiom.STRONG_CONDORCET_CONSISTENCY.value: _Entry(_check_strong_condorcet),
+    Axiom.COS.value: _Entry(_check_cos),
+    Axiom.WMON.value: _Entry(_check_wmon, orbit=True),
+    Axiom.WSMON.value: _Entry(_check_wsmon, orbit=True),
+    Axiom.IUA.value: _Entry(_check_iua, orbit=True),
+    Axiom.WLOC.value: _Entry(_check_wloc, orbit=True),
+    Axiom.FISHBURN_EFFICIENCY.value: _Entry(_check_fishburn_efficiency),
+    Axiom.TWIN_SYMMETRY.value: _Entry(_check_twin_symmetry),
+    **{
+        _sp_name(extension, strong): _Entry(_manipulability(extension, strong), True, _deviation_cost)
+        for strong in (False, True)
+        for extension in ExtensionKind
+    },
+    _ROBUST_DOMINANT: _Entry(_RobustDominant, cost=_pair_cost),
+    _WEAK_ROBUSTNESS: _Entry(_WeakRobustness, cost=_pair_cost),
 }
-
-
-# the checks the orbit walk settles when they hold: the move checks, and
-# neutrality, which it runs anyway
+_ORBIT_CHECKS = frozenset(name for name, entry in _CHECKS.items() if entry.orbit)
 _NEUTRALITY = Axiom.NEUTRALITY.value
-_ORBIT_CHECKS = frozenset({
-    *_DEVIATION_CHECKS,
-    Axiom.WMON.value,
-    Axiom.WSMON.value,
-    Axiom.IUA.value,
-    Axiom.WLOC.value,
-    _NEUTRALITY,
-})
 
 
-def _factory(name: str):
-    """The factory of the check reported under `name`; it builds nothing."""
-    factory = _CHECKS.get(name)
-    if factory is None:
+def _entry(name: str) -> _Entry:
+    """The entry of the check reported under `name`; it builds nothing."""
+    entry = _CHECKS.get(name)
+    if entry is None:
         raise ValueError(f"unknown check {name!r}; expected one of: {', '.join(_CHECKS)}")
-    return factory
-
-
-def _check(name: str, universe: Universe):
-    """A fresh predicate for the check reported under `name`."""
-    return _factory(name)(universe)
+    return entry
 
 
 def _over_relations(name: str, rule: RuleSpec) -> bool:
@@ -1066,26 +1075,12 @@ def _over_relations(name: str, rule: RuleSpec) -> bool:
     return name == _ROBUST_DOMINANT and basis(rule) == BasisTag.MAJORITARIAN
 
 
-def _cost(name: str, rule: RuleSpec, universe: Universe):
-    """The rule evaluations the check may make on the universe, which the
-    budget bounds (`Universe._estimate`): the relations it walks, 3 per pair
-    of alternatives, or else a tuple of what one electorate of each size n =
-    1..n_max costs. A walk meets one ordering per electorate, so electorates
-    are counted: once for robust dominance and for weak robustness, which
-    evaluates each electorate once and judges its pairs on bit sets, with
-    every misreport for strategyproofness, and for an axiom a constant
-    number per (electorate, voter, block) plus the k_hom - 1 tilings
-    homogeneity evaluates. A check the orbit walk settles counts its
-    electorate walk too: that walk is its fallback, which the estimate still
-    bounds."""
-    m, n_max = universe.m, universe.n_max
-    if _over_relations(name, rule):
-        return 3 ** comb(m, 2)
-    if name == _ROBUST_DOMINANT or name == _WEAK_ROBUSTNESS:
-        return (1,) * n_max
-    if name in _DEVIATION_CHECKS:
-        return tuple(n * (factorial(m) - 1) + 1 for n in range(1, n_max + 1))
-    return (n_max * factorial(m) * m + universe.k_hom - 1,) * n_max
+def _cost(name: str, rule: RuleSpec):
+    """What the check may cost (`Universe._estimate`): None for the 3^C(m,2)
+    relations it walks, or else its entry's cost of one electorate, of which
+    a walk meets one ordering each. A check the orbit walk settles counts its
+    electorate walk, its fallback, too."""
+    return None if _over_relations(name, rule) else _CHECKS[name].cost
 
 
 def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -> dict:
@@ -1145,9 +1140,9 @@ def _run(names, rules, universe: Universe, budget: int | None) -> list[dict]:
     error, in `names` order. Every name is looked up, and the largest estimate
     over every (rule, check) checked against the budget, before any predicate
     is built; then each rule in turn walks fresh predicates (`_verdicts`)."""
-    factories = {name: _factory(name) for name in names}
+    factories = {name: _entry(name).factory for name in names}
     budget = _budget(budget)
-    costs = {_cost(n, r, universe) for r in rules for n in factories}
+    costs = {_cost(n, r) for r in rules for n in factories}
     _within_budget(universe._estimate(costs, budget), budget)
     walks = (_verdicts(r, universe, {n: f(universe) for n, f in factories.items()}) for r in rules)
     return [{n: results[n] for n in factories} for results in walks]
@@ -1178,7 +1173,8 @@ def replay(verdict: AxiomVerdict) -> bool:
         profiles = w.get("profiles") or (w.get("profile"),)
     if not isinstance(profiles, tuple) or not all(isinstance(p, Profile) for p in profiles):
         return False
-    return _verdicts(rule, universe, {name: _check(name, universe)}, profiles)[name] == verdict
+    checks = {name: _entry(name).factory(universe)}
+    return _verdicts(rule, universe, checks, profiles)[name] == verdict
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,30 @@ class TestCli:
         # and the names a report carries, as the unknown-axiom error lists the axioms
         assert "; expected one of: pairwiseness, " in captured.err
         assert "strategyproofness-fishburn" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command,message", [
+        ("axioms --rule tc --m 3 --n 99999999999999999999", None),
+        ("sweep --m 3 --n 99999999999999999999", None),
+        ("axioms --rule tc --m 99999999999999999999 --n 1", None),
+        ("axioms --rule tc --m 100000 --n 1 --axiom robust-dominant-set", None),
+        (
+            "axioms --rule tc --m 3 --n 2 --k-hom 99999999999999999999"
+            " --axiom strategyproofness-fishburn",
+            "a margin code holds at most 2**63 - 1 voters, not 199999999999999999998",
+        ),
+    ])
+    def test_an_absurd_size_exits_2_at_once(self, monkeypatch, capsys, command, message):
+        # the budget refuses the first four from a closed form or a lower
+        # bound, and the margin code the tilings of the last
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        start = time.perf_counter()
+        assert cli.main(command.split()) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        budget = r"estimated \d+ evaluations exceed the budget"
+        expected = budget if message is None else re.escape(message)
+        assert re.fullmatch(f"error: {expected}\n", captured.err)
         assert captured.out == ""
 
     def test_mcgarvey(self, tmp_path, fig1, capsys):

@@ -19,7 +19,7 @@ from oracles import (
     own_order_misreports,
     relabelings,
 )
-from setvote import _engine, rules, verify
+from setvote import _engine, core, rules, verify
 from setvote._engine import _Ballots, _Engine, _MarginCode, _misreports, _moved, _Scan
 from setvote.core import Profile, _margins_flat, _strict_masks_from_flat
 from setvote.extensions import ExtensionKind
@@ -250,6 +250,15 @@ def test_synthetic_codes_decode_at_the_widest_fields(size, stride):
         flat = counted_flat(weighted, m)
         assert layout.flat(code) == flat
         assert layout.strict(layout.key(code)) == _strict_masks_from_flat(flat, m)
+
+
+def test_a_size_past_the_widest_field_is_refused():
+    # 64-bit fields hold every size below 2**63, and no wider field exists
+    assert core._MarginCode(3, (1 << 63) - 1).stride == 64
+    with pytest.raises(
+        ValueError, match=rf"^a margin code holds at most 2\*\*63 - 1 voters, not {1 << 63}$"
+    ):
+        core._MarginCode(3, 1 << 63)
 
 
 @pytest.mark.parametrize("m,n_max,k_hom", [(2, 3, 2), (3, 3, 3), (4, 2, 4), (3, 1, 2)])

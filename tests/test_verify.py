@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import re
+import time
 import types
+from collections import Counter
 from functools import lru_cache, partial
 
 import numpy as np
@@ -80,6 +83,11 @@ def counted_calls(monkeypatch, rule_id):
 
     replace_evaluator(monkeypatch, rule_id, counted)
     return calls
+
+
+def predicates(universe, names):
+    """A fresh predicate on the universe for each check of `names`, by name."""
+    return {name: verify._CHECKS[name].factory(universe) for name in names}
 
 
 def counted_enumerations(monkeypatch):
@@ -401,7 +409,7 @@ class TestCheckAxiom:
         # 3 * (2 * 5 + 1) + 6 * (4 * 5 + 1) = 159 deviations and honest outputs
         universe = Universe(3, 4, margin_cap=0)
         assert universe.count_profiles() == 96
-        assert universe._electorates_by_size == {2: 3, 4: 6}
+        assert Counter(map(len, universe._electorates())) == {2: 3, 4: 6}
         assert check_axiom(Axiom.COS, TC, universe, budget=10**4).outcome == Outcome.HOLDS
         for check, count in (
             (lambda budget: check_axiom(Axiom.COS, TC, universe, budget=budget), 657),
@@ -431,11 +439,12 @@ class TestCheckAxiom:
             met.clear()
             with pytest.raises(BudgetExceededError, match=f"^estimated {estimate} evaluations"):
                 check_axiom(Axiom.COS, TC, universe, budget=budget)
-            assert len(met) == walked and "_electorates_by_size" not in vars(universe)
+            assert len(met) == walked and "_counted" not in vars(universe)
         met.clear()
         assert check_axiom(Axiom.COS, TC, universe, budget=657).outcome == Outcome.HOLDS
-        # counted once, then walked once
-        assert len(met) == 2 * 9 and universe._electorates_by_size == {2: 3, 4: 6}
+        # counted once (9 electorates holding 3 * 2 + 6 * 4 ballots), then
+        # walked once
+        assert len(met) == 2 * 9 and universe._counted == (9, 30)
         met.clear()
         with pytest.raises(BudgetExceededError, match="^estimated 657 evaluations"):
             check_axiom(Axiom.COS, TC, universe, budget=218)
@@ -830,7 +839,7 @@ class TestCorroboration:
         # electorate once
         universe = Universe(4, 4)
         # comb(4! + n - 1, n) multisets of n ballots
-        assert universe._electorates_by_size == {1: 24, 2: 300, 3: 2600, 4: 17550}
+        assert Counter(map(len, universe._electorates())) == {1: 24, 2: 300, 3: 2600, 4: 17550}
         largest = 20474 * 385
         assert largest <= verify.DEFAULT_BUDGET
         with pytest.raises(
@@ -996,7 +1005,7 @@ class TestWalk:
 
         cos = Axiom.COS.value
         results = verify._verdicts(
-            TC, universe, {"refuses": refuses, cos: verify._check(cos, universe)}
+            TC, universe, {"refuses": refuses, **predicates(universe, [cos])}
         )
         assert str(results["refuses"]) == "this check only"
         assert results[cos] == check_axiom(Axiom.COS, TC, universe)
@@ -1077,8 +1086,8 @@ def test_corroboration_gives_the_single_check_verdicts():
 
 
 def recorded_builds(monkeypatch):
-    """The names of the checks whose predicates are built from here on: every
-    factory in `verify._CHECKS` records its name when called."""
+    """The names of the checks whose predicates are built from here on: the
+    factory of every entry in `verify._CHECKS` records its name when called."""
     built = []
 
     def recording(name, factory):
@@ -1088,8 +1097,9 @@ def recorded_builds(monkeypatch):
 
         return recorded
 
-    for name, factory in list(verify._CHECKS.items()):
-        monkeypatch.setitem(verify._CHECKS, name, recording(name, factory))
+    for name, entry in list(verify._CHECKS.items()):
+        recorded = dataclasses.replace(entry, factory=recording(name, entry.factory))
+        monkeypatch.setitem(verify._CHECKS, name, recorded)
     return built
 
 
@@ -1134,6 +1144,93 @@ class TestRefusedBeforeBuilt:
         assert re.fullmatch(r"error: estimated \d+ evaluations exceed the budget\n", captured.err)
         assert captured.out == ""
         assert built == []
+
+
+def _pairwiseness(universe):
+    return check_axiom(Axiom.PAIRWISENESS, TC, universe)
+
+
+class TestEstimate:
+    """`Universe._estimate` sums an uncapped universe in closed form, counts
+    a capped one electorate by electorate, and takes no count past the
+    budget's bit length."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_the_estimate_sums_what_each_electorate_costs(self, m):
+        # every check of the table, on a majoritarian and a pairwise rule:
+        # a + c * len(e) summed over the electorates the walk meets, or
+        # 3^C(m, 2) when the check walks the majority relations
+        for cap in (None, 0, 1):
+            sizes = Counter(map(len, Universe(m, 5, margin_cap=cap)._electorates()))
+            for n_max, k_hom in itertools.product(range(1, 6), (2, 3)):
+                universe = Universe(m, n_max, k_hom=k_hom, margin_cap=cap)
+                for name, rule in itertools.product(verify._CHECKS, (TC, parse_rule("borda"))):
+                    cost = verify._cost(name, rule)
+                    if cost is None:
+                        expected = 3 ** math.comb(m, 2)
+                    else:
+                        a, c = cost(universe, math.factorial(m))
+                        expected = sum(k * (a + c * n) for n, k in sizes.items() if n <= n_max)
+                    assert universe._estimate({cost}, 10**30) == expected, (universe, name)
+
+    @pytest.mark.parametrize("m,n_max,cap", [
+        (1, 5, None), (2, 5, None), (3, 3, None), (4, 5, None), (4, 2, 1), (3, 4, 0),
+    ])
+    def test_a_bounded_count_admits_what_the_whole_estimate_admits(self, m, n_max, cap):
+        # below a budget of bit length L, m! is bounded at (L + 1)!, 3^C(m, 2)
+        # at 3^L and C(b + N, N) at C(max(b, N) + L + 1, L + 1): a bound is
+        # named only once it passes the budget, and never passes the estimate
+        costs = {verify._cost(n, r) for n in verify._CHECKS for r in (TC, parse_rule("borda"))}
+        for chosen in [{cost} for cost in costs] + [costs]:
+            whole = Universe(m, n_max, margin_cap=cap)._estimate(chosen, 10**30)
+            near = {2**i + d for i in range(whole.bit_length() + 1) for d in (-1, 0, 1)}
+            for budget in sorted({*range(70), *near, whole - 1, whole}):
+                bounded = Universe(m, n_max, margin_cap=cap)._estimate(chosen, budget)
+                if whole <= budget:
+                    assert bounded == whole
+                else:
+                    assert budget < bounded <= whole
+
+    @pytest.mark.parametrize("sweep", [_pairwiseness, corroborate_theorems],
+                             ids=["pairwiseness", "corroboration"])
+    def test_an_absurd_electorate_size_is_refused_at_once(self, monkeypatch, sweep):
+        # C(6 + N, N) - 1 electorates at N * 3! * 3 + 1 evaluations each, the
+        # largest estimate of corroboration too
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        n = 10**20
+        estimate = (18 * n + 1) * (math.comb(n + 6, 6) - 1)
+        start = time.perf_counter()
+        with pytest.raises(
+            BudgetExceededError, match=f"^estimated {estimate} evaluations exceed the budget$"
+        ):
+            sweep(Universe(3, n))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("sweep,m", [
+        (_pairwiseness, 10**20),
+        (lambda universe: check_robust_dominant(TC, universe), 10**5),
+    ], ids=["pairwiseness", "robust-dominance"])
+    def test_an_absurd_number_of_alternatives_is_refused_at_once(self, monkeypatch, sweep, m):
+        # every walk meets at least m! electorates of one voter, and the
+        # relation walk 3^C(m, 2) >= m! relations: past the default budget's
+        # 30 bits the estimate is 31! >= 2^30, and neither m! nor 3^C(m, 2)
+        # is computed
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^estimated {math.factorial(31)} evaluations exceed the budget$",
+        ):
+            sweep(Universe(m, 1))
+        assert time.perf_counter() - start < 1
+
+    def test_a_voter_count_no_margin_code_holds_is_refused(self):
+        # the budget of strategyproofness does not count k_hom, but the
+        # engine sized for the tilings of homogeneity refuses to lay them out
+        with pytest.raises(
+            ValueError, match=rf"^a margin code holds at most 2\*\*63 - 1 voters, not {2**63}$"
+        ):
+            sweep_strategyproofness(TC, Universe(3, 2, k_hom=2**62))
 
 
 class TestBudgetVariable:
@@ -1304,7 +1401,7 @@ class TestSharedMemo:
 
         def verdicts():
             _engine._shared_engine.cache_clear()
-            checks = {n: verify._check(n, universe) for n in verify._CHECKS}
+            checks = predicates(universe, verify._CHECKS)
             return as_results(verify._verdicts(rule, universe, checks))
 
         default = verdicts()
@@ -1689,11 +1786,9 @@ def ordered_walk(rule, universe):
     walk of every ordering of every electorate (`raw_profiles`) through a
     fresh engine; as name -> verdict, or (type, message) of the
     not-evaluable error that closed the check."""
-    checks = {
-        name: verify._check(name, universe)
-        for name in verify._CHECKS
-        if not verify._over_relations(name, rule)
-    }
+    checks = predicates(
+        universe, [name for name in verify._CHECKS if not verify._over_relations(name, rule)]
+    )
     engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
     scan = partial(_engine._Scan, engine)
     return as_results(verify._walk(rule, universe, checks, universe.raw_profiles(), scan))
@@ -1721,7 +1816,7 @@ class TestElectorateWalk:
     @pytest.mark.parametrize("rule", catalog(), ids=lambda r: r.name)
     def test_verdicts_match_the_ordered_walk(self, rule, universe):
         names = list(verify._CHECKS)
-        found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
+        found = verify._verdicts(rule, universe, predicates(universe, names))
         expected = ordered_walk(rule, universe)
         assert as_results({n: found[n] for n in expected}) == expected
 
@@ -1730,7 +1825,7 @@ def electorate_walk(rule, universe, names):
     """The oracle of the orbit walk: the checks `names` on one walk of every
     electorate (`_electorates`) through a fresh engine, as `as_results`
     gives them."""
-    checks = {name: verify._check(name, universe) for name in names}
+    checks = predicates(universe, names)
     engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
     scan = partial(_engine._Scan, engine)
     return as_results(verify._walk(rule, universe, checks, universe._electorates(), scan))
@@ -1759,7 +1854,7 @@ class TestOrbitWalk:
     def test_verdicts_match_the_electorate_walk(self, rule, universe):
         # every check but those that walk the majority relations
         names = [n for n in verify._CHECKS if not verify._over_relations(n, rule)]
-        found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
+        found = verify._verdicts(rule, universe, predicates(universe, names))
         assert as_results(found) == electorate_walk(rule, universe, names)
 
     @pytest.mark.parametrize("universe", ORBIT_UNIVERSES[:2], ids=str)
@@ -1768,7 +1863,7 @@ class TestOrbitWalk:
         # one check per walk, as `check_axiom` and the strategyproofness
         # sweeps run it: the orbit walk ends once that check closes
         for rule in map(parse_rule, ("tc", "borda", "plurality", "fab:ab", "uncovered-set")):
-            found = verify._verdicts(rule, universe, {name: verify._check(name, universe)})
+            found = verify._verdicts(rule, universe, predicates(universe, [name]))
             assert as_results(found) == electorate_walk(rule, universe, [name]), rule.name
 
     def test_the_representatives_are_one_per_relabeling_class(self):
@@ -1811,7 +1906,7 @@ class TestOrbitWalk:
         # ends at the representative that closed neutrality
         rule, universe = parse_rule(name), Universe(3, 4)
         met = counted_representatives(monkeypatch)
-        checks = {n: verify._check(n, universe) for n in verify._ORBIT_CHECKS}
+        checks = predicates(universe, verify._ORBIT_CHECKS)
         engine = _engine._Engine(rule, universe.m, universe.n_max * universe.k_hom)
         scan = partial(_engine._Scan, engine)
         assert verify._orbit_walk(rule, universe, checks, scan) == {}
@@ -1819,7 +1914,7 @@ class TestOrbitWalk:
 
     def test_a_neutral_rule_settles_what_holds(self):
         universe = Universe(3, 4)
-        checks = {n: verify._check(n, universe) for n in verify._ORBIT_CHECKS}
+        checks = predicates(universe, verify._ORBIT_CHECKS)
         engine = _engine._Engine(TC, universe.m, universe.n_max * universe.k_hom)
         scan = partial(_engine._Scan, engine)
         settled = verify._orbit_walk(TC, universe, checks, scan)
@@ -1860,7 +1955,7 @@ class TestOrbitWalk:
         replace_evaluator(monkeypatch, RuleId.PLURALITY, stand_in)
         rule = parse_rule("plurality")
         names = [n for n in verify._CHECKS if not verify._over_relations(n, rule)]
-        found = verify._verdicts(rule, universe, {n: verify._check(n, universe) for n in names})
+        found = verify._verdicts(rule, universe, predicates(universe, names))
         assert as_results(found) == electorate_walk(rule, universe, names)
         assert found[Axiom.NEUTRALITY.value].outcome == Outcome.HOLDS
         homogeneity = found[Axiom.HOMOGENEITY.value]
@@ -1909,7 +2004,7 @@ def realized_walk(rule, m):
     universe, name = Universe(m, 1), verify._ROBUST_DOMINANT
     scan = partial(_engine._Scan, _engine._Engine(rule, m, max(2, m * (m - 1))))
     realized = (realize_relation(rel, 2).ballots for rel in enumerate_relations(m))
-    checks = {name: verify._check(name, universe)}
+    checks = predicates(universe, [name])
     return as_results(verify._walk(rule, universe, checks, realized, scan))
 
 
@@ -1936,7 +2031,7 @@ class TestRelationWalk:
         expected = realized_walk(rule, m)
         calls = counted_realizations(monkeypatch)
         universe, name = Universe(m, 1), verify._ROBUST_DOMINANT
-        found = as_results(verify._verdicts(rule, universe, {name: verify._check(name, universe)}))
+        found = as_results(verify._verdicts(rule, universe, predicates(universe, [name])))
         assert found == expected
         witness = getattr(found[name], "witness", None) or {}
         assert len(calls) == len(witness.get("profiles", ())) + ("profile" in witness)
