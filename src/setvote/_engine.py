@@ -170,19 +170,25 @@ class _Ranks(array):
         return -(-(memoryview(self).nbytes + (8 * len(infos) if infos else 0)) // 64)
 
 
+def _within_reach(m: int) -> None:
+    """Refuse m > 8: the engine tables all m! ballots (`_Ballots`). A sweep
+    asks this before its budget, so it builds nothing either."""
+    if m > _MAX_ENUMERATED_M:
+        raise InstanceTooLargeError(
+            f"the sweep engine tables all m! ballots; refusing m={m} > {_MAX_ENUMERATED_M}"
+        )
+
+
 class _Ballots:
     """The m! ballots on m alternatives, shared by every layout of that m:
     the ballots by rank in lexicographic order, each one's rank, and one
     bounded store of the tables read off them. Every m!-sized table of the
-    engine starts here, so m > 8 is refused here before any is built. It
-    alone reads the order of its relabeling tables, the permutations of
-    range(m) but the identity: the ballots of rank 1 on."""
+    engine starts here, so m > 8 is refused here (`_within_reach`) before
+    any is built. It alone reads the order of its relabeling tables, the
+    permutations of range(m) but the identity: the ballots of rank 1 on."""
 
     def __init__(self, m: int):
-        if m > _MAX_ENUMERATED_M:
-            raise InstanceTooLargeError(
-                f"the sweep engine tables all m! ballots; refusing m={m} > {_MAX_ENUMERATED_M}"
-            )
+        _within_reach(m)
         self.m = m
         self.ballots = tuple(enumerate_ballots(m))
         self.rank = {b: rank for rank, b in enumerate(self.ballots)}

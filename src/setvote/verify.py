@@ -11,8 +11,10 @@ the deliberately weaker "not witnessed in universe", never a refutation.
 Sweeps refuse to start when their estimated number of rule evaluations
 exceeds a budget (default 10^9, see DEFAULT_BUDGET and the SETVOTE_BUDGET
 environment variable). One runner, `_run`, starts every universe sweep: it
-checks the largest estimate (`Universe._estimate`) of the checks it runs,
-over every rule, before it builds any predicate.
+refuses a walk of electorates past eight alternatives, the engine's reach
+(`_within_reach`), before any estimate, whatever the budget; then it checks
+the largest estimate (`Universe._estimate`) of the checks it runs, over
+every rule, before it builds any predicate.
 
 Walk contract. Every universe check (the axioms, both strategyproofness
 readings and the two dominant-set pair checks) is one entry of one table,
@@ -124,13 +126,14 @@ reads the relabeled output and the permutation of its witness off the
 ballot table, and decodes no relabeling itself. The one-profile searches
 build no scan context: they read the profile's margin code off the shared
 engine's layout, whose ballot table refuses m > 8 before any table is
-built, as it does for every walk. The single-voter ones (`_find`) keep the
-engine's verdict memo, which nothing else reads or writes: per (lifting,
-strong, code), or electorate on a profile-based engine, a dict from a
-voter's ballot to False, once every misreport of that voter was evaluated
-without an accepted one, or to the `Manipulation` found, which a later
-profile with the same key gets with its own profile and voter index. A
-search answered in full evaluates nothing.
+built; the group search asks that reach before its budget. The
+single-voter ones (`_find`) keep the engine's verdict memo, which nothing
+else reads or writes: per (lifting, strong, code), or electorate on a
+profile-based engine, a dict from a voter's ballot to False, once every
+misreport of that voter was evaluated without an accepted one, or to the
+`Manipulation` found, which a later profile with the same key gets with
+its own profile and voter index. A search answered in full evaluates
+nothing.
 At the first voter the memo does not know, `_find` evaluates the honest
 output and runs one search, and stores its answers only once it returns,
 so an evaluation error is never stored. Every search, a walk's predicate
@@ -148,7 +151,7 @@ from enum import Enum
 from functools import cached_property, partial
 from math import comb, factorial
 
-from ._engine import _ballots, _Engine, _engine, _moved, _Scan
+from ._engine import _ballots, _Engine, _engine, _moved, _Scan, _within_reach
 from .core import (
     Ballot,
     ChoiceSet,
@@ -285,23 +288,21 @@ class Universe:
         ballots cost a walk a*E + c*V: uncapped, with b = m! and N = n_max,
         E = C(b + N, N) - 1 and V = b*C(b + N, N - 1); under a margin cap
         the first estimate counts them until the estimate so far passes the
-        budget, and keeps a complete count as `_counted`. No count passes
-        2^L > budget, L its bit length: 3 is raised to at most L; for
-        m > L + 1 the estimate is (L + 1)!, as every walk meets m! electorates
-        of one voter (unless a margin cap of 0 drops them) or 3^C(m,2) >= m!
-        relations; for b, N > L + 1 it is C(max(b, N) + L + 1, L + 1) - 1."""
+        budget, and keeps a complete count as `_counted`. A walk of
+        electorates past eight alternatives is refused before any estimate
+        (`_within_reach`), so b <= 8!. No count passes 2^L > budget, L its
+        bit length: 3 is raised to at most L, and for b, N > L + 1 the
+        estimate is C(max(b, N) + L + 1, L + 1) - 1."""
         m, n_max, bits = self.m, self.n_max, budget.bit_length()
         relations = 3 ** min(comb(m, 2), bits) if None in costs else 0
-        if m > bits + 1 and (None in costs or self.margin_cap != 0):
-            return factorial(bits + 1)
+        if all(cost is None for cost in costs):
+            return relations
         b = factorial(m)
         walks = [cost(self, b) for cost in costs if cost is not None]
 
         def estimate(electorates, ballots):
             return max(relations, *(a * electorates + c * ballots for a, c in walks))
 
-        if not walks:
-            return relations
         if self.margin_cap is None:
             j = min(b, n_max, bits + 1)
             count = comb(max(b, n_max) + j, j)
@@ -588,14 +589,15 @@ def find_group_manipulation(
     ones. A group with no set that every member prefers to the honest one
     is skipped untried. So an evaluation error (a tie, an empty output)
     surfaces only at a joint report the search tries: the first such report
-    that raises, in scan order. Refuses m > 8 as the single-voter search
-    does.
+    that raises, in scan order. Refuses m > 8 (`_within_reach`) before
+    its budget, whatever the budget.
     """
     max_group = _integer(max_group, "max_group")
     if max_group < 1:
         raise ValueError(f"max_group must be positive, got {max_group}")
     m, n = profile.m, profile.n
     max_group = min(max_group, n)
+    _within_reach(m)
     _within_budget(sum(comb(n, g) * factorial(m) ** g for g in range(1, max_group + 1)), budget)
     ballots = profile.ballots
     engine = _engine(rule, m, n)
@@ -791,25 +793,18 @@ _check_wsmon = _perturbation(_pushes, _changed, False, lambda top: {"alternative
 
 
 def _runs(ballot, member_mask):
-    """Maximal runs of consecutive ballot positions inside member_mask."""
-    run = []
-    for p, x in enumerate(ballot):
-        if member_mask >> x & 1:
-            run.append(p)
-        else:
-            if len(run) >= 2:
-                yield tuple(run)
-            run = []
-    if len(run) >= 2:
-        yield tuple(run)
+    """Maximal runs of two or more consecutive ballot positions inside
+    member_mask."""
+    positions = range(len(ballot))
+    for inside, run in itertools.groupby(positions, lambda p: member_mask >> ballot[p] & 1):
+        if inside and len(run := tuple(run)) >= 2:
+            yield run
 
 
 def _block_reorders(ballot, positions):
-    """Every other order of the ballot's entries at `positions`."""
-    items = tuple(ballot[p] for p in positions)
-    for order in itertools.permutations(items):
-        if order == items:
-            continue
+    """Every other order of the ballot's entries at `positions`: their
+    permutations but the first, the entries as they are."""
+    for order in itertools.islice(itertools.permutations(ballot[p] for p in positions), 1, None):
         new = list(ballot)
         for p, x in zip(positions, order):
             new[p] = x
@@ -872,18 +867,11 @@ def _check_fishburn_efficiency(ctx):
 @_stateless
 def _check_twin_symmetry(ctx):
     m, out, flat = ctx.m, ctx.out, ctx.flat
-    for x in range(m):
-        for y in range(x + 1, m):
-            if flat[x * m + y] != 0:
-                continue
-            if any(
-                flat[x * m + z] != flat[y * m + z]
-                for z in range(m)
-                if z != x and z != y
-            ):
-                continue
-            if (out >> x & 1) != (out >> y & 1):
-                return _violated(m, ctx.profile, out, alternatives=(x, y))
+    for x, y in itertools.combinations(range(m), 2):
+        if flat[x * m + y] == 0 and (out >> x & 1) != (out >> y & 1) and all(
+            flat[x * m + z] == flat[y * m + z] for z in range(m) if z != x and z != y
+        ):
+            return _violated(m, ctx.profile, out, alternatives=(x, y))
     return None
 
 
@@ -1137,12 +1125,16 @@ def _orbit_walk(rule: RuleSpec, universe: Universe, checks: dict, scan) -> dict:
 
 def _run(names, rules, universe: Universe, budget: int | None) -> list[dict]:
     """Per rule, each check of `names` -> its AxiomVerdict or not-evaluable
-    error, in `names` order. Every name is looked up, and the largest estimate
-    over every (rule, check) checked against the budget, before any predicate
-    is built; then each rule in turn walks fresh predicates (`_verdicts`)."""
+    error, in `names` order. Every name is looked up, a walk of electorates
+    (every check but `_over_relations`) past eight alternatives refused
+    (`_within_reach`) before any estimate, and the largest estimate over
+    every (rule, check) checked against the budget, before any predicate is
+    built; then each rule in turn walks fresh predicates (`_verdicts`)."""
     factories = {name: _entry(name).factory for name in names}
-    budget = _budget(budget)
     costs = {_cost(n, r) for r in rules for n in factories}
+    if costs - {None}:
+        _within_reach(universe.m)
+    budget = _budget(budget)
     _within_budget(universe._estimate(costs, budget), budget)
     walks = (_verdicts(r, universe, {n: f(universe) for n, f in factories.items()}) for r in rules)
     return [{n: results[n] for n in factories} for results in walks]
@@ -1237,8 +1229,9 @@ def corroborate_theorems(
     cycle reaches every non-empty set; and the classic near-miss rules each
     fail exactly one of the four headline axioms.
 
-    One `_run` refuses before any walk when its largest estimate exceeds the
-    budget; a check not evaluable on a rule goes to `not_evaluable` unraised.
+    One `_run` refuses before any walk past eight alternatives, whatever the
+    budget, or when its largest estimate exceeds the budget; a check not
+    evaluable on a rule goes to `not_evaluable` unraised.
     """
     from .rules import catalog
 

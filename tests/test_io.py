@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -37,6 +38,28 @@ from setvote.verify import (
 from test_core import FIG1_MARGINS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# an address-space cap and a timeout that a sweep which starts tabling m!
+# ballots or counting past the budget runs into at once, so that a
+# regression fails its test instead of exhausting the machine
+_CAP_BYTES = 600 << 20
+_CAP_SECONDS = 30
+
+
+def run_capped(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run the Python `script` with `argv` in a child process limited to
+    `_CAP_BYTES` of address space and `_CAP_SECONDS`, on the default budget
+    and this checkout's source."""
+    env = {k: v for k, v in os.environ.items() if k != "SETVOTE_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_CAP_BYTES, _CAP_BYTES))
+
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=_CAP_SECONDS,
+    )
 
 
 class TestProfileDocuments:
@@ -383,7 +406,10 @@ class TestCli:
     @pytest.mark.parametrize("command,message", [
         ("axioms --rule tc --m 3 --n 99999999999999999999", None),
         ("sweep --m 3 --n 99999999999999999999", None),
-        ("axioms --rule tc --m 99999999999999999999 --n 1", None),
+        (
+            "axioms --rule tc --m 99999999999999999999 --n 1",
+            "the sweep engine tables all m! ballots; refusing m=99999999999999999999 > 8",
+        ),
         ("axioms --rule tc --m 100000 --n 1 --axiom robust-dominant-set", None),
         (
             "axioms --rule tc --m 3 --n 2 --k-hom 99999999999999999999"
@@ -392,8 +418,9 @@ class TestCli:
         ),
     ])
     def test_an_absurd_size_exits_2_at_once(self, monkeypatch, capsys, command, message):
-        # the budget refuses the first four from a closed form or a lower
-        # bound, and the margin code the tilings of the last
+        # the budget refuses the first, second and fourth from a closed form
+        # or a bound, the engine's reach the third before any estimate, and
+        # the margin code the tilings of the last
         monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
         start = time.perf_counter()
         assert cli.main(command.split()) == 2
@@ -403,6 +430,34 @@ class TestCli:
         expected = budget if message is None else re.escape(message)
         assert re.fullmatch(f"error: {expected}\n", captured.err)
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        "axioms --rule tc --m 9 --n 2 --margin-cap 0",
+        "axioms --rule tc --m 12 --n 1 --margin-cap 0",
+        "axioms --rule tc --m 99999999999999999999 --n 1 --margin-cap 0",
+    ])
+    def test_a_margin_capped_walk_past_eight_alternatives_exits_2_at_once(self, command):
+        # a margin-capped estimate counts its electorates one by one, over all
+        # m! ballots; the engine's reach refuses the walk before that count.
+        # The child's peak RSS is its own (VmHWM), which ru_maxrss is not: it
+        # keeps the forking parent's
+        script = (
+            "import re, sys, time\n"
+            "from pathlib import Path\n"
+            "from setvote import cli\n"
+            "start = time.perf_counter()\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "elapsed = time.perf_counter() - start\n"
+            "peak = re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text())[1]\n"
+            "print(status, elapsed, peak)\n"
+        )
+        run = run_capped(script, *command.split())
+        status, elapsed, peak_kb = run.stdout.split()
+        m = command.split()[4]
+        assert run.stderr == f"error: the sweep engine tables all m! ballots; refusing m={m} > 8\n"
+        assert int(status) == 2
+        assert float(elapsed) < 1
+        assert int(peak_kb) < 60 << 10
 
     def test_mcgarvey(self, tmp_path, fig1, capsys):
         graph_file = tmp_path / "g.json"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_manipulation, own_order_misreports, witness_holds
+from test_io import run_capped
 from setvote import _engine, cli, core, extensions, rules, verify
 from setvote.core import (
     ChoiceSet,
@@ -302,6 +303,17 @@ class TestGroupManipulation:
             "the sweep engine tables all m! ballots; refusing m=9 > 8"
         )
         assert tabled == []
+
+    def test_past_eight_alternatives_the_reach_is_asked_before_the_budget(self, monkeypatch):
+        # 3 * 9! + 3 * 9!^2 + 9!^3 joint reports of three voters pass the
+        # default budget, but no budget admits m = 9: the refusal names the
+        # engine's reach, not a budget to raise
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        with pytest.raises(
+            InstanceTooLargeError,
+            match="^the sweep engine tables all m! ballots; refusing m=9 > 8$",
+        ):
+            find_group_manipulation(TC, Profile(9, [tuple(range(9))] * 3), 3)
 
 
 CYCLE = Profile(3, ((A, B, C), (B, C, A), (C, A, B)))
@@ -1104,8 +1116,8 @@ def recorded_builds(monkeypatch):
 
 
 class TestRefusedBeforeBuilt:
-    """A sweep the budget refuses builds no predicate: `_Imposition` alone
-    holds all 2^m - 1 target sets once built."""
+    """A sweep the engine's reach or the budget refuses builds no predicate:
+    `_Imposition` alone holds all 2^m - 1 target sets once built."""
 
     _SWEEPS = {
         "set-non-imposition": lambda universe, budget: check_axiom(
@@ -1133,6 +1145,38 @@ class TestRefusedBeforeBuilt:
         # the recording sees the predicates an admitted sweep builds
         sweep(Universe(2, 1), None)
         assert built
+
+    @pytest.mark.parametrize("name", ["set-non-imposition", "strategyproofness", "corroboration"])
+    def test_a_walk_past_eight_alternatives_builds_no_predicate(self, monkeypatch, name):
+        # the default budget admits one voter on 9! ballots, but no budget
+        # admits the walk: the engine's reach refuses before any estimate
+        monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
+        built = recorded_builds(monkeypatch)
+        with pytest.raises(
+            InstanceTooLargeError,
+            match="^the sweep engine tables all m! ballots; refusing m=9 > 8$",
+        ):
+            self._SWEEPS[name](Universe(9, 1), None)
+        assert built == []
+
+    def test_a_margin_capped_walk_past_eight_alternatives_keeps_no_table(self):
+        # a margin-capped estimate would count the electorates over all 12!
+        # ballots; in a child held to a small address space, the engine's
+        # reach refuses first and keeps no ballot table and no layout
+        script = (
+            "from setvote import _engine\n"
+            "from setvote.rules import InstanceTooLargeError, parse_rule\n"
+            "from setvote.verify import Axiom, Universe, check_axiom\n"
+            "try:\n"
+            "    check_axiom(Axiom.COS, parse_rule('tc'), Universe(12, 1, margin_cap=0))\n"
+            "except InstanceTooLargeError as error:\n"
+            "    print(error)\n"
+            "print(_engine._ballots.cache_info().currsize, _engine._margin_code.cache_info().currsize)\n"
+        )
+        run = run_capped(script)
+        assert run.stdout == (
+            "the sweep engine tables all m! ballots; refusing m=12 > 8\n0 0\n"
+        ), run.stderr
 
     def test_a_refused_axioms_command_builds_no_predicate(self, monkeypatch, capsys):
         monkeypatch.setenv("SETVOTE_BUDGET", "1")
@@ -1177,9 +1221,10 @@ class TestEstimate:
         (1, 5, None), (2, 5, None), (3, 3, None), (4, 5, None), (4, 2, 1), (3, 4, 0),
     ])
     def test_a_bounded_count_admits_what_the_whole_estimate_admits(self, m, n_max, cap):
-        # below a budget of bit length L, m! is bounded at (L + 1)!, 3^C(m, 2)
-        # at 3^L and C(b + N, N) at C(max(b, N) + L + 1, L + 1): a bound is
-        # named only once it passes the budget, and never passes the estimate
+        # below a budget of bit length L, 3^C(m, 2) is bounded at 3^L and
+        # C(b + N, N) at C(max(b, N) + L + 1, L + 1), and a margin-capped
+        # count stops: a bound is named only once it passes the budget, and
+        # never passes the estimate
         costs = {verify._cost(n, r) for n in verify._CHECKS for r in (TC, parse_rule("borda"))}
         for chosen in [{cost} for cost in costs] + [costs]:
             whole = Universe(m, n_max, margin_cap=cap)._estimate(chosen, 10**30)
@@ -1206,23 +1251,64 @@ class TestEstimate:
             sweep(Universe(3, n))
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("sweep,m", [
-        (_pairwiseness, 10**20),
-        (lambda universe: check_robust_dominant(TC, universe), 10**5),
+    @pytest.mark.parametrize("sweep,m,error,message", [
+        (
+            _pairwiseness, 10**20, InstanceTooLargeError,
+            f"the sweep engine tables all m! ballots; refusing m={10**20} > 8",
+        ),
+        (
+            lambda universe: check_robust_dominant(TC, universe), 10**5, BudgetExceededError,
+            f"estimated {3**30} evaluations exceed the budget",
+        ),
     ], ids=["pairwiseness", "robust-dominance"])
-    def test_an_absurd_number_of_alternatives_is_refused_at_once(self, monkeypatch, sweep, m):
-        # every walk meets at least m! electorates of one voter, and the
-        # relation walk 3^C(m, 2) >= m! relations: past the default budget's
-        # 30 bits the estimate is 31! >= 2^30, and neither m! nor 3^C(m, 2)
-        # is computed
+    def test_an_absurd_number_of_alternatives_is_refused_at_once(
+        self, monkeypatch, sweep, m, error, message
+    ):
+        # a walk of electorates meets the engine's reach before any estimate,
+        # and computes no m!; the relation walk of a majoritarian rule tables
+        # no ballots, and past the default budget's 30 bits its estimate is
+        # 3^30, not 3^C(m, 2)
         monkeypatch.delenv("SETVOTE_BUDGET", raising=False)
         start = time.perf_counter()
-        with pytest.raises(
-            BudgetExceededError,
-            match=f"^estimated {math.factorial(31)} evaluations exceed the budget$",
-        ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             sweep(Universe(m, 1))
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("universe", [
+        Universe(2, 5), Universe(3, 3), Universe(3, 4), Universe(4, 2),
+        Universe(3, 4, margin_cap=0), Universe(3, 4, margin_cap=1), Universe(3, 4, k_hom=3),
+    ], ids=repr)
+    def test_a_run_makes_no_more_evaluations_than_its_estimate(self, monkeypatch, universe):
+        # an evaluation is a memo miss of an engine or a relation scan; each
+        # check of the table runs alone on every catalog rule, from fresh
+        # shared engines
+        evaluations = []
+        miss, relation_scan = _engine._Engine.miss, verify._RelationScan
+
+        def counted_miss(engine, key, code):
+            evaluations.append(key)
+            return miss(engine, key, code)
+
+        def counted_scan(*args):
+            evaluations.append(args)
+            return relation_scan(*args)
+
+        monkeypatch.setattr(_engine._Engine, "miss", counted_miss)
+        monkeypatch.setattr(verify, "_RelationScan", counted_scan)
+        monkeypatch.setattr(_engine, "_shared_engine", _engine._SharedEngines())
+        for rule, name in itertools.product(catalog(), verify._CHECKS):
+            _engine._shared_engine.cache_clear()
+            evaluations.clear()
+            verify._run((name,), (rule,), universe, None)
+            estimate = universe._estimate({verify._cost(name, rule)}, 10**30)
+            assert len(evaluations) <= estimate, (rule.name, name, len(evaluations), estimate)
+
+    def test_raw_enumeration_is_not_bounded_by_the_engine(self):
+        # the engine's reach bounds the sweeps, not the public enumerators
+        first = (tuple(range(9)),)
+        assert next(Universe(9, 1).raw_profiles()) == first
+        assert next(Universe(9, 1).profiles()) == Profile(9, first)
+        assert Universe(9, 1).count_profiles() == math.factorial(9)
 
     def test_a_voter_count_no_margin_code_holds_is_refused(self):
         # the budget of strategyproofness does not count k_hom, but the
