@@ -57,34 +57,32 @@ or the co-voters' electorate with the new ballot sorted in. A row that holds
 all m! ballots keeps the union of its outputs as a bit set over output
 masks.
 
-Memo lifetime. A rule on one layout keeps one engine, shared by every call
-and walk in the process but a replay, so calling `find_manipulation` once
-per profile evaluates each relation once. Every single-voter search (both
-readings, in `find_manipulation`, `find_strong_manipulation`, every walk and
-`replay`) asks `_Engine.misreport`, given the honest output, for the first
-voter, among those whose ballot no earlier voter has, with a misreport
-whose output is in the accept mask of the lifting and reading, and that
-misreport: a complete row answers None at once when the accept mask misses
-its union, and otherwise gives the first misreport in table order whose
-output in the row is accepted. The engine keeps no verdicts: the memo
-`verdicts` on it is the one-profile search's own (`verify._find`), which
-alone reads and writes it. `_engine` hands the engines out by (rule, m, size);
-a repeated call with the same rule object is answered from the last call's
-engine without hashing the rule. An engine reads the rule's entry in
-`rules._EVALUATORS`, its basis tag and evaluator, once when it is built, and
-on each miss calls that evaluator on the part of the profile its key holds:
-the electorate, the margins of the code, or the strict masks of the relation
-key. So an engine keeps its evaluator until the shared engines are cleared
-(`_shared_engine.cache_clear()`), which code that replaces an entry does
-itself. A profile-based engine keys its outputs on the electorate, the
-sorted ballot tuple, since every evaluator reads a multiset, so every
-ordering of one electorate shares one output. The output memo, the move
-tables (ranked moves, relabelings and relabeled masks alike), the rows and
-the verdict memo are each a `_Tables`, bounded when an entry is stored: past
-`_MEMO_ENTRIES` (an output or one search's verdicts weigh one, a row or a
-`_Ranks` table one unit per 64 bytes, rounded up: a row 2 at m = 5 and 12 at
-m = 6) it starts afresh before the next is stored, even during a walk; only
-each m's ballots and ranks and each layout's encodings are kept unbounded.
+Memo lifetime. A universe walk, a sweep or a `replay`, builds one engine per
+call (`verify._verdicts`), dropped on return, so what a verdict costs never
+depends on what ran before it. The one-profile searches, whose traffic
+repeats, share the `_SHARED_ENGINES` engines last used for the life of the
+process (`_engine`), so calling `find_manipulation` once per profile
+evaluates each relation once. The ballot tables and layouts of the last few
+m and sizes (`_ballots`, `_margin_code`) are shared by every engine on them:
+they do not depend on the rule, are bounded and hold no outputs. The engine
+keeps no verdicts: the memo `verdicts` on it is the one-profile search's own
+(`verify._find`), which alone reads and writes it. An engine reads the
+rule's entry in `rules._EVALUATORS`, its basis tag and evaluator, once when
+it is built, and on each miss calls that evaluator on the part of the
+profile its key holds: the electorate, the margins of the code, or the
+strict masks of the relation key. So a walk reads a replaced entry at its
+next call, while a shared engine keeps its evaluator until the shared
+engines are cleared (`_shared_engine.cache_clear()`), which code that
+replaces an entry does itself. A profile-based engine keys its outputs on
+the electorate, the sorted ballot tuple, since every evaluator reads a
+multiset, so every ordering of one electorate shares one output. The output
+memo, the move tables (ranked moves, relabelings and relabeled masks alike),
+the rows and the verdict memo are each a `_Tables`, bounded when an entry is
+stored: past `_MEMO_ENTRIES` (an output or one search's verdicts weigh one,
+a row or a `_Ranks` table one unit per 64 bytes, rounded up: a row 2 at
+m = 5 and 12 at m = 6) it starts afresh before the next is stored, even
+during a walk; only each m's ballots and ranks and each layout's encodings
+are kept unbounded.
 Errors (ties, empty choices, out-of-range parameters) are never memoized.
 """
 
@@ -107,8 +105,8 @@ from .rules import (
     _nonempty,
 )
 
-# engines shared across calls, and the entries past which a memo starts
-# afresh; 3^10 relations on five alternatives fit
+# engines the one-profile searches share across calls, and the entries past
+# which a memo starts afresh; 3^10 relations on five alternatives fit
 _SHARED_ENGINES = 8
 _MEMO_ENTRIES = 1 << 16
 
@@ -299,7 +297,7 @@ class _Engine:
     entry in the evaluator table, read once here. The key follows the rule's
     basis: the electorate (the sorted ballots) for profile-based rules, the
     margin code for pairwise ones, the relation key for majoritarian ones.
-    Build one through `_engine`, which shares it across calls."""
+    A walk builds its own; one-profile searches share them (`_engine`)."""
 
     def __init__(self, rule: RuleSpec, m: int, size: int):
         self.rule = rule
@@ -426,10 +424,10 @@ class _Engine:
 
 
 class _SharedEngines:
-    """The engines shared across calls: the `_SHARED_ENGINES` most recently
-    used, by (rule, m, size), and the last call's (rule, m, size, engine),
-    which a repeated call with the same rule object answers without hashing
-    the rule."""
+    """The engines the one-profile searches share: the `_SHARED_ENGINES`
+    most recently used, by (rule, m, size), and the last call's (rule, m,
+    size, engine), which a repeated call with the same rule object answers
+    without hashing the rule."""
 
     def __init__(self):
         self.built = lru_cache(maxsize=_SHARED_ENGINES)(_Engine)

@@ -11,10 +11,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from string import ascii_lowercase
 
 from . import io as svio
-from .core import MajorityRelation, Profile, _margins_flat, relation, top_cycle
+from .core import MajorityRelation, Profile, _margins_flat, _names, relation, top_cycle
 from .extensions import ExtensionKind
 from .mcgarvey import realize
 from .rules import evaluate, parse_rule
@@ -38,8 +37,9 @@ def _print_margins(profile: Profile) -> None:
     m = profile.m
     flat = _margins_flat(profile.ballots, m)
     width = max(3, max(len(str(v)) for v in flat) + 1)
-    print(" " * 3 + "".join(f"{x:>{width}}" for x in ascii_lowercase[:m]))
-    for x, name in enumerate(ascii_lowercase[:m]):
+    names = _names(m)
+    print(" " * 3 + "".join(f"{x:>{width}}" for x in names))
+    for x, name in enumerate(names):
         print(f"{name:>3}" + "".join(f"{v:>{width}}" for v in flat[x * m:(x + 1) * m]))
 
 

@@ -73,8 +73,19 @@ __all__ = [
 
 
 def to_letters(members) -> str:
-    """Render a collection of alternative indices as '{a,c,d}'."""
-    return "{" + ",".join(ascii_lowercase[i] for i in sorted(members)) + "}"
+    """Render a collection of alternative indices as '{a,c,d}'; an index
+    with no letter, outside 0..25, is refused."""
+    members = sorted(members)
+    for i in members:
+        if not 0 <= i < 26:
+            raise ValueError(f"alternative {i} has no letter; letters name 0..25")
+    return "{" + ",".join(ascii_lowercase[i] for i in members) + "}"
+
+
+def _names(m: int):
+    """The printed names of alternatives 0..m-1: letters up to 26
+    alternatives, decimal indices past them."""
+    return ascii_lowercase[:m] if m <= 26 else [str(x) for x in range(m)]
 
 
 def _bits(mask: int):
@@ -195,7 +206,8 @@ class ChoiceSet:
         return self.mask & ~other.mask == 0
 
     def __str__(self) -> str:
-        return to_letters(self.members)
+        names = _names(self.m)
+        return "{" + ",".join(names[x] for x in self.members) + "}"
 
 
 @lru_cache(maxsize=_CHOICE_MEMO)

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from string import ascii_lowercase
 
-from .core import ChoiceSet, Profile
+from .core import ChoiceSet, Profile, _names
 from .mcgarvey import WeightedMajorityGraph
 from .verify import AxiomVerdict, Manipulation, Outcome, Universe
 from .rules import parse_rule
@@ -113,9 +113,8 @@ def parse_profile(text: str) -> Profile:
 
 
 def _ballot_text(ballot) -> str:
-    if len(ballot) <= 26:
-        return " ".join(ascii_lowercase[x] for x in ballot)
-    return " ".join(str(x) for x in ballot)
+    names = _names(len(ballot))
+    return " ".join(names[x] for x in ballot)
 
 
 def serialize_profile(profile: Profile) -> str:

@@ -38,16 +38,17 @@ closes every open predicate; one raised inside a predicate closes that
 predicate only. Sweeps run in one process.
 
 One place, `_verdicts`, decides what each check walks and sizes the engine
-for it: the universe's profiles on the shared engine of (rule, universe), in
-scan order (n ascending, then lexicographic), one ordering per electorate
-(below), one electorate per relabeling class first (Orbit walk), or the
-majority relations (Relation walk).
+for it: the universe's profiles in scan order (n ascending, then
+lexicographic), one ordering per electorate (below), one electorate per
+relabeling class first (Orbit walk), or the majority relations (Relation
+walk). Each call builds one engine of its own for its walks of electorates,
+so a verdict and its cost never depend on what ran before it in the process.
 Every witness is the first its predicate meets, so `replay` hands the stored
 profile(s) to `_verdicts`, which walks the same predicate over those the
 universe holds (its m, at most n_max voters, every margin within the cap),
-or over the relations of those with its m, through an engine of its own so
-that the witness is re-derived from the rule. A witness the universe does
-not hold is never met, so it does not replay.
+or over the relations of those with its m, so that the witness is re-derived
+from the rule. A witness the universe does not hold is never met, so it does
+not replay.
 
 Electorate walk. Every rule reads the ballots only as a multiset: margins
 are sums over the ballots, and the tests check each profile-based evaluator
@@ -119,7 +120,7 @@ exactly when it is that relation's realization.
 One-ballot-move axioms. Weak monotonicity, weak set monotonicity, IUA and
 weak localizedness are each one `_perturbation`: a move kind, what makes a
 move a violation, and what the witness names. The sweep engine (margin
-codes, move tables, the shared engines and their memos) is `_engine`; a
+codes, move tables, the engines and their memos) is `_engine`; a
 check reads a profile through its scan context, `_Scan`, and moves through
 the engine (`_moved`, `_Engine.relabeled`, `_Engine.reports`); neutrality
 reads the relabeled output and the permutation of its witness off the
@@ -287,8 +288,8 @@ class Universe:
         universe, or a lower bound on it past the budget. E electorates of V
         ballots cost a walk a*E + c*V: uncapped, with b = m! and N = n_max,
         E = C(b + N, N) - 1 and V = b*C(b + N, N - 1); under a margin cap
-        the first estimate counts them until the estimate so far passes the
-        budget, and keeps a complete count as `_counted`. A walk of
+        every estimate counts them until the estimate so far passes the
+        budget, and keeps no count on the universe. A walk of
         electorates past eight alternatives is refused before any estimate
         (`_within_reach`), so b <= 8!. No count passes 2^L > budget, L its
         bit length: 3 is raised to at most L, and for b, N > L + 1 the
@@ -309,14 +310,12 @@ class Universe:
             if j < min(b, n_max):
                 return count - 1
             return estimate(count - 1, b * count * n_max // (b + 1))
-        if "_counted" not in vars(self):
-            electorates = ballots = 0
-            for electorates, electorate in enumerate(self._electorates(), 1):
-                ballots += len(electorate)
-                if (so_far := estimate(electorates, ballots)) > budget:
-                    return so_far
-            vars(self)["_counted"] = electorates, ballots
-        return estimate(*vars(self)["_counted"])
+        electorates = ballots = 0
+        for electorates, electorate in enumerate(self._electorates(), 1):
+            ballots += len(electorate)
+            if (so_far := estimate(electorates, ballots)) > budget:
+                return so_far
+        return estimate(electorates, ballots)
 
     def count_profiles(self) -> int:
         """The ordered profiles: m!^n of each size n, or under a margin cap
@@ -1076,27 +1075,27 @@ def _verdicts(rule: RuleSpec, universe: Universe, checks: dict, profiles=None) -
     walk of the universe but a check `_over_relations` selects, which walks
     the majority relations (Relation walk). On an uncapped universe the
     checks of `_ORBIT_CHECKS` take the orbit walk first, and only those it
-    does not settle join the universe walk. Given `profiles`, walk those the
-    universe holds alone, through a private engine, or the relations of
-    those with its m, so that every output is re-derived from the rule and
-    not read back from a memo a sweep filled. Returns what `_walk`
-    returns."""
+    does not settle join the universe walk. Both walks of electorates read
+    one engine, built here only if some check walks them and dropped on
+    return. Given `profiles`, walk those the universe holds alone, or the
+    relations of those with its m, so that every output is re-derived from
+    the rule. Returns what `_walk` returns."""
     m, replaying = universe.m, profiles is not None
-    size = universe.n_max * universe.k_hom
     on_relations = {n: c for n, c in checks.items() if _over_relations(n, rule)}
     rest = {n: c for n, c in checks.items() if n not in on_relations}
     results: dict = {}
-    orbit = {n: c for n, c in rest.items() if n in _ORBIT_CHECKS}
-    if orbit and not replaying and universe.margin_cap is None:
-        results = _orbit_walk(rule, universe, orbit, partial(_Scan, _engine(rule, m, size)))
-        rest = {n: c for n, c in rest.items() if n not in results}
+    if rest:
+        scan = partial(_Scan, _Engine(rule, m, universe.n_max * universe.k_hom))
+        orbit = {n: c for n, c in rest.items() if n in _ORBIT_CHECKS}
+        if orbit and not replaying and universe.margin_cap is None:
+            results = _orbit_walk(rule, universe, orbit, scan)
+            rest = {n: c for n, c in rest.items() if n not in results}
     if rest:
         if replaying:
             ballots = (p.ballots for p in profiles if universe._contains(p))
         else:
             ballots = universe._electorates()
-        engine = _Engine(rule, m, size) if replaying else _engine(rule, m, size)
-        results.update(_walk(rule, universe, rest, ballots, partial(_Scan, engine)))
+        results.update(_walk(rule, universe, rest, ballots, scan))
     if on_relations:
         if replaying:
             rels = (MajorityRelation.from_profile(p).strict for p in profiles if p.m == m)

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from setvote import _engine, verify
 from setvote.core import Profile
 
 # Classic five-alternative, four-voter election: no Condorcet winner or loser,
@@ -41,3 +42,20 @@ def fig2_left():
 @pytest.fixture
 def fig2_right():
     return Profile.from_rankings(FIG2_RIGHT_RANKINGS)
+
+
+@pytest.fixture
+def built_engines(monkeypatch):
+    """The engines the universe walks build from here on, in build order:
+    `verify._Engine` is replaced by a subclass that records each one. The
+    shared engines of the one-profile searches are built elsewhere and not
+    recorded."""
+    built = []
+
+    class Recorded(_engine._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "_Engine", Recorded)
+    return built

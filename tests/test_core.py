@@ -444,6 +444,23 @@ class TestEnumerationOrder:
         assert first == list(itertools.islice(relations_in_product_order(6), 1000))
 
 
+class TestPrintedNames:
+    def test_a_set_names_its_members_by_letter_up_to_26_alternatives(self):
+        assert str(ChoiceSet(3, 0b101)) == "{a,c}"
+        assert str(ChoiceSet(26, 1 | 1 << 25)) == "{a,z}"
+        assert str(ChoiceSet(3, 0)) == "{}"
+
+    def test_past_26_alternatives_a_set_names_its_members_by_index(self):
+        assert str(ChoiceSet(27, 1 | 1 << 26)) == "{0,26}"
+        assert str(ChoiceSet(27, 1 << 3)) == "{3}"
+
+    @pytest.mark.parametrize("index", [26, -1])
+    def test_to_letters_refuses_an_index_with_no_letter(self, index):
+        assert core.to_letters([2, 0, 25]) == "{a,c,z}"
+        with pytest.raises(ValueError, match=f"^alternative {index} has no letter; "):
+            core.to_letters([0, index])
+
+
 class TestChoiceSetValidation:
     @pytest.mark.parametrize("mask", [1.0, "1", None])
     def test_a_non_integer_mask_is_refused(self, mask):

@@ -353,6 +353,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split() == ["a", "0", "0", "-2", "2", "4"]
 
+    def test_past_26_alternatives_every_command_prints_indices(self, tmp_path, capsys):
+        # one voter ranking 26 first and 0 last on 27 alternatives: letters
+        # end at z, so every name is the alternative's index
+        path = tmp_path / "m27.prof"
+        path.write_text(serialize_profile(Profile(27, (tuple(range(26, -1, -1)),))))
+        assert path.read_text().splitlines()[1].split()[:2] == ["26", "25"]
+        for command in ("eval --rule tc", "tc"):
+            assert cli.main([*command.split(), "--profile", str(path)]) == 0
+            assert capsys.readouterr().out == "{26}\n"
+        assert cli.main(["margins", "--profile", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 28
+        assert lines[0].split() == [str(x) for x in range(27)]
+        for x, line in enumerate(lines[1:]):
+            assert line.split() == [str(x)] + ["1"] * x + ["0"] + ["-1"] * (26 - x)
+
     def test_tc_from_graph(self, tmp_path, fig1, capsys):
         graph_file = tmp_path / "g.json"
         graph_file.write_text(serialize_graph(WeightedMajorityGraph(5, margins(fig1))))

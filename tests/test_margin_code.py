@@ -593,12 +593,15 @@ def test_one_relabeling_table_per_m_serves_the_orbit_test_and_neutrality(monkeyp
     assert _engine._margin_code(4, 3).table is _engine._margin_code(4, 8).table
 
 
-def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch):
+def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(
+    monkeypatch, built_engines
+):
     # fab:ab is not neutral, so its Fishburn sweep on (5, <=3) walks every
-    # electorate: 4,351 co-voters' codes get a row, each of 120 bytes.
-    # No table starts afresh: neither the output memo, the rows nor the move
-    # tables (those of the ballot table of m = 5), and the walk stores no
-    # verdict, since only the one-profile search keeps verdicts
+    # electorate on the one engine it builds: 4,351 co-voters' codes get a
+    # row, each of 120 bytes. No table starts afresh: neither the output
+    # memo, the rows nor the move tables (those of the ballot table of
+    # m = 5), and the walk stores no verdict, since only the one-profile
+    # search keeps verdicts; no shared engine is built
     restarted = []
     store = _engine._Tables.store
 
@@ -607,30 +610,35 @@ def test_a_walk_on_five_alternatives_keeps_its_rows_and_move_tables(monkeypatch)
             restarted.append(id(table))
         return store(table, key, value)
 
-    _engine._shared_engine.cache_clear()
+    monkeypatch.setattr(_engine, "_shared_engine", _engine._SharedEngines())
     _engine._margin_code.cache_clear()
     _engine._ballots.cache_clear()
     monkeypatch.setattr(_engine._Tables, "store", counted)
     fab = parse_rule("fab:ab")
     assert verify.sweep_strategyproofness(fab, Universe(5, 3)).outcome == Outcome.HOLDS
-    engine = _engine._engine(fab, 5, 6)
-    # every row the walk built is still held
+    (engine,) = built_engines
+    # every row the walk built was still held when it ended
+    assert (engine.m, engine.layout.size) == (5, 6)
     assert len(engine.rows) == 4351
     assert restarted == [] and engine.verdicts == {}
+    assert _engine._shared_engine.built.cache_info().currsize == 0
 
 
-def test_only_the_one_profile_search_keeps_verdicts():
-    # a strategyproofness walk asks the engine with each scan's honest
-    # output and stores no verdict; a one-profile search on the same engine
-    # (six voters on four alternatives) stores its answers there
+def test_only_the_one_profile_search_keeps_verdicts(monkeypatch, built_engines):
+    # a strategyproofness walk asks its own engine with each scan's honest
+    # output and stores no verdict; a one-profile search (six voters on four
+    # alternatives) stores its answers on the shared engine it reads, which
+    # is not the walk's
     fab = parse_rule("fab:ab")
-    _engine._shared_engine.cache_clear()
+    monkeypatch.setattr(_engine, "_shared_engine", _engine._SharedEngines())
     assert verify.sweep_strategyproofness(fab, Universe(4, 3)).outcome == Outcome.HOLDS
-    engine = _engine._engine(fab, 4, 6)
-    assert engine.rows and engine.verdicts == {}
+    (walked,) = built_engines
+    assert walked.rows and walked.verdicts == {}
     profile = Profile(4, ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)) * 2)
     assert verify.find_manipulation(fab, profile) is None
-    assert _engine._engine(fab, 4, 6) is engine
+    engine = _engine._engine(fab, 4, 6)
+    assert engine is not walked and built_engines == [walked]
+    assert walked.verdicts == {}
     assert engine.verdicts == {
         (ExtensionKind.FISHBURN, False, engine.layout.of(profile.ballots)): dict.fromkeys(
             profile.ballots, False

@@ -435,8 +435,9 @@ class TestCheckAxiom:
         # the first electorates (3, <=4) keeps under a margin cap of 0 are
         # its three two-voter {ballot, reversal} pairs, 73 axiom evaluations
         # each: a budget of 218 is passed at the third, where the count
-        # stops and the refusal names the estimate so far. A count left
-        # unfinished is not kept; a complete one is, and is read from then on
+        # stops and the refusal names the estimate so far. No count is kept
+        # on the universe: every call counts anew, so the budget-218 refusal
+        # meets three electorates on every call, also after a complete count
         met = []
         electorates = Universe._electorates
 
@@ -447,20 +448,21 @@ class TestCheckAxiom:
 
         monkeypatch.setattr(Universe, "_electorates", counted)
         universe = Universe(3, 4, margin_cap=0)
-        for budget, estimate, walked in ((218, 219, 3), (656, 657, 9)):
+        fields = vars(Universe(3, 4, margin_cap=0))
+        for budget, estimate, walked in ((218, 219, 3), (656, 657, 9), (218, 219, 3)):
             met.clear()
             with pytest.raises(BudgetExceededError, match=f"^estimated {estimate} evaluations"):
                 check_axiom(Axiom.COS, TC, universe, budget=budget)
-            assert len(met) == walked and "_counted" not in vars(universe)
-        met.clear()
-        assert check_axiom(Axiom.COS, TC, universe, budget=657).outcome == Outcome.HOLDS
-        # counted once (9 electorates holding 3 * 2 + 6 * 4 ballots), then
-        # walked once
-        assert len(met) == 2 * 9 and universe._counted == (9, 30)
-        met.clear()
-        with pytest.raises(BudgetExceededError, match="^estimated 657 evaluations"):
-            check_axiom(Axiom.COS, TC, universe, budget=218)
-        assert met == []
+            assert len(met) == walked and vars(universe) == fields
+        for _ in range(2):
+            met.clear()
+            assert check_axiom(Axiom.COS, TC, universe, budget=657).outcome == Outcome.HOLDS
+            # counted (9 electorates), then walked
+            assert len(met) == 2 * 9 and vars(universe) == fields
+            met.clear()
+            with pytest.raises(BudgetExceededError, match="^estimated 219 evaluations"):
+                check_axiom(Axiom.COS, TC, universe, budget=218)
+            assert len(met) == 3 and vars(universe) == fields
         # a fresh universe is admitted exactly when the complete count is
         for budget in (0, 72, 73, 218, 219, 656, 657, 10**4):
             try:
@@ -476,27 +478,31 @@ class TestCheckAxiom:
             check_axiom(Axiom.PAIRWISENESS, TC, Universe(5, 4, margin_cap=0), budget=1)
         assert met == [((0, 1, 2, 3, 4), (4, 3, 2, 1, 0))]
 
-    def test_a_margin_capped_universe_is_counted_once(self, monkeypatch):
-        # a universe counts its electorates with one _electorates call, on its
-        # first estimate, and every walk of it is one more enumeration; a
-        # majoritarian rule's robust-dominant check walks the majority
-        # relations instead, and counts no electorate even when none is counted
-        universe = Universe(3, 2, margin_cap=0)
+    def test_a_margin_capped_universe_is_counted_on_every_call(self, monkeypatch):
+        # every call that walks electorates counts them with one _electorates
+        # call, then walks them with one more per rule; a majoritarian rule's
+        # robust-dominant check walks the majority relations instead, and
+        # counts no electorate. No count is kept on the universe
+        universe, wider = Universe(3, 2, margin_cap=0), Universe(3, 4, margin_cap=0)
+        fields = vars(Universe(3, 2, margin_cap=0)), vars(Universe(3, 4, margin_cap=0))
         borda = parse_rule("borda")
         calls = counted_enumerations(monkeypatch)
         for call, expected in (
-            (lambda: check_robust_dominant(TC, Universe(3, 2, margin_cap=0)), 0),
-            (lambda: check_axiom(Axiom.COS, TC, universe), 2),
-            (lambda: sweep_strong_strategyproofness(TC, universe), 1),
-            (lambda: check_robust_dominant(borda, universe), 1),
-            (lambda: check_robust_dominant(TC, universe), 0),
-            (lambda: check_weak_robustness(TC, universe), 1),
-            (lambda: corroborate_theorems(universe), len(catalog())),
-            (lambda: corroborate_theorems(Universe(3, 2, margin_cap=0)), 1 + len(catalog())),
+            (lambda: check_robust_dominant(TC, universe), []),
+            (lambda: check_axiom(Axiom.COS, TC, universe), [universe] * 2),
+            (lambda: check_axiom(Axiom.COS, TC, universe), [universe] * 2),
+            (lambda: check_axiom(Axiom.COS, TC, wider), [wider] * 2),
+            (lambda: check_axiom(Axiom.COS, TC, wider), [wider] * 2),
+            (lambda: sweep_strong_strategyproofness(TC, universe), [universe] * 2),
+            (lambda: check_robust_dominant(borda, universe), [universe] * 2),
+            (lambda: check_robust_dominant(TC, universe), []),
+            (lambda: check_weak_robustness(TC, universe), [universe] * 2),
+            (lambda: corroborate_theorems(universe), [universe] * (1 + len(catalog()))),
+            (lambda: corroborate_theorems(universe), [universe] * (1 + len(catalog()))),
         ):
             calls.clear()
             call()
-            assert len(calls) == expected
+            assert calls == expected and (vars(universe), vars(wider)) == fields
 
     @pytest.mark.parametrize("name", ["tc", "fab"])
     def test_an_axiom_given_by_value_gives_the_same_verdict(self, name):
@@ -793,7 +799,7 @@ class TestStrongStrategyproofness:
         assert verdict.outcome == Outcome.HOLDS
 
     def test_one_memo_serves_the_whole_sweep(self, monkeypatch):
-        # counted from empty shared engines, so that the count is the sweep's own
+        # the sweep builds its own engine, so the count is the sweep's own
         calls = counted_calls(monkeypatch, RuleId.TOP_CYCLE)
         sweep_strong_strategyproofness(TC, Universe(3, 3))
         # at most one evaluation per majority relation on three alternatives
@@ -1200,10 +1206,15 @@ class TestEstimate:
     budget's bit length."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_the_estimate_sums_what_each_electorate_costs(self, m):
+    def test_the_estimate_sums_what_each_electorate_costs(self, monkeypatch, m):
         # every check of the table, on a majoritarian and a pairwise rule:
         # a + c * len(e) summed over the electorates the walk meets, or
-        # 3^C(m, 2) when the check walks the majority relations
+        # 3^C(m, 2) when the check walks the majority relations. Every
+        # estimate of a capped universe counts its electorates anew, so they
+        # are listed once per universe here
+        electorates = Universe._electorates
+        listed = lru_cache(maxsize=None)(lambda universe: tuple(electorates(universe)))
+        monkeypatch.setattr(Universe, "_electorates", lambda universe: iter(listed(universe)))
         for cap in (None, 0, 1):
             sizes = Counter(map(len, Universe(m, 5, margin_cap=cap)._electorates()))
             for n_max, k_hom in itertools.product(range(1, 6), (2, 3)):
@@ -1413,34 +1424,123 @@ class TestEmptyOutputs:
             with pytest.raises(EmptyChoiceError):
                 call()
 
-    def test_an_engine_keeps_its_evaluator_until_the_shared_engines_are_cleared(
-        self, monkeypatch, fig2_left
-    ):
-        # an evaluator put in the table reaches no engine built before: every
-        # call a warm shared engine serves still answers, and so does a search
-        # through an engine whose memos are emptied, since it evaluates anew
-        # with its own evaluator. Once the shared engines are cleared, every
-        # call builds its engine anew and refuses the empty set
+    def test_a_sweep_reads_a_replaced_evaluator_at_once(self, monkeypatch, fig2_left):
+        # every sweep builds its engine per call, so an evaluator put in the
+        # table reaches the next sweep though the shared engines are warm
         calls = self.call_sites(fig2_left)
         for call in calls:
             call()
+        monkeypatch.setitem(
+            rules._EVALUATORS, RuleId.TOP_CYCLE, (BasisTag.MAJORITARIAN, lambda r, m, s: 0)
+        )
+        for call in calls[3:]:
+            with pytest.raises(EmptyChoiceError):
+                call()
+
+    def test_a_one_profile_search_keeps_its_evaluator_until_the_shared_engines_are_cleared(
+        self, monkeypatch, fig2_left
+    ):
+        # an evaluator put in the table reaches no shared engine built
+        # before: every one-profile search a warm shared engine serves still
+        # answers, and so does one through an engine whose memos are
+        # emptied, since it evaluates anew with its own evaluator. Once the
+        # shared engines are cleared, every search builds its engine anew and
+        # refuses the empty set
+        searches = self.call_sites(fig2_left)[:3]
+        for search in searches:
+            search()
+
         def empty(rule, m, strict):
             return 0
 
         engine = _engine._engine(TC, 3, fig2_left.n)
         kept = engine.evaluator
         monkeypatch.setitem(rules._EVALUATORS, RuleId.TOP_CYCLE, (BasisTag.MAJORITARIAN, empty))
-        for call in calls[:-2]:
-            call()
+        for search in searches:
+            search()
         for memo in (engine.cache, engine.rows, engine.verdicts):
             memo.clear()
         find_manipulation(TC, fig2_left)
         assert _engine._engine(TC, 3, fig2_left.n) is engine and engine.evaluator is kept
         assert engine.cache
         replace_evaluator(monkeypatch, RuleId.TOP_CYCLE, empty)
-        for call in calls:
+        for search in searches:
             with pytest.raises(EmptyChoiceError):
-                call()
+                search()
+
+
+class TestOneEnginePerWalk:
+    """Every universe walk, a sweep or a replay, builds one engine of its own
+    per call and reads no shared engine, so what it costs depends on nothing
+    that ran before it in the process."""
+
+    @staticmethod
+    def no_shared_engine(monkeypatch):
+        def refused(*args):
+            raise AssertionError(f"a walk asked for the shared engine of {args}")
+
+        monkeypatch.setattr(verify, "_engine", refused)
+
+    @pytest.mark.parametrize("name", ["tc", "borda", "pareto"])
+    @pytest.mark.parametrize("universe", [Universe(3, 3), Universe(3, 3, margin_cap=1)], ids=repr)
+    def test_a_call_builds_at_most_one_engine(self, monkeypatch, built_engines, name, universe):
+        # one engine per _verdicts call, sized for the tilings of
+        # homogeneity, whatever its checks, and none when every check walks
+        # the majority relations
+        rule = parse_rule(name)
+        self.no_shared_engine(monkeypatch)
+        for names in [*([n] for n in verify._CHECKS), list(verify._CHECKS)]:
+            built_engines.clear()
+            verify._verdicts(rule, universe, predicates(universe, names))
+            if all(verify._over_relations(n, rule) for n in names):
+                assert built_engines == []
+            else:
+                (engine,) = built_engines
+                assert (engine.rule, engine.m, engine.layout.size) == (rule, 3, 6)
+
+    @pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+    def test_a_replay_builds_its_own_engine(self, monkeypatch, built_engines, case):
+        verdict = _VIOLATIONS[case]()
+        built_engines.clear()
+        self.no_shared_engine(monkeypatch)
+        assert replay(verdict)
+        walks_relations = verify._over_relations(verdict.axiom, verdict.rule)
+        assert len(built_engines) == (0 if walks_relations else 1)
+
+    def test_an_identical_call_evaluates_as_much_as_the_first(self, monkeypatch):
+        # the memo misses of a corroboration depend on the call alone: a
+        # second identical call evaluates as much as the first, on the
+        # catalog and on one rule, whose engine a process-wide memo would
+        # still hold at the second call
+        misses = []
+        miss = _engine._Engine.miss
+
+        def counted(engine, key, code):
+            misses.append(key)
+            return miss(engine, key, code)
+
+        monkeypatch.setattr(_engine._Engine, "miss", counted)
+        for among in (None, (TC,)):
+            counts = []
+            for _ in range(2):
+                misses.clear()
+                corroborate_theorems(Universe(3, 3), among)
+                counts.append(len(misses))
+            assert counts[0] == counts[1] > 0
+
+    def test_sweeps_and_replays_leave_the_shared_engines_as_they_were(self, monkeypatch):
+        monkeypatch.setattr(_engine, "_shared_engine", _engine._SharedEngines())
+        assert find_manipulation(TC, CYCLE) is None
+
+        def shared():
+            return _engine._shared_engine.built.cache_info().currsize
+
+        assert shared() == 1
+        verdict = sweep_strategyproofness(parse_rule("borda"), Universe(3, 2))
+        assert verdict.outcome == Outcome.VIOLATED and shared() == 1
+        assert replay(verdict) and shared() == 1
+        corroborate_theorems(Universe(3, 2))
+        assert shared() == 1
 
 
 class TestSharedMemo:
@@ -1482,11 +1582,12 @@ class TestSharedMemo:
         ("pareto", "cache", 3),
         ("pareto", "rows", 4),
     ])
-    def test_every_memo_is_bounded_where_it_is_stored(self, monkeypatch, name, memo, m):
+    def test_every_memo_is_bounded_where_it_is_stored(
+        self, monkeypatch, built_engines, name, memo, m
+    ):
         rule, universe = parse_rule(name), Universe(m, 3)
 
         def verdicts():
-            _engine._shared_engine.cache_clear()
             checks = predicates(universe, verify._CHECKS)
             return as_results(verify._verdicts(rule, universe, checks))
 
@@ -1502,7 +1603,7 @@ class TestSharedMemo:
         monkeypatch.setattr(_engine._Tables, "store", recorded)
         monkeypatch.setattr(_engine, "_MEMO_ENTRIES", 8)
         assert verdicts() == default
-        engine = _engine._engine(rule, universe.m, universe.n_max * universe.k_hom)
+        _, engine = built_engines
         seen = [(w, held) for table, w, held in weights if table is getattr(engine, memo)]
         # the walk stored far more entries than the bound, each weighing one
         assert len(seen) > 8 * 9 and max(w for w, _ in seen) == 9
@@ -1565,7 +1666,8 @@ class TestSharedMemo:
         assert len(calls) == before == 11
 
     def test_replay_evaluates_through_its_own_engine(self, monkeypatch):
-        # the sweep's shared engine holds every output the replay needs
+        # the sweep's engine held every output the replay needs; the replay
+        # evaluates them anew
         borda = parse_rule("borda")
         calls = counted_calls(monkeypatch, RuleId.BORDA)
         verdict = sweep_strategyproofness(borda, Universe(3, 3))
